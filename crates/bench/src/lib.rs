@@ -19,7 +19,6 @@
 pub mod ablations;
 pub mod compile_time;
 pub mod loadtest;
-pub mod pool;
 pub mod report;
 pub mod stats;
 pub mod sweep;

@@ -20,9 +20,9 @@
 //! [`Pass`](cim_compiler::Pass) purity contract), so caching never
 //! changes a report's comparison section.
 
-use crate::pool::run_ordered;
 use crate::report::{BenchReport, JobFailure, JobMetrics, JobRecord, SweepTiming};
 use cim_arch::presets;
+use cim_compiler::pool::run_ordered;
 use cim_compiler::{CompileCache, CompileOptions, Compiler, MemoryCache, OptLevel};
 use cim_graph::zoo;
 use serde::{Deserialize, Serialize};

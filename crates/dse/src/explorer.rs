@@ -4,7 +4,7 @@
 //! [`Explorer::explore`] drives a [`SearchStrategy`] against a
 //! [`DesignSpace`]: each proposed batch is realized into concrete
 //! architectures, compiled on the shared worker pool
-//! ([`cim_bench::pool::run_ordered`], the same scheduler `cimc bench`
+//! ([`cim_compiler::pool::run_ordered`], the same scheduler `cimc bench`
 //! sweeps on), and scored under the run's [`Objective`]. A shared
 //! [`CompileCache`] makes neighboring candidates cheap — points
 //! differing only in scheduling depth share pipeline-prefix artifacts,
@@ -22,8 +22,8 @@ use crate::objective::{pareto_front, Objective, TrafficEval};
 use crate::report::{DseCandidate, DseFailure, DseReport, DseTiming, TracePoint, SCHEMA_VERSION};
 use crate::space::{DesignPoint, DesignSpace, SpaceError};
 use crate::strategy::{History, SearchStrategy};
-use cim_bench::pool::run_ordered;
 use cim_bench::report::JobMetrics;
+use cim_compiler::pool::run_ordered;
 use cim_compiler::{CompileCache, CompileOptions, Compiler};
 use cim_graph::Graph;
 use cim_traffic::{simulate_priced, Batching, Placement, PolicyKind, SimConfig, Trace};

@@ -27,38 +27,10 @@ use crate::report::{DseCandidate, DseFailure};
 use crate::space::{DesignPoint, DesignSpace, NUM_AXES};
 use std::collections::HashMap;
 
-/// Deterministic splitmix64 generator driving the seeded strategies.
-///
-/// In-tree (no external RNG crates) and stable across platforms: the
-/// same seed always yields the same exploration.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seeds the generator.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, n)`; `n = 0` yields 0.
-    pub fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-}
+/// The workspace's one seeded generator (it lives in `cim-traffic`, which
+/// this crate already depends on), re-exported so `cim_dse::SplitMix64`
+/// keeps resolving.
+pub use cim_traffic::SplitMix64;
 
 /// Everything evaluated so far, in first-evaluation order — the
 /// read-only view strategies make decisions on.
@@ -570,20 +542,6 @@ mod tests {
             crossbars_allocated: 128,
             utilization: 0.5,
         }
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_bounded() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut r = SplitMix64::new(7);
-        for _ in 0..1000 {
-            assert!(r.below(10) < 10);
-        }
-        assert_eq!(SplitMix64::new(1).below(0), 0);
     }
 
     #[test]

@@ -25,8 +25,8 @@ use crate::report::{
 };
 use crate::trace::{Trace, TraceError, TraceEvent};
 use cim_arch::CimArchitecture;
-use cim_bench::pool::run_ordered;
 use cim_bench::stats::LatencySummary;
+use cim_compiler::pool::run_ordered;
 use cim_compiler::CompileCache;
 use cim_graph::Graph;
 use cim_sim::ServiceModel;

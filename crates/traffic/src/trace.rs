@@ -451,10 +451,11 @@ impl Trace {
     }
 }
 
-/// The splitmix64 generator: tiny, seedable, and stable across
-/// platforms — the same generator the search strategies in `cim-dse`
-/// use. Duplicated here (it is 15 lines) to keep the crate graph
-/// acyclic: `cim-dse` depends on this crate for traffic objectives.
+/// The splitmix64 generator: tiny, seedable, in-tree (no external RNG
+/// crates) and stable across platforms. The one copy in the workspace:
+/// trace generation draws from it here and the seeded search strategies
+/// in `cim-dse` re-export it, so the same seed always yields the same
+/// trace and the same exploration.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(u64);
 
@@ -474,6 +475,15 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
+    /// Uniform value in `[0, n)`; `n = 0` yields 0.
+    pub fn below(&mut self, n: u64) -> u64 {
+        if n == 0 {
+            0
+        } else {
+            self.next_u64() % n
+        }
+    }
+
     /// A uniform draw in `(0, 1]` — never zero, so `ln` is finite.
     pub fn unit(&mut self) -> f64 {
         ((self.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64
@@ -489,6 +499,20 @@ fn exp_gap(rng: &mut SplitMix64, mean: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix_is_deterministic_and_bounded() {
+        let mut a = SplitMix64::new(42);
+        let mut b = SplitMix64::new(42);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut r = SplitMix64::new(7);
+        for _ in 0..1000 {
+            assert!(r.below(10) < 10);
+        }
+        assert_eq!(SplitMix64::new(1).below(0), 0);
+    }
 
     fn spec(kind: GeneratorKind) -> TraceSpec {
         TraceSpec {

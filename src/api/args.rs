@@ -1,90 +1,421 @@
-//! Shared flag-parsing helpers for the `cimc` subcommand shims, so the
-//! CLI and the server reject bad arguments with identical messages.
+//! The `cimc` flag surface: every flag defined once ([`FLAGS`]), one
+//! table per subcommand naming the flags it takes ([`COMMANDS`]), and
+//! the one parser ([`parse`]) that walks argv against a table.
 //!
-//! Each helper returns `Err(message)` with the exact string the binary
-//! prints to stderr before rendering usage (exit 2). They are pure
-//! functions of their inputs — no printing, no exiting — which is what
-//! lets tests (and the server's own flag surface) reuse them.
+//! Everything here is a pure function of its inputs — no printing, no
+//! exiting — and every `Err(message)` is the exact string the binary
+//! prints to stderr before the usage text (exit 2). The tables are
+//! public so `tests/cimc_cli.rs` can drive every subcommand × flag
+//! through the real binary, and [`usage`] is generated from them, so a
+//! flag cannot exist undocumented. Only the `cimc` binary parses flags:
+//! the server takes typed [`Request`](super::Request)s as JSON.
 
 use super::CachePolicy;
+use cim_arch::presets;
+use cim_traffic::GeneratorKind;
+use std::fmt::Write as _;
+use Kind::{
+    Choice, Choices, Cycles, Lines, List, Millis, Percent, Positive, Switch, Text, Unsigned,
+};
 
-/// Extracts the value operand of `flag` at position `i` in `args`. A
-/// flag's value must be a real operand, not the next flag.
-///
-/// # Errors
-/// ``missing value for `<flag>` `` when absent or another flag follows.
-pub fn value_of(args: &[String], flag: &str, i: usize) -> Result<String, String> {
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Ok(v.clone()),
-        _ => Err(format!("missing value for `{flag}`")),
+type Str = &'static str;
+
+/// What operand a flag takes and how it is validated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// No operand; present or absent.
+    Switch,
+    /// Any operand (names, paths, expressions the handler validates).
+    Text,
+    /// A comma-separated list, read back with [`Parsed::list`].
+    List,
+    /// An integer >= 1.
+    Positive,
+    /// An integer >= 0 (`u64`).
+    Unsigned,
+    /// A line count (`usize`, zero allowed).
+    Lines,
+    /// Finite milliseconds > 0.
+    Millis,
+    /// A finite percentage >= 0.
+    Percent,
+    /// Finite cycles >= 1.
+    Cycles,
+    /// Exactly one of the listed words.
+    Choice(&'static [&'static str]),
+    /// A comma-separated list of the listed words.
+    Choices(&'static [&'static str]),
+}
+
+/// One flag, defined once in [`FLAGS`]: it means the same thing in every
+/// subcommand that takes it.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// The flag as typed, e.g. `--jobs`.
+    pub name: Str,
+    /// Its operand kind.
+    pub kind: Kind,
+    /// The operand placeholder shown in help (unused by switches and
+    /// choices, whose help is derived from the kind).
+    pub metavar: Str,
+}
+
+const fn flag(name: Str, kind: Kind, metavar: Str) -> Flag {
+    Flag {
+        name,
+        kind,
+        metavar,
     }
 }
 
-/// Parses a strictly positive integer flag value (`--jobs`, `--budget`,
-/// `--samples`, …).
-///
-/// # Errors
-/// ``invalid <flag> value `<value>` (expected a positive integer)`` on
-/// zero or non-numeric input.
-pub fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(0) | Err(_) => Err(format!(
-            "invalid {flag} value `{value}` (expected a positive integer)"
-        )),
-        Ok(n) => Ok(n),
+const fn switch(name: Str) -> Flag {
+    flag(name, Switch, "")
+}
+
+const LEVELS: Kind = Choice(&["cg", "mvm", "vvm"]);
+const SWEEP_MODES: &[&str] = &["auto", "cg", "cg_mvm", "cg_mvm_vvm"];
+
+/// Every flag `cimc` knows.
+pub const FLAGS: &[Flag] = &[
+    flag("--model", Text, "<name|file.json>"),
+    flag("--arch", Text, "<preset>"),
+    flag("--delta", Text, "<file.json>"),
+    flag("--mode", Choice(&["cm", "xbm", "wlm"]), ""),
+    flag("--level", LEVELS, ""),
+    flag("--jobs", Positive, "<n>"),
+    switch("--schedule"),
+    flag("--flow", Lines, "<lines>"),
+    switch("--verify"),
+    switch("--timings"),
+    flag("--dump-stage", LEVELS, ""),
+    switch("--json"),
+    flag("--out-incremental", Text, "<file.json>"),
+    flag("--out-fresh", Text, "<file.json>"),
+    switch("--quick"),
+    flag("--out", Text, "<file.json>"),
+    switch("--comparable"),
+    switch("--compile-time"),
+    flag("--baseline", Text, "<file.json>"),
+    switch("--fail-on-regression"),
+    flag("--tolerance", Percent, "<pct>"),
+    flag("--models", List, "<a,b,..>"),
+    flag("--archs", List, "<a,b,..>"),
+    flag("--modes", Choices(SWEEP_MODES), "<a,b,..>"),
+    flag("--samples", Positive, "<n>"),
+    flag("--attempts", Positive, "<n>"),
+    flag("--space", Text, "<file.json>"),
+    flag(
+        "--strategy",
+        Text,
+        "exhaustive|random|hill-climb|evolutionary",
+    ),
+    flag("--budget", Positive, "<n>"),
+    flag("--seed", Unsigned, "<n>"),
+    flag("--objective", Text, "<metric[:w],..>"),
+    flag("--trace", Text, "<file.json>"),
+    flag("--policy", Text, "fifo|priority|edf"),
+    flag("--kind", Choice(&GeneratorKind::NAMES), ""),
+    flag("--name", Text, "<s>"),
+    flag("--horizon", Unsigned, "<cycles>"),
+    flag("--mean-gap", Cycles, "<cycles>"),
+    flag("--burst-len", Unsigned, "<n>"),
+    flag("--idle-gap", Cycles, "<cycles>"),
+    flag("--deadline", Unsigned, "<cycles>"),
+    flag("--spec", Text, "<file.json>"),
+    flag("--describe", Text, "<trace.json>"),
+    flag("--policies", List, "<a,b,..>"),
+    flag("--max-batch", Positive, "<n>"),
+    flag("--max-wait", Unsigned, "<cycles>"),
+    flag("--tcp", Text, "<host:port>"),
+    switch("--stdio"),
+    flag("--workers", Positive, "<n>"),
+    flag("--queue", Positive, "<n>"),
+    flag("--deadline-ms", Millis, "<ms>"),
+    switch("--metrics"),
+    flag("--addr", Text, "<host:port>"),
+    flag("--requests", Positive, "<n>"),
+    flag("--concurrency", Positive, "<n>"),
+    flag("--script", Text, "<file.json>"),
+    switch("--shutdown"),
+    flag("--cache-dir", Text, "<dir>"),
+    switch("--no-cache"),
+    flag("--trace-out", Text, "<file>"),
+    switch("--profile"),
+];
+
+/// A subcommand and its flag table: the [`FLAGS`] it takes, by name, in
+/// help order.
+#[derive(Debug, Clone, Copy)]
+pub struct Command {
+    /// The word after `cimc`.
+    pub name: Str,
+    /// What help shows unbracketed, space-separated: the flags the
+    /// subcommand insists on (its own message names them all at once)
+    /// or, for `list`, its positional operand.
+    pub required: Str,
+    /// The optional flags, space-separated.
+    pub optional: Str,
+}
+
+const fn cmd(name: Str, required: Str, optional: Str) -> Command {
+    Command {
+        name,
+        required,
+        optional,
     }
 }
 
-/// Parses `cimc bench`'s `--jobs`, whose zero case has its own
-/// historical message (pinned by the CLI tests).
-///
-/// # Errors
-/// ``invalid --jobs value `0` (must be at least 1)`` on zero,
-/// ``invalid --jobs value `<value>` (expected a positive integer)``
-/// otherwise.
-pub fn parse_bench_jobs(value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(0) => Err("invalid --jobs value `0` (must be at least 1)".to_owned()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "invalid --jobs value `{value}` (expected a positive integer)"
-        )),
+/// Every subcommand, in help order.
+pub const COMMANDS: &[Command] = &[
+    cmd("archs", "", ""),
+    cmd("models", "", ""),
+    cmd(
+        "list",
+        "<models|archs|modes|strategies|objectives|policies|traces|exporters>",
+        "",
+    ),
+    cmd(
+        "compile",
+        "--model --arch",
+        "--mode --level --jobs --schedule --flow --verify --timings --dump-stage --json \
+         --cache-dir --no-cache --trace-out --profile",
+    ),
+    cmd(
+        "recompile",
+        "--model --arch --delta",
+        "--mode --level --jobs --timings --json --out-incremental --out-fresh",
+    ),
+    cmd(
+        "bench",
+        "",
+        "--quick --jobs --out --comparable --compile-time --baseline --fail-on-regression \
+         --tolerance --models --archs --modes --cache-dir --no-cache --trace-out --profile",
+    ),
+    cmd(
+        "compile-perf",
+        "",
+        "--samples --attempts --baseline --tolerance",
+    ),
+    cmd(
+        "explore",
+        "",
+        "--model --space --strategy --budget --seed --objective --trace --policy --jobs --out \
+         --comparable --cache-dir --no-cache --trace-out --profile",
+    ),
+    cmd(
+        "trace",
+        "",
+        "--models --kind --name --seed --horizon --mean-gap --burst-len --idle-gap --deadline \
+         --spec --describe --out",
+    ),
+    cmd(
+        "simulate",
+        "",
+        "--trace --spec --arch --policies --max-batch --max-wait --jobs --out --comparable \
+         --cache-dir --no-cache --trace-out --profile",
+    ),
+    cmd(
+        "serve",
+        "",
+        "--tcp --stdio --workers --queue --deadline-ms --cache-dir --no-cache --metrics",
+    ),
+    cmd(
+        "loadtest",
+        "--addr",
+        "--requests --concurrency --deadline-ms --script --out --shutdown --metrics",
+    ),
+];
+
+/// Looks a subcommand up by name.
+#[must_use]
+pub fn command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+impl Command {
+    /// `required` then `optional`, word by word, each with whether help
+    /// brackets it.
+    fn words(&self) -> impl Iterator<Item = (Str, bool)> {
+        let required = self.required.split_whitespace().map(|word| (word, false));
+        required.chain(self.optional.split_whitespace().map(|word| (word, true)))
+    }
+
+    /// This subcommand's flag table.
+    ///
+    /// # Panics
+    /// If it names a flag [`FLAGS`] does not define.
+    pub fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        let names = self.words().filter(|(word, _)| word.starts_with("--"));
+        names.map(|(name, _)| find_flag(name).unwrap_or_else(|| panic!("`{name}` is not in FLAGS")))
     }
 }
 
-/// Parses an unsigned integer flag value (`--seed`).
-///
-/// # Errors
-/// ``invalid <flag> value `<value>` (expected an unsigned integer)``.
-pub fn parse_unsigned(flag: &str, value: &str) -> Result<u64, String> {
-    value
-        .parse::<u64>()
-        .map_err(|_| format!("invalid {flag} value `{value}` (expected an unsigned integer)"))
+fn find_flag(name: &str) -> Option<&'static Flag> {
+    FLAGS.iter().find(|f| f.name == name)
 }
 
-/// Parses a percentage flag value (`--tolerance`): finite and >= 0.
-///
-/// # Errors
-/// ``invalid <flag> value `<value>` (expected a percentage >= 0)``.
-pub fn parse_percentage(flag: &str, value: &str) -> Result<f64, String> {
-    match value.parse::<f64>() {
-        Ok(pct) if pct >= 0.0 && pct.is_finite() => Ok(pct),
-        _ => Err(format!(
-            "invalid {flag} value `{value}` (expected a percentage >= 0)"
-        )),
+/// The help text: one line per [`COMMANDS`] entry plus the preset names.
+#[must_use]
+pub fn usage() -> String {
+    let mut out = String::from("usage:");
+    for cmd in COMMANDS {
+        let _ = write!(out, "\n  cimc {}", cmd.name);
+        for (word, bracketed) in cmd.words() {
+            let help = match find_flag(word) {
+                // `list`'s operand, or a switch: shown as is.
+                None | Some(Flag { kind: Switch, .. }) => word.to_owned(),
+                Some(Flag {
+                    kind: Choice(words),
+                    ..
+                }) => format!("{word} {}", words.join("|")),
+                Some(flag) => format!("{word} {}", flag.metavar),
+            };
+            let _ = if bracketed {
+                write!(out, " [{help}]")
+            } else {
+                write!(out, " {help}")
+            };
+        }
+    }
+    let _ = write!(out, "\npresets: {}", presets::NAMES.join(" "));
+    out
+}
+
+/// `a, b or c`.
+fn or_list(words: &[&str]) -> String {
+    match words.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+        _ => words.concat(),
     }
 }
 
-/// Parses a strictly positive milliseconds flag value (`--deadline-ms`).
+impl Flag {
+    /// Validates `value` as this flag's operand, naming the flag and the
+    /// offending value on failure.
+    fn check(&self, value: &str) -> Result<(), String> {
+        let name = self.name;
+        let float = |ok: fn(f64) -> bool| value.parse().is_ok_and(|x: f64| x.is_finite() && ok(x));
+        let (valid, expected) = match self.kind {
+            Switch | Text | List => return Ok(()),
+            Positive => (
+                value.parse().is_ok_and(|n: usize| n > 0),
+                "a positive integer",
+            ),
+            Unsigned => (value.parse::<u64>().is_ok(), "an unsigned integer"),
+            Lines => (value.parse::<usize>().is_ok(), "a line count"),
+            Millis => (float(|ms| ms > 0.0), "milliseconds > 0"),
+            Percent => (float(|pct| pct >= 0.0), "a percentage >= 0"),
+            Cycles => (float(|gap| gap >= 1.0), "cycles >= 1"),
+            Choice(words) if words.contains(&value) => return Ok(()),
+            // This message predates the others: no "value".
+            Choice(words) => {
+                return Err(format!(
+                    "invalid {name} `{value}` (expected {})",
+                    or_list(words)
+                ));
+            }
+            Choices(words) => {
+                let items = split_list(value);
+                let Some(bad) = items.iter().find(|item| !words.contains(&item.as_str())) else {
+                    return Ok(());
+                };
+                return Err(format!(
+                    "invalid {name} value `{bad}` (expected {})",
+                    or_list(words)
+                ));
+            }
+        };
+        if valid {
+            return Ok(());
+        }
+        Err(format!(
+            "invalid {name} value `{value}` (expected {expected})"
+        ))
+    }
+}
+
+/// The flags one invocation set, validated against its subcommand's table.
+#[derive(Debug)]
+pub struct Parsed {
+    command: &'static Command,
+    values: Vec<(&'static str, String)>,
+}
+
+/// Walks `args` left to right against `command`'s table, validating each
+/// value as it is met so the first problem in argv order is the one
+/// reported. `Ok(None)` means `--help`/`-h` was met (before any error).
+/// A repeated flag keeps its last value.
 ///
 /// # Errors
-/// ``invalid <flag> value `<value>` (expected milliseconds > 0)``.
-pub fn parse_millis(flag: &str, value: &str) -> Result<f64, String> {
-    match value.parse::<f64>() {
-        Ok(ms) if ms > 0.0 && ms.is_finite() => Ok(ms),
-        _ => Err(format!(
-            "invalid {flag} value `{value}` (expected milliseconds > 0)"
-        )),
+/// ``unknown argument `<arg>` ``, ``missing value for `<flag>` `` (absent,
+/// or the next flag follows), or the flag kind's `invalid …` message.
+pub fn parse(command: &'static Command, args: &[String]) -> Result<Option<Parsed>, String> {
+    let mut values = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(None);
+        }
+        let Some(flag) = command.flags().find(|f| f.name == arg) else {
+            return Err(format!("unknown argument `{arg}`"));
+        };
+        let mut value = String::new();
+        if flag.kind != Kind::Switch {
+            // A value must be a real operand, not the next flag.
+            match rest.next() {
+                Some(v) if !v.starts_with("--") => value.clone_from(v),
+                _ => return Err(format!("missing value for `{arg}`")),
+            }
+            flag.check(&value)?;
+        }
+        values.push((flag.name, value));
+    }
+    Ok(Some(Parsed { command, values }))
+}
+
+impl Parsed {
+    fn raw(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.command.flags().any(|f| f.name == name),
+            "`{name}` is not a `cimc {}` flag",
+            self.command.name
+        );
+        let hit = self.values.iter().rev().find(|(n, _)| *n == name);
+        hit.map(|(_, value)| value.as_str())
+    }
+
+    /// The names of the flags given, in argv order.
+    pub fn given(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.values.iter().map(|(name, _)| *name)
+    }
+
+    /// Whether the flag was given (the value of a switch).
+    #[must_use]
+    pub fn has(&self, name: &str) -> bool {
+        self.raw(name).is_some()
+    }
+
+    /// The flag's operand as given.
+    #[must_use]
+    pub fn text(&self, name: &str) -> Option<String> {
+        self.raw(name).map(str::to_owned)
+    }
+
+    /// The items of a list flag.
+    #[must_use]
+    pub fn list(&self, name: &str) -> Option<Vec<String>> {
+        self.raw(name).map(split_list)
+    }
+
+    /// The operand of a numeric flag: `usize` for [`Kind::Positive`] and
+    /// [`Kind::Lines`], `u64` for [`Kind::Unsigned`], `f64` for the rest.
+    ///
+    /// # Panics
+    /// If `T` cannot hold what the flag's kind validated.
+    #[must_use]
+    pub fn number<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let parsed = self.raw(name).map(|value| value.parse().ok());
+        parsed.map(|n| n.expect("parse validated the operand against the flag's kind"))
     }
 }
 
@@ -105,12 +436,8 @@ pub fn cache_policy(no_cache: bool, cache_dir: Option<String>) -> Result<CachePo
 /// whitespace and dropping empties.
 #[must_use]
 pub fn split_list(value: &str) -> Vec<String> {
-    value
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect()
+    let items = value.split(',').map(str::trim);
+    items.filter(|s| !s.is_empty()).map(str::to_owned).collect()
 }
 
 /// Rejects trailing operands after a complete subcommand, naming the
@@ -131,56 +458,78 @@ pub fn reject_trailing(subcommand: &str, args: &[String]) -> Result<(), String> 
 mod tests {
     use super::*;
 
-    #[test]
-    fn value_of_rejects_flags_as_values() {
-        let args: Vec<String> = vec!["--model".into(), "--arch".into()];
-        assert_eq!(
-            value_of(&args, "--model", 0),
-            Err("missing value for `--model`".to_owned())
-        );
-        let args: Vec<String> = vec!["--model".into(), "lenet5".into()];
-        assert_eq!(value_of(&args, "--model", 0), Ok("lenet5".to_owned()));
+    fn run(name: &str, args: &[&str]) -> Result<Option<Parsed>, String> {
+        let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        parse(command(name).expect("known subcommand"), &args)
     }
 
     #[test]
-    fn positive_and_unsigned_parsers_name_the_offender() {
-        assert_eq!(parse_positive("--jobs", "4"), Ok(4));
-        assert!(parse_positive("--jobs", "0").unwrap_err().contains("`0`"));
-        assert!(parse_positive("--budget", "x")
-            .unwrap_err()
-            .contains("--budget"));
+    fn the_first_error_in_argv_order_wins() {
+        let err = |args| run("bench", args).expect_err("argv is rejected");
         assert_eq!(
-            parse_bench_jobs("0"),
-            Err("invalid --jobs value `0` (must be at least 1)".to_owned())
+            err(&["--bogus", "--jobs", "0"]),
+            "unknown argument `--bogus`"
         );
-        assert!(parse_unsigned("--seed", "-1").unwrap_err().contains("`-1`"));
+        let jobs = "invalid --jobs value `0` (expected a positive integer)";
+        assert_eq!(err(&["--jobs", "0", "--bogus"]), jobs);
+        assert_eq!(err(&["--jobs", "--bogus"]), "missing value for `--jobs`");
+        assert_eq!(err(&["--quick", "stray"]), "unknown argument `stray`");
     }
 
     #[test]
-    fn percentage_and_millis_reject_non_finite() {
-        assert_eq!(parse_percentage("--tolerance", "12.5"), Ok(12.5));
-        assert!(parse_percentage("--tolerance", "nan").is_err());
-        assert!(parse_millis("--deadline-ms", "0").is_err());
-        assert_eq!(parse_millis("--deadline-ms", "2.5"), Ok(2.5));
+    fn a_repeated_flag_keeps_its_last_value() {
+        let args = [
+            "--jobs", "2", "--quick", "--jobs", "8", "--modes", "cg, auto",
+        ];
+        let flags = run("bench", &args)
+            .expect("argv is accepted")
+            .expect("no --help");
+        assert_eq!(flags.number("--jobs"), Some(8_usize));
+        assert_eq!(
+            flags.list("--modes"),
+            Some(vec!["cg".into(), "auto".into()])
+        );
+        assert!(flags.has("--quick") && !flags.has("--comparable"));
+        assert_eq!(
+            flags.given().collect::<Vec<_>>(),
+            ["--jobs", "--quick", "--jobs", "--modes"]
+        );
+    }
+
+    #[test]
+    fn help_mid_argv_wins_unless_an_error_precedes_it() {
+        for help in ["--help", "-h"] {
+            let parsed = run("bench", &["--quick", help, "--bogus"]);
+            assert!(matches!(parsed, Ok(None)), "{parsed:?}");
+        }
+        let bogus = Err("unknown argument `--bogus`".to_owned());
+        assert_eq!(run("bench", &["--bogus", "--help"]).map(|_| ()), bogus);
+    }
+
+    #[test]
+    fn usage_is_generated_from_the_tables() {
+        let text = usage();
+        let compile = "\n  cimc compile --model <name|file.json> --arch <preset> \
+                       [--mode cm|xbm|wlm] [--level cg|mvm|vvm] [--jobs <n>] [--schedule]";
+        assert!(text.contains(compile), "{text}");
+        assert!(text.contains("\n  cimc list <models|archs|"), "{text}");
+        assert!(text.ends_with("\npresets: isaac isaac-wlm jia puma jain table2 sensitivity"));
+        assert_eq!(text.lines().count(), COMMANDS.len() + 2);
     }
 
     #[test]
     fn cache_policy_folds_the_flag_pair() {
         assert_eq!(cache_policy(false, None), Ok(CachePolicy::Default));
         assert_eq!(cache_policy(true, None), Ok(CachePolicy::Off));
-        assert_eq!(
-            cache_policy(false, Some("d".into())),
-            Ok(CachePolicy::Disk { dir: "d".into() })
-        );
+        let disk = CachePolicy::Disk { dir: "d".into() };
+        assert_eq!(cache_policy(false, Some("d".into())), Ok(disk));
         assert!(cache_policy(true, Some("d".into())).is_err());
     }
 
     #[test]
     fn trailing_arguments_are_named() {
         assert_eq!(reject_trailing("archs", &[]), Ok(()));
-        assert_eq!(
-            reject_trailing("archs", &["extra".to_owned()]),
-            Err("unexpected argument `extra` after `cimc archs`".to_owned())
-        );
+        let named = "unexpected argument `extra` after `cimc archs`".to_owned();
+        assert_eq!(reject_trailing("archs", &["extra".to_owned()]), Err(named));
     }
 }

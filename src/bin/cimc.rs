@@ -10,155 +10,172 @@
 //! cimc compile --model path/to/graph.json --arch puma --mode wlm
 //! cimc serve --tcp 127.0.0.1:7171     # persistent compile service (JSON lines)
 //! cimc loadtest --addr 127.0.0.1:7171 # replay a script against a running server
+//! cimc help                           # every subcommand and flag
 //! ```
 //!
-//! Every subcommand is a thin shim: flags parse into a typed
-//! [`Request`], a [`Handler`] executes it, and the response renders back
-//! to text ([`cim_mlc::api::render`]) — the exact same code path
-//! `cimc serve` runs for requests arriving as JSON lines.
+//! Every subcommand is a thin shim: [`main`] parses argv once against
+//! the subcommand's flag table ([`cim_mlc::api::args`]), the `cmd_*`
+//! function reads typed values into a [`Request`], a [`Handler`]
+//! executes it, and the response renders back to text
+//! ([`cim_mlc::api::render`]) — the exact same code path `cimc serve`
+//! runs for requests arriving as JSON lines. Errors travel as
+//! [`CliError`], so a shim is straight-line code with `?`.
 
-use cim_mlc::api::args::{
-    cache_policy, parse_bench_jobs, parse_millis, parse_percentage, parse_positive, parse_unsigned,
-    reject_trailing, split_list, value_of,
-};
+#![warn(clippy::too_many_lines)]
+
+use cim_mlc::api::args::{cache_policy, command, parse, reject_trailing, usage, Parsed, COMMANDS};
 use cim_mlc::api::{
-    render, ApiError, BenchRequest, CompilePerfRequest, CompileRequest, ExploreRequest, Handler,
-    LevelArg, ListRequest, ModeArg, RecompileRequest, Request, ResponseBody, SimulateRequest,
-    StageArg, TraceRequest,
+    render, ApiError, BenchRequest, CompilePerfRequest, CompileRequest, ErrorKind, ExploreRequest,
+    Handler, ListRequest, RecompileRequest, Request, ResponseBody, SimulateRequest, TraceRequest,
 };
 use cim_mlc::compiler::TieredCache;
-use cim_mlc::graph::GraphDelta;
-use cim_mlc::loadtest::{run_loadtest, send_shutdown, LoadtestOptions};
+use cim_mlc::loadtest::{fetch_metrics, run_loadtest, send_shutdown, LoadtestOptions};
 use cim_mlc::prelude::*;
 use cim_mlc::serve::{run_stdio, run_tcp, ServeOptions};
+use std::fmt::Display;
 use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use CliError::{Fail, Usage};
 
-const USAGE: &str = "usage:\n  cimc archs\n  cimc models\n  \
-cimc list <models|archs|modes|strategies|objectives|policies|traces|exporters>\n  \
-cimc compile --model <name|file.json> --arch <preset> \
-[--mode cm|xbm|wlm] [--level cg|mvm|vvm] [--jobs <n>] [--schedule] [--flow <lines>] [--verify] \
-[--timings] [--dump-stage cg|mvm|vvm] [--json] [--cache-dir <dir>] [--no-cache] \
-[--trace-out <file>] [--profile]\n  \
-cimc recompile --model <name|file.json> --arch <preset> --delta <file.json> \
-[--mode cm|xbm|wlm] [--level cg|mvm|vvm] [--jobs <n>] [--timings] [--json] \
-[--out-incremental <file.json>] [--out-fresh <file.json>]\n  \
-cimc bench [--quick] [--jobs <n>] [--out <file.json>] [--comparable] [--compile-time] \
-[--baseline <file.json>] [--fail-on-regression] [--tolerance <pct>] [--models <a,b,..>] \
-[--archs <a,b,..>] [--modes <a,b,..>] [--cache-dir <dir>] [--no-cache] \
-[--trace-out <file>] [--profile]\n  \
-cimc compile-perf [--samples <n>] [--attempts <n>] [--baseline <file.json>] \
-[--tolerance <pct>]\n  \
-cimc explore [--model <name|file.json>] [--space <file.json>] \
-[--strategy exhaustive|random|hill-climb|evolutionary] [--budget <n>] [--seed <n>] \
-[--objective <metric[:w],..>] [--trace <file.json>] [--policy fifo|priority|edf] [--jobs <n>] \
-[--out <file.json>] [--comparable] [--cache-dir <dir>] [--no-cache] \
-[--trace-out <file>] [--profile]\n  \
-cimc trace [--models <a,b,..>] [--kind poisson|bursty|mix] [--name <s>] [--seed <n>] \
-[--horizon <cycles>] [--mean-gap <cycles>] [--burst-len <n>] [--idle-gap <cycles>] \
-[--deadline <cycles>] [--spec <file.json>] [--describe <trace.json>] [--out <file.json>]\n  \
-cimc simulate (--trace <file.json> | --spec <file.json>) [--arch <preset>] \
-[--policies <a,b,..>] [--max-batch <n>] [--max-wait <cycles>] [--jobs <n>] \
-[--out <file.json>] [--comparable] [--cache-dir <dir>] [--no-cache] \
-[--trace-out <file>] [--profile]\n  \
-cimc serve [--tcp <host:port>] [--stdio] [--workers <n>] [--queue <n>] \
-[--deadline-ms <ms>] [--cache-dir <dir>] [--no-cache] [--metrics]\n  \
-cimc loadtest --addr <host:port> [--requests <n>] [--concurrency <n>] \
-[--deadline-ms <ms>] [--script <file.json>] [--out <file.json>] [--shutdown] [--metrics]\n\
-presets: isaac isaac-wlm jia puma jain table2 sensitivity";
-
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
+/// Why a subcommand stopped: `Usage` prints the message and the usage
+/// text and exits 2, `Fail` prints the message and exits 1.
+enum CliError {
+    Usage(String),
+    Fail(String),
 }
 
-/// Emits a [`render::Rendered`] block and converts its code into the
-/// process exit (code 2 additionally renders usage, like every other
-/// argument error).
+type Cli = Result<ExitCode, CliError>;
+
+impl From<ApiError> for CliError {
+    fn from(error: ApiError) -> Self {
+        match error.kind {
+            ErrorKind::Argument => Usage(error.message),
+            _ => Fail(error.message),
+        }
+    }
+}
+
+impl From<Error> for CliError {
+    fn from(error: Error) -> Self {
+        Fail(error.render_chain())
+    }
+}
+
+fn usage_error<T>(message: &str) -> Result<T, CliError> {
+    Err(Usage(message.to_owned()))
+}
+
+/// Emits a [`render::Rendered`] block; its code (0 or 1) is the exit.
 fn finish(rendered: &render::Rendered) -> ExitCode {
     print!("{}", rendered.stdout);
     eprint!("{}", rendered.stderr);
-    match rendered.code {
-        0 => ExitCode::SUCCESS,
-        2 => usage(),
-        _ => ExitCode::FAILURE,
+    ExitCode::from(rendered.code)
+}
+
+/// Reads `path` and parses it with `parse`; `noun` names the document
+/// kind in the error.
+fn load<T, E: Display>(
+    path: &str,
+    noun: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, CliError> {
+    let json = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
+    parse(&json).map_err(|e| Fail(format!("invalid {noun} `{path}`: {e}")))
+}
+
+/// Loads a `--baseline` bench report.
+fn load_baseline(path: &str) -> Result<BenchReport, CliError> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| Fail(format!("cannot read baseline `{path}`: {e}")))?;
+    BenchReport::from_json(&json).map_err(|e| Fail(format!("baseline `{path}`: {e}")))
+}
+
+/// Every file the binary writes goes through here: temp file + rename,
+/// so an interrupted run never leaves a truncated document behind.
+fn write_out(path: &str, noun: &str, bytes: &[u8]) -> Result<(), CliError> {
+    write_atomic(Path::new(path), bytes)
+        .map_err(|e| Fail(format!("cannot write {noun} to `{path}`: {e}")))
+}
+
+/// `--out`: the JSON document plus a trailing newline, then a
+/// confirmation line on stdout.
+fn write_doc(path: &str, noun: &str, mut json: String) -> Result<(), CliError> {
+    json.push('\n');
+    write_out(path, noun, json.as_bytes())?;
+    println!("{noun} written to {path}");
+    Ok(())
+}
+
+/// The `--no-cache`/`--cache-dir` pair of the subcommands that have it.
+fn cache(flags: &Parsed) -> Result<CachePolicy, CliError> {
+    cache_policy(flags.has("--no-cache"), flags.text("--cache-dir")).map_err(Usage)
+}
+
+/// A choice flag's word as its wire enum (`cm` → `ModeArg::Cm`).
+fn choice<T: serde::Deserialize>(flags: &Parsed, name: &str) -> Option<T> {
+    let word = flags.text(name)?;
+    Some(serde_json::from_str(&format!("\"{word}\"")).expect("table choices are the wire names"))
+}
+
+/// Drains the trace collector into the exports `compile`, `bench`,
+/// `explore` and `simulate` offer: `--trace-out <file>` writes a Chrome
+/// trace-event document (load it in Perfetto or chrome://tracing),
+/// `--profile` prints a hot-path tree to stderr. The Chrome document is
+/// validated against the trace-event schema before it is written, so an
+/// exporter bug fails the command loudly instead of producing a file
+/// the viewer rejects.
+fn export_trace(trace_out: Option<&str>, profile: bool) -> Result<(), CliError> {
+    cim_obs::disable();
+    let trace = cim_obs::drain();
+    if let Some(path) = trace_out {
+        let json = cim_obs::chrome_trace_json(&trace);
+        let summary = cim_obs::validate_chrome_trace(&json).map_err(|e| {
+            Fail(format!(
+                "internal error: exported an invalid chrome trace: {e}"
+            ))
+        })?;
+        write_out(path, "trace", json.as_bytes())?;
+        let (events, spans) = (summary.events, summary.complete);
+        eprintln!("trace: {events} events ({spans} spans) written to {path}");
+    }
+    if profile {
+        eprint!("{}", cim_obs::profile_tree(&trace));
+    }
+    Ok(())
+}
+
+/// Runs `request` on a one-shot [`Handler`]. `obs` is the flags of a
+/// subcommand that takes `--trace-out`/`--profile`: either turns the
+/// trace collector on for exactly the span of the request.
+fn execute(request: &Request, obs: Option<&Parsed>) -> Result<ResponseBody, CliError> {
+    let trace_out = obs.and_then(|flags| flags.text("--trace-out"));
+    let profile = obs.is_some_and(|flags| flags.has("--profile"));
+    let active = trace_out.is_some() || profile;
+    if active {
+        cim_obs::enable();
+    }
+    let response = Handler::new().handle(request);
+    if active {
+        export_trace(trace_out.as_deref(), profile)?;
+    }
+    match response {
+        ResponseBody::Error(e) => Err(e.into()),
+        body => Ok(body),
     }
 }
 
-/// Renders a handler error the way the old inline subcommands did.
-fn fail(error: &ApiError) -> ExitCode {
-    finish(&render::render_error(error))
-}
-
-/// The observability flags shared by `compile`, `bench`, `explore` and
-/// `simulate`: `--trace-out <file>` exports a Chrome trace-event
-/// document (load it in Perfetto or chrome://tracing), `--profile`
-/// prints a hot-path tree to stderr. Either flag turns the trace
-/// collector on for the span of the command.
-#[derive(Default)]
-struct ObsFlags {
-    trace_out: Option<String>,
-    profile: bool,
-}
-
-impl ObsFlags {
-    fn active(&self) -> bool {
-        self.trace_out.is_some() || self.profile
-    }
-
-    /// Enables the collector right before the request executes.
-    fn begin(&self) {
-        if self.active() {
-            cim_obs::enable();
-        }
-    }
-
-    /// Drains the collector and writes/prints the requested exports.
-    /// The Chrome document is validated against the trace-event schema
-    /// before it is written, so an exporter bug fails the command
-    /// loudly instead of producing a file the viewer rejects.
-    fn finish(&self) -> Result<(), String> {
-        if !self.active() {
-            return Ok(());
-        }
-        cim_obs::disable();
-        let trace = cim_obs::drain();
-        if let Some(path) = &self.trace_out {
-            let json = cim_obs::chrome_trace_json(&trace);
-            let summary = cim_obs::validate_chrome_trace(&json)
-                .map_err(|e| format!("internal error: exported an invalid chrome trace: {e}"))?;
-            std::fs::write(path, &json)
-                .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
-            eprintln!(
-                "trace: {} events ({} spans) written to {path}",
-                summary.events, summary.complete
-            );
-        }
-        if self.profile {
-            eprint!("{}", cim_obs::profile_tree(&trace));
-        }
-        Ok(())
-    }
-}
-
-fn cmd_archs(args: &[String]) -> ExitCode {
-    if let Err(e) = reject_trailing("archs", args) {
-        eprintln!("{e}");
-        return usage();
-    }
+fn cmd_archs(args: &[String]) -> Cli {
+    reject_trailing("archs", args).map_err(Usage)?;
     for arch in presets::all() {
         println!("{}", arch.describe());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_models(args: &[String]) -> ExitCode {
-    if let Err(e) = reject_trailing("models", args) {
-        eprintln!("{e}");
-        return usage();
-    }
+fn cmd_models(args: &[String]) -> Cli {
+    reject_trailing("models", args).map_err(Usage)?;
     println!(
         "{:<12} {:>7} {:>9} {:>14} {:>14}",
         "model", "nodes", "CIM ops", "weights", "MACs"
@@ -173,231 +190,72 @@ fn cmd_models(args: &[String]) -> ExitCode {
             g.total_macs()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-#[allow(clippy::too_many_lines)]
-fn cmd_compile(args: &[String]) -> ExitCode {
-    let mut model_name = None;
-    let mut arch_name = None;
-    let mut mode: Option<ModeArg> = None;
-    let mut level: Option<LevelArg> = None;
-    let mut jobs: Option<usize> = None;
-    let mut show_schedule = false;
-    let mut flow_lines: Option<usize> = None;
-    let mut verify = false;
-    let mut timings = false;
-    let mut json = false;
-    let mut dump_stage: Option<StageArg> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut obs = ObsFlags::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-out" => {
-                match value_of(args, "--trace-out", i) {
-                    Ok(v) => obs.trace_out = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--profile" => {
-                obs.profile = true;
-                i += 1;
-            }
-            "--model" => {
-                match value_of(args, "--model", i) {
-                    Ok(v) => model_name = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--arch" => {
-                match value_of(args, "--arch", i) {
-                    Ok(v) => arch_name = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--mode" => {
-                mode = match args.get(i + 1).map(String::as_str) {
-                    Some("cm") => Some(ModeArg::Cm),
-                    Some("xbm") => Some(ModeArg::Xbm),
-                    Some("wlm") => Some(ModeArg::Wlm),
-                    Some(other) => {
-                        eprintln!("invalid --mode `{other}` (expected cm, xbm or wlm)");
-                        return usage();
-                    }
-                    None => {
-                        eprintln!("missing value for `--mode`");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--level" => {
-                level = match args.get(i + 1).map(String::as_str) {
-                    Some("cg") => Some(LevelArg::Cg),
-                    Some("mvm") => Some(LevelArg::Mvm),
-                    Some("vvm") => Some(LevelArg::Vvm),
-                    Some(other) => {
-                        eprintln!("invalid --level `{other}` (expected cg, mvm or vvm)");
-                        return usage();
-                    }
-                    None => {
-                        eprintln!("missing value for `--level`");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--jobs" => {
-                let value = match value_of(args, "--jobs", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive("--jobs", &value) {
-                    Ok(n) => jobs = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--schedule" => {
-                show_schedule = true;
-                i += 1;
-            }
-            "--flow" => {
-                let value = match value_of(args, "--flow", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                flow_lines = value.parse().ok();
-                if flow_lines.is_none() {
-                    eprintln!("invalid --flow value `{value}` (expected a line count)");
-                    return usage();
-                }
-                i += 2;
-            }
-            "--verify" => {
-                verify = true;
-                i += 1;
-            }
-            "--timings" => {
-                timings = true;
-                i += 1;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--cache-dir" => {
-                match value_of(args, "--cache-dir", i) {
-                    Ok(v) => cache_dir = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--no-cache" => {
-                no_cache = true;
-                i += 1;
-            }
-            "--dump-stage" => {
-                let value = match value_of(args, "--dump-stage", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                dump_stage = match value.as_str() {
-                    "cg" => Some(StageArg::Cg),
-                    "mvm" => Some(StageArg::Mvm),
-                    "vvm" => Some(StageArg::Vvm),
-                    _ => {
-                        eprintln!("invalid --dump-stage `{value}` (expected cg, mvm or vvm)");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-    let (Some(model_name), Some(arch_name)) = (model_name, arch_name) else {
-        eprintln!("`cimc compile` needs both --model and --arch");
-        return usage();
+/// `cimc list <category>` — the discoverable vocabularies of the sweep
+/// and exploration axes, one value per line (machine-friendly: pipe
+/// into `xargs`/scripts instead of reading source).
+fn cmd_list(args: &[String]) -> Cli {
+    let Some((category, rest)) = args.split_first() else {
+        return usage_error(
+            "`cimc list` needs a category (models, archs, modes, strategies, objectives, \
+             policies, traces or exporters)",
+        );
     };
-    if json && (show_schedule || flow_lines.is_some() || dump_stage.is_some()) {
-        eprintln!("--json cannot be combined with --schedule, --flow or --dump-stage");
-        return usage();
-    }
-    let cache = match cache_policy(no_cache, cache_dir) {
-        Ok(policy) => policy,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    let request = Request::Compile(CompileRequest {
-        model: model_name,
-        arch: arch_name,
-        mode,
-        level,
-        jobs: jobs.unwrap_or(0),
-        schedule: show_schedule,
-        flow: flow_lines,
-        verify,
-        dump_stage,
-        cache,
-        session: None,
+    reject_trailing(&format!("list {category}"), rest).map_err(Usage)?;
+    let request = Request::List(ListRequest {
+        category: category.clone(),
     });
-    obs.begin();
-    let response = Handler::new().handle(&request);
-    if let Err(e) = obs.finish() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    match response {
-        ResponseBody::Compile(outcome) => finish(&render::render_compile(&outcome, json, timings)),
-        ResponseBody::Error(e) => fail(&e),
-        _ => unreachable!("compile requests yield compile outcomes"),
+    let ResponseBody::List { names } = execute(&request, None)? else {
+        unreachable!("list requests yield listings")
+    };
+    print!("{}", render::render_list(&names));
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The `--mode`/`--level`/`--jobs` core `compile` and `recompile` share;
+/// everything else is off.
+fn compile_request(flags: &Parsed, model: String, arch: String) -> CompileRequest {
+    CompileRequest {
+        model,
+        arch,
+        mode: choice(flags, "--mode"),
+        level: choice(flags, "--level"),
+        jobs: flags.number("--jobs").unwrap_or(0),
+        schedule: false,
+        flow: None,
+        verify: false,
+        dump_stage: None,
+        cache: CachePolicy::Off,
+        session: None,
     }
 }
 
-/// Loads a graph-delta document (`{"edits": [...]}`) for
-/// `cimc recompile --delta`.
-fn load_delta_file(path: &str) -> Result<GraphDelta, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| Error::io(path, e).render_chain())?;
-    serde_json::from_str(&json).map_err(|e| format!("invalid graph delta `{path}`: {e}"))
+fn cmd_compile(flags: &Parsed) -> Cli {
+    let (Some(model), Some(arch)) = (flags.text("--model"), flags.text("--arch")) else {
+        return usage_error("`cimc compile` needs both --model and --arch");
+    };
+    let json = flags.has("--json");
+    let schedule = flags.has("--schedule");
+    let flow = flags.number("--flow");
+    let dump_stage = choice(flags, "--dump-stage");
+    if json && (schedule || flow.is_some() || dump_stage.is_some()) {
+        return usage_error("--json cannot be combined with --schedule, --flow or --dump-stage");
+    }
+    let request = Request::Compile(CompileRequest {
+        schedule,
+        flow,
+        verify: flags.has("--verify"),
+        dump_stage,
+        cache: cache(flags)?,
+        ..compile_request(flags, model, arch)
+    });
+    let ResponseBody::Compile(outcome) = execute(&request, Some(flags))? else {
+        unreachable!("compile requests yield compile outcomes")
+    };
+    let timings = flags.has("--timings");
+    Ok(finish(&render::render_compile(&outcome, json, timings)))
 }
 
 /// `cimc recompile` — the one-shot incremental-recompilation shim: cold
@@ -406,1073 +264,275 @@ fn load_delta_file(path: &str) -> Result<GraphDelta, String> {
 /// and equivalence. `--out-incremental`/`--out-fresh` write the two
 /// byte-comparable result documents for external diffing (CI `cmp`s
 /// them).
-#[allow(clippy::too_many_lines)]
-fn cmd_recompile(args: &[String]) -> ExitCode {
-    let mut model_name = None;
-    let mut arch_name = None;
-    let mut mode: Option<ModeArg> = None;
-    let mut level: Option<LevelArg> = None;
-    let mut jobs: Option<usize> = None;
-    let mut delta_path: Option<String> = None;
-    let mut timings = false;
-    let mut json = false;
-    let mut out_incremental: Option<String> = None;
-    let mut out_fresh: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--model" | "--arch" | "--delta" | "--out-incremental" | "--out-fresh" => {
-                let flag = args[i].clone();
-                let value = match value_of(args, &flag, i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match flag.as_str() {
-                    "--model" => model_name = Some(value),
-                    "--arch" => arch_name = Some(value),
-                    "--delta" => delta_path = Some(value),
-                    "--out-incremental" => out_incremental = Some(value),
-                    _ => out_fresh = Some(value),
-                }
-                i += 2;
-            }
-            "--mode" => {
-                mode = match args.get(i + 1).map(String::as_str) {
-                    Some("cm") => Some(ModeArg::Cm),
-                    Some("xbm") => Some(ModeArg::Xbm),
-                    Some("wlm") => Some(ModeArg::Wlm),
-                    Some(other) => {
-                        eprintln!("invalid --mode `{other}` (expected cm, xbm or wlm)");
-                        return usage();
-                    }
-                    None => {
-                        eprintln!("missing value for `--mode`");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--level" => {
-                level = match args.get(i + 1).map(String::as_str) {
-                    Some("cg") => Some(LevelArg::Cg),
-                    Some("mvm") => Some(LevelArg::Mvm),
-                    Some("vvm") => Some(LevelArg::Vvm),
-                    Some(other) => {
-                        eprintln!("invalid --level `{other}` (expected cg, mvm or vvm)");
-                        return usage();
-                    }
-                    None => {
-                        eprintln!("missing value for `--level`");
-                        return usage();
-                    }
-                };
-                i += 2;
-            }
-            "--jobs" => {
-                let value = match value_of(args, "--jobs", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive("--jobs", &value) {
-                    Ok(n) => jobs = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--timings" => {
-                timings = true;
-                i += 1;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-    let (Some(model_name), Some(arch_name), Some(delta_path)) = (model_name, arch_name, delta_path)
-    else {
-        eprintln!("`cimc recompile` needs --model, --arch and --delta");
-        return usage();
-    };
-    let delta = match load_delta_file(&delta_path) {
-        Ok(delta) => delta,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+fn cmd_recompile(flags: &Parsed) -> Cli {
+    let (Some(model), Some(arch), Some(delta_path)) = (
+        flags.text("--model"),
+        flags.text("--arch"),
+        flags.text("--delta"),
+    ) else {
+        return usage_error("`cimc recompile` needs --model, --arch and --delta");
     };
     let request = Request::Recompile(RecompileRequest {
         session: None,
-        compile: Some(CompileRequest {
-            model: model_name,
-            arch: arch_name,
-            mode,
-            level,
-            jobs: jobs.unwrap_or(0),
-            schedule: false,
-            flow: None,
-            verify: false,
-            dump_stage: None,
-            cache: CachePolicy::Off,
-            session: None,
-        }),
-        delta,
+        compile: Some(compile_request(flags, model, arch)),
+        delta: load(&delta_path, "graph delta", serde_json::from_str)?,
     });
-    match Handler::new().handle(&request) {
-        ResponseBody::Recompiled(outcome) => {
-            if let Some(path) = out_incremental {
-                let doc = render::render_comparable(&outcome.incremental);
-                if let Err(e) = write_atomic(Path::new(&path), doc.as_bytes()) {
-                    eprintln!("cannot write report to `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(path) = out_fresh {
-                let Some(fresh) = &outcome.fresh else {
-                    eprintln!("--out-fresh needs a one-shot recompile (no fresh compile ran)");
-                    return ExitCode::FAILURE;
-                };
-                let doc = render::render_comparable(fresh);
-                if let Err(e) = write_atomic(Path::new(&path), doc.as_bytes()) {
-                    eprintln!("cannot write report to `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            finish(&render::render_recompile(&outcome, json, timings))
-        }
-        ResponseBody::Error(e) => fail(&e),
-        _ => unreachable!("recompile requests yield recompile outcomes"),
-    }
-}
-
-/// `cimc list <category>` — the discoverable vocabularies of the sweep
-/// and exploration axes, one value per line (machine-friendly: pipe
-/// into `xargs`/scripts instead of reading source).
-fn cmd_list(args: &[String]) -> ExitCode {
-    let Some(category) = args.first() else {
-        eprintln!(
-            "`cimc list` needs a category (models, archs, modes, strategies, objectives, \
-             policies, traces or exporters)"
-        );
-        return usage();
+    let ResponseBody::Recompiled(outcome) = execute(&request, None)? else {
+        unreachable!("recompile requests yield recompile outcomes")
     };
-    if let Some(extra) = args.get(1) {
-        eprintln!("unexpected argument `{extra}` after `cimc list {category}`");
-        return usage();
+    if let Some(path) = flags.text("--out-incremental") {
+        let doc = render::render_comparable(&outcome.incremental);
+        write_out(&path, "report", doc.as_bytes())?;
     }
-    let request = Request::List(ListRequest {
-        category: category.clone(),
-    });
-    match Handler::new().handle(&request) {
-        ResponseBody::List { names } => {
-            print!("{}", render::render_list(&names));
-            ExitCode::SUCCESS
-        }
-        ResponseBody::Error(e) => fail(&e),
-        _ => unreachable!("list requests yield listings"),
+    if let Some(path) = flags.text("--out-fresh") {
+        let Some(fresh) = &outcome.fresh else {
+            return Err(Fail(
+                "--out-fresh needs a one-shot recompile (no fresh compile ran)".into(),
+            ));
+        };
+        write_out(&path, "report", render::render_comparable(fresh).as_bytes())?;
     }
+    let (json, timings) = (flags.has("--json"), flags.has("--timings"));
+    Ok(finish(&render::render_recompile(&outcome, json, timings)))
 }
 
-/// Loads a design-space description file, wrapping failures in the
-/// unified [`Error`] so the whole cause chain reaches stderr.
-fn load_space_file(path: &str) -> Result<DesignSpace, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| Error::io(path, e).render_chain())?;
-    serde_json::from_str(&json).map_err(|e| format!("invalid design space `{path}`: {e}"))
-}
-
-/// Loads and validates a trace document (`cimc trace --out` output).
-fn load_trace_file(path: &str) -> Result<Trace, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| Error::io(path, e).render_chain())?;
-    Trace::from_json(&json).map_err(|e| format!("invalid trace `{path}`: {e}"))
-}
-
-/// Loads a trace spec file (validation happens in the handler).
-fn load_spec_file(path: &str) -> Result<TraceSpec, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| Error::io(path, e).render_chain())?;
-    serde_json::from_str(&json).map_err(|e| format!("invalid trace spec `{path}`: {e}"))
-}
-
-#[allow(clippy::too_many_lines)]
-fn cmd_explore(args: &[String]) -> ExitCode {
-    let mut model_name: Option<String> = None;
-    let mut space_path: Option<String> = None;
-    let mut strategy_name: Option<String> = None;
-    let mut budget: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut objective_expr: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut policy_name: Option<String> = None;
-    let mut jobs: Option<usize> = None;
-    let mut out: Option<String> = None;
-    let mut comparable = false;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut obs = ObsFlags::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-out" => {
-                match value_of(args, "--trace-out", i) {
-                    Ok(v) => obs.trace_out = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--profile" => {
-                obs.profile = true;
-                i += 1;
-            }
-            "--model" | "--space" | "--strategy" | "--objective" | "--trace" | "--policy"
-            | "--out" | "--cache-dir" => {
-                let flag = args[i].clone();
-                let value = match value_of(args, &flag, i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match flag.as_str() {
-                    "--model" => model_name = Some(value),
-                    "--space" => space_path = Some(value),
-                    "--strategy" => strategy_name = Some(value),
-                    "--objective" => objective_expr = Some(value),
-                    "--trace" => trace_path = Some(value),
-                    "--policy" => policy_name = Some(value),
-                    "--out" => out = Some(value),
-                    _ => cache_dir = Some(value),
-                }
-                i += 2;
-            }
-            "--budget" => {
-                let value = match value_of(args, "--budget", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive("--budget", &value) {
-                    Ok(n) => budget = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--seed" => {
-                let value = match value_of(args, "--seed", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_unsigned("--seed", &value) {
-                    Ok(n) => seed = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--jobs" => {
-                let value = match value_of(args, "--jobs", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive("--jobs", &value) {
-                    Ok(n) => jobs = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--comparable" => {
-                comparable = true;
-                i += 1;
-            }
-            "--no-cache" => {
-                no_cache = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-    let cache = match cache_policy(no_cache, cache_dir) {
-        Ok(policy) => policy,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    let space = match &space_path {
-        Some(path) => match load_space_file(path) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+fn cmd_explore(flags: &Parsed) -> Cli {
+    let cache = cache(flags)?;
+    let space = match flags.text("--space") {
+        Some(path) => Some(load(&path, "design space", serde_json::from_str)?),
         None => None,
     };
-    let trace = match &trace_path {
-        Some(path) => match load_trace_file(path) {
-            Ok(t) => Some(t),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let trace = match flags.text("--trace") {
+        Some(path) => Some(load(&path, "trace", Trace::from_json)?),
         None => None,
     };
     let request = Request::Explore(ExploreRequest {
-        model: model_name,
+        model: flags.text("--model"),
         space,
-        strategy: strategy_name,
-        objective: objective_expr,
+        strategy: flags.text("--strategy"),
+        objective: flags.text("--objective"),
         trace,
         trace_spec: None,
-        policy: policy_name,
-        budget,
-        seed,
-        jobs: jobs.unwrap_or(0),
+        policy: flags.text("--policy"),
+        budget: flags.number("--budget"),
+        seed: flags.number("--seed"),
+        jobs: flags.number("--jobs").unwrap_or(0),
         cache,
     });
-    obs.begin();
-    let response = Handler::new().handle(&request);
-    if let Err(e) = obs.finish() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let report = match response {
-        ResponseBody::Explore { report } => report,
-        ResponseBody::Error(e) => return fail(&e),
-        _ => unreachable!("explore requests yield exploration reports"),
+    let ResponseBody::Explore { report } = execute(&request, Some(flags))? else {
+        unreachable!("explore requests yield exploration reports")
     };
-
     print!("{}", render::render_explore(&report));
-
-    if let Some(path) = out {
-        // Atomic like `bench --out`: an interrupted run never leaves a
-        // truncated report.
-        let mut json = if comparable {
+    if let Some(path) = flags.text("--out") {
+        let json = if flags.has("--comparable") {
             report.comparable().to_json()
         } else {
             report.to_json()
         };
-        json.push('\n');
-        if let Err(e) = write_atomic(Path::new(&path), json.as_bytes()) {
-            eprintln!("cannot write report to `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {path}");
+        write_doc(&path, "report", json)?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The [`TraceSpec`] the inline generation flags describe.
+fn inline_spec(flags: &Parsed, models: Vec<String>) -> TraceSpec {
+    let kind = flags.text("--kind").and_then(|k| GeneratorKind::parse(&k));
+    let mean_gap = flags.number("--mean-gap").unwrap_or(5_000.0);
+    let burst_len = flags.number::<u64>("--burst-len").unwrap_or(8);
+    let deadline = flags.number("--deadline");
+    // Earlier-listed tenants get higher priority so the `priority`
+    // policy is meaningful on inline-generated traces; full per-tenant
+    // control lives in `--spec`.
+    let count = models.len();
+    let tenant = |(idx, model)| TenantSpec {
+        name: format!("tenant{idx}"),
+        model,
+        weight: 1.0,
+        priority: u32::try_from(count - 1 - idx).unwrap_or(0),
+        deadline,
+    };
+    TraceSpec {
+        name: flags.text("--name").unwrap_or_else(|| "trace".to_owned()),
+        kind: kind.unwrap_or(GeneratorKind::Poisson),
+        seed: flags.number("--seed").unwrap_or(42),
+        horizon: flags.number("--horizon").unwrap_or(1_000_000),
+        mean_gap,
+        burst_len: u32::try_from(burst_len).unwrap_or(u32::MAX),
+        // Bursty streams idle an order of magnitude longer than they
+        // burst unless told otherwise.
+        idle_gap: flags.number("--idle-gap").unwrap_or(mean_gap * 10.0),
+        tenants: models.into_iter().enumerate().map(tenant).collect(),
+    }
 }
 
 /// `cimc trace` — generate a seeded request trace (or describe an
 /// existing one with `--describe`). Flags build a [`TraceSpec`] inline;
 /// `--spec` loads one from JSON for full per-tenant control.
-#[allow(clippy::too_many_lines)]
-fn cmd_trace(args: &[String]) -> ExitCode {
-    let mut models: Option<Vec<String>> = None;
-    let mut kind: Option<GeneratorKind> = None;
-    let mut name: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut horizon: Option<u64> = None;
-    let mut mean_gap: Option<f64> = None;
-    let mut burst_len: Option<u32> = None;
-    let mut idle_gap: Option<f64> = None;
-    let mut deadline: Option<u64> = None;
-    let mut spec_path: Option<String> = None;
-    let mut describe_path: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--models" | "--name" | "--spec" | "--describe" | "--out" => {
-                let flag = args[i].clone();
-                let value = match value_of(args, &flag, i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match flag.as_str() {
-                    "--models" => models = Some(split_list(&value)),
-                    "--name" => name = Some(value),
-                    "--spec" => spec_path = Some(value),
-                    "--describe" => describe_path = Some(value),
-                    _ => out = Some(value),
-                }
-                i += 2;
-            }
-            "--kind" => {
-                let value = match value_of(args, "--kind", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                kind = GeneratorKind::parse(&value);
-                if kind.is_none() {
-                    eprintln!(
-                        "invalid --kind `{value}` (expected {})",
-                        GeneratorKind::NAMES.join(", ")
-                    );
-                    return usage();
-                }
-                i += 2;
-            }
-            "--seed" | "--horizon" | "--burst-len" | "--deadline" => {
-                let flag = args[i].clone();
-                let value = match value_of(args, &flag, i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_unsigned(&flag, &value) {
-                    Ok(n) => match flag.as_str() {
-                        "--seed" => seed = Some(n),
-                        "--horizon" => horizon = Some(n),
-                        #[allow(clippy::cast_possible_truncation)]
-                        "--burst-len" => burst_len = Some(n.min(u64::from(u32::MAX)) as u32),
-                        _ => deadline = Some(n),
-                    },
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--mean-gap" | "--idle-gap" => {
-                let flag = args[i].clone();
-                let value = match value_of(args, &flag, i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match value.parse::<f64>() {
-                    Ok(gap) if gap.is_finite() && gap >= 1.0 => {
-                        if flag == "--mean-gap" {
-                            mean_gap = Some(gap);
-                        } else {
-                            idle_gap = Some(gap);
-                        }
-                    }
-                    _ => {
-                        eprintln!("invalid {flag} value `{value}` (expected cycles >= 1)");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
+fn cmd_trace(flags: &Parsed) -> Cli {
+    // Every other `trace` flag shapes the inline-generated spec.
+    let generation = flags
+        .given()
+        .any(|name| !matches!(name, "--spec" | "--describe" | "--out"));
+    let (spec_path, out) = (flags.text("--spec"), flags.text("--out"));
+    let (spec, trace) = if let Some(path) = flags.text("--describe") {
+        if generation || spec_path.is_some() || out.is_some() {
+            return usage_error(
+                "--describe cannot be combined with generation flags, --spec or --out",
+            );
         }
-    }
-    let generation_flags = models.is_some()
-        || kind.is_some()
-        || name.is_some()
-        || seed.is_some()
-        || horizon.is_some()
-        || mean_gap.is_some()
-        || burst_len.is_some()
-        || idle_gap.is_some()
-        || deadline.is_some();
-    let request = if let Some(path) = &describe_path {
-        if generation_flags || spec_path.is_some() || out.is_some() {
-            eprintln!("--describe cannot be combined with generation flags, --spec or --out");
-            return usage();
+        (None, Some(load(&path, "trace", Trace::from_json)?))
+    } else if let Some(path) = spec_path {
+        if generation {
+            return usage_error("--spec cannot be combined with inline generation flags");
         }
-        let trace = match load_trace_file(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        TraceRequest {
-            spec: None,
-            trace: Some(trace),
-        }
-    } else if let Some(path) = &spec_path {
-        if generation_flags {
-            eprintln!("--spec cannot be combined with inline generation flags");
-            return usage();
-        }
-        let spec = match load_spec_file(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        TraceRequest {
-            spec: Some(spec),
-            trace: None,
-        }
+        (Some(load(&path, "trace spec", serde_json::from_str)?), None)
     } else {
-        let Some(models) = models else {
-            eprintln!("`cimc trace` needs --models <a,b,..> (or --spec / --describe)");
-            return usage();
+        let Some(models) = flags.list("--models") else {
+            return usage_error("`cimc trace` needs --models <a,b,..> (or --spec / --describe)");
         };
-        let kind = kind.unwrap_or(GeneratorKind::Poisson);
-        let mean_gap = mean_gap.unwrap_or(5_000.0);
-        // Earlier-listed tenants get higher priority so the `priority`
-        // policy is meaningful on inline-generated traces; full
-        // per-tenant control lives in `--spec`.
-        let count = models.len();
-        let tenants = models
-            .into_iter()
-            .enumerate()
-            .map(|(idx, model)| TenantSpec {
-                name: format!("tenant{idx}"),
-                model,
-                weight: 1.0,
-                priority: u32::try_from(count - 1 - idx).unwrap_or(0),
-                deadline,
-            })
-            .collect();
-        let spec = TraceSpec {
-            name: name.unwrap_or_else(|| "trace".to_owned()),
-            kind,
-            seed: seed.unwrap_or(42),
-            horizon: horizon.unwrap_or(1_000_000),
-            mean_gap,
-            burst_len: burst_len.unwrap_or(8),
-            // Bursty streams idle an order of magnitude longer than they
-            // burst unless told otherwise.
-            idle_gap: idle_gap.unwrap_or(mean_gap * 10.0),
-            tenants,
-        };
-        TraceRequest {
-            spec: Some(spec),
-            trace: None,
-        }
+        (Some(inline_spec(flags, models)), None)
     };
-    let (trace, description) = match Handler::new().handle(&Request::Trace(request)) {
-        ResponseBody::Trace { trace, description } => (trace, description),
-        ResponseBody::Error(e) => return fail(&e),
-        _ => unreachable!("trace requests yield trace responses"),
+    let request = Request::Trace(TraceRequest { spec, trace });
+    let ResponseBody::Trace { trace, description } = execute(&request, None)? else {
+        unreachable!("trace requests yield trace responses")
     };
     print!("{}", render::render_trace(&description));
     if let Some(path) = out {
         let Some(trace) = trace else {
-            eprintln!("--out needs a generated trace");
-            return usage();
+            return usage_error("--out needs a generated trace");
         };
-        let mut json = trace.to_json();
-        json.push('\n');
-        if let Err(e) = write_atomic(Path::new(&path), json.as_bytes()) {
-            eprintln!("cannot write trace to `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("trace written to {path}");
+        write_doc(&path, "trace", trace.to_json())?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `cimc simulate` — replay a trace against a chip partitioned across
 /// the trace's models, once per scheduling policy, and rank the
-/// policies. `--out` writes the JSON report array atomically.
-#[allow(clippy::too_many_lines)]
-fn cmd_simulate(args: &[String]) -> ExitCode {
-    let mut trace_path: Option<String> = None;
-    let mut spec_path: Option<String> = None;
-    let mut arch_name: Option<String> = None;
-    let mut policies: Option<Vec<String>> = None;
-    let mut max_batch: Option<usize> = None;
-    let mut max_wait: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut out: Option<String> = None;
-    let mut comparable = false;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut obs = ObsFlags::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-out" => {
-                match value_of(args, "--trace-out", i) {
-                    Ok(v) => obs.trace_out = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--profile" => {
-                obs.profile = true;
-                i += 1;
-            }
-            "--trace" | "--spec" | "--arch" | "--out" | "--cache-dir" => {
-                let flag = args[i].clone();
-                let value = match value_of(args, &flag, i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match flag.as_str() {
-                    "--trace" => trace_path = Some(value),
-                    "--spec" => spec_path = Some(value),
-                    "--arch" => arch_name = Some(value),
-                    "--out" => out = Some(value),
-                    _ => cache_dir = Some(value),
-                }
-                i += 2;
-            }
-            "--policies" => {
-                match value_of(args, "--policies", i) {
-                    Ok(v) => policies = Some(split_list(&v)),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--max-batch" => {
-                let value = match value_of(args, "--max-batch", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive("--max-batch", &value) {
-                    Ok(n) => max_batch = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--max-wait" => {
-                let value = match value_of(args, "--max-wait", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_unsigned("--max-wait", &value) {
-                    Ok(n) => max_wait = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--jobs" => {
-                let value = match value_of(args, "--jobs", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive("--jobs", &value) {
-                    Ok(n) => jobs = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--comparable" => {
-                comparable = true;
-                i += 1;
-            }
-            "--no-cache" => {
-                no_cache = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-    let cache = match cache_policy(no_cache, cache_dir) {
-        Ok(policy) => policy,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    let (trace, spec) = match (&trace_path, &spec_path) {
-        (Some(_), Some(_)) => {
-            eprintln!("--trace cannot be combined with --spec");
-            return usage();
-        }
-        (Some(path), None) => match load_trace_file(path) {
-            Ok(t) => (Some(t), None),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(path)) => match load_spec_file(path) {
-            Ok(s) => (None, Some(s)),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+/// policies. `--out` writes the JSON report array; `--comparable`
+/// zeroes the wall clocks so committed baselines only change when
+/// metrics do.
+fn cmd_simulate(flags: &Parsed) -> Cli {
+    let cache = cache(flags)?;
+    let (trace, spec) = match (flags.text("--trace"), flags.text("--spec")) {
+        (Some(_), Some(_)) => return usage_error("--trace cannot be combined with --spec"),
+        (Some(path), None) => (Some(load(&path, "trace", Trace::from_json)?), None),
+        (None, Some(path)) => (None, Some(load(&path, "trace spec", serde_json::from_str)?)),
         (None, None) => {
-            eprintln!("`cimc simulate` needs --trace <file.json> or --spec <file.json>");
-            return usage();
+            return usage_error("`cimc simulate` needs --trace <file.json> or --spec <file.json>");
         }
     };
     let request = Request::Simulate(SimulateRequest {
         trace,
         spec,
-        arch: arch_name,
+        arch: flags.text("--arch"),
         placement: None,
-        policies,
-        max_batch,
-        max_wait,
-        jobs: jobs.unwrap_or(0),
+        policies: flags.list("--policies"),
+        max_batch: flags.number("--max-batch"),
+        max_wait: flags.number("--max-wait"),
+        jobs: flags.number("--jobs").unwrap_or(0),
         cache,
     });
-    obs.begin();
-    let response = Handler::new().handle(&request);
-    if let Err(e) = obs.finish() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let reports = match response {
-        ResponseBody::Simulate { reports } => reports,
-        ResponseBody::Error(e) => return fail(&e),
-        _ => unreachable!("simulate requests yield traffic reports"),
+    let ResponseBody::Simulate { mut reports } = execute(&request, Some(flags))? else {
+        unreachable!("simulate requests yield traffic reports")
     };
     print!("{}", render::render_simulate(&reports));
-    if let Some(path) = out {
-        // Atomic like `bench --out`; `--comparable` zeroes the wall
-        // clocks so committed baselines only change when metrics do.
-        let docs: Vec<TrafficReport> = if comparable {
-            reports.iter().map(TrafficReport::comparable).collect()
-        } else {
-            reports.clone()
-        };
-        let mut json =
-            serde_json::to_string_pretty(&docs).expect("traffic reports always serialize");
-        json.push('\n');
-        if let Err(e) = write_atomic(Path::new(&path), json.as_bytes()) {
-            eprintln!("cannot write report to `{path}`: {e}");
-            return ExitCode::FAILURE;
+    if let Some(path) = flags.text("--out") {
+        if flags.has("--comparable") {
+            reports = reports.iter().map(TrafficReport::comparable).collect();
         }
-        println!("report written to {path}");
+        let json =
+            serde_json::to_string_pretty(&reports).expect("traffic reports always serialize");
+        write_doc(&path, "report", json)?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-#[allow(clippy::too_many_lines)]
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    let mut comparable = false;
-    let mut compile_time = false;
-    let mut jobs: Option<usize> = None;
-    let mut out: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut fail_on_regression = false;
-    let mut tolerance: Option<f64> = None;
-    let mut models: Option<Vec<String>> = None;
-    let mut archs: Option<Vec<String>> = None;
-    let mut modes: Option<Vec<ScheduleMode>> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut obs = ObsFlags::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-out" => {
-                match value_of(args, "--trace-out", i) {
-                    Ok(v) => obs.trace_out = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--profile" => {
-                obs.profile = true;
-                i += 1;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--cache-dir" => {
-                match value_of(args, "--cache-dir", i) {
-                    Ok(v) => cache_dir = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--no-cache" => {
-                no_cache = true;
-                i += 1;
-            }
-            "--fail-on-regression" => {
-                fail_on_regression = true;
-                i += 1;
-            }
-            "--comparable" => {
-                comparable = true;
-                i += 1;
-            }
-            "--compile-time" => {
-                compile_time = true;
-                i += 1;
-            }
-            "--jobs" => {
-                let value = match value_of(args, "--jobs", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_bench_jobs(&value) {
-                    Ok(n) => jobs = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--tolerance" => {
-                let value = match value_of(args, "--tolerance", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_percentage("--tolerance", &value) {
-                    Ok(pct) => tolerance = Some(pct),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--out" => {
-                match value_of(args, "--out", i) {
-                    Ok(v) => out = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--baseline" => {
-                match value_of(args, "--baseline", i) {
-                    Ok(v) => baseline_path = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--models" => {
-                match value_of(args, "--models", i) {
-                    Ok(v) => models = Some(split_list(&v)),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--archs" => {
-                match value_of(args, "--archs", i) {
-                    Ok(v) => archs = Some(split_list(&v)),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--modes" => {
-                let value = match value_of(args, "--modes", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                let mut parsed = Vec::new();
-                for name in split_list(&value) {
-                    match ScheduleMode::parse(&name) {
-                        Some(mode) => parsed.push(mode),
-                        None => {
-                            eprintln!(
-                                "invalid --modes value `{name}` (expected auto, cg, cg_mvm or \
-                                 cg_mvm_vvm)"
-                            );
-                            return usage();
-                        }
-                    }
-                }
-                modes = Some(parsed);
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-    let cache = match cache_policy(no_cache, cache_dir) {
-        Ok(policy) => policy,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    let request = Request::Bench(BenchRequest {
-        quick,
-        models,
-        archs,
-        modes,
-        jobs: jobs.unwrap_or(0),
-        compile_time,
-        cache,
+fn cmd_bench(flags: &Parsed) -> Cli {
+    let modes = flags.list("--modes").map(|names| {
+        let parse = |name: &String| ScheduleMode::parse(name).expect("the table lists the modes");
+        names.iter().map(parse).collect()
     });
-    obs.begin();
-    let response = Handler::new().handle(&request);
-    if let Err(e) = obs.finish() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let report = match response {
-        ResponseBody::Bench { report } => report,
-        ResponseBody::Error(e) => return fail(&e),
-        _ => unreachable!("bench requests yield bench reports"),
+    let request = Request::Bench(BenchRequest {
+        quick: flags.has("--quick"),
+        models: flags.list("--models"),
+        archs: flags.list("--archs"),
+        modes,
+        jobs: flags.number("--jobs").unwrap_or(0),
+        compile_time: flags.has("--compile-time"),
+        cache: cache(flags)?,
+    });
+    let ResponseBody::Bench { report } = execute(&request, Some(flags))? else {
+        unreachable!("bench requests yield bench reports")
     };
-
     print!("{}", render::render_bench(&report));
-
-    if let Some(path) = out {
+    if let Some(path) = flags.text("--out") {
         // `--comparable` strips the run-specific fields (wall clocks,
         // cache stats) so committed baselines only change when the
-        // metrics do. The write is atomic (temp file + rename): an
-        // interrupted run can never leave a truncated report for CI's
-        // artifact upload.
-        let mut json = if comparable {
+        // metrics do.
+        let json = if flags.has("--comparable") {
             report.comparable().to_json()
         } else {
             report.to_json()
         };
-        json.push('\n');
-        if let Err(e) = write_atomic(Path::new(&path), json.as_bytes()) {
-            eprintln!("cannot write report to `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {path}");
+        write_doc(&path, "report", json)?;
     }
-
-    if let Some(path) = baseline_path {
-        let json = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match BenchReport::from_json(&json) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("baseline `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let fail_on_regression = flags.has("--fail-on-regression");
+    if let Some(path) = flags.text("--baseline") {
+        let baseline = load_baseline(&path)?;
+        let tolerance = flags.number::<f64>("--tolerance");
         let tol =
             tolerance.map_or_else(Tolerances::default, |pct| Tolerances::uniform(pct / 100.0));
         let diff = compare(&baseline, &report, &tol);
         print!("\n{}", diff.render());
         if fail_on_regression && !diff.passes() {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     } else if fail_on_regression {
-        eprintln!("--fail-on-regression needs --baseline <file.json>");
-        return usage();
+        return usage_error("--fail-on-regression needs --baseline <file.json>");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// One `compile-perf` round: prints a line per gate entry and returns
+/// the budget and drift violations.
+fn gate_attempt(
+    attempt: usize,
+    records: &[CompileTimeRecord],
+    baseline: Option<&[CompileTimeRecord]>,
+    tolerance: f64,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    for (entry, record) in GATE_ENTRIES.iter().zip(records) {
+        let (key, median) = (record.key(), record.median_ms);
+        let mut status = "ok";
+        if median > entry.budget_ms {
+            status = "OVER BUDGET";
+            violations.push(format!(
+                "{key}: median {median:.3} ms exceeds the {:.3} ms budget \
+                 (half the pre-refactor median)",
+                entry.budget_ms
+            ));
+        }
+        let mut drift_note = String::new();
+        if let Some(base) = baseline.and_then(|rs| rs.iter().find(|r| r.key() == key)) {
+            let drift = 100.0 * (median - base.median_ms) / base.median_ms;
+            drift_note = format!("   drift {drift:+.1}% vs baseline {:.3} ms", base.median_ms);
+            if drift > tolerance {
+                status = "DRIFT";
+                violations.push(format!(
+                    "{key}: median {median:.3} ms drifted {drift:+.1}% over the baseline's \
+                     {:.3} ms (tolerance {tolerance}%)",
+                    base.median_ms
+                ));
+            }
+        }
+        println!(
+            "attempt {attempt}: {key:<22} median {median:>8.3} ms (budget {:>7.3} ms, \
+             {} samples)  {status}{drift_note}",
+            entry.budget_ms, record.samples
+        );
+    }
+    violations
 }
 
 /// `cimc compile-perf` — the compile-time regression gate.
@@ -1490,157 +550,36 @@ fn cmd_bench(args: &[String]) -> ExitCode {
 /// baseline median, in percent (default 50 — generous on purpose:
 /// machine-to-machine variance dwarfs scheduler regressions, which the
 /// absolute budgets catch anyway).
-#[allow(clippy::too_many_lines)]
-fn cmd_compile_perf(args: &[String]) -> ExitCode {
-    let mut samples: usize = 9;
-    let mut attempts: usize = 3;
-    let mut baseline_path: Option<String> = None;
-    let mut tolerance: f64 = 50.0;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" | "--attempts" => {
-                let flag = args[i].clone();
-                let value = match value_of(args, &flag, i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive(&flag, &value) {
-                    Ok(n) if flag == "--samples" => samples = n,
-                    Ok(n) => attempts = n,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--baseline" => {
-                match value_of(args, "--baseline", i) {
-                    Ok(v) => baseline_path = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--tolerance" => {
-                let value = match value_of(args, "--tolerance", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_percentage("--tolerance", &value) {
-                    Ok(pct) => tolerance = pct,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-
+fn cmd_compile_perf(flags: &Parsed) -> Cli {
+    let samples = flags.number("--samples").unwrap_or(9);
+    let attempts = flags.number("--attempts").unwrap_or(3);
+    let tolerance = flags.number("--tolerance").unwrap_or(50.0);
     // Load the baseline's compile_time section up front so a bad path
     // fails fast, before minutes of measurement.
-    let baseline_records: Option<Vec<CompileTimeRecord>> = match &baseline_path {
-        Some(path) => {
-            let json = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read baseline `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let baseline = match BenchReport::from_json(&json) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("baseline `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if baseline.compile_time.is_none() {
-                // Pre-v3 baselines gate on the absolute budgets alone.
-                println!(
-                    "baseline `{path}` has no compile_time section (schema v{} < 3); \
-                     drift gate skipped — regenerate with scripts/refresh-baseline.sh",
-                    baseline.schema_version
-                );
-            }
-            baseline.compile_time
+    let mut baseline = None;
+    if let Some(path) = flags.text("--baseline") {
+        let report = load_baseline(&path)?;
+        if report.compile_time.is_none() {
+            // Pre-v3 baselines gate on the absolute budgets alone.
+            println!(
+                "baseline `{path}` has no compile_time section (schema v{} < 3); \
+                 drift gate skipped — regenerate with scripts/refresh-baseline.sh",
+                report.schema_version
+            );
         }
-        None => None,
-    };
-
+        baseline = report.compile_time;
+    }
     let handler = Handler::new();
     for attempt in 1..=attempts {
         let records = match handler.handle(&Request::CompilePerf(CompilePerfRequest { samples })) {
             ResponseBody::CompilePerf { records } => records,
-            ResponseBody::Error(e) => return fail(&e),
+            ResponseBody::Error(e) => return Err(e.into()),
             _ => unreachable!("compile-perf requests yield records"),
         };
-        let mut violations = Vec::new();
-        for (entry, record) in GATE_ENTRIES.iter().zip(&records) {
-            let mut status = "ok";
-            if record.median_ms > entry.budget_ms {
-                status = "OVER BUDGET";
-                violations.push(format!(
-                    "{}: median {:.3} ms exceeds the {:.3} ms budget \
-                     (half the pre-refactor median)",
-                    record.key(),
-                    record.median_ms,
-                    entry.budget_ms
-                ));
-            }
-            let mut drift_note = String::new();
-            if let Some(base) = baseline_records
-                .as_ref()
-                .and_then(|rs| rs.iter().find(|r| r.key() == record.key()))
-            {
-                let drift = 100.0 * (record.median_ms - base.median_ms) / base.median_ms;
-                drift_note = format!(
-                    "   drift {:+.1}% vs baseline {:.3} ms",
-                    drift, base.median_ms
-                );
-                if drift > tolerance {
-                    status = "DRIFT";
-                    violations.push(format!(
-                        "{}: median {:.3} ms drifted {:+.1}% over the baseline's {:.3} ms \
-                         (tolerance {tolerance}%)",
-                        record.key(),
-                        record.median_ms,
-                        drift,
-                        base.median_ms
-                    ));
-                }
-            }
-            println!(
-                "attempt {attempt}: {:<22} median {:>8.3} ms (budget {:>7.3} ms, \
-                 {} samples)  {status}{drift_note}",
-                record.key(),
-                record.median_ms,
-                entry.budget_ms,
-                record.samples
-            );
-        }
+        let violations = gate_attempt(attempt, &records, baseline.as_deref(), tolerance);
         if violations.is_empty() {
             println!("compile-perf gate: PASS (attempt {attempt}/{attempts})");
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         if attempt < attempts {
             println!("attempt {attempt}/{attempts} failed; re-measuring (wall clocks are noisy)");
@@ -1651,378 +590,153 @@ fn cmd_compile_perf(args: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
 /// `cimc serve` — the persistent compile service (see
 /// [`cim_mlc::serve`]). One handler, one shared cache, one bounded
 /// worker pool; requests arrive as JSON lines on stdin (default) or TCP.
-#[allow(clippy::too_many_lines)]
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut tcp_addr: Option<String> = None;
-    let mut stdio = false;
-    let mut workers: usize = 0;
-    let mut queue: usize = 64;
-    let mut deadline_ms: Option<f64> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut metrics = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--metrics" => {
-                metrics = true;
-                i += 1;
-            }
-            "--tcp" => {
-                match value_of(args, "--tcp", i) {
-                    Ok(v) => tcp_addr = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--stdio" => {
-                stdio = true;
-                i += 1;
-            }
-            "--workers" => {
-                let value = match value_of(args, "--workers", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive("--workers", &value) {
-                    Ok(n) => workers = n,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--queue" => {
-                let value = match value_of(args, "--queue", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive("--queue", &value) {
-                    Ok(n) => queue = n,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--deadline-ms" => {
-                let value = match value_of(args, "--deadline-ms", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_millis("--deadline-ms", &value) {
-                    Ok(ms) => deadline_ms = Some(ms),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--cache-dir" => {
-                match value_of(args, "--cache-dir", i) {
-                    Ok(v) => cache_dir = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--no-cache" => {
-                no_cache = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-    if stdio && tcp_addr.is_some() {
-        eprintln!("--stdio cannot be combined with --tcp");
-        return usage();
-    }
-    if no_cache && cache_dir.is_some() {
-        eprintln!("--no-cache cannot be combined with --cache-dir");
-        return usage();
+fn cmd_serve(flags: &Parsed) -> Cli {
+    let tcp = flags.text("--tcp");
+    if flags.has("--stdio") && tcp.is_some() {
+        return usage_error("--stdio cannot be combined with --tcp");
     }
     // The whole point of serving: one process-wide cache, so every
     // request after the first compiles warm. In-memory by default;
     // memory+disk under `--cache-dir` (warm across restarts too).
-    let handler = if no_cache {
-        Handler::new()
-    } else {
-        match cache_dir {
-            Some(dir) => match TieredCache::open(&dir) {
-                Ok(cache) => Handler::with_shared_cache(Arc::new(cache)),
-                Err(e) => {
-                    eprintln!("cannot open cache dir `{dir}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Handler::with_shared_cache(Arc::new(MemoryCache::new())),
+    let handler = match cache(flags)? {
+        CachePolicy::Off => Handler::new(),
+        CachePolicy::Default => Handler::with_shared_cache(Arc::new(MemoryCache::new())),
+        CachePolicy::Disk { dir } => {
+            let cache = TieredCache::open(&dir)
+                .map_err(|e| Fail(format!("cannot open cache dir `{dir}`: {e}")))?;
+            Handler::with_shared_cache(Arc::new(cache))
         }
     };
     let options = ServeOptions {
-        workers,
-        queue_capacity: queue,
-        default_deadline_ms: deadline_ms,
-        metrics,
+        workers: flags.number("--workers").unwrap_or(0),
+        queue_capacity: flags.number("--queue").unwrap_or(64),
+        default_deadline_ms: flags.number("--deadline-ms"),
+        metrics: flags.has("--metrics"),
     };
-    let result = match tcp_addr {
-        Some(addr) => {
-            let listener = match std::net::TcpListener::bind(&addr) {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("cannot bind `{addr}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match listener.local_addr() {
-                Ok(local) => println!("cimc serve: listening on {local}"),
-                Err(_) => println!("cimc serve: listening on {addr}"),
-            }
-            // Scripts parse the line above to discover the bound port
-            // (`--tcp 127.0.0.1:0`); make sure it is out before serving.
-            let _ = std::io::stdout().flush();
-            run_tcp(handler, &listener, &options)
+    let result = if let Some(addr) = tcp {
+        let listener = std::net::TcpListener::bind(&addr)
+            .map_err(|e| Fail(format!("cannot bind `{addr}`: {e}")))?;
+        match listener.local_addr() {
+            Ok(local) => println!("cimc serve: listening on {local}"),
+            Err(_) => println!("cimc serve: listening on {addr}"),
         }
-        None => {
-            eprintln!("cimc serve: reading JSON-lines requests on stdin");
-            run_stdio(handler, &options)
-        }
+        // Scripts parse the line above to discover the bound port
+        // (`--tcp 127.0.0.1:0`); make sure it is out before serving.
+        let _ = std::io::stdout().flush();
+        run_tcp(handler, &listener, &options)
+    } else {
+        eprintln!("cimc serve: reading JSON-lines requests on stdin");
+        run_stdio(handler, &options)
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("serve error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    result.map_err(|e| Fail(format!("serve error: {e}")))?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `--metrics`: scrape the server's snapshot and print it.
+fn print_metrics(addr: &str) -> Result<(), CliError> {
+    let snapshot = fetch_metrics(addr)?;
+    print!("{}", cim_obs::metrics_text(&snapshot));
+    Ok(())
+}
+
+/// `--shutdown`: ask the server to drain and exit.
+fn shutdown(addr: &str) -> Result<(), CliError> {
+    send_shutdown(addr)?;
+    println!("shutdown sent to {addr}");
+    Ok(())
 }
 
 /// `cimc loadtest` — replay a request script against a running server
 /// (see [`cim_mlc::loadtest`]) and report latency percentiles,
 /// throughput, outcome counts and the warm-cache hit rate.
-#[allow(clippy::too_many_lines)]
-fn cmd_loadtest(args: &[String]) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut requests: Option<usize> = None;
-    let mut concurrency: Option<usize> = None;
-    let mut deadline_ms: Option<f64> = None;
-    let mut script_path: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut shutdown = false;
-    let mut metrics = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--metrics" => {
-                metrics = true;
-                i += 1;
-            }
-            "--addr" => {
-                match value_of(args, "--addr", i) {
-                    Ok(v) => addr = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--requests" | "--concurrency" => {
-                let flag = args[i].clone();
-                let value = match value_of(args, &flag, i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_positive(&flag, &value) {
-                    Ok(n) if flag == "--requests" => requests = Some(n),
-                    Ok(n) => concurrency = Some(n),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--deadline-ms" => {
-                let value = match value_of(args, "--deadline-ms", i) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                };
-                match parse_millis("--deadline-ms", &value) {
-                    Ok(ms) => deadline_ms = Some(ms),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--script" => {
-                match value_of(args, "--script", i) {
-                    Ok(v) => script_path = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--out" => {
-                match value_of(args, "--out", i) {
-                    Ok(v) => out = Some(v),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            "--shutdown" => {
-                shutdown = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("`cimc loadtest` needs --addr <host:port>");
-        return usage();
+fn cmd_loadtest(flags: &Parsed) -> Cli {
+    let Some(addr) = flags.text("--addr") else {
+        return usage_error("`cimc loadtest` needs --addr <host:port>");
     };
-
+    let (requests, metrics) = (flags.number("--requests"), flags.has("--metrics"));
     // `--shutdown` without an explicit request count is a pure shutdown
     // message — the idiom CI uses to stop the server it started.
-    let replay = requests.is_some() || !shutdown;
-    if replay {
-        let mut options = LoadtestOptions::new(addr.clone());
-        if let Some(n) = requests {
-            options.requests = n;
-        }
-        if let Some(n) = concurrency {
-            options.concurrency = n;
-        }
-        options.deadline_ms = deadline_ms;
-        if let Some(path) = &script_path {
-            let json = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read script `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            options.script = match serde_json::from_str::<Vec<Request>>(&json) {
-                Ok(script) => script,
-                Err(e) => {
-                    eprintln!("invalid loadtest script `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        }
-        let report = match run_loadtest(&options) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{}", e.render_chain());
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report.render());
-        if let Some(path) = out {
-            let mut json = report.to_json();
-            json.push('\n');
-            if let Err(e) = write_atomic(Path::new(&path), json.as_bytes()) {
-                eprintln!("cannot write report to `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("report written to {path}");
-        }
+    if flags.has("--shutdown") && requests.is_none() {
         if metrics {
-            // Scrape before shutting the server down — afterwards
-            // there is nothing left to answer.
-            match cim_mlc::loadtest::fetch_metrics(&addr) {
-                Ok(snapshot) => print!("{}", cim_obs::metrics_text(&snapshot)),
-                Err(e) => {
-                    eprintln!("{}", e.render_chain());
-                    return ExitCode::FAILURE;
-                }
-            }
+            print_metrics(&addr)?;
         }
-        if shutdown {
-            if let Err(e) = send_shutdown(&addr) {
-                eprintln!("{}", e.render_chain());
-                return ExitCode::FAILURE;
-            }
-            println!("shutdown sent to {addr}");
-        }
-        if report.protocol_errors > 0 {
-            eprintln!(
-                "loadtest: {} protocol error(s) — see the report above",
-                report.protocol_errors
-            );
-            return ExitCode::FAILURE;
-        }
-        ExitCode::SUCCESS
-    } else {
-        if metrics {
-            match cim_mlc::loadtest::fetch_metrics(&addr) {
-                Ok(snapshot) => print!("{}", cim_obs::metrics_text(&snapshot)),
-                Err(e) => {
-                    eprintln!("{}", e.render_chain());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        match send_shutdown(&addr) {
-            Ok(()) => {
-                println!("shutdown sent to {addr}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{}", e.render_chain());
-                ExitCode::FAILURE
-            }
-        }
+        shutdown(&addr)?;
+        return Ok(ExitCode::SUCCESS);
     }
+    let mut options = LoadtestOptions::new(addr.clone());
+    options.requests = requests.unwrap_or(options.requests);
+    options.concurrency = flags.number("--concurrency").unwrap_or(options.concurrency);
+    options.deadline_ms = flags.number("--deadline-ms");
+    if let Some(path) = flags.text("--script") {
+        let json = std::fs::read_to_string(&path)
+            .map_err(|e| Fail(format!("cannot read script `{path}`: {e}")))?;
+        options.script = serde_json::from_str(&json)
+            .map_err(|e| Fail(format!("invalid loadtest script `{path}`: {e}")))?;
+    }
+    let report = run_loadtest(&options)?;
+    print!("{}", report.render());
+    if let Some(path) = flags.text("--out") {
+        write_doc(&path, "report", report.to_json())?;
+    }
+    if metrics {
+        // Scrape before shutting the server down — afterwards there is
+        // nothing left to answer.
+        print_metrics(&addr)?;
+    }
+    if flags.has("--shutdown") {
+        shutdown(&addr)?;
+    }
+    if report.protocol_errors > 0 {
+        return Err(Fail(format!(
+            "loadtest: {} protocol error(s) — see the report above",
+            report.protocol_errors
+        )));
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Routes `args` to its subcommand, parsing flags on the way.
+fn run(args: &[String]) -> Cli {
+    let Some((name, rest)) = args.split_first() else {
+        return usage_error("");
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(ExitCode::SUCCESS);
+    }
+    let Some(cmd) = command(name) else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        let expected = names.join(", ");
+        return usage_error(&format!(
+            "unknown subcommand `{name}` (expected {expected} or help)"
+        ));
+    };
+    let shim: fn(&Parsed) -> Cli = match cmd.name {
+        "archs" => return cmd_archs(rest),
+        "models" => return cmd_models(rest),
+        "list" => return cmd_list(rest),
+        "compile" => cmd_compile,
+        "recompile" => cmd_recompile,
+        "bench" => cmd_bench,
+        "compile-perf" => cmd_compile_perf,
+        "explore" => cmd_explore,
+        "trace" => cmd_trace,
+        "simulate" => cmd_simulate,
+        "serve" => cmd_serve,
+        "loadtest" => cmd_loadtest,
+        other => unreachable!("`{other}` is in COMMANDS but has no shim"),
+    };
+    let Some(flags) = parse(cmd, rest).map_err(Usage)? else {
+        println!("{}", usage());
+        return Ok(ExitCode::SUCCESS);
+    };
+    shim(&flags)
 }
 
 fn main() -> ExitCode {
@@ -2033,30 +747,18 @@ fn main() -> ExitCode {
         cim_obs::enable();
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("archs") => cmd_archs(&args[1..]),
-        Some("models") => cmd_models(&args[1..]),
-        Some("list") => cmd_list(&args[1..]),
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("recompile") => cmd_recompile(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("compile-perf") => cmd_compile_perf(&args[1..]),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadtest") => cmd_loadtest(&args[1..]),
-        Some("help" | "--help" | "-h") => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
+    match run(&args) {
+        Ok(code) => code,
+        Err(Fail(message)) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
         }
-        Some(other) => {
-            eprintln!(
-                "unknown subcommand `{other}` (expected archs, models, list, compile, recompile, \
-                 bench, compile-perf, explore, trace, simulate, serve, loadtest or help)"
-            );
-            usage()
+        Err(Usage(message)) => {
+            if !message.is_empty() {
+                eprintln!("{message}");
+            }
+            eprintln!("{}", usage());
+            ExitCode::from(2)
         }
-        None => usage(),
     }
 }

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cim_bench::pool::Pool;
+use cim_compiler::pool::Pool;
 use cim_obs::{keys, TraceClock};
 
 use crate::api::{

@@ -1300,3 +1300,130 @@ fn trace_out_rejects_an_unwritable_path() {
         stderr(&out)
     );
 }
+
+// ---------------------------------------------------------------------------
+// The flag tables (`cim_mlc::api::args`) driven through the real binary:
+// every subcommand × flag gets the same four checks, so a new table row
+// is covered the moment it exists.
+
+use cim_mlc::api::args::{parse, usage, Flag, Kind, COMMANDS};
+
+/// Operands the flag's kind must reject, with the value the message
+/// must name (for a list of choices, the offending item).
+fn bad_operands(flag: &Flag) -> Vec<(String, String)> {
+    let same = |values: &[&str]| values.iter().map(|&v| (v.into(), v.into())).collect();
+    match flag.kind {
+        Kind::Switch | Kind::Text | Kind::List => Vec::new(),
+        Kind::Positive => same(&["0", "x"]),
+        Kind::Unsigned | Kind::Lines => same(&["-1", "x"]),
+        Kind::Millis => same(&["0", "inf", "x"]),
+        Kind::Percent => same(&["-1", "nan"]),
+        Kind::Cycles => same(&["0.5", "nan"]),
+        Kind::Choice(_) => same(&["zz"]),
+        Kind::Choices(words) => vec![(format!("{},zz", words[0]), "zz".into())],
+    }
+}
+
+/// Operands on the accepting side of each kind's boundary.
+fn good_operands(flag: &Flag) -> Vec<String> {
+    let all = |values: &[&str]| values.iter().map(|&v| v.to_owned()).collect();
+    match flag.kind {
+        Kind::Switch => Vec::new(),
+        Kind::Text | Kind::List => all(&["a,b"]),
+        Kind::Positive => all(&["1"]),
+        Kind::Unsigned | Kind::Lines | Kind::Percent => all(&["0"]),
+        Kind::Millis => all(&["0.5"]),
+        Kind::Cycles => all(&["1"]),
+        Kind::Choice(words) => all(words),
+        Kind::Choices(words) => vec![words.join(",")],
+    }
+}
+
+fn assert_usage_error(args: &[&str], needles: &[&str]) {
+    let out = cimc(args);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    for needle in needles {
+        assert!(err.contains(needle), "{args:?}: no {needle} in: {err}");
+    }
+    assert!(err.contains("usage:"), "{args:?}: {err}");
+}
+
+#[test]
+fn every_flag_of_every_subcommand_rejects_bad_input_uniformly() {
+    for cmd in COMMANDS.iter().filter(|c| c.flags().next().is_some()) {
+        assert_usage_error(&[cmd.name, "--bogus"], &["unknown argument `--bogus`"]);
+        for flag in cmd.flags() {
+            if flag.kind == Kind::Switch {
+                continue;
+            }
+            // No operand, or the next flag where the operand should be
+            // (`compile --mode --arch isaac` used to blame `--arch`).
+            let missing = format!("missing value for `{}`", flag.name);
+            assert_usage_error(&[cmd.name, flag.name], &[&missing]);
+            assert_usage_error(&[cmd.name, flag.name, "--bogus"], &[&missing]);
+            for (operand, offender) in bad_operands(flag) {
+                let named = format!("`{offender}`");
+                assert_usage_error(&[cmd.name, flag.name, &operand], &[flag.name, &named]);
+            }
+            for operand in good_operands(flag) {
+                let args = [flag.name.to_owned(), operand];
+                assert!(parse(cmd, &args).is_ok(), "{} {args:?}", cmd.name);
+            }
+        }
+    }
+}
+
+#[test]
+fn help_documents_exactly_the_flags_in_the_tables() {
+    let out = cimc(&["help"]);
+    assert!(out.status.success());
+    let help = stdout(&out);
+    assert_eq!(
+        help.trim_end(),
+        usage(),
+        "`cimc help` is the generated usage"
+    );
+    for cmd in COMMANDS {
+        let prefix = format!("  cimc {}", cmd.name);
+        let mut lines = help.lines().filter(|line| {
+            let rest = line.strip_prefix(&prefix);
+            rest.is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+        });
+        let (Some(line), None) = (lines.next(), lines.next()) else {
+            panic!("exactly one help line for `{}`: {help}", cmd.name);
+        };
+        let words = line.split_whitespace();
+        let documented: Vec<&str> = words
+            .map(|word| word.trim_matches(['[', ']']))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        let table: Vec<&str> = cmd.flags().map(|flag| flag.name).collect();
+        assert_eq!(documented, table, "`cimc {}` help vs table", cmd.name);
+    }
+}
+
+#[test]
+fn choice_vocabularies_are_the_words_the_shims_convert() {
+    use cim_mlc::api::{LevelArg, ModeArg, StageArg};
+    use cim_mlc::prelude::{GeneratorKind, ScheduleMode};
+    let wire = |word: &str| format!("\"{word}\"");
+    for cmd in COMMANDS {
+        for flag in cmd.flags() {
+            let (Kind::Choice(words) | Kind::Choices(words)) = flag.kind else {
+                continue;
+            };
+            for word in words {
+                let converts = match flag.name {
+                    "--mode" => serde_json::from_str::<ModeArg>(&wire(word)).is_ok(),
+                    "--level" => serde_json::from_str::<LevelArg>(&wire(word)).is_ok(),
+                    "--dump-stage" => serde_json::from_str::<StageArg>(&wire(word)).is_ok(),
+                    "--kind" => GeneratorKind::parse(word).is_some(),
+                    "--modes" => ScheduleMode::parse(word).is_some(),
+                    other => panic!("no conversion known for choice flag `{other}`"),
+                };
+                assert!(converts, "`{} {word}` has no typed value", flag.name);
+            }
+        }
+    }
+}
