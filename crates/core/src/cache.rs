@@ -233,8 +233,14 @@ pub fn fingerprint_arch(arch: &CimArchitecture) -> Fingerprint {
 /// jobs differing only in unconsumed options share entries.
 #[must_use]
 pub fn source_fingerprint(graph: &Graph, arch: &CimArchitecture) -> Fingerprint {
+    source_fingerprint_of(fingerprint_graph(graph), arch)
+}
+
+/// [`source_fingerprint`] for a graph whose [`fingerprint_graph`] the
+/// caller already holds (hashing the graph is most of a warm compile).
+pub(crate) fn source_fingerprint_of(graph: Fingerprint, arch: &CimArchitecture) -> Fingerprint {
     FingerprintBuilder::new("cim-mlc/session/v1")
-        .fingerprint(fingerprint_graph(graph))
+        .fingerprint(graph)
         .fingerprint(fingerprint_arch(arch))
         .finish()
 }

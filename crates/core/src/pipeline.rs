@@ -42,7 +42,10 @@
 //! # }
 //! ```
 
-use crate::cache::{source_fingerprint, CompileCache, Fingerprint, FingerprintBuilder};
+use crate::cache::{
+    fingerprint_graph, source_fingerprint, source_fingerprint_of, CompileCache, Fingerprint,
+    FingerprintBuilder,
+};
 use crate::cg::{schedule_cg_stages_memo, CgSchedule, Segment};
 use crate::codegen::{generate_flow, FlowLayout};
 use crate::compile::{CompileOptions, Compiled, OptLevel};
@@ -902,9 +905,29 @@ impl<'a> Session<'a> {
     /// already advanced, the artifact's provenance is unknown, so the
     /// cache is held but never consulted.
     #[must_use]
-    pub fn with_cache(mut self, cache: Arc<dyn CompileCache>) -> Self {
-        self.chain = (self.cursor == 0 && matches!(self.artifact, Artifact::Source))
-            .then(|| source_fingerprint(&self.graph, &self.arch));
+    pub fn with_cache(self, cache: Arc<dyn CompileCache>) -> Self {
+        self.with_cache_keyed(cache, None)
+    }
+
+    /// [`Session::with_cache`] for a caller that may already hold the
+    /// graph's [`fingerprint_graph`] — a server that memoises it per
+    /// immutable model skips re-hashing the graph on every request.
+    /// Debug builds check a given fingerprint against the graph.
+    #[must_use]
+    pub fn with_cache_keyed(
+        mut self,
+        cache: Arc<dyn CompileCache>,
+        graph_fingerprint: Option<Fingerprint>,
+    ) -> Self {
+        debug_assert!(
+            graph_fingerprint.is_none_or(|held| held == fingerprint_graph(&self.graph)),
+            "stale graph fingerprint for `{}`",
+            self.graph.name()
+        );
+        self.chain = (self.cursor == 0 && matches!(self.artifact, Artifact::Source)).then(|| {
+            let graph = graph_fingerprint.unwrap_or_else(|| fingerprint_graph(&self.graph));
+            source_fingerprint_of(graph, &self.arch)
+        });
         self.cache = Some(cache);
         self
     }

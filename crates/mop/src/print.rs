@@ -129,6 +129,55 @@ impl fmt::Display for MopFlow {
     }
 }
 
+/// A [`fmt::Write`] sink that splits what it is fed at each `'\n'` (as
+/// [`str::lines`] does for text without `'\r'`, which the printer never
+/// emits) and fails the write once it holds `limit` of them,
+/// which stops the `Display` impl feeding it.
+struct HeadSink {
+    lines: Vec<String>,
+    partial: String,
+    limit: usize,
+}
+
+impl fmt::Write for HeadSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut rest = s;
+        while let Some((line, tail)) = rest.split_once('\n') {
+            self.partial.push_str(line);
+            self.lines.push(std::mem::take(&mut self.partial));
+            if self.lines.len() == self.limit {
+                return Err(fmt::Error);
+            }
+            rest = tail;
+        }
+        self.partial.push_str(rest);
+        Ok(())
+    }
+}
+
+impl MopFlow {
+    /// The first `n` lines of the flow's rendering: equal to
+    /// `self.to_string().lines().take(n)`, but formatting stops at the
+    /// `n`-th newline instead of rendering the whole flow (hundreds of
+    /// kilobytes for even a small model).
+    #[must_use]
+    pub fn head(&self, n: usize) -> Vec<String> {
+        use fmt::Write as _;
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut sink = HeadSink {
+            lines: Vec::new(),
+            partial: String::new(),
+            limit: n,
+        };
+        if write!(sink, "{self}").is_ok() && !sink.partial.is_empty() {
+            sink.lines.push(sink.partial);
+        }
+        sink.lines
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::{BufRef, CoreOp, DcomFunc, MetaOp, MopFlow, XbAddr};

@@ -188,6 +188,15 @@ serve_smoke() {
     test -n "$pct"
     awk -v p="$pct" 'BEGIN { exit !(p > 90) }'
 
+    # A line split over two writes, or a socket without TCP_NODELAY, costs
+    # a 40 ms delayed ACK per leg; a healthy round trip is well under 1 ms.
+    bold "serve-smoke: p50 round trip < 20 ms"
+    local p50
+    p50=$(sed -n 's/^latency: p50 \([0-9.]*\) ms.*/\1/p' "$dir/loadtest.log")
+    echo "p50: ${p50} ms"
+    test -n "$p50"
+    awk -v p="$p50" 'BEGIN { exit !(p < 20) }'
+
     bold "serve-smoke: graceful shutdown"
     ./target/release/cimc loadtest --addr "$addr" --shutdown
     wait "$server_pid"

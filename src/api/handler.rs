@@ -10,9 +10,10 @@ use std::sync::{Arc, Mutex};
 
 use cim_arch::{presets, CimArchitecture};
 use cim_bench::{measure_gate_entries, run_sweep_cached, BenchReport, ScheduleMode, SweepSpec};
+use cim_compiler::cache::fingerprint_graph;
 use cim_compiler::{
-    Artifact, CodegenPass, CompileCache, CompileOptions, DiskCache, MemoryCache, Pipeline, Session,
-    StageKind,
+    Artifact, CodegenPass, CompileCache, CompileOptions, DiskCache, Fingerprint, MemoryCache,
+    Pipeline, Session, StageKind,
 };
 use cim_dse::{DesignSpace, DseReport, Explorer, Metric, Objective, StrategyKind, TrafficWorkload};
 use cim_graph::{zoo, Graph, GraphDelta};
@@ -144,6 +145,10 @@ fn default_explore_spec() -> TraceSpec {
 pub struct Handler {
     shared_cache: Option<Arc<dyn CompileCache>>,
     sessions: Mutex<HashMap<String, Session<'static>>>,
+    /// Zoo models compile requests have named, with their
+    /// [`fingerprint_graph`]: a zoo name denotes one immutable graph, so
+    /// it is built and hashed once per handler, not once per request.
+    zoo: Mutex<HashMap<String, (Arc<Graph>, Fingerprint)>>,
 }
 
 impl Handler {
@@ -161,8 +166,23 @@ impl Handler {
     pub fn with_shared_cache(cache: Arc<dyn CompileCache>) -> Self {
         Handler {
             shared_cache: Some(cache),
-            sessions: Mutex::new(HashMap::new()),
+            ..Handler::default()
         }
+    }
+
+    /// Resolves a zoo model name through the handler's memo; `None` for
+    /// anything else (a `.json` path is loaded and hashed per request —
+    /// files change).
+    fn zoo_model(&self, name: &str) -> Option<(Arc<Graph>, Fingerprint)> {
+        let mut zoo = self.zoo.lock().expect("zoo mutex poisoned");
+        if let Some(entry) = zoo.get(name) {
+            return Some(entry.clone());
+        }
+        let graph = zoo::by_name(name)?;
+        let fingerprint = fingerprint_graph(&graph);
+        let entry = (Arc::new(graph), fingerprint);
+        zoo.insert(name.to_owned(), entry.clone());
+        Some(entry)
     }
 
     /// The shared cache, when this handler has one.
@@ -271,7 +291,10 @@ impl Handler {
     /// The `cimc compile` core: staged pipeline, optional codegen, and
     /// every inspection surface (schedule, flow head, dumps, verify).
     fn compile(&self, req: &CompileRequest) -> Result<CompileOutcome, ApiError> {
-        let graph = model(&req.model).map_err(ApiError::input)?;
+        let (graph, graph_fingerprint) = match self.zoo_model(&req.model) {
+            Some((graph, fingerprint)) => (graph, Some(fingerprint)),
+            None => (Arc::new(model(&req.model).map_err(ApiError::input)?), None),
+        };
         let mut arch = preset(&req.arch).map_err(ApiError::input)?;
         if let Some(m) = req.mode {
             arch = arch.with_mode(m.into());
@@ -301,7 +324,7 @@ impl Handler {
         }
         let mut session = pipeline.session(&graph, &arch, options);
         if let Some(cache) = &cache {
-            session = session.with_cache(Arc::clone(cache));
+            session = session.with_cache_keyed(Arc::clone(cache), graph_fingerprint);
         }
 
         // Run pass by pass so `dump_stage` can render the intermediate
@@ -359,12 +382,7 @@ impl Handler {
         let mut flow_stats = None;
         if let Some(n) = req.flow {
             let (flow, _) = flow_pack.as_ref().expect("codegen pass ran");
-            flow_head = flow
-                .to_string()
-                .lines()
-                .take(n)
-                .map(str::to_owned)
-                .collect();
+            flow_head = flow.head(n);
             let stats = FlowStats::of(flow);
             flow_stats = Some(FlowSummary {
                 total: stats.total(),

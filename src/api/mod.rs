@@ -26,6 +26,12 @@
 //!  "body": {"compile": {...}}}
 //! ```
 //!
+//! Each message is sent as **one** `write` of the whole line, newline
+//! included ([`write_line`]), on a socket with `TCP_NODELAY` set: a line
+//! split over two small writes is held back by Nagle's algorithm until
+//! the peer's delayed ACK, 40 ms per leg. A request line may be at most
+//! [`MAX_LINE_BYTES`] long.
+//!
 //! The protocol is versioned like the bench-report schema:
 //! [`PROTOCOL_VERSION`] stamps outgoing messages, and envelopes outside
 //! [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] are rejected with a
@@ -62,6 +68,26 @@ pub const PROTOCOL_VERSION: u32 = 1;
 
 /// Oldest protocol version this toolchain still accepts.
 pub const MIN_PROTOCOL_VERSION: u32 = 1;
+
+/// Longest request line (newline excluded) a server reads. The vendored
+/// JSON parser is quadratic in the line length (5 MB takes 152 s), and
+/// lines are parsed on the connection's reader thread; a longer line is
+/// discarded and answered with an [`ErrorKind::Protocol`] error.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Sends one wire message: `json` plus its newline in a single
+/// `write_all`, then a flush. Every writer of the protocol — server and
+/// client — goes through here, so no line is ever split across writes
+/// (see the module docs). Render `json` before taking a shared writer's
+/// lock; only the copy to the socket needs it.
+///
+/// # Errors
+/// Propagates the writer's failure.
+pub fn write_line(out: &mut impl std::io::Write, mut json: String) -> std::io::Result<()> {
+    json.push('\n');
+    out.write_all(json.as_bytes())?;
+    out.flush()
+}
 
 /// Classification of an [`ApiError`], deciding both the wire shape and
 /// how the CLI exits: [`Argument`](ErrorKind::Argument) errors render
@@ -831,5 +857,49 @@ impl Response {
             ));
         }
         Ok(response)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records the size of every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_issues_one_write_per_line() {
+        let small = Response::new(1, 0.0, ResponseBody::Pong).to_json();
+        // The size of a `schedule` + `flow: 200` compile body.
+        let big = Response::new(
+            2,
+            0.0,
+            ResponseBody::List {
+                names: vec!["x".repeat(100); 140],
+            },
+        )
+        .to_json();
+        assert!(big.len() > 14_000);
+        let mut out = CountingWriter::default();
+        write_line(&mut out, small.clone()).unwrap();
+        write_line(&mut out, big.clone()).unwrap();
+        assert_eq!(out.writes, [small.len() + 1, big.len() + 1]);
+        assert_eq!(out.bytes, format!("{small}\n{big}\n").into_bytes());
     }
 }

@@ -12,13 +12,13 @@
 //! not from the server's shared counters, so concurrent requests cannot
 //! blur each other's classification.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cim_bench::{LoadSample, LoadtestReport, SampleClass};
 
-use crate::api::{ApiError, Request, RequestEnvelope, Response, ResponseBody};
+use crate::api::{write_line, ApiError, Request, RequestEnvelope, Response, ResponseBody};
 use crate::Error;
 
 /// What to replay and how hard.
@@ -77,6 +77,14 @@ pub fn default_script() -> Vec<Request> {
     script
 }
 
+/// Opens a client connection with `TCP_NODELAY` set — the client half of
+/// the wire contract in [`crate::api`].
+fn connect(addr: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// Replays the script against a running server and aggregates the
 /// samples into a [`LoadtestReport`].
 ///
@@ -122,7 +130,7 @@ pub fn run_loadtest(options: &LoadtestOptions) -> Result<LoadtestReport, Error> 
 /// send, await the matching response, classify.
 fn replay_connection(options: &LoadtestOptions, next: &AtomicUsize) -> Vec<LoadSample> {
     let mut samples = Vec::new();
-    let Ok(stream) = TcpStream::connect(&options.addr) else {
+    let Ok(stream) = connect(&options.addr) else {
         // The pre-flight probe succeeded, so a refused connection here
         // is a server defect — surface it as a protocol sample per
         // request this connection would have carried.
@@ -152,10 +160,7 @@ fn replay_connection(options: &LoadtestOptions, next: &AtomicUsize) -> Vec<LoadS
         let mut envelope = RequestEnvelope::new(index as u64 + 1, request);
         envelope.deadline_ms = options.deadline_ms;
         let sent_at = cim_obs::stopwatch();
-        if writeln!(writer, "{}", envelope.to_json())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if write_line(&mut writer, envelope.to_json()).is_err() {
             samples.push(protocol_sample(key, sent_at));
             return samples;
         }
@@ -207,10 +212,9 @@ fn protocol_sample(key: String, sent_at: cim_obs::Stopwatch<'_>) -> LoadSample {
 /// [`Error::Api`] when it answers with anything but a metrics body
 /// (e.g. an old server that predates the request).
 pub fn fetch_metrics(addr: &str) -> Result<cim_obs::MetricsSnapshot, Error> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| Error::io(addr, e))?;
+    let mut stream = connect(addr).map_err(|e| Error::io(addr, e))?;
     let envelope = RequestEnvelope::new(0, Request::Metrics);
-    writeln!(stream, "{}", envelope.to_json()).map_err(|e| Error::io(addr, e))?;
-    stream.flush().map_err(|e| Error::io(addr, e))?;
+    write_line(&mut stream, envelope.to_json()).map_err(|e| Error::io(addr, e))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader
@@ -235,10 +239,9 @@ pub fn fetch_metrics(addr: &str) -> Result<cim_obs::MetricsSnapshot, Error> {
 /// Returns [`Error::Io`] when the server cannot be reached or the
 /// request cannot be written.
 pub fn send_shutdown(addr: &str) -> Result<(), Error> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| Error::io(addr, e))?;
+    let mut stream = connect(addr).map_err(|e| Error::io(addr, e))?;
     let envelope = RequestEnvelope::new(0, Request::Shutdown);
-    writeln!(stream, "{}", envelope.to_json()).map_err(|e| Error::io(addr, e))?;
-    stream.flush().map_err(|e| Error::io(addr, e))?;
+    write_line(&mut stream, envelope.to_json()).map_err(|e| Error::io(addr, e))?;
     let mut line = String::new();
     let _ = BufReader::new(stream).read_line(&mut line);
     Ok(())

@@ -19,8 +19,9 @@
 //! * **Graceful drain** — on [`Request::Shutdown`]
 //!   (or stdin EOF), the server stops admitting work, finishes every
 //!   queued job, flushes the answers and joins its workers.
-//! * **Malformed input** — an unparseable line gets an `error` response
-//!   with kind `protocol` (id 0); the connection stays usable.
+//! * **Malformed input** — an unparseable line, or one longer than
+//!   [`MAX_LINE_BYTES`], gets an `error` response with kind `protocol`
+//!   (id 0); the connection stays usable.
 //!
 //! # Observability
 //!
@@ -36,7 +37,7 @@
 //! spans.
 
 use std::io::{self, BufRead, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -45,12 +46,16 @@ use cim_compiler::pool::Pool;
 use cim_obs::{keys, TraceClock};
 
 use crate::api::{
-    ApiError, Handler, Request, RequestEnvelope, Response, ResponseBody, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    write_line, ApiError, Handler, Request, RequestEnvelope, Response, ResponseBody,
+    MAX_LINE_BYTES, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 
-/// How often blocked accept/read loops wake up to observe draining.
+/// How often blocked connection reads wake up to observe draining.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Bounds on the shutdown wake-up connect (see [`wake_accept`]).
+const WAKE_ATTEMPTS: u32 = 5;
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for [`run_stdio`]/[`run_tcp`].
 #[derive(Debug, Clone)]
@@ -94,6 +99,9 @@ impl ServeOptions {
 struct ServerState {
     handler: Handler,
     draining: AtomicBool,
+    /// The TCP listener's address: connecting to it unblocks `accept`
+    /// once `draining` is set. `None` on stdio.
+    wake: Option<SocketAddr>,
     default_deadline_ms: Option<f64>,
 }
 
@@ -125,6 +133,29 @@ fn ms_since(start_us: u64, end_us: u64) -> f64 {
     end_us.saturating_sub(start_us) as f64 / 1e3
 }
 
+/// Unblocks `run_tcp`'s `accept` once `draining` is set, by connecting
+/// to the listener. Should no attempt land (a firewalled bound address,
+/// say), the accept loop exits at the next client connection instead,
+/// so say that the process is waiting for one.
+fn wake_accept(listener: SocketAddr) {
+    for _ in 0..WAKE_ATTEMPTS {
+        if TcpStream::connect_timeout(&listener, WAKE_TIMEOUT).is_ok() {
+            return;
+        }
+    }
+    eprintln!(
+        "cimc serve: cannot reach {listener} to stop accepting; exiting at the next connection"
+    );
+}
+
+/// Answers a line that never became an envelope: a `protocol` error
+/// with id 0.
+fn reject_line(respond: &Respond, message: String) {
+    let body = ResponseBody::Error(ApiError::protocol(message));
+    record_response(&body);
+    respond(Response::new(0, 0.0, body));
+}
+
 /// Parses and dispatches one input line. Returns `false` when the line
 /// asked the server to shut down.
 fn handle_line(state: &Arc<ServerState>, pool: &Pool, line: &str, respond: &Respond) -> bool {
@@ -139,9 +170,7 @@ fn handle_line(state: &Arc<ServerState>, pool: &Pool, line: &str, respond: &Resp
     let envelope = match parsed {
         Ok(envelope) => envelope,
         Err(e) => {
-            let body = ResponseBody::Error(ApiError::protocol(format!("invalid request: {e}")));
-            record_response(&body);
-            respond(Response::new(0, 0.0, body));
+            reject_line(respond, format!("invalid request: {e}"));
             return true;
         }
     };
@@ -177,6 +206,9 @@ fn handle_line(state: &Arc<ServerState>, pool: &Pool, line: &str, respond: &Resp
                 pending: pool.depth(),
             },
         ));
+        if let Some(listener) = state.wake {
+            wake_accept(listener);
+        }
         return false;
     }
     if state.draining.load(Ordering::SeqCst) {
@@ -241,12 +273,84 @@ fn handle_line(state: &Arc<ServerState>, pool: &Pool, line: &str, respond: &Resp
     true
 }
 
+/// A [`Respond`] that renders each response outside `out`'s lock and
+/// sends it with [`write_line`]. Write failures are swallowed (the peer
+/// is gone; nothing useful can be reported to it).
+fn responder(out: impl Write + Send + 'static) -> Respond {
+    let out = Mutex::new(out);
+    Arc::new(move |response: Response| {
+        let json = response.to_json();
+        let mut out = out.lock().expect("response writer poisoned");
+        let _ = write_line(&mut *out, json);
+    })
+}
+
+/// Reads request lines off `reader` and dispatches them until EOF, a
+/// `shutdown` request on this stream, or the server draining. A line
+/// longer than [`MAX_LINE_BYTES`] is answered with a `protocol` error
+/// and discarded up to its newline, and one that is not UTF-8 with a
+/// `protocol` error too, so hostile input costs one error response.
+///
+/// A read timeout (TCP only) is not an error: the partial line stays in
+/// the buffer and the next round appends to it.
+fn serve_lines(
+    state: &Arc<ServerState>,
+    pool: &Pool,
+    mut reader: impl BufRead,
+    respond: &Respond,
+) -> io::Result<()> {
+    let mut line = Vec::new();
+    // True while skipping the rest of an over-long line.
+    let mut discarding = false;
+    loop {
+        if state.draining.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        let read = if discarding {
+            reader.skip_until(b'\n')
+        } else {
+            let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+            io::Read::take(&mut reader, room).read_until(b'\n', &mut line)
+        };
+        match read {
+            Ok(0) => return Ok(()),
+            Ok(_) if discarding => discarding = false,
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                line.clear();
+                discarding = true;
+                reject_line(
+                    respond,
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                );
+            }
+            Ok(_) => {
+                let keep_going = match std::str::from_utf8(&line) {
+                    Ok(text) => handle_line(state, pool, text, respond),
+                    Err(e) => {
+                        reject_line(respond, format!("invalid request: {e}"));
+                        true
+                    }
+                };
+                line.clear();
+                if !keep_going {
+                    return Ok(());
+                }
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Serves the JSON-lines protocol on stdin/stdout until EOF or a
 /// `shutdown` request, then drains gracefully.
 ///
 /// # Errors
-/// Propagates stdin read failures. Write failures on stdout are
-/// swallowed (the peer is gone; nothing useful can be reported to it).
+/// Propagates stdin read failures.
 pub fn run_stdio(handler: Handler, options: &ServeOptions) -> io::Result<()> {
     if options.metrics {
         cim_obs::metrics().reset();
@@ -255,21 +359,11 @@ pub fn run_stdio(handler: Handler, options: &ServeOptions) -> io::Result<()> {
     let state = Arc::new(ServerState {
         handler,
         draining: AtomicBool::new(false),
+        wake: None,
         default_deadline_ms: options.default_deadline_ms,
     });
     let pool = Pool::new(options.worker_threads(), options.queue_capacity);
-    let stdout: Arc<Mutex<io::Stdout>> = Arc::new(Mutex::new(io::stdout()));
-    let respond: Respond = Arc::new(move |response: Response| {
-        let mut out = stdout.lock().expect("stdout writer poisoned");
-        let _ = writeln!(out, "{}", response.to_json());
-        let _ = out.flush();
-    });
-    for line in io::stdin().lock().lines() {
-        let line = line?;
-        if !handle_line(&state, &pool, &line, &respond) {
-            break;
-        }
-    }
+    serve_lines(&state, &pool, io::stdin().lock(), &responder(io::stdout()))?;
     pool.drain();
     Ok(())
 }
@@ -287,33 +381,36 @@ pub fn run_tcp(handler: Handler, listener: &TcpListener, options: &ServeOptions)
         cim_obs::metrics().reset();
         cim_obs::metrics().enable();
     }
+    // `accept` blocks, so a connection's first line is read at once;
+    // shutdown unblocks it by connecting to the listener itself.
+    listener.set_nonblocking(false)?;
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
     let state = Arc::new(ServerState {
         handler,
         draining: AtomicBool::new(false),
+        wake: Some(wake),
         default_deadline_ms: options.default_deadline_ms,
     });
     let pool = Pool::new(options.worker_threads(), options.queue_capacity);
-    // Non-blocking accept so the loop can observe draining promptly.
-    listener.set_nonblocking(true)?;
     std::thread::scope(|scope| -> io::Result<()> {
         loop {
+            let (stream, _peer) = listener.accept()?;
+            // The wake-up connection, or a client too late to be served.
             if state.draining.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = Arc::clone(&state);
-                    let pool = &pool;
-                    std::thread::Builder::new()
-                        .name("cimc-serve-conn".to_owned())
-                        .spawn_scoped(scope, move || serve_connection(&state, pool, stream))
-                        .expect("spawning a connection thread failed");
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) => return Err(e),
-            }
+            let state = Arc::clone(&state);
+            let pool = &pool;
+            std::thread::Builder::new()
+                .name("cimc-serve-conn".to_owned())
+                .spawn_scoped(scope, move || serve_connection(&state, pool, stream))
+                .expect("spawning a connection thread failed");
         }
     })?;
     pool.drain();
@@ -323,45 +420,12 @@ pub fn run_tcp(handler: Handler, listener: &TcpListener, options: &ServeOptions)
 /// Reads envelopes off one TCP connection until it closes, the server
 /// drains, or the connection itself requests shutdown.
 fn serve_connection(state: &Arc<ServerState>, pool: &Pool, stream: TcpStream) {
-    // The stream inherited the listener's non-blocking flag; switch to
-    // blocking reads with a timeout so the loop can observe draining.
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
-    {
+    // Reads time out so the loop can observe draining.
+    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
     let Ok(writer) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(writer));
-    let respond: Respond = Arc::new(move |response: Response| {
-        let mut out = writer.lock().expect("connection writer poisoned");
-        let _ = writeln!(out, "{}", response.to_json());
-        let _ = out.flush();
-    });
-    let mut reader = io::BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if state.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let keep_going = handle_line(state, pool, &line, &respond);
-                line.clear();
-                if !keep_going {
-                    return;
-                }
-            }
-            // A read timeout may leave a partial line buffered; keep it
-            // and continue appending on the next round.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => return,
-        }
-    }
+    let _ = serve_lines(state, pool, io::BufReader::new(stream), &responder(writer));
 }

@@ -1,17 +1,24 @@
 //! End-to-end tests of `cimc serve`: a real server process on an
 //! ephemeral TCP port, driven by real clients over the JSON-lines
 //! protocol. Covers response isolation under concurrency, admission
-//! control, deadlines, warm-cache repeats, malformed input, and the
-//! `cimc loadtest` client against a live server.
+//! control, deadlines, warm-cache repeats, malformed and over-long input,
+//! round-trip latency, and the `cimc loadtest` client against a live
+//! server.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 use cim_mlc::api::{
-    CachePolicy, CompileRequest, Request, RequestEnvelope, Response, ResponseBody, SleepRequest,
+    write_line, CachePolicy, CompileRequest, ErrorKind, Request, RequestEnvelope, Response,
+    ResponseBody, SleepRequest, MAX_LINE_BYTES,
 };
+use cim_mlc::loadtest::{run_loadtest, LoadtestOptions};
+
+/// Half the 40 ms delayed-ACK timer a line split over two writes (or a
+/// socket without `TCP_NODELAY`) waits for, and ~40x a warm round trip.
+const ROUND_TRIP_BUDGET_MS: f64 = 20.0;
 
 /// A `cimc serve --tcp 127.0.0.1:0` child process, shut down (or killed)
 /// on drop.
@@ -22,9 +29,13 @@ struct Server {
 
 impl Server {
     fn start(extra_args: &[&str]) -> Server {
+        Server::start_on("127.0.0.1:0", extra_args)
+    }
+
+    fn start_on(bind: &str, extra_args: &[&str]) -> Server {
         let mut child = Command::new(env!("CARGO_BIN_EXE_cimc"))
             .arg("serve")
-            .args(["--tcp", "127.0.0.1:0"])
+            .args(["--tcp", bind])
             .args(extra_args)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -51,6 +62,7 @@ impl Server {
 
     fn connect(&self) -> Client {
         let stream = TcpStream::connect(&self.addr).expect("server accepts connections");
+        stream.set_nodelay(true).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(120)))
             .unwrap();
@@ -87,8 +99,7 @@ struct Client {
 
 impl Client {
     fn send_line(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("request writes");
-        self.writer.flush().expect("request flushes");
+        write_line(&mut self.writer, line.to_owned()).expect("request writes");
     }
 
     fn read_response(&mut self) -> Response {
@@ -267,6 +278,87 @@ fn malformed_json_gets_an_error_response_and_the_connection_survives() {
 }
 
 #[test]
+fn a_non_utf8_line_gets_a_protocol_error_and_is_not_dispatched() {
+    let server = Server::start(&[]);
+    let mut client = server.connect();
+    // Valid JSON once the stray byte is replaced, so a lossy decode would
+    // dispatch it as a compile and answer with id 7.
+    client
+        .writer
+        .write_all(b"{\"id\": 7, \"request\": {\"compile\": {\"model\": \"\xff\", \"arch\": \"isaac\"}}}\n")
+        .expect("request writes");
+    let response = client.read_response();
+    assert_eq!(response.id, 0);
+    match &response.body {
+        ResponseBody::Error(e) => assert_eq!(e.kind, ErrorKind::Protocol, "{e}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    let pong = client.roundtrip(&RequestEnvelope::new(5, Request::Ping));
+    assert_eq!(pong.id, 5);
+    assert!(matches!(pong.body, ResponseBody::Pong));
+    server.shutdown();
+}
+
+#[test]
+fn an_over_long_line_gets_a_protocol_error_and_the_connection_survives() {
+    let server = Server::start(&[]);
+    let mut client = server.connect();
+    client.send_line(&"x".repeat(2 * MAX_LINE_BYTES));
+    let response = client.read_response();
+    assert_eq!(response.id, 0);
+    match &response.body {
+        ResponseBody::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::Protocol);
+            assert!(e.message.contains(&MAX_LINE_BYTES.to_string()), "{e}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    // Exactly one answer for the whole line, and the next one is served.
+    let pong = client.roundtrip(&RequestEnvelope::new(5, Request::Ping));
+    assert_eq!(pong.id, 5);
+    assert!(matches!(pong.body, ResponseBody::Pong));
+    server.shutdown();
+}
+
+#[test]
+fn warm_round_trips_do_not_wait_for_a_delayed_ack() {
+    let server = Server::start(&[]);
+    let warm = RequestEnvelope::new(1, compile_request("lenet5", "isaac"));
+
+    // Server leg: this client sends each line in one write with
+    // `TCP_NODELAY`, so any 40 ms wait is the server's response.
+    let mut client = server.connect();
+    client.roundtrip(&warm);
+    let mut trips: Vec<f64> = (0..50)
+        .map(|_| {
+            let started = Instant::now();
+            let response = client.roundtrip(&warm);
+            assert!(matches!(response.body, ResponseBody::Compile(_)));
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    trips.sort_by(f64::total_cmp);
+    let median = trips[trips.len() / 2];
+    assert!(median < ROUND_TRIP_BUDGET_MS, "median {median} ms");
+
+    // Client leg: the loadtest client's own request writes.
+    let report = run_loadtest(&LoadtestOptions {
+        requests: 50,
+        concurrency: 1,
+        script: vec![warm.request.clone()],
+        ..LoadtestOptions::new(server.addr.clone())
+    })
+    .expect("loadtest runs");
+    assert_eq!((report.ok, report.protocol_errors), (50, 0));
+    assert!(
+        report.p50_ms < ROUND_TRIP_BUDGET_MS,
+        "median {} ms",
+        report.p50_ms
+    );
+    server.shutdown();
+}
+
+#[test]
 fn after_shutdown_new_requests_are_refused_and_the_process_exits() {
     let server = Server::start(&[]);
     let mut client = server.connect();
@@ -276,19 +368,42 @@ fn after_shutdown_new_requests_are_refused_and_the_process_exits() {
         "{:?}",
         response.body
     );
-    // The accept loop polls every 50 ms; well within a few seconds the
-    // process must be gone.
-    let mut server = server;
-    let mut status = None;
+    let status =
+        exit_status_within_seconds(server).expect("server drains and exits after shutdown");
+    assert!(status.success(), "{status:?}");
+}
+
+/// Connection threads notice draining within 50 ms and the accept loop
+/// is woken at once; well within a few seconds the process must be gone.
+fn exit_status_within_seconds(mut server: Server) -> Option<ExitStatus> {
     for _ in 0..200 {
-        if let Some(s) = server.child.try_wait().expect("wait works") {
-            status = Some(s);
-            break;
+        if let Some(status) = server.child.try_wait().expect("wait works") {
+            return Some(status);
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    let status = status.expect("server drains and exits after shutdown");
-    assert!(status.success(), "{status:?}");
+    None
+}
+
+#[test]
+fn shutdown_exits_when_bound_to_a_wildcard_address() {
+    for bind in ["0.0.0.0:0", "[::]:0"] {
+        // A host without IPv6 cannot run the second case at all.
+        if std::net::TcpListener::bind(bind).is_err() {
+            continue;
+        }
+        let server = Server::start_on(bind, &[]);
+        let mut client = server.connect();
+        let response = client.roundtrip(&RequestEnvelope::new(1, Request::Shutdown));
+        assert!(
+            matches!(response.body, ResponseBody::ShuttingDown { .. }),
+            "{bind}: {:?}",
+            response.body
+        );
+        let status = exit_status_within_seconds(server)
+            .unwrap_or_else(|| panic!("server on {bind} exits after shutdown"));
+        assert!(status.success(), "{bind}: {status:?}");
+    }
 }
 
 #[test]
@@ -315,8 +430,14 @@ fn loadtest_reports_warm_hits_against_a_live_server() {
     );
     assert!(stdout.contains("40 ok"), "{stdout}");
     assert!(stdout.contains("0 protocol error(s)"), "{stdout}");
-    // 4 model×arch pairs: everything after the 4 cold compiles is warm,
-    // so the warm rate must clear 90/100 = 36/40.
-    assert!(stdout.contains("36/40 cache-eligible"), "{stdout}");
+    // 4 model×arch pairs: everything after the cold compiles is warm. A
+    // pair compiles cold once per connection at worst (the 4 connections
+    // may all miss it side by side), so at least 40 - 4*4 are warm.
+    let warm: usize = stdout
+        .split_once("warm: ")
+        .and_then(|(_, rest)| rest.split_once("/40 cache-eligible"))
+        .and_then(|(count, _)| count.parse().ok())
+        .unwrap_or_else(|| panic!("no warm count in: {stdout}"));
+    assert!((24..=36).contains(&warm), "{stdout}");
     server.shutdown();
 }
