@@ -29,6 +29,7 @@
 
 use cim_arch::CimArchitecture;
 use cim_compiler::cg::{CgOptions, CgSchedule};
+use cim_compiler::level::fold_report;
 use cim_compiler::mapping::OpMapping;
 use cim_compiler::perf::PerfReport;
 use cim_compiler::{CompileOptions, Compiler, OptLevel, Result};
@@ -107,11 +108,7 @@ pub fn poly_schedule(graph: &Graph, arch: &CimArchitecture) -> Result<PerfReport
     let base = cg_schedule(graph, arch, CgOptions::none())?;
     let core_count = u64::from(arch.chip().core_count());
 
-    let mut total_latency = 0.0;
-    let mut peak_power = 0.0_f64;
-    let mut peak_active = 0u64;
-    let mut peak_breakdown = Default::default();
-    for seg in &base.segments {
+    let phases = base.segments.iter().map(|seg| {
         // Proportional shares within the segment.
         let seg_stages: Vec<_> = seg.plans.iter().map(|p| &base.stages[p.stage]).collect();
         let weights: Vec<f64> = seg_stages
@@ -143,26 +140,15 @@ pub fn poly_schedule(graph: &Graph, arch: &CimArchitecture) -> Result<PerfReport
             seg_latency += compute.max(mov).max(alu);
             seg_active = seg_active.max(u64::from(dup) * u64::from(stage.mapping.vxb_size()));
         }
-        let (power, breakdown) =
-            cim_compiler::perf::phase_power(arch, seg_active, seg.streaming_bits_per_cycle);
-        if power > peak_power {
-            peak_power = power;
-            peak_active = seg_active;
-            peak_breakdown = breakdown;
-        }
-        total_latency += seg_latency;
-    }
-
-    Ok(PerfReport {
-        level: "poly-schedule",
-        latency_cycles: total_latency + base.report.reprogram_cycles,
-        peak_active_crossbars: peak_active,
-        peak_power,
-        peak_breakdown,
-        energy: base.report.energy,
-        segments: base.report.segments,
-        reprogram_cycles: base.report.reprogram_cycles,
-    })
+        (seg_latency, seg_active, seg.streaming_bits_per_cycle)
+    });
+    Ok(fold_report(
+        "poly-schedule",
+        arch,
+        phases,
+        base.report.reprogram_cycles,
+        base.report.energy,
+    ))
 }
 
 /// Sanity helper used by benches/tests: crossbars one replica of every CIM

@@ -33,19 +33,11 @@ pub struct AllocItem {
 /// Minimizes `max_i latency_i / D_i` subject to `Σ D_i·cost_i ≤ budget`
 /// and `1 ≤ D_i ≤ max_dup_i`.
 ///
-/// Returns the duplication vector; all-ones if even the base allocation
+/// Writes the duplication vector into the caller-supplied `dup`, so hot
+/// callers (the segmentation DP evaluates thousands of candidate segments)
+/// reuse one scratch allocation; all-ones if even the base allocation
 /// exceeds the budget (the caller is responsible for segmentation).
-#[must_use]
-pub fn minimize_bottleneck(items: &[AllocItem], budget: u64) -> Vec<u32> {
-    let mut dup = Vec::new();
-    minimize_bottleneck_into(items, budget, &mut dup);
-    dup
-}
-
-/// [`minimize_bottleneck`] writing into a caller-supplied buffer, so hot
-/// callers (the segmentation DP evaluates thousands of candidate
-/// segments) can reuse one scratch allocation.
-pub fn minimize_bottleneck_into(items: &[AllocItem], budget: u64, dup: &mut Vec<u32>) {
+pub fn minimize_bottleneck(items: &[AllocItem], budget: u64, dup: &mut Vec<u32>) {
     dup.clear();
     dup.resize(items.len(), 1);
     if items.is_empty() || !base_fits(items, budget) {
@@ -184,17 +176,9 @@ fn spend_leftover_on_bottleneck(items: &[AllocItem], dup: &mut [u32], budget: u6
 /// is separable convex, so granting each increment to the best marginal
 /// gain per core is optimal).
 ///
-/// Returns all-ones if the base allocation exceeds the budget.
-#[must_use]
-pub fn minimize_total(items: &[AllocItem], budget: u64) -> Vec<u32> {
-    let mut dup = Vec::new();
-    minimize_total_into(items, budget, &mut dup);
-    dup
-}
-
-/// [`minimize_total`] writing into a caller-supplied buffer, so hot
-/// callers can reuse one scratch allocation.
-pub fn minimize_total_into(items: &[AllocItem], budget: u64, dup: &mut Vec<u32>) {
+/// Writes the duplication vector into the caller-supplied `dup`; all-ones
+/// if the base allocation exceeds the budget.
+pub fn minimize_total(items: &[AllocItem], budget: u64, dup: &mut Vec<u32>) {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
@@ -263,6 +247,18 @@ pub fn base_fits(items: &[AllocItem], budget: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn minimize_bottleneck(items: &[AllocItem], budget: u64) -> Vec<u32> {
+        let mut dup = Vec::new();
+        super::minimize_bottleneck(items, budget, &mut dup);
+        dup
+    }
+
+    fn minimize_total(items: &[AllocItem], budget: u64) -> Vec<u32> {
+        let mut dup = Vec::new();
+        super::minimize_total(items, budget, &mut dup);
+        dup
+    }
 
     fn items(spec: &[(u32, f64, u32)]) -> Vec<AllocItem> {
         spec.iter()

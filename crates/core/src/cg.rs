@@ -13,14 +13,25 @@
 //! * **pipeline** — overlap adjacent operators at feature-map-row
 //!   granularity; a stage starts once its producer has emitted the rows
 //!   its first window needs.
+//!
+//! What this level supplies to the shared segment driver ([`crate::level`]):
+//! the segmentation DP, and one `SegmentEvaluator::evaluate` that
+//! duplicates and prices a candidate segment — the DP's cost probe and the
+//! schedule of the segments it chooses are the same function, so the
+//! estimate cannot drift from the real segment. Memo lookups, the worker
+//! fan-out, chain latency, active crossbars and the report are the
+//! driver's.
 
 use crate::alloc::{self, AllocItem};
-use crate::perf::{phase_power, PerfReport};
-use crate::region::RegionMemo;
-use crate::scratch::ScratchArena;
+use crate::level::{
+    active_crossbars, chain_latency, drive, fold_report, standalone, Level, SchedContext,
+};
+use crate::perf::PerfReport;
+use crate::region::StageStats;
 use crate::stage::{extract_stages, movement_cycles, Stage};
 use crate::{CompileError, Result};
 use cim_arch::CimArchitecture;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Feature toggles for CG-grained optimization (used standalone for the
@@ -84,6 +95,19 @@ pub struct Segment {
     pub streaming_bits_per_cycle: f64,
 }
 
+impl Segment {
+    /// The segment as one phase of [`fold_report`]: `(latency, active
+    /// crossbars, streaming bits per cycle)`.
+    #[must_use]
+    pub fn phase(&self) -> (f64, u64, f64) {
+        (
+            self.latency,
+            self.active_crossbars,
+            self.streaming_bits_per_cycle,
+        )
+    }
+}
+
 /// The CG-grained schedule of a whole model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgSchedule {
@@ -104,6 +128,8 @@ pub struct CgSchedule {
 /// and attached-ALU work. Movement and ALU run concurrently with compute;
 /// the stage is as slow as its slowest resource (the paper's assumption
 /// that transfers hide under compute when bandwidth suffices, §4.1).
+/// `cycles_per_mvm` is the level's own: the mapping's at the CG and MVM
+/// levels, the remapped one at the VVM level.
 pub(crate) fn stage_latency(
     stage: &Stage,
     arch: &CimArchitecture,
@@ -154,25 +180,8 @@ pub(crate) fn duplication_cap(
     mvm_cap.min(bandwidth_cap(stage, arch, act_bits, cycles_per_mvm))
 }
 
-/// Pipelined latency of a chain of stages with fill fractions.
-///
-/// Stage `i` starts once every predecessor has produced the fraction its
-/// consumer needs: `start_i = Σ_{j<i} fill_j · L_j`; the chain completes
-/// at `max_i (start_i + L_i)`. This is never worse than the serial sum
-/// (`fill ≤ 1`), degrades gracefully to it when every stage blocks
-/// (`fill = 1`), and is monotone in the per-stage latencies.
-pub(crate) fn pipeline_latency(lat_fill: &[(f64, f64)]) -> f64 {
-    let mut start = 0.0_f64;
-    let mut completion = 0.0_f64;
-    for &(latency, fill) in lat_fill {
-        completion = completion.max(start + latency);
-        start += latency * fill.clamp(0.0, 1.0);
-    }
-    completion
-}
-
 /// Runs CG-grained scheduling on a graph: stage extraction followed by
-/// [`schedule_cg_stages`].
+/// [`schedule_cg_in`] on one thread with a fresh arena and memo.
 ///
 /// # Errors
 /// Returns [`CompileError::NothingToMap`] for graphs without CIM operators
@@ -186,91 +195,37 @@ pub fn schedule_cg(
     act_bits: u32,
 ) -> Result<CgSchedule> {
     let stages = extract_stages(graph, arch, weight_bits);
-    schedule_cg_stages(graph.name(), stages, arch, options, act_bits)
+    standalone(arch, act_bits, |cx| {
+        schedule_cg_in(cx, graph.name(), stages, options)
+    })
 }
 
-/// Runs CG-grained scheduling on pre-extracted stages — the pipeline
-/// entry point, which lets a [`crate::Pass`] inspect or rewrite the stage
-/// list between extraction and scheduling. `model` only labels errors.
+/// Runs CG-grained scheduling on pre-extracted stages in a session's
+/// [`SchedContext`] — the form the [`crate::CgPass`] calls, which lets a
+/// [`crate::Pass`] inspect or rewrite the stage list between extraction
+/// and scheduling. `model` only labels errors.
+///
+/// With `cx.jobs > 1` the segmentation DP's candidate-segment evaluations
+/// fan out onto [`crate::pool::run_ordered`] (one job per DP row) and the
+/// chosen segments are scheduled concurrently. Every evaluation is a pure
+/// function of the stage list, so the returned schedule is byte-identical
+/// for every `jobs` value — the jobs=1-vs-jobs=4 equality is pinned by a
+/// test and by CI's dse-smoke gate. Candidate-segment latencies and
+/// chosen-segment schedules are keyed by the region-id runs they cover, so
+/// a memo retained across [`Session::recompile`](crate::Session::recompile)
+/// calls answers unchanged segments without rescheduling them.
 ///
 /// # Errors
 /// Returns [`CompileError::NothingToMap`] when `stages` is empty and
 /// [`CompileError::DynamicWeightsUnsupported`] when a dynamic `MatMul`
 /// targets a write-expensive device.
-pub fn schedule_cg_stages(
+pub fn schedule_cg_in(
+    cx: &SchedContext<'_>,
     model: &str,
     stages: Vec<Stage>,
-    arch: &CimArchitecture,
     options: CgOptions,
-    act_bits: u32,
 ) -> Result<CgSchedule> {
-    schedule_cg_stages_in(
-        model,
-        stages,
-        arch,
-        options,
-        act_bits,
-        1,
-        &ScratchArena::new(),
-    )
-}
-
-/// [`schedule_cg_stages`] with an explicit worker count and scratch arena
-/// — the form the [`crate::CgPass`] calls with
-/// [`CompileOptions::jobs`](crate::CompileOptions::jobs) and the
-/// session's arena.
-///
-/// With `jobs > 1` the segmentation DP's candidate-segment evaluations
-/// fan out onto [`crate::pool::run_ordered`] (one job per DP row) and the
-/// chosen segments are scheduled concurrently. Every evaluation is a pure
-/// function of the stage list, so the returned schedule is byte-identical
-/// for every `jobs` value — the jobs=1-vs-jobs=4 equality is pinned by a
-/// test and by CI's dse-smoke gate.
-///
-/// # Errors
-/// As [`schedule_cg_stages`].
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_cg_stages_in(
-    model: &str,
-    stages: Vec<Stage>,
-    arch: &CimArchitecture,
-    options: CgOptions,
-    act_bits: u32,
-    jobs: usize,
-    scratch: &ScratchArena,
-) -> Result<CgSchedule> {
-    schedule_cg_stages_memo(
-        model,
-        stages,
-        arch,
-        options,
-        act_bits,
-        jobs,
-        scratch,
-        &RegionMemo::new(),
-    )
-}
-
-/// [`schedule_cg_stages_in`] with an explicit per-session [`RegionMemo`]
-/// — the incremental-recompilation entry point. Candidate-segment
-/// latencies and chosen-segment schedules are keyed by the region-id
-/// sequences they cover, so a memo retained across
-/// [`Session::recompile`](crate::Session::recompile) calls answers
-/// unchanged segments without rescheduling them.
-///
-/// # Errors
-/// As [`schedule_cg_stages`].
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_cg_stages_memo(
-    model: &str,
-    stages: Vec<Stage>,
-    arch: &CimArchitecture,
-    options: CgOptions,
-    act_bits: u32,
-    jobs: usize,
-    scratch: &ScratchArena,
-    memo: &RegionMemo,
-) -> Result<CgSchedule> {
+    let arch = cx.arch;
     if stages.is_empty() {
         return Err(CompileError::NothingToMap {
             model: model.to_owned(),
@@ -290,170 +245,305 @@ pub fn schedule_cg_stages_memo(
             }
         }
     }
-
-    let core_count = u64::from(arch.chip().core_count());
-    let xb_per_core = arch.core().xb_count();
     let reprogram_cycles = arch.cost().write_cycles(arch.crossbar().shape().rows) as f64;
 
-    // ---- Resource-adaptive segmentation (Figure 9b).
-    //
-    // Whole-model residency: on write-expensive devices (ReRAM/Flash/PCM)
-    // weights are frozen in the crossbars, so if the whole model fits it
-    // occupies one segment and duplication uses only the leftover cores —
-    // the paper's premise (§2.1) and the behaviour behind Figure 21a's
-    // shrinking duplication speedups. On write-cheap devices (SRAM), and
-    // whenever the model does not fit, segments are contiguous runs chosen
-    // by dynamic programming over total latency including inter-segment
-    // reprogramming: a maximal prefix is not always best (an exactly-full
-    // segment leaves no cores for duplication — the paper pops trailing
-    // nodes while the DP latency improves). Stages whose single replica
-    // exceeds the chip fold across it and stand alone.
-    let n = stages.len();
-    // Candidate-segment memoization. DNNs repeat blocks, so many of the
-    // DP's O(n²) contiguous ranges contain *identical* per-stage content
-    // sequences (a ViT body repeats with period 6, a ResNet with its
-    // block size) and therefore evaluate to bit-identical latencies.
-    // Intern each stage's content fingerprint to a small region id; a
-    // candidate segment is then keyed by its id slice, and equal keys
-    // imply equal inputs — a hit returns exactly what the evaluation
-    // would have computed. The same ids key the chosen segments below,
-    // which is what lets a memo retained across recompiles splice cached
-    // schedules for unedited regions.
-    let ids: Vec<u32> = memo.intern_stages(&stages);
-    // Per-stage scheduling stats, cached by region id: the DP below
-    // evaluates O(n²) candidate segments, and every segment is a
-    // contiguous stage range, so its allocator input is a slice of this
-    // table. Repeated blocks (and every unedited stage of a recompile)
-    // answer from the memo instead of re-deriving the crossbar math.
-    let mut needs: Vec<u64> = Vec::with_capacity(n);
-    let mut cpms: Vec<u64> = Vec::with_capacity(n);
-    let mut items_all: Vec<AllocItem> = Vec::with_capacity(n);
-    for (stage, &id) in stages.iter().zip(&ids) {
-        let st = memo.stage_stats(id, || {
-            let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
-            let cost = stage.mapping.cores_per_replica(arch);
-            crate::region::StageStats {
-                need: u64::from(cost),
-                cpm,
-                item: AllocItem {
-                    cost,
-                    latency: stage.mapping.mvm_count as f64 * cpm as f64,
-                    max_dup: duplication_cap(stage, arch, act_bits, cpm),
+    // Segments are independent, so they schedule concurrently; the driver
+    // merges them back in execution order.
+    let evaluator = SegmentEvaluator::new(cx, &stages, options);
+    let ranges = evaluator.segmentation(reprogram_cycles);
+    let scheduled = drive(
+        cx,
+        Level::Cg,
+        &evaluator.ids,
+        &ranges,
+        Clone::clone,
+        |range| (evaluator.schedule(range.clone()), Vec::new()),
+    );
+    let segments: Vec<Segment> = scheduled.into_iter().map(|(seg, _)| seg).collect();
+
+    // The chip reprograms before every segment but the first (the first
+    // programming of a frozen-weight device is offline: weights are
+    // pre-loaded) and before every fold pass but a stage's first.
+    let reprogram_events = if reprogram_cycles > 0.0 {
+        let plans = segments.iter().flat_map(|seg| &seg.plans);
+        segments.len() as u64 - 1 + plans.map(|p| u64::from(p.folds - 1)).sum::<u64>()
+    } else {
+        0
+    };
+    let report = fold_report(
+        match (options.pipeline, options.duplication) {
+            (false, false) => "no-opt",
+            (true, false) => "cg-pipeline",
+            (false, true) => "cg-duplication",
+            (true, true) => "cg",
+        },
+        arch,
+        segments.iter().map(Segment::phase),
+        reprogram_events as f64 * reprogram_cycles,
+        crate::perf::model_energy(&stages, arch, cx.act_bits, reprogram_events),
+    );
+    Ok(CgSchedule {
+        stages,
+        segments,
+        reprogram_cycles,
+        options,
+        report,
+    })
+}
+
+/// Prices and schedules candidate segments — contiguous stage ranges — of
+/// one stage list. The segmentation DP's cost probe and the schedule of
+/// the segments it chooses are the same [`SegmentEvaluator::evaluate`].
+struct SegmentEvaluator<'a> {
+    cx: &'a SchedContext<'a>,
+    stages: &'a [Stage],
+    options: CgOptions,
+    core_count: u64,
+    /// Region id of every stage. DNNs repeat blocks, so many of the DP's
+    /// O(n²) contiguous ranges contain *identical* per-stage content
+    /// sequences (a ViT body repeats with period 6, a ResNet with its
+    /// block size) and therefore evaluate to bit-identical latencies. A
+    /// candidate segment is keyed by its id slice, and equal keys imply
+    /// equal inputs — a memo hit returns exactly what the evaluation would
+    /// have computed. The same ids key the chosen segments, which is what
+    /// lets a memo retained across recompiles splice cached schedules for
+    /// unedited regions.
+    ids: Vec<u32>,
+    /// Per-stage scheduling stats (cores one replica needs, cycles per
+    /// MVM, allocator item), cached by region id: every candidate is a
+    /// contiguous stage range, so its allocator input is a slice of
+    /// `items`. Repeated blocks (and every unedited stage of a recompile)
+    /// answer from the memo instead of re-deriving the crossbar math.
+    needs: Vec<u64>,
+    cpms: Vec<u64>,
+    items: Vec<AllocItem>,
+}
+
+impl<'a> SegmentEvaluator<'a> {
+    fn new(cx: &'a SchedContext<'a>, stages: &'a [Stage], options: CgOptions) -> Self {
+        let (arch, act_bits) = (cx.arch, cx.act_bits);
+        let ids = cx.memo.intern_stages(stages);
+        let n = stages.len();
+        let mut needs = Vec::with_capacity(n);
+        let mut cpms = Vec::with_capacity(n);
+        let mut items = Vec::with_capacity(n);
+        for (stage, &id) in stages.iter().zip(&ids) {
+            let st = cx.memo.stage_stats(id, || {
+                let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
+                let cost = stage.mapping.cores_per_replica(arch);
+                StageStats {
+                    need: u64::from(cost),
+                    cpm,
+                    item: AllocItem {
+                        cost,
+                        latency: stage.mapping.mvm_count as f64 * cpm as f64,
+                        max_dup: duplication_cap(stage, arch, act_bits, cpm),
+                    },
+                }
+            });
+            needs.push(st.need);
+            cpms.push(st.cpm);
+            items.push(st.item);
+        }
+        SegmentEvaluator {
+            cx,
+            stages,
+            options,
+            core_count: u64::from(arch.chip().core_count()),
+            ids,
+            needs,
+            cpms,
+            items,
+        }
+    }
+
+    /// Passes the stages of `range` run in: more than 1 only for a lone
+    /// stage whose single replica exceeds the chip, which is processed in
+    /// passes with reprogramming in between.
+    fn folds(&self, range: &Range<usize>) -> u32 {
+        if range.len() == 1 {
+            self.needs[range.start].div_ceil(self.core_count).max(1) as u32
+        } else {
+            1
+        }
+    }
+
+    /// Duplicates the stages of the candidate segment `range` under the
+    /// core budget and returns the segment's latency, leaving the
+    /// duplication numbers in `dup` and the per-stage `(latency, fill)`
+    /// pairs in `lat_fill` — caller-leased scratch, so the DP's O(n²)
+    /// evaluations allocate nothing.
+    fn evaluate(
+        &self,
+        range: Range<usize>,
+        dup: &mut Vec<u32>,
+        lat_fill: &mut Vec<(f64, f64)>,
+    ) -> f64 {
+        let items = &self.items[range.clone()];
+        if self.options.duplication {
+            if self.options.pipeline {
+                alloc::minimize_bottleneck(items, self.core_count, dup);
+            } else {
+                alloc::minimize_total(items, self.core_count, dup);
+            }
+        } else {
+            dup.clear();
+            dup.resize(items.len(), 1);
+        }
+        let folds = self.folds(&range);
+        lat_fill.clear();
+        for (k, i) in range.enumerate() {
+            let stage = &self.stages[i];
+            let latency = stage_latency(
+                stage,
+                self.cx.arch,
+                self.cx.act_bits,
+                dup[k],
+                self.cpms[i],
+                folds,
+            );
+            lat_fill.push((latency, stage.fill_fraction));
+        }
+        chain_latency(lat_fill, self.options.pipeline)
+    }
+
+    /// The DP's cost probe: [`Self::evaluate`] through the region memo.
+    fn probe(
+        &self,
+        range: Range<usize>,
+        dup: &mut Vec<u32>,
+        lat_fill: &mut Vec<(f64, f64)>,
+    ) -> f64 {
+        let key = &self.ids[range.clone()];
+        if let Some(hit) = self.cx.memo.cost(key) {
+            return hit;
+        }
+        let latency = self.evaluate(range, dup, lat_fill);
+        self.cx.memo.store_cost(key, latency);
+        latency
+    }
+
+    /// The schedule of the chosen segment `range`: [`Self::evaluate`]'s
+    /// duplication numbers and latencies as plans, plus the segment's
+    /// steady-state activity.
+    fn schedule(&self, range: Range<usize>) -> Segment {
+        let arch = self.cx.arch;
+        let mut dup = self.cx.scratch.u32s(range.len());
+        let mut lat_fill = self.cx.scratch.pairs(range.len());
+        let latency = self.evaluate(range.clone(), &mut dup, &mut lat_fill);
+        let folds = self.folds(&range);
+        let plans: Vec<StagePlan> = range
+            .clone()
+            .zip(dup.iter().zip(lat_fill.iter()))
+            .map(|(i, (&duplication, &(latency, _)))| StagePlan {
+                stage: i,
+                duplication,
+                // A folded stage occupies the whole chip in every pass.
+                cores: if folds > 1 {
+                    arch.chip().core_count()
+                } else {
+                    duplication * self.items[i].cost
                 },
+                folds,
+                latency,
+            })
+            .collect();
+        let chip_slots = arch.total_crossbars();
+        let active = plans.iter().map(|p| {
+            if folds > 1 {
+                chip_slots
+            } else {
+                u64::from(p.duplication) * u64::from(self.stages[p.stage].mapping.vxb_size())
             }
         });
-        needs.push(st.need);
-        cpms.push(st.cpm);
-        items_all.push(st.item);
+        let bits: u64 = self.stages[range]
+            .iter()
+            .map(|s| (s.in_elements + s.out_elements) * u64::from(self.cx.act_bits))
+            .sum();
+        Segment {
+            active_crossbars: active_crossbars(active, self.options.pipeline, chip_slots),
+            // Average bits per cycle moved while the segment runs.
+            streaming_bits_per_cycle: bits as f64 / latency.max(1.0),
+            plans,
+            latency,
+        }
     }
-    let whole_model_cores: u64 = needs.iter().sum();
-    let prefer_resident =
-        !arch.crossbar().cell_type().writes_are_cheap() && whole_model_cores <= core_count;
 
-    // Latency of the candidate segment `start..=end` (all replica-fitting
-    // stages): exactly `schedule_segment`'s latency, minus the plan /
-    // power bookkeeping the DP never reads. `dup` and `lat_fill` are
-    // caller-leased scratch so the O(n²) evaluations allocate nothing.
-    let eval_latency =
-        |start: usize, end: usize, dup: &mut Vec<u32>, lat_fill: &mut Vec<(f64, f64)>| -> f64 {
-            let range_key = &ids[start..=end];
-            if let Some(hit) = memo.cost(range_key) {
-                return hit;
-            }
-            let items = &items_all[start..=end];
-            if options.duplication {
-                if options.pipeline {
-                    alloc::minimize_bottleneck_into(items, core_count, dup);
-                } else {
-                    alloc::minimize_total_into(items, core_count, dup);
-                }
-            } else {
-                dup.clear();
-                dup.resize(items.len(), 1);
-            }
-            lat_fill.clear();
-            for (k, i) in (start..=end).enumerate() {
-                let stage = &stages[i];
-                let latency = stage_latency(stage, arch, act_bits, dup[k], cpms[i], 1);
-                lat_fill.push((latency, stage.fill_fraction));
-            }
-            let latency = if options.pipeline {
-                pipeline_latency(lat_fill)
-            } else {
-                lat_fill.iter().map(|&(l, _)| l).sum()
-            };
-            memo.store_cost(range_key, latency);
-            latency
-        };
+    /// Whether the whole model occupies one segment by policy rather than by
+    /// the DP: frozen (write-expensive) weights that fit the chip at once.
+    fn stays_resident(&self) -> bool {
+        !self.cx.arch.crossbar().cell_type().writes_are_cheap()
+            && self.needs.iter().sum::<u64>() <= self.core_count
+    }
 
-    let mut dp = scratch.f64s(n + 1);
-    dp.resize(n + 1, f64::INFINITY);
-    let mut cut = scratch.usizes(n + 1);
-    cut.resize(n + 1, n + 1);
-    dp[n] = 0.0;
-    if prefer_resident {
-        cut.iter_mut().take(n).for_each(|c| *c = n);
-    } else {
+    /// Resource-adaptive segmentation (Figure 9b): the stage ranges of the
+    /// segments, in execution order.
+    ///
+    /// Whole-model residency: on write-expensive devices (ReRAM/Flash/PCM)
+    /// weights are frozen in the crossbars, so if the whole model fits it
+    /// occupies one segment and duplication uses only the leftover cores —
+    /// the paper's premise (§2.1) and the behaviour behind Figure 21a's
+    /// shrinking duplication speedups. On write-cheap devices (SRAM), and
+    /// whenever the model does not fit, segments are contiguous runs chosen
+    /// by dynamic programming over total latency including inter-segment
+    /// reprogramming: a maximal prefix is not always best (an exactly-full
+    /// segment leaves no cores for duplication — the paper pops trailing
+    /// nodes while the DP latency improves). Stages whose single replica
+    /// exceeds the chip fold across it and stand alone.
+    fn segmentation(&self, reprogram_cycles: f64) -> Vec<Range<usize>> {
+        let (cx, needs, core_count) = (self.cx, &self.needs, self.core_count);
+        let n = self.stages.len();
+        if self.stays_resident() {
+            return std::iter::once(0..n).collect();
+        }
         // Row `i` of the DP: latencies of every budget-feasible candidate
         // segment starting at stage `i` (`[i..=i]`, `[i..=i+1]`, … until
-        // the core budget runs out). Rows are independent of the DP
-        // recurrence — the break condition is the core budget, not
-        // `dp` — so they fan out onto the worker pool; the recurrence
-        // itself then runs sequentially over precomputed latencies, which
-        // keeps the schedule byte-identical for every `jobs` value.
+        // the core budget runs out; a single over-weight stage stands
+        // alone). Rows are independent of the DP recurrence — the break
+        // condition is the core budget, not `dp` — so they fan out onto
+        // the worker pool; the recurrence itself then runs sequentially
+        // over precomputed latencies, which keeps the schedule
+        // byte-identical for every `jobs` value.
         let row = |i: &usize| -> Arc<[f64]> {
             let i = *i;
             // The row's budget window is content-determined (`needs` come
             // from stage content), so the whole row is keyed by the
             // region-id run it covers: on recompile, one memo probe
             // answers every candidate of a row outside the edit's window.
-            let window_end = if needs[i] > core_count {
-                i + 1
-            } else {
-                let mut cores: u64 = 0;
-                let mut end = i;
-                for &need in &needs[i..] {
-                    if need > core_count || cores + need > core_count {
-                        break;
-                    }
-                    cores += need;
-                    end += 1;
+            let mut cores: u64 = 0;
+            let mut window_end = i;
+            for &need in &needs[i..] {
+                if cores + need > core_count {
+                    break;
                 }
-                end
-            };
-            let window = &ids[i..window_end];
-            if let Some(hit) = memo.row(window) {
+                cores += need;
+                window_end += 1;
+            }
+            let window_end = window_end.max(i + 1);
+            let window = &self.ids[i..window_end];
+            if let Some(hit) = cx.memo.row(window) {
                 return hit;
             }
-            let mut row = Vec::with_capacity(window_end - i);
-            if needs[i] > core_count {
-                // Single over-weight stage: folds across the whole chip.
-                let folds = needs[i].div_ceil(core_count) as u32;
-                row.push(stage_latency(&stages[i], arch, act_bits, 1, cpms[i], folds));
-            } else {
-                let mut dup = scratch.u32s(8);
-                let mut lat_fill = scratch.pairs(8);
-                for k in i..window_end {
-                    row.push(eval_latency(i, k, &mut dup, &mut lat_fill));
-                }
-            }
-            let row: Arc<[f64]> = row.into();
-            memo.store_row(window, row.clone());
+            let mut dup = cx.scratch.u32s(8);
+            let mut lat_fill = cx.scratch.pairs(8);
+            let row: Arc<[f64]> = (i..window_end)
+                .map(|k| self.probe(i..k + 1, &mut dup, &mut lat_fill))
+                .collect();
+            cx.memo.store_row(window, row.clone());
             row
         };
         let indices: Vec<usize> = (0..n).collect();
-        let rows: Vec<Arc<[f64]>> = if jobs > 1 {
-            crate::pool::run_ordered(&indices, jobs, row)
+        let rows: Vec<Arc<[f64]>> = if cx.jobs > 1 {
+            crate::pool::run_ordered(&indices, cx.jobs, row)
         } else {
             indices.iter().map(row).collect()
         };
+        let mut dp = cx.scratch.f64s(n + 1);
+        dp.resize(n + 1, f64::INFINITY);
+        let mut cut = cx.scratch.usizes(n + 1);
+        cut.resize(n + 1, n + 1);
+        dp[n] = 0.0;
         for i in (0..n).rev() {
-            if needs[i] > core_count {
-                let boundary = if i + 1 < n { reprogram_cycles } else { 0.0 };
-                dp[i] = rows[i][0] + boundary + dp[i + 1];
-                cut[i] = i + 1;
-                continue;
-            }
             for (j, &lat) in rows[i].iter().enumerate() {
                 let k = i + j;
                 let boundary = if k + 1 < n { reprogram_cycles } else { 0.0 };
@@ -465,209 +555,14 @@ pub fn schedule_cg_stages_memo(
             }
             debug_assert!(cut[i] > i, "segmentation made no progress at stage {i}");
         }
-    }
-    let mut seg_ranges: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < n {
-        let k = cut[i];
-        seg_ranges.push((i, k));
-        i = k;
-    }
-
-    // ---- Per-segment duplication + latency. Segments are independent,
-    // so they schedule concurrently; the merge below folds them back in
-    // execution order, keeping totals and peak selection byte-identical
-    // to the sequential walk.
-    let full_segment = |&(start, end): &(usize, usize)| -> Segment {
-        let key = &ids[start..end];
-        if let Some(seg) = memo.cg_segment(key, start) {
-            return seg;
+        let mut ranges = Vec::new();
+        let mut i = 0;
+        while i < n {
+            ranges.push(i..cut[i]);
+            i = cut[i];
         }
-        let idxs: Vec<usize> = (start..end).collect();
-        let seg = schedule_segment(
-            &stages,
-            &idxs,
-            arch,
-            options,
-            act_bits,
-            core_count,
-            xb_per_core,
-        );
-        memo.store_cg_segment(key, start, &seg);
-        seg
-    };
-    let scheduled: Vec<Segment> = if jobs > 1 && seg_ranges.len() > 1 {
-        crate::pool::run_ordered(&seg_ranges, jobs, full_segment)
-    } else {
-        seg_ranges.iter().map(full_segment).collect()
-    };
-    let mut segments = Vec::with_capacity(scheduled.len());
-    let mut total_latency = 0.0;
-    let mut total_reprogram = 0.0;
-    let mut peak_power = 0.0;
-    let mut peak_active = 0u64;
-    let mut peak_breakdown = Default::default();
-    let needs_initial_program = true;
-    for (seg_no, seg) in scheduled.into_iter().enumerate() {
-        // Reprogramming happens before every segment except that the very
-        // first programming of a frozen-weight device is offline (weights
-        // pre-loaded); segments after the first always pay.
-        if seg_no > 0 || !needs_initial_program {
-            total_reprogram += reprogram_cycles;
-        }
-        total_latency += seg.latency;
-        let (power, breakdown) =
-            phase_power(arch, seg.active_crossbars, seg.streaming_bits_per_cycle);
-        if power > peak_power {
-            peak_power = power;
-            peak_active = seg.active_crossbars;
-            peak_breakdown = breakdown;
-        }
-        segments.push(seg);
+        ranges
     }
-    // Folds inside segments also pay reprogramming.
-    for seg in &segments {
-        for plan in &seg.plans {
-            if plan.folds > 1 {
-                total_reprogram += f64::from(plan.folds - 1) * reprogram_cycles;
-            }
-        }
-    }
-
-    let reprogram_events = if reprogram_cycles > 0.0 {
-        (total_reprogram / reprogram_cycles).round() as u64
-    } else {
-        0
-    };
-    let report = PerfReport {
-        level: match (options.pipeline, options.duplication) {
-            (false, false) => "no-opt",
-            (true, false) => "cg-pipeline",
-            (false, true) => "cg-duplication",
-            (true, true) => "cg",
-        },
-        latency_cycles: total_latency + total_reprogram,
-        peak_active_crossbars: peak_active,
-        peak_power,
-        peak_breakdown,
-        energy: crate::perf::model_energy(&stages, arch, act_bits, reprogram_events),
-        segments: segments.len(),
-        reprogram_cycles: total_reprogram,
-    };
-    Ok(CgSchedule {
-        stages,
-        segments,
-        reprogram_cycles,
-        options,
-        report,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn schedule_segment(
-    stages: &[Stage],
-    idxs: &[usize],
-    arch: &CimArchitecture,
-    options: CgOptions,
-    act_bits: u32,
-    core_count: u64,
-    _xb_per_core: u32,
-) -> Segment {
-    // Folded single-stage segment?
-    if idxs.len() == 1 {
-        let stage = &stages[idxs[0]];
-        let need = u64::from(stage.mapping.cores_per_replica(arch));
-        if need > core_count {
-            let folds = need.div_ceil(core_count) as u32;
-            let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
-            let latency = stage_latency(stage, arch, act_bits, 1, cpm, folds);
-            let active = core_count * u64::from(arch.core().xb_count());
-            return Segment {
-                plans: vec![StagePlan {
-                    stage: idxs[0],
-                    duplication: 1,
-                    cores: arch.chip().core_count(),
-                    folds,
-                    latency,
-                }],
-                latency,
-                active_crossbars: active,
-                streaming_bits_per_cycle: stream_rate(&[idxs[0]], stages, latency, act_bits),
-            };
-        }
-    }
-
-    let items: Vec<AllocItem> = idxs
-        .iter()
-        .map(|&i| {
-            let stage = &stages[i];
-            let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
-            AllocItem {
-                cost: stage.mapping.cores_per_replica(arch),
-                latency: stage.mapping.mvm_count as f64 * cpm as f64,
-                max_dup: duplication_cap(stage, arch, act_bits, cpm),
-            }
-        })
-        .collect();
-    let dup = if options.duplication {
-        if options.pipeline {
-            alloc::minimize_bottleneck(&items, core_count)
-        } else {
-            alloc::minimize_total(&items, core_count)
-        }
-    } else {
-        vec![1; idxs.len()]
-    };
-
-    let mut plans = Vec::with_capacity(idxs.len());
-    let mut lat_fill = Vec::with_capacity(idxs.len());
-    for (k, &i) in idxs.iter().enumerate() {
-        let stage = &stages[i];
-        let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
-        let latency = stage_latency(stage, arch, act_bits, dup[k], cpm, 1);
-        plans.push(StagePlan {
-            stage: i,
-            duplication: dup[k],
-            cores: dup[k] * stage.mapping.cores_per_replica(arch),
-            folds: 1,
-            latency,
-        });
-        lat_fill.push((latency, stage.fill_fraction));
-    }
-    let latency = if options.pipeline {
-        pipeline_latency(&lat_fill)
-    } else {
-        lat_fill.iter().map(|&(l, _)| l).sum()
-    };
-    // Steady-state active crossbars: all stages concurrently when
-    // pipelined; one stage (the widest) otherwise.
-    let active: u64 = if options.pipeline {
-        plans
-            .iter()
-            .map(|p| u64::from(p.duplication) * u64::from(stages[p.stage].mapping.vxb_size()))
-            .sum()
-    } else {
-        plans
-            .iter()
-            .map(|p| u64::from(p.duplication) * u64::from(stages[p.stage].mapping.vxb_size()))
-            .max()
-            .unwrap_or(0)
-    };
-    Segment {
-        streaming_bits_per_cycle: stream_rate(idxs, stages, latency.max(1.0), act_bits),
-        plans,
-        latency,
-        active_crossbars: active,
-    }
-}
-
-/// Average bits per cycle moved while a segment runs.
-fn stream_rate(idxs: &[usize], stages: &[Stage], latency: f64, act_bits: u32) -> f64 {
-    let bits: u64 = idxs
-        .iter()
-        .map(|&i| (stages[i].in_elements + stages[i].out_elements) * u64::from(act_bits))
-        .sum();
-    bits as f64 / latency.max(1.0)
 }
 
 #[cfg(test)]
@@ -803,39 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_latency_formula() {
-        // Single stage: just its latency.
-        assert_eq!(pipeline_latency(&[(100.0, 0.5)]), 100.0);
-        // Two stages: the second starts after the first's fill (at 10)
-        // and finishes at 90, but the first itself runs until 100.
-        let l = pipeline_latency(&[(100.0, 0.1), (80.0, 1.0)]);
-        assert!((l - 100.0).abs() < 1e-9, "{l}");
-        // An early bottleneck is not double-counted: [10, 1] with a large
-        // fill completes at 10 (stage 2 finishes within stage 1's span
-        // plus epsilon), never above the serial sum.
-        let l = pipeline_latency(&[(10.0, 0.9), (1.0, 1.0)]);
-        assert!((l - 10.0).abs() < 1e-9, "{l}");
-        // Blocking fills reproduce serial execution.
-        let serial = pipeline_latency(&[(5.0, 1.0), (7.0, 1.0), (3.0, 1.0)]);
-        assert!((serial - 15.0).abs() < 1e-9, "{serial}");
-        assert_eq!(pipeline_latency(&[]), 0.0);
-    }
-
-    #[test]
-    fn pipeline_never_exceeds_serial_sum() {
-        let chains = [
-            vec![(100.0, 0.1), (50.0, 0.3), (200.0, 1.0), (10.0, 0.5)],
-            vec![(1.0, 0.9); 20],
-            vec![(1000.0, 0.05), (1.0, 1.0)],
-        ];
-        for chain in chains {
-            let serial: f64 = chain.iter().map(|&(l, _)| l).sum();
-            let pipe = pipeline_latency(&chain);
-            assert!(pipe <= serial + 1e-9, "pipe {pipe} > serial {serial}");
-        }
-    }
-
-    #[test]
     fn duplication_respects_core_budget() {
         let arch = presets::isaac_baseline();
         let sched = schedule_cg(&zoo::resnet50(), &arch, CgOptions::full(), 8, 8).unwrap();
@@ -846,5 +708,148 @@ mod tests {
                 "segment uses {used} cores"
             );
         }
+    }
+
+    fn context<'a>(
+        arch: &'a CimArchitecture,
+        scratch: &'a crate::ScratchArena,
+        memo: &'a crate::RegionMemo,
+    ) -> SchedContext<'a> {
+        SchedContext {
+            arch,
+            act_bits: 8,
+            jobs: 1,
+            scratch,
+            memo,
+        }
+    }
+
+    const ALL_OPTIONS: [CgOptions; 4] = [
+        CgOptions {
+            pipeline: false,
+            duplication: false,
+        },
+        CgOptions {
+            pipeline: true,
+            duplication: false,
+        },
+        CgOptions {
+            pipeline: false,
+            duplication: true,
+        },
+        CgOptions {
+            pipeline: true,
+            duplication: true,
+        },
+    ];
+
+    /// Brute-force optimum of the segmentation objective: every contiguous
+    /// segmentation of the stage list whose segments fit the chip (an
+    /// over-weight stage stands alone), priced with the shared evaluator
+    /// plus one reprogramming between consecutive segments.
+    fn brute_force_segmentation(evaluator: &SegmentEvaluator<'_>, reprogram_cycles: f64) -> f64 {
+        let n = evaluator.stages.len();
+        let (mut dup, mut lat_fill) = (Vec::new(), Vec::new());
+        let mut best = f64::INFINITY;
+        // Bit `b` of `cuts` set: a segment ends after stage `b`.
+        for cuts in 0u32..1 << (n - 1) {
+            let mut total = 0.0;
+            let mut start = 0;
+            for end in 1..=n {
+                if end < n && cuts >> (end - 1) & 1 == 0 {
+                    continue;
+                }
+                let cores: u64 = evaluator.needs[start..end].iter().sum();
+                if end - start > 1 && cores > evaluator.core_count {
+                    total = f64::INFINITY;
+                }
+                total += evaluator.evaluate(start..end, &mut dup, &mut lat_fill);
+                if end < n {
+                    total += reprogram_cycles;
+                }
+                start = end;
+            }
+            best = best.min(total);
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// ROADMAP 7a: on stage lists small enough to enumerate, the DP's
+        /// total equals the brute-force minimum for every `CgOptions`.
+        #[test]
+        fn segmentation_dp_matches_the_brute_force_optimum(
+            preset in 0usize..3,
+            picks in proptest::collection::vec(0usize..1000, 1..9),
+        ) {
+            let arch = [presets::jia_isscc21(), presets::puma(), presets::jain_sram()][preset].clone();
+            // Any list of static-weight stages is a valid scheduler input;
+            // draw from three differently-shaped zoo models.
+            let pool: Vec<Stage> = [zoo::vgg16(), zoo::resnet18(), zoo::vit_small()]
+                .iter()
+                .flat_map(|g| extract_stages(g, &arch, 8))
+                .filter(|s| !s.dynamic_weights)
+                .collect();
+            let stages: Vec<Stage> = picks.iter().map(|&p| pool[p % pool.len()].clone()).collect();
+            for options in ALL_OPTIONS {
+                let (scratch, memo) = (crate::ScratchArena::new(), crate::RegionMemo::new());
+                let cx = context(&arch, &scratch, &memo);
+                let sched = schedule_cg_in(&cx, "oracle", stages.clone(), options).unwrap();
+                let boundaries = (sched.segments.len() - 1) as f64;
+                let dp_total: f64 = sched.segments.iter().map(|s| s.latency).sum::<f64>()
+                    + boundaries * sched.reprogram_cycles;
+                let evaluator = SegmentEvaluator::new(&cx, &stages, options);
+                let expected = if evaluator.stays_resident() {
+                    // Frozen weights that fit stay resident: one segment
+                    // by policy, not by the DP.
+                    evaluator.evaluate(0..stages.len(), &mut Vec::new(), &mut Vec::new())
+                } else {
+                    brute_force_segmentation(&evaluator, sched.reprogram_cycles)
+                };
+                proptest::prop_assert!(
+                    (dp_total - expected).abs() <= 1e-9 * expected,
+                    "{options:?} on {}: DP {dp_total} vs optimum {expected} ({} segments)",
+                    arch.name(),
+                    sched.segments.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chosen_segments_cost_exactly_what_the_dp_estimated() {
+        let mut estimated = 0;
+        for arch in presets::all() {
+            for graph in zoo::all() {
+                let (scratch, memo) = (crate::ScratchArena::new(), crate::RegionMemo::new());
+                let cx = context(&arch, &scratch, &memo);
+                let stages = extract_stages(&graph, &arch, 8);
+                let Ok(sched) = schedule_cg_in(&cx, graph.name(), stages, CgOptions::full()) else {
+                    continue; // dynamic weights on a write-expensive device
+                };
+                let evaluator = SegmentEvaluator::new(&cx, &sched.stages, CgOptions::full());
+                let (ids, dp_ran) = (&evaluator.ids, !evaluator.stays_resident());
+                assert!(dp_ran || sched.segments.len() == 1);
+                let mut start = 0;
+                for seg in &sched.segments {
+                    let estimate = memo.cost(&ids[start..start + seg.plans.len()]);
+                    assert_eq!(
+                        estimate,
+                        dp_ran.then_some(seg.latency),
+                        "{} on {}: segment at stage {start}",
+                        graph.name(),
+                        arch.name()
+                    );
+                    estimated += usize::from(dp_ran);
+                    start += seg.plans.len();
+                }
+            }
+        }
+        assert!(
+            estimated > 100,
+            "only {estimated} segments went through the DP"
+        );
     }
 }

@@ -133,47 +133,27 @@ pub fn generate_flow(
         None => HashMap::new(),
     };
     let mut placements: HashMap<NodeId, Placement> = HashMap::new();
-    {
-        let segments: Vec<Vec<&crate::cg::StagePlan>> = if let Some(v) = &compiled.vvm {
-            v.segments
-                .iter()
-                .map(|s| s.plans.iter().collect())
-                .collect()
-        } else if let Some(m) = &compiled.mvm {
-            m.segments
-                .iter()
-                .map(|s| s.plans.iter().collect())
-                .collect()
-        } else {
-            compiled
-                .cg
-                .segments
-                .iter()
-                .map(|s| s.plans.iter().collect())
-                .collect()
-        };
-        for seg in segments {
-            let mut cursor: u32 = 0;
-            for plan in seg {
-                let stage = &compiled.cg.stages[plan.stage];
-                let spread = spreads_by_stage.get(&plan.stage).copied().unwrap_or(1);
-                // The schedule's duplication may exceed what the placement
-                // region physically holds once spreading is layered on;
-                // clamp for code generation.
-                let slots = u64::from(plan.cores.max(stage.mapping.cores_per_replica(arch)))
-                    * u64::from(arch.core().xb_count());
-                let footprint = u64::from(spread) * u64::from(stage.mapping.vxb_size());
-                let dup_fit = (slots / footprint.max(1)).max(1) as u32;
-                placements.insert(
-                    stage.node,
-                    Placement {
-                        base_core: cursor,
-                        dup: plan.duplication.clamp(1, dup_fit),
-                        spread,
-                    },
-                );
-                cursor += plan.cores.max(stage.mapping.cores_per_replica(arch));
-            }
+    for seg in compiled.segments() {
+        let mut cursor: u32 = 0;
+        for plan in &seg.plans {
+            let stage = &compiled.cg.stages[plan.stage];
+            let spread = spreads_by_stage.get(&plan.stage).copied().unwrap_or(1);
+            // The schedule's duplication may exceed what the placement
+            // region physically holds once spreading is layered on;
+            // clamp for code generation.
+            let slots = u64::from(plan.cores.max(stage.mapping.cores_per_replica(arch)))
+                * u64::from(arch.core().xb_count());
+            let footprint = u64::from(spread) * u64::from(stage.mapping.vxb_size());
+            let dup_fit = (slots / footprint.max(1)).max(1) as u32;
+            placements.insert(
+                stage.node,
+                Placement {
+                    base_core: cursor,
+                    dup: plan.duplication.clamp(1, dup_fit),
+                    spread,
+                },
+            );
+            cursor += plan.cores.max(stage.mapping.cores_per_replica(arch));
         }
     }
 

@@ -1,6 +1,6 @@
 //! The top-level compiler driver (paper Figure 3).
 
-use crate::cg::{CgOptions, CgSchedule};
+use crate::cg::{CgOptions, CgSchedule, Segment};
 use crate::mvm::{MvmOptions, MvmSchedule};
 use crate::perf::PerfReport;
 use crate::pipeline::{Pipeline, Session};
@@ -46,7 +46,7 @@ pub struct CompileOptions {
     /// ImageNet-scale models).
     pub max_flow_ops: u64,
     /// Worker threads for intra-graph scheduling (the CG segmentation
-    /// rows and per-segment MVM refinement fan out onto
+    /// rows and every level's per-segment work fan out onto
     /// [`crate::pool::run_ordered`]). Purely an execution knob: schedules
     /// are byte-identical for every value, so it participates in neither
     /// pass fingerprints nor cache keys.
@@ -174,16 +174,27 @@ impl Compiled {
         &self.options
     }
 
+    /// The segments and report of the deepest scheduling level that ran.
+    fn deepest(&self) -> (&[Segment], &PerfReport) {
+        if let Some(v) = &self.vvm {
+            (&v.segments, &v.report)
+        } else if let Some(m) = &self.mvm {
+            (&m.segments, &m.report)
+        } else {
+            (&self.cg.segments, &self.cg.report)
+        }
+    }
+
     /// The report of the deepest scheduling level that ran.
     #[must_use]
     pub fn report(&self) -> &PerfReport {
-        if let Some(v) = &self.vvm {
-            &v.report
-        } else if let Some(m) = &self.mvm {
-            &m.report
-        } else {
-            &self.cg.report
-        }
+        self.deepest().1
+    }
+
+    /// The final segments (deepest level), in execution order.
+    #[must_use]
+    pub fn segments(&self) -> &[Segment] {
+        self.deepest().0
     }
 
     /// Reports of every level that ran, coarse to fine.
@@ -207,13 +218,7 @@ impl Compiled {
     /// the paper reports, is [`PerfReport::latency_cycles`].
     #[must_use]
     pub fn steady_state_interval(&self) -> f64 {
-        let segments: Vec<&crate::cg::Segment> = if let Some(v) = &self.vvm {
-            v.segments.iter().collect()
-        } else if let Some(m) = &self.mvm {
-            m.segments.iter().collect()
-        } else {
-            self.cg.segments.iter().collect()
-        };
+        let segments = self.segments();
         if !self.cg.options.pipeline || segments.len() > 1 {
             // Reprogramming between segments blocks overlap entirely.
             return self.report().latency_cycles;
@@ -230,18 +235,11 @@ impl Compiled {
     /// explain-plan.
     #[must_use]
     pub fn render_schedule(&self) -> String {
-        let segments = if let Some(v) = &self.vvm {
-            &v.segments
-        } else if let Some(m) = &self.mvm {
-            &m.segments
-        } else {
-            &self.cg.segments
-        };
         format!(
             "schedule: {} on {}\n{}",
             self.model,
             self.arch_name,
-            crate::pipeline::render_plan_table(&self.cg.stages, segments, self.report())
+            crate::pipeline::render_plan_table(&self.cg.stages, self.segments(), self.report())
         )
     }
 
@@ -249,14 +247,7 @@ impl Compiled {
     /// segments in execution order.
     #[must_use]
     pub fn final_plans(&self) -> Vec<&crate::cg::StagePlan> {
-        let segments = if let Some(v) = &self.vvm {
-            &v.segments
-        } else if let Some(m) = &self.mvm {
-            &m.segments
-        } else {
-            &self.cg.segments
-        };
-        segments.iter().flat_map(|s| s.plans.iter()).collect()
+        self.segments().iter().flat_map(|s| &s.plans).collect()
     }
 }
 

@@ -19,6 +19,16 @@
 //!    MVM completes in fewer `parallel_row` activations (§3.3.4,
 //!    Figure 14).
 //!
+//! The three levels refine *one* schedule, so what they share is written
+//! once, in [`level`]: the segment driver (map a per-segment function over
+//! the segments on the worker pool, through the per-session [`RegionMemo`])
+//! and the segment evaluator (chain latency, active crossbars, the
+//! peak-power fold into a [`PerfReport`]). A level supplies only the paper's
+//! equations: [`cg`] the segmentation DP and the duplication of one
+//! candidate segment, [`mvm`] Equation 1 and staggering per plan, [`vvm`]
+//! the d×k spread search per plan. Each exposes a plain `schedule_*`
+//! function and a `schedule_*_in` form taking a session's [`SchedContext`].
+//!
 //! The flow is organized as a staged **pass pipeline** ([`pipeline`]):
 //! each level is a [`Pass`] over typed [`Artifact`]s
 //! (`Staged → CgScheduled → MvmScheduled → VvmScheduled → Codegenned`),
@@ -62,6 +72,7 @@ pub mod cg;
 pub mod codegen;
 mod compile;
 mod error;
+pub mod level;
 pub mod mapping;
 mod metrics;
 pub mod mvm;
@@ -80,6 +91,7 @@ pub use cache::{
 };
 pub use compile::{CompileOptions, Compiled, Compiler, OptLevel};
 pub use error::CompileError;
+pub use level::SchedContext;
 pub use metrics::CompileMetrics;
 pub use pass::{Diagnostics, Pass, PassContext, PassRecord, PassTimeline};
 pub use perf::PerfReport;

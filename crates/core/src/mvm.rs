@@ -11,10 +11,14 @@
 //!   VXB, so at any instant only one vertical wave of each replica is
 //!   firing. This cuts the peak number of simultaneously active crossbars
 //!   (peak power) and halves the per-stage communication granularity.
+//!
+//! Both are per-plan equations; everything around them — memo lookups, the
+//! worker fan-out, chain latency, the active-crossbar fold and the report —
+//! is the shared segment driver's ([`crate::level`]).
 
-use crate::cg::{pipeline_latency, stage_latency, CgSchedule, Segment, StagePlan};
-use crate::perf::{phase_power, PerfReport};
-use crate::region::RegionMemo;
+use crate::cg::{duplication_cap, stage_latency, CgSchedule, Segment, StagePlan};
+use crate::level::{refine, standalone, Level, PlanOut, SchedContext};
+use crate::perf::PerfReport;
 use cim_arch::CimArchitecture;
 
 /// The MVM-grained refinement of a CG schedule.
@@ -66,7 +70,8 @@ impl MvmOptions {
     }
 }
 
-/// Runs MVM-grained optimization on top of a CG schedule.
+/// Runs MVM-grained optimization on top of a CG schedule, on one thread
+/// with a fresh memo.
 ///
 /// The CG schedule's per-segment structure is preserved; duplication
 /// numbers, stage latencies and activation profiles are refined.
@@ -77,174 +82,75 @@ pub fn schedule_mvm(
     options: MvmOptions,
     act_bits: u32,
 ) -> MvmSchedule {
-    schedule_mvm_jobs(cg, arch, options, act_bits, 1)
+    standalone(arch, act_bits, |cx| schedule_mvm_in(cx, cg, options))
 }
 
-/// [`schedule_mvm`] with an explicit worker count — the form the
-/// [`crate::MvmPass`] calls with
-/// [`CompileOptions::jobs`](crate::CompileOptions::jobs).
-///
-/// Segments are refined independently (each is a pure function of its CG
-/// segment), so with `jobs > 1` they fan out onto
-/// [`crate::pool::run_ordered`] and merge back in segment order; the
-/// refined schedule is byte-identical for every `jobs` value.
+/// [`schedule_mvm`] in a session's [`SchedContext`] — the form the
+/// [`crate::MvmPass`] calls. The shared segment driver ([`crate::level`])
+/// fans segments out onto `cx.jobs` workers and answers unchanged segments
+/// of a [`Session::recompile`](crate::Session::recompile) from `cx.memo`;
+/// the refined schedule is byte-identical for every `jobs` value. This
+/// level supplies the per-plan equations below.
 #[must_use]
-pub fn schedule_mvm_jobs(
-    cg: &CgSchedule,
-    arch: &CimArchitecture,
-    options: MvmOptions,
-    act_bits: u32,
-    jobs: usize,
-) -> MvmSchedule {
-    schedule_mvm_memo(cg, arch, options, act_bits, jobs, &RegionMemo::new())
-}
-
-/// [`schedule_mvm_jobs`] with an explicit per-session [`RegionMemo`] —
-/// the incremental-recompilation entry point. Refined segments are keyed
-/// by the region-id run they cover: a memo retained across
-/// [`Session::recompile`](crate::Session::recompile) calls answers
-/// unchanged segments without re-refining them.
-#[must_use]
-pub fn schedule_mvm_memo(
-    cg: &CgSchedule,
-    arch: &CimArchitecture,
-    options: MvmOptions,
-    act_bits: u32,
-    jobs: usize,
-    memo: &RegionMemo,
-) -> MvmSchedule {
+pub fn schedule_mvm_in(cx: &SchedContext<'_>, cg: &CgSchedule, options: MvmOptions) -> MvmSchedule {
+    let (arch, act_bits) = (cx.arch, cx.act_bits);
     let xb_per_core = arch.core().xb_count();
-    // Region ids of every stage; a segment's memo key is the id run of
-    // the (contiguous) stages its plans cover. Identical runs produce
-    // identical CG segments (scheduling is a pure function of stage
-    // content), so equal keys imply equal refinement inputs.
-    let ids = memo.intern_stages(&cg.stages);
-
-    let refine = |seg: &Segment| -> Segment {
-        let start = seg.plans.first().map_or(0, |p| p.stage);
-        let key: Vec<u32> = seg.plans.iter().map(|p| ids[p.stage]).collect();
-        if let Some(cached) = memo.mvm_segment(&key, start) {
-            return cached;
-        }
-        let mut plans = Vec::with_capacity(seg.plans.len());
-        let mut lat_fill = Vec::with_capacity(seg.plans.len());
-        for plan in &seg.plans {
-            let stage = &cg.stages[plan.stage];
-            let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
-            let dup = if options.duplication && plan.folds == 1 {
-                let refined = equation1_duplication(
-                    plan.cores,
-                    xb_per_core,
-                    stage.mapping.vxb_size(),
-                    plan.duplication,
-                );
-                // The refinement exploits idle crossbars; bandwidth and MVM
-                // caps still apply.
-                refined
-                    .min(crate::cg::duplication_cap(stage, arch, act_bits, cpm))
-                    .max(plan.duplication)
-            } else {
-                plan.duplication
-            };
-            let latency = stage_latency(stage, arch, act_bits, dup, cpm, plan.folds);
-            // The MVM pipeline halves the input chunk each stage waits for
-            // (Figure 12d: OP2's inputs are half the size of the
-            // traditional pipeline's).
-            let fill = if options.pipeline {
-                stage.fill_fraction / 2.0
-            } else {
-                stage.fill_fraction
-            };
-            plans.push(StagePlan {
-                stage: plan.stage,
-                duplication: dup,
-                cores: plan.cores,
-                folds: plan.folds,
-                latency,
-            });
-            lat_fill.push((latency, fill));
-        }
-        let latency = if cg.options.pipeline {
-            pipeline_latency(&lat_fill)
+    let chip_slots = arch.total_crossbars();
+    let per_plan = |plan: &StagePlan| -> PlanOut {
+        let stage = &cg.stages[plan.stage];
+        let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
+        let dup = if options.duplication && plan.folds == 1 {
+            let refined = equation1_duplication(
+                plan.cores,
+                xb_per_core,
+                stage.mapping.vxb_size(),
+                plan.duplication,
+            );
+            // The refinement exploits idle crossbars; bandwidth and MVM
+            // caps still apply.
+            refined
+                .min(duplication_cap(stage, arch, act_bits, cpm))
+                .max(plan.duplication)
         } else {
-            lat_fill.iter().map(|&(l, _)| l).sum()
+            plan.duplication
         };
         // Active crossbars: with staggering only one vertical wave of each
         // replica fires at any cycle (`D′·h` per stage); without, the full
         // VXBs co-fire.
-        let chip_slots = u64::from(arch.chip().core_count()) * u64::from(xb_per_core);
-        let per_plan_active = |p: &StagePlan| -> u64 {
-            let m = &cg.stages[p.stage].mapping;
-            let raw = if p.folds > 1 {
-                if options.pipeline {
-                    // Staggering applies within a fold pass too: one
-                    // vertical wave of the resident tile grid at a time.
-                    u64::from(m.h_xbs)
-                } else {
-                    // Lockstep folding keeps the whole chip busy.
-                    chip_slots
-                }
-            } else if options.pipeline {
-                u64::from(p.duplication) * u64::from(m.h_xbs)
+        let m = &stage.mapping;
+        let active = if plan.folds > 1 {
+            if options.pipeline {
+                // Staggering applies within a fold pass too: one
+                // vertical wave of the resident tile grid at a time.
+                u64::from(m.h_xbs)
             } else {
-                u64::from(p.duplication) * u64::from(m.vxb_size())
-            };
-            raw.min(chip_slots)
-        };
-        let active: u64 = if cg.options.pipeline {
-            plans
-                .iter()
-                .map(per_plan_active)
-                .sum::<u64>()
-                .min(chip_slots)
+                // Lockstep folding keeps the whole chip busy.
+                chip_slots
+            }
+        } else if options.pipeline {
+            u64::from(dup) * u64::from(m.h_xbs)
         } else {
-            plans.iter().map(per_plan_active).max().unwrap_or(0)
+            u64::from(dup) * u64::from(m.vxb_size())
         };
-        let refined = Segment {
-            plans,
-            latency,
-            active_crossbars: active,
-            streaming_bits_per_cycle: seg.streaming_bits_per_cycle,
-        };
-        memo.store_mvm_segment(&key, start, &refined);
-        refined
-    };
-
-    let segments: Vec<Segment> = if jobs > 1 && cg.segments.len() > 1 {
-        crate::pool::run_ordered(&cg.segments, jobs, refine)
-    } else {
-        cg.segments.iter().map(refine).collect()
-    };
-
-    // Fold totals and the peak-power phase in segment (execution) order,
-    // exactly as the sequential walk did.
-    let mut total_latency = 0.0;
-    let mut peak_power = 0.0;
-    let mut peak_active = 0u64;
-    let mut peak_breakdown = Default::default();
-    for seg in &segments {
-        let (power, breakdown) =
-            phase_power(arch, seg.active_crossbars, seg.streaming_bits_per_cycle);
-        if power > peak_power {
-            peak_power = power;
-            peak_active = seg.active_crossbars;
-            peak_breakdown = breakdown;
+        PlanOut {
+            plan: StagePlan {
+                duplication: dup,
+                latency: stage_latency(stage, arch, act_bits, dup, cpm, plan.folds),
+                ..plan.clone()
+            },
+            // The MVM pipeline halves the input chunk each stage waits for
+            // (Figure 12d: OP2's inputs are half the size of the
+            // traditional pipeline's).
+            fill: if options.pipeline {
+                stage.fill_fraction / 2.0
+            } else {
+                stage.fill_fraction
+            },
+            active,
+            spread: 1,
         }
-        total_latency += seg.latency;
-    }
-
-    let report = PerfReport {
-        level: "cg+mvm",
-        latency_cycles: total_latency + cg.report.reprogram_cycles,
-        peak_active_crossbars: peak_active,
-        peak_power,
-        peak_breakdown,
-        // The refinement reorders activations; the work (and its energy)
-        // is unchanged.
-        energy: cg.report.energy,
-        segments: segments.len(),
-        reprogram_cycles: cg.report.reprogram_cycles,
     };
+    let (segments, _, report) = refine(cx, Level::Mvm, "cg+mvm", cg, &cg.segments, per_plan);
     MvmSchedule {
         segments,
         staggered: options.pipeline,

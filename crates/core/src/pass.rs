@@ -54,6 +54,7 @@
 
 use crate::cache::Fingerprint;
 use crate::compile::CompileOptions;
+use crate::level::SchedContext;
 use crate::pipeline::Artifact;
 use crate::region::RegionMemo;
 use crate::scratch::ScratchArena;
@@ -76,15 +77,33 @@ pub struct PassContext<'a> {
     /// The compile options in force.
     pub options: &'a CompileOptions,
     /// The session's pooled scratch buffers (see [`crate::scratch`]).
-    /// Peak usage per pass lands in [`PassRecord::scratch_peak_bytes`].
+    /// The longest lease of each kind per pass lands in
+    /// [`PassRecord::scratch_peak_bytes`].
     pub scratch: &'a ScratchArena,
     /// The session's per-region schedule memo (see [`crate::region`]).
-    /// Scheduling passes thread it into the `_memo` scheduler entry
-    /// points so [`Session::recompile`](crate::Session::recompile) can
-    /// reuse schedules for unedited regions; per-pass hit/miss deltas
-    /// land in [`PassRecord::region_hits`] /
-    /// [`PassRecord::region_misses`].
+    /// Scheduling passes hand it to the schedulers through
+    /// [`PassContext::sched`] so
+    /// [`Session::recompile`](crate::Session::recompile) can reuse
+    /// schedules for unedited regions; per-pass hit/miss deltas land in
+    /// [`PassRecord::region_hits`] / [`PassRecord::region_misses`].
     pub memo: &'a RegionMemo,
+}
+
+impl<'a> PassContext<'a> {
+    /// The context the `schedule_*_in` entry points take. Policy lives
+    /// here, mechanism in the scheduler: the requested worker count is
+    /// clamped to the machine, so `--jobs 4` on a single-core box takes
+    /// the zero-overhead sequential path.
+    #[must_use]
+    pub fn sched(&self) -> SchedContext<'a> {
+        SchedContext {
+            arch: self.arch,
+            act_bits: self.options.act_bits,
+            jobs: crate::pool::effective_threads(self.options.jobs),
+            scratch: self.scratch,
+            memo: self.memo,
+        }
+    }
 }
 
 /// Per-pass diagnostics sink: free-form notes a pass wants surfaced in
@@ -174,8 +193,11 @@ pub struct PassRecord {
     pub cache: String,
     /// One-line summary of the produced artifact.
     pub summary: String,
-    /// Peak bytes leased from the session's [`ScratchArena`] while the
-    /// pass ran (0 when skipped, served from cache, or scratch-free).
+    /// Scratch the pass needed from the session's [`ScratchArena`]: per
+    /// element kind, the bytes of the longest buffer any one lease
+    /// returned, summed over kinds (0 when skipped, served from cache, or
+    /// scratch-free). A pure function of the pass's work — identical for
+    /// every [`CompileOptions::jobs`] value; see [`crate::scratch`].
     pub scratch_peak_bytes: u64,
     /// Diagnostics the pass emitted.
     pub diagnostics: Vec<String>,

@@ -46,15 +46,15 @@ use crate::cache::{
     fingerprint_graph, source_fingerprint, source_fingerprint_of, CompileCache, Fingerprint,
     FingerprintBuilder,
 };
-use crate::cg::{schedule_cg_stages_memo, CgSchedule, Segment};
+use crate::cg::{schedule_cg_in, CgSchedule, Segment};
 use crate::codegen::{generate_flow, FlowLayout};
 use crate::compile::{CompileOptions, Compiled, OptLevel};
-use crate::mvm::{schedule_mvm_memo, MvmSchedule};
+use crate::mvm::{schedule_mvm_in, MvmSchedule};
 use crate::pass::{Diagnostics, Pass, PassContext, PassTimeline};
 use crate::perf::PerfReport;
 use crate::region::RegionMemo;
 use crate::stage::{extract_stages, Stage};
-use crate::vvm::{schedule_vvm_memo, VvmSchedule};
+use crate::vvm::{schedule_vvm_in, VvmSchedule};
 use crate::{CompileError, Result};
 use cim_arch::{CimArchitecture, ComputingMode};
 use cim_graph::{Graph, GraphDelta};
@@ -488,19 +488,7 @@ impl Pass for CgPass {
         let Artifact::Staged(staged) = input else {
             return Err(stage_mismatch(self.name(), "staged", &input));
         };
-        // Policy lives here, mechanism in the scheduler: the requested
-        // worker count is clamped to the machine so `--jobs 4` on a
-        // single-core box takes the zero-overhead sequential path.
-        let cg = schedule_cg_stages_memo(
-            cx.graph.name(),
-            staged.stages,
-            cx.arch,
-            cx.options.cg,
-            cx.options.act_bits,
-            crate::pool::effective_threads(cx.options.jobs),
-            cx.scratch,
-            cx.memo,
-        )?;
+        let cg = schedule_cg_in(&cx.sched(), cx.graph.name(), staged.stages, cx.options.cg)?;
         diag.note(format!(
             "{} segment(s), {:.0} reprogram cycle(s)",
             cg.segments.len(),
@@ -542,14 +530,7 @@ impl Pass for MvmPass {
             return Err(stage_mismatch(self.name(), "cg", &input));
         };
         let cg = a.cg;
-        let mvm = schedule_mvm_memo(
-            &cg,
-            cx.arch,
-            cx.options.mvm,
-            cx.options.act_bits,
-            crate::pool::effective_threads(cx.options.jobs),
-            cx.memo,
-        );
+        let mvm = schedule_mvm_in(&cx.sched(), &cg, cx.options.mvm);
         let refined = mvm
             .segments
             .iter()
@@ -594,7 +575,7 @@ impl Pass for VvmPass {
             return Err(stage_mismatch(self.name(), "mvm", &input));
         };
         let MvmScheduled { cg, mvm } = *a;
-        let vvm = schedule_vvm_memo(&cg, &mvm, cx.arch, cx.options.act_bits, cx.memo);
+        let vvm = schedule_vvm_in(&cx.sched(), &cg, &mvm);
         let remapped = vvm
             .spreads
             .iter()

@@ -1,8 +1,9 @@
 //! A deterministic work-queue thread pool for batch evaluation.
 //!
 //! [`run_ordered`] is the scheduling core shared by the compiler's own
-//! intra-graph fan-out ([`crate::cg`]'s segmentation rows, [`crate::mvm`]'s
-//! per-segment refinement), the `cim-bench` sweep driver and the
+//! intra-graph fan-out ([`crate::cg`]'s segmentation rows and the
+//! per-segment work of every level in [`crate::level`]), the `cim-bench`
+//! sweep driver and the
 //! design-space explorer (`cim-dse`): workers pull item indices off a
 //! shared atomic counter — so a slow item never blocks the rest of the
 //! batch behind a static partition — and write results back *by index*,
@@ -40,9 +41,14 @@ use std::sync::{Arc, Mutex};
 /// [`run_ordered`] is thread-count-invariant.
 #[must_use]
 pub fn effective_threads(requested: usize) -> usize {
-    requested
-        .max(1)
-        .min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+    if requested <= 1 {
+        // The default `jobs = 1` needs no answer from the OS, and
+        // `available_parallelism` costs microseconds (affinity mask,
+        // cgroup files) — as much as a whole refinement pass on a small
+        // model.
+        return 1;
+    }
+    requested.min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Maps `f` over `items` on `threads` worker threads (clamped to
@@ -421,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn draining_pool_rejects_new_work_but_finishes_queued_jobs() {
+    fn draining_pool_rejects_new_work_but_finishes_the_queue() {
         let pool = Pool::new(1, 8);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..4 {

@@ -2,10 +2,11 @@
 //!
 //! A *region* is one pipeline stage, identified by its content
 //! fingerprint ([`crate::cache::region_fingerprint`])
-//! rather than its position or [`NodeId`](cim_graph::NodeId). The
-//! CG/MVM/VVM schedulers intern each stage into a [`RegionMemo`] and key
-//! every per-segment schedule they produce by the *sequence of region
-//! ids* the segment covers. When [`Session::recompile`](crate::Session::recompile)
+//! rather than its position or [`NodeId`](cim_graph::NodeId). Every
+//! scheduling level interns the stages into a [`RegionMemo`], and the
+//! shared segment driver ([`crate::level`]) keys each per-segment schedule
+//! by the level and the *sequence of region ids* the segment covers — one
+//! table, one load/store pair, whatever the level. When [`Session::recompile`](crate::Session::recompile)
 //! re-runs the pipeline after a [`GraphDelta`](cim_graph::GraphDelta),
 //! segments whose region-id sequences are unchanged are answered from the
 //! memo — only segments containing an edited region are rescheduled.
@@ -31,6 +32,7 @@
 use crate::alloc::AllocItem;
 use crate::cache::{region_fingerprint, Fingerprint};
 use crate::cg::Segment;
+use crate::level::{Level, Scheduled};
 use crate::stage::Stage;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +48,7 @@ type Row = Arc<[f64]>;
 ///
 /// Shared by the scheduler's worker threads (all maps are behind
 /// mutexes; counters are atomic). Create one per [`Session`](crate::Session);
-/// the schedulers' `_memo` entry points thread it through the pipeline.
+/// the schedulers reach it through [`SchedContext::memo`](crate::level::SchedContext::memo).
 #[derive(Debug, Default)]
 pub struct RegionMemo {
     /// Content-fingerprint → dense region id, in insertion order.
@@ -68,13 +70,10 @@ pub struct RegionMemo {
     /// session's fixed (arch, act_bits), so a recompile recomputes them
     /// only for regions it has never seen. Not counted in hit/miss.
     stats: Mutex<Vec<Option<StageStats>>>,
-    /// CG segment schedules keyed by the region-id run they cover, with
+    /// Segment schedules keyed by the region-id run they cover, one slot per
+    /// scheduling [`Level`] (with the VVM level's per-plan spread factors),
     /// plans rebased to segment-relative stage indices.
-    cg_segments: Mutex<HashMap<RegionKey, Segment>>,
-    /// MVM-refined segment schedules, same keying as `cg_segments`.
-    mvm_segments: Mutex<HashMap<RegionKey, Segment>>,
-    /// VVM-refined segment schedules plus their per-plan spread factors.
-    vvm_segments: Mutex<HashMap<RegionKey, (Segment, Vec<u32>)>>,
+    segments: Mutex<HashMap<RegionKey, [Option<Scheduled>; 3]>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -143,53 +142,28 @@ impl RegionMemo {
         self.rows.lock().unwrap().insert(key.into(), row);
     }
 
-    /// Cached CG segment for the region run `key`, with plan stage
+    /// Cached `level` schedule of the region run `key`, with plan stage
     /// indices rebased onto `start` (the run's global first-stage index).
+    /// Counts a hit or a miss, weighted by the run's length.
     #[must_use]
-    pub fn cg_segment(&self, key: &[u32], start: usize) -> Option<Segment> {
-        let found = self.cg_segments.lock().unwrap().get(key).cloned();
-        self.count(found.is_some(), key.len());
-        found.map(|seg| rebase(seg, start))
-    }
-
-    /// Stores a CG segment whose plans start at global stage `start`.
-    pub fn store_cg_segment(&self, key: &[u32], start: usize, seg: &Segment) {
-        self.cg_segments
+    pub(crate) fn segment(&self, level: Level, key: &[u32], start: usize) -> Option<Scheduled> {
+        let found = self
+            .segments
             .lock()
-            .unwrap()
-            .insert(key.into(), unbase(seg.clone(), start));
-    }
-
-    /// Cached MVM-refined segment for the region run `key`.
-    #[must_use]
-    pub fn mvm_segment(&self, key: &[u32], start: usize) -> Option<Segment> {
-        let found = self.mvm_segments.lock().unwrap().get(key).cloned();
+            .expect("region memo poisoned")
+            .get(key)
+            .and_then(|slots| slots[level as usize].clone());
         self.count(found.is_some(), key.len());
-        found.map(|seg| rebase(seg, start))
+        found.map(|(seg, spreads)| (rebase(seg, 0, start), spreads))
     }
 
-    /// Stores an MVM-refined segment whose plans start at `start`.
-    pub fn store_mvm_segment(&self, key: &[u32], start: usize, seg: &Segment) {
-        self.mvm_segments
-            .lock()
-            .unwrap()
-            .insert(key.into(), unbase(seg.clone(), start));
-    }
-
-    /// Cached VVM-refined segment (and per-plan spreads) for `key`.
-    #[must_use]
-    pub fn vvm_segment(&self, key: &[u32], start: usize) -> Option<(Segment, Vec<u32>)> {
-        let found = self.vvm_segments.lock().unwrap().get(key).cloned();
-        self.count(found.is_some(), key.len());
-        found.map(|(seg, spreads)| (rebase(seg, start), spreads))
-    }
-
-    /// Stores a VVM-refined segment and its spreads.
-    pub fn store_vvm_segment(&self, key: &[u32], start: usize, seg: &Segment, spreads: &[u32]) {
-        self.vvm_segments
-            .lock()
-            .unwrap()
-            .insert(key.into(), (unbase(seg.clone(), start), spreads.to_vec()));
+    /// Stores the `level` schedule of the region run `key`, whose plans
+    /// start at global stage `start`, position-independently.
+    pub(crate) fn store_segment(&self, level: Level, key: &[u32], start: usize, value: &Scheduled) {
+        let (seg, spreads) = value.clone();
+        let mut segments = self.segments.lock().expect("region memo poisoned");
+        segments.entry(key.into()).or_default()[level as usize] =
+            Some((rebase(seg, start, 0), spreads));
     }
 
     /// (hits, misses) across all segment-level lookups, weighted by the
@@ -228,19 +202,12 @@ pub struct StageStats {
     pub item: AllocItem,
 }
 
-/// Shifts a stored (segment-relative) segment onto global stage indices.
-fn rebase(mut seg: Segment, start: usize) -> Segment {
+/// Moves a segment whose plans start at stage `from` so they start at `to`:
+/// segments are stored segment-relative (position-independent) and loaded
+/// onto global stage indices.
+fn rebase(mut seg: Segment, from: usize, to: usize) -> Segment {
     for plan in &mut seg.plans {
-        plan.stage += start;
-    }
-    seg
-}
-
-/// Shifts a freshly-scheduled segment down to segment-relative indices
-/// for position-independent storage.
-fn unbase(mut seg: Segment, start: usize) -> Segment {
-    for plan in &mut seg.plans {
-        plan.stage -= start;
+        plan.stage = plan.stage - from + to;
     }
     seg
 }
@@ -294,17 +261,31 @@ mod tests {
     }
 
     #[test]
-    fn segments_rebase_on_load() {
+    fn segments_round_trip_per_level_and_rebase_on_load() {
         let memo = RegionMemo::new();
         let key = [3u32, 3, 7];
-        // Stored from global stages 10..13 …
-        memo.store_cg_segment(&key, 10, &segment(&[10, 11, 12]));
-        // … reusable at any other position with the same content run.
-        let out = memo.cg_segment(&key, 50).unwrap();
-        let got: Vec<usize> = out.plans.iter().map(|p| p.stage).collect();
-        assert_eq!(got, vec![50, 51, 52]);
-        assert!(memo.cg_segment(&[9u32], 0).is_none());
-        assert_eq!(memo.counters(), (3, 1));
+        let table = [
+            (Level::Cg, vec![]),
+            (Level::Mvm, vec![1, 1, 1]),
+            (Level::Vvm, vec![4, 1, 2]),
+        ];
+        for (n, (level, spreads)) in table.iter().enumerate() {
+            // Nothing stored at this level yet, whatever the others hold.
+            assert!(memo.segment(*level, &key, 0).is_none());
+            // Stored from global stages 10..13 …
+            let stored = (segment(&[10, 11, 12]), spreads.clone());
+            memo.store_segment(*level, &key, 10, &stored);
+            // … reusable at any other position with the same content run.
+            let (seg, got) = memo.segment(*level, &key, 50).unwrap();
+            let stages: Vec<usize> = seg.plans.iter().map(|p| p.stage).collect();
+            assert_eq!(stages, vec![50, 51, 52]);
+            assert_eq!(&got, spreads);
+            assert!(memo.segment(*level, &[9u32], 0).is_none());
+            // Lookups count the regions they cover: 3 per hit or miss on
+            // `key`, 1 for the single-region miss.
+            let n = n as u64 + 1;
+            assert_eq!(memo.counters(), (3 * n, 4 * n));
+        }
     }
 
     #[test]
@@ -314,14 +295,5 @@ mod tests {
         memo.store_cost(&[1, 2], 42.0);
         assert_eq!(memo.cost(&[1, 2]), Some(42.0));
         assert_eq!(memo.counters(), (0, 0));
-    }
-
-    #[test]
-    fn vvm_round_trips_spreads() {
-        let memo = RegionMemo::new();
-        memo.store_vvm_segment(&[5u32], 2, &segment(&[2]), &[4]);
-        let (seg, spreads) = memo.vvm_segment(&[5u32], 8).unwrap();
-        assert_eq!(seg.plans[0].stage, 8);
-        assert_eq!(spreads, vec![4]);
     }
 }

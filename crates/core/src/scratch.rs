@@ -16,15 +16,37 @@
 //! touch the pool on construction and drop, never per element, so the
 //! mutexes are uncontended in practice.
 //!
-//! Peak accounting: the arena tracks the bytes leased out at any instant
-//! and the high-water mark since the last [`ScratchArena::reset_peak`].
-//! The session resets the mark before each pass and stores the peak in
-//! the pass's [`PassRecord`](crate::PassRecord), which is what
+//! Peak accounting: per element kind, the arena keeps the largest *length*
+//! any one lease held when it was returned since the last
+//! [`ScratchArena::reset_peak`]; [`ScratchArena::peak_bytes`] is the sum
+//! of those four lengths in bytes — the scratch one worker needs to run
+//! the pass. (The schedulers' leases only grow, so a lease's length when
+//! it comes back is the longest it ever was; one that shrank first would
+//! be under-reported.) It counts what a pass wrote, not the capacity of whichever
+//! recycled buffer it happened to be handed, and it is a maximum per
+//! lease, never a sum across leases that overlap in time — so it is a
+//! pure function of the work done, identical for every
+//! [`jobs`](crate::CompileOptions::jobs) value and thread interleaving.
+//! The session resets it before each pass and stores it in the pass's
+//! [`PassRecord`](crate::PassRecord), which is what
 //! `cimc compile --timings` surfaces per pass.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// The free list of one element kind plus the longest lease returned.
+#[derive(Debug, Default)]
+struct FreeList<T> {
+    free: Mutex<Vec<Vec<T>>>,
+    peak_len: AtomicUsize,
+}
+
+impl<T> FreeList<T> {
+    fn peak_bytes(&self) -> usize {
+        self.peak_len.load(Ordering::Relaxed) * std::mem::size_of::<T>()
+    }
+}
 
 /// A pool of reusable scratch buffers with peak-usage accounting.
 ///
@@ -33,14 +55,10 @@ use std::sync::Mutex;
 /// [`PassContext::scratch`](crate::PassContext::scratch).
 #[derive(Debug, Default)]
 pub struct ScratchArena {
-    f64s: Mutex<Vec<Vec<f64>>>,
-    u32s: Mutex<Vec<Vec<u32>>>,
-    usizes: Mutex<Vec<Vec<usize>>>,
-    pairs: Mutex<Vec<Vec<(f64, f64)>>>,
-    /// Bytes currently leased out (sum of leased capacities).
-    in_use: AtomicUsize,
-    /// High-water mark of `in_use` since the last [`Self::reset_peak`].
-    peak: AtomicUsize,
+    f64s: FreeList<f64>,
+    u32s: FreeList<u32>,
+    usizes: FreeList<usize>,
+    pairs: FreeList<(f64, f64)>,
 }
 
 impl ScratchArena {
@@ -53,125 +71,93 @@ impl ScratchArena {
     /// Leases an empty `f64` buffer with at least `capacity` slots.
     #[must_use]
     pub fn f64s(&self, capacity: usize) -> ScratchVec<'_, f64> {
-        self.lease(&self.f64s, capacity)
+        lease(&self.f64s, capacity)
     }
 
     /// Leases an empty `u32` buffer with at least `capacity` slots.
     #[must_use]
     pub fn u32s(&self, capacity: usize) -> ScratchVec<'_, u32> {
-        self.lease(&self.u32s, capacity)
+        lease(&self.u32s, capacity)
     }
 
     /// Leases an empty `usize` buffer with at least `capacity` slots.
     #[must_use]
     pub fn usizes(&self, capacity: usize) -> ScratchVec<'_, usize> {
-        self.lease(&self.usizes, capacity)
+        lease(&self.usizes, capacity)
     }
 
     /// Leases an empty `(f64, f64)` buffer with at least `capacity`
     /// slots (latency/fill pairs).
     #[must_use]
     pub fn pairs(&self, capacity: usize) -> ScratchVec<'_, (f64, f64)> {
-        self.lease(&self.pairs, capacity)
+        lease(&self.pairs, capacity)
     }
 
-    /// Bytes currently leased out across all buffer types.
-    #[must_use]
-    pub fn in_use_bytes(&self) -> u64 {
-        self.in_use.load(Ordering::Relaxed) as u64
-    }
-
-    /// High-water mark of leased bytes since the last
-    /// [`Self::reset_peak`] (or arena creation).
+    /// Bytes of the longest lease of each element kind returned since the
+    /// last [`Self::reset_peak`] (or arena creation), summed over the
+    /// four kinds. Independent of worker count and interleaving — see
+    /// the [module docs](self).
     #[must_use]
     pub fn peak_bytes(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed) as u64
+        (self.f64s.peak_bytes()
+            + self.u32s.peak_bytes()
+            + self.usizes.peak_bytes()
+            + self.pairs.peak_bytes()) as u64
     }
 
-    /// Resets the high-water mark to the bytes currently leased.
+    /// Forgets the leases returned so far.
     pub fn reset_peak(&self) {
-        self.peak
-            .store(self.in_use.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    fn lease<'a, T: ScratchItem>(
-        &'a self,
-        pool: &'a Mutex<Vec<Vec<T>>>,
-        capacity: usize,
-    ) -> ScratchVec<'a, T> {
-        let mut buf = pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        buf.clear();
-        if buf.capacity() < capacity {
-            buf.reserve(capacity - buf.len());
-        }
-        let bytes = buf.capacity() * std::mem::size_of::<T>();
-        self.charge(bytes);
-        ScratchVec {
-            arena: self,
-            pool,
-            charged: bytes,
-            buf,
-        }
-    }
-
-    fn charge(&self, bytes: usize) {
-        let now = self.in_use.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn release(&self, bytes: usize) {
-        self.in_use.fetch_sub(bytes, Ordering::Relaxed);
+        self.f64s.peak_len.store(0, Ordering::Relaxed);
+        self.u32s.peak_len.store(0, Ordering::Relaxed);
+        self.usizes.peak_len.store(0, Ordering::Relaxed);
+        self.pairs.peak_len.store(0, Ordering::Relaxed);
     }
 }
 
-/// Marker for the element types the arena pools.
-pub trait ScratchItem: Copy + Default {}
-impl ScratchItem for f64 {}
-impl ScratchItem for u32 {}
-impl ScratchItem for usize {}
-impl ScratchItem for (f64, f64) {}
+fn lease<T>(pool: &FreeList<T>, capacity: usize) -> ScratchVec<'_, T> {
+    let mut buf = pool
+        .free
+        .lock()
+        .expect("scratch pool poisoned")
+        .pop()
+        .unwrap_or_default();
+    buf.clear();
+    buf.reserve(capacity);
+    ScratchVec { pool, buf }
+}
 
 /// A leased scratch buffer: dereferences to `Vec<T>`, returns to its
 /// arena's pool (capacity intact) on drop.
 #[derive(Debug)]
-pub struct ScratchVec<'a, T: ScratchItem> {
-    arena: &'a ScratchArena,
-    pool: &'a Mutex<Vec<Vec<T>>>,
-    /// Bytes charged against the arena at lease time; reconciled with the
-    /// final capacity on drop (the buffer may have grown in use).
-    charged: usize,
+pub struct ScratchVec<'a, T> {
+    pool: &'a FreeList<T>,
     buf: Vec<T>,
 }
 
-impl<T: ScratchItem> Deref for ScratchVec<'_, T> {
+impl<T> Deref for ScratchVec<'_, T> {
     type Target = Vec<T>;
     fn deref(&self) -> &Vec<T> {
         &self.buf
     }
 }
 
-impl<T: ScratchItem> DerefMut for ScratchVec<'_, T> {
+impl<T> DerefMut for ScratchVec<'_, T> {
     fn deref_mut(&mut self) -> &mut Vec<T> {
         &mut self.buf
     }
 }
 
-impl<T: ScratchItem> Drop for ScratchVec<'_, T> {
+impl<T> Drop for ScratchVec<'_, T> {
     fn drop(&mut self) {
-        let final_bytes = self.buf.capacity() * std::mem::size_of::<T>();
-        if final_bytes > self.charged {
-            // The vec reallocated while leased; account the growth so the
-            // peak reflects what was actually held.
-            self.arena.charge(final_bytes - self.charged);
-        }
-        self.arena.release(final_bytes.max(self.charged));
+        self.pool
+            .peak_len
+            .fetch_max(self.buf.len(), Ordering::Relaxed);
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        self.pool.lock().expect("scratch pool poisoned").push(buf);
+        // A poisoned free list only costs the recycling; never panic in drop.
+        if let Ok(mut free) = self.pool.free.lock() {
+            free.push(buf);
+        }
     }
 }
 
@@ -195,46 +181,47 @@ mod tests {
     }
 
     #[test]
-    fn peak_tracks_high_water_mark() {
+    fn peak_is_the_longest_lease_of_each_kind() {
         let arena = ScratchArena::new();
         {
-            let _a = arena.f64s(100);
-            let _b = arena.u32s(50);
-            assert!(arena.in_use_bytes() >= 100 * 8 + 50 * 4);
+            let mut a = arena.f64s(100);
+            a.resize(7, 0.0);
+            let mut b = arena.u32s(50);
+            b.resize(3, 0);
+            // Nothing is counted until a lease comes back.
+            assert_eq!(arena.peak_bytes(), 0);
         }
-        assert_eq!(arena.in_use_bytes(), 0);
-        assert!(arena.peak_bytes() >= 100 * 8 + 50 * 4);
+        // Lengths, not the 100- and 50-slot capacities.
+        assert_eq!(arena.peak_bytes(), 7 * 8 + 3 * 4);
+        // A shorter lease of a kind does not lower it; a longer one raises it.
+        arena.f64s(0).resize(2, 0.0);
+        assert_eq!(arena.peak_bytes(), 7 * 8 + 3 * 4);
+        arena.pairs(0).resize(10_000, (0.0, 0.0));
+        assert_eq!(arena.peak_bytes(), 7 * 8 + 3 * 4 + 10_000 * 16);
         arena.reset_peak();
         assert_eq!(arena.peak_bytes(), 0);
-        let _c = arena.usizes(10);
-        assert!(arena.peak_bytes() >= 10 * std::mem::size_of::<usize>() as u64);
+        arena.usizes(10).push(1);
+        assert_eq!(arena.peak_bytes(), std::mem::size_of::<usize>() as u64);
     }
 
     #[test]
-    fn growth_while_leased_is_accounted() {
-        let arena = ScratchArena::new();
-        {
-            let mut v = arena.pairs(1);
-            v.extend(std::iter::repeat_n((0.0, 0.0), 10_000));
+    fn peak_does_not_depend_on_how_leases_overlap() {
+        let work = |arena: &ScratchArena| {
+            for n in 1..=100 {
+                arena.f64s(32).resize(n, 1.0);
+            }
+        };
+        let serial = ScratchArena::new();
+        for _ in 0..4 {
+            work(&serial);
         }
-        assert_eq!(arena.in_use_bytes(), 0);
-        assert!(arena.peak_bytes() >= 10_000 * 16);
-    }
-
-    #[test]
-    fn arena_is_shareable_across_threads() {
-        let arena = ScratchArena::new();
+        let shared = ScratchArena::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..100 {
-                        let mut v = arena.f64s(32);
-                        v.push(1.0);
-                    }
-                });
+                scope.spawn(|| work(&shared));
             }
         });
-        assert_eq!(arena.in_use_bytes(), 0);
-        assert!(arena.peak_bytes() > 0);
+        assert_eq!(shared.peak_bytes(), serial.peak_bytes());
+        assert_eq!(shared.peak_bytes(), 100 * 8);
     }
 }

@@ -12,12 +12,15 @@
 //! `spread × v × h` physical crossbars, each 1/spread full — so the spread
 //! factor is bounded by the crossbars left idle after MVM-grained
 //! duplication.
+//!
+//! This level supplies the per-plan d×k search; memo lookups, the worker
+//! fan-out, chain latency, the active-crossbar fold and the report are the
+//! shared segment driver's ([`crate::level`]).
 
-use crate::cg::{pipeline_latency, CgSchedule, Segment, StagePlan};
+use crate::cg::{duplication_cap, stage_latency, CgSchedule, Segment, StagePlan};
+use crate::level::{refine, standalone, Level, PlanOut, SchedContext};
 use crate::mvm::MvmSchedule;
-use crate::perf::{phase_power, PerfReport};
-use crate::region::RegionMemo;
-use crate::stage::{movement_cycles, Stage};
+use crate::perf::PerfReport;
 use cim_arch::CimArchitecture;
 
 /// The VVM-grained refinement.
@@ -46,51 +49,12 @@ pub fn spread_factor(
     }
     let slots = u64::from(assigned_cores) * u64::from(xb_per_core);
     let footprint = u64::from(dup) * u64::from(vxb_size);
-    if footprint == 0 {
-        return 1;
-    }
     let k = (slots / footprint) as u32;
     k.clamp(1, activation_groups.max(1))
 }
 
-/// Stage latency with a remapping spread factor applied: activation groups
-/// shrink by `spread`, everything else as in the base model.
-fn vvm_stage_latency(
-    stage: &Stage,
-    arch: &CimArchitecture,
-    act_bits: u32,
-    dup: u32,
-    folds: u32,
-    spread: u32,
-) -> f64 {
-    let xb = arch.crossbar();
-    let groups = stage
-        .mapping
-        .activation_groups(arch)
-        .div_ceil(spread.max(1));
-    // VVM remapping merges partial sums on the digital ALU (shift-
-    // accumulate), so vertical crossbars no longer serialize even on cores
-    // without analog S&A hardware: the `v` factor of
-    // `OpMapping::cycles_per_mvm` disappears here.
-    let cpm = u64::from(xb.input_slices(act_bits)) * u64::from(groups.max(1));
-    let compute = stage.mapping.mvm_count as f64 * cpm as f64 / f64::from(dup.max(1))
-        * f64::from(folds.max(1));
-    let mov = movement_cycles(stage, arch, act_bits);
-    let cores = dup.max(1) * stage.mapping.cores_per_replica(arch);
-    let alu = stage.alu_cycles(
-        arch.chip().alu_ops_per_cycle(),
-        cores.min(arch.chip().core_count()),
-    );
-    let mut latency = compute.max(mov).max(alu);
-    if stage.dynamic_weights {
-        latency += arch
-            .cost()
-            .write_cycles(stage.mapping.rows.min(xb.shape().rows)) as f64;
-    }
-    latency
-}
-
-/// Runs VVM-grained optimization on top of an MVM schedule.
+/// Runs VVM-grained optimization on top of an MVM schedule, on one thread
+/// with a fresh memo.
 ///
 /// Only meaningful on WLM targets where `parallel_row < xb_rows`; on
 /// full-parallel crossbars the spread factor is always 1 and the schedule
@@ -102,163 +66,84 @@ pub fn schedule_vvm(
     arch: &CimArchitecture,
     act_bits: u32,
 ) -> VvmSchedule {
-    schedule_vvm_memo(cg, mvm, arch, act_bits, &RegionMemo::new())
+    standalone(arch, act_bits, |cx| schedule_vvm_in(cx, cg, mvm))
 }
 
-/// [`schedule_vvm`] with an explicit per-session [`RegionMemo`] — the
-/// incremental-recompilation entry point. Remapped segments (and their
-/// spread factors) are keyed by the region-id run they cover: a memo
-/// retained across [`Session::recompile`](crate::Session::recompile)
-/// calls answers unchanged segments without re-running the d×k sweep.
+/// [`schedule_vvm`] in a session's [`SchedContext`] — the form the
+/// [`crate::VvmPass`] calls. The shared segment driver ([`crate::level`])
+/// fans segments out onto `cx.jobs` workers and answers unchanged segments
+/// (and their spread factors) of a
+/// [`Session::recompile`](crate::Session::recompile) from `cx.memo` without
+/// re-running the d×k sweep. This level supplies the per-plan search below.
 #[must_use]
-pub fn schedule_vvm_memo(
-    cg: &CgSchedule,
-    mvm: &MvmSchedule,
-    arch: &CimArchitecture,
-    act_bits: u32,
-    memo: &RegionMemo,
-) -> VvmSchedule {
+pub fn schedule_vvm_in(cx: &SchedContext<'_>, cg: &CgSchedule, mvm: &MvmSchedule) -> VvmSchedule {
+    let (arch, act_bits) = (cx.arch, cx.act_bits);
     let xb_per_core = arch.core().xb_count();
-    // Region ids of every stage; segment memo keys are id runs, as in the
-    // CG and MVM levels.
-    let ids = memo.intern_stages(&cg.stages);
-    let mut segments = Vec::with_capacity(mvm.segments.len());
-    let mut spreads = Vec::with_capacity(mvm.segments.len());
-    let mut total_latency = 0.0;
-    let mut peak_power = 0.0;
-    let mut peak_active = 0u64;
-    let mut peak_breakdown = Default::default();
-
-    for seg in &mvm.segments {
-        let start = seg.plans.first().map_or(0, |p| p.stage);
-        let key: Vec<u32> = seg.plans.iter().map(|p| ids[p.stage]).collect();
-        if let Some((cached, cached_spreads)) = memo.vvm_segment(&key, start) {
-            let (power, breakdown) = phase_power(
-                arch,
-                cached.active_crossbars,
-                cached.streaming_bits_per_cycle,
-            );
-            if power > peak_power {
-                peak_power = power;
-                peak_active = cached.active_crossbars;
-                peak_breakdown = breakdown;
-            }
-            total_latency += cached.latency;
-            segments.push(cached);
-            spreads.push(cached_spreads);
-            continue;
-        }
-        let mut plans = Vec::with_capacity(seg.plans.len());
-        let mut seg_spreads = Vec::with_capacity(seg.plans.len());
-        let mut lat_fill = Vec::with_capacity(seg.plans.len());
-        for plan in &seg.plans {
-            let stage = &cg.stages[plan.stage];
-            let groups = stage.mapping.activation_groups(arch);
-            let vxb = stage.mapping.vxb_size();
-            // Choose the best split of the stage's crossbar slots between
-            // extra replicas (duplication `d`) and row spreading (`k`):
-            // latency ∝ ⌈groups/k⌉ / d with d·k·vxb ≤ slots. Pure Eq.-1
-            // duplication (k = 1) and pure spreading are both special
-            // cases; ceiling effects make mixed splits win by the modest
-            // margins the paper reports (Figure 21c).
-            let slots = u64::from(plan.cores) * u64::from(xb_per_core);
-            let (mut best_d, mut best_k) = (plan.duplication.max(1), 1u32);
-            let mut best_latency =
-                vvm_stage_latency(stage, arch, act_bits, best_d, plan.folds, best_k);
-            if plan.folds == 1 && vxb > 0 {
-                let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
-                let cap = crate::cg::duplication_cap(stage, arch, act_bits, cpm);
-                let max_d =
-                    ((slots / u64::from(vxb)).clamp(1, u64::from(u32::MAX)) as u32).min(cap);
-                for d in 1..=max_d {
-                    let k = spread_factor(plan.cores, xb_per_core, vxb, d, groups);
-                    let lat = vvm_stage_latency(stage, arch, act_bits, d, plan.folds, k);
-                    // Tie-break toward fewer replicas (more spreading):
-                    // equal throughput with half the weight copies to
-                    // program — and it is the Figure 16(e) layout.
-                    if lat < best_latency || (lat == best_latency && d < best_d) {
-                        best_latency = lat;
-                        best_d = d;
-                        best_k = k;
-                    }
+    let per_plan = |plan: &StagePlan| -> PlanOut {
+        let stage = &cg.stages[plan.stage];
+        let groups = stage.mapping.activation_groups(arch);
+        let vxb = stage.mapping.vxb_size();
+        // Stage latency with spread `k`: activation groups shrink by `k`.
+        // VVM remapping merges partial sums on the digital ALU (shift-
+        // accumulate), so vertical crossbars no longer serialize even on
+        // cores without analog S&A hardware: the `v` factor of
+        // `OpMapping::cycles_per_mvm` disappears here.
+        let latency = |d: u32, k: u32| -> f64 {
+            let cpm = u64::from(arch.crossbar().input_slices(act_bits))
+                * u64::from(groups.div_ceil(k.max(1)).max(1));
+            stage_latency(stage, arch, act_bits, d, cpm, plan.folds)
+        };
+        // Choose the best split of the stage's crossbar slots between
+        // extra replicas (duplication `d`) and row spreading (`k`):
+        // latency ∝ ⌈groups/k⌉ / d with d·k·vxb ≤ slots. Pure Eq.-1
+        // duplication (k = 1) and pure spreading are both special
+        // cases; ceiling effects make mixed splits win by the modest
+        // margins the paper reports (Figure 21c).
+        let slots = u64::from(plan.cores) * u64::from(xb_per_core);
+        let (mut best_d, mut best_k) = (plan.duplication.max(1), 1u32);
+        let mut best_latency = latency(best_d, best_k);
+        if plan.folds == 1 && vxb > 0 {
+            let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
+            let cap = duplication_cap(stage, arch, act_bits, cpm);
+            let max_d = ((slots / u64::from(vxb)).clamp(1, u64::from(u32::MAX)) as u32).min(cap);
+            for d in 1..=max_d {
+                let k = spread_factor(plan.cores, xb_per_core, vxb, d, groups);
+                let lat = latency(d, k);
+                // Tie-break toward fewer replicas (more spreading):
+                // equal throughput with half the weight copies to
+                // program — and it is the Figure 16(e) layout.
+                if lat < best_latency || (lat == best_latency && d < best_d) {
+                    best_latency = lat;
+                    best_d = d;
+                    best_k = k;
                 }
             }
-            seg_spreads.push(best_k);
+        }
+        // Remapped stages co-activate `spread` crossbars per vertical wave.
+        let h_xbs = u64::from(stage.mapping.h_xbs);
+        PlanOut {
+            plan: StagePlan {
+                duplication: best_d,
+                latency: best_latency,
+                ..plan.clone()
+            },
             // Figure 14's pipeline effect: remapping completes each output
             // accumulation in one activation wave instead of `groups`
             // serial ones, so the consumer's first inputs are ready one
             // granularity step earlier — the pipeline hand-off chunk
             // halves once more relative to the MVM-grained pipeline.
-            let fill = stage.fill_fraction / 4.0;
-            lat_fill.push((best_latency, fill));
-            plans.push(StagePlan {
-                duplication: best_d,
-                latency: best_latency,
-                ..plan.clone()
-            });
-        }
-        let latency = if cg.options.pipeline {
-            pipeline_latency(&lat_fill)
-        } else {
-            lat_fill.iter().map(|&(l, _)| l).sum()
-        };
-        // Remapped stages co-activate `spread` crossbars per vertical wave.
-        let chip_slots = u64::from(arch.chip().core_count()) * u64::from(xb_per_core);
-        let per_plan_active = |(p, s): (&StagePlan, &u32)| -> u64 {
-            let m = &cg.stages[p.stage].mapping;
-            let raw = if p.folds > 1 {
+            fill: stage.fill_fraction / 4.0,
+            active: if plan.folds > 1 {
                 // One vertical wave of the resident fold tiles at a time.
-                u64::from(m.h_xbs)
+                h_xbs
             } else {
-                u64::from(p.duplication) * u64::from(m.h_xbs) * u64::from(*s)
-            };
-            raw.min(chip_slots)
-        };
-        let active: u64 = if cg.options.pipeline {
-            plans
-                .iter()
-                .zip(&seg_spreads)
-                .map(per_plan_active)
-                .sum::<u64>()
-                .min(chip_slots)
-        } else {
-            plans
-                .iter()
-                .zip(&seg_spreads)
-                .map(per_plan_active)
-                .max()
-                .unwrap_or(0)
-        };
-        let (power, breakdown) = phase_power(arch, active, seg.streaming_bits_per_cycle);
-        if power > peak_power {
-            peak_power = power;
-            peak_active = active;
-            peak_breakdown = breakdown;
+                u64::from(best_d) * h_xbs * u64::from(best_k)
+            },
+            spread: best_k,
         }
-        total_latency += latency;
-        let refined = Segment {
-            plans,
-            latency,
-            active_crossbars: active,
-            streaming_bits_per_cycle: seg.streaming_bits_per_cycle,
-        };
-        memo.store_vvm_segment(&key, start, &refined, &seg_spreads);
-        segments.push(refined);
-        spreads.push(seg_spreads);
-    }
-
-    let report = PerfReport {
-        level: "cg+mvm+vvm",
-        latency_cycles: total_latency + cg.report.reprogram_cycles,
-        peak_active_crossbars: peak_active,
-        peak_power,
-        peak_breakdown,
-        // Remapping relocates wordlines; the activation count (and its
-        // energy) is unchanged.
-        energy: cg.report.energy,
-        segments: segments.len(),
-        reprogram_cycles: cg.report.reprogram_cycles,
     };
+    let (segments, spreads, report) =
+        refine(cx, Level::Vvm, "cg+mvm+vvm", cg, &mvm.segments, per_plan);
     VvmSchedule {
         segments,
         spreads,

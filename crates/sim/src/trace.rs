@@ -7,6 +7,7 @@
 //! (crossbar writes between segments).
 
 use cim_arch::{CimArchitecture, EnergyBreakdown};
+use cim_compiler::cg::Segment;
 use cim_compiler::perf::phase_power;
 use cim_compiler::Compiled;
 
@@ -29,27 +30,10 @@ pub struct Phase {
 /// `compiled`.
 #[must_use]
 pub fn power_trace(compiled: &Compiled, arch: &CimArchitecture) -> Vec<Phase> {
-    let segments: Vec<(f64, u64, f64)> = if let Some(v) = &compiled.vvm {
-        v.segments
-            .iter()
-            .map(|s| (s.latency, s.active_crossbars, s.streaming_bits_per_cycle))
-            .collect()
-    } else if let Some(m) = &compiled.mvm {
-        m.segments
-            .iter()
-            .map(|s| (s.latency, s.active_crossbars, s.streaming_bits_per_cycle))
-            .collect()
-    } else {
-        compiled
-            .cg
-            .segments
-            .iter()
-            .map(|s| (s.latency, s.active_crossbars, s.streaming_bits_per_cycle))
-            .collect()
-    };
+    let segments = compiled.segments();
     let mut out = Vec::with_capacity(segments.len() * 2);
     let reprogram = compiled.cg.reprogram_cycles;
-    for (i, (cycles, active, streaming)) in segments.into_iter().enumerate() {
+    for (i, (cycles, active, streaming)) in segments.iter().map(Segment::phase).enumerate() {
         if i > 0 && reprogram > 0.0 {
             // Between segments the chip reprograms: every crossbar writes,
             // no MVM activity. Write power is charged as crossbar energy.

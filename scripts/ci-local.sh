@@ -27,10 +27,20 @@ build_and_test() {
     cargo build --release
     bold "build-and-test: cargo test"
     cargo test -q --workspace
+    # `compile_jobs_flag_does_not_change_the_output` failed about every
+    # other run while scratch_peak_bytes depended on how leases overlapped
+    # across workers — and only under the load of its whole test binary,
+    # so the loop runs the binary, not the one test.
+    bold "build-and-test: --jobs invariance holds 20x under load (tests/cimc_cli.rs)"
+    for _ in $(seq 20); do
+        cargo test -q --test cimc_cli >/dev/null
+    done
     bold "build-and-test: examples compile"
     cargo build --examples
     bold "build-and-test: benches compile"
     cargo bench --no-run --workspace
+    bold "build-and-test: benchmark smoke (every workload, 2 s, untraced and traced)"
+    benchmark/run.sh smoke
 }
 
 lint() {
