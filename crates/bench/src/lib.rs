@@ -18,6 +18,7 @@
 
 pub mod ablations;
 pub mod compile_time;
+pub mod doc;
 pub mod loadtest;
 pub mod report;
 pub mod stats;
@@ -26,11 +27,9 @@ pub mod sweep;
 pub use compile_time::{
     measure_entry, measure_gate_entries, CompileTimeBudget, CompileTimeRecord, GATE_ENTRIES,
 };
-pub use loadtest::{
-    LoadSample, LoadtestEntry, LoadtestReport, SampleClass, LOADTEST_MIN_SCHEMA_VERSION,
-    LOADTEST_SCHEMA_VERSION,
-};
-pub use report::{compare, BenchReport, RegressionReport, ReportError, Tolerances};
+pub use doc::{DocError, Document, RunTiming};
+pub use loadtest::{LoadSample, LoadtestEntry, LoadtestReport, SampleClass};
+pub use report::{compare, BenchReport, RegressionReport, Tolerances};
 pub use stats::{percentile, LatencySummary};
 pub use sweep::{run_sweep, run_sweep_cached, ScheduleMode, SweepError, SweepSpec};
 

@@ -9,26 +9,16 @@
 //! service traffic.
 //!
 //! The driver that produces the samples lives in the facade
-//! (`cim_mlc::loadtest`); this module owns the schema so the report
-//! format is versioned next to [`crate::report`]'s, with the same
-//! [`LOADTEST_MIN_SCHEMA_VERSION`] forwards-compat contract.
+//! (`cim_mlc::loadtest`); this module owns the layout, versioned next to
+//! [`crate::report`]'s through the one envelope in [`crate::doc`].
+//!
+//! # Version history
+//!
+//! * **1** — initial layout.
 
+use crate::doc::Document;
 use crate::stats::percentile;
 use serde::{Deserialize, Serialize};
-
-/// Version of the load-test report layout. Bump on any
-/// backwards-incompatible field change; [`LoadtestReport::from_json`]
-/// rejects documents outside
-/// [`LOADTEST_MIN_SCHEMA_VERSION`]`..=`[`LOADTEST_SCHEMA_VERSION`].
-///
-/// # History
-///
-/// * **1** — initial layout.
-pub const LOADTEST_SCHEMA_VERSION: u32 = 1;
-
-/// Oldest load-test report layout [`LoadtestReport::from_json`] still
-/// reads.
-pub const LOADTEST_MIN_SCHEMA_VERSION: u32 = 1;
 
 /// How one replayed request concluded, as classified by the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,7 +77,7 @@ pub struct LoadtestEntry {
 /// The schema-versioned load-test report document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoadtestReport {
-    /// Layout version ([`LOADTEST_SCHEMA_VERSION`] when written by this
+    /// Layout version ([`Document::VERSION`] when written by this
     /// toolchain).
     pub schema_version: u32,
     /// The toolchain that produced the report.
@@ -173,7 +163,7 @@ impl LoadtestReport {
         entries.sort_by(|a, b| a.p50_ms.total_cmp(&b.p50_ms));
 
         LoadtestReport {
-            schema_version: LOADTEST_SCHEMA_VERSION,
+            schema_version: Self::VERSION,
             toolchain: concat!("cim-bench ", env!("CARGO_PKG_VERSION")).to_owned(),
             requests: samples.len(),
             concurrency,
@@ -200,30 +190,6 @@ impl LoadtestReport {
             max_ms: all_ms.last().copied().unwrap_or(0.0),
             entries,
         }
-    }
-
-    /// Serializes the report as pretty JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("load-test reports always serialize")
-    }
-
-    /// Parses a report, enforcing the schema-version window.
-    ///
-    /// # Errors
-    /// Returns [`crate::ReportError`] on malformed JSON or a
-    /// schema-version mismatch.
-    pub fn from_json(json: &str) -> Result<Self, crate::ReportError> {
-        let report: LoadtestReport =
-            serde_json::from_str(json).map_err(|e| crate::ReportError::Parse(e.to_string()))?;
-        if !(LOADTEST_MIN_SCHEMA_VERSION..=LOADTEST_SCHEMA_VERSION).contains(&report.schema_version)
-        {
-            return Err(crate::ReportError::SchemaVersion {
-                found: report.schema_version,
-                expected: LOADTEST_SCHEMA_VERSION,
-            });
-        }
-        Ok(report)
     }
 
     /// Renders the report as the aligned text summary `cimc loadtest`
@@ -269,6 +235,31 @@ impl LoadtestReport {
             );
         }
         out
+    }
+}
+
+impl Document for LoadtestReport {
+    const KIND: &'static str = "load-test report";
+    const VERSION: u32 = 1;
+    const MIN_VERSION: u32 = 1;
+
+    fn schema_version(&self) -> u32 {
+        self.schema_version
+    }
+
+    /// Every wall-clock latency and rate; the counts stay.
+    fn strip_volatile(&mut self) {
+        self.total_ms = 0.0;
+        self.throughput_rps = 0.0;
+        self.p50_ms = 0.0;
+        self.p99_ms = 0.0;
+        self.max_ms = 0.0;
+        for e in &mut self.entries {
+            e.p50_ms = 0.0;
+            e.p99_ms = 0.0;
+            e.max_ms = 0.0;
+            e.mean_ms = 0.0;
+        }
     }
 }
 
@@ -318,26 +309,6 @@ mod tests {
         assert_eq!(report.entries[0].count, 3);
         assert_eq!(report.entries[0].ok, 2);
         assert_eq!(report.entries[1].max_ms, 30.0);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let samples = vec![
-            sample("compile lenet5@isaac", SampleClass::Ok, 3.25, Some(true)),
-            sample("ping", SampleClass::Ok, 0.125, None),
-        ];
-        let report = LoadtestReport::from_samples(&samples, 2, 100.0);
-        let back = LoadtestReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn future_schema_versions_are_rejected() {
-        let samples = [sample("ping", SampleClass::Ok, 1.0, None)];
-        let mut report = LoadtestReport::from_samples(&samples, 1, 10.0);
-        report.schema_version = LOADTEST_SCHEMA_VERSION + 1;
-        let err = LoadtestReport::from_json(&report.to_json()).unwrap_err();
-        assert!(err.to_string().contains("schema"), "{err}");
     }
 
     #[test]

@@ -3,42 +3,33 @@
 //! A [`BenchReport`] is the JSON artifact a sweep run emits (`cimc bench
 //! --out report.json`): schema version, toolchain, the [`SweepSpec`] that
 //! produced it, one [`JobRecord`] per successful compilation and one
-//! [`JobFailure`] per compile error, plus a wall-clock [`SweepTiming`]
-//! section. Everything outside the timing section and the per-job
-//! `compile_ms` field is deterministic, so [`BenchReport::comparable`]
-//! yields byte-identical JSON across worker counts and machines.
+//! [`JobFailure`] per compile error, plus a wall-clock [`RunTiming`]
+//! section. It is a [`Document`](crate::doc): versioning, JSON in/out and
+//! [`Document::comparable`] come from [`crate::doc`]. Everything outside
+//! the timing section, the per-job `compile_ms` field and `cache_stats` is
+//! deterministic, so the comparable copy is byte-identical across worker
+//! counts, cache states and machines.
 //!
 //! [`compare`] diffs two reports job-by-job and flags metric deltas
 //! beyond configurable [`Tolerances`] — the CI regression gate.
+//!
+//! # Version history
+//!
+//! * **3** — adds the optional `compile_time` section: median
+//!   cold-compile wall clocks of the [`crate::compile_time::GATE_ENTRIES`]
+//!   workloads, attached by `scripts/refresh-baseline.sh` and consumed
+//!   by the `cimc compile-perf` drift gate. Version-1/2 documents remain
+//!   readable: the section defaults to absent, and nothing else changed.
+//! * **2** — adds the optional `cache_stats` block (compile-cache
+//!   hit/miss/store counters of the sweep that produced the report).
+//!   Version-1 documents remain readable: `cache_stats` defaults to
+//!   absent, and nothing else changed.
+//! * **1** — initial layout.
 
+use crate::doc::{Document, RunTiming};
 use crate::sweep::{ScheduleMode, SweepSpec};
 use cim_compiler::{CacheStats, CompileMetrics};
 use serde::{Deserialize, Serialize};
-
-/// Version of the report document layout. Bump on any
-/// backwards-incompatible field change; [`BenchReport::from_json`] rejects documents
-/// outside [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`] instead of
-/// misreading them.
-///
-/// # History
-///
-/// * **3** — adds the optional `compile_time` section: median
-///   cold-compile wall clocks of the [`crate::compile_time::GATE_ENTRIES`]
-///   workloads, attached by `scripts/refresh-baseline.sh` and consumed
-///   by the `cimc compile-perf` drift gate. Version-1/2 documents remain
-///   readable: the section defaults to absent, and nothing else changed.
-/// * **2** — adds the optional `cache_stats` block (compile-cache
-///   hit/miss/store counters of the sweep that produced the report).
-///   Version-1 documents remain readable: `cache_stats` defaults to
-///   absent, and nothing else changed. Regenerate committed baselines
-///   with `scripts/refresh-baseline.sh` at leisure; v1 baselines keep
-///   gating correctly in the meantime.
-/// * **1** — initial layout.
-pub const SCHEMA_VERSION: u32 = 3;
-
-/// Oldest report layout [`BenchReport::from_json`] still reads (see
-/// [`SCHEMA_VERSION`] for the migration history).
-pub const MIN_SCHEMA_VERSION: u32 = 1;
 
 /// The stable job identifier (`model@arch#mode`) shared by job specs,
 /// records and failures — the unit [`compare`] matches baseline and
@@ -124,7 +115,7 @@ pub struct JobRecord {
     pub metrics: JobMetrics,
     /// Wall-clock compile time in milliseconds — the only
     /// non-deterministic per-job field; zeroed by
-    /// [`BenchReport::comparable`].
+    /// [`Document::comparable`].
     pub compile_ms: f64,
 }
 
@@ -157,20 +148,10 @@ impl JobFailure {
     }
 }
 
-/// Wall-clock summary of a sweep run. Excluded from comparison: two runs
-/// of the same spec differ here and nowhere else.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepTiming {
-    /// Total sweep wall-clock time in milliseconds.
-    pub total_ms: f64,
-    /// Worker threads used.
-    pub threads: usize,
-}
-
 /// The machine-readable artifact of one sweep run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
-    /// Document layout version ([`SCHEMA_VERSION`]).
+    /// Document layout version ([`Document::VERSION`] when written).
     pub schema_version: u32,
     /// The toolchain that produced the report.
     pub toolchain: String,
@@ -181,7 +162,7 @@ pub struct BenchReport {
     /// Failed jobs, in matrix order.
     pub failures: Vec<JobFailure>,
     /// Wall-clock section (excluded from comparison).
-    pub timing: SweepTiming,
+    pub timing: RunTiming,
     /// Compile-cache counters of the sweep that produced this report
     /// (`None` when the sweep ran uncached, or for schema-v1 documents).
     /// Run-specific like `timing`, and excluded from comparison: a cold
@@ -193,44 +174,13 @@ pub struct BenchReport {
     /// runs carry `None`; `scripts/refresh-baseline.sh` attaches freshly
     /// measured medians so `cimc compile-perf --baseline` can gate
     /// drift. Unlike `timing`/`cache_stats` this section *survives*
-    /// [`BenchReport::comparable`]: it is reference data deliberately
+    /// [`Document::comparable`]: it is reference data deliberately
     /// baked into the committed baseline, not a by-product of the run —
     /// and since plain sweeps never populate it, cold/warm comparable
     /// byte-identity is unaffected.
     #[serde(default)]
     pub compile_time: Option<Vec<crate::compile_time::CompileTimeRecord>>,
 }
-
-/// Why a report document was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReportError {
-    /// The document is not valid JSON or does not match the schema.
-    Parse(String),
-    /// The document's `schema_version` is outside
-    /// [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`].
-    SchemaVersion {
-        /// Version found in the document.
-        found: u32,
-        /// Newest version this toolchain reads and writes.
-        expected: u32,
-    },
-}
-
-impl std::fmt::Display for ReportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReportError::Parse(e) => write!(f, "invalid bench report: {e}"),
-            ReportError::SchemaVersion { found, expected } => write!(
-                f,
-                "bench report schema_version {found} is outside the supported range \
-                 {MIN_SCHEMA_VERSION}..={expected} \
-                 (regenerate the baseline with scripts/refresh-baseline.sh)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ReportError {}
 
 impl BenchReport {
     /// Assembles a report, stamping the schema version and toolchain.
@@ -239,10 +189,10 @@ impl BenchReport {
         spec: SweepSpec,
         jobs: Vec<JobRecord>,
         failures: Vec<JobFailure>,
-        timing: SweepTiming,
+        timing: RunTiming,
     ) -> Self {
         BenchReport {
-            schema_version: SCHEMA_VERSION,
+            schema_version: Self::VERSION,
             toolchain: concat!("cim-bench ", env!("CARGO_PKG_VERSION")).to_owned(),
             spec,
             jobs,
@@ -252,49 +202,26 @@ impl BenchReport {
             compile_time: None,
         }
     }
+}
 
-    /// Serializes the report as pretty-printed JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("bench reports always serialize")
+impl Document for BenchReport {
+    const KIND: &'static str = "bench report";
+    const VERSION: u32 = 3;
+    const MIN_VERSION: u32 = 1;
+
+    fn schema_version(&self) -> u32 {
+        self.schema_version
     }
 
-    /// Parses and validates a report document.
-    ///
-    /// # Errors
-    /// Returns [`ReportError`] on malformed JSON or a schema-version
-    /// mismatch.
-    pub fn from_json(json: &str) -> Result<Self, ReportError> {
-        let report: BenchReport =
-            serde_json::from_str(json).map_err(|e| ReportError::Parse(e.to_string()))?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&report.schema_version) {
-            return Err(ReportError::SchemaVersion {
-                found: report.schema_version,
-                expected: SCHEMA_VERSION,
-            });
-        }
-        Ok(report)
-    }
-
-    /// A copy with every run-specific field stripped — wall clocks
-    /// zeroed and `cache_stats` dropped: the comparison section. Two
-    /// sweeps of the same spec on the same toolchain serialize this copy
-    /// to byte-identical JSON regardless of worker count or cache state
-    /// (cold, warm, or uncached). The `compile_time` section is kept:
-    /// it is deliberately attached reference data (absent from plain
-    /// sweep runs), not a run by-product.
-    #[must_use]
-    pub fn comparable(&self) -> Self {
-        let mut report = self.clone();
-        report.timing = SweepTiming {
-            total_ms: 0.0,
-            threads: 0,
-        };
-        for job in &mut report.jobs {
+    /// Wall clocks and cache counters. The `compile_time` section stays:
+    /// it is reference data deliberately attached to the committed
+    /// baseline (plain sweeps never carry it), not a run by-product.
+    fn strip_volatile(&mut self) {
+        self.timing = RunTiming::default();
+        for job in &mut self.jobs {
             job.compile_ms = 0.0;
         }
-        report.cache_stats = None;
-        report
+        self.cache_stats = None;
     }
 }
 
@@ -576,121 +503,11 @@ mod tests {
             SweepSpec::quick(),
             records,
             failures,
-            SweepTiming {
+            RunTiming {
                 total_ms: 12.0,
                 threads: 2,
             },
         )
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = report(
-            vec![record("lenet5", 1000.0)],
-            vec![JobFailure {
-                model: "vgg16".to_owned(),
-                arch: "table2".to_owned(),
-                mode: ScheduleMode::Cg,
-                error: "operator too large".to_owned(),
-            }],
-        );
-        let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn schema_version_mismatch_rejected() {
-        let mut r = report(vec![record("lenet5", 1000.0)], vec![]);
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = BenchReport::from_json(&r.to_json()).unwrap_err();
-        assert!(matches!(err, ReportError::SchemaVersion { .. }), "{err}");
-        assert!(BenchReport::from_json("{nope").is_err());
-    }
-
-    #[test]
-    fn comparable_strips_only_run_specific_fields() {
-        let mut r = report(vec![record("lenet5", 1000.0)], vec![]);
-        r.cache_stats = Some(CacheStats {
-            hits: 7,
-            misses: 2,
-            stores: 2,
-        });
-        r.compile_time = Some(vec![crate::compile_time::CompileTimeRecord {
-            model: "vit_base".to_owned(),
-            arch: "isaac".to_owned(),
-            jobs: 4,
-            samples: 9,
-            median_ms: 3.3,
-        }]);
-        let c = r.comparable();
-        assert_eq!(c.jobs[0].compile_ms, 0.0);
-        assert_eq!(c.timing.total_ms, 0.0);
-        assert_eq!(c.cache_stats, None);
-        assert_eq!(
-            c.compile_time, r.compile_time,
-            "compile_time is reference data and survives comparable()"
-        );
-        assert_eq!(c.jobs[0].metrics, r.jobs[0].metrics);
-        assert_eq!(c.spec, r.spec);
-    }
-
-    /// Rewrites a current report as an older document: `schema_version`
-    /// forced to `version`, every field in `absent` removed entirely
-    /// (older writers never emitted them).
-    fn downgraded_json(r: &BenchReport, version: u64, absent: &[&str]) -> String {
-        use serde::{Serialize, Value};
-        let Value::Map(entries) = r.to_value() else {
-            panic!("reports serialize to objects")
-        };
-        let old_entries: Vec<(String, Value)> = entries
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "schema_version" {
-                    (k, Value::U64(version))
-                } else {
-                    (k, v)
-                }
-            })
-            .filter(|(k, _)| !absent.contains(&k.as_str()))
-            .collect();
-        serde_json::to_string(&Value::Map(old_entries)).unwrap()
-    }
-
-    #[test]
-    fn schema_v1_documents_remain_readable() {
-        let mut r = report(vec![record("lenet5", 1000.0)], vec![]);
-        r.cache_stats = Some(CacheStats {
-            hits: 1,
-            misses: 2,
-            stores: 3,
-        });
-        let v1_json = downgraded_json(&r, 1, &["cache_stats", "compile_time"]);
-        let back = BenchReport::from_json(&v1_json).unwrap();
-        assert_eq!(back.schema_version, 1);
-        assert_eq!(back.cache_stats, None, "v1 has no cache stats");
-        assert_eq!(back.compile_time, None, "v1 has no compile-time section");
-        assert_eq!(back.jobs, r.jobs);
-        // The v1 baseline still gates against a current report.
-        assert!(compare(&back, &r, &Tolerances::default()).passes());
-    }
-
-    #[test]
-    fn schema_v2_documents_remain_readable() {
-        // v2 documents have `cache_stats` but no `compile_time` section.
-        let mut r = report(vec![record("lenet5", 1000.0)], vec![]);
-        r.cache_stats = Some(CacheStats {
-            hits: 1,
-            misses: 2,
-            stores: 3,
-        });
-        let v2_json = downgraded_json(&r, 2, &["compile_time"]);
-        let back = BenchReport::from_json(&v2_json).unwrap();
-        assert_eq!(back.schema_version, 2);
-        assert_eq!(back.cache_stats, r.cache_stats, "v2 keeps cache stats");
-        assert_eq!(back.compile_time, None, "v2 has no compile-time section");
-        assert_eq!(back.jobs, r.jobs);
-        // The v2 baseline still gates against a v3 current report.
-        assert!(compare(&back, &r, &Tolerances::default()).passes());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! workers. Results land in a [`BenchReport`]
 //! in matrix order regardless of worker count, so reports are
 //! byte-identical across `--jobs` settings once wall-clock fields are
-//! stripped (see [`BenchReport::comparable`](crate::report::BenchReport::comparable)).
+//! stripped (see [`Document::comparable`](crate::doc::Document::comparable)).
 //!
 //! The worker pool shares one [`CompileCache`]: across the matrix most
 //! pipeline work is common (every arch stages the same graph the same
@@ -20,7 +20,8 @@
 //! [`Pass`](cim_compiler::Pass) purity contract), so caching never
 //! changes a report's comparison section.
 
-use crate::report::{BenchReport, JobFailure, JobMetrics, JobRecord, SweepTiming};
+use crate::doc::RunTiming;
+use crate::report::{BenchReport, JobFailure, JobMetrics, JobRecord};
 use cim_arch::presets;
 use cim_compiler::pool::run_ordered;
 use cim_compiler::{CompileCache, CompileOptions, Compiler, MemoryCache, OptLevel};
@@ -351,7 +352,7 @@ pub fn run_sweep_cached(
         spec.clone(),
         records,
         failures,
-        SweepTiming { total_ms, threads },
+        RunTiming { total_ms, threads },
     );
     report.cache_stats = cache
         .zip(stats_before)

@@ -6,7 +6,7 @@
 //! CI `cache-consistency` job asserts the same two properties end-to-end
 //! through the `cimc` binary.
 
-use cim_bench::{run_sweep, run_sweep_cached, SweepSpec};
+use cim_bench::{run_sweep, run_sweep_cached, Document, SweepSpec};
 use cim_compiler::{CompileCache, DiskCache};
 use std::path::PathBuf;
 use std::sync::Arc;

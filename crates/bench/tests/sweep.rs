@@ -2,7 +2,8 @@
 //! worker counts, report serde round-trips (including a property test),
 //! and the end-to-end regression gate.
 
-use cim_bench::report::{BenchReport, JobFailure, JobMetrics, JobRecord, SweepTiming};
+use cim_bench::doc::{Document, RunTiming as SweepTiming};
+use cim_bench::report::{BenchReport, JobFailure, JobMetrics, JobRecord};
 use cim_bench::sweep::{run_sweep, JobSpec, ScheduleMode, SweepSpec};
 use cim_bench::{compare, Tolerances};
 use proptest::prelude::*;

@@ -75,10 +75,21 @@ use std::sync::{Arc, Mutex};
 // Fingerprints.
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV_OFFSET_LO: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the state [`fnv1a`] starts from (and
+/// the low lane of every [`Fingerprint`]).
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 // Second lane: FNV-1a over tweaked bytes from a distinct offset basis, so
 // the two 64-bit lanes fail independently.
 const FNV_OFFSET_HI: u64 = 0x6c62_272e_07bb_0142;
+
+/// One 64-bit FNV-1a step: xor `x` into `state`, multiply by the FNV
+/// prime. Folding a string's bytes from [`FNV_OFFSET`] is FNV-1a64; both
+/// fingerprint lanes and `cim_sim`'s weight synthesis hash with it.
+#[inline]
+#[must_use]
+pub const fn fnv1a(state: u64, x: u64) -> u64 {
+    (state ^ x).wrapping_mul(FNV_PRIME)
+}
 
 /// A stable 128-bit structural hash identifying one pipeline-stage input.
 ///
@@ -135,15 +146,15 @@ impl FingerprintBuilder {
     pub fn new(domain: &str) -> Self {
         FingerprintBuilder {
             hi: FNV_OFFSET_HI,
-            lo: FNV_OFFSET_LO,
+            lo: FNV_OFFSET,
         }
         .str(domain)
     }
 
     fn raw(mut self, bytes: &[u8]) -> Self {
         for &b in bytes {
-            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            self.hi = (self.hi ^ u64::from(b ^ 0xa5)).wrapping_mul(FNV_PRIME);
+            self.lo = fnv1a(self.lo, u64::from(b));
+            self.hi = fnv1a(self.hi, u64::from(b ^ 0xa5));
         }
         self
     }
@@ -290,11 +301,11 @@ pub fn region_fingerprint(stage: &Stage) -> Fingerprint {
         stage.fill_fraction.to_bits(),
         u64::from(stage.dynamic_weights),
     ];
-    let mut lo = FNV_OFFSET_LO;
+    let mut lo = FNV_OFFSET;
     let mut hi = FNV_OFFSET_HI;
     for w in words {
-        lo = (lo ^ w).wrapping_mul(FNV_PRIME);
-        hi = (hi ^ w.rotate_left(31)).wrapping_mul(FNV_PRIME);
+        lo = fnv1a(lo, w);
+        hi = fnv1a(hi, w.rotate_left(31));
     }
     Fingerprint { hi, lo }
 }

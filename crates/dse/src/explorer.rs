@@ -19,9 +19,10 @@
 //! setting and any cache temperature.
 
 use crate::objective::{pareto_front, Objective, TrafficEval};
-use crate::report::{DseCandidate, DseFailure, DseReport, DseTiming, TracePoint, SCHEMA_VERSION};
+use crate::report::{DseCandidate, DseFailure, DseReport, TracePoint};
 use crate::space::{DesignPoint, DesignSpace, SpaceError};
 use crate::strategy::{History, SearchStrategy};
+use cim_bench::doc::{Document, RunTiming};
 use cim_bench::report::JobMetrics;
 use cim_compiler::pool::run_ordered;
 use cim_compiler::{CompileCache, CompileOptions, Compiler};
@@ -234,7 +235,7 @@ impl Explorer {
         let vectors: Vec<Vec<f64>> = candidates.iter().map(|c| c.objectives.clone()).collect();
         let front = pareto_front(&vectors);
         let mut report = DseReport {
-            schema_version: SCHEMA_VERSION,
+            schema_version: DseReport::VERSION,
             toolchain: concat!("cim-dse ", env!("CARGO_PKG_VERSION")).to_owned(),
             model: graph.name().to_owned(),
             space: space.clone(),
@@ -247,7 +248,7 @@ impl Explorer {
             failures,
             front,
             trace,
-            timing: DseTiming {
+            timing: RunTiming {
                 total_ms,
                 threads: self.threads,
             },

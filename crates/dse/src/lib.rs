@@ -19,7 +19,7 @@
 //!   revisited points and shared pipeline prefixes are never recompiled;
 //! * [`DseReport`] — the schema-versioned JSON artifact
 //!   (`cimc explore --out`), byte-reproducible across worker counts via
-//!   [`DseReport::comparable`].
+//!   [`Document::comparable`](cim_bench::Document::comparable).
 //!
 //! ## Quickstart
 //!
@@ -54,10 +54,7 @@ pub mod strategy;
 
 pub use explorer::{DseError, Explorer, TrafficWorkload};
 pub use objective::{dominates, pareto_front, Metric, Objective, ObjectiveError, TrafficEval};
-pub use report::{
-    DseCandidate, DseFailure, DseReport, DseReportError, DseTiming, TracePoint, MIN_SCHEMA_VERSION,
-    SCHEMA_VERSION,
-};
+pub use report::{DseCandidate, DseFailure, DseReport, TracePoint};
 pub use space::{DesignPoint, DesignSpace, SpaceError, AXIS_BOUNDS, AXIS_NAMES, NUM_AXES};
 pub use strategy::{
     Evolutionary, Exhaustive, HillClimb, History, Random, SearchStrategy, SplitMix64, StrategyKind,

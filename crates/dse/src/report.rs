@@ -1,33 +1,24 @@
 //! Versioned, machine-readable exploration reports.
 //!
-//! A [`DseReport`] is the JSON artifact `cimc explore --out` emits,
-//! following the [`BenchReport`](cim_bench::BenchReport) conventions:
-//! a `schema_version` gate on load, run-specific wall-clock/cache fields
-//! isolated from the deterministic comparison section, and a
-//! [`DseReport::comparable`] view that serializes byte-identically for
-//! identical `(strategy, seed, budget, space, objective)` runs
-//! regardless of worker count or cache state.
+//! A [`DseReport`] is the JSON artifact `cimc explore --out` emits. It is
+//! a [`Document`]: the `schema_version` gate on load, JSON in/out and the
+//! [`Document::comparable`] view — which serializes byte-identically for
+//! identical `(strategy, seed, budget, space, objective)` runs regardless
+//! of worker count or cache state — come from [`cim_bench::doc`].
+//!
+//! # Version history
+//!
+//! * **2** — candidates gain an optional `traffic` evaluation
+//!   (serving p99/throughput/miss-rate under a fixed trace, for the
+//!   `p99_latency`/`throughput`/`miss_rate` objective family). Absent
+//!   for compile-only objectives, so v1 documents still load.
+//! * **1** — initial layout.
 
 use crate::space::{DesignPoint, DesignSpace};
+use cim_bench::doc::{Document, RunTiming};
 use cim_bench::report::JobMetrics;
 use cim_compiler::CacheStats;
 use serde::{Deserialize, Serialize};
-
-/// Version of the exploration-report layout. Bump on any
-/// backwards-incompatible change; [`DseReport::from_json`] rejects
-/// documents outside [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`].
-///
-/// # History
-///
-/// * **1** — initial layout.
-/// * **2** — candidates gain an optional `traffic` evaluation
-///   (serving p99/throughput/miss-rate under a fixed trace, for the
-///   `p99_latency`/`throughput`/`miss_rate` objective family). Absent
-///   for compile-only objectives, so v1 documents still load.
-pub const SCHEMA_VERSION: u32 = 2;
-
-/// Oldest report layout [`DseReport::from_json`] still reads.
-pub const MIN_SCHEMA_VERSION: u32 = 1;
 
 /// One evaluated (successfully compiled) design point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,7 +30,7 @@ pub struct DseCandidate {
     /// Serving-quality scalars under the run's traffic workload, when
     /// the exploration carried one. Deterministic like `metrics` (the
     /// simulation is bit-reproducible), so kept by
-    /// [`DseReport::comparable`].
+    /// [`Document::comparable`].
     #[serde(default)]
     pub traffic: Option<crate::objective::TrafficEval>,
     /// Direction-adjusted per-objective values (lower is better; the
@@ -48,7 +39,7 @@ pub struct DseCandidate {
     /// Weighted scalar score (lower is better).
     pub score: f64,
     /// Wall-clock evaluation time in milliseconds — run-specific;
-    /// zeroed by [`DseReport::comparable`].
+    /// zeroed by [`Document::comparable`].
     pub eval_ms: f64,
 }
 
@@ -74,20 +65,10 @@ pub struct TracePoint {
     pub best_score: Option<f64>,
 }
 
-/// Wall-clock summary of an exploration. Run-specific: excluded from the
-/// comparison section.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DseTiming {
-    /// Total exploration wall-clock time in milliseconds.
-    pub total_ms: f64,
-    /// Worker threads used.
-    pub threads: usize,
-}
-
 /// The machine-readable artifact of one exploration run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DseReport {
-    /// Document layout version ([`SCHEMA_VERSION`]).
+    /// Document layout version ([`Document::VERSION`] when written).
     pub schema_version: u32,
     /// The toolchain that produced the report.
     pub toolchain: String,
@@ -117,7 +98,7 @@ pub struct DseReport {
     /// Per-batch convergence trace.
     pub trace: Vec<TracePoint>,
     /// Wall-clock section (excluded from comparison).
-    pub timing: DseTiming,
+    pub timing: RunTiming,
     /// Compile-cache counters of the run (`None` when uncached).
     /// Run-specific like `timing`, and excluded from comparison: a cold
     /// and a warm exploration differ here and nowhere else.
@@ -125,88 +106,39 @@ pub struct DseReport {
     pub cache_stats: Option<CacheStats>,
 }
 
-/// Why a report document was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DseReportError {
-    /// The document is not valid JSON or does not match the schema.
-    Parse(String),
-    /// The document's `schema_version` is outside
-    /// [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`].
-    SchemaVersion {
-        /// Version found in the document.
-        found: u32,
-        /// Newest version this toolchain reads and writes.
-        expected: u32,
-    },
-}
+impl Document for DseReport {
+    const KIND: &'static str = "exploration report";
+    const VERSION: u32 = 2;
+    const MIN_VERSION: u32 = 1;
 
-impl std::fmt::Display for DseReportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DseReportError::Parse(e) => write!(f, "invalid exploration report: {e}"),
-            DseReportError::SchemaVersion { found, expected } => write!(
-                f,
-                "exploration report schema_version {found} is outside the supported \
-                 range {MIN_SCHEMA_VERSION}..={expected}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DseReportError {}
-
-impl DseReport {
-    /// Serializes the report as pretty-printed JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("exploration reports always serialize")
+    fn schema_version(&self) -> u32 {
+        self.schema_version
     }
 
-    /// Parses and validates a report document.
-    ///
-    /// # Errors
-    /// Returns [`DseReportError`] on malformed JSON, a schema-version
-    /// mismatch, or a `front` index that does not resolve into
-    /// `candidates` (a truncated or hand-edited document), so
-    /// [`DseReport::front_candidates`] can never panic on a loaded
-    /// report.
-    pub fn from_json(json: &str) -> Result<Self, DseReportError> {
-        let report: DseReport =
-            serde_json::from_str(json).map_err(|e| DseReportError::Parse(e.to_string()))?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&report.schema_version) {
-            return Err(DseReportError::SchemaVersion {
-                found: report.schema_version,
-                expected: SCHEMA_VERSION,
-            });
-        }
-        if let Some(&bad) = report.front.iter().find(|&&i| i >= report.candidates.len()) {
-            return Err(DseReportError::Parse(format!(
-                "front index {bad} is out of bounds for {} candidate(s)",
-                report.candidates.len()
-            )));
-        }
-        Ok(report)
-    }
-
-    /// A copy with every run-specific field stripped — wall clocks
-    /// zeroed, `cache_stats` dropped. Two explorations with identical
-    /// `(space, strategy, seed, budget, objective, model)` inputs
-    /// serialize this copy to byte-identical JSON regardless of worker
-    /// count or cache state.
-    #[must_use]
-    pub fn comparable(&self) -> Self {
-        let mut report = self.clone();
-        report.timing = DseTiming {
-            total_ms: 0.0,
-            threads: 0,
-        };
-        for candidate in &mut report.candidates {
+    /// Wall clocks and cache counters.
+    fn strip_volatile(&mut self) {
+        self.timing = RunTiming::default();
+        for candidate in &mut self.candidates {
             candidate.eval_ms = 0.0;
         }
-        report.cache_stats = None;
-        report
+        self.cache_stats = None;
     }
 
+    /// Every `front` index resolves into `candidates` (a truncated or
+    /// hand-edited document fails here), so
+    /// [`DseReport::front_candidates`] never panics on a loaded report.
+    fn check(&self) -> Result<(), String> {
+        match self.front.iter().find(|&&i| i >= self.candidates.len()) {
+            Some(bad) => Err(format!(
+                "front index {bad} is out of bounds for {} candidate(s)",
+                self.candidates.len()
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+impl DseReport {
     /// The Pareto-front candidates themselves, in `front` order.
     #[must_use]
     pub fn front_candidates(&self) -> Vec<&DseCandidate> {
@@ -276,7 +208,7 @@ impl DseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_bench::ScheduleMode;
+    use cim_bench::{DocError, ScheduleMode};
 
     fn metrics(latency: f64) -> JobMetrics {
         JobMetrics {
@@ -314,7 +246,7 @@ mod tests {
 
     fn report() -> DseReport {
         DseReport {
-            schema_version: SCHEMA_VERSION,
+            schema_version: DseReport::VERSION,
             toolchain: "cim-dse test".to_owned(),
             model: "lenet5".to_owned(),
             space: DesignSpace::default_space(),
@@ -361,7 +293,7 @@ mod tests {
                 evaluated: 2,
                 best_score: Some(800.0),
             }],
-            timing: DseTiming {
+            timing: RunTiming {
                 total_ms: 12.0,
                 threads: 4,
             },
@@ -374,58 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let r = report();
-        let back = DseReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn schema_version_mismatch_rejected() {
-        let mut r = report();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = DseReport::from_json(&r.to_json()).unwrap_err();
-        assert!(matches!(err, DseReportError::SchemaVersion { .. }), "{err}");
-        assert!(DseReport::from_json("{nope").is_err());
-    }
-
-    #[test]
     fn out_of_bounds_front_indices_are_rejected_on_load() {
         let mut r = report();
         r.front = vec![1, 7];
         let err = DseReport::from_json(&r.to_json()).unwrap_err();
         assert!(
-            matches!(&err, DseReportError::Parse(m) if m.contains("7")),
+            matches!(&err, DocError::Parse { message, .. } if message.contains("7")),
             "{err}"
         );
-    }
-
-    #[test]
-    fn comparable_strips_only_run_specific_fields() {
-        let r = report();
-        let c = r.comparable();
-        assert_eq!(c.timing.total_ms, 0.0);
-        assert_eq!(c.timing.threads, 0);
-        assert_eq!(c.candidates[0].eval_ms, 0.0);
-        assert_eq!(c.cache_stats, None);
-        assert_eq!(c.candidates[0].metrics, r.candidates[0].metrics);
-        assert_eq!(
-            c.candidates[1].traffic, r.candidates[1].traffic,
-            "traffic evaluation is deterministic and survives comparable()"
-        );
-        assert_eq!(c.front, r.front);
-        assert_eq!(c.trace, r.trace);
-    }
-
-    #[test]
-    fn v1_documents_without_traffic_still_load() {
-        let mut r = report();
-        r.schema_version = 1;
-        let json = r.to_json().replace("\"traffic\"", "\"traffic_unknown\"");
-        // serde ignores the unknown key and defaults `traffic` to None.
-        let back = DseReport::from_json(&json).unwrap();
-        assert_eq!(back.schema_version, 1);
-        assert!(back.candidates.iter().all(|c| c.traffic.is_none()));
     }
 
     #[test]

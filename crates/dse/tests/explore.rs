@@ -4,7 +4,7 @@
 //! run (≥ 200 candidates, non-empty front, reproducible across thread
 //! counts, warm hit rate > 0).
 
-use cim_bench::ScheduleMode;
+use cim_bench::{Document, ScheduleMode};
 use cim_compiler::{CompileCache, DiskCache, MemoryCache};
 use cim_dse::{DesignSpace, DseReport, Explorer, Metric, Objective, StrategyKind};
 use cim_graph::zoo;

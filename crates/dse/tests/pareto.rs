@@ -3,7 +3,7 @@
 //! property: identical `(strategy, seed, budget)` inputs yield
 //! byte-identical `comparable()` reports at `jobs = 1` and `jobs = 4`.
 
-use cim_bench::ScheduleMode;
+use cim_bench::{Document, ScheduleMode};
 use cim_dse::{dominates, pareto_front, DesignSpace, Explorer, Objective, StrategyKind};
 use cim_graph::zoo;
 use proptest::prelude::*;

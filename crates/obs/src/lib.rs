@@ -15,9 +15,7 @@
 //! * **Metrics** — [`metrics`] returns the global [`MetricsRegistry`]
 //!   of counters, gauges, and log-linear histograms, snapshotted into
 //!   a schema-versioned serde [`MetricsSnapshot`] (scraped over the
-//!   wire by `Request::Metrics`); its
-//!   [`comparable()`](MetricsSnapshot::comparable) view keeps counts
-//!   only.
+//!   wire by `Request::Metrics`).
 //! * **Exporters** — [`chrome_trace_json`] (loads in Perfetto /
 //!   `chrome://tracing`), [`profile_tree`] (inclusive/exclusive wall
 //!   time), [`metrics_text`] (grep-friendly lines), and
@@ -54,9 +52,9 @@ pub use export::{
     chrome_trace_json, metrics_text, profile_tree, validate_chrome_trace, ChromeTraceSummary,
 };
 pub use metrics::{
-    bucket_floor, bucket_index, metrics, BucketSnapshot, ComparableMetrics, Counter,
-    CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot, METRICS_SCHEMA_VERSION,
+    bucket_floor, bucket_index, metrics, BucketSnapshot, Counter, CounterSnapshot, Gauge,
+    GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+    METRICS_SCHEMA_VERSION,
 };
 pub use span::{complete_span, keys, span, ArgValue, Key, Phase, SpanGuard, TraceEvent};
 

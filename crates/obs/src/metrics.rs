@@ -9,9 +9,8 @@
 //! handle instead and skip the name lookup.
 //!
 //! [`MetricsRegistry::snapshot`] produces a schema-versioned, serde
-//! [`MetricsSnapshot`] sorted by instrument name;
-//! [`MetricsSnapshot::comparable`] strips it down to counters only —
-//! the deterministic, timing-free view byte-compared in CI.
+//! [`MetricsSnapshot`] sorted by instrument name — the wire payload of
+//! `Request::Metrics`.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -422,30 +421,6 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-/// The deterministic subset of a [`MetricsSnapshot`]: counters only.
-///
-/// Gauges (instantaneous readings) and histograms (timing
-/// distributions) vary run to run; counts of *events* do not, so this
-/// is the view CI byte-compares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ComparableMetrics {
-    /// [`METRICS_SCHEMA_VERSION`] of the source snapshot.
-    pub schema_version: u32,
-    /// All counters, sorted by name.
-    pub counters: Vec<CounterSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Strips everything timing-dependent, keeping counts only.
-    #[must_use]
-    pub fn comparable(&self) -> ComparableMetrics {
-        ComparableMetrics {
-            schema_version: self.schema_version,
-            counters: self.counters.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,8 +466,6 @@ mod tests {
         assert_eq!(snap.gauges[0].value, 7);
         assert_eq!(snap.histograms[0].count, 1);
         assert_eq!(snap.histograms[0].min, 1500);
-        let cmp = snap.comparable();
-        assert_eq!(cmp.counters, snap.counters);
         reg.reset();
         let snap = reg.snapshot();
         assert_eq!(snap.counters[0].value, 0);

@@ -3,10 +3,12 @@
 //! The paper evaluates latency and power — never accuracy — so tensor
 //! *values* only need to be realistic in shape and deterministic so the
 //! functional simulator and the reference executor agree (DESIGN.md,
-//! "Substitutions"). Values derive from an FNV-style hash of the tensor
-//! name and the element index: small signed integers for weights, small
-//! unsigned for activations.
+//! "Substitutions"). Values derive from the FNV-1a64 hash of the tensor
+//! name (the compile cache's [`fnv1a`] step) mixed with the element
+//! index: small signed integers for weights, small unsigned for
+//! activations.
 
+use cim_compiler::cache::{fnv1a, FNV_OFFSET};
 use cim_mop::{MatId, MopFlow};
 use std::collections::HashMap;
 
@@ -41,16 +43,8 @@ impl Matrix {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 fn fnv(name: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    name.bytes().fold(FNV_OFFSET, |h, b| fnv1a(h, u64::from(b)))
 }
 
 fn mix(seed: u64, index: u64) -> u64 {
@@ -111,6 +105,13 @@ impl WeightStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_hash_with_standard_fnv1a64() {
+        assert_eq!(fnv(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv("foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn synthesis_is_deterministic() {

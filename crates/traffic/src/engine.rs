@@ -6,7 +6,7 @@
 //! shared worker pool and merged back in placement order. Every
 //! quantity is integer-cycle arithmetic on the trace and the priced
 //! [`ServiceModel`]s, so a `(trace, placement, policy, batching)` tuple
-//! produces the same [`TrafficReport::comparable`] bytes at any thread
+//! produces the same [`Document::comparable`] bytes at any thread
 //! count.
 //!
 //! Per partition, the loop alternates admission and dispatch: when the
@@ -20,11 +20,10 @@
 
 use crate::placement::{price_partition, Placement};
 use crate::policy::{Batching, PolicyKind, Queued, SchedPolicy};
-use crate::report::{
-    FlowStats, PartitionStats, TenantStats, TrafficReport, TrafficTiming, TRAFFIC_SCHEMA_VERSION,
-};
+use crate::report::{FlowStats, PartitionStats, TenantStats, TrafficReport};
 use crate::trace::{Trace, TraceError, TraceEvent};
 use cim_arch::CimArchitecture;
+use cim_bench::doc::{Document, RunTiming};
 use cim_bench::stats::LatencySummary;
 use cim_compiler::pool::run_ordered;
 use cim_compiler::CompileCache;
@@ -125,7 +124,7 @@ pub fn run_simulation(
     let started = cim_obs::stopwatch();
     let services = price_placement(arch, placement, models, cache, threads)?;
     let (mut report, _) = simulate_priced(trace, arch, placement, &services, config, threads)?;
-    report.timing = TrafficTiming {
+    report.timing = RunTiming {
         total_ms: started.elapsed_ms(),
         threads: threads.max(1),
     };
@@ -278,7 +277,7 @@ pub fn simulate_priced(
         .collect();
 
     let report = TrafficReport {
-        schema_version: TRAFFIC_SCHEMA_VERSION,
+        schema_version: TrafficReport::VERSION,
         toolchain: concat!("cim-traffic ", env!("CARGO_PKG_VERSION")).to_owned(),
         trace: trace.spec.name.clone(),
         generator: trace.spec.kind.name().to_owned(),
@@ -292,10 +291,7 @@ pub fn simulate_priced(
         tenants,
         partitions,
         aggregate,
-        timing: TrafficTiming {
-            total_ms: 0.0,
-            threads: 0,
-        },
+        timing: RunTiming::default(),
     };
     let mut log: Vec<DispatchRecord> = loops.into_iter().flat_map(|l| l.log).collect();
     log.sort_by_key(|d| (d.at, d.partition, d.batch.first().copied().unwrap_or(0)));

@@ -23,7 +23,7 @@
 //!    loop ([`run_simulation`]) and the schema-versioned
 //!    [`TrafficReport`] it produces, bit-reproducible for a given
 //!    `(trace, placement, policy, batching)` at any thread count
-//!    (check with [`TrafficReport::comparable`]).
+//!    (check with [`Document::comparable`](cim_bench::Document::comparable)).
 //!
 //! ```
 //! use cim_traffic::{
@@ -70,14 +70,8 @@ pub use engine::{
 };
 pub use placement::{price_partition, Partition, Placement};
 pub use policy::{Batching, EdfDrop, Fifo, PolicyKind, Priority, Queued, SchedPolicy};
-pub use report::{
-    FlowStats, PartitionStats, TenantStats, TrafficReport, TrafficReportError, TrafficTiming,
-    TRAFFIC_MIN_SCHEMA_VERSION, TRAFFIC_SCHEMA_VERSION,
-};
-pub use trace::{
-    GeneratorKind, SplitMix64, TenantSpec, Trace, TraceError, TraceEvent, TraceSpec,
-    TRACE_MIN_SCHEMA_VERSION, TRACE_SCHEMA_VERSION,
-};
+pub use report::{FlowStats, PartitionStats, TenantStats, TrafficReport};
+pub use trace::{GeneratorKind, SplitMix64, TenantSpec, Trace, TraceError, TraceEvent, TraceSpec};
 
 #[cfg(doc)]
 use cim_arch::CimArchitecture;

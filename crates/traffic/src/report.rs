@@ -1,52 +1,17 @@
 //! The schema-versioned traffic report: per-tenant and aggregate tail
 //! latency, throughput, drops/misses, queue depths and partition
-//! utilization, with the timing-stripped [`TrafficReport::comparable`]
-//! view CI compares byte-for-byte.
+//! utilization. A [`TrafficReport`] is a [`Document`]: its version
+//! window, JSON in/out and the timing-stripped
+//! [`Document::comparable`] view CI compares byte-for-byte come from
+//! [`cim_bench::doc`].
+//!
+//! # Version history
+//!
+//! * **1** — initial layout.
 
+use cim_bench::doc::{Document, RunTiming};
 use cim_bench::stats::LatencySummary;
 use serde::{Deserialize, Serialize};
-
-/// Version of the traffic-report layout. Bump on any
-/// backwards-incompatible change; [`TrafficReport::from_json`] rejects
-/// documents outside
-/// [`TRAFFIC_MIN_SCHEMA_VERSION`]`..=`[`TRAFFIC_SCHEMA_VERSION`].
-///
-/// # History
-///
-/// * **1** — initial layout.
-pub const TRAFFIC_SCHEMA_VERSION: u32 = 1;
-
-/// Oldest report layout [`TrafficReport::from_json`] still reads.
-pub const TRAFFIC_MIN_SCHEMA_VERSION: u32 = 1;
-
-/// Why a traffic-report document was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrafficReportError {
-    /// The document is not valid JSON or does not match the schema.
-    Parse(String),
-    /// The document's `schema_version` is outside the supported window.
-    SchemaVersion {
-        /// Version found in the document.
-        found: u32,
-        /// Newest version this toolchain reads and writes.
-        expected: u32,
-    },
-}
-
-impl std::fmt::Display for TrafficReportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrafficReportError::Parse(e) => write!(f, "invalid traffic report: {e}"),
-            TrafficReportError::SchemaVersion { found, expected } => write!(
-                f,
-                "traffic report schema_version {found} is outside the supported \
-                 range {TRAFFIC_MIN_SCHEMA_VERSION}..={expected}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TrafficReportError {}
 
 /// Request-outcome counters and latency summary for one request flow
 /// (a tenant, or the whole run). Latencies are in cycles, over *served*
@@ -101,22 +66,12 @@ pub struct PartitionStats {
     pub max_queue_depth: usize,
 }
 
-/// Wall-clock section — run-specific, zeroed by
-/// [`TrafficReport::comparable`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrafficTiming {
-    /// Simulation wall-clock time in milliseconds (compiles included).
-    pub total_ms: f64,
-    /// Worker threads used.
-    pub threads: usize,
-}
-
 /// The machine-readable artifact of one `(trace, arch, placement,
 /// policy)` simulation — what `cimc simulate --out` emits (one element
 /// per policy).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficReport {
-    /// Document layout version ([`TRAFFIC_SCHEMA_VERSION`]).
+    /// Document layout version ([`Document::VERSION`] when written).
     pub schema_version: u32,
     /// The toolchain that produced the report.
     pub toolchain: String,
@@ -146,48 +101,26 @@ pub struct TrafficReport {
     /// Whole-run outcome.
     pub aggregate: FlowStats,
     /// Wall-clock section (excluded from comparison).
-    pub timing: TrafficTiming,
+    pub timing: RunTiming,
+}
+
+impl Document for TrafficReport {
+    const KIND: &'static str = "traffic report";
+    const VERSION: u32 = 1;
+    const MIN_VERSION: u32 = 1;
+
+    fn schema_version(&self) -> u32 {
+        self.schema_version
+    }
+
+    /// The wall clock and thread count. Everything else is integer-cycle
+    /// simulation, identical at any `--jobs` setting and cache state.
+    fn strip_volatile(&mut self) {
+        self.timing = RunTiming::default();
+    }
 }
 
 impl TrafficReport {
-    /// Serializes the report as pretty-printed JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("traffic reports always serialize")
-    }
-
-    /// Parses and validates a report document.
-    ///
-    /// # Errors
-    /// Returns [`TrafficReportError`] on malformed JSON or a
-    /// schema-version mismatch.
-    pub fn from_json(json: &str) -> Result<Self, TrafficReportError> {
-        let report: TrafficReport =
-            serde_json::from_str(json).map_err(|e| TrafficReportError::Parse(e.to_string()))?;
-        if !(TRAFFIC_MIN_SCHEMA_VERSION..=TRAFFIC_SCHEMA_VERSION).contains(&report.schema_version) {
-            return Err(TrafficReportError::SchemaVersion {
-                found: report.schema_version,
-                expected: TRAFFIC_SCHEMA_VERSION,
-            });
-        }
-        Ok(report)
-    }
-
-    /// A copy with every run-specific field stripped (wall clocks and
-    /// thread counts zeroed). Two simulations of the same `(trace,
-    /// arch, placement, policy, batching)` inputs serialize this copy
-    /// to byte-identical JSON at any `--jobs` setting and any cache
-    /// state.
-    #[must_use]
-    pub fn comparable(&self) -> Self {
-        let mut report = self.clone();
-        report.timing = TrafficTiming {
-            total_ms: 0.0,
-            threads: 0,
-        };
-        report
-    }
-
     /// Renders a human-readable summary: headline aggregate numbers,
     /// the per-tenant table and the per-partition occupancy table.
     #[must_use]
@@ -337,7 +270,7 @@ mod tests {
 
     fn report(policy: &str, p99: f64) -> TrafficReport {
         TrafficReport {
-            schema_version: TRAFFIC_SCHEMA_VERSION,
+            schema_version: TrafficReport::VERSION,
             toolchain: "test".into(),
             trace: "t".into(),
             generator: "poisson".into(),
@@ -364,39 +297,11 @@ mod tests {
                 max_queue_depth: 5,
             }],
             aggregate: flow(p99),
-            timing: TrafficTiming {
+            timing: RunTiming {
                 total_ms: 12.5,
                 threads: 4,
             },
         }
-    }
-
-    #[test]
-    fn round_trips_and_enforces_schema_window() {
-        let r = report("fifo", 100.0);
-        let back = TrafficReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-
-        let mut bad = r;
-        bad.schema_version = TRAFFIC_SCHEMA_VERSION + 1;
-        let err = TrafficReport::from_json(&bad.to_json()).unwrap_err();
-        assert!(
-            matches!(err, TrafficReportError::SchemaVersion { .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn comparable_strips_only_timing() {
-        let a = report("fifo", 100.0);
-        let mut b = a.clone();
-        b.timing = TrafficTiming {
-            total_ms: 99.0,
-            threads: 16,
-        };
-        assert_ne!(a.to_json(), b.to_json());
-        assert_eq!(a.comparable().to_json(), b.comparable().to_json());
-        assert_eq!(a.comparable().aggregate, a.aggregate);
     }
 
     #[test]

@@ -19,48 +19,28 @@
 //!   periods around `idle_gap`;
 //! * **mix** — one shared Poisson stream routed to tenants by their
 //!   `weight`s (the weighted multi-model mix of a shared frontend).
+//!
+//! A [`Trace`] is a [`Document`]: its version window, JSON in/out and
+//! validation come from [`cim_bench::doc`].
+//!
+//! # Version history
+//!
+//! * **1** — initial layout.
 
+use cim_bench::doc::Document;
 use serde::{Deserialize, Serialize};
 
-/// Version of the trace file layout. Bump on any backwards-incompatible
-/// change; [`Trace::from_json`] rejects documents outside
-/// [`TRACE_MIN_SCHEMA_VERSION`]`..=`[`TRACE_SCHEMA_VERSION`].
-///
-/// # History
-///
-/// * **1** — initial layout.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
-
-/// Oldest trace layout [`Trace::from_json`] still reads.
-pub const TRACE_MIN_SCHEMA_VERSION: u32 = 1;
-
-/// Why a trace spec or trace document was rejected.
+/// Why a trace spec was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceError {
     /// A spec parameter is out of range or inconsistent.
     InvalidSpec(String),
-    /// A trace document is not valid JSON / does not match the schema.
-    Parse(String),
-    /// A trace document's `schema_version` is outside the supported
-    /// window.
-    SchemaVersion {
-        /// Version found in the document.
-        found: u32,
-        /// Newest version this toolchain reads and writes.
-        expected: u32,
-    },
 }
 
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceError::InvalidSpec(msg) => write!(f, "invalid trace spec: {msg}"),
-            TraceError::Parse(msg) => write!(f, "invalid trace document: {msg}"),
-            TraceError::SchemaVersion { found, expected } => write!(
-                f,
-                "trace schema_version {found} is outside the supported range \
-                 {TRACE_MIN_SCHEMA_VERSION}..={expected}"
-            ),
         }
     }
 }
@@ -196,7 +176,7 @@ pub struct TraceEvent {
 /// artifact `cimc trace` writes and `cimc simulate` replays.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
-    /// Document layout version ([`TRACE_SCHEMA_VERSION`]).
+    /// Document layout version ([`Document::VERSION`] when generated).
     pub schema_version: u32,
     /// The spec this trace was generated from (self-describing: a
     /// trace file can be regenerated and audited from itself).
@@ -339,78 +319,60 @@ impl TraceSpec {
             })
             .collect();
         Ok(Trace {
-            schema_version: TRACE_SCHEMA_VERSION,
+            schema_version: Trace::VERSION,
             spec: self.clone(),
             requests,
         })
     }
 }
 
-impl Trace {
-    /// Serializes the trace as pretty-printed JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("traces always serialize")
+impl Document for Trace {
+    const KIND: &'static str = "trace";
+    const VERSION: u32 = 1;
+    const MIN_VERSION: u32 = 1;
+
+    fn schema_version(&self) -> u32 {
+        self.schema_version
     }
 
-    /// Parses and validates a trace document: schema window, spec
-    /// validity, tenant indices in range, arrivals within the horizon
-    /// and sorted by `(arrival, id)`.
-    ///
-    /// # Errors
-    /// Returns [`TraceError`] on malformed JSON, a schema-version
-    /// mismatch, or an internally inconsistent document.
-    pub fn from_json(json: &str) -> Result<Self, TraceError> {
-        let trace: Trace =
-            serde_json::from_str(json).map_err(|e| TraceError::Parse(e.to_string()))?;
-        trace.validate()?;
-        Ok(trace)
-    }
+    /// Nothing: a trace is a pure function of its spec.
+    fn strip_volatile(&mut self) {}
 
-    /// Validates an already-deserialized trace document: schema window,
-    /// spec validity, tenant indices in range, arrivals within the
+    /// Spec validity, tenant indices in range, arrivals within the
     /// horizon and sorted by `(arrival, id)`.
-    ///
-    /// # Errors
-    /// Returns [`TraceError`] on a schema-version mismatch or an
-    /// internally inconsistent document.
-    pub fn validate(&self) -> Result<(), TraceError> {
-        if !(TRACE_MIN_SCHEMA_VERSION..=TRACE_SCHEMA_VERSION).contains(&self.schema_version) {
-            return Err(TraceError::SchemaVersion {
-                found: self.schema_version,
-                expected: TRACE_SCHEMA_VERSION,
-            });
-        }
-        self.spec.validate()?;
+    fn check(&self) -> Result<(), String> {
+        self.spec.validate().map_err(|e| e.to_string())?;
         let mut prev: Option<(u64, u64)> = None;
         for r in &self.requests {
             if r.tenant >= self.spec.tenants.len() {
-                return Err(TraceError::Parse(format!(
+                return Err(format!(
                     "request {} references tenant index {} of {} tenant(s)",
                     r.id,
                     r.tenant,
                     self.spec.tenants.len()
-                )));
+                ));
             }
             if r.arrival >= self.spec.horizon {
-                return Err(TraceError::Parse(format!(
+                return Err(format!(
                     "request {} arrives at cycle {} beyond the horizon {}",
                     r.id, r.arrival, self.spec.horizon
-                )));
+                ));
             }
             if let Some(p) = prev {
                 if (r.arrival, r.id) <= p {
-                    return Err(TraceError::Parse(format!(
+                    return Err(format!(
                         "requests are not sorted by (arrival, id) at request {}",
                         r.id
-                    )));
+                    ));
                 }
             }
             prev = Some((r.arrival, r.id));
         }
         Ok(())
     }
+}
 
+impl Trace {
     /// Number of requests belonging to tenant index `tenant`.
     #[must_use]
     pub fn tenant_requests(&self, tenant: usize) -> usize {
@@ -588,21 +550,6 @@ mod tests {
                 assert_eq!(r.deadline, None);
             }
         }
-    }
-
-    #[test]
-    fn round_trips_through_json() {
-        let trace = spec(GeneratorKind::Bursty).generate().unwrap();
-        let back = Trace::from_json(&trace.to_json()).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn schema_window_is_enforced() {
-        let mut trace = spec(GeneratorKind::Poisson).generate().unwrap();
-        trace.schema_version = TRACE_SCHEMA_VERSION + 1;
-        let err = Trace::from_json(&trace.to_json()).unwrap_err();
-        assert!(matches!(err, TraceError::SchemaVersion { .. }), "{err}");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!   dispatch log).
 
 use cim_arch::presets;
+use cim_bench::Document;
 use cim_sim::ServiceModel;
 use cim_traffic::{
     simulate_priced, Batching, GeneratorKind, Placement, PolicyKind, SimConfig, TenantSpec, Trace,

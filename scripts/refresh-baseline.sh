@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates BOTH committed full-sweep artifacts from one binary:
+# Regenerates all three committed report artifacts from one binary:
 #
 #   * bench/baseline.json — the --comparable report CI's bench-report
 #     job gates against, with the compile_time section attached
@@ -13,12 +13,12 @@
 #     trace parameters here and in scripts/ci-local.sh traffic_smoke
 #     must stay in lockstep).
 #
-# INVARIANT: the bench files are written by the same cimc build in the
-# same run, so their schema_version fields must always match; the
-# traffic baseline's schema_version must match what this cimc emits.
-# The checks at the end fail loudly on drift — if one fires, a file was
-# edited or regenerated by hand; rerun this script and commit all three
-# together.
+# INVARIANT: all three files are written by the same cimc build in one
+# run, so each carries the schema_version this toolchain writes.
+# tests/documents.rs enforces that on every `cargo test` (each file must
+# load through its document type, carry the current VERSION and
+# re-serialize to its committed bytes); if it fires, a file was edited or
+# regenerated by hand — rerun this script and commit all three together.
 #
 # usage: scripts/refresh-baseline.sh [jobs]
 #
@@ -62,10 +62,6 @@ fi
 # trace and --jobs 1 --comparable replay as scripts/ci-local.sh
 # traffic_smoke (keep the trace parameters in lockstep with it).
 traffic_baseline="bench/traffic-baseline.json"
-old_traffic_schema=""
-if [ -f "$traffic_baseline" ]; then
-    old_traffic_schema="$(sed -n 's/^[[:space:]]*"schema_version":[[:space:]]*\([0-9][0-9]*\).*$/\1/p' "$traffic_baseline" | head -n 1)"
-fi
 traffic_trace="$(mktemp)"
 tmpfiles+=("$traffic_trace")
 ./target/release/cimc trace --models lenet5,mlp --kind bursty --seed 11 \
@@ -73,40 +69,6 @@ tmpfiles+=("$traffic_trace")
     --horizon 2000000 --out "$traffic_trace" > /dev/null
 ./target/release/cimc simulate --trace "$traffic_trace" --jobs 1 \
     --comparable --out "$traffic_baseline" > /dev/null
-
-# Enforce the invariant documented in the header: both committed
-# artifacts must carry the same schema_version.
-schema_of() {
-    sed -n 's/^[[:space:]]*"schema_version":[[:space:]]*\([0-9][0-9]*\).*$/\1/p' "$1" | head -n 1
-}
-baseline_schema="$(schema_of "$baseline")"
-sweep_schema="$(schema_of "$sweep")"
-if [ -z "$baseline_schema" ] || [ -z "$sweep_schema" ]; then
-    echo "ERROR: could not read schema_version from $baseline ($baseline_schema) or $sweep ($sweep_schema)" >&2
-    exit 1
-fi
-if [ "$baseline_schema" != "$sweep_schema" ]; then
-    echo "ERROR: schema_version drift between committed sweep artifacts:" >&2
-    echo "  $baseline: schema_version $baseline_schema" >&2
-    echo "  $sweep:    schema_version $sweep_schema" >&2
-    echo "Both files are written by this script in one run; regenerate and commit them together." >&2
-    exit 1
-fi
-echo "schema_version $baseline_schema consistent across $baseline and $sweep"
-
-# Traffic baseline: fail loudly if the regenerated array carries no
-# schema_version, and flag an intentional schema bump so it lands in the
-# same commit as the code that caused it.
-traffic_schema="$(schema_of "$traffic_baseline")"
-if [ -z "$traffic_schema" ]; then
-    echo "ERROR: could not read schema_version from $traffic_baseline" >&2
-    exit 1
-fi
-if [ -n "$old_traffic_schema" ] && [ "$traffic_schema" != "$old_traffic_schema" ]; then
-    echo "NOTE: $traffic_baseline schema_version changed $old_traffic_schema -> $traffic_schema;" >&2
-    echo "commit the refreshed baseline together with the cim-traffic change that bumped it." >&2
-fi
-echo "schema_version $traffic_schema in $traffic_baseline"
 
 echo
 git --no-pager diff --stat -- "$baseline" "$sweep" "$traffic_baseline" || true

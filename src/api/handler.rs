@@ -9,7 +9,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use cim_arch::{presets, CimArchitecture};
-use cim_bench::{measure_gate_entries, run_sweep_cached, BenchReport, ScheduleMode, SweepSpec};
+use cim_bench::{
+    measure_gate_entries, run_sweep_cached, BenchReport, Document, RunTiming, ScheduleMode,
+    SweepSpec,
+};
 use cim_compiler::cache::fingerprint_graph;
 use cim_compiler::{
     Artifact, CodegenPass, CompileCache, CompileOptions, DiskCache, Fingerprint, MemoryCache,
@@ -21,7 +24,7 @@ use cim_mop::FlowStats;
 use cim_sim::{reference, Machine, WeightStore};
 use cim_traffic::{
     simulate_priced, Batching, GeneratorKind, Placement, PolicyKind, SimConfig, TenantSpec, Trace,
-    TraceSpec, TrafficReport, TrafficTiming,
+    TraceSpec, TrafficReport,
 };
 
 use super::{
@@ -72,7 +75,7 @@ fn model(name: &str) -> Result<Graph, String> {
 }
 
 /// Validates a trace that arrived pre-deserialized through the typed
-/// API (so it skipped [`Trace::from_json`]'s checks), returning a clone.
+/// API (so it skipped [`Document::from_json`]'s checks), returning a clone.
 fn revalidated(trace: &Trace) -> Result<Trace, ApiError> {
     trace
         .validate()
@@ -816,7 +819,7 @@ impl Handler {
                 let (mut report, _) =
                     simulate_priced(&trace, &arch, &placement, &services, &config, threads)
                         .map_err(|e| ApiError::input(e.to_string()))?;
-                report.timing = TrafficTiming {
+                report.timing = RunTiming {
                     total_ms: started.elapsed_ms(),
                     threads,
                 };

@@ -85,11 +85,20 @@ fn load<T, E: Display>(
     parse(&json).map_err(|e| Fail(format!("invalid {noun} `{path}`: {e}")))
 }
 
-/// Loads a `--baseline` bench report.
+/// Loads a `--baseline` bench report; one from another schema version
+/// names the script that regenerates it.
 fn load_baseline(path: &str) -> Result<BenchReport, CliError> {
     let json = std::fs::read_to_string(path)
         .map_err(|e| Fail(format!("cannot read baseline `{path}`: {e}")))?;
-    BenchReport::from_json(&json).map_err(|e| Fail(format!("baseline `{path}`: {e}")))
+    BenchReport::from_json(&json).map_err(|e| {
+        let hint = match e {
+            DocError::SchemaVersion { .. } => {
+                " (regenerate the baseline with scripts/refresh-baseline.sh)"
+            }
+            DocError::Parse { .. } => "",
+        };
+        Fail(format!("baseline `{path}`: {e}{hint}"))
+    })
 }
 
 /// Every file the binary writes goes through here: temp file + rename,

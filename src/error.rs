@@ -1,7 +1,7 @@
 //! The unified error type of the CIM-MLC stack.
 //!
 //! Every fallible entry point of the facade — architecture construction
-//! and loading, graph loading, compilation, bench sweeps and report
+//! and loading, graph loading, compilation, bench sweeps and document
 //! parsing — speaks its own crate-level error. [`Error`] wraps them all
 //! with `From` conversions and [`std::error::Error::source`] chains, so a
 //! binary can `?` across subsystem boundaries and print one coherent
@@ -24,9 +24,9 @@ use std::error::Error as StdError;
 use std::fmt;
 
 use cim_arch::ArchError;
-use cim_bench::{ReportError, SweepError};
+use cim_bench::{DocError, SweepError};
 use cim_compiler::CompileError;
-use cim_dse::{DseError, DseReportError};
+use cim_dse::DseError;
 use cim_graph::GraphError;
 use cim_traffic::{TraceError, TrafficError};
 
@@ -43,13 +43,11 @@ pub enum Error {
     Compile(CompileError),
     /// A bench sweep spec was invalid.
     Sweep(SweepError),
-    /// A bench report document was rejected.
-    Report(ReportError),
+    /// A report or trace document was rejected (the source names which).
+    Doc(DocError),
     /// A design-space exploration could not start.
     Dse(DseError),
-    /// An exploration report document was rejected.
-    DseReport(DseReportError),
-    /// A trace spec or trace document was rejected.
+    /// A trace spec was rejected.
     Trace(TraceError),
     /// A traffic simulation could not run.
     Traffic(TrafficError),
@@ -96,9 +94,8 @@ impl fmt::Display for Error {
             Error::Graph(_) => write!(f, "invalid model graph"),
             Error::Compile(_) => write!(f, "compilation failed"),
             Error::Sweep(_) => write!(f, "invalid sweep spec"),
-            Error::Report(_) => write!(f, "invalid bench report"),
+            Error::Doc(_) => write!(f, "document rejected"),
             Error::Dse(_) => write!(f, "invalid exploration"),
-            Error::DseReport(_) => write!(f, "invalid exploration report"),
             Error::Trace(_) => write!(f, "invalid trace"),
             Error::Traffic(_) => write!(f, "traffic simulation failed"),
             Error::Api(_) => write!(f, "request failed"),
@@ -114,9 +111,8 @@ impl StdError for Error {
             Error::Graph(e) => Some(e),
             Error::Compile(e) => Some(e),
             Error::Sweep(e) => Some(e),
-            Error::Report(e) => Some(e),
+            Error::Doc(e) => Some(e),
             Error::Dse(e) => Some(e),
-            Error::DseReport(e) => Some(e),
             Error::Trace(e) => Some(e),
             Error::Traffic(e) => Some(e),
             Error::Api(e) => Some(e),
@@ -149,21 +145,15 @@ impl From<SweepError> for Error {
     }
 }
 
-impl From<ReportError> for Error {
-    fn from(e: ReportError) -> Self {
-        Error::Report(e)
+impl From<DocError> for Error {
+    fn from(e: DocError) -> Self {
+        Error::Doc(e)
     }
 }
 
 impl From<DseError> for Error {
     fn from(e: DseError) -> Self {
         Error::Dse(e)
-    }
-}
-
-impl From<DseReportError> for Error {
-    fn from(e: DseReportError) -> Self {
-        Error::DseReport(e)
     }
 }
 
@@ -222,9 +212,12 @@ mod tests {
         }
         .into();
         let _: Error = SweepError::EmptyAxis("models").into();
-        let _: Error = ReportError::Parse("x".into()).into();
+        let _: Error = DocError::Parse {
+            kind: "bench report",
+            message: "x".into(),
+        }
+        .into();
         let _: Error = DseError::ZeroBudget.into();
-        let _: Error = DseReportError::Parse("x".into()).into();
         let _: Error = TraceError::InvalidSpec("x".into()).into();
         let _: Error = TrafficError::UnplacedModel("x".into()).into();
         let _: Error = crate::api::ApiError::argument("x").into();

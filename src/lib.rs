@@ -119,7 +119,8 @@ pub mod prelude {
     };
     pub use cim_bench::{
         compare, measure_entry, measure_gate_entries, run_sweep, run_sweep_cached, BenchReport,
-        CompileTimeBudget, CompileTimeRecord, ScheduleMode, SweepSpec, Tolerances, GATE_ENTRIES,
+        CompileTimeBudget, CompileTimeRecord, DocError, Document, ScheduleMode, SweepSpec,
+        Tolerances, GATE_ENTRIES,
     };
     pub use cim_compiler::{
         codegen, write_atomic, Artifact, CacheStats, CodegenPass, CompileCache, CompileMetrics,

@@ -2,6 +2,7 @@
 //! `bench` subcommand: exit codes, error messages that name the
 //! offending value, report emission and the regression gate.
 
+use cim_mlc::prelude::Document;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -194,6 +195,11 @@ fn bench_emits_a_schema_valid_report_and_gates_on_it() {
     let out = cimc(&gate);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(stderr(&out).contains("schema_version"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("scripts/refresh-baseline.sh"),
+        "{}",
+        stderr(&out)
+    );
 
     for p in [report_path, faster_path, broken_path, future_path] {
         let _ = std::fs::remove_file(p);
