@@ -9,17 +9,22 @@
 //! produces the same [`Document::comparable`] bytes at any thread
 //! count.
 //!
-//! Per partition, the loop alternates admission and dispatch: when the
-//! partition frees up, the policy orders the queue
-//! ([`SchedPolicy::compare`], stable sort), drop-on-miss policies shed
-//! requests whose deadline already passed, and the front of the queue
-//! boards a batch bounded by [`Batching::max_batch`]; a partial batch
-//! waits for more arrivals at most [`Batching::max_wait`] cycles past
-//! the oldest queued request's arrival. One batch of `b` requests
-//! occupies the partition for [`ServiceModel::batch_cycles`]`(b)`.
+//! Per partition, the loop alternates admission and dispatch. The
+//! queue is one binary heap of request indices ordered by
+//! [`SchedPolicy::key`]: admission pushes, and when the partition frees
+//! up, drop-on-miss policies pop the requests whose deadline already
+//! passed off the top, then the smallest keys board a batch bounded by
+//! [`Batching::max_batch`]. A partial batch waits for more arrivals at
+//! most [`Batching::max_wait`] cycles past the oldest queued request's
+//! arrival. One batch of `b` requests occupies the partition for
+//! [`ServiceModel::batch_cycles`]`(b)`.
+//!
+//! A replay of `n` requests therefore costs `O(n log q)` for a deepest
+//! queue of `q`, and keeps one [`RequestOutcome`] per request — never a
+//! per-dispatch copy of the queue.
 
 use crate::placement::{price_partition, Placement};
-use crate::policy::{Batching, PolicyKind, Queued, SchedPolicy};
+use crate::policy::{Batching, PolicyKind, SchedPolicy};
 use crate::report::{FlowStats, PartitionStats, TenantStats, TrafficReport};
 use crate::trace::{Trace, TraceError, TraceEvent};
 use cim_arch::CimArchitecture;
@@ -29,6 +34,8 @@ use cim_compiler::pool::run_ordered;
 use cim_compiler::CompileCache;
 use cim_graph::Graph;
 use cim_sim::ServiceModel;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 /// Why a simulation could not run.
@@ -86,20 +93,19 @@ pub struct SimConfig {
     pub batching: Batching,
 }
 
-/// One dispatch decision, for inspection and property tests: what
-/// boarded, what stayed queued, what was shed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatchRecord {
-    /// Partition index (into the placement).
+/// One request's fate, as [`simulate_priced`] returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestOutcome {
+    /// Request id (from the trace).
+    pub id: u64,
+    /// Index into the trace spec's tenants.
+    pub tenant: usize,
+    /// Partition index (into the placement) that queued the request.
     pub partition: usize,
-    /// Cycle the batch was formed.
-    pub at: u64,
-    /// Request ids that boarded, in policy order.
-    pub batch: Vec<u64>,
-    /// Request ids still queued after the batch boarded.
-    pub queued: Vec<u64>,
-    /// Request ids dropped at this dispatch (deadline already missed).
-    pub dropped: Vec<u64>,
+    /// Cycle the request boarded a batch, or was dropped.
+    pub dispatched: u64,
+    /// Cycle its batch finished; `None` = dropped unserved.
+    pub finished: Option<u64>,
 }
 
 /// Prices every partition (compiling each placed model against its
@@ -168,9 +174,9 @@ pub fn price_placement(
 }
 
 /// Replays `trace` against already-priced partitions, returning the
-/// report (with zeroed timing — [`run_simulation`] stamps it) and the
-/// full dispatch log. Exposed for property tests and policy debugging;
-/// most callers want [`run_simulation`].
+/// report (with zeroed timing — [`run_simulation`] stamps it) and one
+/// [`RequestOutcome`] per request, in trace order. Exposed for property
+/// tests and policy debugging; most callers want [`run_simulation`].
 ///
 /// # Errors
 /// Returns [`TrafficError`] on an invalid placement/batching or a
@@ -183,7 +189,7 @@ pub fn simulate_priced(
     services: &[ServiceModel],
     config: &SimConfig,
     threads: usize,
-) -> Result<(TrafficReport, Vec<DispatchRecord>), TrafficError> {
+) -> Result<(TrafficReport, Vec<RequestOutcome>), TrafficError> {
     trace.spec.validate()?;
     placement.validate(arch)?;
     if config.batching.max_batch == 0 {
@@ -196,8 +202,8 @@ pub fn simulate_priced(
         placement.partitions.len(),
         "one service model per partition"
     );
-
-    // Route each tenant (and so each request) to its partition.
+    // Route each tenant, and so each request, to its partition; per
+    // partition, its requests' trace indices in arrival order.
     let tenant_partition: Vec<usize> = trace
         .spec
         .tenants
@@ -208,63 +214,198 @@ pub fn simulate_priced(
                 .ok_or_else(|| TrafficError::UnplacedModel(t.model.clone()))
         })
         .collect::<Result<_, _>>()?;
-    let mut per_partition: Vec<Vec<TraceEvent>> = vec![Vec::new(); placement.partitions.len()];
-    for r in &trace.requests {
-        per_partition[tenant_partition[r.tenant]].push(r.clone());
+    let mut members = vec![Vec::new(); placement.partitions.len()];
+    for (i, r) in trace.requests.iter().enumerate() {
+        members[tenant_partition[r.tenant]].push(i);
     }
-
     let policy = config.policy.build();
     let indices: Vec<usize> = (0..placement.partitions.len()).collect();
     let loops = run_ordered(&indices, threads.max(1), |&p| {
         run_partition(
-            p,
-            &per_partition[p],
+            &trace.requests,
+            &members[p],
             &services[p],
             policy.as_ref(),
             config.batching,
             trace.spec.horizon,
         )
     });
+    Ok(assemble(
+        trace,
+        arch,
+        placement,
+        config,
+        &tenant_partition,
+        &loops,
+    ))
+}
 
-    // Merge: per-tenant stats in spec order, partition stats in
-    // placement order, aggregate across everything.
+/// Everything one partition loop produces.
+#[derive(Default)]
+struct PartitionLoop {
+    /// `(dispatched, finished)` per member request, in member order.
+    slots: Vec<(u64, Option<u64>)>,
+    served: u64,
+    batches: u64,
+    busy_cycles: u64,
+    makespan: u64,
+    max_queue_depth: usize,
+}
+
+/// Replays one partition's requests: `members` indexes `events` in
+/// arrival order.
+fn run_partition(
+    events: &[TraceEvent],
+    members: &[usize],
+    service: &ServiceModel,
+    policy: &dyn SchedPolicy,
+    batching: Batching,
+    horizon: u64,
+) -> PartitionLoop {
+    let event = |k: usize| &events[members[k]];
+    let mut out = PartitionLoop {
+        slots: vec![(0, None); members.len()],
+        makespan: horizon,
+        ..PartitionLoop::default()
+    };
+    // Min-heap of (key, member position).
+    let mut queue = BinaryHeap::new();
+    let mut next = 0usize; // next un-admitted member
+    let mut now = 0u64;
+    let mut free_at = 0u64;
+
+    let mut admit = |until: u64, next: &mut usize, queue: &mut BinaryHeap<_>| {
+        while *next < members.len() && event(*next).arrival <= until {
+            queue.push(Reverse((policy.key(event(*next)), *next)));
+            *next += 1;
+            out.max_queue_depth = out.max_queue_depth.max(queue.len());
+        }
+    };
+
+    while next < members.len() || !queue.is_empty() {
+        if queue.is_empty() {
+            // Idle: jump to the next arrival.
+            now = now.max(event(next).arrival);
+        }
+        // Requests keep queueing while the partition is busy.
+        now = now.max(free_at);
+        admit(now, &mut next, &mut queue);
+        if queue.is_empty() {
+            continue;
+        }
+        // Batch forming: wait for a fuller batch if allowed and there
+        // is anything to wait for.
+        if queue.len() < batching.max_batch && batching.max_wait > 0 && next < members.len() {
+            let oldest = queue
+                .iter()
+                .map(|Reverse((_, k))| event(*k).arrival)
+                .min()
+                .expect("queue is non-empty");
+            let force_at = oldest.saturating_add(batching.max_wait);
+            if now < force_at {
+                if event(next).arrival <= force_at {
+                    now = now.max(event(next).arrival);
+                    admit(now, &mut next, &mut queue);
+                    continue;
+                }
+                now = force_at;
+            }
+        }
+        // Drop-on-miss: the key leads with the deadline, so every
+        // request that can only produce a missed answer is on top.
+        let expired =
+            |k: usize| policy.drop_on_miss() && event(k).deadline.is_some_and(|d| d <= now);
+        while let Some(top) = queue.peek_mut().filter(|top| expired(top.0 .1)) {
+            let Reverse((_, k)) = PeekMut::pop(top);
+            out.slots[k] = (now, None);
+        }
+        let take = queue.len().min(batching.max_batch);
+        if take == 0 {
+            continue;
+        }
+        let cost = service.batch_cycles(take);
+        let finish = now + cost;
+        for _ in 0..take {
+            let Reverse((_, k)) = queue.pop().expect("take <= queue length");
+            out.slots[k] = (now, Some(finish));
+        }
+        out.served += take as u64;
+        out.batches += 1;
+        out.busy_cycles += cost;
+        out.makespan = out.makespan.max(finish);
+        free_at = finish;
+    }
+    out
+}
+
+/// Folds the partition loops into the report and the per-request
+/// outcomes: one pass over the trace, one sort per tenant.
+fn assemble(
+    trace: &Trace,
+    arch: &CimArchitecture,
+    placement: &Placement,
+    config: &SimConfig,
+    tenant_partition: &[usize],
+    loops: &[PartitionLoop],
+) -> (TrafficReport, Vec<RequestOutcome>) {
+    // Every loop's makespan starts at the (validated, non-zero) horizon.
     let makespan = loops
         .iter()
         .map(|l| l.makespan)
-        .max()
-        .unwrap_or(trace.spec.horizon)
-        .max(trace.spec.horizon);
+        .fold(trace.spec.horizon, u64::max);
     let mcycles = makespan as f64 / 1e6;
 
-    let mut tenants = Vec::with_capacity(trace.spec.tenants.len());
-    for (idx, t) in trace.spec.tenants.iter().enumerate() {
-        let outcomes: Vec<&RequestOutcome> = loops
-            .iter()
-            .flat_map(|l| &l.outcomes)
-            .filter(|o| o.tenant == idx)
-            .collect();
-        tenants.push(TenantStats {
+    // Each partition's members are in trace order, so a cursor per
+    // partition walks its slots alongside the trace.
+    let mut cursor = vec![0usize; loops.len()];
+    let mut flows = vec![Tally::default(); trace.spec.tenants.len()];
+    let outcomes: Vec<RequestOutcome> = trace
+        .requests
+        .iter()
+        .map(|r| {
+            let partition = tenant_partition[r.tenant];
+            let (dispatched, finished) = loops[partition].slots[cursor[partition]];
+            cursor[partition] += 1;
+            flows[r.tenant].add(r, finished);
+            RequestOutcome {
+                id: r.id,
+                tenant: r.tenant,
+                partition,
+                dispatched,
+                finished,
+            }
+        })
+        .collect();
+    let mut all = Tally::default();
+    for flow in &mut flows {
+        flow.latencies.sort_by(f64::total_cmp);
+        all.requests += flow.requests;
+        all.missed += flow.missed;
+        all.latencies.extend_from_slice(&flow.latencies);
+    }
+    // A concatenation of sorted runs, which the sort merges.
+    all.latencies.sort_by(f64::total_cmp);
+
+    let tenants = trace
+        .spec
+        .tenants
+        .iter()
+        .zip(&flows)
+        .map(|(t, flow)| TenantStats {
             tenant: t.name.clone(),
             model: t.model.clone(),
-            flow: flow_of(&outcomes, mcycles),
-        });
-    }
-    let all: Vec<&RequestOutcome> = loops.iter().flat_map(|l| &l.outcomes).collect();
-    let aggregate = flow_of(&all, mcycles);
-
+            flow: flow.stats(mcycles),
+        })
+        .collect();
     let partitions = placement
         .partitions
         .iter()
-        .zip(&loops)
+        .zip(loops)
         .map(|(p, l)| PartitionStats {
             model: p.model.clone(),
             cores: p.cores,
             crossbars: u64::from(p.cores) * u64::from(arch.core().xb_count()),
-            utilization: if l.makespan > 0 {
-                l.busy_cycles as f64 / l.makespan.max(trace.spec.horizon) as f64
-            } else {
-                0.0
-            },
+            utilization: l.busy_cycles as f64 / l.makespan as f64,
             batches: l.batches,
             mean_batch: if l.batches > 0 {
                 l.served as f64 / l.batches as f64
@@ -290,177 +431,41 @@ pub fn simulate_priced(
         max_wait: config.batching.max_wait,
         tenants,
         partitions,
-        aggregate,
+        aggregate: all.stats(mcycles),
         timing: RunTiming::default(),
     };
-    let mut log: Vec<DispatchRecord> = loops.into_iter().flat_map(|l| l.log).collect();
-    log.sort_by_key(|d| (d.at, d.partition, d.batch.first().copied().unwrap_or(0)));
-    Ok((report, log))
+    (report, outcomes)
 }
 
-/// One request's fate inside a partition loop.
-#[derive(Debug, Clone)]
-struct RequestOutcome {
-    tenant: usize,
-    served: bool,
-    missed: bool,
-    latency: f64,
+/// One request flow's counters and served latencies.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    requests: u64,
+    missed: u64,
+    latencies: Vec<f64>,
 }
 
-/// Everything one partition loop produces.
-struct PartitionLoop {
-    outcomes: Vec<RequestOutcome>,
-    served: u64,
-    batches: u64,
-    busy_cycles: u64,
-    makespan: u64,
-    max_queue_depth: usize,
-    log: Vec<DispatchRecord>,
-}
-
-fn run_partition(
-    partition: usize,
-    events: &[TraceEvent],
-    service: &ServiceModel,
-    policy: &dyn SchedPolicy,
-    batching: Batching,
-    horizon: u64,
-) -> PartitionLoop {
-    let mut out = PartitionLoop {
-        outcomes: Vec::with_capacity(events.len()),
-        served: 0,
-        batches: 0,
-        busy_cycles: 0,
-        makespan: horizon,
-        max_queue_depth: 0,
-        log: Vec::new(),
-    };
-    let mut queue: Vec<Queued> = Vec::new();
-    let mut next = 0usize; // next un-admitted event
-    let mut now = 0u64;
-    let mut free_at = 0u64;
-
-    let admit = |until: u64, next: &mut usize, queue: &mut Vec<Queued>, depth: &mut usize| {
-        while *next < events.len() && events[*next].arrival <= until {
-            queue.push(Queued {
-                event: events[*next].clone(),
-                enqueued: events[*next].arrival,
-            });
-            *next += 1;
-            *depth = (*depth).max(queue.len());
+impl Tally {
+    fn add(&mut self, request: &TraceEvent, finished: Option<u64>) {
+        self.requests += 1;
+        if let Some(finish) = finished {
+            self.missed += u64::from(request.deadline.is_some_and(|d| finish > d));
+            self.latencies.push((finish - request.arrival) as f64);
         }
-    };
-
-    while next < events.len() || !queue.is_empty() {
-        if queue.is_empty() {
-            // Idle: jump to the next arrival.
-            now = now.max(events[next].arrival);
-        }
-        admit(now, &mut next, &mut queue, &mut out.max_queue_depth);
-        if now < free_at {
-            // The partition is busy; requests keep queueing meanwhile.
-            now = free_at;
-            admit(now, &mut next, &mut queue, &mut out.max_queue_depth);
-        }
-        if queue.is_empty() {
-            continue;
-        }
-        // Batch forming: wait for a fuller batch if allowed and there
-        // is anything to wait for.
-        if queue.len() < batching.max_batch && batching.max_wait > 0 && next < events.len() {
-            let oldest = queue
-                .iter()
-                .map(|q| q.enqueued)
-                .min()
-                .expect("queue is non-empty");
-            let force_at = oldest.saturating_add(batching.max_wait);
-            if now < force_at {
-                if events[next].arrival <= force_at {
-                    now = now.max(events[next].arrival);
-                    admit(now, &mut next, &mut queue, &mut out.max_queue_depth);
-                    continue;
-                }
-                now = force_at;
-            }
-        }
-        // Policy order (stable: ties keep arrival order from admission).
-        queue.sort_by(|a, b| policy.compare(a, b));
-        // Drop-on-miss: shed every request whose deadline has already
-        // passed — serving it could only produce a missed answer.
-        let mut dropped_ids = Vec::new();
-        if policy.drop_on_miss() {
-            queue.retain(|q| {
-                let expired = q.event.deadline.is_some_and(|d| d <= now);
-                if expired {
-                    dropped_ids.push(q.event.id);
-                    out.outcomes.push(RequestOutcome {
-                        tenant: q.event.tenant,
-                        served: false,
-                        missed: false,
-                        latency: 0.0,
-                    });
-                }
-                !expired
-            });
-        }
-        if queue.is_empty() {
-            if !dropped_ids.is_empty() {
-                out.log.push(DispatchRecord {
-                    partition,
-                    at: now,
-                    batch: Vec::new(),
-                    queued: Vec::new(),
-                    dropped: dropped_ids,
-                });
-            }
-            continue;
-        }
-        let take = queue.len().min(batching.max_batch);
-        let batch: Vec<Queued> = queue.drain(..take).collect();
-        let cost = service.batch_cycles(batch.len());
-        let finish = now + cost;
-        out.log.push(DispatchRecord {
-            partition,
-            at: now,
-            batch: batch.iter().map(|q| q.event.id).collect(),
-            queued: queue.iter().map(|q| q.event.id).collect(),
-            dropped: dropped_ids,
-        });
-        for q in &batch {
-            let missed = q.event.deadline.is_some_and(|d| finish > d);
-            out.outcomes.push(RequestOutcome {
-                tenant: q.event.tenant,
-                served: true,
-                missed,
-                latency: (finish - q.event.arrival) as f64,
-            });
-        }
-        out.served += batch.len() as u64;
-        out.batches += 1;
-        out.busy_cycles += cost;
-        out.makespan = out.makespan.max(finish);
-        free_at = finish;
     }
-    out
-}
 
-fn flow_of(outcomes: &[&RequestOutcome], mcycles: f64) -> FlowStats {
-    let served: Vec<f64> = outcomes
-        .iter()
-        .filter(|o| o.served)
-        .map(|o| o.latency)
-        .collect();
-    FlowStats {
-        requests: outcomes.len() as u64,
-        served: served.len() as u64,
-        dropped: outcomes.iter().filter(|o| !o.served).count() as u64,
-        missed: outcomes.iter().filter(|o| o.missed).count() as u64,
-        latency: LatencySummary::of(&served),
-        throughput: if mcycles > 0.0 {
-            served.len() as f64 / mcycles
-        } else {
-            0.0
-        },
+    /// The flow's stats; `latencies` must be sorted ascending and
+    /// `mcycles` positive.
+    fn stats(&self, mcycles: f64) -> FlowStats {
+        let served = self.latencies.len() as u64;
+        FlowStats {
+            requests: self.requests,
+            served,
+            dropped: self.requests - served,
+            missed: self.missed,
+            latency: LatencySummary::of_sorted(&self.latencies),
+            throughput: served as f64 / mcycles,
+        }
     }
 }
 
@@ -469,6 +474,7 @@ mod tests {
     use super::*;
     use crate::trace::{GeneratorKind, TenantSpec, TraceSpec};
     use cim_arch::presets;
+    use proptest::prelude::*;
 
     fn two_tenant_spec(kind: GeneratorKind, deadline: Option<u64>) -> TraceSpec {
         TraceSpec {
@@ -628,11 +634,16 @@ mod tests {
                 max_wait: 1_000_000,
             },
         };
-        let (report, log) = simulate_priced(&trace, &arch, &placement, &services, &cfg, 1).unwrap();
+        let (report, outcomes) =
+            simulate_priced(&trace, &arch, &placement, &services, &cfg, 1).unwrap();
         // With an effectively unbounded wait, everything rides batches
         // of up to max_batch.
         assert!(report.partitions[0].batches < report.aggregate.served.max(2));
-        assert!(log.iter().all(|d| d.batch.len() <= 4));
+        let mut boarded = std::collections::BTreeMap::new();
+        for o in &outcomes {
+            *boarded.entry(o.dispatched).or_insert(0) += 1;
+        }
+        assert!(boarded.values().all(|&n| n <= 4), "{boarded:?}");
     }
 
     #[test]
@@ -656,5 +667,353 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, TrafficError::UnplacedModel(m) if m == "lenet5"));
+    }
+
+    /// The engine before the heap, kept as the reference: re-sort the
+    /// whole queue by key on every dispatch, shed every expired request
+    /// anywhere in it, drain the front.
+    fn oracle_partition(
+        events: &[TraceEvent],
+        members: &[usize],
+        service: &ServiceModel,
+        policy: &dyn SchedPolicy,
+        batching: Batching,
+        horizon: u64,
+    ) -> PartitionLoop {
+        let event = |k: usize| &events[members[k]];
+        let mut out = PartitionLoop {
+            slots: vec![(0, None); members.len()],
+            makespan: horizon,
+            ..PartitionLoop::default()
+        };
+        let mut queue: Vec<usize> = Vec::new();
+        let (mut next, mut now, mut free_at) = (0usize, 0u64, 0u64);
+        let admit = |until: u64, next: &mut usize, queue: &mut Vec<usize>, depth: &mut usize| {
+            while *next < members.len() && event(*next).arrival <= until {
+                queue.push(*next);
+                *next += 1;
+                *depth = (*depth).max(queue.len());
+            }
+        };
+        while next < members.len() || !queue.is_empty() {
+            if queue.is_empty() {
+                now = now.max(event(next).arrival);
+            }
+            admit(now, &mut next, &mut queue, &mut out.max_queue_depth);
+            if now < free_at {
+                now = free_at;
+                admit(now, &mut next, &mut queue, &mut out.max_queue_depth);
+            }
+            if queue.is_empty() {
+                continue;
+            }
+            if queue.len() < batching.max_batch && batching.max_wait > 0 && next < members.len() {
+                let oldest = queue.iter().map(|&k| event(k).arrival).min().unwrap();
+                let force_at = oldest.saturating_add(batching.max_wait);
+                if now < force_at {
+                    if event(next).arrival <= force_at {
+                        now = now.max(event(next).arrival);
+                        admit(now, &mut next, &mut queue, &mut out.max_queue_depth);
+                        continue;
+                    }
+                    now = force_at;
+                }
+            }
+            queue.sort_by_key(|&k| policy.key(event(k)));
+            if policy.drop_on_miss() {
+                queue.retain(|&k| {
+                    let expired = event(k).deadline.is_some_and(|d| d <= now);
+                    if expired {
+                        out.slots[k] = (now, None);
+                    }
+                    !expired
+                });
+            }
+            if queue.is_empty() {
+                continue;
+            }
+            let batch: Vec<usize> = queue.drain(..queue.len().min(batching.max_batch)).collect();
+            let finish = now + service.batch_cycles(batch.len());
+            for &k in &batch {
+                out.slots[k] = (now, Some(finish));
+            }
+            out.served += batch.len() as u64;
+            out.batches += 1;
+            out.busy_cycles += finish - now;
+            out.makespan = out.makespan.max(finish);
+            free_at = finish;
+        }
+        out
+    }
+
+    /// The flow summary before the one-pass fold: filter the outcomes,
+    /// collect the served latencies, `LatencySummary::of`.
+    fn oracle_flow(
+        trace: &Trace,
+        outcomes: &[RequestOutcome],
+        tenant: Option<usize>,
+        mcycles: f64,
+    ) -> FlowStats {
+        let mine: Vec<(&TraceEvent, &RequestOutcome)> = trace
+            .requests
+            .iter()
+            .zip(outcomes)
+            .filter(|(_, o)| tenant.is_none_or(|t| o.tenant == t))
+            .collect();
+        let served: Vec<f64> = mine
+            .iter()
+            .filter_map(|(r, o)| o.finished.map(|f| (f - r.arrival) as f64))
+            .collect();
+        let missed = mine
+            .iter()
+            .filter(|(r, o)| o.finished.zip(r.deadline).is_some_and(|(f, d)| f > d))
+            .count();
+        FlowStats {
+            requests: mine.len() as u64,
+            served: served.len() as u64,
+            dropped: (mine.len() - served.len()) as u64,
+            missed: missed as u64,
+            latency: LatencySummary::of(&served),
+            throughput: served.len() as f64 / mcycles,
+        }
+    }
+
+    /// [`simulate_priced`] on the reference loop and the reference fold.
+    fn oracle_replay(
+        trace: &Trace,
+        arch: &CimArchitecture,
+        placement: &Placement,
+        services: &[ServiceModel],
+        config: &SimConfig,
+    ) -> (TrafficReport, Vec<RequestOutcome>) {
+        let tenant_partition: Vec<usize> = trace
+            .spec
+            .tenants
+            .iter()
+            .map(|t| placement.partition_of(&t.model).unwrap())
+            .collect();
+        let mut members = vec![Vec::new(); placement.partitions.len()];
+        for (i, r) in trace.requests.iter().enumerate() {
+            members[tenant_partition[r.tenant]].push(i);
+        }
+        let policy = config.policy.build();
+        let loops: Vec<PartitionLoop> = members
+            .iter()
+            .zip(services)
+            .map(|(m, s)| {
+                let (b, h) = (config.batching, trace.spec.horizon);
+                oracle_partition(&trace.requests, m, s, policy.as_ref(), b, h)
+            })
+            .collect();
+        let (mut report, outcomes) =
+            assemble(trace, arch, placement, config, &tenant_partition, &loops);
+        let mcycles = report.makespan as f64 / 1e6;
+        for (idx, t) in report.tenants.iter_mut().enumerate() {
+            t.flow = oracle_flow(trace, &outcomes, Some(idx), mcycles);
+        }
+        report.aggregate = oracle_flow(trace, &outcomes, None, mcycles);
+        (report, outcomes)
+    }
+
+    /// Small specs up to heavily overloaded bursts (4 000-cycle service
+    /// against arrivals every ~100 cycles), with and without deadlines.
+    fn replays() -> impl Strategy<Value = (TraceSpec, SimConfig)> {
+        (
+            prop_oneof![
+                Just(GeneratorKind::Poisson),
+                Just(GeneratorKind::Bursty),
+                Just(GeneratorKind::Mix),
+            ],
+            0u64..1_000,
+            50_000u64..250_000,
+            (100u32..4_000).prop_map(f64::from),
+            1u32..200,
+            (1_000u32..40_000).prop_map(f64::from),
+            proptest::collection::vec(
+                (
+                    prop_oneof![Just("lenet5"), Just("mlp")],
+                    0u32..4,
+                    proptest::option::of(2_000u64..60_000),
+                ),
+                1..4,
+            ),
+            prop_oneof![
+                Just(PolicyKind::Fifo),
+                Just(PolicyKind::Priority),
+                Just(PolicyKind::Edf),
+            ],
+            prop_oneof![Just(1usize), Just(4), Just(8)],
+            prop_oneof![Just(0u64), 1u64..20_000],
+        )
+            .prop_map(
+                |(kind, seed, horizon, mean_gap, burst_len, idle_gap, tenants, policy, b, w)| {
+                    let spec = TraceSpec {
+                        name: "oracle".into(),
+                        kind,
+                        seed,
+                        horizon,
+                        mean_gap,
+                        burst_len,
+                        idle_gap,
+                        tenants: tenants
+                            .into_iter()
+                            .enumerate()
+                            .map(|(idx, (model, priority, deadline))| TenantSpec {
+                                name: format!("t{idx}"),
+                                model: model.to_owned(),
+                                weight: 1.0 + idx as f64,
+                                priority,
+                                deadline,
+                            })
+                            .collect(),
+                    };
+                    let batching = Batching {
+                        max_batch: b,
+                        max_wait: w,
+                    };
+                    (spec, SimConfig { policy, batching })
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn heap_engine_matches_the_sorting_oracle((spec, config) in replays()) {
+            let trace = spec.generate().unwrap();
+            let arch = presets::isaac_baseline();
+            let placement = Placement::balanced(&arch, &spec).unwrap();
+            let services = vec![
+                ServiceModel { latency_cycles: 4_000, interval_cycles: 400 };
+                placement.partitions.len()
+            ];
+            let (report, outcomes) =
+                simulate_priced(&trace, &arch, &placement, &services, &config, 2).unwrap();
+            let (want, want_outcomes) = oracle_replay(&trace, &arch, &placement, &services, &config);
+            prop_assert_eq!(outcomes, want_outcomes);
+            prop_assert_eq!(report.comparable().to_json(), want.comparable().to_json());
+        }
+    }
+
+    /// The engine against queueing theory: a single-tenant Poisson trace
+    /// under fifo, one request per batch and a fixed `D`-cycle service
+    /// is an M/D/1 queue, whose mean sojourn time is the
+    /// Pollaczek–Khinchine value `D + ρD / (2(1 − ρ))`.
+    ///
+    /// Tolerance: 1.5 % of the closed form at ρ = 0.5 and 6.5 % at
+    /// ρ = 0.8, over 200 k requests per load. Successive sojourn times
+    /// are correlated, so the sample mean's standard error is far above
+    /// the i.i.d. `σ/√n` and grows steeply with load (the queue's
+    /// relaxation time scales as `1/(1 − ρ)²`), but still falls as
+    /// `1/√n`. Measured over 20 seeds, the relative error of the mean
+    /// had a standard deviation of 0.30 % (ρ = 0.5) and 1.3 % (ρ = 0.8)
+    /// at 200 k requests, and 1.1 % / 5.1 % at 20 k, with the mean error
+    /// within one standard error of zero: the integer-cycle arrival
+    /// stamps and the empty start add no visible bias. Each tolerance
+    /// is about five standard errors, so no seed fails it, while an
+    /// engine that mistimes admission or service moves the mean by far
+    /// more.
+    #[test]
+    fn fifo_single_server_matches_the_md1_closed_form() {
+        const D: u64 = 1_000;
+        const REQUESTS: f64 = 200_000.0;
+        for (rho, tolerance) in [(0.5, 0.015), (0.8, 0.065)] {
+            let mean_gap = D as f64 / rho;
+            let spec = TraceSpec {
+                name: "md1".into(),
+                kind: GeneratorKind::Poisson,
+                seed: 5,
+                horizon: (REQUESTS * mean_gap) as u64,
+                mean_gap,
+                burst_len: 1,
+                idle_gap: 1.0,
+                tenants: vec![TenantSpec {
+                    name: "only".into(),
+                    model: "lenet5".into(),
+                    weight: 1.0,
+                    priority: 0,
+                    deadline: None,
+                }],
+            };
+            let trace = spec.generate().unwrap();
+            let arch = presets::isaac_baseline();
+            let placement = Placement::balanced(&arch, &spec).unwrap();
+            let services = [ServiceModel {
+                latency_cycles: D,
+                interval_cycles: 1,
+            }];
+            let cfg = SimConfig {
+                policy: PolicyKind::Fifo,
+                batching: Batching {
+                    max_batch: 1,
+                    max_wait: 0,
+                },
+            };
+            let (report, _) =
+                simulate_priced(&trace, &arch, &placement, &services, &cfg, 1).unwrap();
+            let d = D as f64;
+            let want = d + rho * d / (2.0 * (1.0 - rho));
+            let got = report.aggregate.latency.mean;
+            assert!(report.aggregate.served >= 190_000);
+            assert!(
+                (got - want).abs() <= tolerance * want,
+                "ρ = {rho}: mean sojourn {got:.1} cycles vs M/D/1 {want:.1}"
+            );
+        }
+    }
+
+    /// A 200 k-request overloaded bursty replay, under every policy. The
+    /// old sort-the-whole-queue loop took minutes on this trace (its
+    /// queues run tens of thousands deep), so a return of the quadratic
+    /// shows up as a test that does not finish.
+    #[test]
+    fn large_overloaded_replay_stays_linearithmic() {
+        let tenant = |name: &str, model: &str, priority, deadline| TenantSpec {
+            name: name.into(),
+            model: model.into(),
+            weight: 1.0,
+            priority,
+            deadline: Some(deadline),
+        };
+        let spec = TraceSpec {
+            name: "overload".into(),
+            kind: GeneratorKind::Bursty,
+            seed: 7,
+            horizon: 10_000_000,
+            mean_gap: 190.0,
+            burst_len: 500,
+            idle_gap: 5_000.0,
+            tenants: vec![
+                tenant("interactive", "lenet5", 3, 600_000),
+                tenant("batch", "lenet5", 0, 150_000),
+                tenant("online", "mlp", 2, 600_000),
+                tenant("offline", "mlp", 1, 150_000),
+            ],
+        };
+        let trace = spec.generate().unwrap();
+        assert!(trace.requests.len() >= 200_000, "{}", trace.requests.len());
+        let arch = presets::isaac_baseline();
+        let placement = Placement::balanced(&arch, &spec).unwrap();
+        let services = vec![
+            ServiceModel {
+                latency_cycles: 1_000,
+                interval_cycles: 100,
+            };
+            placement.partitions.len()
+        ];
+        for policy in PolicyKind::ALL {
+            let (report, _) =
+                simulate_priced(&trace, &arch, &placement, &services, &config(policy), 2).unwrap();
+            let flow = &report.aggregate;
+            assert_eq!(flow.requests as usize, trace.requests.len());
+            assert_eq!(flow.served + flow.dropped, flow.requests, "{policy}");
+            // The benchmark's overload bar, on the policy that never sheds.
+            if policy == PolicyKind::Fifo {
+                assert_eq!(flow.dropped, 0, "fifo never drops");
+                let deepest = report.partitions.iter().map(|p| p.max_queue_depth).max();
+                assert!(deepest > Some(5_000), "deepest fifo queue {deepest:?}");
+            }
+        }
     }
 }

@@ -16,13 +16,15 @@
 //!    [`Partition`]s and pricing each partition's [`ServiceModel`] by
 //!    compiling the model against its slice
 //!    ([`CimArchitecture::partition`]).
-//! 3. [`policy`] — the [`SchedPolicy`] trait and the built-in
-//!    disciplines (FIFO, strict priority, EDF with drop-on-miss), all
-//!    composed with the same [`Batching`] knob.
+//! 3. [`policy`] — the [`SchedPolicy`] trait (a queue key: a total order
+//!    ending in the request id) and the built-in disciplines (FIFO, strict
+//!    priority, EDF with drop-on-miss, whose key leads with the deadline),
+//!    all composed with the same [`Batching`] knob.
 //! 4. [`engine`] + [`report`] — the deterministic integer-cycle event
-//!    loop ([`run_simulation`]) and the schema-versioned
-//!    [`TrafficReport`] it produces, bit-reproducible for a given
-//!    `(trace, placement, policy, batching)` at any thread count
+//!    loop ([`run_simulation`]; one key-ordered heap per partition, so
+//!    `O(n log q)` for `n` requests queued at most `q` deep) and the
+//!    schema-versioned [`TrafficReport`] it produces, bit-reproducible for
+//!    a given `(trace, placement, policy, batching)` at any thread count
 //!    (check with [`Document::comparable`](cim_bench::Document::comparable)).
 //!
 //! ```
@@ -66,10 +68,10 @@ pub mod report;
 pub mod trace;
 
 pub use engine::{
-    price_placement, run_simulation, simulate_priced, DispatchRecord, SimConfig, TrafficError,
+    price_placement, run_simulation, simulate_priced, RequestOutcome, SimConfig, TrafficError,
 };
 pub use placement::{price_partition, Partition, Placement};
-pub use policy::{Batching, EdfDrop, Fifo, PolicyKind, Priority, Queued, SchedPolicy};
+pub use policy::{Batching, EdfDrop, Fifo, PolicyKind, Priority, SchedPolicy};
 pub use report::{FlowStats, PartitionStats, TenantStats, TrafficReport};
 pub use trace::{GeneratorKind, SplitMix64, TenantSpec, Trace, TraceError, TraceEvent, TraceSpec};
 

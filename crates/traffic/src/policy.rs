@@ -1,19 +1,20 @@
 //! Pluggable scheduling policies and the batching knob.
 //!
 //! A [`SchedPolicy`] decides, each time a partition frees up, *which*
-//! queued requests board the next batch: the engine sorts the
-//! partition's queue by [`SchedPolicy::compare`] and takes the front.
-//! Policies therefore compose with batching instead of replacing it —
-//! the [`Batching`] limits (max batch size, max head-of-line wait) are
-//! honored identically by every policy.
+//! queued requests board the next batch: the engine keeps each
+//! partition's queue as one binary heap ordered by
+//! [`SchedPolicy::key`] and pops the smallest keys. Policies therefore
+//! compose with batching instead of replacing it — the [`Batching`]
+//! limits (max batch size, max head-of-line wait) are honored
+//! identically by every policy.
 //!
 //! Built-ins:
 //!
-//! | name       | order                                   | drop-on-miss |
-//! |------------|-----------------------------------------|--------------|
-//! | `fifo`     | arrival time                            | no           |
-//! | `priority` | priority (desc), then arrival           | no           |
-//! | `edf`      | absolute deadline (asc), then arrival   | yes          |
+//! | name       | key                                      | drop-on-miss |
+//! |------------|------------------------------------------|--------------|
+//! | `fifo`     | `(arrival, id, 0)`                       | no           |
+//! | `priority` | `(u32::MAX − priority, arrival, id)`     | no           |
+//! | `edf`      | `(deadline or u64::MAX, arrival, id)`    | yes          |
 //!
 //! `edf` is the deadline-aware policy: earliest-deadline-first order,
 //! and a request whose deadline has already passed when the batch is
@@ -21,7 +22,6 @@
 //! partition on an answer nobody can use.
 
 use crate::trace::TraceEvent;
-use std::cmp::Ordering;
 
 /// Batch-forming limits honored by every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,31 +43,25 @@ impl Default for Batching {
     }
 }
 
-/// A queued request: the trace event plus the cycle it joined the
-/// queue (its arrival, kept separate so policies cannot confuse the
-/// two once re-queueing policies exist).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Queued {
-    /// The trace event.
-    pub event: TraceEvent,
-    /// Cycle the request entered its partition queue.
-    pub enqueued: u64,
-}
-
 /// A scheduling discipline over one partition's queue.
-///
-/// Implementations must be total, deterministic orders: the engine
-/// sorts by [`SchedPolicy::compare`] (stable sort, so equal elements
-/// keep arrival order) and dispatches the front of the queue.
 pub trait SchedPolicy: Send + Sync {
     /// Stable policy name, as listed by `cimc list policies`.
     fn name(&self) -> &'static str;
 
-    /// Orders two queued requests; [`Ordering::Less`] boards first.
-    fn compare(&self, a: &Queued, b: &Queued) -> Ordering;
+    /// The request's place in the queue: the lexicographically smallest
+    /// key boards first. The key must end in the request id, so it is a
+    /// total order in which no two requests of a trace tie (a trace's
+    /// `(arrival, id)` pairs are distinct) and the dispatch order never
+    /// depends on how the queue was built.
+    fn key(&self, event: &TraceEvent) -> (u64, u64, u64);
 
     /// Whether a request whose deadline has passed at batch-forming
     /// time is dropped instead of served.
+    ///
+    /// Only valid for a key that leads with the absolute deadline
+    /// (`u64::MAX` when there is none): the engine sheds by popping
+    /// expired requests off the top of the queue, so every expired
+    /// request must order before every live one.
     fn drop_on_miss(&self) -> bool {
         false
     }
@@ -82,8 +76,8 @@ impl SchedPolicy for Fifo {
         "fifo"
     }
 
-    fn compare(&self, a: &Queued, b: &Queued) -> Ordering {
-        (a.event.arrival, a.event.id).cmp(&(b.event.arrival, b.event.id))
+    fn key(&self, event: &TraceEvent) -> (u64, u64, u64) {
+        (event.arrival, event.id, 0)
     }
 }
 
@@ -96,11 +90,12 @@ impl SchedPolicy for Priority {
         "priority"
     }
 
-    fn compare(&self, a: &Queued, b: &Queued) -> Ordering {
-        b.event
-            .priority
-            .cmp(&a.event.priority)
-            .then_with(|| (a.event.arrival, a.event.id).cmp(&(b.event.arrival, b.event.id)))
+    fn key(&self, event: &TraceEvent) -> (u64, u64, u64) {
+        (
+            u64::from(u32::MAX - event.priority),
+            event.arrival,
+            event.id,
+        )
     }
 }
 
@@ -114,11 +109,8 @@ impl SchedPolicy for EdfDrop {
         "edf"
     }
 
-    fn compare(&self, a: &Queued, b: &Queued) -> Ordering {
-        let da = a.event.deadline.unwrap_or(u64::MAX);
-        let db = b.event.deadline.unwrap_or(u64::MAX);
-        da.cmp(&db)
-            .then_with(|| (a.event.arrival, a.event.id).cmp(&(b.event.arrival, b.event.id)))
+    fn key(&self, event: &TraceEvent) -> (u64, u64, u64) {
+        (event.deadline.unwrap_or(u64::MAX), event.arrival, event.id)
     }
 
     fn drop_on_miss(&self) -> bool {
@@ -182,57 +174,37 @@ impl std::fmt::Display for PolicyKind {
 mod tests {
     use super::*;
 
-    fn queued(id: u64, arrival: u64, priority: u32, deadline: Option<u64>) -> Queued {
-        Queued {
-            event: TraceEvent {
-                id,
-                tenant: 0,
-                arrival,
-                priority,
-                deadline,
-            },
-            enqueued: arrival,
+    fn event(id: u64, arrival: u64, priority: u32, deadline: Option<u64>) -> TraceEvent {
+        TraceEvent {
+            id,
+            tenant: 0,
+            arrival,
+            priority,
+            deadline,
         }
     }
 
     #[test]
     fn fifo_orders_by_arrival_then_id() {
         let p = Fifo;
-        assert_eq!(
-            p.compare(&queued(0, 5, 9, None), &queued(1, 6, 0, None)),
-            Ordering::Less
-        );
-        assert_eq!(
-            p.compare(&queued(1, 5, 0, None), &queued(0, 5, 9, None)),
-            Ordering::Greater
-        );
+        assert!(p.key(&event(0, 5, 9, None)) < p.key(&event(1, 6, 0, None)));
+        assert!(p.key(&event(1, 5, 0, None)) > p.key(&event(0, 5, 9, None)));
         assert!(!p.drop_on_miss());
     }
 
     #[test]
     fn priority_prefers_urgent_then_fifo() {
         let p = Priority;
-        assert_eq!(
-            p.compare(&queued(9, 50, 2, None), &queued(1, 1, 0, None)),
-            Ordering::Less
-        );
-        assert_eq!(
-            p.compare(&queued(1, 1, 1, None), &queued(2, 2, 1, None)),
-            Ordering::Less
-        );
+        assert!(p.key(&event(9, 50, 2, None)) < p.key(&event(1, 1, 0, None)));
+        assert!(p.key(&event(1, 1, 1, None)) < p.key(&event(2, 2, 1, None)));
+        assert!(p.key(&event(1, 1, u32::MAX, None)) < p.key(&event(0, 0, 0, None)));
     }
 
     #[test]
     fn edf_prefers_earliest_deadline_and_sorts_deadline_free_last() {
         let p = EdfDrop;
-        assert_eq!(
-            p.compare(&queued(9, 50, 0, Some(100)), &queued(1, 1, 9, Some(200))),
-            Ordering::Less
-        );
-        assert_eq!(
-            p.compare(&queued(0, 1, 0, Some(1_000_000)), &queued(1, 2, 0, None)),
-            Ordering::Less
-        );
+        assert!(p.key(&event(9, 50, 0, Some(100))) < p.key(&event(1, 1, 9, Some(200))));
+        assert!(p.key(&event(0, 1, 0, Some(1_000_000))) < p.key(&event(1, 2, 0, None)));
         assert!(p.drop_on_miss());
     }
 

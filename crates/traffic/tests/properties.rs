@@ -7,7 +7,8 @@
 //!   threads;
 //! * EDF never serves an admitted request while a strictly-earlier-
 //!   deadline request sits in the same queue (checked against the
-//!   dispatch log).
+//!   per-request outcomes and the trace), and every request has
+//!   exactly one outcome.
 
 use cim_arch::presets;
 use cim_bench::Document;
@@ -17,6 +18,7 @@ use cim_traffic::{
     TraceSpec,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Arbitrary small-but-varied specs: 1–3 tenants over the two smallest
 /// zoo models, every generator kind, and optional deadlines.
@@ -130,29 +132,37 @@ proptest! {
         let arch = presets::isaac_baseline();
         let placement = Placement::balanced(&arch, &spec).unwrap();
         let services = services(placement.partitions.len());
-        let (_, log) = simulate_priced(
+        let (_, outcomes) = simulate_priced(
             &trace, &arch, &placement, &services, &config(PolicyKind::Edf), 1,
         )
         .unwrap();
-        let deadline_of = |id: u64| trace.requests[id as usize].deadline;
-        for record in &log {
-            // Every request left queued must have a deadline no earlier
-            // than every request dispatched in this batch (requests
-            // without a deadline sort last).
-            let latest_served = record
-                .batch
-                .iter()
-                .map(|&id| deadline_of(id).unwrap_or(u64::MAX))
-                .max()
-                .unwrap_or(0);
-            for &queued in &record.queued {
+        // Every trace id has exactly one outcome, in trace order.
+        prop_assert_eq!(outcomes.len(), trace.requests.len());
+        prop_assert!(outcomes.iter().zip(&trace.requests).all(|(o, r)| o.id == r.id));
+
+        // Requests without a deadline sort last.
+        let deadline = |i: usize| trace.requests[i].deadline.unwrap_or(u64::MAX);
+        let mut batches = BTreeMap::new();
+        for (i, o) in outcomes.iter().enumerate() {
+            if o.finished.is_some() {
+                let latest = batches.entry((o.partition, o.dispatched)).or_insert(0);
+                *latest = deadline(i).max(*latest);
+            }
+        }
+        for (&(partition, at), &latest_served) in &batches {
+            // Waiting at `at`: arrived by then, dispatched (or dropped)
+            // after it.
+            for (i, o) in outcomes.iter().enumerate() {
+                let waiting = o.partition == partition
+                    && trace.requests[i].arrival <= at
+                    && o.dispatched > at;
                 prop_assert!(
-                    deadline_of(queued).unwrap_or(u64::MAX) >= latest_served,
+                    !waiting || deadline(i) >= latest_served,
                     "request {} (deadline {:?}) was left queued while a later-deadline \
                      request was served at cycle {}",
-                    queued,
-                    deadline_of(queued),
-                    record.at
+                    o.id,
+                    trace.requests[i].deadline,
+                    at
                 );
             }
         }
