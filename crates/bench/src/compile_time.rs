@@ -35,10 +35,16 @@ pub struct CompileTimeBudget {
     pub budget_ms: f64,
 }
 
-/// The gate's reference workloads: the heaviest DP-segmentation compile
-/// in the zoo (ViT-Base on ISAAC drives the O(n²) candidate-segment
-/// evaluation hardest) and a segmentation-heavy small-chip compile
-/// (ResNet-50 on PUMA).
+/// The gate's reference workloads: a segmentation-DP compile on a large
+/// chip (ViT-Base on ISAAC, whose repeated encoder blocks the segment memo
+/// answers) and a segmentation-heavy small-chip compile (ResNet-50 on
+/// PUMA).
+///
+/// Neither is the zoo's heaviest compile: ResNet-152 on ISAAC is, at
+/// about 65× ViT-Base's time before the allocator's threshold sweep and
+/// about 40× after it. Its 156 stages split into many segments whose budget
+/// windows each cover ~77 stages, so the DP prices thousands of distinct
+/// candidates. The `compile-cold` benchmark workload tracks it.
 ///
 /// Pre-refactor medians: vit_base@isaac 19.69 ms, resnet50@puma
 /// 1.008 ms (release, 9 samples). The budgets below are half that.

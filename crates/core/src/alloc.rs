@@ -17,6 +17,12 @@
 //! `O(n log n + B log B)` instead of the DP's `O(n·B·D)` and return the
 //! same optima, which our tests cross-check against a reference DP on
 //! small instances.
+//!
+//! The parametric search is exact: it finds the least `f64` bottleneck
+//! target λ whose quantized duplication vector fits the budget, by
+//! sweeping per-operator thresholds (`BottleneckSweep`). The
+//! segmentation DP prices every prefix of a budget window, and one sweep
+//! answers them all in order.
 
 /// One operator from the allocator's perspective.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,71 +43,320 @@ pub struct AllocItem {
 /// callers (the segmentation DP evaluates thousands of candidate segments)
 /// reuse one scratch allocation; all-ones if even the base allocation
 /// exceeds the budget (the caller is responsible for segmentation).
+///
+/// This is the last prefix of a `BottleneckSweep` over `items`, pushed
+/// all at once: the DP's row sweep and the schedule of a chosen segment
+/// get the same vector by construction.
 pub fn minimize_bottleneck(items: &[AllocItem], budget: u64, dup: &mut Vec<u32>) {
-    dup.clear();
-    dup.resize(items.len(), 1);
-    if items.is_empty() || !base_fits(items, budget) {
+    let lambda =
+        BottleneckSweep::new(items, budget, dup, &mut Vec::new(), &mut Vec::new()).push_rest();
+    finish_bottleneck(items, budget, lambda, dup);
+}
+
+/// Least λ a sweep starts from. No prefix's search bracket starts below it
+/// (`lo` in [`finish_bottleneck`] divides at least 1 by at most
+/// `u32::MAX` and by 2), so the least feasible λ at or above it decides
+/// every prefix's answer.
+const LAMBDA_FLOOR: f64 = 1.0 / u32::MAX as f64 / 2.0;
+
+/// `Q_i(λ) = clamp(ceil(latency_i / λ), 1, cap_i)`: the replicas `item`
+/// needs for its latency per replica to reach `lambda`, capped. Feasibility
+/// of a bottleneck target depends on this quantized vector only.
+fn replicas(item: &AllocItem, lambda: f64) -> u32 {
+    let want = (item.latency / lambda).ceil().max(1.0);
+    (want as u64).min(u64::from(item.max_dup.max(1))) as u32
+}
+
+/// Cores one replica of `item` consumes.
+fn cost(item: &AllocItem) -> u64 {
+    u64::from(item.cost.max(1))
+}
+
+/// Whether `Q(lambda)` fits the budget.
+fn fits_at(items: &[AllocItem], budget: u64, lambda: f64) -> bool {
+    let mut used: u64 = 0;
+    for item in items {
+        used = used.saturating_add(u64::from(replicas(item, lambda)) * cost(item));
+        if used > budget {
+            return false;
+        }
+    }
+    true
+}
+
+/// The *last-grant threshold* of `item` at `d` replicas: the least `f64`
+/// λ at which it needs one replica fewer, i.e. `latency / λ ≤ d - 1` as
+/// rounded — exact, not an approximation of `latency / (d - 1)`. Rounded
+/// division is monotone in λ, so the condition flips once; stepping by one
+/// float from `latency / (d - 1)` finds where. `INFINITY` at one replica,
+/// which an item never gives back.
+fn last_grant(item: &AllocItem, d: u32) -> f64 {
+    if d <= 1 {
+        return f64::INFINITY;
+    }
+    let (latency, fewer) = (item.latency, f64::from(d - 1));
+    let mut t = latency / fewer;
+    while latency / t > fewer {
+        t = t.next_up();
+    }
+    while latency / t.next_down() <= fewer {
+        t = t.next_down();
+    }
+    t
+}
+
+/// Turns `dup`, holding `Q(lambda)` for the least feasible
+/// `lambda ≥ LAMBDA_FLOOR`, into [`minimize_bottleneck`]'s answer.
+///
+/// The answer is `Q(max(lambda, lo))`, where `lo = max latency / max cap
+/// / 2` is the low end of the allocator's search bracket: a prefix whose
+/// `Q(lo)` already fits gets `Q(lo)`. Any budget left over then goes to the
+/// bottleneck stages.
+fn finish_bottleneck(items: &[AllocItem], budget: u64, lambda: f64, dup: &mut [u32]) {
+    if !base_fits(items, budget) {
+        dup.fill(1);
         return;
     }
-    // D_i(λ) = clamp(ceil(latency_i / λ), 1, cap_i); feasibility is
-    // monotone in λ, so bisect λ over [tiny, max latency].
-    let hi_start = items.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
-    let mut lo = hi_start
+    let hi = items.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
+    let lo = hi
         / items
             .iter()
             .map(|i| f64::from(i.max_dup.max(1)))
             .fold(1.0, f64::max)
         / 2.0;
-    let mut hi = hi_start;
-    let feasible = |lambda: f64| -> bool {
-        let mut used: u64 = 0;
-        for item in items {
-            let want = (item.latency / lambda).ceil().max(1.0);
-            let d = (want as u64).min(u64::from(item.max_dup.max(1)));
-            used = used.saturating_add(d * u64::from(item.cost.max(1)));
-            if used > budget {
-                return false;
+    if lambda <= lo {
+        for (d, item) in dup.iter_mut().zip(items) {
+            *d = replicas(item, lo);
+        }
+    }
+    let mut used: u64 = dup
+        .iter()
+        .zip(items)
+        .map(|(&d, i)| u64::from(d) * cost(i))
+        .sum();
+    spend_leftover_on_bottleneck(items, dup, budget, &mut used);
+}
+
+/// [`minimize_bottleneck`] for every prefix of one item list, in order —
+/// the segmentation DP's row, whose candidate segments `[i..=i]`,
+/// `[i..=i+1]`, … are the prefixes of its budget window.
+///
+/// A prefix's answer is decided by `T`, the least `f64` λ whose quantized
+/// vector `Q(T)` fits the budget. Appending an item raises `Q(λ)` at every
+/// λ, so `T` only rises along a row. The sweep keeps `Q(T)` and a min-heap
+/// of every item's [last-grant threshold](last_grant), the least λ at which
+/// it needs one replica fewer. [`Self::push`] adds an item at the
+/// current λ, then pops whole groups of equal thresholds until the budget
+/// fits. An item that would cost more than a few pops per item in the
+/// prefix (caps in the thousands) makes the sweep jump instead: an exact
+/// bisection over `f64` bit patterns, after which the heap is rebuilt on
+/// the next push that needs it.
+///
+/// The buffers are the caller's (scratch leases in the DP), so a row
+/// allocates nothing.
+pub(crate) struct BottleneckSweep<'a> {
+    items: &'a [AllocItem],
+    budget: u64,
+    /// `Q(lambda)` of the items pushed so far.
+    q: &'a mut Vec<u32>,
+    /// Per pushed item, its [`last_grant`] threshold while the heap is live.
+    keys: &'a mut Vec<f64>,
+    /// Pushed items above one replica: a binary min-heap on `keys`.
+    heap: &'a mut Vec<usize>,
+    /// False after a jump until the heap is next needed.
+    heap_live: bool,
+    /// Least feasible λ of the prefix, never below [`LAMBDA_FLOOR`].
+    lambda: f64,
+    /// Cores `q` uses. `u128`: at the floor every item sits at its cap.
+    used: u128,
+    /// Cores of the all-ones allocation of the prefix.
+    base: u64,
+}
+
+impl<'a> BottleneckSweep<'a> {
+    /// A sweep over the prefixes of `items`, none pushed yet.
+    pub(crate) fn new(
+        items: &'a [AllocItem],
+        budget: u64,
+        q: &'a mut Vec<u32>,
+        keys: &'a mut Vec<f64>,
+        heap: &'a mut Vec<usize>,
+    ) -> Self {
+        q.clear();
+        keys.clear();
+        heap.clear();
+        BottleneckSweep {
+            items,
+            budget,
+            q,
+            keys,
+            heap,
+            heap_live: true,
+            lambda: LAMBDA_FLOOR,
+            used: 0,
+            base: 0,
+        }
+    }
+
+    /// Extends the prefix by the next item and raises λ to its least
+    /// feasible value.
+    pub(crate) fn push(&mut self) {
+        self.insert();
+        if self.base > self.budget {
+            return; // all ones from here on
+        }
+        let limit = 4 * self.q.len() + 16;
+        let mut pops = 0;
+        while self.over_budget() {
+            if pops > limit {
+                self.jump();
+                return;
+            }
+            if !self.heap_live {
+                self.rebuild_heap();
+            }
+            let next = self.keys[self.heap[0]];
+            pops += self.raise_to(next);
+        }
+    }
+
+    /// Writes the duplication vector of the prefix pushed so far into
+    /// `dup`: exactly [`minimize_bottleneck`] of that prefix.
+    pub(crate) fn solution(&self, dup: &mut Vec<u32>) {
+        dup.clear();
+        dup.extend_from_slice(self.q);
+        finish_bottleneck(&self.items[..dup.len()], self.budget, self.lambda, dup);
+    }
+
+    /// Pushes every remaining item at once, then jumps: the one-shot
+    /// solve, which needs no heap. Returns the least feasible λ.
+    fn push_rest(mut self) -> f64 {
+        self.heap_live = false;
+        while self.q.len() < self.items.len() {
+            self.insert();
+        }
+        if self.base <= self.budget && self.over_budget() {
+            self.jump();
+        }
+        self.lambda
+    }
+
+    fn over_budget(&self) -> bool {
+        self.used > u128::from(self.budget)
+    }
+
+    /// Appends the next item at the current λ, over budget or not.
+    fn insert(&mut self) {
+        let idx = self.q.len();
+        let item = &self.items[idx];
+        let d = replicas(item, self.lambda);
+        self.base += cost(item);
+        self.used += u128::from(d) * u128::from(cost(item));
+        self.q.push(d);
+        if self.heap_live {
+            self.keys.push(last_grant(item, d));
+            if d > 1 {
+                let last = self.heap.len();
+                self.heap.push(idx);
+                sift_up(self.heap, self.keys, last);
             }
         }
-        true
-    };
-    if !feasible(hi) {
-        return; // caps alone exceed budget even at D_i = 1? base fits, so hi is feasible; defensive.
     }
-    // Only the *quantized* duplication vector `clamp(ceil(latency/λ))`
-    // matters, and it is componentwise monotone in λ — so once both ends
-    // of the bracket quantize identically, every λ the remaining
-    // iterations could land on quantizes to that same vector. Stopping
-    // there is bit-equal to running all 64 halvings and, on ViT-scale
-    // segment evaluations, cuts the dominant cost of the O(n²)
-    // segmentation DP by ~3x.
-    let quantized_equal = |lo: f64, hi: f64| -> bool {
-        items.iter().all(|item| {
-            let cap = u64::from(item.max_dup.max(1));
-            let at_lo = ((item.latency / lo).ceil().max(1.0) as u64).min(cap);
-            let at_hi = ((item.latency / hi).ceil().max(1.0) as u64).min(cap);
-            at_lo == at_hi
-        })
-    };
-    for iter in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if feasible(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
+
+    /// Raises λ to `lambda` and gives back the replicas every item whose
+    /// threshold it reaches no longer needs. Returns how many items did.
+    fn raise_to(&mut self, lambda: f64) -> usize {
+        self.lambda = lambda;
+        let mut popped = 0;
+        while let Some(&idx) = self.heap.first() {
+            if self.keys[idx] > lambda {
+                break;
+            }
+            let item = &self.items[idx];
+            let d = replicas(item, lambda);
+            self.used -= u128::from(self.q[idx] - d) * u128::from(cost(item));
+            self.q[idx] = d;
+            self.keys[idx] = last_grant(item, d);
+            if d == 1 {
+                let last = self.heap.pop().expect("heap is non-empty");
+                if let Some(root) = self.heap.first_mut() {
+                    *root = last;
+                }
+            }
+            sift_down(self.heap, self.keys, 0);
+            popped += 1;
         }
-        if iter >= 8 && quantized_equal(lo, hi) {
+        popped
+    }
+
+    /// Moves λ straight to the least feasible value. The current λ is
+    /// infeasible and the max latency is feasible (every item at one
+    /// replica, and the base fits), and positive floats order like their
+    /// bit patterns, so bisecting the patterns ends on adjacent floats
+    /// within 64 steps.
+    fn jump(&mut self) {
+        let items = &self.items[..self.q.len()];
+        let top = items.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
+        let (mut lo, mut hi) = (self.lambda.to_bits(), top.to_bits());
+        debug_assert!(lo < hi, "an infeasible λ lies below the max latency");
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if fits_at(items, self.budget, f64::from_bits(mid)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        self.lambda = f64::from_bits(hi);
+        self.used = 0;
+        for (d, item) in self.q.iter_mut().zip(items) {
+            *d = replicas(item, self.lambda);
+            self.used += u128::from(*d) * u128::from(cost(item));
+        }
+        self.heap_live = false;
+    }
+
+    fn rebuild_heap(&mut self) {
+        self.keys.clear();
+        self.heap.clear();
+        for (idx, (item, &d)) in self.items.iter().zip(self.q.iter()).enumerate() {
+            self.keys.push(last_grant(item, d));
+            if d > 1 {
+                self.heap.push(idx);
+            }
+        }
+        for pos in (0..self.heap.len() / 2).rev() {
+            sift_down(self.heap, self.keys, pos);
+        }
+        self.heap_live = true;
+    }
+}
+
+fn sift_up(heap: &mut [usize], keys: &[f64], mut pos: usize) {
+    while pos > 0 {
+        let parent = (pos - 1) / 2;
+        if keys[heap[parent]] <= keys[heap[pos]] {
             break;
         }
+        heap.swap(parent, pos);
+        pos = parent;
     }
-    let mut used: u64 = 0;
-    for (i, item) in items.iter().enumerate() {
-        let want = (item.latency / hi).ceil().max(1.0);
-        dup[i] = (want as u64).min(u64::from(item.max_dup.max(1))) as u32;
-        used += u64::from(dup[i]) * u64::from(item.cost.max(1));
+}
+
+fn sift_down(heap: &mut [usize], keys: &[f64], mut pos: usize) {
+    loop {
+        let mut least = pos;
+        for child in [2 * pos + 1, 2 * pos + 2] {
+            if child < heap.len() && keys[heap[child]] < keys[heap[least]] {
+                least = child;
+            }
+        }
+        if least == pos {
+            return;
+        }
+        heap.swap(pos, least);
+        pos = least;
     }
-    // Spend any leftover budget on the current bottleneck stages.
-    spend_leftover_on_bottleneck(items, dup, budget, &mut used);
 }
 
 /// Greedily grants one replica at a time to the current bottleneck stage
@@ -435,5 +690,144 @@ mod tests {
         assert!(bottleneck(&its, &dup) < base / 4.0);
         let dup2 = minimize_total(&its, 768);
         assert!(total(&its, &dup2) < total(&its, &vec![1; 100]) / 2.0);
+    }
+
+    /// The float λ-bisection `minimize_bottleneck` ran before the threshold
+    /// sweep, kept as the sweep's oracle: 64 halvings of
+    /// `[max latency / max cap / 2, max latency]` with the quantized early
+    /// exit. Also returns the λ whose quantized vector it settled on.
+    fn bisection(items: &[AllocItem], budget: u64) -> (Vec<u32>, f64) {
+        let mut dup = vec![1; items.len()];
+        if items.is_empty() || !base_fits(items, budget) {
+            return (dup, f64::NAN);
+        }
+        let hi_start = items.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
+        let mut lo = hi_start
+            / items
+                .iter()
+                .map(|i| f64::from(i.max_dup.max(1)))
+                .fold(1.0, f64::max)
+            / 2.0;
+        let mut hi = hi_start;
+        let quantize = |item: &AllocItem, lambda: f64| -> u64 {
+            let want = (item.latency / lambda).ceil().max(1.0);
+            (want as u64).min(u64::from(item.max_dup.max(1)))
+        };
+        let feasible = |lambda: f64| -> bool {
+            let mut used: u64 = 0;
+            for item in items {
+                used = used.saturating_add(quantize(item, lambda) * u64::from(item.cost.max(1)));
+                if used > budget {
+                    return false;
+                }
+            }
+            true
+        };
+        assert!(feasible(hi), "the base fits, so one replica each fits");
+        let quantized_equal = |lo: f64, hi: f64| -> bool {
+            items
+                .iter()
+                .all(|item| quantize(item, lo) == quantize(item, hi))
+        };
+        for iter in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if feasible(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+            if iter >= 8 && quantized_equal(lo, hi) {
+                break;
+            }
+        }
+        let mut used: u64 = 0;
+        for (d, item) in dup.iter_mut().zip(items) {
+            *d = quantize(item, hi) as u32;
+            used += u64::from(*d) * u64::from(item.cost.max(1));
+        }
+        spend_leftover_on_bottleneck(items, &mut dup, budget, &mut used);
+        (dup, hi)
+    }
+
+    /// Items drawn from `(latency kind, raw, cost, cap kind, raw cap)`:
+    /// zero latencies, tie-heavy multiples of 50 176 (the zoo's 200 704 and
+    /// 401 408 among them), plain and fractional latencies; caps up to 8,
+    /// 1 000 or 10⁶.
+    fn drawn_items(spec: &[(u32, u32, u32, u32, u32)]) -> Vec<AllocItem> {
+        spec.iter()
+            .map(|&(lat_kind, raw, cost, cap_kind, raw_cap)| AllocItem {
+                cost,
+                latency: match lat_kind {
+                    0 => 0.0,
+                    1 | 2 => 50_176.0 * f64::from(1 + raw % 8),
+                    3 => f64::from(raw),
+                    _ => f64::from(raw) / 7.0,
+                },
+                max_dup: 1 + raw_cap % [8, 1_000, 1_000_000][cap_kind as usize],
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// At every prefix of a row, the sweep's λ is exactly the least
+        /// feasible `f64` (at or above the floor), its vector equals the
+        /// one-shot `minimize_bottleneck`, and it equals the float
+        /// bisection wherever that bisection reached the same quantized
+        /// vector. The bisection misses it in two ways only, and only
+        /// there may the two differ:
+        /// * 64 halvings cannot shrink its bracket (ratio `2·max cap`) to
+        ///   one float, so it stops on an approximation;
+        /// * the bracket start `lo` already fits but is never tested, and a
+        ///   threshold sits at `lo.next_up()`: when `lo`'s last mantissa
+        ///   bit is odd, `0.5 * (lo + lo.next_up())` rounds up, so `hi`
+        ///   stalls one float above `lo` and the early exit never fires.
+        #[test]
+        fn sweep_is_the_exact_bisection_at_every_prefix(
+            spec in proptest::collection::vec((0u32..5, 0u32..10_000_000, 0u32..6, 0u32..3, 0u32..1_000_000), 1..24),
+            slack in 0u64..1_001,
+        ) {
+            let items = drawn_items(&spec);
+            let base: u64 = items.iter().map(cost).sum();
+            let budget = base + base * 3 * slack / 1_000;
+            let (mut q, mut keys, mut heap) = (Vec::new(), Vec::new(), Vec::new());
+            let mut sweep = BottleneckSweep::new(&items, budget, &mut q, &mut keys, &mut heap);
+            let mut got = Vec::new();
+            for len in 1..=items.len() {
+                let prefix = &items[..len];
+                sweep.push();
+                sweep.solution(&mut got);
+                proptest::prop_assert_eq!(&got, &minimize_bottleneck(prefix, budget));
+                let lambda = sweep.lambda;
+                if base_fits(prefix, budget) {
+                    proptest::prop_assert!(fits_at(prefix, budget, lambda));
+                    proptest::prop_assert!(
+                        lambda == LAMBDA_FLOOR || !fits_at(prefix, budget, lambda.next_down()),
+                        "λ {lambda} is not the least feasible float"
+                    );
+                }
+                let (oracle, settled) = bisection(prefix, budget);
+                let max_cap = prefix.iter().map(|i| i.max_dup.max(1)).max().unwrap_or(1);
+                let hi = prefix.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
+                let lo = hi / f64::from(max_cap) / 2.0;
+                let exact = lambda.max(lo);
+                let converged = !base_fits(prefix, budget)
+                    || prefix.iter().all(|i| replicas(i, settled) == replicas(i, exact));
+                if converged {
+                    proptest::prop_assert_eq!(
+                        &got,
+                        &oracle,
+                        "budget {budget}: sweep {got:?} vs bisection {oracle:?} on {prefix:?}"
+                    );
+                } else {
+                    let stalled = lambda <= lo && settled == lo.next_up();
+                    proptest::prop_assert!(
+                        2 * u64::from(max_cap) >= 1 << 10 || stalled,
+                        "the bisection missed the least feasible λ with caps ≤ {max_cap}: {prefix:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@
 //! fan-out, chain latency, active crossbars and the report are the
 //! driver's.
 
-use crate::alloc::{self, AllocItem};
+use crate::alloc::{self, AllocItem, BottleneckSweep};
 use crate::level::{
     active_crossbars, chain_latency, drive, fold_report, standalone, Level, SchedContext,
 };
@@ -379,17 +379,27 @@ impl<'a> SegmentEvaluator<'a> {
         dup: &mut Vec<u32>,
         lat_fill: &mut Vec<(f64, f64)>,
     ) -> f64 {
-        let items = &self.items[range.clone()];
-        if self.options.duplication {
-            if self.options.pipeline {
-                alloc::minimize_bottleneck(items, self.core_count, dup);
-            } else {
-                alloc::minimize_total(items, self.core_count, dup);
-            }
-        } else {
+        self.allocate(range.clone(), dup);
+        self.price(range, dup, lat_fill)
+    }
+
+    /// The duplication numbers of the stages of `range`, into `dup`.
+    fn allocate(&self, range: Range<usize>, dup: &mut Vec<u32>) {
+        let items = &self.items[range];
+        if !self.options.duplication {
             dup.clear();
             dup.resize(items.len(), 1);
+        } else if self.options.pipeline {
+            alloc::minimize_bottleneck(items, self.core_count, dup);
+        } else {
+            alloc::minimize_total(items, self.core_count, dup);
         }
+    }
+
+    /// The latency of the candidate segment `range` with the duplication
+    /// numbers `dup`, leaving the per-stage `(latency, fill)` pairs in
+    /// `lat_fill`.
+    fn price(&self, range: Range<usize>, dup: &[u32], lat_fill: &mut Vec<(f64, f64)>) -> f64 {
         let folds = self.folds(&range);
         lat_fill.clear();
         for (k, i) in range.enumerate() {
@@ -407,20 +417,83 @@ impl<'a> SegmentEvaluator<'a> {
         chain_latency(lat_fill, self.options.pipeline)
     }
 
-    /// The DP's cost probe: [`Self::evaluate`] through the region memo.
+    /// The DP's cost probe: [`Self::evaluate`] through the region memo,
+    /// with `allocate` standing in for [`Self::allocate`] — it runs, and
+    /// the segment is priced, only on a miss.
     fn probe(
         &self,
         range: Range<usize>,
         dup: &mut Vec<u32>,
         lat_fill: &mut Vec<(f64, f64)>,
+        allocate: impl FnOnce(&mut Vec<u32>),
     ) -> f64 {
         let key = &self.ids[range.clone()];
         if let Some(hit) = self.cx.memo.cost(key) {
             return hit;
         }
-        let latency = self.evaluate(range, dup, lat_fill);
+        allocate(dup);
+        let latency = self.price(range, dup, lat_fill);
         self.cx.memo.store_cost(key, latency);
         latency
+    }
+
+    /// Row `i` of the segmentation DP: the latencies of every
+    /// budget-feasible candidate segment starting at stage `i` (`[i..=i]`,
+    /// `[i..=i+1]`, … until the core budget runs out; a single over-weight
+    /// stage stands alone).
+    fn row(&self, i: usize) -> Arc<[f64]> {
+        let (cx, needs, core_count) = (self.cx, &self.needs, self.core_count);
+        // The row's budget window is content-determined (`needs` come
+        // from stage content), so the whole row is keyed by the
+        // region-id run it covers: on recompile, one memo probe
+        // answers every candidate of a row outside the edit's window.
+        let mut cores: u64 = 0;
+        let mut window_end = i;
+        for &need in &needs[i..] {
+            if cores + need > core_count {
+                break;
+            }
+            cores += need;
+            window_end += 1;
+        }
+        let window_end = window_end.max(i + 1);
+        let window = &self.ids[i..window_end];
+        if let Some(hit) = cx.memo.row(window) {
+            return hit;
+        }
+        // Leased at the DP table's length, so every later row and the
+        // table itself reuse these buffers instead of growing them.
+        let cap = self.stages.len() + 1;
+        let (mut dup, mut lat_fill) = (cx.scratch.u32s(cap), cx.scratch.pairs(cap));
+        let row: Arc<[f64]> = if self.options.pipeline && self.options.duplication {
+            // The candidates are the prefixes of the window, so one
+            // bottleneck sweep duplicates them all.
+            let (mut q, mut keys, mut heap) = (
+                cx.scratch.u32s(cap),
+                cx.scratch.f64s(cap),
+                cx.scratch.usizes(cap),
+            );
+            let items = &self.items[i..window_end];
+            let mut sweep = BottleneckSweep::new(items, core_count, &mut q, &mut keys, &mut heap);
+            (i..window_end)
+                .map(|k| {
+                    sweep.push();
+                    self.probe(i..k + 1, &mut dup, &mut lat_fill, |dup| {
+                        sweep.solution(dup);
+                    })
+                })
+                .collect()
+        } else {
+            (i..window_end)
+                .map(|k| {
+                    self.probe(i..k + 1, &mut dup, &mut lat_fill, |dup| {
+                        self.allocate(i..k + 1, dup);
+                    })
+                })
+                .collect()
+        };
+        cx.memo.store_row(window, row.clone());
+        row
     }
 
     /// The schedule of the chosen segment `range`: [`Self::evaluate`]'s
@@ -491,52 +564,21 @@ impl<'a> SegmentEvaluator<'a> {
     /// nodes while the DP latency improves). Stages whose single replica
     /// exceeds the chip fold across it and stand alone.
     fn segmentation(&self, reprogram_cycles: f64) -> Vec<Range<usize>> {
-        let (cx, needs, core_count) = (self.cx, &self.needs, self.core_count);
+        let cx = self.cx;
         let n = self.stages.len();
         if self.stays_resident() {
             return std::iter::once(0..n).collect();
         }
-        // Row `i` of the DP: latencies of every budget-feasible candidate
-        // segment starting at stage `i` (`[i..=i]`, `[i..=i+1]`, … until
-        // the core budget runs out; a single over-weight stage stands
-        // alone). Rows are independent of the DP recurrence — the break
-        // condition is the core budget, not `dp` — so they fan out onto
-        // the worker pool; the recurrence itself then runs sequentially
-        // over precomputed latencies, which keeps the schedule
-        // byte-identical for every `jobs` value.
-        let row = |i: &usize| -> Arc<[f64]> {
-            let i = *i;
-            // The row's budget window is content-determined (`needs` come
-            // from stage content), so the whole row is keyed by the
-            // region-id run it covers: on recompile, one memo probe
-            // answers every candidate of a row outside the edit's window.
-            let mut cores: u64 = 0;
-            let mut window_end = i;
-            for &need in &needs[i..] {
-                if cores + need > core_count {
-                    break;
-                }
-                cores += need;
-                window_end += 1;
-            }
-            let window_end = window_end.max(i + 1);
-            let window = &self.ids[i..window_end];
-            if let Some(hit) = cx.memo.row(window) {
-                return hit;
-            }
-            let mut dup = cx.scratch.u32s(8);
-            let mut lat_fill = cx.scratch.pairs(8);
-            let row: Arc<[f64]> = (i..window_end)
-                .map(|k| self.probe(i..k + 1, &mut dup, &mut lat_fill))
-                .collect();
-            cx.memo.store_row(window, row.clone());
-            row
-        };
-        let indices: Vec<usize> = (0..n).collect();
+        // Rows are independent of the DP recurrence — the break condition
+        // is the core budget, not `dp` — so they fan out onto the worker
+        // pool; the recurrence itself then runs sequentially over
+        // precomputed latencies, which keeps the schedule byte-identical
+        // for every `jobs` value.
         let rows: Vec<Arc<[f64]>> = if cx.jobs > 1 {
-            crate::pool::run_ordered(&indices, cx.jobs, row)
+            let indices: Vec<usize> = (0..n).collect();
+            crate::pool::run_ordered(&indices, cx.jobs, |&i| self.row(i))
         } else {
-            indices.iter().map(row).collect()
+            (0..n).map(|i| self.row(i)).collect()
         };
         let mut dp = cx.scratch.f64s(n + 1);
         dp.resize(n + 1, f64::INFINITY);
@@ -851,5 +893,46 @@ mod tests {
             estimated > 100,
             "only {estimated} segments went through the DP"
         );
+    }
+
+    /// Every DP row of the zoo on every preset, priced by one bottleneck
+    /// sweep, equals pricing each candidate on its own. A candidate whose
+    /// region-id run was already checked answers from the memo with the
+    /// value checked then, so each run is evaluated once.
+    #[test]
+    fn every_dp_row_prices_its_candidates_like_evaluate() {
+        let mut evaluated = 0;
+        let (mut dup, mut lat_fill) = (Vec::new(), Vec::new());
+        for arch in presets::all() {
+            for graph in zoo::all() {
+                let (scratch, memo) = (crate::ScratchArena::new(), crate::RegionMemo::new());
+                let cx = context(&arch, &scratch, &memo);
+                let stages = extract_stages(&graph, &arch, 8);
+                let evaluator = SegmentEvaluator::new(&cx, &stages, CgOptions::full());
+                if evaluator.stays_resident() {
+                    continue;
+                }
+                let mut checked = std::collections::HashSet::new();
+                for i in 0..stages.len() {
+                    for (j, &latency) in evaluator.row(i).iter().enumerate() {
+                        let range = i..i + j + 1;
+                        if !checked.insert(&evaluator.ids[range.clone()]) {
+                            continue;
+                        }
+                        let alone = evaluator.evaluate(range, &mut dup, &mut lat_fill);
+                        assert_eq!(
+                            latency.to_bits(),
+                            alone.to_bits(),
+                            "{} on {}: candidate [{i}..={}]",
+                            graph.name(),
+                            arch.name(),
+                            i + j
+                        );
+                    }
+                }
+                evaluated += checked.len();
+            }
+        }
+        assert!(evaluated > 10_000, "only {evaluated} candidates evaluated");
     }
 }
