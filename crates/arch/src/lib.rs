@@ -48,8 +48,8 @@ pub use mode::ComputingMode;
 pub use serde_io::{from_json, to_json};
 pub use tier::{CellType, ChipTier, CoreTier, CrossbarTier, NocCost, NocKind, XbShape};
 
-// Architectures are shared by reference across the `cim-bench` sweep
-// pool's worker threads; pin thread-safety down at compile time.
+// Architectures are shared by reference across `cim_compiler::pool`'s
+// worker threads; pin thread-safety down at compile time.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<CimArchitecture>();

@@ -57,8 +57,8 @@ pub fn ablation_allocator() -> Series {
     let arch = presets::isaac_baseline();
     let mut rows = Vec::new();
     for g in [zoo::vgg16(), zoo::resnet50()] {
-        let none = cim_baselines::no_opt(&g, &arch).expect("schedules");
-        let poly = cim_baselines::poly_schedule(&g, &arch).expect("schedules");
+        let none = crate::baselines::no_opt(&g, &arch).expect("schedules");
+        let poly = crate::baselines::poly_schedule(&g, &arch).expect("schedules");
         let ours = schedule_cg(
             &g,
             &arch,

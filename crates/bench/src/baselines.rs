@@ -1,4 +1,4 @@
-//! # cim-baselines — comparator schedulers
+//! Comparator schedulers.
 //!
 //! The paper's evaluation (§4.2) compares CIM-MLC against four baselines.
 //! Each is reimplemented here **on the same mapping and latency model** as
@@ -24,13 +24,9 @@
 //! * [`jain_schedule`] — Jain et al.'s conservative macro driving \[27\]
 //!   (Figure 20c's 1× bar).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use cim_arch::CimArchitecture;
 use cim_compiler::cg::{CgOptions, CgSchedule};
 use cim_compiler::level::fold_report;
-use cim_compiler::mapping::OpMapping;
 use cim_compiler::perf::PerfReport;
 use cim_compiler::{CompileOptions, Compiler, OptLevel, Result};
 use cim_graph::Graph;
@@ -151,18 +147,6 @@ pub fn poly_schedule(graph: &Graph, arch: &CimArchitecture) -> Result<PerfReport
     ))
 }
 
-/// Sanity helper used by benches/tests: crossbars one replica of every CIM
-/// operator needs.
-#[must_use]
-pub fn model_footprint_crossbars(graph: &Graph, arch: &CimArchitecture) -> u64 {
-    graph
-        .cim_nodes()
-        .into_iter()
-        .filter_map(|id| OpMapping::of(graph, id, arch, 8))
-        .map(|m| u64::from(m.vxb_size()))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,12 +211,5 @@ mod tests {
         assert_eq!(jia.level, "jia-et-al");
         assert_eq!(jain.level, "jain-et-al");
         assert!(jia.latency_cycles > 0.0 && jain.latency_cycles > 0.0);
-    }
-
-    #[test]
-    fn footprint_matches_mapping() {
-        let g = zoo::lenet5();
-        let arch = presets::isaac_baseline();
-        assert!(model_footprint_crossbars(&g, &arch) >= g.cim_nodes().len() as u64);
     }
 }

@@ -117,8 +117,7 @@ pub fn measure_entry(
         .map(|_| {
             let start = cim_obs::stopwatch();
             let compiled = Compiler::with_options(options)
-                .session(&graph, &arch)
-                .finish()
+                .compile(&graph, &arch)
                 .expect("gate entries compile on their presets");
             std::hint::black_box(&compiled);
             start.elapsed_ms()

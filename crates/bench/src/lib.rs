@@ -1,29 +1,31 @@
-//! # cim-bench — figure and table regeneration harness
+//! # cim-bench — the paper's evaluation
 //!
 //! One function per evaluation figure of the paper (§4.2–§4.4). Each
 //! returns a [`Series`] of labelled values that the `figures` binary
 //! prints, the Criterion benches regenerate, and the integration tests
 //! assert shape properties on (who wins, direction of trends, rough
-//! factors).
+//! factors). The comparator schedulers those figures measure against
+//! live in [`baselines`]; the sweep driver ([`sweep`], `cimc bench`)
+//! runs the evaluation matrix and emits machine-readable reports.
 //!
 //! Absolute cycle counts differ from the paper's (their simulator is
 //! calibrated to circuit models we do not have); every series therefore
 //! reports *relative* quantities exactly as the paper's figures do
 //! (speedups over a named baseline, normalized peak power, percentage
-//! latency reductions). EXPERIMENTS.md records paper-vs-measured for each
-//! row.
+//! latency reductions). `figures --experiments` prints paper-vs-measured
+//! for each row that states a paper value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod baselines;
 pub mod compile_time;
-pub mod doc;
 pub mod loadtest;
 pub mod report;
-pub mod stats;
 pub mod sweep;
 
+pub use cim_obs::{doc, stats};
 pub use compile_time::{
     measure_entry, measure_gate_entries, CompileTimeBudget, CompileTimeRecord, GATE_ENTRIES,
 };
@@ -31,7 +33,7 @@ pub use doc::{DocError, Document, RunTiming};
 pub use loadtest::{LoadSample, LoadtestEntry, LoadtestReport, SampleClass};
 pub use report::{compare, BenchReport, RegressionReport, Tolerances};
 pub use stats::{percentile, LatencySummary};
-pub use sweep::{run_sweep, run_sweep_cached, ScheduleMode, SweepError, SweepSpec};
+pub use sweep::{run_sweep, run_sweep_cached, SweepError, SweepSpec};
 
 use cim_arch::{presets, CellType, CimArchitecture, CrossbarTier, XbShape};
 use cim_compiler::cg::{schedule_cg, CgOptions};
@@ -124,7 +126,7 @@ fn cimmlc_latency(g: &Graph, arch: &CimArchitecture) -> f64 {
 pub fn fig20a() -> Series {
     let arch = presets::jia_isscc21();
     let g = zoo::vgg16();
-    let vendor = cim_baselines::jia_schedule(&g, &arch)
+    let vendor = baselines::jia_schedule(&g, &arch)
         .expect("vgg16 schedules on jia")
         .latency_cycles;
     let pipe = cg_latency(
@@ -153,7 +155,7 @@ pub fn fig20a() -> Series {
 pub fn fig20b() -> Series {
     let arch = presets::puma();
     let g = zoo::vgg16();
-    let vendor = cim_baselines::puma_schedule(&g, &arch).expect("vgg16 schedules on puma");
+    let vendor = baselines::puma_schedule(&g, &arch).expect("vgg16 schedules on puma");
     let ours = schedule_mvm(&vendor, &arch, MvmOptions::full(), 8);
     let normalized = ours.report.peak_power / vendor.report.peak_power;
     Series {
@@ -172,7 +174,7 @@ pub fn fig20b() -> Series {
 pub fn fig20c() -> Series {
     let arch = presets::jain_sram();
     let g = zoo::vgg7();
-    let vendor = cim_baselines::jain_schedule(&g, &arch)
+    let vendor = baselines::jain_schedule(&g, &arch)
         .expect("vgg7 schedules on jain")
         .latency_cycles;
     let cg = schedule_cg(&g, &arch, CgOptions::full(), 8, 8).expect("schedules");
@@ -211,10 +213,10 @@ pub fn fig20c() -> Series {
 pub fn fig20d() -> Series {
     let arch = presets::isaac_baseline();
     let g = zoo::vgg16();
-    let none = cim_baselines::no_opt(&g, &arch)
+    let none = baselines::no_opt(&g, &arch)
         .expect("schedules")
         .latency_cycles;
-    let poly = cim_baselines::poly_schedule(&g, &arch)
+    let poly = baselines::poly_schedule(&g, &arch)
         .expect("schedules")
         .latency_cycles;
     let ours = cimmlc_latency(&g, &arch);

@@ -17,7 +17,7 @@
 //! * **1** — initial layout.
 
 use crate::doc::Document;
-use crate::stats::percentile;
+use crate::stats::LatencySummary;
 use serde::{Deserialize, Serialize};
 
 /// How one replayed request concluded, as classified by the driver.
@@ -121,8 +121,8 @@ impl LoadtestReport {
     /// version and toolchain. `total_ms` is the replay's wall clock.
     #[must_use]
     pub fn from_samples(samples: &[LoadSample], concurrency: usize, total_ms: f64) -> Self {
-        let mut all_ms: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
-        all_ms.sort_by(f64::total_cmp);
+        let all_ms: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
+        let all = LatencySummary::of(&all_ms);
 
         let count_class = |class: SampleClass| samples.iter().filter(|s| s.class == class).count();
         let ok = count_class(SampleClass::Ok);
@@ -139,13 +139,12 @@ impl LoadtestReport {
         let mut entries: Vec<LoadtestEntry> = keys
             .into_iter()
             .map(|key| {
-                let mut ms: Vec<f64> = samples
+                let ms: Vec<f64> = samples
                     .iter()
                     .filter(|s| s.key == key)
                     .map(|s| s.latency_ms)
                     .collect();
-                ms.sort_by(f64::total_cmp);
-                let mean = ms.iter().sum::<f64>() / ms.len() as f64;
+                let summary = LatencySummary::of(&ms);
                 LoadtestEntry {
                     key: key.to_owned(),
                     count: ms.len(),
@@ -153,10 +152,10 @@ impl LoadtestReport {
                         .iter()
                         .filter(|s| s.key == key && s.class == SampleClass::Ok)
                         .count(),
-                    p50_ms: percentile(&ms, 0.50),
-                    p99_ms: percentile(&ms, 0.99),
-                    max_ms: ms.last().copied().unwrap_or(0.0),
-                    mean_ms: mean,
+                    p50_ms: summary.p50,
+                    p99_ms: summary.p99,
+                    max_ms: summary.max,
+                    mean_ms: summary.mean,
                 }
             })
             .collect();
@@ -185,9 +184,9 @@ impl LoadtestReport {
             } else {
                 0.0
             },
-            p50_ms: percentile(&all_ms, 0.50),
-            p99_ms: percentile(&all_ms, 0.99),
-            max_ms: all_ms.last().copied().unwrap_or(0.0),
+            p50_ms: all.p50,
+            p99_ms: all.p99,
+            max_ms: all.max,
             entries,
         }
     }

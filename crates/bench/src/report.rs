@@ -27,79 +27,16 @@
 //! * **1** — initial layout.
 
 use crate::doc::{Document, RunTiming};
-use crate::sweep::{ScheduleMode, SweepSpec};
-use cim_compiler::{CacheStats, CompileMetrics};
+use crate::sweep::SweepSpec;
+use cim_compiler::{CacheStats, JobMetrics, OptLevel};
 use serde::{Deserialize, Serialize};
 
 /// The stable job identifier (`model@arch#mode`) shared by job specs,
 /// records and failures — the unit [`compare`] matches baseline and
 /// current reports on.
 #[must_use]
-pub fn job_key(model: &str, arch: &str, mode: ScheduleMode) -> String {
+pub fn job_key(model: &str, arch: &str, mode: OptLevel) -> String {
     format!("{model}@{arch}#{mode}")
-}
-
-/// Deterministic per-job metrics (flattened [`CompileMetrics`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobMetrics {
-    /// Deepest scheduling level that ran.
-    pub level: String,
-    /// End-to-end single-image inference latency in cycles.
-    pub latency_cycles: f64,
-    /// Steady-state initiation interval for batch processing.
-    pub steady_state_interval: f64,
-    /// Peak instantaneous power (energy units per cycle).
-    pub peak_power: f64,
-    /// Maximum number of crossbars simultaneously active.
-    pub peak_active_crossbars: u64,
-    /// Total energy of one inference.
-    pub energy_total: f64,
-    /// Crossbar-activation component of the energy.
-    pub energy_crossbar: f64,
-    /// ADC component of the energy.
-    pub energy_adc: f64,
-    /// DAC component of the energy.
-    pub energy_dac: f64,
-    /// Data-movement component of the energy.
-    pub energy_movement: f64,
-    /// Digital-ALU component of the energy.
-    pub energy_alu: f64,
-    /// Number of compute-graph segments.
-    pub segments: usize,
-    /// Cycles spent reprogramming crossbars between segments/folds.
-    pub reprogram_cycles: f64,
-    /// Number of pipeline stages scheduled.
-    pub stages: usize,
-    /// MVM macro-operations issued per inference.
-    pub mvm_ops: u64,
-    /// Crossbar allocations summed over the final plans.
-    pub crossbars_allocated: u64,
-    /// Peak fraction of the chip's crossbars simultaneously active.
-    pub utilization: f64,
-}
-
-impl From<&CompileMetrics> for JobMetrics {
-    fn from(m: &CompileMetrics) -> Self {
-        JobMetrics {
-            level: m.level.to_owned(),
-            latency_cycles: m.latency_cycles,
-            steady_state_interval: m.steady_state_interval,
-            peak_power: m.peak_power,
-            peak_active_crossbars: m.peak_active_crossbars,
-            energy_total: m.energy.total(),
-            energy_crossbar: m.energy.crossbar,
-            energy_adc: m.energy.adc,
-            energy_dac: m.energy.dac,
-            energy_movement: m.energy.movement,
-            energy_alu: m.energy.alu,
-            segments: m.segments,
-            reprogram_cycles: m.reprogram_cycles,
-            stages: m.stages,
-            mvm_ops: m.mvm_ops,
-            crossbars_allocated: m.crossbars_allocated,
-            utilization: m.utilization,
-        }
-    }
 }
 
 /// One successful sweep job.
@@ -110,7 +47,7 @@ pub struct JobRecord {
     /// Architecture preset key.
     pub arch: String,
     /// Scheduling mode.
-    pub mode: ScheduleMode,
+    pub mode: OptLevel,
     /// Deterministic metrics.
     pub metrics: JobMetrics,
     /// Wall-clock compile time in milliseconds — the only
@@ -135,7 +72,7 @@ pub struct JobFailure {
     /// Architecture preset key.
     pub arch: String,
     /// Scheduling mode.
-    pub mode: ScheduleMode,
+    pub mode: OptLevel,
     /// The compile error, verbatim.
     pub error: String,
 }
@@ -464,27 +401,14 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::ScheduleMode;
 
     fn metrics(latency: f64) -> JobMetrics {
         JobMetrics {
             level: "cg".to_owned(),
             latency_cycles: latency,
-            steady_state_interval: latency,
             peak_power: 10.0,
-            peak_active_crossbars: 64,
             energy_total: 100.0,
-            energy_crossbar: 80.0,
-            energy_adc: 5.0,
-            energy_dac: 5.0,
-            energy_movement: 5.0,
-            energy_alu: 5.0,
-            segments: 1,
-            reprogram_cycles: 0.0,
-            stages: 3,
-            mvm_ops: 1000,
-            crossbars_allocated: 128,
-            utilization: 0.5,
+            ..JobMetrics::default()
         }
     }
 
@@ -492,7 +416,7 @@ mod tests {
         JobRecord {
             model: model.to_owned(),
             arch: "isaac".to_owned(),
-            mode: ScheduleMode::Auto,
+            mode: OptLevel::Auto,
             metrics: metrics(latency),
             compile_ms: 1.25,
         }
@@ -544,7 +468,7 @@ mod tests {
             vec![JobFailure {
                 model: "lenet5".to_owned(),
                 arch: "isaac".to_owned(),
-                mode: ScheduleMode::Auto,
+                mode: OptLevel::Auto,
                 error: "boom".to_owned(),
             }],
         );
@@ -560,7 +484,7 @@ mod tests {
         let failure = JobFailure {
             model: "vgg16".to_owned(),
             arch: "isaac".to_owned(),
-            mode: ScheduleMode::Auto,
+            mode: OptLevel::Auto,
             error: "boom".to_owned(),
         };
         let base = report(vec![record("lenet5", 1000.0)], vec![]);

@@ -3,9 +3,9 @@
 //! mode (the paper's Figures 20–22 evaluation matrix, batched).
 //!
 //! A [`SweepSpec`] names the three axes; [`run_sweep`] expands them into
-//! a job matrix and executes it on a work-queue pool of `std::thread`
-//! workers. Results land in a [`BenchReport`]
-//! in matrix order regardless of worker count, so reports are
+//! a job matrix and compiles it with [`compile_batch`] on the shared
+//! worker pool. Results land in a [`BenchReport`] in matrix order
+//! regardless of worker count, so reports are
 //! byte-identical across `--jobs` settings once wall-clock fields are
 //! stripped (see [`Document::comparable`](crate::doc::Document::comparable)).
 //!
@@ -21,73 +21,12 @@
 //! changes a report's comparison section.
 
 use crate::doc::RunTiming;
-use crate::report::{BenchReport, JobFailure, JobMetrics, JobRecord};
+use crate::report::{BenchReport, JobFailure, JobRecord};
 use cim_arch::presets;
-use cim_compiler::pool::run_ordered;
-use cim_compiler::{CompileCache, CompileOptions, Compiler, MemoryCache, OptLevel};
+use cim_compiler::{compile_batch, BatchJob, CompileCache, JobMetrics, MemoryCache, OptLevel};
 use cim_graph::zoo;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Scheduling-depth axis of a sweep: the [`OptLevel`]s a job matrix can
-/// request, with stable serialized names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ScheduleMode {
-    /// Let the target's computing mode decide (the paper's workflow).
-    Auto,
-    /// Stop after CG-grained optimization.
-    Cg,
-    /// Stop after MVM-grained optimization.
-    CgMvm,
-    /// Run all three levels.
-    CgMvmVvm,
-}
-
-impl ScheduleMode {
-    /// Every mode, in scheduling-depth order.
-    pub const ALL: [ScheduleMode; 4] = [
-        ScheduleMode::Auto,
-        ScheduleMode::Cg,
-        ScheduleMode::CgMvm,
-        ScheduleMode::CgMvmVvm,
-    ];
-
-    /// The compiler option this mode maps to.
-    #[must_use]
-    pub fn opt_level(self) -> OptLevel {
-        match self {
-            ScheduleMode::Auto => OptLevel::Auto,
-            ScheduleMode::Cg => OptLevel::Cg,
-            ScheduleMode::CgMvm => OptLevel::CgMvm,
-            ScheduleMode::CgMvmVvm => OptLevel::CgMvmVvm,
-        }
-    }
-
-    /// Stable name used in job keys, reports and the CLI.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ScheduleMode::Auto => "auto",
-            ScheduleMode::Cg => "cg",
-            ScheduleMode::CgMvm => "cg_mvm",
-            ScheduleMode::CgMvmVvm => "cg_mvm_vvm",
-        }
-    }
-
-    /// Parses a CLI/report name produced by [`ScheduleMode::name`].
-    #[must_use]
-    pub fn parse(name: &str) -> Option<ScheduleMode> {
-        ScheduleMode::ALL.into_iter().find(|m| m.name() == name)
-    }
-}
-
-impl std::fmt::Display for ScheduleMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // `pad` (not `write_str`) so table columns can width-format modes.
-        f.pad(self.name())
-    }
-}
 
 /// The three axes of a sweep. Expansion order is model-major, then
 /// architecture, then mode — stable, so job indices (and therefore report
@@ -99,26 +38,7 @@ pub struct SweepSpec {
     /// Architecture preset keys ([`presets::NAMES`]).
     pub archs: Vec<String>,
     /// Scheduling modes.
-    pub modes: Vec<ScheduleMode>,
-}
-
-/// One cell of the expanded job matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSpec {
-    /// Zoo model key.
-    pub model: String,
-    /// Architecture preset key.
-    pub arch: String,
-    /// Scheduling mode.
-    pub mode: ScheduleMode,
-}
-
-impl JobSpec {
-    /// This job's [`crate::report::job_key`].
-    #[must_use]
-    pub fn key(&self) -> String {
-        crate::report::job_key(&self.model, &self.arch, self.mode)
-    }
+    pub modes: Vec<OptLevel>,
 }
 
 /// Why a sweep could not start.
@@ -130,6 +50,13 @@ pub enum SweepError {
     UnknownArchs(Vec<String>),
     /// One of the three axes is empty.
     EmptyAxis(&'static str),
+    /// An axis lists the same value twice.
+    DuplicateValue {
+        /// Axis name.
+        axis: &'static str,
+        /// The repeated value.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for SweepError {
@@ -152,6 +79,9 @@ impl std::fmt::Display for SweepError {
                 )
             }
             SweepError::EmptyAxis(axis) => write!(f, "sweep spec has no {axis}"),
+            SweepError::DuplicateValue { axis, value } => {
+                write!(f, "sweep axis `{axis}` lists `{value}` twice")
+            }
         }
     }
 }
@@ -182,7 +112,7 @@ impl SweepSpec {
             archs: ["isaac", "isaac-wlm", "jia", "puma", "jain"]
                 .map(str::to_owned)
                 .to_vec(),
-            modes: vec![ScheduleMode::Auto, ScheduleMode::Cg],
+            modes: vec![OptLevel::Auto, OptLevel::Cg],
         }
     }
 
@@ -193,102 +123,44 @@ impl SweepSpec {
         SweepSpec {
             models: ["lenet5", "mlp", "vgg7"].map(str::to_owned).to_vec(),
             archs: ["isaac", "jia", "jain"].map(str::to_owned).to_vec(),
-            modes: vec![ScheduleMode::Auto, ScheduleMode::Cg],
+            modes: vec![OptLevel::Auto, OptLevel::Cg],
         }
     }
 
-    /// Checks that every axis is non-empty and every name resolves.
+    /// Checks that every axis is non-empty, every name resolves and no
+    /// axis repeats a value.
     ///
     /// # Errors
     /// Returns the first failing [`SweepError`], listing every offending
     /// name of that axis.
     pub fn validate(&self) -> Result<(), SweepError> {
-        if self.models.is_empty() {
-            return Err(SweepError::EmptyAxis("models"));
+        let modes: Vec<String> = self.modes.iter().map(|m| m.name().to_owned()).collect();
+        let axes = [
+            ("models", &self.models),
+            ("archs", &self.archs),
+            ("modes", &modes),
+        ];
+        if let Some((axis, _)) = axes.iter().find(|(_, values)| values.is_empty()) {
+            return Err(SweepError::EmptyAxis(axis));
         }
-        if self.archs.is_empty() {
-            return Err(SweepError::EmptyAxis("archs"));
-        }
-        if self.modes.is_empty() {
-            return Err(SweepError::EmptyAxis("modes"));
-        }
-        let bad_models: Vec<String> = self
-            .models
-            .iter()
-            .filter(|m| zoo::by_name(m).is_none())
-            .cloned()
-            .collect();
+        let unknown = |names: &[String], known: fn(&str) -> bool| -> Vec<String> {
+            names.iter().filter(|n| !known(n)).cloned().collect()
+        };
+        let bad_models = unknown(&self.models, |m| zoo::by_name(m).is_some());
         if !bad_models.is_empty() {
             return Err(SweepError::UnknownModels(bad_models));
         }
-        let bad_archs: Vec<String> = self
-            .archs
-            .iter()
-            .filter(|a| presets::by_name(a).is_none())
-            .cloned()
-            .collect();
+        let bad_archs = unknown(&self.archs, |a| presets::by_name(a).is_some());
         if !bad_archs.is_empty() {
             return Err(SweepError::UnknownArchs(bad_archs));
         }
-        Ok(())
-    }
-
-    /// Expands the axes into the job matrix, model-major.
-    #[must_use]
-    pub fn expand(&self) -> Vec<JobSpec> {
-        let mut jobs = Vec::with_capacity(self.models.len() * self.archs.len() * self.modes.len());
-        for model in &self.models {
-            for arch in &self.archs {
-                for &mode in &self.modes {
-                    jobs.push(JobSpec {
-                        model: model.clone(),
-                        arch: arch.clone(),
-                        mode,
-                    });
-                }
+        for (axis, values) in axes {
+            if let Some(i) = (1..values.len()).find(|&i| values[..i].contains(&values[i])) {
+                let value = values[i].clone();
+                return Err(SweepError::DuplicateValue { axis, value });
             }
         }
-        jobs
-    }
-}
-
-enum JobOutcome {
-    Ok(Box<JobRecord>),
-    Failed(JobFailure),
-}
-
-fn run_job(job: &JobSpec, cache: Option<&Arc<dyn CompileCache>>) -> JobOutcome {
-    let graph = zoo::by_name(&job.model).expect("spec validated");
-    let arch = presets::by_name(&job.arch).expect("spec validated");
-    let options = CompileOptions {
-        level: job.mode.opt_level(),
-        ..CompileOptions::default()
-    };
-    let started = cim_obs::stopwatch();
-    // Drive the staged pipeline explicitly (equivalent to the one-shot
-    // `Compiler::compile` wrapper); `compile_ms` covers every pass,
-    // including cache lookups.
-    let mut session = Compiler::with_options(options).session(&graph, &arch);
-    if let Some(cache) = cache {
-        session = session.with_cache(Arc::clone(cache));
-    }
-    match session.finish() {
-        Ok(compiled) => {
-            let compile_ms = started.elapsed_ms();
-            JobOutcome::Ok(Box::new(JobRecord {
-                model: job.model.clone(),
-                arch: job.arch.clone(),
-                mode: job.mode,
-                metrics: JobMetrics::from(&compiled.metrics(&arch)),
-                compile_ms,
-            }))
-        }
-        Err(e) => JobOutcome::Failed(JobFailure {
-            model: job.model.clone(),
-            arch: job.arch.clone(),
-            mode: job.mode,
-            error: e.to_string(),
-        }),
+        Ok(())
     }
 }
 
@@ -332,20 +204,49 @@ pub fn run_sweep_cached(
     cache: Option<Arc<dyn CompileCache>>,
 ) -> Result<BenchReport, SweepError> {
     spec.validate()?;
-    let jobs = spec.expand();
-    let threads = threads.max(1).min(jobs.len().max(1));
     // Snapshot so a long-lived cache reports only *this* sweep's
     // activity in the report's cache_stats block.
     let stats_before = cache.as_ref().map(|c| c.stats());
     let started = cim_obs::stopwatch();
-    let outcomes = run_ordered(&jobs, threads, |job| run_job(job, cache.as_ref()));
+    // Each model and preset is built once and shared by its jobs (every
+    // name resolves: the spec was validated).
+    let graphs: Vec<_> = spec.models.iter().filter_map(|m| zoo::by_name(m)).collect();
+    let archs: Vec<_> = spec
+        .archs
+        .iter()
+        .filter_map(|a| presets::by_name(a))
+        .collect();
+    // The job matrix, in the spec's model-major order.
+    let (mut names, mut batch) = (Vec::new(), Vec::new());
+    for (model, graph) in spec.models.iter().zip(&graphs) {
+        for (arch_key, arch) in spec.archs.iter().zip(&archs) {
+            for &level in &spec.modes {
+                names.push((model, arch_key));
+                batch.push(BatchJob { graph, arch, level });
+            }
+        }
+    }
+    let threads = threads.max(1).min(batch.len());
+    let outcomes = compile_batch(&batch, threads, cache.as_ref());
     let total_ms = started.elapsed_ms();
     let mut records = Vec::new();
     let mut failures = Vec::new();
-    for outcome in outcomes {
+    for ((&(model, arch), job), outcome) in names.iter().zip(&batch).zip(outcomes) {
+        let (model, arch, mode) = (model.clone(), arch.clone(), job.level);
         match outcome {
-            JobOutcome::Ok(record) => records.push(*record),
-            JobOutcome::Failed(failure) => failures.push(failure),
+            Ok((metrics, compile_ms)) => records.push(JobRecord {
+                model,
+                arch,
+                mode,
+                metrics: JobMetrics::from(&metrics),
+                compile_ms,
+            }),
+            Err(e) => failures.push(JobFailure {
+                model,
+                arch,
+                mode,
+                error: e.to_string(),
+            }),
         }
     }
     let mut report = BenchReport::new(
@@ -389,30 +290,33 @@ mod tests {
     }
 
     #[test]
-    fn expansion_is_model_major_and_stable() {
-        let spec = SweepSpec {
-            models: vec!["lenet5".into(), "mlp".into()],
-            archs: vec!["isaac".into(), "jain".into()],
-            modes: vec![ScheduleMode::Auto, ScheduleMode::Cg],
-        };
-        let keys: Vec<String> = spec.expand().iter().map(JobSpec::key).collect();
-        assert_eq!(keys[0], "lenet5@isaac#auto");
-        assert_eq!(keys[1], "lenet5@isaac#cg");
-        assert_eq!(keys[2], "lenet5@jain#auto");
-        assert_eq!(keys[4], "mlp@isaac#auto");
-        assert_eq!(keys.len(), 8);
-    }
-
-    #[test]
     fn validation_names_every_offender() {
         let spec = SweepSpec {
             models: vec!["lenet5".into(), "nope".into(), "also_nope".into()],
             archs: vec!["isaac".into()],
-            modes: vec![ScheduleMode::Auto],
+            modes: vec![OptLevel::Auto],
         };
         let err = spec.validate().unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("nope") && msg.contains("also_nope"), "{msg}");
+
+        let repeated = SweepSpec {
+            models: vec!["lenet5".into()],
+            archs: vec!["isaac".into()],
+            modes: vec![OptLevel::Auto, OptLevel::Cg, OptLevel::Auto],
+        };
+        assert_eq!(
+            repeated.validate(),
+            Err(SweepError::DuplicateValue {
+                axis: "modes",
+                value: "auto".into()
+            })
+        );
+        assert!(repeated
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("`auto`"));
 
         let empty = SweepSpec {
             models: vec![],
@@ -420,13 +324,5 @@ mod tests {
             modes: vec![],
         };
         assert_eq!(empty.validate(), Err(SweepError::EmptyAxis("models")));
-    }
-
-    #[test]
-    fn schedule_mode_names_round_trip() {
-        for mode in ScheduleMode::ALL {
-            assert_eq!(ScheduleMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(ScheduleMode::parse("bogus"), None);
     }
 }

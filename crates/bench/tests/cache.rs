@@ -16,21 +16,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn memoized_and_uncached_sweeps_are_byte_identical() {
-    let spec = SweepSpec::quick();
-    let uncached = run_sweep_cached(&spec, 2, None).unwrap();
-    let memoized = run_sweep(&spec, 2).unwrap();
-    assert!(uncached.cache_stats.is_none());
-    let stats = memoized.cache_stats.expect("default sweep memoizes");
-    assert!(stats.hits > 0, "quick matrix shares pipeline prefixes");
-    assert_eq!(
-        uncached.comparable().to_json(),
-        memoized.comparable().to_json()
-    );
-}
-
-#[test]
-fn disk_cached_sweeps_share_across_instances() {
+fn disk_cached_memoized_and_uncached_sweeps_agree() {
     let dir = tmp_dir("share");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = SweepSpec::quick();
@@ -43,6 +29,14 @@ fn disk_cached_sweeps_share_across_instances() {
     assert!(warm_stats.hits > 0);
     assert_eq!(cold.comparable().to_json(), warm.comparable().to_json());
     std::fs::remove_dir_all(&dir).unwrap();
+    // Memoized (the default) and uncached sweeps agree with both.
+    let memoized = run_sweep(&spec, 2).unwrap();
+    assert!(memoized.cache_stats.expect("default sweep memoizes").hits > 0);
+    let uncached = run_sweep_cached(&spec, 2, None).unwrap();
+    assert!(uncached.cache_stats.is_none());
+    for other in [memoized, uncached] {
+        assert_eq!(cold.comparable().to_json(), other.comparable().to_json());
+    }
 }
 
 /// The acceptance bar of the cache subsystem: on the committed 100-job
@@ -62,7 +56,8 @@ fn disk_cached_sweeps_share_across_instances() {
 #[test]
 fn warm_full_sweep_is_faster_and_byte_identical() {
     let spec = SweepSpec::full();
-    assert_eq!(spec.expand().len(), 100, "the committed 100-job matrix");
+    let jobs = spec.models.len() * spec.archs.len() * spec.modes.len();
+    assert_eq!(jobs, 100, "the committed 100-job matrix");
     let mut best = 0.0f64;
     for attempt in 0..3 {
         let dir = tmp_dir(&format!("speed{attempt}"));

@@ -1,21 +1,29 @@
 //! The top-level compiler driver (paper Figure 3).
 
+use crate::cache::CompileCache;
 use crate::cg::{CgOptions, CgSchedule, Segment};
+use crate::metrics::CompileMetrics;
 use crate::mvm::{MvmOptions, MvmSchedule};
 use crate::perf::PerfReport;
 use crate::pipeline::{Pipeline, Session};
+use crate::pool::run_ordered;
 use crate::vvm::VvmSchedule;
 use crate::Result;
 use cim_arch::CimArchitecture;
 use cim_graph::Graph;
+use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How far down the multi-level scheduler should go.
 ///
 /// The default, [`OptLevel::Auto`], follows the paper's workflow
 /// (Figure 3): the computing mode of the target decides which levels run —
 /// CG for CM, CG+MVM for XBM, CG+MVM+VVM for WLM. The explicit levels
-/// exist for the ablation studies of Figures 21 and 22.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// exist for the ablation studies of Figures 21 and 22, and form the
+/// scheduling-depth axis of sweeps and design-space exploration; their
+/// stable names ([`OptLevel::name`]) are what reports and the CLI carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum OptLevel {
     /// Decide from the target's computing mode.
     #[default]
@@ -26,6 +34,36 @@ pub enum OptLevel {
     CgMvm,
     /// Run all three levels (requires WLM).
     CgMvmVvm,
+}
+
+impl OptLevel {
+    /// Every level, in scheduling-depth order.
+    pub const ALL: [Self; 4] = [Self::Auto, Self::Cg, Self::CgMvm, Self::CgMvmVvm];
+
+    /// Stable name used in job keys, reports and the CLI (also the
+    /// serialized form).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            OptLevel::Auto => "auto",
+            OptLevel::Cg => "cg",
+            OptLevel::CgMvm => "cg_mvm",
+            OptLevel::CgMvmVvm => "cg_mvm_vvm",
+        }
+    }
+
+    /// Parses a name produced by [`OptLevel::name`].
+    #[must_use]
+    pub fn parse(name: &str) -> Option<OptLevel> {
+        OptLevel::ALL.into_iter().find(|l| l.name() == name)
+    }
+}
+
+impl std::fmt::Display for OptLevel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // `pad` (not `write_str`) so table columns can width-format levels.
+        f.pad(self.name())
+    }
 }
 
 /// Compiler configuration.
@@ -118,6 +156,52 @@ impl Compiler {
     pub fn session<'a>(&self, graph: &'a Graph, arch: &'a CimArchitecture) -> Session<'a> {
         Pipeline::plan(&self.options, arch).session(graph, arch, self.options)
     }
+}
+
+/// One job of [`compile_batch`]: a model, a target, and the scheduling
+/// depth — the only option batch callers vary.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchJob<'a> {
+    /// The model to compile.
+    pub graph: &'a Graph,
+    /// The target architecture.
+    pub arch: &'a CimArchitecture,
+    /// Scheduling depth.
+    pub level: OptLevel,
+}
+
+/// Compiles every job on `threads` workers (through `cache` when given)
+/// and returns each job's metrics with its wall-clock compile time in
+/// milliseconds, in input order — the one evaluation step that sweeps,
+/// design-space exploration and traffic pricing share.
+///
+/// A failing job yields `Err` at its own index without disturbing the
+/// others. Results other than the timings are identical for every
+/// `threads` value and cache state (the [`crate::Pass`] purity contract).
+///
+/// # Panics
+/// Panics if a worker thread panics (a bug in the compiler stack, not an
+/// input error).
+#[must_use]
+pub fn compile_batch(
+    jobs: &[BatchJob<'_>],
+    threads: usize,
+    cache: Option<&Arc<dyn CompileCache>>,
+) -> Vec<Result<(CompileMetrics, f64)>> {
+    run_ordered(jobs, threads, |job| {
+        let options = CompileOptions {
+            level: job.level,
+            ..CompileOptions::default()
+        };
+        let started = cim_obs::stopwatch();
+        let mut session = Compiler::with_options(options).session(job.graph, job.arch);
+        if let Some(cache) = cache {
+            session = session.with_cache(Arc::clone(cache));
+        }
+        let compiled = session.finish()?;
+        let compile_ms = started.elapsed_ms();
+        Ok((compiled.metrics(job.arch), compile_ms))
+    })
 }
 
 /// The result of compiling one model for one architecture: the per-level
@@ -373,6 +457,85 @@ mod tests {
         }
         assert!(text.contains("total:"));
         assert!(text.contains("cg+mvm"));
+    }
+
+    #[test]
+    fn opt_level_names_round_trip() {
+        let names = ["auto", "cg", "cg_mvm", "cg_mvm_vvm"];
+        for (level, name) in OptLevel::ALL.into_iter().zip(names) {
+            assert_eq!((level.name(), OptLevel::parse(name)), (name, Some(level)));
+            // The serialized names are the report/wire vocabulary.
+            let json = format!("\"{name}\"");
+            assert_eq!(serde_json::to_string(&level).unwrap(), json);
+            assert_eq!(serde_json::from_str::<OptLevel>(&json).unwrap(), level);
+        }
+        assert_eq!(OptLevel::parse("bogus"), None);
+        // Table columns width-format levels (`cimc bench`'s job table).
+        let padded = format!("[{:<8}|{:>8}]", OptLevel::Cg, OptLevel::CgMvm);
+        assert_eq!(padded, "[cg      |  cg_mvm]");
+    }
+
+    /// Runs a four-job batch — two zoo models on two presets at several
+    /// levels, plus (index 2) a model with no CIM operator, which fails —
+    /// keeping each job's metrics or rendered error.
+    fn run_batch(
+        threads: usize,
+        cache: Option<&Arc<dyn CompileCache>>,
+    ) -> Vec<std::result::Result<CompileMetrics, String>> {
+        let mut digital = Graph::new("digital-only");
+        let input = cim_graph::OpKind::Input {
+            shape: cim_graph::Shape::vec(8),
+        };
+        let x = digital.add("x", input, []).unwrap();
+        digital.add("r", cim_graph::OpKind::Relu, [x]).unwrap();
+        let graphs = [zoo::lenet5(), zoo::mlp(), digital];
+        let archs = [presets::isaac_baseline(), presets::jain_sram()];
+        let jobs = [
+            (0, 0, OptLevel::Auto),
+            (1, 1, OptLevel::Cg),
+            (2, 0, OptLevel::Auto),
+            (0, 1, OptLevel::CgMvmVvm),
+        ]
+        .map(|(g, a, level)| BatchJob {
+            graph: &graphs[g],
+            arch: &archs[a],
+            level,
+        });
+        compile_batch(&jobs, threads, cache)
+            .into_iter()
+            .map(|r| r.map(|(m, _)| m).map_err(|e| e.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn compile_batch_is_ordered_and_independent_of_threads_and_cache() {
+        let reference = run_batch(1, None);
+        // Input order: each slot holds its own job's compile.
+        let isaac = presets::isaac_baseline();
+        let lenet5 = Compiler::new().compile(&zoo::lenet5(), &isaac).unwrap();
+        assert_eq!(reference[0], Ok(lenet5.metrics(&isaac)));
+        let levels: Vec<_> = reference
+            .iter()
+            .map(|r| Some(r.as_ref().ok()?.level))
+            .collect();
+        assert_eq!(
+            levels,
+            [Some("cg+mvm"), Some("cg"), None, Some("cg+mvm+vvm")]
+        );
+        let cache: Arc<dyn CompileCache> = Arc::new(crate::MemoryCache::new());
+        for threads in [2, 4] {
+            assert_eq!(run_batch(threads, None), reference);
+            assert_eq!(run_batch(threads, Some(&cache)), reference);
+        }
+    }
+
+    #[test]
+    fn a_failing_batch_job_errs_at_its_own_index() {
+        let outcomes = run_batch(2, None);
+        let ok: Vec<bool> = outcomes.iter().map(std::result::Result::is_ok).collect();
+        assert_eq!(ok, [true, true, false, true]);
+        let err = outcomes[2].as_ref().unwrap_err();
+        assert!(err.contains("no CIM-supported operators"), "{err}");
     }
 
     #[test]

@@ -40,7 +40,8 @@
 //! that runs the planned pipeline to completion and returns the
 //! [`Compiled`] artifact holding the mapping, the per-level schedules
 //! with their latency/peak-power reports, and (on demand) an executable
-//! meta-operator flow ([`codegen`]).
+//! meta-operator flow ([`codegen`]). [`compile_batch`] is the evaluation
+//! step of sweeps, design-space exploration and traffic pricing.
 //!
 //! ```
 //! use cim_arch::presets;
@@ -89,10 +90,10 @@ pub use cache::{
     write_atomic, CacheStats, CompileCache, DiskCache, Fingerprint, FingerprintBuilder,
     MemoryCache, TieredCache,
 };
-pub use compile::{CompileOptions, Compiled, Compiler, OptLevel};
+pub use compile::{compile_batch, BatchJob, CompileOptions, Compiled, Compiler, OptLevel};
 pub use error::CompileError;
 pub use level::SchedContext;
-pub use metrics::CompileMetrics;
+pub use metrics::{CompileMetrics, JobMetrics};
 pub use pass::{Diagnostics, Pass, PassContext, PassRecord, PassTimeline};
 pub use perf::PerfReport;
 pub use pipeline::{
@@ -106,8 +107,9 @@ pub use scratch::{ScratchArena, ScratchVec};
 /// Convenient result alias for fallible compilation operations.
 pub type Result<T> = std::result::Result<T, CompileError>;
 
-// The parallel sweep driver (`cim-bench`) shares compilers, schedules and
-// reports across worker threads. Everything here is plain owned data — no
+// [`compile_batch`] (behind sweeps, exploration and traffic pricing)
+// shares compilers, schedules and reports across worker threads, and so
+// do a pass's own workers. Everything here is plain owned data — no
 // interior mutability — so thread-safety is a compile-time invariant we
 // pin down rather than an accident of the current field set.
 const fn assert_send_sync<T: Send + Sync>() {}

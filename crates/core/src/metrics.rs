@@ -1,10 +1,11 @@
-//! Cheap per-compilation summary metrics for sweep drivers.
+//! Cheap per-compilation summary metrics for batch evaluation.
 //!
 //! [`CompileMetrics`] condenses a [`Compiled`] artifact into the flat,
 //! deterministic numbers a batch run wants to record per (model,
 //! architecture) job — the deepest level's performance report plus
 //! macro-operation and resource-usage counts — without re-running any
-//! scheduling or generating a meta-operator flow.
+//! scheduling or generating a meta-operator flow. [`JobMetrics`] is the
+//! same record as sweep and exploration reports serialize it.
 
 use crate::compile::Compiled;
 use crate::perf::{deserialize_level, require};
@@ -101,6 +102,71 @@ impl Deserialize for CompileMetrics {
             crossbars_allocated: u64::from_value(require(m, "crossbars_allocated", OWNER)?)?,
             utilization: f64::from_value(require(m, "utilization", OWNER)?)?,
         })
+    }
+}
+
+/// [`CompileMetrics`] flattened for reports: the level name owned and the
+/// energy split into one field per component — the per-job record of
+/// sweep and exploration documents.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct JobMetrics {
+    /// Deepest scheduling level that ran.
+    pub level: String,
+    /// End-to-end single-image inference latency in cycles.
+    pub latency_cycles: f64,
+    /// Steady-state initiation interval for batch processing.
+    pub steady_state_interval: f64,
+    /// Peak instantaneous power (energy units per cycle).
+    pub peak_power: f64,
+    /// Maximum number of crossbars simultaneously active.
+    pub peak_active_crossbars: u64,
+    /// Total energy of one inference.
+    pub energy_total: f64,
+    /// Crossbar-activation component of the energy.
+    pub energy_crossbar: f64,
+    /// ADC component of the energy.
+    pub energy_adc: f64,
+    /// DAC component of the energy.
+    pub energy_dac: f64,
+    /// Data-movement component of the energy.
+    pub energy_movement: f64,
+    /// Digital-ALU component of the energy.
+    pub energy_alu: f64,
+    /// Number of compute-graph segments.
+    pub segments: usize,
+    /// Cycles spent reprogramming crossbars between segments/folds.
+    pub reprogram_cycles: f64,
+    /// Number of pipeline stages scheduled.
+    pub stages: usize,
+    /// MVM macro-operations issued per inference.
+    pub mvm_ops: u64,
+    /// Crossbar allocations summed over the final plans.
+    pub crossbars_allocated: u64,
+    /// Peak fraction of the chip's crossbars simultaneously active.
+    pub utilization: f64,
+}
+
+impl From<&CompileMetrics> for JobMetrics {
+    fn from(m: &CompileMetrics) -> Self {
+        JobMetrics {
+            level: m.level.to_owned(),
+            latency_cycles: m.latency_cycles,
+            steady_state_interval: m.steady_state_interval,
+            peak_power: m.peak_power,
+            peak_active_crossbars: m.peak_active_crossbars,
+            energy_total: m.energy.total(),
+            energy_crossbar: m.energy.crossbar,
+            energy_adc: m.energy.adc,
+            energy_dac: m.energy.dac,
+            energy_movement: m.energy.movement,
+            energy_alu: m.energy.alu,
+            segments: m.segments,
+            reprogram_cycles: m.reprogram_cycles,
+            stages: m.stages,
+            mvm_ops: m.mvm_ops,
+            crossbars_allocated: m.crossbars_allocated,
+            utilization: m.utilization,
+        }
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! [`run_ordered`] is the scheduling core shared by the compiler's own
 //! intra-graph fan-out ([`crate::cg`]'s segmentation rows and the
-//! per-segment work of every level in [`crate::level`]), the `cim-bench`
-//! sweep driver and the
-//! design-space explorer (`cim-dse`): workers pull item indices off a
+//! per-segment work of every level in [`crate::level`]) and
+//! [`crate::compile_batch`] (sweeps, exploration, traffic pricing):
+//! workers pull item indices off a
 //! shared atomic counter — so a slow item never blocks the rest of the
 //! batch behind a static partition — and write results back *by index*,
 //! so the output order equals the input order regardless of worker count

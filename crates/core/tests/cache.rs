@@ -83,12 +83,7 @@ fn options_strategy() -> impl Strategy<Value = CompileOptions> {
                 duplication: mvmd,
                 pipeline: mvmp,
             },
-            level: [
-                OptLevel::Auto,
-                OptLevel::Cg,
-                OptLevel::CgMvm,
-                OptLevel::CgMvmVvm,
-            ][level],
+            level: OptLevel::ALL[level],
             ..CompileOptions::default()
         })
 }
@@ -166,12 +161,7 @@ proptest! {
 
         // The level field keys by the *work it selects*: a level change
         // changes the key exactly when it changes the planned pass list.
-        for level in [
-            OptLevel::Auto,
-            OptLevel::Cg,
-            OptLevel::CgMvm,
-            OptLevel::CgMvmVvm,
-        ] {
+        for level in OptLevel::ALL {
             let mut relevelled = options;
             relevelled.level = level;
             let same_plan =

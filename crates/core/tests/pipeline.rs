@@ -16,13 +16,6 @@ use cim_compiler::{
 use cim_graph::zoo;
 use proptest::prelude::*;
 
-const LEVELS: [OptLevel; 4] = [
-    OptLevel::Auto,
-    OptLevel::Cg,
-    OptLevel::CgMvm,
-    OptLevel::CgMvmVvm,
-];
-
 fn options_for(level: OptLevel) -> CompileOptions {
     CompileOptions {
         level,
@@ -49,7 +42,7 @@ fn staged_pipeline_equals_one_shot_across_the_full_matrix() {
         let graph = zoo::by_name(model).unwrap();
         for preset in presets::NAMES {
             let arch = presets::by_name(preset).unwrap();
-            for level in LEVELS {
+            for level in OptLevel::ALL {
                 let options = options_for(level);
                 let one_shot = Compiler::with_options(options).compile(&graph, &arch);
                 let staged = staged_compile(&graph, &arch, options);
@@ -144,7 +137,7 @@ proptest! {
     ) {
         let graph = zoo::by_name(zoo::NAMES[model_i]).unwrap();
         let arch = presets::by_name(presets::NAMES[preset_i]).unwrap();
-        let options = options_for(LEVELS[level_i]);
+        let options = options_for(OptLevel::ALL[level_i]);
         let one_shot = Compiler::with_options(options).compile(&graph, &arch);
 
         let mut session = Pipeline::plan(&options, &arch).session(&graph, &arch, options);

@@ -4,8 +4,8 @@
 //! [`Explorer::explore`] drives a [`SearchStrategy`] against a
 //! [`DesignSpace`]: each proposed batch is realized into concrete
 //! architectures, compiled on the shared worker pool
-//! ([`cim_compiler::pool::run_ordered`], the same scheduler `cimc bench`
-//! sweeps on), and scored under the run's [`Objective`]. A shared
+//! ([`cim_compiler::compile_batch`], the same evaluation `cimc bench`
+//! sweeps with), and scored under the run's [`Objective`]. A shared
 //! [`CompileCache`] makes neighboring candidates cheap — points
 //! differing only in scheduling depth share pipeline-prefix artifacts,
 //! revisited points are memoized outright, and a
@@ -22,11 +22,11 @@ use crate::objective::{pareto_front, Objective, TrafficEval};
 use crate::report::{DseCandidate, DseFailure, DseReport, TracePoint};
 use crate::space::{DesignPoint, DesignSpace, SpaceError};
 use crate::strategy::{History, SearchStrategy};
-use cim_bench::doc::{Document, RunTiming};
-use cim_bench::report::JobMetrics;
+use cim_arch::CimArchitecture;
 use cim_compiler::pool::run_ordered;
-use cim_compiler::{CompileCache, CompileOptions, Compiler};
+use cim_compiler::{compile_batch, BatchJob, CompileCache, JobMetrics};
 use cim_graph::Graph;
+use cim_obs::{Document, RunTiming};
 use cim_traffic::{simulate_priced, Batching, Placement, PolicyKind, SimConfig, Trace};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -197,32 +197,7 @@ impl Explorer {
                 .filter(|p| !history.contains(p) && seen.insert(p.key()))
                 .collect();
 
-            let outcomes = run_ordered(&fresh, self.threads, |point| {
-                evaluate(
-                    point,
-                    graph,
-                    &base,
-                    self.traffic.as_ref(),
-                    self.cache.as_ref(),
-                )
-            });
-            for (point, outcome) in fresh.into_iter().zip(outcomes) {
-                match outcome {
-                    Ok((metrics, traffic, eval_ms)) => {
-                        let objectives = objective.vector(&metrics, traffic.as_ref());
-                        let score = objective.score(&metrics, traffic.as_ref());
-                        history.record_success(DseCandidate {
-                            point,
-                            metrics,
-                            traffic,
-                            objectives,
-                            score,
-                            eval_ms,
-                        });
-                    }
-                    Err(error) => history.record_failure(DseFailure { point, error }),
-                }
-            }
+            self.evaluate(graph, &base, fresh, objective, &mut history);
             trace.push(TracePoint {
                 proposed,
                 evaluated: history.candidates().len(),
@@ -261,43 +236,75 @@ impl Explorer {
             .map(|(c, before)| c.stats().since(&before));
         Ok(report)
     }
-}
 
-/// Compiles one candidate: realize the architecture, run the staged
-/// pipeline (with the shared cache when present), summarize — and, when
-/// a traffic workload is attached, carve the candidate into a balanced
-/// placement and replay the trace against it. The returned metrics are
-/// pure functions of the point (and the fixed workload), so memoizing
-/// by point key is sound.
-fn evaluate(
-    point: &DesignPoint,
-    graph: &Graph,
-    base: &cim_arch::CimArchitecture,
-    traffic: Option<&TrafficWorkload>,
-    cache: Option<&Arc<dyn CompileCache>>,
-) -> Result<(JobMetrics, Option<TrafficEval>, f64), String> {
-    let started = cim_obs::stopwatch();
-    let arch = point
-        .realize(base)
-        .map_err(|e| format!("invalid architecture: {e}"))?;
-    let options = CompileOptions {
-        level: point.mode.opt_level(),
-        ..CompileOptions::default()
-    };
-    let mut session = Compiler::with_options(options).session(graph, &arch);
-    if let Some(cache) = cache {
-        session = session.with_cache(Arc::clone(cache));
+    /// Evaluates one batch of fresh points into `history`, in order:
+    /// realize each architecture, compile the buildable ones in one
+    /// [`compile_batch`] (with the shared cache when present), summarize
+    /// — and, when a traffic workload is attached, carve each compiled
+    /// candidate into a balanced placement and replay the trace against
+    /// it. The results are pure functions of the point (and the fixed
+    /// workload), so memoizing by point key is sound.
+    fn evaluate(
+        &self,
+        graph: &Graph,
+        base: &CimArchitecture,
+        points: Vec<DesignPoint>,
+        objective: &Objective,
+        history: &mut History,
+    ) {
+        let archs: Vec<_> = points.iter().map(|p| p.realize(base)).collect();
+        let jobs: Vec<BatchJob<'_>> = points
+            .iter()
+            .zip(&archs)
+            .filter_map(|(point, arch)| {
+                Some(BatchJob {
+                    graph,
+                    arch: arch.as_ref().ok()?,
+                    level: point.mode,
+                })
+            })
+            .collect();
+        let mut compiled = compile_batch(&jobs, self.threads, self.cache.as_ref()).into_iter();
+        let compiled: Vec<Result<(&CimArchitecture, JobMetrics, f64), String>> = archs
+            .iter()
+            .map(|arch| {
+                let arch = arch
+                    .as_ref()
+                    .map_err(|e| format!("invalid architecture: {e}"))?;
+                let (metrics, compile_ms) = compiled
+                    .next()
+                    .expect("one result per buildable point")
+                    .map_err(|e| e.to_string())?;
+                Ok((arch, JobMetrics::from(&metrics), compile_ms))
+            })
+            .collect();
+        let outcomes = run_ordered(&compiled, self.threads, |candidate| -> Result<_, String> {
+            let (arch, metrics, compile_ms) = candidate.clone()?;
+            let Some(workload) = &self.traffic else {
+                return Ok((metrics, None, compile_ms));
+            };
+            let started = cim_obs::stopwatch();
+            let traffic = evaluate_traffic(arch, workload, self.cache.as_ref())?;
+            Ok((metrics, Some(traffic), compile_ms + started.elapsed_ms()))
+        });
+        for (point, outcome) in points.into_iter().zip(outcomes) {
+            match outcome {
+                Ok((metrics, traffic, eval_ms)) => {
+                    let objectives = objective.vector(&metrics, traffic.as_ref());
+                    let score = objective.score(&metrics, traffic.as_ref());
+                    history.record_success(DseCandidate {
+                        point,
+                        metrics,
+                        traffic,
+                        objectives,
+                        score,
+                        eval_ms,
+                    });
+                }
+                Err(error) => history.record_failure(DseFailure { point, error }),
+            }
+        }
     }
-    let metrics = match session.finish() {
-        Ok(compiled) => JobMetrics::from(&compiled.metrics(&arch)),
-        Err(e) => return Err(e.to_string()),
-    };
-    let traffic_eval = match traffic {
-        Some(w) => Some(evaluate_traffic(&arch, w, cache)?),
-        None => None,
-    };
-    let eval_ms = started.elapsed_ms();
-    Ok((metrics, traffic_eval, eval_ms))
 }
 
 /// Simulates the fixed workload on one candidate architecture. Pricing
@@ -305,7 +312,7 @@ fn evaluate(
 /// bit-reproducible integer-cycle engine, so the result is a pure
 /// function of `(point, workload)` at any cache temperature.
 fn evaluate_traffic(
-    arch: &cim_arch::CimArchitecture,
+    arch: &CimArchitecture,
     workload: &TrafficWorkload,
     cache: Option<&Arc<dyn CompileCache>>,
 ) -> Result<TrafficEval, String> {
@@ -348,7 +355,7 @@ mod tests {
             cores: vec![384],
             cell_bits: vec![2],
             adc_bits: vec![6, 8],
-            modes: vec![cim_bench::ScheduleMode::Auto, cim_bench::ScheduleMode::Cg],
+            modes: vec![cim_compiler::OptLevel::Auto, cim_compiler::OptLevel::Cg],
         }
     }
 

@@ -14,12 +14,12 @@
 //! * [`Objective`] / [`Metric`] — weighted single- or multi-objective
 //!   goals over the existing compile metrics, with exact
 //!   [`pareto_front`] extraction;
-//! * [`Explorer`] — drives batches through the `cim-bench` worker pool
-//!   with a shared [`CompileCache`](cim_compiler::CompileCache), so
+//! * [`Explorer`] — drives batches through
+//!   [`compile_batch`](cim_compiler::compile_batch) with a shared [`CompileCache`](cim_compiler::CompileCache), so
 //!   revisited points and shared pipeline prefixes are never recompiled;
 //! * [`DseReport`] — the schema-versioned JSON artifact
 //!   (`cimc explore --out`), byte-reproducible across worker counts via
-//!   [`Document::comparable`](cim_bench::Document::comparable).
+//!   [`Document::comparable`](cim_obs::Document::comparable).
 //!
 //! ## Quickstart
 //!

@@ -9,7 +9,7 @@
 //! [`Objective::vector`] and extract the exact non-dominated set with
 //! [`pareto_front`].
 
-use cim_bench::report::JobMetrics;
+use cim_compiler::JobMetrics;
 use serde::{Deserialize, Serialize};
 
 /// The serving-quality scalars of one design point under a fixed
@@ -397,23 +397,10 @@ mod tests {
 
     fn metrics(latency: f64, energy: f64, util: f64) -> JobMetrics {
         JobMetrics {
-            level: "cg".to_owned(),
             latency_cycles: latency,
-            steady_state_interval: latency,
-            peak_power: 10.0,
-            peak_active_crossbars: 64,
             energy_total: energy,
-            energy_crossbar: energy,
-            energy_adc: 0.0,
-            energy_dac: 0.0,
-            energy_movement: 0.0,
-            energy_alu: 0.0,
-            segments: 1,
-            reprogram_cycles: 0.0,
-            stages: 3,
-            mvm_ops: 1000,
-            crossbars_allocated: 128,
             utilization: util,
+            ..JobMetrics::default()
         }
     }
 

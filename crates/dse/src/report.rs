@@ -4,7 +4,7 @@
 //! a [`Document`]: the `schema_version` gate on load, JSON in/out and the
 //! [`Document::comparable`] view — which serializes byte-identically for
 //! identical `(strategy, seed, budget, space, objective)` runs regardless
-//! of worker count or cache state — come from [`cim_bench::doc`].
+//! of worker count or cache state — come from [`cim_obs::doc`].
 //!
 //! # Version history
 //!
@@ -15,9 +15,9 @@
 //! * **1** — initial layout.
 
 use crate::space::{DesignPoint, DesignSpace};
-use cim_bench::doc::{Document, RunTiming};
-use cim_bench::report::JobMetrics;
 use cim_compiler::CacheStats;
+use cim_compiler::JobMetrics;
+use cim_obs::{Document, RunTiming};
 use serde::{Deserialize, Serialize};
 
 /// One evaluated (successfully compiled) design point.
@@ -208,27 +208,14 @@ impl DseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_bench::{DocError, ScheduleMode};
+    use cim_compiler::OptLevel;
+    use cim_obs::DocError;
 
     fn metrics(latency: f64) -> JobMetrics {
         JobMetrics {
             level: "cg".to_owned(),
             latency_cycles: latency,
-            steady_state_interval: latency,
-            peak_power: 10.0,
-            peak_active_crossbars: 64,
-            energy_total: 100.0,
-            energy_crossbar: 80.0,
-            energy_adc: 5.0,
-            energy_dac: 5.0,
-            energy_movement: 5.0,
-            energy_alu: 5.0,
-            segments: 1,
-            reprogram_cycles: 0.0,
-            stages: 3,
-            mvm_ops: 1000,
-            crossbars_allocated: 128,
-            utilization: 0.5,
+            ..JobMetrics::default()
         }
     }
 
@@ -240,7 +227,7 @@ mod tests {
             cores: 768,
             cell_bits: 2,
             adc_bits: 8,
-            mode: ScheduleMode::Auto,
+            mode: OptLevel::Auto,
         }
     }
 

@@ -15,7 +15,7 @@
 //! exactly what will be explored.
 
 use cim_arch::{presets, ArchError, CimArchitecture, XbShape};
-use cim_bench::ScheduleMode;
+use cim_compiler::OptLevel;
 use serde::{Deserialize, Serialize};
 
 /// Number of axes of a [`DesignSpace`] / coordinates of a point.
@@ -62,7 +62,7 @@ pub struct DesignPoint {
     /// ADC resolution in bits.
     pub adc_bits: u32,
     /// Scheduling depth the candidate is compiled at.
-    pub mode: ScheduleMode,
+    pub mode: OptLevel,
 }
 
 impl DesignPoint {
@@ -181,7 +181,7 @@ pub struct DesignSpace {
     /// Candidate ADC resolutions.
     pub adc_bits: Vec<u32>,
     /// Candidate scheduling modes.
-    pub modes: Vec<ScheduleMode>,
+    pub modes: Vec<OptLevel>,
 }
 
 impl DesignSpace {
@@ -199,7 +199,7 @@ impl DesignSpace {
             cores: vec![192, 384, 768],
             cell_bits: vec![1, 2, 4],
             adc_bits: vec![4, 6, 8],
-            modes: ScheduleMode::ALL.to_vec(),
+            modes: OptLevel::ALL.to_vec(),
         }
     }
 
@@ -394,7 +394,7 @@ mod tests {
         assert!(msg.contains("xb_rows") && msg.contains("`0`"), "{msg}");
 
         let mut s = DesignSpace::default_space();
-        s.modes = vec![ScheduleMode::Cg, ScheduleMode::Cg];
+        s.modes = vec![OptLevel::Cg, OptLevel::Cg];
         let msg = s.validate().unwrap_err().to_string();
         assert!(msg.contains("mode") && msg.contains("`cg`"), "{msg}");
     }
@@ -425,7 +425,7 @@ mod tests {
             cores: 192,
             cell_bits: 4,
             adc_bits: 6,
-            mode: ScheduleMode::Auto,
+            mode: OptLevel::Auto,
         };
         let arch = p.realize(&base).unwrap();
         assert_eq!(arch.axis("xb_rows"), Some(64));

@@ -520,27 +520,13 @@ impl std::fmt::Display for StrategyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_bench::report::JobMetrics;
+    use cim_compiler::JobMetrics;
 
     fn test_metrics(latency: f64) -> JobMetrics {
         JobMetrics {
             level: "cg".to_owned(),
             latency_cycles: latency,
-            steady_state_interval: latency,
-            peak_power: 10.0,
-            peak_active_crossbars: 64,
-            energy_total: 100.0,
-            energy_crossbar: 80.0,
-            energy_adc: 5.0,
-            energy_dac: 5.0,
-            energy_movement: 5.0,
-            energy_alu: 5.0,
-            segments: 1,
-            reprogram_cycles: 0.0,
-            stages: 3,
-            mvm_ops: 1000,
-            crossbars_allocated: 128,
-            utilization: 0.5,
+            ..JobMetrics::default()
         }
     }
 
@@ -572,7 +558,7 @@ mod tests {
         tiny.cores = vec![192];
         tiny.cell_bits = vec![2];
         tiny.adc_bits = vec![6, 8];
-        tiny.modes = vec![cim_bench::ScheduleMode::Auto];
+        tiny.modes = vec![cim_compiler::OptLevel::Auto];
         let mut strategy = Exhaustive::new();
         let batch = strategy.next_batch(&tiny, &history, 1000);
         assert_eq!(batch.len(), 2);

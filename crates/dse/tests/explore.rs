@@ -4,10 +4,11 @@
 //! run (≥ 200 candidates, non-empty front, reproducible across thread
 //! counts, warm hit rate > 0).
 
-use cim_bench::{Document, ScheduleMode};
+use cim_compiler::OptLevel;
 use cim_compiler::{CompileCache, DiskCache, MemoryCache};
 use cim_dse::{DesignSpace, DseReport, Explorer, Metric, Objective, StrategyKind};
 use cim_graph::zoo;
+use cim_obs::Document;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -127,7 +128,7 @@ fn every_strategy_finds_the_exhaustive_optimum_on_a_tiny_space() {
         cores: vec![384],
         cell_bits: vec![2],
         adc_bits: vec![8],
-        modes: vec![ScheduleMode::Auto],
+        modes: vec![OptLevel::Auto],
     };
     let objective = Objective::single(Metric::Latency);
     let graph = zoo::mlp();
@@ -177,7 +178,7 @@ fn failures_are_recorded_not_fatal() {
         cores: vec![384],
         cell_bits: vec![2],
         adc_bits: vec![8],
-        modes: vec![ScheduleMode::Auto],
+        modes: vec![OptLevel::Auto],
     };
     let objective = Objective::single(Metric::Latency);
     let mut strategy = StrategyKind::Exhaustive.build(0);

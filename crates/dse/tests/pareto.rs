@@ -3,9 +3,10 @@
 //! property: identical `(strategy, seed, budget)` inputs yield
 //! byte-identical `comparable()` reports at `jobs = 1` and `jobs = 4`.
 
-use cim_bench::{Document, ScheduleMode};
+use cim_compiler::OptLevel;
 use cim_dse::{dominates, pareto_front, DesignSpace, Explorer, Objective, StrategyKind};
 use cim_graph::zoo;
+use cim_obs::Document;
 use proptest::prelude::*;
 
 proptest! {
@@ -52,7 +53,7 @@ fn small_space() -> DesignSpace {
         cores: vec![384],
         cell_bits: vec![2],
         adc_bits: vec![6, 8],
-        modes: vec![ScheduleMode::Auto, ScheduleMode::CgMvmVvm, ScheduleMode::Cg],
+        modes: vec![OptLevel::Auto, OptLevel::CgMvmVvm, OptLevel::Cg],
     }
 }
 

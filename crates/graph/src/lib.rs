@@ -42,8 +42,8 @@ pub use op::{OpKind, PoolKind};
 pub use serde_io::{from_json, to_json};
 pub use shape::Shape;
 
-// Graphs are compiled concurrently by the `cim-bench` sweep pool's
-// worker threads; pin thread-safety down at compile time.
+// Graphs are compiled concurrently by `cim_compiler::pool`'s worker
+// threads; pin thread-safety down at compile time.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<Graph>();

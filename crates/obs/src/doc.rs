@@ -1,7 +1,6 @@
 //! One versioned envelope for every JSON document the stack writes and
-//! reads back: [`BenchReport`](crate::BenchReport),
-//! [`LoadtestReport`](crate::LoadtestReport), and — in the crates built
-//! on this one — `cim_dse::DseReport`, `cim_traffic::TrafficReport` and
+//! reads back: `cim_bench::BenchReport`, `cim_bench::LoadtestReport`,
+//! `cim_dse::DseReport`, `cim_traffic::TrafficReport` and
 //! `cim_traffic::Trace`.
 //!
 //! A [`Document`] states three things about itself: its kind (what error

@@ -20,6 +20,9 @@
 //!   `chrome://tracing`), [`profile_tree`] (inclusive/exclusive wall
 //!   time), [`metrics_text`] (grep-friendly lines), and
 //!   [`validate_chrome_trace`] (schema self-check).
+//! * **Documents** — [`doc`] is the one versioned JSON envelope
+//!   ([`Document`]) of every report and trace file; [`stats`] holds the
+//!   one nearest-rank quantile and the [`LatencySummary`] reports quote.
 //!
 //! # The disabled-cost contract
 //!
@@ -42,12 +45,15 @@
 
 mod clock;
 mod collector;
+pub mod doc;
 mod export;
 mod metrics;
 mod span;
+pub mod stats;
 
 pub use clock::{Stopwatch, TraceClock};
 pub use collector::{collector, Collector, Trace};
+pub use doc::{DocError, Document, RunTiming};
 pub use export::{
     chrome_trace_json, metrics_text, profile_tree, validate_chrome_trace, ChromeTraceSummary,
 };
@@ -57,6 +63,7 @@ pub use metrics::{
     METRICS_SCHEMA_VERSION,
 };
 pub use span::{complete_span, keys, span, ArgValue, Key, Phase, SpanGuard, TraceEvent};
+pub use stats::{percentile, LatencySummary};
 
 /// Enables span recording *and* gated metrics recording — the whole
 /// layer on, as `cimc --trace-out/--profile` and `CIM_OBS=1` do.

@@ -107,14 +107,15 @@ impl Histogram {
     }
 
     /// Approximate quantile (`0.0..=1.0`): the floor of the bucket
-    /// containing the `q`-th sample. Zero when empty.
+    /// containing the [`nearest_rank`](crate::stats::nearest_rank)-th
+    /// sample. Zero when empty.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+        let rank = crate::stats::nearest_rank(q, count as usize) as u64;
         let mut seen = 0;
         for (i, bucket) in self.buckets.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
@@ -447,6 +448,18 @@ mod tests {
         assert!((400..=600).contains(&p50), "p50={p50}");
         assert!(h.quantile(1.0) >= 900);
         assert_eq!(Histogram::new().quantile(0.5), 0);
+    }
+
+    #[test]
+    fn histogram_quantile_is_the_nearest_rank_percentile_on_exact_buckets() {
+        // Values below 8 have a bucket each, so the histogram is exact.
+        let h = Histogram::new();
+        [3, 0, 7, 1, 1, 5, 2].into_iter().for_each(|v| h.record(v));
+        let sorted = [0.0, 1.0, 1.0, 2.0, 3.0, 5.0, 7.0];
+        for q in [-1.0, 0.0, 0.1, 0.5, 0.75, 0.99, 1.0, 2.0] {
+            let expected = crate::stats::percentile(&sorted, q);
+            assert_eq!(h.quantile(q) as f64, expected, "q={q}");
+        }
     }
 
     #[test]

@@ -1,35 +1,43 @@
 //! Shared latency statistics: nearest-rank percentiles and the
 //! p50/p99/max/mean summary every report in the stack quotes.
 //!
-//! Both the serve-layer load tester ([`crate::loadtest`]) and the
-//! traffic simulator (`cim-traffic`) reduce a bag of per-request
-//! latencies to the same four headline numbers. This module owns that
-//! math in one place so "p99" means the same thing in every report:
-//! the **nearest-rank** percentile of the ascending-sorted samples
-//! (exact order statistic, no interpolation), which is deterministic,
-//! unit-agnostic, and well-defined down to a single sample.
+//! The serve-layer load tester (`cim_bench::loadtest`), the traffic
+//! simulator (`cim-traffic`) and the metrics [`Histogram`] all reduce
+//! a bag of samples to quantiles. This module owns that math in one
+//! place so "p99" means the same thing in every report: the
+//! **nearest-rank** percentile ([`nearest_rank`]; exact order statistic,
+//! no interpolation), which is deterministic, unit-agnostic, and
+//! well-defined down to a single sample.
+//!
+//! [`Histogram`]: crate::Histogram
 
 use serde::{Deserialize, Serialize};
+
+/// The 1-based nearest rank of quantile `q` among `n > 0` ascending
+/// samples: `ceil(q·n)`, clamped to `1..=n` (so `q = 0` is the smallest
+/// sample and `q ≥ 1` the largest).
+#[must_use]
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n)
+}
 
 /// Nearest-rank percentile of an ascending-sorted slice (`q` in
 /// `0..=1`). Empty input yields 0.
 ///
 /// The nearest-rank definition returns an element of the input (never
-/// an interpolated midpoint): the `ceil(q·n)`-th smallest sample,
-/// clamped to the first for `q = 0`.
+/// an interpolated midpoint): the [`nearest_rank`]-th smallest sample.
 #[must_use]
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(q, sorted.len()) - 1]
 }
 
 /// The four-number latency summary (plus count and mean) shared by
 /// load-test and traffic reports. Unit-agnostic: the caller decides
 /// whether samples are milliseconds or cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Number of samples summarized.
     pub count: u64,
@@ -44,18 +52,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// The all-zero summary of an empty sample set.
-    #[must_use]
-    pub fn empty() -> Self {
-        LatencySummary {
-            count: 0,
-            p50: 0.0,
-            p99: 0.0,
-            max: 0.0,
-            mean: 0.0,
-        }
-    }
-
     /// Summarizes `samples` in any order (they are copied and sorted
     /// with [`f64::total_cmp`], so NaN-free inputs are totally ordered
     /// and the result is independent of input order).
@@ -71,7 +67,7 @@ impl LatencySummary {
     #[must_use]
     pub fn of_sorted(sorted: &[f64]) -> Self {
         if sorted.is_empty() {
-            return Self::empty();
+            return Self::default();
         }
         LatencySummary {
             count: sorted.len() as u64,
@@ -122,7 +118,7 @@ mod tests {
 
     #[test]
     fn empty_summary_is_all_zero() {
-        assert_eq!(LatencySummary::of(&[]), LatencySummary::empty());
+        assert_eq!(LatencySummary::of(&[]), LatencySummary::default());
     }
 
     #[test]

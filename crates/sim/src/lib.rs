@@ -66,7 +66,7 @@ pub use func::{Machine, SimError};
 pub use service::ServiceModel;
 pub use weights::WeightStore;
 
-// Parallel drivers (the `cim-bench` sweep pool) run one simulator per
+// Parallel drivers (the `cim_compiler::pool` workers) run one simulator per
 // worker thread and move results across threads; pin thread-safety down
 // at compile time.
 const fn assert_send_sync<T: Send + Sync>() {}

@@ -23,16 +23,15 @@
 //! queue of `q`, and keeps one [`RequestOutcome`] per request — never a
 //! per-dispatch copy of the queue.
 
-use crate::placement::{price_partition, Placement};
+use crate::placement::Placement;
 use crate::policy::{Batching, PolicyKind, SchedPolicy};
 use crate::report::{FlowStats, PartitionStats, TenantStats, TrafficReport};
 use crate::trace::{Trace, TraceError, TraceEvent};
 use cim_arch::CimArchitecture;
-use cim_bench::doc::{Document, RunTiming};
-use cim_bench::stats::LatencySummary;
 use cim_compiler::pool::run_ordered;
-use cim_compiler::CompileCache;
+use cim_compiler::{compile_batch, BatchJob, CompileCache, OptLevel};
 use cim_graph::Graph;
+use cim_obs::{Document, LatencySummary, RunTiming};
 use cim_sim::ServiceModel;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -137,12 +136,15 @@ pub fn run_simulation(
     Ok(report)
 }
 
-/// Compiles every partition's model against its slice and returns the
-/// per-partition service models, in placement order.
+/// Compiles every partition's model against its slice of `arch`
+/// ([`CimArchitecture::partition`]) in one [`compile_batch`] and returns
+/// the per-partition service models, in placement order. The cache and
+/// `threads` change wall-clock time only.
 ///
 /// # Errors
-/// Returns [`TrafficError`] when a placed model has no graph or fails
-/// to compile on its slice.
+/// Returns [`TrafficError`] when a placed model has no graph, or names
+/// the first partition that is invalid for the chip or whose model does
+/// not compile on so few crossbars.
 pub fn price_placement(
     arch: &CimArchitecture,
     placement: &Placement,
@@ -150,25 +152,53 @@ pub fn price_placement(
     cache: Option<&Arc<dyn CompileCache>>,
     threads: usize,
 ) -> Result<Vec<ServiceModel>, TrafficError> {
-    let jobs: Vec<(usize, &Graph)> = placement
+    let graphs = placement
         .partitions
         .iter()
         .map(|p| {
             models
                 .iter()
-                .position(|(name, _)| *name == p.model)
-                .map(|i| &models[i].1)
+                .find(|(name, _)| *name == p.model)
+                .map(|(_, graph)| graph)
                 .ok_or_else(|| TrafficError::MissingModel(p.model.clone()))
         })
-        .collect::<Result<Vec<&Graph>, TrafficError>>()?
-        .into_iter()
-        .enumerate()
+        .collect::<Result<Vec<&Graph>, TrafficError>>()?;
+    let slices: Vec<_> = placement
+        .partitions
+        .iter()
+        .map(|p| arch.partition(p.cores))
         .collect();
-    let priced = run_ordered(&jobs, threads.max(1), |&(idx, graph)| {
-        price_partition(graph, arch, &placement.partitions[idx], cache)
-    });
-    priced
-        .into_iter()
+    let jobs: Vec<BatchJob<'_>> = graphs
+        .iter()
+        .zip(&slices)
+        .filter_map(|(graph, slice)| {
+            Some(BatchJob {
+                graph,
+                arch: slice.as_ref().ok()?,
+                level: OptLevel::Auto,
+            })
+        })
+        .collect();
+    let mut priced = compile_batch(&jobs, threads, cache).into_iter();
+    placement
+        .partitions
+        .iter()
+        .zip(&slices)
+        .map(|(p, slice)| {
+            if let Err(e) = slice {
+                return Err(format!("invalid partition for `{}`: {e}", p.model));
+            }
+            let (metrics, _) = priced
+                .next()
+                .expect("one result per valid slice")
+                .map_err(|e| {
+                    format!(
+                        "model `{}` failed to compile on its {}-core partition: {e}",
+                        p.model, p.cores
+                    )
+                })?;
+            Ok(ServiceModel::from_metrics(&metrics))
+        })
         .collect::<Result<Vec<ServiceModel>, String>>()
         .map_err(TrafficError::Pricing)
 }

@@ -25,7 +25,7 @@
 //!    `O(n log q)` for `n` requests queued at most `q` deep) and the
 //!    schema-versioned [`TrafficReport`] it produces, bit-reproducible for
 //!    a given `(trace, placement, policy, batching)` at any thread count
-//!    (check with [`Document::comparable`](cim_bench::Document::comparable)).
+//!    (check with [`Document::comparable`](cim_obs::Document::comparable)).
 //!
 //! ```
 //! use cim_traffic::{
@@ -70,7 +70,7 @@ pub mod trace;
 pub use engine::{
     price_placement, run_simulation, simulate_priced, RequestOutcome, SimConfig, TrafficError,
 };
-pub use placement::{price_partition, Partition, Placement};
+pub use placement::{Partition, Placement};
 pub use policy::{Batching, EdfDrop, Fifo, PolicyKind, Priority, SchedPolicy};
 pub use report::{FlowStats, PartitionStats, TenantStats, TrafficReport};
 pub use trace::{GeneratorKind, SplitMix64, TenantSpec, Trace, TraceError, TraceEvent, TraceSpec};

@@ -7,17 +7,13 @@
 //! requests of different tenants. A [`Placement`] records that carve;
 //! [`Placement::balanced`] derives one from a trace (cores split
 //! proportionally to the tenants' weights), and
-//! [`price_partition`] compiles a model against its partition
-//! ([`CimArchitecture::partition`]) to obtain the integer-cycle
-//! [`ServiceModel`] the event loop charges per batch.
+//! [`price_placement`](crate::price_placement) compiles each model against
+//! its partition ([`CimArchitecture::partition`]) to obtain the
+//! integer-cycle `ServiceModel` the event loop charges per batch.
 
 use crate::trace::{TraceError, TraceSpec};
 use cim_arch::CimArchitecture;
-use cim_compiler::{CompileCache, Compiler};
-use cim_graph::Graph;
-use cim_sim::ServiceModel;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One model's slice of the chip.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,37 +161,6 @@ impl Placement {
     }
 }
 
-/// Compiles `graph` against `partition`'s slice of `arch` (through the
-/// shared cache when present) and derives the partition's
-/// [`ServiceModel`]. Pure function of `(graph, arch, partition)` — the
-/// cache changes wall-clock time only.
-///
-/// # Errors
-/// Returns a rendered error string when the partition is invalid for
-/// the chip or the model does not compile on so few crossbars
-/// (callers surface it verbatim, like DSE evaluation failures).
-pub fn price_partition(
-    graph: &Graph,
-    arch: &CimArchitecture,
-    partition: &Partition,
-    cache: Option<&Arc<dyn CompileCache>>,
-) -> Result<ServiceModel, String> {
-    let slice = arch
-        .partition(partition.cores)
-        .map_err(|e| format!("invalid partition for `{}`: {e}", partition.model))?;
-    let mut session = Compiler::new().session(graph, &slice);
-    if let Some(cache) = cache {
-        session = session.with_cache(Arc::clone(cache));
-    }
-    match session.finish() {
-        Ok(compiled) => Ok(ServiceModel::from_metrics(&compiled.metrics(&slice))),
-        Err(e) => Err(format!(
-            "model `{}` failed to compile on its {}-core partition: {e}",
-            partition.model, partition.cores
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,13 +266,37 @@ mod tests {
     #[test]
     fn pricing_compiles_on_the_partition_slice() {
         let arch = presets::isaac_baseline();
-        let graph = cim_graph::zoo::lenet5();
-        let half = Partition {
-            model: "lenet5".into(),
-            cores: arch.chip().core_count() / 2,
+        let part = |model: &str, cores| Partition {
+            model: model.into(),
+            cores,
         };
-        let m = price_partition(&graph, &arch, &half, None).unwrap();
+        let mut digital = cim_graph::Graph::new("digital");
+        let shape = cim_graph::Shape::vec(8);
+        let x = digital.add("x", cim_graph::OpKind::Input { shape }, []);
+        digital
+            .add("r", cim_graph::OpKind::Relu, [x.unwrap()])
+            .unwrap();
+        let models = vec![
+            ("lenet5".to_owned(), cim_graph::zoo::lenet5()),
+            ("digital".to_owned(), digital),
+        ];
+        let price = |partitions| {
+            crate::price_placement(&arch, &Placement { partitions }, &models, None, 2)
+                .map_err(|e| e.to_string())
+        };
+        let half = arch.chip().core_count() / 2;
+        let m = &price(vec![part("lenet5", half)]).unwrap()[0];
         assert!(m.latency_cycles >= 1);
         assert!(m.interval_cycles >= 1);
+        // Errors name the first failing partition; a missing graph wins.
+        let err = price(vec![part("digital", 1), part("lenet5", 0)]).unwrap_err();
+        assert!(
+            err.starts_with("model `digital` failed to compile on its 1-core"),
+            "{err}"
+        );
+        let err = price(vec![part("lenet5", 0), part("digital", 1)]).unwrap_err();
+        assert!(err.starts_with("invalid partition for `lenet5`: "), "{err}");
+        let err = price(vec![part("lenet5", 0), part("vgg7", 1)]).unwrap_err();
+        assert_eq!(err, "no graph supplied for placed model `vgg7`");
     }
 }

@@ -3,14 +3,13 @@
 //! utilization. A [`TrafficReport`] is a [`Document`]: its version
 //! window, JSON in/out and the timing-stripped
 //! [`Document::comparable`] view CI compares byte-for-byte come from
-//! [`cim_bench::doc`].
+//! [`cim_obs::doc`].
 //!
 //! # Version history
 //!
 //! * **1** — initial layout.
 
-use cim_bench::doc::{Document, RunTiming};
-use cim_bench::stats::LatencySummary;
+use cim_obs::{Document, LatencySummary, RunTiming};
 use serde::{Deserialize, Serialize};
 
 /// Request-outcome counters and latency summary for one request flow

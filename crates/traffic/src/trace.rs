@@ -21,13 +21,13 @@
 //!   `weight`s (the weighted multi-model mix of a shared frontend).
 //!
 //! A [`Trace`] is a [`Document`]: its version window, JSON in/out and
-//! validation come from [`cim_bench::doc`].
+//! validation come from [`cim_obs::doc`].
 //!
 //! # Version history
 //!
 //! * **1** — initial layout.
 
-use cim_bench::doc::Document;
+use cim_obs::Document;
 use serde::{Deserialize, Serialize};
 
 /// Why a trace spec was rejected.

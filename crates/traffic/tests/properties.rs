@@ -11,7 +11,7 @@
 //!   exactly one outcome.
 
 use cim_arch::presets;
-use cim_bench::Document;
+use cim_obs::Document;
 use cim_sim::ServiceModel;
 use cim_traffic::{
     simulate_priced, Batching, GeneratorKind, Placement, PolicyKind, SimConfig, TenantSpec, Trace,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mirrors every CI job (.github/workflows/ci.yml) for offline pre-push
-# verification: build-and-test, lint (fmt + clippy + docs gate),
+# verification: build-and-test, lint (fmt + clippy + docs + layering gates),
 # bench-report (regression gate against the committed baseline),
 # cache-consistency (cold-vs-warm sweep equivalence + speedup),
 # dse-smoke (seeded exploration determinism + warm-cache reuse),
@@ -50,6 +50,13 @@ lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     bold "lint: docs gate (rustdoc warnings are errors)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    bold "lint: cim-dse and cim-traffic stay off the paper's evaluation crate"
+    local tree
+    tree=$(cargo tree --offline -e normal -p cim-dse -p cim-traffic)
+    if grep -E 'cim-(bench|baselines)' <<<"$tree"; then
+        echo "cim-dse/cim-traffic must not depend on cim-bench" >&2
+        return 1
+    fi
 }
 
 bench_report() {

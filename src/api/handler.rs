@@ -10,13 +10,12 @@ use std::sync::{Arc, Mutex};
 
 use cim_arch::{presets, CimArchitecture};
 use cim_bench::{
-    measure_gate_entries, run_sweep_cached, BenchReport, Document, RunTiming, ScheduleMode,
-    SweepSpec,
+    measure_gate_entries, run_sweep_cached, BenchReport, Document, RunTiming, SweepSpec,
 };
 use cim_compiler::cache::fingerprint_graph;
 use cim_compiler::{
     Artifact, CodegenPass, CompileCache, CompileOptions, DiskCache, Fingerprint, MemoryCache,
-    Pipeline, Session, StageKind,
+    OptLevel, Pipeline, Session, StageKind,
 };
 use cim_dse::{DesignSpace, DseReport, Explorer, Metric, Objective, StrategyKind, TrafficWorkload};
 use cim_graph::{zoo, Graph, GraphDelta};
@@ -834,7 +833,7 @@ impl Handler {
         let names: Vec<&str> = match req.category.as_str() {
             "models" => zoo::NAMES.to_vec(),
             "archs" => presets::NAMES.to_vec(),
-            "modes" => ScheduleMode::ALL.iter().map(|m| m.name()).collect(),
+            "modes" => OptLevel::ALL.iter().map(|m| m.name()).collect(),
             "strategies" => StrategyKind::NAMES.to_vec(),
             "objectives" => Metric::NAMES.to_vec(),
             "policies" => PolicyKind::NAMES.to_vec(),

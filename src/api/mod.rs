@@ -43,8 +43,8 @@ pub mod render;
 
 pub use handler::Handler;
 
-use cim_bench::{BenchReport, CompileTimeRecord, ScheduleMode};
-use cim_compiler::{CacheStats, CompileMetrics, PassTimeline, PerfReport};
+use cim_bench::{BenchReport, CompileTimeRecord};
+use cim_compiler::{CacheStats, CompileMetrics, OptLevel, PassTimeline, PerfReport};
 use cim_dse::{DesignSpace, DseReport};
 use cim_graph::GraphDelta;
 use cim_traffic::{Partition, Trace, TraceSpec, TrafficReport};
@@ -209,7 +209,7 @@ impl From<ModeArg> for cim_arch::ComputingMode {
 }
 
 /// Optimization-level override (`--level`), mirroring
-/// [`OptLevel`](cim_compiler::OptLevel) on the wire.
+/// [`OptLevel`] on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum LevelArg {
@@ -334,7 +334,7 @@ pub struct BenchRequest {
     pub archs: Option<Vec<String>>,
     /// Mode-axis override.
     #[serde(default)]
-    pub modes: Option<Vec<ScheduleMode>>,
+    pub modes: Option<Vec<OptLevel>>,
     /// Worker threads; 0 means all available cores.
     #[serde(default)]
     pub jobs: usize,

@@ -458,7 +458,7 @@ fn cmd_simulate(flags: &Parsed) -> Cli {
 
 fn cmd_bench(flags: &Parsed) -> Cli {
     let modes = flags.list("--modes").map(|names| {
-        let parse = |name: &String| ScheduleMode::parse(name).expect("the table lists the modes");
+        let parse = |name: &String| OptLevel::parse(name).expect("the table lists the modes");
         names.iter().map(parse).collect()
     });
     let request = Request::Bench(BenchRequest {

@@ -14,13 +14,15 @@
 //! * [`compiler`] (`cim-compiler`) — the multi-level scheduler:
 //!   CG-grained, MVM-grained and VVM-grained optimization plus code
 //!   generation;
+//! * [`obs`] (`cim-obs`) — tracing spans, metrics and exporters, plus the
+//!   one versioned report envelope (`doc`) and nearest-rank statistics
+//!   (`stats`) every document shares;
 //! * [`sim`] (`cim-sim`) — functional simulator (bit-exact against a
 //!   reference executor) and performance traces;
-//! * [`baselines`] (`cim-baselines`) — Poly-Schedule and the vendor
-//!   schedules the paper compares against;
-//! * [`bench`](mod@bench) (`cim-bench`) — figure/table regeneration harness plus the
-//!   parallel sweep driver with machine-readable bench reports
-//!   (`cimc bench`);
+//! * [`bench`](mod@bench) (`cim-bench`) — the paper's evaluation: figure/table
+//!   regeneration, the comparator schedulers ([`baselines`]: Poly-Schedule
+//!   and the vendor schedules), and the parallel sweep driver with
+//!   machine-readable bench reports (`cimc bench`);
 //! * [`dse`] (`cim-dse`) — design-space exploration: pluggable search
 //!   strategies over the parameterized architecture axes,
 //!   multi-objective Pareto fronts, cached parallel candidate
@@ -87,8 +89,8 @@
 #![warn(missing_docs)]
 
 pub use cim_arch as arch;
-pub use cim_baselines as baselines;
 pub use cim_bench as bench;
+pub use cim_bench::baselines;
 pub use cim_compiler as compiler;
 pub use cim_dse as dse;
 pub use cim_graph as graph;
@@ -119,8 +121,8 @@ pub mod prelude {
     };
     pub use cim_bench::{
         compare, measure_entry, measure_gate_entries, run_sweep, run_sweep_cached, BenchReport,
-        CompileTimeBudget, CompileTimeRecord, DocError, Document, ScheduleMode, SweepSpec,
-        Tolerances, GATE_ENTRIES,
+        CompileTimeBudget, CompileTimeRecord, DocError, Document, SweepSpec, Tolerances,
+        GATE_ENTRIES,
     };
     pub use cim_compiler::{
         codegen, write_atomic, Artifact, CacheStats, CodegenPass, CompileCache, CompileMetrics,

@@ -103,6 +103,15 @@ fn unknown_sweep_model_is_rejected_with_the_offending_value() {
 }
 
 #[test]
+fn repeated_sweep_axis_value_is_rejected_with_usage() {
+    let out = cimc(&["bench", "--modes", "auto,auto"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("`modes` lists `auto` twice"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+}
+
+#[test]
 fn fail_on_regression_requires_a_baseline() {
     let out = cimc(&["bench", "--models", "lenet5", "--fail-on-regression"]);
     assert_eq!(out.status.code(), Some(2));
@@ -1412,7 +1421,7 @@ fn help_documents_exactly_the_flags_in_the_tables() {
 #[test]
 fn choice_vocabularies_are_the_words_the_shims_convert() {
     use cim_mlc::api::{LevelArg, ModeArg, StageArg};
-    use cim_mlc::prelude::{GeneratorKind, ScheduleMode};
+    use cim_mlc::prelude::{GeneratorKind, OptLevel};
     let wire = |word: &str| format!("\"{word}\"");
     for cmd in COMMANDS {
         for flag in cmd.flags() {
@@ -1425,7 +1434,7 @@ fn choice_vocabularies_are_the_words_the_shims_convert() {
                     "--level" => serde_json::from_str::<LevelArg>(&wire(word)).is_ok(),
                     "--dump-stage" => serde_json::from_str::<StageArg>(&wire(word)).is_ok(),
                     "--kind" => GeneratorKind::parse(word).is_some(),
-                    "--modes" => ScheduleMode::parse(word).is_some(),
+                    "--modes" => OptLevel::parse(word).is_some(),
                     other => panic!("no conversion known for choice flag `{other}`"),
                 };
                 assert!(converts, "`{} {word}` has no typed value", flag.name);

@@ -1,4 +1,4 @@
-//! The one document envelope (`cim_bench::doc`) over all five documents
+//! The one document envelope (`cim_obs::doc`) over all five documents
 //! the stack writes — bench, load-test, exploration and traffic reports,
 //! and request traces: JSON round-trip, both edges of the version window
 //! rejected naming the document's kind, parse errors, and a
@@ -18,7 +18,7 @@ fn bench() -> BenchReport {
     let spec = SweepSpec {
         models: vec!["lenet5".into()],
         archs: vec!["isaac".into()],
-        modes: vec![ScheduleMode::Auto],
+        modes: vec![OptLevel::Auto],
     };
     let mut report = run_sweep(&spec, 1).unwrap();
     report.timing = RunTiming {
@@ -29,7 +29,7 @@ fn bench() -> BenchReport {
     report.failures.push(JobFailure {
         model: "vgg16".into(),
         arch: "table2".into(),
-        mode: ScheduleMode::Cg,
+        mode: OptLevel::Cg,
         error: "operator too large".into(),
     });
     report.cache_stats = Some(CacheStats {
