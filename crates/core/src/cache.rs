@@ -216,7 +216,9 @@ impl FingerprintBuilder {
 }
 
 /// Structural fingerprint of a computation graph (name, nodes, operator
-/// parameters, shapes, edges), via its canonical JSON serialization.
+/// parameters, shapes, edges). It hashes the canonical document exactly
+/// as [`cim_graph::to_json`] writes it, so its values (and with them every
+/// on-disk cache key) move only if that text does.
 #[must_use]
 pub fn fingerprint_graph(graph: &Graph) -> Fingerprint {
     FingerprintBuilder::new("cim-mlc/graph/v1")
@@ -248,7 +250,9 @@ pub fn source_fingerprint(graph: &Graph, arch: &CimArchitecture) -> Fingerprint 
 }
 
 /// [`source_fingerprint`] for a graph whose [`fingerprint_graph`] the
-/// caller already holds (hashing the graph is most of a warm compile).
+/// caller already holds: hashing the graph is still ~45 % (lenet5) to
+/// ~70 % (resnet50, resnet152) of a warm memory-cache compile on a 2-vCPU
+/// x86-64 host.
 pub(crate) fn source_fingerprint_of(graph: Fingerprint, arch: &CimArchitecture) -> Fingerprint {
     FingerprintBuilder::new("cim-mlc/session/v1")
         .fingerprint(graph)

@@ -8,10 +8,11 @@
 //! shapes) is re-checked on load.
 
 use crate::{Graph, GraphError, NodeId, OpKind};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
+use std::fmt::Write as _;
 
 /// Serialized form of one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 struct NodeDoc {
     name: String,
     op: OpKind,
@@ -19,13 +20,19 @@ struct NodeDoc {
 }
 
 /// Serialized form of a graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 struct GraphDoc {
     name: String,
     nodes: Vec<NodeDoc>,
 }
 
 /// Serializes a graph to the JSON exchange format.
+///
+/// The text is the pretty (two-space) `serde_json` rendering of
+/// `{"name", "nodes": [{"name", "op", "inputs"}, …]}`, written straight
+/// into one `String`: only each distinct interned operator goes through
+/// serde. These bytes are canonical — `cim_compiler`'s graph fingerprint
+/// hashes them — so the layout must not change.
 ///
 /// ```
 /// use cim_graph::{zoo, to_json, from_json};
@@ -36,18 +43,64 @@ struct GraphDoc {
 /// ```
 #[must_use]
 pub fn to_json(graph: &Graph) -> String {
-    let doc = GraphDoc {
-        name: graph.name().to_owned(),
-        nodes: graph
-            .nodes()
-            .map(|n| NodeDoc {
-                name: n.name().to_owned(),
-                op: n.op().clone(),
-                inputs: n.inputs().iter().map(|id| id.0).collect(),
-            })
-            .collect(),
-    };
-    serde_json::to_string_pretty(&doc).expect("graph documents always serialize")
+    // Indexed by `OpId`: each operator rendered once, already indented
+    // for its place as a node field.
+    let mut ops: Vec<Option<String>> = vec![None; graph.op_count()];
+    let mut out = String::with_capacity(64 + 160 * graph.len());
+    out.push_str("{\n  \"name\": ");
+    push_json_str(graph.name(), &mut out);
+    out.push_str(",\n  \"nodes\": ");
+    if graph.is_empty() {
+        out.push_str("[]");
+    } else {
+        out.push('[');
+        for (i, node) in graph.nodes().enumerate() {
+            out.push_str(if i > 0 { ",\n    {\n" } else { "\n    {\n" });
+            out.push_str("      \"name\": ");
+            push_json_str(node.name(), &mut out);
+            out.push_str(",\n      \"op\": ");
+            out.push_str(ops[node.op_id().index()].get_or_insert_with(|| {
+                serde_json::to_string_pretty(node.op())
+                    .expect("operators always serialize")
+                    .replace('\n', "\n      ")
+            }));
+            out.push_str(",\n      \"inputs\": ");
+            if node.inputs().is_empty() {
+                out.push_str("[]");
+            } else {
+                out.push('[');
+                for (j, id) in node.inputs().iter().enumerate() {
+                    out.push_str(if j > 0 { ",\n" } else { "\n" });
+                    let _ = write!(out, "        {}", id.0);
+                }
+                out.push_str("\n      ]");
+            }
+            out.push_str("\n    }");
+        }
+        out.push_str("\n  ]");
+    }
+    out.push_str("\n}");
+    out
+}
+
+/// Appends `s` as a JSON string literal, escaped exactly as `serde_json`
+/// escapes it.
+fn push_json_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses a graph from the JSON exchange format, re-validating every node.
@@ -116,6 +169,59 @@ mod tests {
         for g in [crate::zoo::vgg7(), crate::zoo::resnet18()] {
             let back = from_json(&to_json(&g)).unwrap();
             assert_eq!(back, g);
+        }
+    }
+
+    /// The rendering `to_json` replaced: the document built as a
+    /// `serde::Value` tree and pretty-printed by `serde_json`.
+    fn value_tree_json(graph: &Graph) -> String {
+        #[derive(serde::Serialize)]
+        struct NodeOut {
+            name: String,
+            op: OpKind,
+            inputs: Vec<u32>,
+        }
+        #[derive(serde::Serialize)]
+        struct GraphOut {
+            name: String,
+            nodes: Vec<NodeOut>,
+        }
+        let doc = GraphOut {
+            name: graph.name().to_owned(),
+            nodes: graph
+                .nodes()
+                .map(|n| NodeOut {
+                    name: n.name().to_owned(),
+                    op: n.op().clone(),
+                    inputs: n.inputs().iter().map(|id| id.0).collect(),
+                })
+                .collect(),
+        };
+        serde_json::to_string_pretty(&doc).unwrap()
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_tree_rendering() {
+        let mut odd = Graph::new("quote\" back\\slash\n\u{1}é😀");
+        let x = odd
+            .add(
+                "in\tput\r",
+                OpKind::Input {
+                    shape: Shape::chw(3, 8, 8),
+                },
+                [],
+            )
+            .unwrap();
+        let c = odd
+            .add("conv \"é\"", OpKind::conv2d(4, 3, 1, 1), [x])
+            .unwrap();
+        let _ = odd.add("\u{1f}😀\\", OpKind::Relu, [c]).unwrap();
+        let graphs = crate::zoo::all()
+            .into_iter()
+            .chain([odd, Graph::new("empty")]);
+        for g in graphs {
+            assert_eq!(to_json(&g), value_tree_json(&g), "{}", g.name());
+            assert_eq!(from_json(&to_json(&g)).unwrap(), g, "{}", g.name());
         }
     }
 }

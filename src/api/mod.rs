@@ -69,10 +69,11 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// Oldest protocol version this toolchain still accepts.
 pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
-/// Longest request line (newline excluded) a server reads. The vendored
-/// JSON parser is quadratic in the line length (5 MB takes 152 s), and
-/// lines are parsed on the connection's reader thread; a longer line is
-/// discarded and answered with an [`ErrorKind::Protocol`] error.
+/// Longest request line (newline excluded) a server reads. A robustness
+/// bound: lines are buffered and parsed on the connection's reader
+/// thread, so the cap limits what one client can make the server hold.
+/// A longer line is discarded and answered with an
+/// [`ErrorKind::Protocol`] error.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Sends one wire message: `json` plus its newline in a single
