@@ -42,9 +42,10 @@ pub struct CompileTimeBudget {
 ///
 /// Neither is the zoo's heaviest compile: ResNet-152 on ISAAC is, at
 /// about 65× ViT-Base's time before the allocator's threshold sweep and
-/// about 40× after it. Its 156 stages split into many segments whose budget
-/// windows each cover ~77 stages, so the DP prices thousands of distinct
-/// candidates. The `compile-cold` benchmark workload tracks it.
+/// about 34× since the leftover cores go out per tie class (14.8 ms
+/// against 0.44 ms, both at `jobs` 1). Its 156 stages split into many
+/// segments whose budget windows each cover ~77 stages, so the DP prices
+/// thousands of distinct candidates. The `compile-cold` benchmark workload tracks it.
 ///
 /// Pre-refactor medians: vit_base@isaac 19.69 ms, resnet50@puma
 /// 1.008 ms (release, 9 samples). The budgets below are half that.

@@ -13,28 +13,49 @@
 //! objectives are separable and convex in the integer duplication numbers,
 //! the optimal allocation is also reachable by parametric search
 //! (bottleneck) and by optimal marginal allocation (sum — Fox's algorithm
-//! for convex separable resource allocation). Those run in
-//! `O(n log n + B log B)` instead of the DP's `O(n·B·D)` and return the
-//! same optima, which our tests cross-check against a reference DP on
-//! small instances.
+//! for convex separable resource allocation), which return the same optima
+//! as a reference DP on small instances (the tests cross-check) without
+//! the DP's `O(n·B·D)` table.
 //!
 //! The parametric search is exact: it finds the least `f64` bottleneck
 //! target λ whose quantized duplication vector fits the budget, by
 //! sweeping per-operator thresholds (`BottleneckSweep`). The
 //! segmentation DP prices every prefix of a budget window, and one sweep
-//! answers them all in order.
+//! answers them all in order. The cores that vector leaves over go to the
+//! bottleneck stages, one *tie class* of identical stages at a time:
+//! `O(n·C + L·C)` for `n` stages in `C` classes and `L` key levels.
+//!
+//! [`minimize_total`] grants one replica per heap pop: `O(n + G log n)`
+//! for `G` granted replicas.
 
 /// One operator from the allocator's perspective.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocItem {
     /// Cores consumed per replica.
     pub cost: u32,
-    /// Latency of the operator with a single replica (cycles).
+    /// Latency of the operator with a single replica (cycles). Finite.
     pub latency: f64,
     /// Upper bound on the duplication number (resource-independent caps:
     /// MVM count, bandwidth, ALU — computed by the caller).
     pub max_dup: u32,
 }
+
+/// Caller-leased working buffers of the leftover spend that finishes
+/// [`minimize_bottleneck`], in this order:
+///
+/// 1. per item, its tie class, or `u32::MAX` if it takes no replica;
+/// 2. per class, its lowest-index member;
+/// 3. per class, the duplication number its members share;
+/// 4. per class, its member count while it still takes replicas; 0 once
+///    it reached its cap or could not pay for one.
+///
+/// Each holds at most one entry per item, so a caller that leases them
+/// once (the segmentation DP, per row) allocates nothing per call.
+pub type SpendBuffers = [Vec<u32>; 4];
+
+/// Tag of an item the leftover spend never grants to: at its cap, or with
+/// no latency to cut.
+const UNTAGGED: u32 = u32::MAX;
 
 /// Minimizes `max_i latency_i / D_i` subject to `Σ D_i·cost_i ≤ budget`
 /// and `1 ≤ D_i ≤ max_dup_i`.
@@ -47,10 +68,15 @@ pub struct AllocItem {
 /// This is the last prefix of a `BottleneckSweep` over `items`, pushed
 /// all at once: the DP's row sweep and the schedule of a chosen segment
 /// get the same vector by construction.
-pub fn minimize_bottleneck(items: &[AllocItem], budget: u64, dup: &mut Vec<u32>) {
-    let lambda =
+pub fn minimize_bottleneck(
+    items: &[AllocItem],
+    budget: u64,
+    dup: &mut Vec<u32>,
+    spend: &mut SpendBuffers,
+) {
+    let prefix =
         BottleneckSweep::new(items, budget, dup, &mut Vec::new(), &mut Vec::new()).push_rest();
-    finish_bottleneck(items, budget, lambda, dup);
+    finish_bottleneck(items, budget, prefix, dup, spend);
 }
 
 /// Least λ a sweep starts from. No prefix's search bracket starts below it
@@ -105,26 +131,40 @@ fn last_grant(item: &AllocItem, d: u32) -> f64 {
     t
 }
 
-/// Turns `dup`, holding `Q(lambda)` for the least feasible
+/// What finishing a prefix takes besides its `Q(λ)`. The sweep keeps it
+/// current as items are pushed, so finishing a candidate rescans nothing.
+#[derive(Debug, Clone, Copy)]
+struct Prefix {
+    /// Least feasible λ of the prefix, never below [`LAMBDA_FLOOR`].
+    lambda: f64,
+    /// Cores of the all-ones allocation of the prefix.
+    base: u64,
+    /// The prefix's largest latency, at least 1.
+    top: f64,
+    /// The prefix's largest duplication cap, at least 1.
+    max_cap: u32,
+}
+
+/// Turns `dup`, holding `Q(prefix.lambda)` for the least feasible
 /// `lambda ≥ LAMBDA_FLOOR`, into [`minimize_bottleneck`]'s answer.
 ///
 /// The answer is `Q(max(lambda, lo))`, where `lo = max latency / max cap
 /// / 2` is the low end of the allocator's search bracket: a prefix whose
 /// `Q(lo)` already fits gets `Q(lo)`. Any budget left over then goes to the
 /// bottleneck stages.
-fn finish_bottleneck(items: &[AllocItem], budget: u64, lambda: f64, dup: &mut [u32]) {
-    if !base_fits(items, budget) {
+fn finish_bottleneck(
+    items: &[AllocItem],
+    budget: u64,
+    prefix: Prefix,
+    dup: &mut [u32],
+    spend: &mut SpendBuffers,
+) {
+    if prefix.base > budget {
         dup.fill(1);
         return;
     }
-    let hi = items.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
-    let lo = hi
-        / items
-            .iter()
-            .map(|i| f64::from(i.max_dup.max(1)))
-            .fold(1.0, f64::max)
-        / 2.0;
-    if lambda <= lo {
+    let lo = prefix.top / f64::from(prefix.max_cap) / 2.0;
+    if prefix.lambda <= lo {
         for (d, item) in dup.iter_mut().zip(items) {
             *d = replicas(item, lo);
         }
@@ -134,7 +174,7 @@ fn finish_bottleneck(items: &[AllocItem], budget: u64, lambda: f64, dup: &mut [u
         .zip(items)
         .map(|(&d, i)| u64::from(d) * cost(i))
         .sum();
-    spend_leftover_on_bottleneck(items, dup, budget, &mut used);
+    spend_leftover_on_bottleneck(items, dup, budget, &mut used, spend);
 }
 
 /// [`minimize_bottleneck`] for every prefix of one item list, in order —
@@ -157,7 +197,7 @@ fn finish_bottleneck(items: &[AllocItem], budget: u64, lambda: f64, dup: &mut [u
 pub(crate) struct BottleneckSweep<'a> {
     items: &'a [AllocItem],
     budget: u64,
-    /// `Q(lambda)` of the items pushed so far.
+    /// `Q(prefix.lambda)` of the items pushed so far.
     q: &'a mut Vec<u32>,
     /// Per pushed item, its [`last_grant`] threshold while the heap is live.
     keys: &'a mut Vec<f64>,
@@ -165,12 +205,9 @@ pub(crate) struct BottleneckSweep<'a> {
     heap: &'a mut Vec<usize>,
     /// False after a jump until the heap is next needed.
     heap_live: bool,
-    /// Least feasible λ of the prefix, never below [`LAMBDA_FLOOR`].
-    lambda: f64,
+    prefix: Prefix,
     /// Cores `q` uses. `u128`: at the floor every item sits at its cap.
     used: u128,
-    /// Cores of the all-ones allocation of the prefix.
-    base: u64,
 }
 
 impl<'a> BottleneckSweep<'a> {
@@ -192,9 +229,13 @@ impl<'a> BottleneckSweep<'a> {
             keys,
             heap,
             heap_live: true,
-            lambda: LAMBDA_FLOOR,
+            prefix: Prefix {
+                lambda: LAMBDA_FLOOR,
+                base: 0,
+                top: 1.0,
+                max_cap: 1,
+            },
             used: 0,
-            base: 0,
         }
     }
 
@@ -202,7 +243,7 @@ impl<'a> BottleneckSweep<'a> {
     /// feasible value.
     pub(crate) fn push(&mut self) {
         self.insert();
-        if self.base > self.budget {
+        if self.prefix.base > self.budget {
             return; // all ones from here on
         }
         let limit = 4 * self.q.len() + 16;
@@ -222,23 +263,29 @@ impl<'a> BottleneckSweep<'a> {
 
     /// Writes the duplication vector of the prefix pushed so far into
     /// `dup`: exactly [`minimize_bottleneck`] of that prefix.
-    pub(crate) fn solution(&self, dup: &mut Vec<u32>) {
+    pub(crate) fn solution(&self, dup: &mut Vec<u32>, spend: &mut SpendBuffers) {
         dup.clear();
         dup.extend_from_slice(self.q);
-        finish_bottleneck(&self.items[..dup.len()], self.budget, self.lambda, dup);
+        finish_bottleneck(
+            &self.items[..dup.len()],
+            self.budget,
+            self.prefix,
+            dup,
+            spend,
+        );
     }
 
     /// Pushes every remaining item at once, then jumps: the one-shot
-    /// solve, which needs no heap. Returns the least feasible λ.
-    fn push_rest(mut self) -> f64 {
+    /// solve, which needs no heap.
+    fn push_rest(mut self) -> Prefix {
         self.heap_live = false;
         while self.q.len() < self.items.len() {
             self.insert();
         }
-        if self.base <= self.budget && self.over_budget() {
+        if self.prefix.base <= self.budget && self.over_budget() {
             self.jump();
         }
-        self.lambda
+        self.prefix
     }
 
     fn over_budget(&self) -> bool {
@@ -249,8 +296,11 @@ impl<'a> BottleneckSweep<'a> {
     fn insert(&mut self) {
         let idx = self.q.len();
         let item = &self.items[idx];
-        let d = replicas(item, self.lambda);
-        self.base += cost(item);
+        let d = replicas(item, self.prefix.lambda);
+        let prefix = &mut self.prefix;
+        prefix.base += cost(item);
+        prefix.top = prefix.top.max(item.latency);
+        prefix.max_cap = prefix.max_cap.max(item.max_dup);
         self.used += u128::from(d) * u128::from(cost(item));
         self.q.push(d);
         if self.heap_live {
@@ -266,7 +316,7 @@ impl<'a> BottleneckSweep<'a> {
     /// Raises λ to `lambda` and gives back the replicas every item whose
     /// threshold it reaches no longer needs. Returns how many items did.
     fn raise_to(&mut self, lambda: f64) -> usize {
-        self.lambda = lambda;
+        self.prefix.lambda = lambda;
         let mut popped = 0;
         while let Some(&idx) = self.heap.first() {
             if self.keys[idx] > lambda {
@@ -296,8 +346,7 @@ impl<'a> BottleneckSweep<'a> {
     /// within 64 steps.
     fn jump(&mut self) {
         let items = &self.items[..self.q.len()];
-        let top = items.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
-        let (mut lo, mut hi) = (self.lambda.to_bits(), top.to_bits());
+        let (mut lo, mut hi) = (self.prefix.lambda.to_bits(), self.prefix.top.to_bits());
         debug_assert!(lo < hi, "an infeasible λ lies below the max latency");
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
@@ -307,10 +356,10 @@ impl<'a> BottleneckSweep<'a> {
                 lo = mid;
             }
         }
-        self.lambda = f64::from_bits(hi);
+        self.prefix.lambda = f64::from_bits(hi);
         self.used = 0;
         for (d, item) in self.q.iter_mut().zip(items) {
-            *d = replicas(item, self.lambda);
+            *d = replicas(item, self.prefix.lambda);
             self.used += u128::from(*d) * u128::from(cost(item));
         }
         self.heap_live = false;
@@ -359,71 +408,118 @@ fn sift_down(heap: &mut [usize], keys: &[f64], mut pos: usize) {
     }
 }
 
-/// Greedily grants one replica at a time to the current bottleneck stage
-/// until the budget (or every cap) is exhausted.
+/// Grants the budget left over after `dup` (which uses `used` cores) to
+/// the bottleneck stages, adding what it spends to `used`.
 ///
-/// A max-heap on `(latency/D_i, lowest index)` replaces the former
-/// rescan-everything loop: each grant is `O(log n)` instead of `O(n)`,
-/// which is the difference between milliseconds and tens of milliseconds
-/// on ViT-scale segment evaluations. The grant *sequence* is identical to
-/// the scan's — the scan picked the max latency with ties to the lowest
-/// index (strict `>` on a forward pass), skipped `latency == 0` stages
-/// (never above its 0.0 sentinel), and re-skipped unaffordable stages
-/// forever (`used` only grows, so affordability is monotone) — so the
-/// resulting duplication vectors are bit-equal.
-fn spend_leftover_on_bottleneck(items: &[AllocItem], dup: &mut [u32], budget: u64, used: &mut u64) {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    struct Cand {
-        lat: f64,
-        idx: usize,
-    }
-    impl PartialEq for Cand {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
+/// The answer is the greedy that grants one replica at a time to the
+/// stage with the highest key `latency / D_i`, ties to the lowest index,
+/// skipping stages at their cap or with no latency and dropping a stage
+/// for good once it cannot be paid for (`used` only grows). It is
+/// computed in batches instead of one grant at a time:
+///
+/// * Items with the same [`AllocItem`] and the same `D_i` form a *tie
+///   class*: the greedy treats its members alike, up to index order.
+/// * The greedy grants whole *key levels* — every member whose key is the
+///   highest — before any lower key, and one grant strictly lowers a
+///   member's key (latencies are finite). A level whose cost fits the
+///   budget left gives each member one replica, in one step.
+/// * Order only matters in a level that does not fit. Its members are
+///   walked in index order, as the greedy pops them; a member that cannot
+///   be paid for retires its whole class, since its cost only grows
+///   relative to the budget left. Such a level retires at least one class.
+///
+/// Grouping costs `O(n·C)` for `n` items in `C` classes, and each of `L`
+/// levels `O(C)`, plus `O(n)` for each level that does not fit, of which
+/// there are at most `C`: `O(n·C + L·C)` in all, where the greedy made one
+/// heap round trip per replica. The buffers are the caller's, so a call
+/// allocates nothing.
+fn spend_leftover_on_bottleneck(
+    items: &[AllocItem],
+    dup: &mut [u32],
+    budget: u64,
+    used: &mut u64,
+    spend: &mut SpendBuffers,
+) {
+    spend.iter_mut().for_each(Vec::clear);
+    let [tags, reps, dups, members] = spend;
+    debug_assert!(items.len() < UNTAGGED as usize);
+    for (idx, (item, &d)) in items.iter().zip(dup.iter()).enumerate() {
+        if !(d < item.max_dup.max(1) && item.latency > 0.0) {
+            tags.push(UNTAGGED);
+            continue;
         }
-    }
-    impl Eq for Cand {}
-    impl PartialOrd for Cand {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Cand {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Max latency first; on ties the lower index wins the pop.
-            self.lat
-                .partial_cmp(&other.lat)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.idx.cmp(&self.idx))
-        }
-    }
-
-    let mut heap: BinaryHeap<Cand> = items
-        .iter()
-        .enumerate()
-        .filter(|(i, item)| dup[*i] < item.max_dup.max(1) && item.latency > 0.0)
-        .map(|(idx, item)| Cand {
-            lat: item.latency / f64::from(dup[idx]),
-            idx,
-        })
-        .collect();
-    while let Some(c) = heap.pop() {
-        let item = &items[c.idx];
-        let cost = u64::from(item.cost.max(1));
-        if *used + cost > budget {
-            continue; // unaffordable now means unaffordable forever: drop it
-        }
-        dup[c.idx] += 1;
-        *used += cost;
-        if dup[c.idx] < item.max_dup.max(1) {
-            heap.push(Cand {
-                lat: item.latency / f64::from(dup[c.idx]),
-                idx: c.idx,
+        let class = (0..reps.len())
+            .find(|&c| dups[c] == d && items[reps[c] as usize] == *item)
+            .unwrap_or_else(|| {
+                reps.push(idx as u32);
+                dups.push(d);
+                members.push(0);
+                reps.len() - 1
             });
+        members[class] += 1;
+        tags.push(class as u32);
+    }
+    let key = |rep: u32, d: u32| items[rep as usize].latency / f64::from(d);
+    let budget_left = budget.saturating_sub(*used);
+    let mut left = budget_left;
+    loop {
+        // The highest key of a class still taking replicas, and what one
+        // more replica for every member at that key costs.
+        let (mut top, mut level_cost) = (f64::NEG_INFINITY, 0u64);
+        for c in 0..reps.len() {
+            if members[c] == 0 {
+                continue;
+            }
+            let (k, cost) = (
+                key(reps[c], dups[c]),
+                u64::from(members[c]) * cost(&items[reps[c] as usize]),
+            );
+            if k > top {
+                (top, level_cost) = (k, cost);
+            } else if k == top {
+                level_cost = level_cost.saturating_add(cost);
+            }
+        }
+        if level_cost == 0 {
+            break; // no class takes replicas any more
+        }
+        if level_cost <= left {
+            left -= level_cost;
+        } else {
+            // Granted members take their replica now; a class that could
+            // not pay for one keeps its duplication from here on.
+            for (idx, &class) in tags.iter().enumerate() {
+                let c = class as usize;
+                if class == UNTAGGED || members[c] == 0 || key(reps[c], dups[c]) != top {
+                    continue;
+                }
+                let cost = cost(&items[idx]);
+                if cost <= left {
+                    left -= cost;
+                    dup[idx] = dups[c] + 1;
+                } else {
+                    members[c] = 0;
+                }
+            }
+        }
+        // Every class of the level still taking replicas was paid in full.
+        for c in 0..reps.len() {
+            if members[c] == 0 || key(reps[c], dups[c]) != top {
+                continue;
+            }
+            dups[c] += 1;
+            debug_assert!(key(reps[c], dups[c]) < top, "a grant lowers the key");
+            if dups[c] == items[reps[c] as usize].max_dup.max(1) {
+                members[c] = 0;
+            }
         }
     }
+    for (d, &class) in dup.iter_mut().zip(tags.iter()) {
+        if class != UNTAGGED {
+            *d = (*d).max(dups[class as usize]);
+        }
+    }
+    *used += budget_left - left;
 }
 
 /// Minimizes `Σ_i latency_i / D_i` subject to `Σ D_i·cost_i ≤ budget` and
@@ -505,8 +601,67 @@ mod tests {
 
     fn minimize_bottleneck(items: &[AllocItem], budget: u64) -> Vec<u32> {
         let mut dup = Vec::new();
-        super::minimize_bottleneck(items, budget, &mut dup);
+        super::minimize_bottleneck(items, budget, &mut dup, &mut SpendBuffers::default());
         dup
+    }
+
+    /// The leftover spend as it ran before the class-batched one, kept as
+    /// its oracle: one heap pop per granted replica, on a max-heap of
+    /// `(latency/D_i, lowest index)`, dropping a stage for good once it
+    /// cannot be paid for.
+    fn grant_one_at_a_time(items: &[AllocItem], dup: &mut [u32], budget: u64, used: &mut u64) {
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        struct Cand {
+            lat: f64,
+            idx: usize,
+        }
+        impl PartialEq for Cand {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == Ordering::Equal
+            }
+        }
+        impl Eq for Cand {}
+        impl PartialOrd for Cand {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Cand {
+            fn cmp(&self, other: &Self) -> Ordering {
+                // Max latency first; on ties the lower index wins the pop.
+                self.lat
+                    .partial_cmp(&other.lat)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| other.idx.cmp(&self.idx))
+            }
+        }
+
+        let mut heap: BinaryHeap<Cand> = items
+            .iter()
+            .enumerate()
+            .filter(|(i, item)| dup[*i] < item.max_dup.max(1) && item.latency > 0.0)
+            .map(|(idx, item)| Cand {
+                lat: item.latency / f64::from(dup[idx]),
+                idx,
+            })
+            .collect();
+        while let Some(c) = heap.pop() {
+            let item = &items[c.idx];
+            let cost = u64::from(item.cost.max(1));
+            if *used + cost > budget {
+                continue; // unaffordable now means unaffordable forever: drop it
+            }
+            dup[c.idx] += 1;
+            *used += cost;
+            if dup[c.idx] < item.max_dup.max(1) {
+                heap.push(Cand {
+                    lat: item.latency / f64::from(dup[c.idx]),
+                    idx: c.idx,
+                });
+            }
+        }
     }
 
     fn minimize_total(items: &[AllocItem], budget: u64) -> Vec<u32> {
@@ -745,16 +900,19 @@ mod tests {
             *d = quantize(item, hi) as u32;
             used += u64::from(*d) * u64::from(item.cost.max(1));
         }
-        spend_leftover_on_bottleneck(items, &mut dup, budget, &mut used);
+        grant_one_at_a_time(items, &mut dup, budget, &mut used);
         (dup, hi)
     }
 
     /// Items drawn from `(latency kind, raw, cost, cap kind, raw cap)`:
     /// zero latencies, tie-heavy multiples of 50 176 (the zoo's 200 704 and
     /// 401 408 among them), plain and fractional latencies; caps up to 8,
-    /// 1 000 or 10⁶.
-    fn drawn_items(spec: &[(u32, u32, u32, u32, u32)]) -> Vec<AllocItem> {
-        spec.iter()
+    /// 1 000 or 10⁶. The first three drawn items, ResNet's period-3
+    /// bottleneck block, come `blocks` more times before them, so identical
+    /// items cross a threshold together.
+    fn drawn_items(spec: &[(u32, u32, u32, u32, u32)], blocks: usize) -> Vec<AllocItem> {
+        let drawn: Vec<AllocItem> = spec
+            .iter()
             .map(|&(lat_kind, raw, cost, cap_kind, raw_cap)| AllocItem {
                 cost,
                 latency: match lat_kind {
@@ -765,7 +923,10 @@ mod tests {
                 },
                 max_dup: 1 + raw_cap % [8, 1_000, 1_000_000][cap_kind as usize],
             })
-            .collect()
+            .collect();
+        let block = &drawn[..drawn.len().min(3)];
+        let repeated = block.iter().cycle().take(block.len() * blocks);
+        repeated.chain(&drawn).copied().collect()
     }
 
     proptest::proptest! {
@@ -786,20 +947,21 @@ mod tests {
         #[test]
         fn sweep_is_the_exact_bisection_at_every_prefix(
             spec in proptest::collection::vec((0u32..5, 0u32..10_000_000, 0u32..6, 0u32..3, 0u32..1_000_000), 1..24),
+            blocks in 0usize..13,
             slack in 0u64..1_001,
         ) {
-            let items = drawn_items(&spec);
+            let items = drawn_items(&spec, blocks);
             let base: u64 = items.iter().map(cost).sum();
             let budget = base + base * 3 * slack / 1_000;
             let (mut q, mut keys, mut heap) = (Vec::new(), Vec::new(), Vec::new());
             let mut sweep = BottleneckSweep::new(&items, budget, &mut q, &mut keys, &mut heap);
-            let mut got = Vec::new();
+            let (mut got, mut spend) = (Vec::new(), SpendBuffers::default());
             for len in 1..=items.len() {
                 let prefix = &items[..len];
                 sweep.push();
-                sweep.solution(&mut got);
+                sweep.solution(&mut got, &mut spend);
                 proptest::prop_assert_eq!(&got, &minimize_bottleneck(prefix, budget));
-                let lambda = sweep.lambda;
+                let lambda = sweep.prefix.lambda;
                 if base_fits(prefix, budget) {
                     proptest::prop_assert!(fits_at(prefix, budget, lambda));
                     proptest::prop_assert!(
@@ -828,6 +990,45 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The class-batched leftover spend grants exactly what the
+        /// one-grant greedy does, on a `dup` drawn from a pool of 1–6
+        /// distinct items, 40 picks per pool item at most: tie classes, a pool item
+        /// split over two duplication numbers, distinct items sharing a key
+        /// (multiples of 50 176 over small `d`), costs 1–36 and budgets from
+        /// exactly tight to 3× the cores in use.
+        #[test]
+        fn class_batched_spend_equals_the_one_grant_greedy(
+            pool in proptest::collection::vec((0u32..10, 0u32..1_000_000, 1u32..37, 0u32..3, 0u32..1_000_000, 0u32..8), 1..7),
+            picks in proptest::collection::vec((0usize..6, 0u32..8), 1..241),
+            slack in 0u64..1_001,
+        ) {
+            let (mut items, mut dup) = (Vec::new(), Vec::new());
+            for &(pick, bump) in picks.iter().take(40 * pool.len()) {
+                let (lat_kind, raw, cost, cap_kind, raw_cap, raw_d) = pool[pick % pool.len()];
+                let max_dup = 1 + raw_cap % [8, 64, 1_000_000][cap_kind as usize];
+                items.push(AllocItem {
+                    cost,
+                    latency: match lat_kind {
+                        0 => 0.0,
+                        9 => f64::from(raw) / 7.0,
+                        k => 50_176.0 * f64::from(k),
+                    },
+                    max_dup,
+                });
+                let d = 1 + raw_d % max_dup;
+                dup.push(if bump == 0 { (d + 1).min(max_dup) } else { d });
+            }
+            let used: u64 = items.iter().zip(&dup).map(|(i, &d)| u64::from(d) * cost(i)).sum();
+            let budget = used + used * 2 * slack / 1_000;
+            let (mut want, mut want_used) = (dup.clone(), used);
+            grant_one_at_a_time(&items, &mut want, budget, &mut want_used);
+            let (mut got, mut got_used) = (dup, used);
+            let mut spend = SpendBuffers::default();
+            spend_leftover_on_bottleneck(&items, &mut got, budget, &mut got_used, &mut spend);
+            proptest::prop_assert_eq!(&got, &want, "budget {}: {:?}", budget, pool);
+            proptest::prop_assert_eq!(got_used, want_used);
         }
     }
 }

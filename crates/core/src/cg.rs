@@ -129,18 +129,18 @@ pub struct CgSchedule {
 /// the stage is as slow as its slowest resource (the paper's assumption
 /// that transfers hide under compute when bandwidth suffices, §4.1).
 /// `cycles_per_mvm` is the level's own: the mapping's at the CG and MVM
-/// levels, the remapped one at the VVM level.
+/// levels, the remapped one at the VVM level. `mov` is the stage's
+/// [`movement_cycles`], which no duplication changes.
 pub(crate) fn stage_latency(
     stage: &Stage,
     arch: &CimArchitecture,
-    act_bits: u32,
+    mov: f64,
     dup: u32,
     cycles_per_mvm: u64,
     folds: u32,
 ) -> f64 {
     let compute = stage.mapping.mvm_count as f64 * cycles_per_mvm as f64 / f64::from(dup.max(1))
         * f64::from(folds.max(1));
-    let mov = movement_cycles(stage, arch, act_bits);
     let cores = dup.max(1) * stage.mapping.cores_per_replica(arch);
     let alu = stage.alu_cycles(
         arch.chip().alu_ops_per_cycle(),
@@ -310,12 +310,14 @@ struct SegmentEvaluator<'a> {
     /// unedited regions.
     ids: Vec<u32>,
     /// Per-stage scheduling stats (cores one replica needs, cycles per
-    /// MVM, allocator item), cached by region id: every candidate is a
-    /// contiguous stage range, so its allocator input is a slice of
-    /// `items`. Repeated blocks (and every unedited stage of a recompile)
-    /// answer from the memo instead of re-deriving the crossbar math.
+    /// MVM, movement cycles, allocator item), cached by region id: every
+    /// candidate is a contiguous stage range, so its allocator input is a
+    /// slice of `items`. Repeated blocks (and every unedited stage of a
+    /// recompile) answer from the memo instead of re-deriving the crossbar
+    /// math.
     needs: Vec<u64>,
     cpms: Vec<u64>,
+    movs: Vec<f64>,
     items: Vec<AllocItem>,
 }
 
@@ -326,6 +328,7 @@ impl<'a> SegmentEvaluator<'a> {
         let n = stages.len();
         let mut needs = Vec::with_capacity(n);
         let mut cpms = Vec::with_capacity(n);
+        let mut movs = Vec::with_capacity(n);
         let mut items = Vec::with_capacity(n);
         for (stage, &id) in stages.iter().zip(&ids) {
             let st = cx.memo.stage_stats(id, || {
@@ -334,6 +337,7 @@ impl<'a> SegmentEvaluator<'a> {
                 StageStats {
                     need: u64::from(cost),
                     cpm,
+                    mov: movement_cycles(stage, arch, act_bits),
                     item: AllocItem {
                         cost,
                         latency: stage.mapping.mvm_count as f64 * cpm as f64,
@@ -343,6 +347,7 @@ impl<'a> SegmentEvaluator<'a> {
             });
             needs.push(st.need);
             cpms.push(st.cpm);
+            movs.push(st.mov);
             items.push(st.item);
         }
         SegmentEvaluator {
@@ -353,6 +358,7 @@ impl<'a> SegmentEvaluator<'a> {
             ids,
             needs,
             cpms,
+            movs,
             items,
         }
     }
@@ -390,7 +396,8 @@ impl<'a> SegmentEvaluator<'a> {
             dup.clear();
             dup.resize(items.len(), 1);
         } else if self.options.pipeline {
-            alloc::minimize_bottleneck(items, self.core_count, dup);
+            let mut spend = self.cx.scratch.u32_array(items.len());
+            alloc::minimize_bottleneck(items, self.core_count, dup, &mut spend);
         } else {
             alloc::minimize_total(items, self.core_count, dup);
         }
@@ -407,7 +414,7 @@ impl<'a> SegmentEvaluator<'a> {
             let latency = stage_latency(
                 stage,
                 self.cx.arch,
-                self.cx.act_bits,
+                self.movs[i],
                 dup[k],
                 self.cpms[i],
                 folds,
@@ -464,26 +471,27 @@ impl<'a> SegmentEvaluator<'a> {
         // Leased at the DP table's length, so every later row and the
         // table itself reuse these buffers instead of growing them.
         let cap = self.stages.len() + 1;
-        let (mut dup, mut lat_fill) = (cx.scratch.u32s(cap), cx.scratch.pairs(cap));
+        let mut lat_fill = cx.scratch.pairs(cap);
         let row: Arc<[f64]> = if self.options.pipeline && self.options.duplication {
             // The candidates are the prefixes of the window, so one
-            // bottleneck sweep duplicates them all.
-            let (mut q, mut keys, mut heap) = (
-                cx.scratch.u32s(cap),
-                cx.scratch.f64s(cap),
-                cx.scratch.usizes(cap),
-            );
+            // bottleneck sweep duplicates them all. Its six `u32` buffers
+            // (the duplication vector, `Q` and the leftover spend's four)
+            // come in one lease.
+            let mut u32s = cx.scratch.u32_array::<6>(cap);
+            let [dup, q, spend @ ..] = &mut *u32s;
+            let (mut keys, mut heap) = (cx.scratch.f64s(cap), cx.scratch.usizes(cap));
             let items = &self.items[i..window_end];
-            let mut sweep = BottleneckSweep::new(items, core_count, &mut q, &mut keys, &mut heap);
+            let mut sweep = BottleneckSweep::new(items, core_count, q, &mut keys, &mut heap);
             (i..window_end)
                 .map(|k| {
                     sweep.push();
-                    self.probe(i..k + 1, &mut dup, &mut lat_fill, |dup| {
-                        sweep.solution(dup);
+                    self.probe(i..k + 1, dup, &mut lat_fill, |dup| {
+                        sweep.solution(dup, spend);
                     })
                 })
                 .collect()
         } else {
+            let mut dup = cx.scratch.u32s(cap);
             (i..window_end)
                 .map(|k| {
                     self.probe(i..k + 1, &mut dup, &mut lat_fill, |dup| {

@@ -102,7 +102,7 @@ pub use pipeline::{
 };
 pub use pool::{run_ordered, Pool, PoolFull};
 pub use region::RegionMemo;
-pub use scratch::{ScratchArena, ScratchVec};
+pub use scratch::{ScratchArena, ScratchArray, ScratchVec};
 
 /// Convenient result alias for fallible compilation operations.
 pub type Result<T> = std::result::Result<T, CompileError>;

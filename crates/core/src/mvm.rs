@@ -19,6 +19,7 @@
 use crate::cg::{duplication_cap, stage_latency, CgSchedule, Segment, StagePlan};
 use crate::level::{refine, standalone, Level, PlanOut, SchedContext};
 use crate::perf::PerfReport;
+use crate::stage::movement_cycles;
 use cim_arch::CimArchitecture;
 
 /// The MVM-grained refinement of a CG schedule.
@@ -135,7 +136,14 @@ pub fn schedule_mvm_in(cx: &SchedContext<'_>, cg: &CgSchedule, options: MvmOptio
         PlanOut {
             plan: StagePlan {
                 duplication: dup,
-                latency: stage_latency(stage, arch, act_bits, dup, cpm, plan.folds),
+                latency: stage_latency(
+                    stage,
+                    arch,
+                    movement_cycles(stage, arch, act_bits),
+                    dup,
+                    cpm,
+                    plan.folds,
+                ),
                 ..plan.clone()
             },
             // The MVM pipeline halves the input chunk each stage waits for

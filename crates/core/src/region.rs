@@ -198,6 +198,9 @@ pub struct StageStats {
     pub need: u64,
     /// Cycles per MVM.
     pub cpm: u64,
+    /// Movement cycles of the stage's traffic, which duplication does not
+    /// change.
+    pub mov: f64,
     /// The allocator's view of the stage (cost, latency, duplication cap).
     pub item: AllocItem,
 }

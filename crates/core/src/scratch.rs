@@ -80,6 +80,28 @@ impl ScratchArena {
         lease(&self.u32s, capacity)
     }
 
+    /// Leases `N` empty `u32` buffers with at least `capacity` slots each,
+    /// in one trip to the pool and back: for a pass that needs several
+    /// buffers of one kind per call, the lock and peak bookkeeping of
+    /// one lease instead of `N`. Each buffer counts toward the peak as a
+    /// lease of its own.
+    #[must_use]
+    pub fn u32_array<const N: usize>(&self, capacity: usize) -> ScratchArray<'_, u32, N> {
+        let bufs = {
+            let mut free = self.u32s.free.lock().expect("scratch pool poisoned");
+            std::array::from_fn(|_| free.pop().unwrap_or_default())
+        };
+        let mut array = ScratchArray {
+            pool: &self.u32s,
+            bufs,
+        };
+        for buf in array.iter_mut() {
+            buf.clear();
+            buf.reserve(capacity);
+        }
+        array
+    }
+
     /// Leases an empty `usize` buffer with at least `capacity` slots.
     #[must_use]
     pub fn usizes(&self, capacity: usize) -> ScratchVec<'_, usize> {
@@ -161,6 +183,42 @@ impl<T> Drop for ScratchVec<'_, T> {
     }
 }
 
+/// `N` leased scratch buffers of one kind: dereferences to `[Vec<T>; N]`,
+/// and all of them return to their arena's pool (capacity intact) on drop.
+#[derive(Debug)]
+pub struct ScratchArray<'a, T, const N: usize> {
+    pool: &'a FreeList<T>,
+    bufs: [Vec<T>; N],
+}
+
+impl<T, const N: usize> Deref for ScratchArray<'_, T, N> {
+    type Target = [Vec<T>; N];
+    fn deref(&self) -> &[Vec<T>; N] {
+        &self.bufs
+    }
+}
+
+impl<T, const N: usize> DerefMut for ScratchArray<'_, T, N> {
+    fn deref_mut(&mut self) -> &mut [Vec<T>; N] {
+        &mut self.bufs
+    }
+}
+
+impl<T, const N: usize> Drop for ScratchArray<'_, T, N> {
+    fn drop(&mut self) {
+        let longest = self.bufs.iter().map(Vec::len).max().unwrap_or(0);
+        self.pool.peak_len.fetch_max(longest, Ordering::Relaxed);
+        // A poisoned free list only costs the recycling; never panic in drop.
+        if let Ok(mut free) = self.pool.free.lock() {
+            for buf in &mut self.bufs {
+                let mut buf = std::mem::take(buf);
+                buf.clear();
+                free.push(buf);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +260,26 @@ mod tests {
         assert_eq!(arena.peak_bytes(), 0);
         arena.usizes(10).push(1);
         assert_eq!(arena.peak_bytes(), std::mem::size_of::<usize>() as u64);
+    }
+
+    #[test]
+    fn an_array_lease_recycles_and_counts_like_single_leases() {
+        let arena = ScratchArena::new();
+        let ptrs = {
+            let mut bufs = arena.u32_array::<3>(16);
+            bufs[0].resize(5, 0);
+            bufs[2].resize(9, 0);
+            bufs.each_ref().map(|b| b.as_ptr())
+        };
+        assert_eq!(arena.peak_bytes(), 9 * 4);
+        // The three buffers are back in the pool: single leases reuse them.
+        let (a, b, c) = (arena.u32s(1), arena.u32s(1), arena.u32s(1));
+        let mut reused = [a.as_ptr(), b.as_ptr(), c.as_ptr()];
+        let mut leased = ptrs;
+        reused.sort();
+        leased.sort();
+        assert_eq!(reused, leased);
+        assert!(a.is_empty() && a.capacity() >= 16);
     }
 
     #[test]

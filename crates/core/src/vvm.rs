@@ -21,6 +21,7 @@ use crate::cg::{duplication_cap, stage_latency, CgSchedule, Segment, StagePlan};
 use crate::level::{refine, standalone, Level, PlanOut, SchedContext};
 use crate::mvm::MvmSchedule;
 use crate::perf::PerfReport;
+use crate::stage::movement_cycles;
 use cim_arch::CimArchitecture;
 
 /// The VVM-grained refinement.
@@ -88,10 +89,11 @@ pub fn schedule_vvm_in(cx: &SchedContext<'_>, cg: &CgSchedule, mvm: &MvmSchedule
         // accumulate), so vertical crossbars no longer serialize even on
         // cores without analog S&A hardware: the `v` factor of
         // `OpMapping::cycles_per_mvm` disappears here.
+        let mov = movement_cycles(stage, arch, act_bits);
         let latency = |d: u32, k: u32| -> f64 {
             let cpm = u64::from(arch.crossbar().input_slices(act_bits))
                 * u64::from(groups.div_ceil(k.max(1)).max(1));
-            stage_latency(stage, arch, act_bits, d, cpm, plan.folds)
+            stage_latency(stage, arch, mov, d, cpm, plan.folds)
         };
         // Choose the best split of the stage's crossbar slots between
         // extra replicas (duplication `d`) and row spreading (`k`):
