@@ -6,10 +6,12 @@
 //! memoizes the staged pipeline per pass:
 //!
 //! * a [`Fingerprint`] is a stable 128-bit structural hash (two-lane
-//!   FNV-1a, in-tree — no external hasher crates) of everything a pass
-//!   reads: the graph, the architecture, the option fields *that pass
-//!   consumes*, chained onto the fingerprint of the pass sequence that
-//!   produced its input ([`Pass::fingerprint`](crate::Pass::fingerprint));
+//!   FNV-1a over 64-bit words, in-tree — no external hasher crates) of
+//!   everything a pass reads: the graph (walked in its interned arena),
+//!   the architecture (its tier parameters and cost model), the option
+//!   fields *that pass consumes*, chained onto the fingerprint of the
+//!   pass sequence that produced its input
+//!   ([`Pass::fingerprint`](crate::Pass::fingerprint));
 //! * a [`CompileCache`] maps fingerprints to [`Artifact`]s, with an
 //!   in-process [`MemoryCache`] and an on-disk, content-addressed
 //!   [`DiskCache`] (one checksummed entry file per fingerprint);
@@ -62,14 +64,14 @@ use crate::perf::{intern_level, PerfReport};
 use crate::pipeline::{Artifact, CgScheduled, MvmScheduled, Staged, VvmScheduled};
 use crate::stage::Stage;
 use crate::vvm::VvmSchedule;
-use cim_arch::{CimArchitecture, EnergyBreakdown};
-use cim_graph::{Graph, NodeId};
+use cim_arch::{CimArchitecture, CostModel, EnergyBreakdown, NocCost};
+use cim_graph::{Graph, NodeId, OpKind, PoolKind, Shape};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Fingerprints.
@@ -78,7 +80,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// The 64-bit FNV-1a offset basis: the state [`fnv1a`] starts from (and
 /// the low lane of every [`Fingerprint`]).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-// Second lane: FNV-1a over tweaked bytes from a distinct offset basis, so
+// Second lane: FNV-1a over rotated words from a distinct offset basis, so
 // the two 64-bit lanes fail independently.
 const FNV_OFFSET_HI: u64 = 0x6c62_272e_07bb_0142;
 
@@ -95,8 +97,8 @@ pub const fn fnv1a(state: u64, x: u64) -> u64 {
 ///
 /// Equal compilation inputs always produce equal fingerprints (across
 /// processes and hosts); distinct inputs produce distinct fingerprints up
-/// to the collision resistance of two independent FNV-1a lanes —
-/// comfortably beyond sweep-scale working sets.
+/// to the collision resistance of two FNV-1a lanes fed differently
+/// rotated words — comfortably beyond sweep-scale working sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     hi: u64,
@@ -115,7 +117,7 @@ impl Fingerprint {
     /// key of that pass's output: `key_i = H(key_{i-1}, pass_i)`.
     #[must_use]
     pub fn chain(self, next: Fingerprint) -> Fingerprint {
-        FingerprintBuilder::new("cim-mlc/chain/v1")
+        FingerprintBuilder::new("cim-mlc/chain/v2")
             .fingerprint(self)
             .fingerprint(next)
             .finish()
@@ -130,7 +132,12 @@ impl std::fmt::Display for Fingerprint {
 
 /// Incremental [`Fingerprint`] construction over typed inputs.
 ///
-/// Every write is tagged and length-delimited, so field boundaries are
+/// The builder hashes 64-bit words: one step xors a word into the low
+/// lane and the word rotated left by 31 bits into the high lane, then
+/// multiplies both by the FNV prime ([`fnv1a`]). Byte strings are packed
+/// eight bytes to a word (little-endian, the last word zero-padded).
+/// Every write is tagged and every variable-length write is
+/// length-prefixed, so field boundaries — and the padding — are
 /// unambiguous: `str("ab").str("c")` and `str("a").str("bc")` hash
 /// differently.
 #[derive(Debug, Clone)]
@@ -140,69 +147,90 @@ pub struct FingerprintBuilder {
 }
 
 impl FingerprintBuilder {
+    /// The state before any word: the two FNV offset bases.
+    const START: FingerprintBuilder = FingerprintBuilder {
+        hi: FNV_OFFSET_HI,
+        lo: FNV_OFFSET,
+    };
+
     /// Starts a fingerprint in `domain` (a namespace string; distinct
     /// domains never collide by construction).
     #[must_use]
     pub fn new(domain: &str) -> Self {
-        FingerprintBuilder {
-            hi: FNV_OFFSET_HI,
-            lo: FNV_OFFSET,
-        }
-        .str(domain)
+        Self::START.str(domain)
     }
 
-    fn raw(mut self, bytes: &[u8]) -> Self {
-        for &b in bytes {
-            self.lo = fnv1a(self.lo, u64::from(b));
-            self.hi = fnv1a(self.hi, u64::from(b ^ 0xa5));
-        }
+    /// The one hashing step every write goes through.
+    #[inline]
+    fn word(mut self, w: u64) -> Self {
+        self.lo = fnv1a(self.lo, w);
+        self.hi = fnv1a(self.hi, w.rotate_left(31));
         self
     }
 
-    fn tag(self, t: u8) -> Self {
-        self.raw(&[t])
+    /// Tag `t` and a length in one word: the tag in the low byte, the
+    /// length above it (lengths are far below 2^56).
+    fn tag_len(self, t: u8, len: usize) -> Self {
+        self.word(u64::from(t) | (len as u64) << 8)
+    }
+
+    fn raw(mut self, bytes: &[u8]) -> Self {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self = self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        // The zero-padded little-endian last word, built bytewise: a
+        // variable-length copy into a buffer would be a `memcpy` call per
+        // string, as costly as hashing a node name.
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            self = self.word(tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        }
+        self
     }
 
     /// Hashes a length-prefixed byte string.
     #[must_use]
     pub fn bytes(self, bytes: &[u8]) -> Self {
-        self.tag(1)
-            .raw(&(bytes.len() as u64).to_le_bytes())
-            .raw(bytes)
+        self.tag_len(1, bytes.len()).raw(bytes)
     }
 
     /// Hashes a length-prefixed UTF-8 string.
     #[must_use]
     pub fn str(self, s: &str) -> Self {
-        self.tag(2)
-            .raw(&(s.len() as u64).to_le_bytes())
-            .raw(s.as_bytes())
+        self.tag_len(2, s.len()).raw(s.as_bytes())
     }
 
     /// Hashes an unsigned integer.
     #[must_use]
     pub fn u64(self, n: u64) -> Self {
-        self.tag(3).raw(&n.to_le_bytes())
+        self.word(3).word(n)
     }
 
     /// Hashes a float by its exact bit pattern.
     #[must_use]
     pub fn f64(self, x: f64) -> Self {
-        self.tag(4).raw(&x.to_bits().to_le_bytes())
+        self.word(4).word(x.to_bits())
     }
 
     /// Hashes a boolean.
     #[must_use]
     pub fn bool(self, b: bool) -> Self {
-        self.tag(5).raw(&[u8::from(b)])
+        self.word(5 | u64::from(b) << 8)
     }
 
     /// Hashes another fingerprint (for chaining).
     #[must_use]
     pub fn fingerprint(self, fp: Fingerprint) -> Self {
-        self.tag(6)
-            .raw(&fp.hi.to_le_bytes())
-            .raw(&fp.lo.to_le_bytes())
+        self.word(6).word(fp.hi).word(fp.lo)
+    }
+
+    /// Hashes an optional unsigned integer.
+    fn opt_u64(self, n: Option<u64>) -> Self {
+        match n {
+            Some(n) => self.word(7).word(n),
+            None => self.word(8),
+        }
     }
 
     /// Finalizes the fingerprint.
@@ -215,29 +243,155 @@ impl FingerprintBuilder {
     }
 }
 
-/// Structural fingerprint of a computation graph (name, nodes, operator
-/// parameters, shapes, edges). It hashes the canonical document exactly
-/// as [`cim_graph::to_json`] writes it, so its values (and with them every
-/// on-disk cache key) move only if that text does.
+/// Structural fingerprint of a computation graph: its name and, per node
+/// in id order, the node's name, operator attributes and input ids. This
+/// is exactly what [`cim_graph::to_json`] writes (output shapes follow
+/// from those), so two graphs key equal exactly when their documents
+/// are equal — whatever their interned arena layouts.
+///
+/// The graph is walked in its arena: each distinct operator is reduced
+/// to a key once per call, and no text is rendered.
 #[must_use]
 pub fn fingerprint_graph(graph: &Graph) -> Fingerprint {
-    FingerprintBuilder::new("cim-mlc/graph/v1")
-        .str(&cim_graph::to_json(graph))
+    // Indexed by `OpId`. An arena may hold operators no node uses any
+    // more (a retune interns the new one and leaves the old), so keys are
+    // made on first use rather than for the whole arena.
+    let mut op_keys: Vec<Option<Fingerprint>> = vec![None; graph.op_count()];
+    let mut b = FingerprintBuilder::new("cim-mlc/graph/v2")
+        .str(graph.name())
+        .word(graph.len() as u64);
+    for node in graph.nodes() {
+        let op = *op_keys[node.op_id().index()].get_or_insert_with(|| fingerprint_op(node.op()));
+        let inputs = node.inputs();
+        b = b
+            .str(node.name())
+            .word(op.hi)
+            .word(op.lo)
+            .word(inputs.len() as u64);
+        for id in inputs {
+            b = b.word(id.index() as u64);
+        }
+    }
+    b.finish()
+}
+
+/// The key of one operator's attributes: a word per variant, then its
+/// fields in declaration order.
+fn fingerprint_op(op: &OpKind) -> Fingerprint {
+    fn shape(b: FingerprintBuilder, s: &Shape) -> FingerprintBuilder {
+        s.dims()
+            .iter()
+            .fold(b.word(s.rank() as u64), |b, &d| b.word(d as u64))
+    }
+    let b = FingerprintBuilder::new("cim-mlc/op/v2");
+    let w = |n: &usize| *n as u64;
+    match op {
+        OpKind::Input { shape: s } => shape(b.word(0), s),
+        OpKind::Conv2d {
+            out_channels,
+            kernel,
+            stride,
+            padding,
+        } => b
+            .word(1)
+            .word(w(out_channels))
+            .word(w(kernel))
+            .word(w(stride))
+            .word(w(padding)),
+        OpKind::Linear { out_features } => b.word(2).word(w(out_features)),
+        OpKind::MatMul => b.word(3),
+        OpKind::Relu => b.word(4),
+        OpKind::Gelu => b.word(5),
+        OpKind::Softmax => b.word(6),
+        OpKind::Pool2d {
+            kind,
+            kernel,
+            stride,
+            padding,
+        } => b
+            .word(7)
+            .word(match kind {
+                PoolKind::Max => 0,
+                PoolKind::Avg => 1,
+            })
+            .word(w(kernel))
+            .word(w(stride))
+            .word(w(padding)),
+        OpKind::Reshape { shape: s } => shape(b.word(8), s),
+        OpKind::GlobalAvgPool => b.word(9),
+        OpKind::Add => b.word(10),
+        OpKind::Concat { axis } => b.word(11).word(w(axis)),
+        OpKind::Flatten => b.word(12),
+        OpKind::BatchNorm => b.word(13),
+        OpKind::LayerNorm => b.word(14),
+        OpKind::Attention { heads } => b.word(15).word(w(heads)),
+    }
+    .finish()
+}
+
+/// Structural fingerprint of an architecture: its name, every tier
+/// parameter, the computing mode, and the active cost model — including
+/// a cost model overridden away from the tier-derived default.
+#[must_use]
+pub fn fingerprint_arch(arch: &CimArchitecture) -> Fingerprint {
+    let (chip, core, xb) = (arch.chip(), arch.core(), arch.crossbar());
+    let CostModel {
+        xb_read_cycles,
+        xb_write_cycles_per_row,
+        e_cell,
+        e_adc_per_conversion,
+        e_dac_per_conversion,
+        e_mov_per_bit,
+        e_alu_per_op,
+        e_write_per_cell,
+    } = arch.cost();
+    let b = FingerprintBuilder::new("cim-mlc/arch/v2")
+        .str(arch.name())
+        .u64(chip.core_grid().0.into())
+        .u64(chip.core_grid().1.into())
+        .str(chip.noc().name());
+    let b = noc_cost(b, chip.noc_cost())
+        .opt_u64(chip.l0_size_bits())
+        .opt_u64(chip.l0_bw_bits_per_cycle())
+        .opt_u64(chip.alu_ops_per_cycle())
+        .u64(core.xb_grid().0.into())
+        .u64(core.xb_grid().1.into())
+        .str(core.noc().name());
+    noc_cost(b, core.noc_cost())
+        .opt_u64(core.l1_size_bits())
+        .opt_u64(core.l1_bw_bits_per_cycle())
+        .opt_u64(core.alu_ops_per_cycle())
+        .bool(core.analog_partial_sum())
+        .u64(xb.shape().rows.into())
+        .u64(xb.shape().cols.into())
+        .u64(xb.parallel_row().into())
+        .u64(xb.dac_bits().into())
+        .u64(xb.adc_bits().into())
+        .str(xb.cell_type().name())
+        .u64(xb.cell_bits().into())
+        .str(arch.mode().name())
+        .u64(*xb_read_cycles)
+        .u64(*xb_write_cycles_per_row)
+        .f64(*e_cell)
+        .f64(*e_adc_per_conversion)
+        .f64(*e_dac_per_conversion)
+        .f64(*e_mov_per_bit)
+        .f64(*e_alu_per_op)
+        .f64(*e_write_per_cell)
         .finish()
 }
 
-/// Structural fingerprint of an architecture (all three tiers, the
-/// computing mode, and the cost model — including a cost model overridden
-/// away from the tier-derived default).
-#[must_use]
-pub fn fingerprint_arch(arch: &CimArchitecture) -> Fingerprint {
-    FingerprintBuilder::new("cim-mlc/arch/v1")
-        .str(&cim_arch::to_json(arch))
-        // The serialized document derives the cost model from the tiers;
-        // hash the active model too so a builder-overridden cost never
-        // aliases the default.
-        .str(&format!("{:?}", arch.cost()))
-        .finish()
+fn noc_cost(b: FingerprintBuilder, cost: &NocCost) -> FingerprintBuilder {
+    match cost {
+        NocCost::Ideal => b.word(0),
+        NocCost::UniformPerBit(c) => b.word(1).f64(*c),
+        NocCost::Matrix(m) => m.iter().fold(b.word(2).word(m.len() as u64), |b, row| {
+            row.iter().fold(b.word(row.len() as u64), |b, &x| b.f64(x))
+        }),
+        // `NocCost` may grow variants; one this function does not know
+        // yet still keys by its full debug rendering.
+        other => b.word(3).str(&format!("{other:?}")),
+    }
 }
 
 /// The fingerprint a cached [`Session`](crate::Session) starts its pass
@@ -250,11 +404,11 @@ pub fn source_fingerprint(graph: &Graph, arch: &CimArchitecture) -> Fingerprint 
 }
 
 /// [`source_fingerprint`] for a graph whose [`fingerprint_graph`] the
-/// caller already holds: hashing the graph is still ~45 % (lenet5) to
-/// ~70 % (resnet50, resnet152) of a warm memory-cache compile on a 2-vCPU
-/// x86-64 host.
+/// caller already holds: hashing the graph is ~10 % (lenet5) to ~13 %
+/// (resnet50, resnet152) of a warm memory-cache compile on `isaac` on a
+/// 2-vCPU x86-64 host (0.4 to 9 µs).
 pub(crate) fn source_fingerprint_of(graph: Fingerprint, arch: &CimArchitecture) -> Fingerprint {
-    FingerprintBuilder::new("cim-mlc/session/v1")
+    FingerprintBuilder::new("cim-mlc/session/v2")
         .fingerprint(graph)
         .fingerprint(fingerprint_arch(arch))
         .finish()
@@ -280,13 +434,11 @@ pub(crate) fn source_fingerprint_of(graph: Fingerprint, arch: &CimArchitecture) 
 #[must_use]
 pub fn region_fingerprint(stage: &Stage) -> Fingerprint {
     // Hot path: recomputed for every stage by every scheduling pass of
-    // every (re)compile, so this hashes whole 64-bit words per FNV step
-    // instead of going through the byte-serial [`FingerprintBuilder`]
-    // (~10× fewer multiplies for the same 128-bit equality key; the
-    // second lane sees each word rotated so high input bits reach low
-    // output bits). Region keys live only inside one session's
-    // [`RegionMemo`](crate::RegionMemo) — never on disk — so the mixing
-    // is free to differ from the cache fingerprints.
+    // every (re)compile, so this feeds the builder's word step directly,
+    // untagged and without a domain string: the field list is fixed, and
+    // one leading domain word keeps region keys apart from every
+    // builder domain. Region keys live only inside one session's
+    // [`RegionMemo`](crate::RegionMemo) — never on disk.
     let m = &stage.mapping;
     let words: [u64; 15] = [
         REGION_DOMAIN,
@@ -305,18 +457,15 @@ pub fn region_fingerprint(stage: &Stage) -> Fingerprint {
         stage.fill_fraction.to_bits(),
         u64::from(stage.dynamic_weights),
     ];
-    let mut lo = FNV_OFFSET;
-    let mut hi = FNV_OFFSET_HI;
-    for w in words {
-        lo = fnv1a(lo, w);
-        hi = fnv1a(hi, w.rotate_left(31));
-    }
-    Fingerprint { hi, lo }
+    words
+        .into_iter()
+        .fold(FingerprintBuilder::START, FingerprintBuilder::word)
+        .finish()
 }
 
 /// Domain constant separating region keys from every
-/// [`FingerprintBuilder`] domain (which always starts from the FNV
-/// offsets followed by a tagged string, never a bare word).
+/// [`FingerprintBuilder`] domain (whose first word is a string tag, 2,
+/// in the low byte; this constant's low byte is `'1'`).
 const REGION_DOMAIN: u64 = 0x6369_6d2d_6d6c_6331; // "cim-mlc1"
 
 // ---------------------------------------------------------------------------
@@ -441,12 +590,16 @@ impl MemoryCache {
     }
 
     /// Number of artifacts currently banked.
-    ///
-    /// # Panics
-    /// Panics if a previous user of the cache panicked mid-operation.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("cache lock poisoned").len()
+        self.entries().len()
+    }
+
+    /// The map, even if a thread panicked while holding the lock: the
+    /// lock only ever guards a lookup or the insert of a fully built
+    /// entry, so a poisoned map is still a consistent one.
+    fn entries(&self) -> MutexGuard<'_, HashMap<Fingerprint, Arc<Artifact>>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether the cache holds no artifacts.
@@ -458,12 +611,7 @@ impl MemoryCache {
 
 impl CompileCache for MemoryCache {
     fn load(&self, key: &Fingerprint) -> Option<Artifact> {
-        let found = self
-            .entries
-            .lock()
-            .expect("cache lock poisoned")
-            .get(key)
-            .cloned();
+        let found = self.entries().get(key).cloned();
         match found {
             Some(artifact) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -483,10 +631,7 @@ impl CompileCache for MemoryCache {
         }
         // Deep copy outside the lock; only the Arc moves under it.
         let entry = Arc::new(artifact.clone());
-        self.entries
-            .lock()
-            .expect("cache lock poisoned")
-            .insert(*key, entry);
+        self.entries().insert(*key, entry);
         self.counters.stores.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -700,7 +845,9 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
 const ENTRY_MAGIC: &[u8; 4] = b"CIMC";
 /// Version of the on-disk entry encoding. Bump on any layout change:
 /// old entries then fail validation and are transparently recompiled.
-pub const ENTRY_FORMAT_VERSION: u32 = 1;
+/// Version 2 hashes words instead of bytes, which moved every key, so
+/// version-1 files are orphaned: never looked up again.
+pub const ENTRY_FORMAT_VERSION: u32 = 2;
 
 #[derive(Default)]
 struct Enc {
@@ -1110,7 +1257,7 @@ fn decode_artifact(payload: &[u8]) -> DecResult<Artifact> {
 }
 
 fn checksum(payload: &[u8]) -> Fingerprint {
-    FingerprintBuilder::new("cim-mlc/entry/v1")
+    FingerprintBuilder::new("cim-mlc/entry/v2")
         .bytes(payload)
         .finish()
 }
@@ -1155,16 +1302,16 @@ fn decode_entry(key: &Fingerprint, bytes: &[u8]) -> DecResult<Artifact> {
         ));
     }
     let payload_len = d.usize()?;
-    let payload = d.take(payload_len)?.to_vec();
+    let payload = d.take(payload_len)?;
     let sum = Fingerprint {
         hi: d.u64()?,
         lo: d.u64()?,
     };
     d.done()?;
-    if sum != checksum(&payload) {
+    if sum != checksum(payload) {
         return Err("entry checksum mismatch (corrupted payload)".to_owned());
     }
-    decode_artifact(&payload)
+    decode_artifact(payload)
 }
 
 #[cfg(test)]
@@ -1219,6 +1366,106 @@ mod tests {
         let hex = a.to_hex();
         assert_eq!(hex.len(), 32);
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
+
+        // Writes straddling the 8-byte word boundary, split differently,
+        // and strings that differ only in zero padding.
+        let text = "abcdefghijklmnopqr";
+        let mut keys = Vec::new();
+        for split in [0, 1, 7, 8, 9, 15, 16, 17, 18] {
+            let (head, tail) = text.split_at(split);
+            keys.push(FingerprintBuilder::new("t").str(head).str(tail).finish());
+        }
+        keys.push(FingerprintBuilder::new("t").str(text).finish());
+        for s in [
+            "abcdefg",
+            "abcdefg\0",
+            "abcdefgh",
+            "abcdefgh\0",
+            "abcdefghi",
+        ] {
+            keys.push(FingerprintBuilder::new("t").str(s).finish());
+            keys.push(FingerprintBuilder::new("t").bytes(s.as_bytes()).finish());
+        }
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_two_words_change_the_checksum() {
+        // One FNV lane alone cannot see this: flipping bit 63 of a word
+        // flips only bit 63 of the lane state, and a second such flip
+        // cancels it. The high lane hashes the word rotated, so the
+        // difference spreads there.
+        let payload = [0x5au8; 24];
+        let mut flipped = payload;
+        flipped[7] ^= 0x80;
+        flipped[15] ^= 0x80;
+        let (a, b) = (checksum(&payload), checksum(&flipped));
+        assert_eq!(a.lo, b.lo);
+        assert_ne!(a, b);
+    }
+
+    /// Flips bit `bit` of `bytes`, counting from the first byte's
+    /// least significant bit.
+    fn flip(bytes: &mut [u8], bit: usize) {
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+
+    /// Two distinct bit positions below `n`, or one when `two` is false.
+    fn bits(n: usize, first: usize, second: usize, two: bool) -> Vec<usize> {
+        let (a, b) = (first % n, second % n);
+        if two && a != b {
+            vec![a, b]
+        } else {
+            vec![a]
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn flipping_one_or_two_input_bits_changes_the_fingerprint(
+            head in proptest::collection::vec(proptest::any::<u8>(), 0..40),
+            tail in proptest::collection::vec(proptest::any::<u8>(), 0..40),
+            n in proptest::any::<u64>(),
+            first in 0usize..1 << 16,
+            second in 0usize..1 << 16,
+            two in proptest::any::<bool>(),
+        ) {
+            let key = |input: &[u8]| {
+                let (h, rest) = input.split_at(head.len());
+                let (n, t) = rest.split_at(8);
+                FingerprintBuilder::new("t")
+                    .bytes(h)
+                    .u64(u64::from_le_bytes(n.try_into().unwrap()))
+                    .bytes(t)
+                    .finish()
+            };
+            let input = [head.as_slice(), &n.to_le_bytes(), &tail].concat();
+            let mut flipped = input.clone();
+            for bit in bits(input.len() * 8, first, second, two) {
+                flip(&mut flipped, bit);
+            }
+            proptest::prop_assert_ne!(key(&input), key(&flipped));
+        }
+
+        #[test]
+        fn flipping_one_or_two_payload_bits_changes_the_checksum(
+            payload in proptest::collection::vec(proptest::any::<u8>(), 1..600),
+            first in 0usize..1 << 16,
+            second in 0usize..1 << 16,
+            two in proptest::any::<bool>(),
+        ) {
+            let mut flipped = payload.clone();
+            for bit in bits(payload.len() * 8, first, second, two) {
+                flip(&mut flipped, bit);
+            }
+            proptest::prop_assert_ne!(checksum(&payload), checksum(&flipped));
+        }
     }
 
     #[test]
@@ -1328,6 +1575,29 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_poisoned_memory_cache_still_loads_and_stores() {
+        let g = zoo::lenet5();
+        let arch = presets::isaac_baseline();
+        let artifact = artifact_at(OptLevel::Cg, &g, &arch);
+        let key = source_fingerprint(&g, &arch);
+        let cache = Arc::new(MemoryCache::new());
+        assert!(cache.store(&key, &artifact));
+        let held = Arc::clone(&cache);
+        let worker = std::thread::spawn(move || {
+            let _guard = held.entries.lock().unwrap();
+            panic!("a worker panics while holding the cache lock");
+        });
+        assert!(worker.join().is_err());
+        assert!(cache.entries.is_poisoned());
+
+        assert!(cache.load(&key).is_some());
+        let other = checksum(b"other");
+        assert!(cache.store(&other, &artifact));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

@@ -463,7 +463,7 @@ impl Pass for ExtractStagesPass {
     fn fingerprint(&self, cx: &PassContext<'_>) -> Option<Fingerprint> {
         // Stage extraction reads only the weight precision.
         Some(
-            FingerprintBuilder::new("cim-mlc/pass/stages/v1")
+            FingerprintBuilder::new("cim-mlc/pass/stages/v2")
                 .u64(u64::from(cx.options.weight_bits))
                 .finish(),
         )
@@ -502,7 +502,7 @@ impl Pass for CgPass {
         // precision; `level` stays out of the key, so `auto` and `cg`
         // jobs share this link.
         Some(
-            FingerprintBuilder::new("cim-mlc/pass/cg/v1")
+            FingerprintBuilder::new("cim-mlc/pass/cg/v2")
                 .bool(cx.options.cg.pipeline)
                 .bool(cx.options.cg.duplication)
                 .u64(u64::from(cx.options.act_bits))
@@ -547,7 +547,7 @@ impl Pass for MvmPass {
 
     fn fingerprint(&self, cx: &PassContext<'_>) -> Option<Fingerprint> {
         Some(
-            FingerprintBuilder::new("cim-mlc/pass/mvm/v1")
+            FingerprintBuilder::new("cim-mlc/pass/mvm/v2")
                 .bool(cx.options.mvm.duplication)
                 .bool(cx.options.mvm.pipeline)
                 .u64(u64::from(cx.options.act_bits))
@@ -594,7 +594,7 @@ impl Pass for VvmPass {
 
     fn fingerprint(&self, cx: &PassContext<'_>) -> Option<Fingerprint> {
         Some(
-            FingerprintBuilder::new("cim-mlc/pass/vvm/v1")
+            FingerprintBuilder::new("cim-mlc/pass/vvm/v2")
                 .u64(u64::from(cx.options.act_bits))
                 .finish(),
         )

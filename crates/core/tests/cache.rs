@@ -1,8 +1,10 @@
 //! Integration and property tests of the content-addressed compile
 //! cache: fingerprint stability (equal inputs ⇒ equal keys, any single
-//! perturbed field ⇒ different key), cached-session equivalence with
-//! uncached compilation, chain invalidation, and distrust of poisoned
-//! on-disk entries.
+//! perturbed field ⇒ different key), graph keys that follow the wire
+//! form rather than the arena layout, arch keys that cover every field
+//! of the arch document, cached-session equivalence with uncached
+//! compilation, chain invalidation, and distrust of poisoned on-disk
+//! entries.
 
 use cim_arch::{presets, CimArchitecture};
 use cim_compiler::cache::{fingerprint_arch, fingerprint_graph, source_fingerprint};
@@ -12,8 +14,9 @@ use cim_compiler::{
     CgPass, CompileCache, CompileOptions, Compiler, DiskCache, ExtractStagesPass, Fingerprint,
     MemoryCache, MvmPass, OptLevel, Pass, PassContext, Pipeline, VvmPass,
 };
-use cim_graph::{zoo, Graph};
+use cim_graph::{zoo, Graph, GraphDelta, GraphEdit, OpKind};
 use proptest::prelude::*;
+use serde::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -168,6 +171,205 @@ proptest! {
                 Pipeline::plan(&relevelled, a).names() == Pipeline::plan(&options, a).names();
             prop_assert_eq!(job_key(g, a, &relevelled) == base, same_plan);
         }
+    }
+}
+
+/// The zoo, and each model after a seeded weight replacement, after a
+/// seeded head retune, rebuilt from the retuned model's document, and
+/// retuned back. A retune leaves the old operator interned, so these
+/// graphs differ in arena layout where their documents agree.
+#[test]
+fn the_graph_key_is_the_wire_form_not_the_arena_layout() {
+    let mut seed = 0x5eed_u64;
+    let mut next = move || {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (seed >> 33) as usize
+    };
+    let mut graphs = Vec::new();
+    let mut relaid = 0;
+    for g in zoo::all() {
+        let weighted: Vec<String> = g
+            .nodes()
+            .filter(|n| n.op().has_static_weights())
+            .map(|n| n.name().to_owned())
+            .collect();
+        let reweighted = GraphDelta::new()
+            .with(GraphEdit::ReplaceNodeWeights {
+                node: weighted[next() % weighted.len()].clone(),
+            })
+            .apply(&g)
+            .unwrap();
+        let head = g
+            .nodes()
+            .rfind(|n| matches!(n.op(), OpKind::Linear { .. }))
+            .expect("every zoo model ends in a Linear head");
+        let retune = |op: OpKind| {
+            GraphDelta::new().with(GraphEdit::RetuneOpParams {
+                node: head.name().to_owned(),
+                op,
+            })
+        };
+        let retuned = retune(OpKind::linear(1 + next() % 4096)).apply(&g).unwrap();
+        let rebuilt = cim_graph::from_json(&cim_graph::to_json(&retuned)).unwrap();
+        let restored = retune(head.op().clone()).apply(&retuned).unwrap();
+        assert_eq!(rebuilt, retuned, "{}", g.name());
+        assert_eq!(restored, g, "{}", g.name());
+        relaid += usize::from(rebuilt.op_count() != retuned.op_count());
+        relaid += usize::from(restored.op_count() != g.op_count());
+        graphs.extend([g, reweighted, retuned, rebuilt, restored]);
+    }
+    assert!(relaid >= 15, "too few arena layouts differ: {relaid}");
+
+    let keyed: Vec<(String, Fingerprint)> = graphs
+        .iter()
+        .map(|g| (cim_graph::to_json(g), fingerprint_graph(g)))
+        .collect();
+    for (i, (doc_a, key_a)) in keyed.iter().enumerate() {
+        for (j, (doc_b, key_b)) in keyed.iter().enumerate().skip(i + 1) {
+            assert_eq!(
+                key_a == key_b,
+                doc_a == doc_b,
+                "graphs {i} (`{}`) and {j} (`{}`)",
+                graphs[i].name(),
+                graphs[j].name()
+            );
+        }
+    }
+}
+
+/// Every document that differs from `v` in exactly one leaf: integers
+/// ±1, floats shifted and scaled, booleans flipped, nulls set, a string
+/// that is one of `variants` swapped for each other variant, and any
+/// other string renamed.
+fn leaf_perturbations(v: &Value, variants: &[Value]) -> Vec<Value> {
+    match v {
+        Value::Null => vec![Value::U64(1)],
+        Value::Bool(b) => vec![Value::Bool(!b)],
+        Value::U64(n) => [n.checked_add(1), n.checked_sub(1)]
+            .into_iter()
+            .flatten()
+            .map(Value::U64)
+            .collect(),
+        Value::I64(n) => vec![Value::I64(n + 1), Value::I64(n - 1)],
+        Value::F64(x) => vec![Value::F64(x + 0.5), Value::F64(x * 2.0)],
+        Value::Str(_) if variants.contains(v) => {
+            variants.iter().filter(|c| *c != v).cloned().collect()
+        }
+        Value::Str(s) => vec![Value::Str(format!("{s}'"))],
+        Value::Seq(items) => (0..items.len())
+            .flat_map(|i| {
+                leaf_perturbations(&items[i], variants)
+                    .into_iter()
+                    .map(move |p| {
+                        let mut items = items.clone();
+                        items[i] = p;
+                        Value::Seq(items)
+                    })
+            })
+            .collect(),
+        Value::Map(entries) => (0..entries.len())
+            .flat_map(|i| {
+                leaf_perturbations(&entries[i].1, variants)
+                    .into_iter()
+                    .map(move |p| {
+                        let mut entries = entries.clone();
+                        entries[i].1 = p;
+                        Value::Map(entries)
+                    })
+            })
+            .collect(),
+    }
+}
+
+fn strs(names: &[&str]) -> Vec<Value> {
+    names.iter().map(|s| Value::Str((*s).to_owned())).collect()
+}
+
+/// Each single-leaf edit of each model's document that still parses is
+/// a different graph, and must key differently. Together the models use
+/// every operator field of the zoo.
+#[test]
+fn the_graph_key_covers_every_field_of_the_graph_document() {
+    let unit_ops = strs(&[
+        "MatMul",
+        "Relu",
+        "Gelu",
+        "Softmax",
+        "GlobalAvgPool",
+        "Add",
+        "Flatten",
+        "BatchNorm",
+        "LayerNorm",
+        "Max",
+        "Avg",
+    ]);
+    let tiny_vit = zoo::vit("vit_tiny", 1, 16, 2, 32);
+    for g in [zoo::lenet5(), zoo::resnet18(), tiny_vit] {
+        let key = fingerprint_graph(&g);
+        let tree: Value = serde_json::from_str(&cim_graph::to_json(&g)).unwrap();
+        let mut valid = 0;
+        for edited in leaf_perturbations(&tree, &unit_ops) {
+            let edited = serde_json::to_string(&edited).unwrap();
+            let Ok(other) = cim_graph::from_json(&edited) else {
+                continue;
+            };
+            valid += 1;
+            assert_ne!(other, g, "{edited}");
+            assert_ne!(fingerprint_graph(&other), key, "{edited}");
+        }
+        assert!(
+            valid >= 2 * g.len(),
+            "{}: only {valid} valid edits",
+            g.name()
+        );
+    }
+}
+
+/// For each preset, each single-leaf edit of its arch document that
+/// still parses must key differently; a field added to the document
+/// later is covered without touching this test.
+#[test]
+fn the_arch_key_covers_every_field_of_the_arch_document() {
+    let mut variants = strs(&[
+        "mesh",
+        "h_tree",
+        "shared_buffer",
+        "disjoint_buffer_switch",
+        "ideal",
+        "SRAM",
+        "RERAM",
+        "FLASH",
+        "PCM",
+        "STT-MRAM",
+        "CM",
+        "XBM",
+        "WLM",
+    ]);
+    variants.push(Value::Map(vec![(
+        "uniform_per_bit".to_owned(),
+        Value::F64(1.0),
+    )]));
+    for preset in presets::all() {
+        let doc = cim_arch::to_json(&preset);
+        let base = cim_arch::from_json(&doc).unwrap();
+        let key = fingerprint_arch(&base);
+        if base == preset {
+            assert_eq!(fingerprint_arch(&preset), key, "{}", preset.name());
+        }
+        let tree: Value = serde_json::from_str(&doc).unwrap();
+        let mut valid = 0;
+        for edited in leaf_perturbations(&tree, &variants) {
+            let edited = serde_json::to_string(&edited).unwrap();
+            let Ok(arch) = cim_arch::from_json(&edited) else {
+                continue;
+            };
+            valid += 1;
+            assert_ne!(arch, base, "{edited}");
+            assert_ne!(fingerprint_arch(&arch), key, "{edited}");
+        }
+        assert!(valid >= 25, "{}: only {valid} valid edits", preset.name());
     }
 }
 

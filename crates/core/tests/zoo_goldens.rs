@@ -1,12 +1,14 @@
 //! Golden structural fingerprints of the model zoo.
 //!
-//! The committed fixture (`tests/fixtures/zoo_goldens.txt`) was captured
-//! *before* the arena/interning graph refactor; [`fingerprint_graph`]
-//! hashes the canonical JSON exchange form of a graph, so equal
-//! fingerprints prove the rebuilt zoo graphs are byte-identical on the
-//! wire — structure, names, operator attributes and edges all unchanged.
-//! The node/weight/MAC columns pin the analysis queries the fingerprint
-//! does not cover.
+//! The committed fixture (`tests/fixtures/zoo_goldens.txt`) pins each zoo
+//! model's [`fingerprint_graph`], which covers what the JSON exchange
+//! form carries — names, operator attributes and edges — so an unchanged
+//! fingerprint means an unchanged model, and a changed one means either
+//! the model or the graph key derivation moved. The hex column was last
+//! regenerated when the key switched from hashing the JSON bytes to
+//! walking the graph arena in words; the node/weight/MAC columns, which
+//! pin the analysis queries the fingerprint does not cover, have not
+//! changed since the arena/interning graph refactor.
 //!
 //! Regenerate (only when a zoo model is *intentionally* changed) with:
 //!

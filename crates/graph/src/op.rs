@@ -25,7 +25,6 @@ pub enum PoolKind {
 /// Use the convenience constructors ([`OpKind::conv2d`],
 /// [`OpKind::linear`], …) for the common attribute patterns.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
 pub enum OpKind {
     /// Graph input carrying its tensor shape.
     Input {

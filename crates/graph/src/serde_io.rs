@@ -31,8 +31,9 @@ struct GraphDoc {
 /// The text is the pretty (two-space) `serde_json` rendering of
 /// `{"name", "nodes": [{"name", "op", "inputs"}, …]}`, written straight
 /// into one `String`: only each distinct interned operator goes through
-/// serde. These bytes are canonical — `cim_compiler`'s graph fingerprint
-/// hashes them — so the layout must not change.
+/// serde. `cim_compiler`'s graph fingerprint covers exactly this content
+/// but walks the arena instead of hashing these bytes; the byte layout
+/// is pinned by the wire goldens.
 ///
 /// ```
 /// use cim_graph::{zoo, to_json, from_json};
