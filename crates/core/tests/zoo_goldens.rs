@@ -2,15 +2,15 @@
 //!
 //! The committed fixture (`tests/fixtures/zoo_goldens.txt`) pins each zoo
 //! model's [`fingerprint_graph`], which covers what the JSON exchange
-//! form carries — names, operator attributes and edges — so an unchanged
-//! fingerprint means an unchanged model, and a changed one means either
-//! the model or the graph key derivation moved. The hex column was last
-//! regenerated when the key switched from hashing the JSON bytes to
-//! walking the graph arena in words; the node/weight/MAC columns, which
-//! pin the analysis queries the fingerprint does not cover, have not
-//! changed since the arena/interning graph refactor.
+//! form carries — names, operator attributes and edges — next to the
+//! node, CIM-op, weight and MAC counts the fingerprint does not cover.
+//! A changed hex means the model changed or the graph key derivation did
+//! (which also moves every disk-cache key, so it comes with an
+//! `ENTRY_FORMAT_VERSION` bump); a changed count means an analysis query
+//! moved.
 //!
-//! Regenerate (only when a zoo model is *intentionally* changed) with:
+//! Regenerate (only when a zoo model or the graph key is *intentionally*
+//! changed) with:
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test -p cim-compiler --test zoo_goldens
