@@ -62,7 +62,9 @@ struct Placement {
     spread: u32,
 }
 
-/// Generates the executable meta-operator flow for a compiled model.
+/// Generates the executable meta-operator flow for a compiled model. The
+/// flow keeps every statement; [`generate_flow_bounded`] is the same
+/// generator storing only a prefix.
 ///
 /// # Errors
 /// * [`CompileError::FlowTooLarge`] when the estimated meta-operator count
@@ -73,6 +75,26 @@ pub fn generate_flow(
     compiled: &Compiled,
     graph: &Graph,
     arch: &CimArchitecture,
+) -> Result<(MopFlow, FlowLayout)> {
+    generate_flow_bounded(compiled, graph, arch, usize::MAX)
+}
+
+/// [`generate_flow`], but the flow stores only its first `keep`
+/// statements ([`MopFlow::bounded`]): every statement is still generated
+/// and counted, so [`FlowStats::of`](cim_mop::FlowStats::of) and
+/// [`MopFlow::pushed`] equal the whole flow's, and
+/// [`MopFlow::head`]`(n)` equals the whole flow's for every `n <= keep`.
+/// Such a flow cannot be validated or executed. The
+/// [`CompileOptions::max_flow_ops`](crate::CompileOptions::max_flow_ops)
+/// estimate is checked exactly as for the whole flow, whatever `keep` is.
+///
+/// # Errors
+/// As [`generate_flow`].
+pub fn generate_flow_bounded(
+    compiled: &Compiled,
+    graph: &Graph,
+    arch: &CimArchitecture,
+    keep: usize,
 ) -> Result<(MopFlow, FlowLayout)> {
     let mode = arch.mode();
     let weight_bits = compiled.options().weight_bits;
@@ -162,7 +184,7 @@ pub fn generate_flow(
         graph,
         arch,
         layout: &layout,
-        flow: MopFlow::new(format!("{}@{}", graph.name(), arch.name())),
+        flow: MopFlow::bounded(format!("{}@{}", graph.name(), arch.name()), keep),
         mats: HashMap::new(),
     };
     // Declare every weight matrix up front.
@@ -943,6 +965,7 @@ mod tests {
         let c = Compiler::with_options(opts).compile(&g, &arch).unwrap();
         let err = generate_flow(&c, &g, &arch).unwrap_err();
         assert!(matches!(err, CompileError::FlowTooLarge { .. }));
+        assert_eq!(generate_flow_bounded(&c, &g, &arch, 1).unwrap_err(), err);
     }
 
     #[test]

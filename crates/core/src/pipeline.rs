@@ -47,7 +47,7 @@ use crate::cache::{
     FingerprintBuilder,
 };
 use crate::cg::{schedule_cg_in, CgSchedule, Segment};
-use crate::codegen::{generate_flow, FlowLayout};
+use crate::codegen::{generate_flow_bounded, FlowLayout};
 use crate::compile::{CompileOptions, Compiled, OptLevel};
 use crate::mvm::{schedule_mvm_in, MvmSchedule};
 use crate::pass::{Diagnostics, Pass, PassContext, PassTimeline};
@@ -152,7 +152,9 @@ pub struct VvmScheduled {
 pub struct Codegenned {
     /// The compiled artifact the flow was generated from.
     pub compiled: Compiled,
-    /// The executable meta-operator flow.
+    /// The meta-operator flow: executable unless a
+    /// [`CodegenPass::keeping`] bound dropped statements
+    /// ([`MopFlow::is_complete`]).
     pub flow: MopFlow,
     /// Where each node's output tensor lives in the L0 buffer.
     pub layout: FlowLayout,
@@ -299,7 +301,7 @@ impl Artifact {
                     r.level, r.segments, r.latency_cycles, r.peak_power
                 )
             }
-            Artifact::Codegenned(c) => format!("{} meta-operator(s)", c.flow.stmts().len()),
+            Artifact::Codegenned(c) => format!("{} meta-operator(s)", c.flow.pushed()),
         }
     }
 
@@ -341,7 +343,7 @@ impl Artifact {
                 format!(
                     "{}\n{} meta-operator(s)\n",
                     c.compiled.render_schedule(),
-                    c.flow.stmts().len()
+                    c.flow.pushed()
                 )
             }
         }
@@ -605,12 +607,36 @@ impl Pass for VvmPass {
 /// meta-operator flow (`CgScheduled | MvmScheduled | VvmScheduled →
 /// Codegenned`).
 ///
+/// [`CodegenPass::default`] keeps every statement of the flow.
+/// [`CodegenPass::keeping`]`(keep)` stores only the first `keep`
+/// ([`generate_flow_bounded`]): the flow's counts, and its
+/// [`head(n)`](MopFlow::head) for every `n <= keep`, are those of the
+/// whole flow, but it cannot be validated or executed. The summary,
+/// rendering and diagnostic report the pushed statement count, so they
+/// read the same for both.
+///
 /// Codegen keeps the default [`Pass::fingerprint`] of `None`: flows can
 /// reach [`CompileOptions::max_flow_ops`] meta-operators, far too large
 /// to bank in a [compile cache](crate::cache), so the pass always
 /// re-runs (its scheduled *input*, the expensive part, still caches).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CodegenPass;
+#[derive(Debug, Clone, Copy)]
+pub struct CodegenPass {
+    keep: usize,
+}
+
+impl Default for CodegenPass {
+    fn default() -> Self {
+        CodegenPass::keeping(usize::MAX)
+    }
+}
+
+impl CodegenPass {
+    /// A pass whose flow stores only its first `keep` statements.
+    #[must_use]
+    pub fn keeping(keep: usize) -> Self {
+        CodegenPass { keep }
+    }
+}
 
 impl Pass for CodegenPass {
     fn name(&self) -> &'static str {
@@ -630,8 +656,8 @@ impl Pass for CodegenPass {
             return Err(stage_mismatch(self.name(), "cg, mvm or vvm", &input));
         }
         let compiled = input.into_compiled(cx.graph.name(), cx.arch.name(), *cx.options)?;
-        let (flow, layout) = generate_flow(&compiled, cx.graph, cx.arch)?;
-        diag.note(format!("{} meta-operator(s)", flow.stmts().len()));
+        let (flow, layout) = generate_flow_bounded(&compiled, cx.graph, cx.arch, self.keep)?;
+        diag.note(format!("{} meta-operator(s)", flow.pushed()));
         Ok(Artifact::Codegenned(Box::new(Codegenned {
             compiled,
             flow,
@@ -1258,7 +1284,7 @@ mod tests {
         let arch = presets::isaac_baseline();
         let opts = CompileOptions::default();
         let mut pipeline = Pipeline::plan(&opts, &arch);
-        pipeline.push(Box::new(CodegenPass));
+        pipeline.push(Box::new(CodegenPass::default()));
         let mut session = pipeline.session(&graph, &arch, opts);
         session.run().unwrap();
         assert_eq!(session.artifact().kind(), StageKind::Codegen);

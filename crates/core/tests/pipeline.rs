@@ -90,7 +90,7 @@ fn staged_pipeline_generates_identical_flows() {
             let one_shot = cim_compiler::codegen::generate_flow(&compiled, &graph, &arch);
 
             let mut pipeline = Pipeline::plan(&options, &arch);
-            pipeline.push(Box::new(CodegenPass));
+            pipeline.push(Box::new(CodegenPass::default()));
             let mut session = pipeline.session(&graph, &arch, options);
             let staged = session.run();
             match (one_shot, staged) {

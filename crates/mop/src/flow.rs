@@ -1,6 +1,6 @@
 //! Meta-operator flows: statements plus weight declarations.
 
-use crate::MetaOp;
+use crate::{FlowStats, MetaOp};
 use std::fmt;
 
 /// Identifier of a weight matrix declared by a [`MopFlow`].
@@ -58,23 +58,58 @@ impl Stmt {
     }
 }
 
-/// A complete meta-operator flow: the compiled form of a DNN (segment) for
-/// one CIM accelerator.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A meta-operator flow: the compiled form of a DNN (segment) for one CIM
+/// accelerator.
+///
+/// A flow counts every statement pushed into it as it arrives (the
+/// running [`FlowStats`] and [`MopFlow::pushed`]), and stores the first
+/// `keep` of them. [`MopFlow::new`] and [`MopFlow::default`] keep
+/// everything; a [`MopFlow::bounded`] flow stores only a prefix, which is
+/// all a caller that wants the flow's first lines (see [`MopFlow::head`])
+/// and its counts needs. A flow that dropped statements is not the
+/// program: [`MopFlow::validate`] refuses it, and so does the functional
+/// simulator.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MopFlow {
     name: String,
     mats: Vec<MatDecl>,
     stmts: Vec<Stmt>,
+    /// How many statements `stmts` may hold.
+    keep: usize,
+    /// Statements pushed, stored or not.
+    pushed: usize,
+    /// Counts over every pushed statement (read by [`FlowStats::of`]).
+    pub(crate) stats: FlowStats,
+}
+
+impl Default for MopFlow {
+    fn default() -> Self {
+        MopFlow::new(String::new())
+    }
 }
 
 impl MopFlow {
-    /// Creates an empty flow named `name`.
+    /// Creates an empty flow named `name` that keeps every statement.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
+        MopFlow::bounded(name, usize::MAX)
+    }
+
+    /// Creates an empty flow named `name` that stores only the first
+    /// `keep` statements pushed into it and counts the rest. Its
+    /// [`head(n)`](MopFlow::head) is exact for every `n <= keep`, since
+    /// each statement renders to at least one line, and its
+    /// [`FlowStats`] and [`pushed`](MopFlow::pushed) count are exact
+    /// whatever `keep` is.
+    #[must_use]
+    pub fn bounded(name: impl Into<String>, keep: usize) -> Self {
         MopFlow {
             name: name.into(),
             mats: Vec::new(),
             stmts: Vec::new(),
+            keep,
+            pushed: 0,
+            stats: FlowStats::default(),
         }
     }
 
@@ -96,24 +131,40 @@ impl MopFlow {
         id
     }
 
+    /// Counts a statement, and stores it while the flow is whole and
+    /// below its keep bound. The push path is `#[inline]` down to
+    /// [`FlowStats::record`] so the code generator, which pushes millions
+    /// of statements, builds and counts each one in place.
+    #[inline]
+    fn push_stmt(&mut self, stmt: Stmt) {
+        self.stats.record(&stmt);
+        if self.is_complete() && self.stmts.len() < self.keep {
+            self.stmts.push(stmt);
+        }
+        self.pushed += 1;
+    }
+
     /// Appends a single meta-operator.
+    #[inline]
     pub fn push(&mut self, op: MetaOp) {
-        self.stmts.push(Stmt::Op(op));
+        self.push_stmt(Stmt::Op(op));
     }
 
     /// Appends a parallel block. Blocks of width 1 degrade to plain ops;
     /// empty blocks are dropped.
+    #[inline]
     pub fn push_parallel(&mut self, ops: Vec<MetaOp>) {
         match ops.len() {
             0 => {}
-            1 => self
-                .stmts
-                .push(Stmt::Op(ops.into_iter().next().expect("len checked"))),
-            _ => self.stmts.push(Stmt::Parallel(ops)),
+            1 => self.push_stmt(Stmt::Op(ops.into_iter().next().expect("len checked"))),
+            _ => self.push_stmt(Stmt::Parallel(ops)),
         }
     }
 
     /// Appends all statements of another flow (segment concatenation).
+    /// The counts add up exactly; `self` stores what its keep bound
+    /// allows of `other`'s stored prefix, and nothing more once either
+    /// flow has dropped a statement.
     pub fn extend_from(&mut self, other: MopFlow) {
         // Matrices must be re-declared by the caller; flows being merged
         // are expected to share a declaration table. Guard against misuse.
@@ -121,7 +172,12 @@ impl MopFlow {
             other.mats.is_empty() || other.mats == self.mats,
             "merging flows with divergent weight tables"
         );
-        self.stmts.extend(other.stmts);
+        if self.is_complete() {
+            let room = self.keep - self.stmts.len();
+            self.stmts.extend(other.stmts.into_iter().take(room));
+        }
+        self.pushed += other.pushed;
+        self.stats.absorb(&other.stats);
     }
 
     /// The declared weight matrices.
@@ -136,19 +192,34 @@ impl MopFlow {
         self.mats.get(id.0 as usize)
     }
 
-    /// The statements in execution order.
+    /// The stored statements in execution order: all of them unless the
+    /// flow is bounded (see [`MopFlow::is_complete`]).
     #[must_use]
     pub fn stmts(&self) -> &[Stmt] {
         &self.stmts
     }
 
-    /// Total number of meta-operators across all statements.
+    /// Number of statements pushed, stored or not.
     #[must_use]
-    pub fn op_count(&self) -> usize {
-        self.stmts.iter().map(Stmt::width).sum()
+    pub fn pushed(&self) -> usize {
+        self.pushed
     }
 
-    /// Iterates over every meta-operator, flattening parallel blocks.
+    /// True when the flow stores every statement pushed into it.
+    #[must_use]
+    #[inline]
+    pub fn is_complete(&self) -> bool {
+        self.stmts.len() == self.pushed
+    }
+
+    /// Total number of meta-operators across all pushed statements.
+    #[must_use]
+    pub fn op_count(&self) -> usize {
+        self.stats.total()
+    }
+
+    /// Iterates over every stored meta-operator, flattening parallel
+    /// blocks.
     pub fn iter_ops(&self) -> impl Iterator<Item = &MetaOp> {
         self.stmts.iter().flat_map(|s| s.ops().iter())
     }

@@ -82,12 +82,11 @@ impl fmt::Display for MetaOp {
             MetaOp::Dcom { func, srcs, dst, len } => {
                 write!(f, "{}(", func.mnemonic())?;
                 for (i, s) in srcs.iter().enumerate() {
-                    let tag = if srcs.len() > 1 {
-                        format!("src{}", i + 1)
+                    if srcs.len() > 1 {
+                        write!(f, "src{}={s}, ", i + 1)?;
                     } else {
-                        "src".to_owned()
-                    };
-                    write!(f, "{tag}={s}, ")?;
+                        write!(f, "src={s}, ")?;
+                    }
                 }
                 write!(f, "dst={dst}, len={len})")
             }
@@ -159,7 +158,9 @@ impl MopFlow {
     /// The first `n` lines of the flow's rendering: equal to
     /// `self.to_string().lines().take(n)`, but formatting stops at the
     /// `n`-th newline instead of rendering the whole flow (hundreds of
-    /// kilobytes for even a small model).
+    /// kilobytes for even a small model). For a flow built with
+    /// [`MopFlow::bounded`]`(_, keep)` this equals the whole flow's head
+    /// for every `n <= keep`.
     #[must_use]
     pub fn head(&self, n: usize) -> Vec<String> {
         use fmt::Write as _;

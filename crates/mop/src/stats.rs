@@ -30,33 +30,51 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    /// Computes statistics for a flow.
+    /// The statistics of a flow, counted as its statements were pushed —
+    /// O(1), and exact for every pushed statement, including those a
+    /// keep-bounded flow (see [`MopFlow::bounded`]) did not store.
     #[must_use]
     pub fn of(flow: &MopFlow) -> Self {
-        let mut stats = FlowStats::default();
-        for stmt in flow.stmts() {
-            if let Stmt::Parallel(ops) = stmt {
-                stats.parallel_blocks += 1;
-                stats.max_parallel_width = stats.max_parallel_width.max(ops.len());
-            } else {
-                stats.max_parallel_width = stats.max_parallel_width.max(1);
-            }
-            for op in stmt.ops() {
-                match op {
-                    MetaOp::ReadCore { .. } => stats.read_core += 1,
-                    MetaOp::ReadXb { .. } => stats.read_xb += 1,
-                    MetaOp::WriteXb { .. } => stats.write_xb += 1,
-                    MetaOp::ReadRow { .. } => stats.read_row += 1,
-                    MetaOp::WriteRow { .. } => stats.write_row += 1,
-                    MetaOp::Dcom { .. } => stats.dcom += 1,
-                    MetaOp::Mov { len, .. } => {
-                        stats.mov += 1;
-                        stats.moved_elements += len;
-                    }
+        flow.stats
+    }
+
+    /// Counts one statement.
+    #[inline]
+    pub(crate) fn record(&mut self, stmt: &Stmt) {
+        if let Stmt::Parallel(ops) = stmt {
+            self.parallel_blocks += 1;
+            self.max_parallel_width = self.max_parallel_width.max(ops.len());
+        } else {
+            self.max_parallel_width = self.max_parallel_width.max(1);
+        }
+        for op in stmt.ops() {
+            match op {
+                MetaOp::ReadCore { .. } => self.read_core += 1,
+                MetaOp::ReadXb { .. } => self.read_xb += 1,
+                MetaOp::WriteXb { .. } => self.write_xb += 1,
+                MetaOp::ReadRow { .. } => self.read_row += 1,
+                MetaOp::WriteRow { .. } => self.write_row += 1,
+                MetaOp::Dcom { .. } => self.dcom += 1,
+                MetaOp::Mov { len, .. } => {
+                    self.mov += 1;
+                    self.moved_elements += len;
                 }
             }
         }
-        stats
+    }
+
+    /// Adds the statistics of a flow appended after the one these count.
+    pub(crate) fn absorb(&mut self, other: &FlowStats) {
+        self.read_core += other.read_core;
+        self.read_xb += other.read_xb;
+        self.write_xb += other.write_xb;
+        self.read_row += other.read_row;
+        self.write_row += other.write_row;
+        self.dcom += other.dcom;
+        self.mov += other.mov;
+        self.moved_elements += other.moved_elements;
+        self.parallel_blocks += other.parallel_blocks;
+        self.max_parallel_width = self.max_parallel_width.max(other.max_parallel_width);
     }
 
     /// Total CIM activations (reads at any granularity).

@@ -60,6 +60,14 @@ pub enum ValidateError {
         /// What the target exposes.
         exposed: ComputingMode,
     },
+    /// The flow is keep-bounded and dropped statements, so it is not the
+    /// whole program.
+    Truncated {
+        /// Statements the flow stores.
+        kept: usize,
+        /// Statements pushed into it.
+        pushed: usize,
+    },
 }
 
 impl fmt::Display for ValidateError {
@@ -90,6 +98,10 @@ impl fmt::Display for ValidateError {
                 f,
                 "meta-operator requires mode {required} but the target exposes {exposed}"
             ),
+            ValidateError::Truncated { kept, pushed } => write!(
+                f,
+                "the flow keeps {kept} of its {pushed} statements and cannot be validated"
+            ),
         }
     }
 }
@@ -103,8 +115,16 @@ impl MopFlow {
     /// operator granularity allowed by the computing mode.
     ///
     /// # Errors
-    /// Returns the first [`ValidateError`] encountered, in flow order.
+    /// Returns [`ValidateError::Truncated`] for a keep-bounded flow that
+    /// dropped statements (see [`MopFlow::bounded`]), otherwise the first
+    /// [`ValidateError`] encountered, in flow order.
     pub fn validate(&self, arch: &CimArchitecture) -> Result<(), ValidateError> {
+        if !self.is_complete() {
+            return Err(ValidateError::Truncated {
+                kept: self.stmts().len(),
+                pushed: self.pushed(),
+            });
+        }
         let core_count = arch.chip().core_count();
         let xb_count = arch.core().xb_count();
         let shape = arch.crossbar().shape();
@@ -384,6 +404,18 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn truncated_flow_rejected() {
+        let arch = presets::isaac_baseline();
+        let mut flow = MopFlow::bounded("head", 1);
+        flow.push(read_xb(0, 0, 8));
+        assert_eq!(flow.validate(&arch), Ok(()), "nothing dropped yet");
+        flow.push(read_xb(0, 1, 8));
+        let err = flow.validate(&arch).unwrap_err();
+        assert_eq!(err, ValidateError::Truncated { kept: 1, pushed: 2 });
+        assert!(err.to_string().contains("keeps 1 of its 2 statements"));
     }
 
     #[test]

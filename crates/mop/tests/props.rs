@@ -1,6 +1,7 @@
 //! Property tests on the meta-operator ISA: generated-within-bounds flows
 //! always validate, the printer never panics and always names the
-//! operator, and statistics are self-consistent.
+//! operator, and statistics are self-consistent, whether counted as the
+//! flow is built or by scanning it, and whether the flow is bounded or not.
 
 use cim_arch::presets;
 use cim_mop::{BufRef, DcomFunc, FlowStats, MetaOp, MopFlow, Stmt, XbAddr};
@@ -60,8 +61,101 @@ fn flows() -> impl Strategy<Value = MopFlow> {
     })
 }
 
+/// One step of building a flow, `(kind, ops, keep)`: kind 0 pushes each
+/// op alone, kind 1 pushes `ops` as one parallel block (of width 0, 1 or
+/// more), kind 2 appends a sub-flow of one-op statements that a bounded
+/// build keeps up to `keep` of.
+type Step = (u8, Vec<MetaOp>, usize);
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        (
+            0u8..3,
+            proptest::collection::vec(in_bounds_op(64, 64), 0..4),
+            0usize..4,
+        ),
+        0..16,
+    )
+}
+
+/// Builds a flow from `steps`, keeping everything when `keep` is `None`.
+fn build(steps: &[Step], keep: Option<usize>) -> MopFlow {
+    let flow_keeping = |k: usize| match keep {
+        Some(_) => MopFlow::bounded("b", k),
+        None => MopFlow::new("b"),
+    };
+    let mut flow = flow_keeping(keep.unwrap_or(0));
+    for (kind, ops, sub_keep) in steps {
+        match kind {
+            0 => ops.iter().for_each(|op| flow.push(op.clone())),
+            1 => flow.push_parallel(ops.clone()),
+            _ => {
+                let mut sub = flow_keeping(*sub_keep);
+                ops.iter().for_each(|op| sub.push(op.clone()));
+                flow.extend_from(sub);
+            }
+        }
+    }
+    flow
+}
+
+/// The statistics by a scan over the stored statements: how
+/// `FlowStats::of` counted before flows counted as they were built.
+fn scan(flow: &MopFlow) -> FlowStats {
+    let mut stats = FlowStats::default();
+    for stmt in flow.stmts() {
+        if let Stmt::Parallel(ops) = stmt {
+            stats.parallel_blocks += 1;
+            stats.max_parallel_width = stats.max_parallel_width.max(ops.len());
+        } else {
+            stats.max_parallel_width = stats.max_parallel_width.max(1);
+        }
+        for op in stmt.ops() {
+            match op {
+                MetaOp::ReadCore { .. } => stats.read_core += 1,
+                MetaOp::ReadXb { .. } => stats.read_xb += 1,
+                MetaOp::WriteXb { .. } => stats.write_xb += 1,
+                MetaOp::ReadRow { .. } => stats.read_row += 1,
+                MetaOp::WriteRow { .. } => stats.write_row += 1,
+                MetaOp::Dcom { .. } => stats.dcom += 1,
+                MetaOp::Mov { len, .. } => {
+                    stats.mov += 1;
+                    stats.moved_elements += len;
+                }
+                _ => unreachable!("a meta-operator the oracle does not know"),
+            }
+        }
+    }
+    stats
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn running_stats_equal_the_scan(steps in steps(), keep in 0usize..12) {
+        let whole = build(&steps, None);
+        prop_assert!(whole.is_complete());
+        prop_assert_eq!(whole.pushed(), whole.stmts().len());
+        prop_assert_eq!(FlowStats::of(&whole), scan(&whole));
+        prop_assert_eq!(whole.op_count(), whole.iter_ops().count());
+
+        let bounded = build(&steps, Some(keep));
+        prop_assert_eq!(FlowStats::of(&bounded), scan(&whole));
+        prop_assert_eq!(bounded.pushed(), whole.pushed());
+        prop_assert_eq!(bounded.op_count(), whole.op_count());
+        // What a bounded flow stores is a prefix of the whole flow, and
+        // all of the first `keep` statements unless a bounded sub-flow
+        // dropped some of its own before the cut.
+        let kept = bounded.stmts().len();
+        prop_assert!(kept <= keep);
+        prop_assert_eq!(bounded.stmts(), &whole.stmts()[..kept]);
+        let subs_whole = steps.iter().all(|(kind, ops, k)| *kind != 2 || ops.len() <= *k);
+        if subs_whole {
+            prop_assert_eq!(kept, keep.min(whole.pushed()));
+        }
+        prop_assert_eq!(bounded.is_complete(), kept == whole.pushed());
+    }
 
     #[test]
     fn in_bounds_flows_validate_on_the_baseline(flow in flows()) {

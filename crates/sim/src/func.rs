@@ -40,6 +40,14 @@ pub enum SimError {
         /// Sources required.
         expected: usize,
     },
+    /// The flow is keep-bounded and dropped statements, so executing it
+    /// would run only a prefix of the program.
+    Truncated {
+        /// Statements the flow stores.
+        kept: usize,
+        /// Statements pushed into it.
+        pushed: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -55,6 +63,12 @@ impl fmt::Display for SimError {
                 expected,
             } => {
                 write!(f, "dcom `{func}` got {got} sources, expects {expected}")
+            }
+            SimError::Truncated { kept, pushed } => {
+                write!(
+                    f,
+                    "the flow keeps {kept} of its {pushed} statements and cannot be executed"
+                )
             }
         }
     }
@@ -185,9 +199,16 @@ impl Machine {
     /// Executes a flow against the weight store.
     ///
     /// # Errors
-    /// Returns a [`SimError`] on dangling weight references, reads of
-    /// unprogrammed cells, or malformed DCOM operands.
+    /// Returns a [`SimError`] on a keep-bounded flow that dropped
+    /// statements ([`MopFlow::bounded`]), dangling weight references,
+    /// reads of unprogrammed cells, or malformed DCOM operands.
     pub fn execute(&mut self, flow: &MopFlow, store: &WeightStore) -> Result<(), SimError> {
+        if !flow.is_complete() {
+            return Err(SimError::Truncated {
+                kept: flow.stmts().len(),
+                pushed: flow.pushed(),
+            });
+        }
         for stmt in flow.stmts() {
             // Parallel blocks execute their members in listed order; the
             // code generator guarantees that intra-block dependencies
@@ -688,6 +709,26 @@ mod tests {
             m.execute(&flow, &store),
             Err(SimError::DcomArity { .. })
         ));
+    }
+
+    #[test]
+    fn truncated_flow_refused() {
+        let g = small_conv();
+        let arch = presets::isaac_baseline();
+        let compiled = Compiler::new().compile(&g, &arch).unwrap();
+        let (flow, _) = codegen::generate_flow_bounded(&compiled, &g, &arch, 3).unwrap();
+        let store = WeightStore::for_flow(&flow);
+        let mut m = Machine::new(&arch);
+        let err = m.execute(&flow, &store).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Truncated {
+                kept: 3,
+                pushed: flow.pushed()
+            }
+        );
+        assert!(flow.pushed() > 3);
+        assert!(err.to_string().contains("cannot be executed"));
     }
 
     #[test]

@@ -27,6 +27,16 @@ build_and_test() {
     cargo build --release
     bold "build-and-test: cargo test"
     cargo test -q --workspace
+    # `--flow` alone generates a flow that keeps only the statements its
+    # head prints; `--verify` needs, and keeps, all of them.
+    bold "build-and-test: a flow head kept bounded prints as the whole flow's"
+    flow_lines() {
+        target/release/cimc compile --model lenet5 --arch jain --flow 200 "$@" |
+            grep -v -e '^functional verification:' -e '^$'
+    }
+    flow_lines >target/flow-head.txt
+    flow_lines --verify >target/flow-head-verified.txt
+    cmp target/flow-head.txt target/flow-head-verified.txt
     # `compile_jobs_flag_does_not_change_the_output` failed about every
     # other run while scratch_peak_bytes depended on how leases overlapped
     # across workers — and only under the load of its whole test binary,

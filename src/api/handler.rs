@@ -321,8 +321,16 @@ impl Handler {
         let cache_before = cache.as_ref().map(|c| c.stats());
 
         let mut pipeline = Pipeline::plan(&options, &arch);
-        if req.flow.is_some() || req.verify {
-            pipeline.push(Box::new(CodegenPass));
+        let codegen = match (req.flow, req.verify) {
+            // Verification executes the flow, so it needs all of it.
+            (_, true) => Some(CodegenPass::default()),
+            // A head of `n` lines needs at most `n` statements (each
+            // renders to at least one line); the counts cover the rest.
+            (Some(n), false) => Some(CodegenPass::keeping(n)),
+            (None, false) => None,
+        };
+        if let Some(pass) = codegen {
+            pipeline.push(Box::new(pass));
         }
         let mut session = pipeline.session(&graph, &arch, options);
         if let Some(cache) = &cache {

@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use cim_mlc::api::{render, CachePolicy, CompileOutcome, CompileRequest};
+use cim_mlc::api::{render, ApiError, CachePolicy, CompileOutcome, CompileRequest, FlowSummary};
+use cim_mlc::compiler::codegen::generate_flow_bounded;
+use cim_mlc::mop::Stmt;
 use cim_mlc::prelude::*;
 
 fn compile(handler: &Handler, model: &str, arch: &str, flow: Option<usize>) -> CompileOutcome {
@@ -99,4 +101,147 @@ fn an_edited_model_file_is_read_again() {
         );
     }
     std::fs::remove_file(&path).expect("model file removes");
+}
+
+/// A compile request as the server receives it.
+fn request(model: &str, arch: &str, flow: Option<usize>, verify: bool) -> Request {
+    Request::Compile(CompileRequest {
+        model: model.to_owned(),
+        arch: arch.to_owned(),
+        mode: None,
+        level: None,
+        jobs: 1,
+        schedule: true,
+        flow,
+        verify,
+        dump_stage: None,
+        cache: CachePolicy::Default,
+        session: None,
+    })
+}
+
+/// The lines `flow.to_string()` has, counted without rendering it.
+fn rendered_lines(flow: &MopFlow) -> usize {
+    let weights = if flow.mats().is_empty() {
+        0
+    } else {
+        1 + flow.mats().len()
+    };
+    let stmts: usize = flow
+        .stmts()
+        .iter()
+        .map(|stmt| match stmt {
+            Stmt::Op(_) => 1,
+            Stmt::Parallel(ops) => ops.len() + 2,
+        })
+        .sum();
+    1 + weights + stmts
+}
+
+/// The codegen pass's `(summary, diagnostics)` in a timeline.
+fn codegen_record(timeline: &PassTimeline) -> (String, Vec<String>) {
+    let record = timeline
+        .records
+        .iter()
+        .find(|r| r.pass == "codegen")
+        .expect("the codegen pass ran");
+    (record.summary.clone(), record.diagnostics.clone())
+}
+
+/// Heads of flows longer than this many lines (vgg7's run to millions)
+/// are rendered and served only up to 200 lines; their statements are
+/// still compared whole.
+const RENDER_LIMIT: usize = 2_000;
+
+#[test]
+fn a_bounded_flow_serves_what_the_whole_flow_would() {
+    let handler = shared_handler();
+    let options = CompileOptions::default();
+    for model in ["lenet5", "mlp", "vgg7"] {
+        let graph = zoo::by_name(model).expect("a zoo model");
+        for arch_name in presets::NAMES {
+            let arch = presets::by_name(arch_name).expect("a preset name");
+            let at = format!("{model}@{arch_name}");
+            let compiled = Compiler::with_options(options)
+                .compile(&graph, &arch)
+                .expect("compiles");
+            let mut pipeline = Pipeline::plan(&options, &arch);
+            pipeline.push(Box::new(CodegenPass::default()));
+            let mut session = pipeline.session(&graph, &arch, options);
+            if let Err(e) = session.run() {
+                // A flow over `max_flow_ops`: refused identically, whatever
+                // the bound.
+                for n in [0, 1, 7, 200] {
+                    assert_eq!(
+                        generate_flow_bounded(&compiled, &graph, &arch, n).unwrap_err(),
+                        e,
+                        "{at} keep {n}"
+                    );
+                    assert_eq!(
+                        handler.handle(&request(model, arch_name, Some(n), false)),
+                        ResponseBody::Error(ApiError::input(format!("compile error: {e}"))),
+                        "{at} flow: {n}"
+                    );
+                }
+                continue;
+            }
+            let full = session.artifact().flow().expect("codegen ran");
+            let full_record = codegen_record(session.timeline());
+            let stats = FlowStats::of(full);
+            let summary = FlowSummary {
+                total: stats.total(),
+                cim_reads: stats.cim_reads(),
+                cim_writes: stats.cim_writes(),
+                dcom: stats.dcom,
+                mov: stats.mov,
+            };
+            let len = rendered_lines(full);
+            for n in [0, 1, 7, 200, len, len + 1] {
+                let (bounded, _) =
+                    generate_flow_bounded(&compiled, &graph, &arch, n).expect("generates");
+                assert_eq!(FlowStats::of(&bounded), stats, "{at} keep {n}");
+                assert_eq!(bounded.pushed(), full.pushed(), "{at} keep {n}");
+                assert_eq!(bounded.stmts(), &full.stmts()[..n.min(full.pushed())]);
+                let cut = if len <= RENDER_LIMIT { n } else { n.min(200) };
+                assert_eq!(bounded.head(cut), full.head(cut), "{at} keep {n}");
+                drop(bounded);
+                if cut < n {
+                    continue;
+                }
+                let ResponseBody::Compile(served) =
+                    handler.handle(&request(model, arch_name, Some(n), false))
+                else {
+                    panic!("{at} flow: {n} failed");
+                };
+                assert_eq!(served.flow_head, full.head(n), "{at} flow: {n}");
+                assert_eq!(served.flow_stats, Some(summary), "{at} flow: {n}");
+                assert_eq!(
+                    codegen_record(&served.timeline),
+                    full_record,
+                    "{at} flow: {n}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_verified_flow_head_still_builds_the_whole_flow() {
+    let handler = shared_handler();
+    let ResponseBody::Compile(verified) =
+        handler.handle(&request("lenet5", "isaac", Some(5), true))
+    else {
+        panic!("the verified compile failed");
+    };
+    // The functional simulator refuses a flow that dropped statements, so
+    // a pass here means the handler generated all of it.
+    assert_eq!(verified.verified, Some(true));
+    assert!(verified.verified_outputs > 0);
+    let head = compile(&handler, "lenet5", "isaac", Some(5));
+    assert_eq!(verified.flow_head, head.flow_head);
+    assert_eq!(verified.flow_stats, head.flow_stats);
+    assert_eq!(
+        codegen_record(&verified.timeline),
+        codegen_record(&head.timeline)
+    );
 }

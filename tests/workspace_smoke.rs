@@ -114,7 +114,7 @@ fn prelude_exposes_the_staged_pipeline_surface() {
     // typed artifacts; `PassTimeline` carries the instrumentation.
     let options = CompileOptions::default();
     let mut pipeline: Pipeline = Pipeline::plan(&options, &arch);
-    pipeline.push(Box::new(CodegenPass));
+    pipeline.push(Box::new(CodegenPass::default()));
     let mut session: Session<'_> = pipeline.session(&model, &arch, options);
     while session.step().expect("passes run") {
         let artifact: &Artifact = session.artifact();
