@@ -22,8 +22,11 @@
 //! sweeping per-operator thresholds (`BottleneckSweep`). The
 //! segmentation DP prices every prefix of a budget window, and one sweep
 //! answers them all in order. The cores that vector leaves over go to the
-//! bottleneck stages, one *tie class* of identical stages at a time:
-//! `O(n·C + L·C)` for `n` stages in `C` classes and `L` key levels.
+//! bottleneck stages, one *tie class* of identical stages at a time. The
+//! caller names each stage's *tie kind* up front (equal [`AllocItem`]s,
+//! equal kind; [`tie_kinds`]), so grouping the stages into classes is one
+//! `O(n)` pass, and the spend costs `O(n + L·C)` for `n` stages in `C`
+//! classes and `L` key levels, plus `O(n)` per level that does not fit.
 //!
 //! [`minimize_total`] grants one replica per heap pop: `O(n + G log n)`
 //! for `G` granted replicas.
@@ -47,15 +50,36 @@ pub struct AllocItem {
 /// 2. per class, its lowest-index member;
 /// 3. per class, the duplication number its members share;
 /// 4. per class, its member count while it still takes replicas; 0 once
-///    it reached its cap or could not pay for one.
+///    it reached its cap or could not pay for one;
+/// 5. per class, 1 if its key is the current level's top key, else 0;
+/// 6. per tie kind, the class of its first member, or `u32::MAX`.
 ///
-/// Each holds at most one entry per item, so a caller that leases them
-/// once (the segmentation DP, per row) allocates nothing per call.
-pub type SpendBuffers = [Vec<u32>; 4];
+/// The first five hold at most one entry per item and the last one per
+/// kind, so a caller that leases them once (the segmentation DP, per row)
+/// allocates nothing per call.
+pub type SpendBuffers = [Vec<u32>; 6];
 
 /// Tag of an item the leftover spend never grants to: at its cap, or with
-/// no latency to cut.
+/// no latency to cut. Also the class slot of a kind with no class yet.
 const UNTAGGED: u32 = u32::MAX;
+
+/// The tie kind of every item: dense ids in order of first appearance,
+/// equal for equal [`AllocItem`]s and only for them. `O(n·K)` for `K`
+/// kinds; the segmentation DP derives them once per compile.
+#[must_use]
+pub fn tie_kinds(items: &[AllocItem]) -> Vec<u32> {
+    let mut firsts: Vec<&AllocItem> = Vec::new();
+    items
+        .iter()
+        .map(|item| {
+            let kind = firsts.iter().position(|&first| first == item);
+            kind.unwrap_or_else(|| {
+                firsts.push(item);
+                firsts.len() - 1
+            }) as u32
+        })
+        .collect()
+}
 
 /// Minimizes `max_i latency_i / D_i` subject to `Σ D_i·cost_i ≤ budget`
 /// and `1 ≤ D_i ≤ max_dup_i`.
@@ -67,16 +91,29 @@ const UNTAGGED: u32 = u32::MAX;
 ///
 /// This is the last prefix of a `BottleneckSweep` over `items`, pushed
 /// all at once: the DP's row sweep and the schedule of a chosen segment
-/// get the same vector by construction.
+/// get the same vector by construction. It derives the items'
+/// [`tie_kinds`] itself; a caller that already has them calls
+/// `minimize_bottleneck_of_kinds`.
 pub fn minimize_bottleneck(
     items: &[AllocItem],
     budget: u64,
     dup: &mut Vec<u32>,
     spend: &mut SpendBuffers,
 ) {
+    minimize_bottleneck_of_kinds(items, &tie_kinds(items), budget, dup, spend);
+}
+
+/// [`minimize_bottleneck`] of items whose [`tie_kinds`] are `kinds`.
+pub(crate) fn minimize_bottleneck_of_kinds(
+    items: &[AllocItem],
+    kinds: &[u32],
+    budget: u64,
+    dup: &mut Vec<u32>,
+    spend: &mut SpendBuffers,
+) {
     let prefix =
         BottleneckSweep::new(items, budget, dup, &mut Vec::new(), &mut Vec::new()).push_rest();
-    finish_bottleneck(items, budget, prefix, dup, spend);
+    finish_bottleneck(items, kinds, budget, prefix, dup, spend);
 }
 
 /// Least λ a sweep starts from. No prefix's search bracket starts below it
@@ -154,6 +191,7 @@ struct Prefix {
 /// bottleneck stages.
 fn finish_bottleneck(
     items: &[AllocItem],
+    kinds: &[u32],
     budget: u64,
     prefix: Prefix,
     dup: &mut [u32],
@@ -174,7 +212,7 @@ fn finish_bottleneck(
         .zip(items)
         .map(|(&d, i)| u64::from(d) * cost(i))
         .sum();
-    spend_leftover_on_bottleneck(items, dup, budget, &mut used, spend);
+    spend_leftover_on_bottleneck(items, kinds, dup, budget, &mut used, spend);
 }
 
 /// [`minimize_bottleneck`] for every prefix of one item list, in order —
@@ -262,12 +300,15 @@ impl<'a> BottleneckSweep<'a> {
     }
 
     /// Writes the duplication vector of the prefix pushed so far into
-    /// `dup`: exactly [`minimize_bottleneck`] of that prefix.
-    pub(crate) fn solution(&self, dup: &mut Vec<u32>, spend: &mut SpendBuffers) {
+    /// `dup`: exactly [`minimize_bottleneck`] of that prefix. `kinds` are
+    /// the [`tie_kinds`] of the sweep's items (or of any list they are a
+    /// slice of).
+    pub(crate) fn solution(&self, dup: &mut Vec<u32>, kinds: &[u32], spend: &mut SpendBuffers) {
         dup.clear();
         dup.extend_from_slice(self.q);
         finish_bottleneck(
             &self.items[..dup.len()],
+            &kinds[..dup.len()],
             self.budget,
             self.prefix,
             dup,
@@ -409,7 +450,8 @@ fn sift_down(heap: &mut [usize], keys: &[f64], mut pos: usize) {
 }
 
 /// Grants the budget left over after `dup` (which uses `used` cores) to
-/// the bottleneck stages, adding what it spends to `used`.
+/// the bottleneck stages, adding what it spends to `used`. `kinds` are the
+/// items' [`tie_kinds`].
 ///
 /// The answer is the greedy that grants one replica at a time to the
 /// stage with the highest key `latency / D_i`, ties to the lowest index,
@@ -417,8 +459,11 @@ fn sift_down(heap: &mut [usize], keys: &[f64], mut pos: usize) {
 /// for good once it cannot be paid for (`used` only grows). It is
 /// computed in batches instead of one grant at a time:
 ///
-/// * Items with the same [`AllocItem`] and the same `D_i` form a *tie
-///   class*: the greedy treats its members alike, up to index order.
+/// * Items of the same tie kind with the same `D_i` form a *tie class*:
+///   the greedy treats its members alike, up to index order. An item finds
+///   its class through its kind's slot, which holds the class of the
+///   kind's first member; only a kind whose members start from two
+///   different `D_i` searches the classes.
 /// * The greedy grants whole *key levels* — every member whose key is the
 ///   highest — before any lower key, and one grant strictly lowers a
 ///   member's key (latencies are finite). A level whose cost fits the
@@ -428,36 +473,63 @@ fn sift_down(heap: &mut [usize], keys: &[f64], mut pos: usize) {
 ///   be paid for retires its whole class, since its cost only grows
 ///   relative to the budget left. Such a level retires at least one class.
 ///
-/// Grouping costs `O(n·C)` for `n` items in `C` classes, and each of `L`
-/// levels `O(C)`, plus `O(n)` for each level that does not fit, of which
-/// there are at most `C`: `O(n·C + L·C)` in all, where the greedy made one
+/// Grouping costs `O(n)` for `n` items, plus `O(C)` for `C` classes per
+/// member of a kind split over several `D_i`. Each of `L` levels costs
+/// `O(C)` — whether a class is at the level's key is decided once per
+/// level, not once per member — plus `O(n)` for each of the `P ≤ C` levels
+/// that do not fit: `O(n + L·C + P·n)` in all, where the greedy made one
 /// heap round trip per replica. The buffers are the caller's, so a call
 /// allocates nothing.
 fn spend_leftover_on_bottleneck(
     items: &[AllocItem],
+    kinds: &[u32],
     dup: &mut [u32],
     budget: u64,
     used: &mut u64,
     spend: &mut SpendBuffers,
 ) {
-    spend.iter_mut().for_each(Vec::clear);
-    let [tags, reps, dups, members] = spend;
+    let [tags, reps, dups, members, at_top, slots] = spend;
+    for buf in [&mut *tags, reps, dups, members, at_top] {
+        buf.clear();
+    }
     debug_assert!(items.len() < UNTAGGED as usize);
-    for (idx, (item, &d)) in items.iter().zip(dup.iter()).enumerate() {
+    for (idx, ((item, &kind), &d)) in items.iter().zip(kinds).zip(dup.iter()).enumerate() {
         if !(d < item.max_dup.max(1) && item.latency > 0.0) {
             tags.push(UNTAGGED);
             continue;
         }
-        let class = (0..reps.len())
-            .find(|&c| dups[c] == d && items[reps[c] as usize] == *item)
-            .unwrap_or_else(|| {
+        let kind = kind as usize;
+        if kind >= slots.len() {
+            slots.resize(kind + 1, UNTAGGED);
+        }
+        let slot = slots[kind];
+        let class = if slot != UNTAGGED && dups[slot as usize] == d {
+            slot as usize
+        } else {
+            // The kind's first member, or a member of a kind that carries
+            // a second `d`: search the classes.
+            let found = (slot != UNTAGGED)
+                .then(|| {
+                    (0..reps.len()).find(|&c| dups[c] == d && items[reps[c] as usize] == *item)
+                })
+                .flatten();
+            found.unwrap_or_else(|| {
                 reps.push(idx as u32);
                 dups.push(d);
                 members.push(0);
+                at_top.push(0);
+                if slot == UNTAGGED {
+                    slots[kind] = (reps.len() - 1) as u32;
+                }
                 reps.len() - 1
-            });
+            })
+        };
         members[class] += 1;
         tags.push(class as u32);
+    }
+    // Leave every slot empty for the next call.
+    for &rep in reps.iter() {
+        slots[kinds[rep as usize] as usize] = UNTAGGED;
     }
     let key = |rep: u32, d: u32| items[rep as usize].latency / f64::from(d);
     let budget_left = budget.saturating_sub(*used);
@@ -483,6 +555,9 @@ fn spend_leftover_on_bottleneck(
         if level_cost == 0 {
             break; // no class takes replicas any more
         }
+        for c in 0..reps.len() {
+            at_top[c] = u32::from(members[c] != 0 && key(reps[c], dups[c]) == top);
+        }
         if level_cost <= left {
             left -= level_cost;
         } else {
@@ -490,7 +565,7 @@ fn spend_leftover_on_bottleneck(
             // not pay for one keeps its duplication from here on.
             for (idx, &class) in tags.iter().enumerate() {
                 let c = class as usize;
-                if class == UNTAGGED || members[c] == 0 || key(reps[c], dups[c]) != top {
+                if class == UNTAGGED || at_top[c] == 0 || members[c] == 0 {
                     continue;
                 }
                 let cost = cost(&items[idx]);
@@ -504,7 +579,7 @@ fn spend_leftover_on_bottleneck(
         }
         // Every class of the level still taking replicas was paid in full.
         for c in 0..reps.len() {
-            if members[c] == 0 || key(reps[c], dups[c]) != top {
+            if at_top[c] == 0 || members[c] == 0 {
                 continue;
             }
             dups[c] += 1;
@@ -824,6 +899,39 @@ mod tests {
     }
 
     #[test]
+    fn tie_kinds_name_equal_items_alike_in_order_of_first_appearance() {
+        let its = items(&[
+            (2, 9.0, 4),
+            (1, 9.0, 4),
+            (2, 9.0, 4),
+            (2, 9.0, 5),
+            (1, 9.0, 4),
+        ]);
+        assert_eq!(tie_kinds(&its), vec![0, 1, 0, 2, 1]);
+        assert!(tie_kinds(&[]).is_empty());
+    }
+
+    #[test]
+    fn a_kind_split_over_two_dups_spends_like_the_greedy() {
+        // Kind 0 starts at 1 and at 2 replicas, interleaved, so its members
+        // fall into two classes and every second one searches for its own.
+        let mut its = items(&[(1, 600.0, 8); 6]);
+        its.extend(items(&[(2, 500.0, 8); 2]));
+        let kinds = tie_kinds(&its);
+        assert_eq!(kinds, vec![0, 0, 0, 0, 0, 0, 1, 1]);
+        let mut spend = SpendBuffers::default();
+        for budget in 15..40 {
+            let dup = vec![1, 2, 1, 2, 1, 2, 1, 1];
+            let used = used(&its, &dup);
+            let (mut want, mut want_used) = (dup.clone(), used);
+            grant_one_at_a_time(&its, &mut want, budget, &mut want_used);
+            let (mut got, mut got_used) = (dup, used);
+            spend_leftover_on_bottleneck(&its, &kinds, &mut got, budget, &mut got_used, &mut spend);
+            assert_eq!((got, got_used), (want, want_used), "budget {budget}");
+        }
+    }
+
+    #[test]
     fn empty_items() {
         assert!(minimize_bottleneck(&[], 10).is_empty());
         assert!(minimize_total(&[], 10).is_empty());
@@ -956,10 +1064,11 @@ mod tests {
             let (mut q, mut keys, mut heap) = (Vec::new(), Vec::new(), Vec::new());
             let mut sweep = BottleneckSweep::new(&items, budget, &mut q, &mut keys, &mut heap);
             let (mut got, mut spend) = (Vec::new(), SpendBuffers::default());
+            let kinds = tie_kinds(&items);
             for len in 1..=items.len() {
                 let prefix = &items[..len];
                 sweep.push();
-                sweep.solution(&mut got, &mut spend);
+                sweep.solution(&mut got, &kinds, &mut spend);
                 proptest::prop_assert_eq!(&got, &minimize_bottleneck(prefix, budget));
                 let lambda = sweep.prefix.lambda;
                 if base_fits(prefix, budget) {
@@ -994,10 +1103,12 @@ mod tests {
 
         /// The class-batched leftover spend grants exactly what the
         /// one-grant greedy does, on a `dup` drawn from a pool of 1–6
-        /// distinct items, 40 picks per pool item at most: tie classes, a pool item
-        /// split over two duplication numbers, distinct items sharing a key
-        /// (multiples of 50 176 over small `d`), costs 1–36 and budgets from
-        /// exactly tight to 3× the cores in use.
+        /// distinct items, 40 picks per pool item at most: tie classes, a
+        /// kind split over two duplication numbers, distinct items sharing a
+        /// key (multiples of 50 176 over small `d`), costs 1–36 and budgets
+        /// from exactly tight to 3× the cores in use. The kinds are those of
+        /// a longer list the items end, as a DP window's are, and one set of
+        /// buffers serves two calls.
         #[test]
         fn class_batched_spend_equals_the_one_grant_greedy(
             pool in proptest::collection::vec((0u32..10, 0u32..1_000_000, 1u32..37, 0u32..3, 0u32..1_000_000, 0u32..8), 1..7),
@@ -1024,11 +1135,15 @@ mod tests {
             let budget = used + used * 2 * slack / 1_000;
             let (mut want, mut want_used) = (dup.clone(), used);
             grant_one_at_a_time(&items, &mut want, budget, &mut want_used);
-            let (mut got, mut got_used) = (dup, used);
+            let list: Vec<AllocItem> = items.iter().rev().chain(&items).copied().collect();
+            let kinds = &tie_kinds(&list)[items.len()..];
             let mut spend = SpendBuffers::default();
-            spend_leftover_on_bottleneck(&items, &mut got, budget, &mut got_used, &mut spend);
-            proptest::prop_assert_eq!(&got, &want, "budget {}: {:?}", budget, pool);
-            proptest::prop_assert_eq!(got_used, want_used);
+            for _ in 0..2 {
+                let (mut got, mut got_used) = (dup.clone(), used);
+                spend_leftover_on_bottleneck(&items, kinds, &mut got, budget, &mut got_used, &mut spend);
+                proptest::prop_assert_eq!(&got, &want, "budget {}: {:?}", budget, pool);
+                proptest::prop_assert_eq!(got_used, want_used);
+            }
         }
     }
 }

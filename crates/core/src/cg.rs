@@ -22,7 +22,7 @@
 //! fan-out, chain latency, active crossbars and the report are the
 //! driver's.
 
-use crate::alloc::{self, AllocItem, BottleneckSweep};
+use crate::alloc::{self, tie_kinds, AllocItem, BottleneckSweep};
 use crate::level::{
     active_crossbars, chain_latency, drive, fold_report, standalone, Level, SchedContext,
 };
@@ -130,7 +130,9 @@ pub struct CgSchedule {
 /// that transfers hide under compute when bandwidth suffices, §4.1).
 /// `cycles_per_mvm` is the level's own: the mapping's at the CG and MVM
 /// levels, the remapped one at the VVM level. `mov` is the stage's
-/// [`movement_cycles`], which no duplication changes.
+/// [`movement_cycles`], which no duplication changes. The CG level's DP
+/// evaluates the same expression from per-stage tables
+/// (`SegmentEvaluator::price`).
 pub(crate) fn stage_latency(
     stage: &Stage,
     arch: &CimArchitecture,
@@ -309,16 +311,36 @@ struct SegmentEvaluator<'a> {
     /// lets a memo retained across recompiles splice cached schedules for
     /// unedited regions.
     ids: Vec<u32>,
-    /// Per-stage scheduling stats (cores one replica needs, cycles per
-    /// MVM, movement cycles, allocator item), cached by region id: every
-    /// candidate is a contiguous stage range, so its allocator input is a
-    /// slice of `items`. Repeated blocks (and every unedited stage of a
-    /// recompile) answer from the memo instead of re-deriving the crossbar
-    /// math.
+    /// Per-stage scheduling stats (cores one replica needs, allocator
+    /// item), cached by region id: every candidate is a contiguous stage
+    /// range, so its allocator input is a slice of `items`. Repeated
+    /// blocks (and every unedited stage of a recompile) answer from the
+    /// memo instead of re-deriving the crossbar math.
     needs: Vec<u64>,
-    cpms: Vec<u64>,
-    movs: Vec<f64>,
     items: Vec<AllocItem>,
+    /// The [`tie_kinds`] of `items`, so the leftover spend of every
+    /// candidate groups its stages without comparing items.
+    kinds: Vec<u32>,
+    /// What [`Self::price`] reads of each stage besides its item.
+    prices: Vec<PriceRow>,
+    /// The chip's ALU operations per cycle per core, as a float.
+    alu_rate: Option<f64>,
+}
+
+/// The duplication-independent terms of one stage's [`stage_latency`],
+/// derived once per compile so pricing a candidate is one pass over
+/// floats.
+#[derive(Debug, Clone, Copy)]
+struct PriceRow {
+    /// [`movement_cycles`] of the stage.
+    mov: f64,
+    /// The stage's ALU operations.
+    alu_ops: f64,
+    /// The stage's pipeline fill fraction.
+    fill: f64,
+    /// Cycles to rewrite a dynamic `MatMul`'s crossbars before each
+    /// inference; 0 for static weights.
+    write: f64,
 }
 
 impl<'a> SegmentEvaluator<'a> {
@@ -327,16 +349,15 @@ impl<'a> SegmentEvaluator<'a> {
         let ids = cx.memo.intern_stages(stages);
         let n = stages.len();
         let mut needs = Vec::with_capacity(n);
-        let mut cpms = Vec::with_capacity(n);
-        let mut movs = Vec::with_capacity(n);
+        let mut prices = Vec::with_capacity(n);
         let mut items = Vec::with_capacity(n);
+        let xb_rows = arch.crossbar().shape().rows;
         for (stage, &id) in stages.iter().zip(&ids) {
             let st = cx.memo.stage_stats(id, || {
                 let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
                 let cost = stage.mapping.cores_per_replica(arch);
                 StageStats {
                     need: u64::from(cost),
-                    cpm,
                     mov: movement_cycles(stage, arch, act_bits),
                     item: AllocItem {
                         cost,
@@ -346,9 +367,17 @@ impl<'a> SegmentEvaluator<'a> {
                 }
             });
             needs.push(st.need);
-            cpms.push(st.cpm);
-            movs.push(st.mov);
             items.push(st.item);
+            prices.push(PriceRow {
+                mov: st.mov,
+                alu_ops: stage.alu_ops as f64,
+                fill: stage.fill_fraction,
+                write: if stage.dynamic_weights {
+                    arch.cost().write_cycles(stage.mapping.rows.min(xb_rows)) as f64
+                } else {
+                    0.0
+                },
+            });
         }
         SegmentEvaluator {
             cx,
@@ -357,9 +386,10 @@ impl<'a> SegmentEvaluator<'a> {
             core_count: u64::from(arch.chip().core_count()),
             ids,
             needs,
-            cpms,
-            movs,
+            kinds: tie_kinds(&items),
             items,
+            prices,
+            alu_rate: arch.chip().alu_ops_per_cycle().map(|rate| rate as f64),
         }
     }
 
@@ -391,13 +421,14 @@ impl<'a> SegmentEvaluator<'a> {
 
     /// The duplication numbers of the stages of `range`, into `dup`.
     fn allocate(&self, range: Range<usize>, dup: &mut Vec<u32>) {
-        let items = &self.items[range];
+        let items = &self.items[range.clone()];
         if !self.options.duplication {
             dup.clear();
             dup.resize(items.len(), 1);
         } else if self.options.pipeline {
             let mut spend = self.cx.scratch.u32_array(items.len());
-            alloc::minimize_bottleneck(items, self.core_count, dup, &mut spend);
+            let kinds = &self.kinds[range];
+            alloc::minimize_bottleneck_of_kinds(items, kinds, self.core_count, dup, &mut spend);
         } else {
             alloc::minimize_total(items, self.core_count, dup);
         }
@@ -406,42 +437,43 @@ impl<'a> SegmentEvaluator<'a> {
     /// The latency of the candidate segment `range` with the duplication
     /// numbers `dup`, leaving the per-stage `(latency, fill)` pairs in
     /// `lat_fill`.
+    ///
+    /// Each stage's latency is [`stage_latency`]'s expression, term for
+    /// term and in its operation order (so bit for bit), read from the
+    /// per-stage tables: `item.latency` is the stage's MVM count times its
+    /// cycles per MVM, and `item.cost` its cores per replica.
     fn price(&self, range: Range<usize>, dup: &[u32], lat_fill: &mut Vec<(f64, f64)>) -> f64 {
-        let folds = self.folds(&range);
+        let folds = f64::from(self.folds(&range));
         lat_fill.clear();
-        for (k, i) in range.enumerate() {
-            let stage = &self.stages[i];
-            let latency = stage_latency(
-                stage,
-                self.cx.arch,
-                self.movs[i],
-                dup[k],
-                self.cpms[i],
-                folds,
-            );
-            lat_fill.push((latency, stage.fill_fraction));
+        let stages = self.items[range.clone()].iter().zip(&self.prices[range]);
+        for ((item, row), &d) in stages.zip(dup) {
+            let d = d.max(1);
+            let compute = item.latency / f64::from(d) * folds;
+            let alu = self.alu_rate.map_or(0.0, |rate| {
+                let cores = u64::from(d * item.cost).min(self.core_count).max(1);
+                row.alu_ops / (rate * cores as f64)
+            });
+            let latency = compute.max(row.mov).max(alu) + row.write;
+            lat_fill.push((latency, row.fill));
         }
         chain_latency(lat_fill, self.options.pipeline)
     }
 
-    /// The DP's cost probe: [`Self::evaluate`] through the region memo,
-    /// with `allocate` standing in for [`Self::allocate`] — it runs, and
-    /// the segment is priced, only on a miss.
+    /// The DP's cost probe of the candidate segment `range`: `cost` is its
+    /// latency from the region memo, or NaN on a miss, which `allocate`
+    /// (standing in for [`Self::allocate`]) and [`Self::price`] fill in.
     fn probe(
         &self,
         range: Range<usize>,
+        cost: &mut f64,
         dup: &mut Vec<u32>,
         lat_fill: &mut Vec<(f64, f64)>,
         allocate: impl FnOnce(&mut Vec<u32>),
-    ) -> f64 {
-        let key = &self.ids[range.clone()];
-        if let Some(hit) = self.cx.memo.cost(key) {
-            return hit;
+    ) {
+        if cost.is_nan() {
+            allocate(dup);
+            *cost = self.price(range, dup, lat_fill);
         }
-        allocate(dup);
-        let latency = self.price(range, dup, lat_fill);
-        self.cx.memo.store_cost(key, latency);
-        latency
     }
 
     /// Row `i` of the segmentation DP: the latencies of every
@@ -471,35 +503,36 @@ impl<'a> SegmentEvaluator<'a> {
         // Leased at the DP table's length, so every later row and the
         // table itself reuse these buffers instead of growing them.
         let cap = self.stages.len() + 1;
+        // The candidates are the window's prefixes: one trie walk names
+        // each one's region-id run and reads its memoized cost.
+        let (mut runs, mut costs) = (cx.scratch.u32s(cap), cx.scratch.f64s(cap));
+        cx.memo.prefix_runs(window, &mut runs, &mut costs);
         let mut lat_fill = cx.scratch.pairs(cap);
-        let row: Arc<[f64]> = if self.options.pipeline && self.options.duplication {
-            // The candidates are the prefixes of the window, so one
-            // bottleneck sweep duplicates them all. Its six `u32` buffers
-            // (the duplication vector, `Q` and the leftover spend's four)
-            // come in one lease.
-            let mut u32s = cx.scratch.u32_array::<6>(cap);
+        if self.options.pipeline && self.options.duplication {
+            // One bottleneck sweep duplicates every prefix. Its eight
+            // `u32` buffers (the duplication vector, `Q` and the leftover
+            // spend's six) come in one lease.
+            let mut u32s = cx.scratch.u32_array::<8>(cap);
             let [dup, q, spend @ ..] = &mut *u32s;
             let (mut keys, mut heap) = (cx.scratch.f64s(cap), cx.scratch.usizes(cap));
-            let items = &self.items[i..window_end];
+            let (items, kinds) = (&self.items[i..window_end], &self.kinds[i..window_end]);
             let mut sweep = BottleneckSweep::new(items, core_count, q, &mut keys, &mut heap);
-            (i..window_end)
-                .map(|k| {
-                    sweep.push();
-                    self.probe(i..k + 1, dup, &mut lat_fill, |dup| {
-                        sweep.solution(dup, spend);
-                    })
-                })
-                .collect()
+            for (k, cost) in costs.iter_mut().enumerate() {
+                sweep.push();
+                self.probe(i..i + k + 1, cost, dup, &mut lat_fill, |dup| {
+                    sweep.solution(dup, kinds, spend);
+                });
+            }
         } else {
             let mut dup = cx.scratch.u32s(cap);
-            (i..window_end)
-                .map(|k| {
-                    self.probe(i..k + 1, &mut dup, &mut lat_fill, |dup| {
-                        self.allocate(i..k + 1, dup);
-                    })
-                })
-                .collect()
-        };
+            for (k, cost) in costs.iter_mut().enumerate() {
+                self.probe(i..i + k + 1, cost, &mut dup, &mut lat_fill, |dup| {
+                    self.allocate(i..i + k + 1, dup);
+                });
+            }
+        }
+        cx.memo.store_run_costs(&runs, &costs);
+        let row: Arc<[f64]> = costs.as_slice().into();
         cx.memo.store_row(window, row.clone());
         row
     }
@@ -942,5 +975,89 @@ mod tests {
             }
         }
         assert!(evaluated > 10_000, "only {evaluated} candidates evaluated");
+    }
+
+    /// Attention scores between two activations — a `MatMul` whose
+    /// crossbars are rewritten every inference, which no zoo model has —
+    /// between two static layers.
+    fn with_a_dynamic_matmul() -> cim_graph::Graph {
+        use cim_graph::{OpKind, Shape};
+        let mut g = cim_graph::Graph::new("dynamic-matmul");
+        let input = |shape| OpKind::Input { shape };
+        let x = g.add("x", input(Shape::tokens(197, 64)), []).unwrap();
+        let q = g
+            .add("q", OpKind::Linear { out_features: 64 }, [x])
+            .unwrap();
+        let k = g.add("k", input(Shape::tokens(64, 197)), []).unwrap();
+        let s = g.add("scores", OpKind::MatMul, [q, k]).unwrap();
+        g.add("proj", OpKind::Linear { out_features: 64 }, [s])
+            .unwrap();
+        g
+    }
+
+    /// `price` reads per-stage tables; on every DP candidate of the zoo
+    /// (and of a graph with a dynamic `MatMul`) on every preset it equals
+    /// the `stage_latency` chain it stands for, bit for bit, per stage and
+    /// in total — folded lone stages included. Candidates with equal
+    /// region-id runs have equal inputs, so each run is checked once.
+    #[test]
+    fn table_driven_price_is_the_stage_latency_chain() {
+        let (mut dup, mut lat_fill) = (Vec::new(), Vec::new());
+        let (mut priced, mut folded, mut dynamic) = (0, 0, 0);
+        let bits = |pairs: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            pairs
+                .iter()
+                .map(|&(l, f)| (l.to_bits(), f.to_bits()))
+                .collect()
+        };
+        let graphs: Vec<_> = zoo::all()
+            .into_iter()
+            .chain([with_a_dynamic_matmul()])
+            .collect();
+        for arch in presets::all() {
+            for graph in &graphs {
+                let (scratch, memo) = (crate::ScratchArena::new(), crate::RegionMemo::new());
+                let cx = context(&arch, &scratch, &memo);
+                let stages = extract_stages(graph, &arch, 8);
+                let evaluator = SegmentEvaluator::new(&cx, &stages, CgOptions::full());
+                let mut checked = std::collections::HashSet::new();
+                for i in 0..stages.len() {
+                    for j in 0..evaluator.row(i).len() {
+                        let range = i..i + j + 1;
+                        if !checked.insert(&evaluator.ids[range.clone()]) {
+                            continue;
+                        }
+                        let latency = evaluator.evaluate(range.clone(), &mut dup, &mut lat_fill);
+                        let folds = evaluator.folds(&range);
+                        let chain: Vec<(f64, f64)> = stages[range.clone()]
+                            .iter()
+                            .zip(&dup)
+                            .map(|(stage, &d)| {
+                                let cpm = stage.mapping.cycles_per_mvm(&arch, 8);
+                                let mov = movement_cycles(stage, &arch, 8);
+                                let latency = stage_latency(stage, &arch, mov, d, cpm, folds);
+                                (latency, stage.fill_fraction)
+                            })
+                            .collect();
+                        let case =
+                            format!("{} on {}: [{i}..={}]", graph.name(), arch.name(), i + j);
+                        assert_eq!(bits(&lat_fill), bits(&chain), "{case}");
+                        assert_eq!(
+                            latency.to_bits(),
+                            chain_latency(&chain, true).to_bits(),
+                            "{case}"
+                        );
+                        priced += 1;
+                        folded += usize::from(folds > 1);
+                        dynamic += stages[range].iter().filter(|s| s.dynamic_weights).count();
+                    }
+                }
+            }
+        }
+        assert!(priced > 10_000, "only {priced} candidates priced");
+        assert!(
+            folded > 0 && dynamic > 0,
+            "{folded} folded, {dynamic} dynamic"
+        );
     }
 }

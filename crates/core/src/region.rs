@@ -21,6 +21,18 @@
 //! correctness-preserving — verified bit-for-bit by the equivalence
 //! proptests and the `incremental-smoke` CI gate.
 //!
+//! # Run ids
+//!
+//! The segmentation DP prices thousands of candidate segments per compile,
+//! each keyed by its run of region ids. Rather than hash and box each run,
+//! the memo hash-conses runs into a trie: a *run id* names a run, and the
+//! run one region longer is the child `(run id, region id) → run id` — one
+//! probe of a `u64`-keyed map. A DP row interns the prefixes of its window
+//! in one walk, so each candidate's key costs one trie step, and the cost
+//! memo is a vector indexed by run id. Like region ids, run ids are only
+//! memo keys: they may be handed out in any order (the DP's rows run
+//! concurrently at `jobs > 1`) and never influence a schedule.
+//!
 //! # Counters
 //!
 //! [`RegionMemo::counters`] reports hits/misses at *segment lookup*
@@ -28,6 +40,13 @@
 //! covers, so the numbers read as "regions reused" vs "regions
 //! rescheduled". The internal DP cost memo is not counted — it is a
 //! latency-estimation shortcut, not a schedule reuse.
+//!
+//! # Poisoning
+//!
+//! Every table holds only fully built entries (a value is computed before
+//! it is inserted), so a panic while a lock is held leaves a consistent
+//! table behind: the memo recovers poisoned locks instead of failing every
+//! later compile of the session.
 
 use crate::alloc::AllocItem;
 use crate::cache::{region_fingerprint, Fingerprint};
@@ -35,11 +54,15 @@ use crate::cg::Segment;
 use crate::level::{Level, Scheduled};
 use crate::stage::Stage;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A memo key: the run of region ids a cached value covers.
 type RegionKey = Box<[u32]>;
+
+/// A map keyed by region-id runs, hashed a word at a time.
+type RunMap<V> = HashMap<RegionKey, V, BuildHasherDefault<WordHasher>>;
 
 /// A memoized DP row: one latency per budget-feasible candidate segment.
 type Row = Arc<[f64]>;
@@ -56,15 +79,16 @@ pub struct RegionMemo {
     /// deterministic for a given stage list; their numeric values never
     /// influence schedules, only memo keys.
     ids: Mutex<HashMap<Fingerprint, u32>>,
-    /// DP range-latency memo (CG segmentation cost estimates), keyed by
-    /// the region-id run `[start..=end]`. Not counted in hit/miss.
-    costs: Mutex<HashMap<RegionKey, f64>>,
+    /// DP range-latency memo (CG segmentation cost estimates) over
+    /// hash-consed region-id runs. Not counted in hit/miss.
+    runs: Mutex<Runs>,
     /// DP row memo: every budget-feasible candidate-segment latency for a
     /// row, keyed by the region-id run of the row's budget window. One
     /// lookup answers a whole row, so recompiles skip the per-candidate
-    /// probes for every row outside the edit's window. Not counted in
-    /// hit/miss (like `costs`, a latency-estimation shortcut).
-    rows: Mutex<HashMap<RegionKey, Row>>,
+    /// probes (and the trie walk) for every row outside the edit's window.
+    /// Not counted in hit/miss (like `runs`, a latency-estimation
+    /// shortcut).
+    rows: Mutex<RunMap<Row>>,
     /// Per-region scheduling stats (core need, cycles per MVM, allocator
     /// item), indexed by region id — content-determined under the
     /// session's fixed (arch, act_bits), so a recompile recomputes them
@@ -73,9 +97,95 @@ pub struct RegionMemo {
     /// Segment schedules keyed by the region-id run they cover, one slot per
     /// scheduling [`Level`] (with the VVM level's per-plan spread factors),
     /// plans rebased to segment-relative stage indices.
-    segments: Mutex<HashMap<RegionKey, [Option<Scheduled>; 3]>>,
+    segments: Mutex<RunMap<[Option<Scheduled>; 3]>>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// The memo's lock on `table`, recovered if a panic poisoned it: every
+/// table holds only fully built entries.
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Hash-consed region-id runs and the DP's latency estimate of each.
+#[derive(Debug, Default)]
+struct Runs {
+    /// `parent run id << 32 | region id` → the id of the parent run
+    /// extended by that region. Run 0 is the empty run; ids count up from 1
+    /// in interning order.
+    children: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
+    /// Per run id `r ≥ 1`, at `r - 1`: its latency estimate, or NaN while
+    /// unpriced (a NaN estimate would only be priced again, to itself).
+    costs: Vec<f64>,
+}
+
+impl Runs {
+    /// The id of run `parent` extended by region `id`, interned on first
+    /// sight.
+    fn child(&mut self, parent: u32, id: u32) -> u32 {
+        let next = self.costs.len() as u32 + 1;
+        let costs = &mut self.costs;
+        *self.children.entry(edge(parent, id)).or_insert_with(|| {
+            costs.push(f64::NAN);
+            next
+        })
+    }
+
+    /// The id of `run`, if it was interned.
+    fn find(&self, run: &[u32]) -> Option<u32> {
+        run.iter().try_fold(0, |parent, &id| {
+            self.children.get(&edge(parent, id)).copied()
+        })
+    }
+
+    fn cost_slot(&mut self, run: u32) -> &mut f64 {
+        &mut self.costs[run as usize - 1]
+    }
+}
+
+/// The trie key of the edge from run `parent` by region `id`.
+fn edge(parent: u32, id: u32) -> u64 {
+    u64::from(parent) << 32 | u64::from(id)
+}
+
+/// A multiply-mix hasher over 64-bit words, for the memo's integer keys:
+/// a `u64` trie edge is one word, a region-id run its length and then
+/// two ids per word. Each word is folded in with one 64×64→128-bit
+/// multiply whose halves are xored, which spreads every input bit over
+/// the whole hash (the map indexes buckets by the low bits and tags them
+/// with the high ones). Not collision-resistant against chosen keys, and
+/// need not be: the keys are region ids the memo itself hands out.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let product = u128::from(self.0 ^ word) * u128::from(K);
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl RegionMemo {
@@ -91,7 +201,7 @@ impl RegionMemo {
     /// deterministic in stage order.
     #[must_use]
     pub fn intern_stages(&self, stages: &[Stage]) -> Vec<u32> {
-        let mut ids = self.ids.lock().unwrap();
+        let mut ids = lock(&self.ids);
         stages
             .iter()
             .map(|s| {
@@ -102,15 +212,46 @@ impl RegionMemo {
             .collect()
     }
 
-    /// Cached DP latency estimate for the region run `key`, if any.
+    /// Cached DP latency estimate for the region run `key`, if any. Walks
+    /// the trie without interning anything.
     #[must_use]
     pub fn cost(&self, key: &[u32]) -> Option<f64> {
-        self.costs.lock().unwrap().get(key).copied()
+        let runs = lock(&self.runs);
+        let run = runs.find(key).filter(|_| !key.is_empty())?;
+        Some(runs.costs[run as usize - 1]).filter(|cost| !cost.is_nan())
     }
 
-    /// Stores a DP latency estimate.
+    /// Stores a DP latency estimate for the region run `key`, interning it.
     pub fn store_cost(&self, key: &[u32], cost: f64) {
-        self.costs.lock().unwrap().insert(key.into(), cost);
+        let mut runs = lock(&self.runs);
+        let run = key.iter().fold(0, |parent, &id| runs.child(parent, id));
+        if run > 0 {
+            *runs.cost_slot(run) = cost;
+        }
+    }
+
+    /// Interns every prefix `window[..1]`, `window[..2]`, … of a DP row's
+    /// window in one walk under one lock: the prefix of length `k + 1`
+    /// gets run id `runs[k]` and its cached latency estimate, or NaN, in
+    /// `costs[k]`.
+    pub(crate) fn prefix_runs(&self, window: &[u32], runs: &mut Vec<u32>, costs: &mut Vec<f64>) {
+        let mut table = lock(&self.runs);
+        runs.clear();
+        costs.clear();
+        let mut run = 0;
+        for &id in window {
+            run = table.child(run, id);
+            runs.push(run);
+            costs.push(*table.cost_slot(run));
+        }
+    }
+
+    /// Stores the latency estimate `costs[k]` of every run `runs[k]`.
+    pub(crate) fn store_run_costs(&self, runs: &[u32], costs: &[f64]) {
+        let mut table = lock(&self.runs);
+        for (&run, &cost) in runs.iter().zip(costs) {
+            *table.cost_slot(run) = cost;
+        }
     }
 
     /// Per-region stats for region `id`, computing and caching them on
@@ -118,7 +259,7 @@ impl RegionMemo {
     /// content (plus the session-fixed arch/options), like every other
     /// entry in the memo.
     pub fn stage_stats(&self, id: u32, compute: impl FnOnce() -> StageStats) -> StageStats {
-        let mut stats = self.stats.lock().unwrap();
+        let mut stats = lock(&self.stats);
         let slot = id as usize;
         if slot >= stats.len() {
             stats.resize(slot + 1, None);
@@ -134,12 +275,12 @@ impl RegionMemo {
     /// `key`, if any.
     #[must_use]
     pub fn row(&self, key: &[u32]) -> Option<Row> {
-        self.rows.lock().unwrap().get(key).cloned()
+        lock(&self.rows).get(key).cloned()
     }
 
     /// Stores a DP row for the budget window `key`.
     pub fn store_row(&self, key: &[u32], row: Row) {
-        self.rows.lock().unwrap().insert(key.into(), row);
+        lock(&self.rows).insert(key.into(), row);
     }
 
     /// Cached `level` schedule of the region run `key`, with plan stage
@@ -147,10 +288,7 @@ impl RegionMemo {
     /// Counts a hit or a miss, weighted by the run's length.
     #[must_use]
     pub(crate) fn segment(&self, level: Level, key: &[u32], start: usize) -> Option<Scheduled> {
-        let found = self
-            .segments
-            .lock()
-            .expect("region memo poisoned")
+        let found = lock(&self.segments)
             .get(key)
             .and_then(|slots| slots[level as usize].clone());
         self.count(found.is_some(), key.len());
@@ -161,8 +299,7 @@ impl RegionMemo {
     /// start at global stage `start`, position-independently.
     pub(crate) fn store_segment(&self, level: Level, key: &[u32], start: usize, value: &Scheduled) {
         let (seg, spreads) = value.clone();
-        let mut segments = self.segments.lock().expect("region memo poisoned");
-        segments.entry(key.into()).or_default()[level as usize] =
+        lock(&self.segments).entry(key.into()).or_default()[level as usize] =
             Some((rebase(seg, start, 0), spreads));
     }
 
@@ -196,8 +333,6 @@ impl RegionMemo {
 pub struct StageStats {
     /// Cores one replica occupies.
     pub need: u64,
-    /// Cycles per MVM.
-    pub cpm: u64,
     /// Movement cycles of the stage's traffic, which duplication does not
     /// change.
     pub mov: f64,
@@ -298,5 +433,80 @@ mod tests {
         memo.store_cost(&[1, 2], 42.0);
         assert_eq!(memo.cost(&[1, 2]), Some(42.0));
         assert_eq!(memo.counters(), (0, 0));
+    }
+
+    /// The run ids of the prefixes of `window`, interned by one DP-row walk.
+    fn prefix_runs(memo: &RegionMemo, window: &[u32]) -> Vec<u32> {
+        let (mut runs, mut costs) = (Vec::new(), Vec::new());
+        memo.prefix_runs(window, &mut runs, &mut costs);
+        assert_eq!(costs.len(), window.len());
+        runs
+    }
+
+    #[test]
+    fn equal_runs_share_a_run_id_wherever_they_start() {
+        let memo = RegionMemo::new();
+        // Rows starting at stages 0 and 3 of a list with period 3: the
+        // runs `[4, 5]` and `[4, 5, 6]` recur at both positions.
+        let first = prefix_runs(&memo, &[4, 5, 6, 4, 5]);
+        let second = prefix_runs(&memo, &[4, 5, 6, 7]);
+        assert_eq!(first[..3], second[..3]);
+        // A run differs from each of its prefixes, and from a run of equal
+        // length that differs in its last region.
+        let distinct: std::collections::HashSet<u32> =
+            first.iter().chain(&second).copied().collect();
+        assert_eq!(distinct.len(), 6, "{first:?} {second:?}");
+        // The slice form finds what the walk interned, and the walk reads
+        // what the slice form stored.
+        memo.store_cost(&[4, 5, 6, 4], 7.0);
+        let (mut runs, mut costs) = (Vec::new(), Vec::new());
+        memo.prefix_runs(&[4, 5, 6, 4], &mut runs, &mut costs);
+        assert_eq!(runs, first[..4]);
+        assert!(costs[..3].iter().all(|c| c.is_nan()));
+        assert_eq!(costs[3], 7.0);
+        memo.store_run_costs(&runs[..1], &[3.0]);
+        assert_eq!(memo.cost(&[4]), Some(3.0));
+    }
+
+    #[test]
+    fn a_cost_lookup_neither_interns_nor_misses_a_stored_run() {
+        let memo = RegionMemo::new();
+        let interned = |memo: &RegionMemo| lock(&memo.runs).costs.len();
+        memo.store_cost(&[1, 2, 3], 9.5);
+        assert_eq!(interned(&memo), 3);
+        // Unknown runs, an unpriced prefix and the empty run miss without
+        // interning anything.
+        for run in [&[1, 2, 4][..], &[2, 3], &[1, 2, 3, 1], &[1, 2], &[]] {
+            assert_eq!(memo.cost(run), None, "{run:?}");
+        }
+        assert_eq!(interned(&memo), 3);
+        assert_eq!(memo.cost(&[1, 2, 3]), Some(9.5));
+    }
+
+    #[test]
+    fn a_panic_inside_the_memo_leaves_it_usable() {
+        let memo = RegionMemo::new();
+        let stats = StageStats {
+            need: 2,
+            mov: 1.5,
+            item: AllocItem {
+                cost: 2,
+                latency: 8.0,
+                max_dup: 4,
+            },
+        };
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.stage_stats(3, || panic!("compute failed"))
+        }));
+        assert!(panicked.is_err());
+        assert!(memo.stats.is_poisoned());
+        // The failed region was never stored: a later lookup computes it,
+        // and every other table still answers.
+        assert_eq!(memo.stage_stats(3, || stats).need, 2);
+        assert_eq!(memo.stage_stats(3, || panic!("cached")).mov, 1.5);
+        memo.store_cost(&[3], 1.0);
+        assert_eq!(memo.cost(&[3]), Some(1.0));
+        assert!(memo.row(&[3]).is_none());
+        assert!(memo.segment(Level::Cg, &[3], 0).is_none());
     }
 }
