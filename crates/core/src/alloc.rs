@@ -503,27 +503,24 @@ fn spend_leftover_on_bottleneck(
             slots.resize(kind + 1, UNTAGGED);
         }
         let slot = slots[kind];
-        let class = if slot != UNTAGGED && dups[slot as usize] == d {
-            slot as usize
+        let found = if slot == UNTAGGED {
+            None
+        } else if dups[slot as usize] == d {
+            Some(slot as usize)
         } else {
-            // The kind's first member, or a member of a kind that carries
-            // a second `d`: search the classes.
-            let found = (slot != UNTAGGED)
-                .then(|| {
-                    (0..reps.len()).find(|&c| dups[c] == d && items[reps[c] as usize] == *item)
-                })
-                .flatten();
-            found.unwrap_or_else(|| {
-                reps.push(idx as u32);
-                dups.push(d);
-                members.push(0);
-                at_top.push(0);
-                if slot == UNTAGGED {
-                    slots[kind] = (reps.len() - 1) as u32;
-                }
-                reps.len() - 1
-            })
+            // A kind whose members carry a second `d`: search the classes.
+            (0..reps.len()).find(|&c| dups[c] == d && items[reps[c] as usize] == *item)
         };
+        let class = found.unwrap_or_else(|| {
+            if slot == UNTAGGED {
+                slots[kind] = reps.len() as u32;
+            }
+            reps.push(idx as u32);
+            dups.push(d);
+            members.push(0);
+            at_top.push(0);
+            reps.len() - 1
+        });
         members[class] += 1;
         tags.push(class as u32);
     }

@@ -322,7 +322,7 @@ struct SegmentEvaluator<'a> {
     /// candidate groups its stages without comparing items.
     kinds: Vec<u32>,
     /// What [`Self::price`] reads of each stage besides its item.
-    prices: Vec<PriceRow>,
+    terms: Vec<PriceTerms>,
     /// The chip's ALU operations per cycle per core, as a float.
     alu_rate: Option<f64>,
 }
@@ -331,7 +331,7 @@ struct SegmentEvaluator<'a> {
 /// derived once per compile so pricing a candidate is one pass over
 /// floats.
 #[derive(Debug, Clone, Copy)]
-struct PriceRow {
+struct PriceTerms {
     /// [`movement_cycles`] of the stage.
     mov: f64,
     /// The stage's ALU operations.
@@ -349,7 +349,7 @@ impl<'a> SegmentEvaluator<'a> {
         let ids = cx.memo.intern_stages(stages);
         let n = stages.len();
         let mut needs = Vec::with_capacity(n);
-        let mut prices = Vec::with_capacity(n);
+        let mut terms = Vec::with_capacity(n);
         let mut items = Vec::with_capacity(n);
         let xb_rows = arch.crossbar().shape().rows;
         for (stage, &id) in stages.iter().zip(&ids) {
@@ -368,7 +368,7 @@ impl<'a> SegmentEvaluator<'a> {
             });
             needs.push(st.need);
             items.push(st.item);
-            prices.push(PriceRow {
+            terms.push(PriceTerms {
                 mov: st.mov,
                 alu_ops: stage.alu_ops as f64,
                 fill: stage.fill_fraction,
@@ -388,7 +388,7 @@ impl<'a> SegmentEvaluator<'a> {
             needs,
             kinds: tie_kinds(&items),
             items,
-            prices,
+            terms,
             alu_rate: arch.chip().alu_ops_per_cycle().map(|rate| rate as f64),
         }
     }
@@ -445,16 +445,16 @@ impl<'a> SegmentEvaluator<'a> {
     fn price(&self, range: Range<usize>, dup: &[u32], lat_fill: &mut Vec<(f64, f64)>) -> f64 {
         let folds = f64::from(self.folds(&range));
         lat_fill.clear();
-        let stages = self.items[range.clone()].iter().zip(&self.prices[range]);
-        for ((item, row), &d) in stages.zip(dup) {
+        let stages = self.items[range.clone()].iter().zip(&self.terms[range]);
+        for ((item, terms), &d) in stages.zip(dup) {
             let d = d.max(1);
             let compute = item.latency / f64::from(d) * folds;
             let alu = self.alu_rate.map_or(0.0, |rate| {
                 let cores = u64::from(d * item.cost).min(self.core_count).max(1);
-                row.alu_ops / (rate * cores as f64)
+                terms.alu_ops / (rate * cores as f64)
             });
-            let latency = compute.max(row.mov).max(alu) + row.write;
-            lat_fill.push((latency, row.fill));
+            let latency = compute.max(terms.mov).max(alu) + terms.write;
+            lat_fill.push((latency, terms.fill));
         }
         chain_latency(lat_fill, self.options.pipeline)
     }
@@ -480,6 +480,11 @@ impl<'a> SegmentEvaluator<'a> {
     /// budget-feasible candidate segment starting at stage `i` (`[i..=i]`,
     /// `[i..=i+1]`, … until the core budget runs out; a single over-weight
     /// stage stands alone).
+    ///
+    /// A row the row memo does not hold takes two more trips to the
+    /// region memo: one walk that interns its candidates' region-id runs
+    /// and reads their cached costs, and one store of every cost after
+    /// [`Self::probe`] prices the misses.
     fn row(&self, i: usize) -> Arc<[f64]> {
         let (cx, needs, core_count) = (self.cx, &self.needs, self.core_count);
         // The row's budget window is content-determined (`needs` come
