@@ -252,7 +252,9 @@ pub fn render_recompile(outcome: &RecompileOutcome, json: bool, timings: bool) -
         }
         let hits = outcome.region_hits;
         let misses = outcome.region_misses;
-        let inc_ms = outcome.incremental_ms.round() as u64;
+        // Three decimals: a one-layer edit of a zoo model recompiles in
+        // well under a millisecond, which whole milliseconds print as 0.
+        let inc_ms = outcome.incremental_ms;
         match outcome.cold_ms {
             Some(cold_ms) => {
                 let pct = if cold_ms > 0.0 {
@@ -267,15 +269,14 @@ pub fn render_recompile(outcome: &RecompileOutcome, json: bool, timings: bool) -
                 };
                 let _ = writeln!(
                     out,
-                    "recompile: cold {} ms, incremental {inc_ms} ms ({pct}% of cold), regions \
-                     {hits} hit(s) / {misses} miss(es), equivalent: {verdict}",
-                    cold_ms.round() as u64
+                    "recompile: cold {cold_ms:.3} ms, incremental {inc_ms:.3} ms ({pct}% of cold), \
+                     regions {hits} hit(s) / {misses} miss(es), equivalent: {verdict}"
                 );
             }
             None => {
                 let _ = writeln!(
                     out,
-                    "recompile: incremental {inc_ms} ms, regions {hits} hit(s) / {misses} \
+                    "recompile: incremental {inc_ms:.3} ms, regions {hits} hit(s) / {misses} \
                      miss(es)"
                 );
             }
