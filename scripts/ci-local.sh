@@ -27,6 +27,10 @@ build_and_test() {
     cargo build --release
     bold "build-and-test: cargo test"
     cargo test -q --workspace
+    # The spend, sweep and brute-force segmentation oracles are cheap
+    # enough to run at ~40x their default draws.
+    bold "build-and-test: allocator and segmentation oracles at 2048 draws"
+    PROPTEST_CASES=2048 cargo test -q --release -p cim-compiler --lib -- alloc:: cg::
     # `--flow` alone generates a flow that keeps only the statements its
     # head prints; `--verify` needs, and keeps, all of them.
     bold "build-and-test: a flow head kept bounded prints as the whole flow's"
