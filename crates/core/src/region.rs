@@ -89,7 +89,7 @@ pub struct RegionMemo {
     /// Not counted in hit/miss (like `runs`, a latency-estimation
     /// shortcut).
     rows: Mutex<RunMap<Row>>,
-    /// Per-region scheduling stats (core need, cycles per MVM, allocator
+    /// Per-region scheduling stats (core need, movement cycles, allocator
     /// item), indexed by region id — content-determined under the
     /// session's fixed (arch, act_bits), so a recompile recomputes them
     /// only for regions it has never seen. Not counted in hit/miss.
@@ -139,6 +139,13 @@ impl Runs {
         })
     }
 
+    /// The latency estimate of run `run`, if it is priced (never of the
+    /// empty run).
+    fn cost(&self, run: u32) -> Option<f64> {
+        let cost = *self.costs.get((run as usize).checked_sub(1)?)?;
+        (!cost.is_nan()).then_some(cost)
+    }
+
     fn cost_slot(&mut self, run: u32) -> &mut f64 {
         &mut self.costs[run as usize - 1]
     }
@@ -155,9 +162,10 @@ fn edge(parent: u32, id: u32) -> u64 {
 /// multiply whose halves are xored, which spreads every input bit over
 /// the whole hash (the map indexes buckets by the low bits and tags them
 /// with the high ones). Not collision-resistant against chosen keys, and
-/// need not be: the keys are region ids the memo itself hands out.
+/// need not be: the keys are dense ids the memo hands out itself, and an
+/// input graph only chooses their order.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WordHasher(u64);
+struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -217,8 +225,7 @@ impl RegionMemo {
     #[must_use]
     pub fn cost(&self, key: &[u32]) -> Option<f64> {
         let runs = lock(&self.runs);
-        let run = runs.find(key).filter(|_| !key.is_empty())?;
-        Some(runs.costs[run as usize - 1]).filter(|cost| !cost.is_nan())
+        runs.cost(runs.find(key)?)
     }
 
     /// Stores a DP latency estimate for the region run `key`, interning it.
