@@ -24,7 +24,7 @@
 //! answers them all in order. The cores that vector leaves over go to the
 //! bottleneck stages, one *tie class* of identical stages at a time. The
 //! caller names each stage's *tie kind* up front (equal [`AllocItem`]s,
-//! equal kind; [`tie_kinds`]), so grouping the stages into classes is one
+//! equal kind; `tie_kinds`), so grouping the stages into classes is one
 //! `O(n)` pass, and the spend costs `O(n + L·C)` for `n` stages in `C`
 //! classes and `L` key levels, plus `O(n)` per level that does not fit.
 //!
@@ -67,7 +67,7 @@ const UNTAGGED: u32 = u32::MAX;
 /// equal for equal [`AllocItem`]s and only for them. `O(n·K)` for `K`
 /// kinds; the segmentation DP derives them once per compile.
 #[must_use]
-pub fn tie_kinds(items: &[AllocItem]) -> Vec<u32> {
+pub(crate) fn tie_kinds(items: &[AllocItem]) -> Vec<u32> {
     let mut firsts: Vec<&AllocItem> = Vec::new();
     items
         .iter()
@@ -92,7 +92,7 @@ pub fn tie_kinds(items: &[AllocItem]) -> Vec<u32> {
 /// This is the last prefix of a `BottleneckSweep` over `items`, pushed
 /// all at once: the DP's row sweep and the schedule of a chosen segment
 /// get the same vector by construction. It derives the items'
-/// [`tie_kinds`] itself; a caller that already has them calls
+/// tie kinds itself; a caller that already has them calls
 /// `minimize_bottleneck_of_kinds`.
 pub fn minimize_bottleneck(
     items: &[AllocItem],
