@@ -131,8 +131,7 @@ pub struct CgSchedule {
 /// `cycles_per_mvm` is the level's own: the mapping's at the CG and MVM
 /// levels, the remapped one at the VVM level. `mov` is the stage's
 /// [`movement_cycles`], which no duplication changes. The CG level's DP
-/// evaluates the same expression from per-stage tables
-/// (`SegmentEvaluator::price`).
+/// prices from per-stage tables through the same [`PriceTerms::latency`].
 pub(crate) fn stage_latency(
     stage: &Stage,
     arch: &CimArchitecture,
@@ -141,23 +140,75 @@ pub(crate) fn stage_latency(
     cycles_per_mvm: u64,
     folds: u32,
 ) -> f64 {
-    let compute = stage.mapping.mvm_count as f64 * cycles_per_mvm as f64 / f64::from(dup.max(1))
-        * f64::from(folds.max(1));
-    let cores = dup.max(1) * stage.mapping.cores_per_replica(arch);
-    let alu = stage.alu_cycles(
-        arch.chip().alu_ops_per_cycle(),
-        cores.min(arch.chip().core_count()),
-    );
-    let mut latency = compute.max(mov).max(alu);
-    if stage.dynamic_weights {
-        // Dynamic MatMul: the crossbar contents must be rewritten each
-        // inference before compute can start.
-        latency += arch
-            .cost()
-            .write_cycles(stage.mapping.rows.min(arch.crossbar().shape().rows))
-            as f64;
+    PriceTerms::of(stage, arch, mov).latency(
+        stage.mapping.mvm_count as f64 * cycles_per_mvm as f64,
+        stage.mapping.cores_per_replica(arch),
+        dup,
+        f64::from(folds.max(1)),
+        alu_rate(arch),
+        u64::from(arch.chip().core_count()),
+    )
+}
+
+/// The chip's ALU operations per cycle per core, as a float.
+fn alu_rate(arch: &CimArchitecture) -> Option<f64> {
+    arch.chip().alu_ops_per_cycle().map(|rate| rate as f64)
+}
+
+/// The duplication-independent terms of one stage's latency besides its
+/// compute time and cores per replica.
+#[derive(Debug, Clone, Copy)]
+struct PriceTerms {
+    /// [`movement_cycles`] of the stage.
+    mov: f64,
+    /// The stage's ALU operations.
+    alu_ops: f64,
+    /// The stage's pipeline fill fraction.
+    fill: f64,
+    /// Cycles to rewrite a dynamic `MatMul`'s crossbars before each
+    /// inference; 0 for static weights.
+    write: f64,
+}
+
+impl PriceTerms {
+    fn of(stage: &Stage, arch: &CimArchitecture, mov: f64) -> Self {
+        let write = if stage.dynamic_weights {
+            let rows = stage.mapping.rows.min(arch.crossbar().shape().rows);
+            arch.cost().write_cycles(rows) as f64
+        } else {
+            0.0
+        };
+        PriceTerms {
+            mov,
+            alu_ops: stage.alu_ops as f64,
+            fill: stage.fill_fraction,
+            write,
+        }
     }
-    latency
+
+    /// The stage's latency at `d` replicas of `cost` cores each, run in
+    /// `folds` passes: the slowest of compute (`compute` is one replica's
+    /// single-pass compute cycles), movement and the ALU work spread over
+    /// the cores in use, then the crossbar rewrite of a dynamic `MatMul`,
+    /// which must finish before compute starts.
+    #[inline]
+    fn latency(
+        &self,
+        compute: f64,
+        cost: u32,
+        d: u32,
+        folds: f64,
+        alu_rate: Option<f64>,
+        core_count: u64,
+    ) -> f64 {
+        let d = d.max(1);
+        let compute = compute / f64::from(d) * folds;
+        let alu = alu_rate.map_or(0.0, |rate| {
+            let cores = u64::from(d * cost).min(core_count).max(1);
+            self.alu_ops / (rate * cores as f64)
+        });
+        compute.max(self.mov).max(alu) + self.write
+    }
 }
 
 /// Bandwidth-derived duplication cap: duplicating beyond the point where
@@ -327,22 +378,6 @@ struct SegmentEvaluator<'a> {
     alu_rate: Option<f64>,
 }
 
-/// The duplication-independent terms of one stage's [`stage_latency`],
-/// derived once per compile so pricing a candidate is one pass over
-/// floats.
-#[derive(Debug, Clone, Copy)]
-struct PriceTerms {
-    /// [`movement_cycles`] of the stage.
-    mov: f64,
-    /// The stage's ALU operations.
-    alu_ops: f64,
-    /// The stage's pipeline fill fraction.
-    fill: f64,
-    /// Cycles to rewrite a dynamic `MatMul`'s crossbars before each
-    /// inference; 0 for static weights.
-    write: f64,
-}
-
 impl<'a> SegmentEvaluator<'a> {
     fn new(cx: &'a SchedContext<'a>, stages: &'a [Stage], options: CgOptions) -> Self {
         let (arch, act_bits) = (cx.arch, cx.act_bits);
@@ -351,7 +386,6 @@ impl<'a> SegmentEvaluator<'a> {
         let mut needs = Vec::with_capacity(n);
         let mut terms = Vec::with_capacity(n);
         let mut items = Vec::with_capacity(n);
-        let xb_rows = arch.crossbar().shape().rows;
         for (stage, &id) in stages.iter().zip(&ids) {
             let st = cx.memo.stage_stats(id, || {
                 let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
@@ -368,16 +402,7 @@ impl<'a> SegmentEvaluator<'a> {
             });
             needs.push(st.need);
             items.push(st.item);
-            terms.push(PriceTerms {
-                mov: st.mov,
-                alu_ops: stage.alu_ops as f64,
-                fill: stage.fill_fraction,
-                write: if stage.dynamic_weights {
-                    arch.cost().write_cycles(stage.mapping.rows.min(xb_rows)) as f64
-                } else {
-                    0.0
-                },
-            });
+            terms.push(PriceTerms::of(stage, arch, st.mov));
         }
         SegmentEvaluator {
             cx,
@@ -389,7 +414,7 @@ impl<'a> SegmentEvaluator<'a> {
             kinds: tie_kinds(&items),
             items,
             terms,
-            alu_rate: arch.chip().alu_ops_per_cycle().map(|rate| rate as f64),
+            alu_rate: alu_rate(arch),
         }
     }
 
@@ -438,22 +463,23 @@ impl<'a> SegmentEvaluator<'a> {
     /// numbers `dup`, leaving the per-stage `(latency, fill)` pairs in
     /// `lat_fill`.
     ///
-    /// Each stage's latency is [`stage_latency`]'s expression, term for
-    /// term and in its operation order (so bit for bit), read from the
-    /// per-stage tables: `item.latency` is the stage's MVM count times its
-    /// cycles per MVM, and `item.cost` its cores per replica.
+    /// Each stage's latency is [`PriceTerms::latency`], as in
+    /// [`stage_latency`], with its inputs read from the per-stage tables:
+    /// `item.latency` is the stage's MVM count times its cycles per MVM,
+    /// and `item.cost` its cores per replica.
     fn price(&self, range: Range<usize>, dup: &[u32], lat_fill: &mut Vec<(f64, f64)>) -> f64 {
         let folds = f64::from(self.folds(&range));
         lat_fill.clear();
         let stages = self.items[range.clone()].iter().zip(&self.terms[range]);
         for ((item, terms), &d) in stages.zip(dup) {
-            let d = d.max(1);
-            let compute = item.latency / f64::from(d) * folds;
-            let alu = self.alu_rate.map_or(0.0, |rate| {
-                let cores = u64::from(d * item.cost).min(self.core_count).max(1);
-                terms.alu_ops / (rate * cores as f64)
-            });
-            let latency = compute.max(terms.mov).max(alu) + terms.write;
+            let latency = terms.latency(
+                item.latency,
+                item.cost,
+                d,
+                folds,
+                self.alu_rate,
+                self.core_count,
+            );
             lat_fill.push((latency, terms.fill));
         }
         chain_latency(lat_fill, self.options.pipeline)
@@ -1001,9 +1027,9 @@ mod tests {
     }
 
     /// `price` reads per-stage tables; on every DP candidate of the zoo
-    /// (and of a graph with a dynamic `MatMul`) on every preset it equals
-    /// the `stage_latency` chain it stands for, bit for bit, per stage and
-    /// in total — folded lone stages included. Candidates with equal
+    /// (and of a graph with a dynamic `MatMul`) on every preset, the
+    /// tables give the `stage_latency` chain the candidate stands for, bit
+    /// for bit, per stage and in total — folded lone stages included. Candidates with equal
     /// region-id runs have equal inputs, so each run is checked once.
     #[test]
     fn table_driven_price_is_the_stage_latency_chain() {
