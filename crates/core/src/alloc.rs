@@ -52,11 +52,14 @@ pub struct AllocItem {
 /// 4. per class, its member count while it still takes replicas; 0 once
 ///    it reached its cap or could not pay for one;
 /// 5. per class, 1 if its key is the current level's top key, else 0;
-/// 6. per tie kind, the class of its first member, or `u32::MAX`.
+/// 6. per tie kind, the class of its first member. An entry that names
+///    no class of that kind in the current call reads as empty, so stale
+///    or arbitrary contents are harmless.
 ///
-/// The first five hold at most one entry per item and the last one per
-/// kind, so a caller that leases them once (the segmentation DP, per row)
-/// allocates nothing per call.
+/// Every call clears the first five, which hold at most one entry per
+/// item; the last holds one per kind. A caller that leases them once (the
+/// segmentation DP, per row) allocates nothing per call, and may pass
+/// them in with any contents.
 pub type SpendBuffers = [Vec<u32>; 6];
 
 /// Tag of an item the leftover spend never grants to: at its cap, or with
@@ -463,7 +466,8 @@ fn sift_down(heap: &mut [usize], keys: &[f64], mut pos: usize) {
 ///   the greedy treats its members alike, up to index order. An item finds
 ///   its class through its kind's slot, which holds the class of the
 ///   kind's first member; only a kind whose members start from two
-///   different `D_i` searches the classes.
+///   different `D_i` searches the classes. A slot whose class is not of
+///   its kind is stale and reads as empty, so slots are never reset.
 /// * The greedy grants whole *key levels* — every member whose key is the
 ///   highest — before any lower key, and one grant strictly lowers a
 ///   member's key (latencies are finite). A level whose cost fits the
@@ -498,22 +502,24 @@ fn spend_leftover_on_bottleneck(
             tags.push(UNTAGGED);
             continue;
         }
-        let kind = kind as usize;
-        if kind >= slots.len() {
-            slots.resize(kind + 1, UNTAGGED);
+        if kind as usize >= slots.len() {
+            slots.resize(kind as usize + 1, UNTAGGED);
         }
-        let slot = slots[kind];
-        let found = if slot == UNTAGGED {
+        // The slot counts only if it names a class of this call whose
+        // members are of this kind; anything else reads as empty.
+        let slot = slots[kind as usize] as usize;
+        let live = slot < reps.len() && kinds[reps[slot] as usize] == kind;
+        let found = if !live {
             None
-        } else if dups[slot as usize] == d {
-            Some(slot as usize)
+        } else if dups[slot] == d {
+            Some(slot)
         } else {
             // A kind whose members carry a second `d`: search the classes.
             (0..reps.len()).find(|&c| dups[c] == d && items[reps[c] as usize] == *item)
         };
         let class = found.unwrap_or_else(|| {
-            if slot == UNTAGGED {
-                slots[kind] = reps.len() as u32;
+            if !live {
+                slots[kind as usize] = reps.len() as u32;
             }
             reps.push(idx as u32);
             dups.push(d);
@@ -523,10 +529,6 @@ fn spend_leftover_on_bottleneck(
         });
         members[class] += 1;
         tags.push(class as u32);
-    }
-    // Leave every slot empty for the next call.
-    for &rep in reps.iter() {
-        slots[kinds[rep as usize] as usize] = UNTAGGED;
     }
     let key = |rep: u32, d: u32| items[rep as usize].latency / f64::from(d);
     let budget_left = budget.saturating_sub(*used);
@@ -925,6 +927,43 @@ mod tests {
             let (mut got, mut got_used) = (dup, used);
             spend_leftover_on_bottleneck(&its, &kinds, &mut got, budget, &mut got_used, &mut spend);
             assert_eq!((got, got_used), (want, want_used), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn junk_spend_buffers_change_nothing() {
+        // Kind 0 split over two `d`s, and a kind 1 whose junk slot names
+        // kind 0's first class, whose `d` it shares.
+        let mut its = items(&[(1, 600.0, 8); 6]);
+        its.extend(items(&[(2, 500.0, 8); 2]));
+        let kinds = tie_kinds(&its);
+        let junk = || -> SpendBuffers {
+            let mut spend = SpendBuffers::default();
+            for (b, buf) in spend.iter_mut().enumerate() {
+                buf.extend((0..12).map(|k| (k + b as u32) % 4));
+            }
+            spend[5].fill(0);
+            spend
+        };
+        for budget in 8..40 {
+            let dup = vec![1, 2, 1, 2, 1, 2, 1, 1];
+            let used = used(&its, &dup);
+            let (mut want, mut want_used) = (dup.clone(), used);
+            grant_one_at_a_time(&its, &mut want, budget, &mut want_used);
+            let (mut got, mut got_used) = (dup, used);
+            spend_leftover_on_bottleneck(
+                &its,
+                &kinds,
+                &mut got,
+                budget,
+                &mut got_used,
+                &mut junk(),
+            );
+            assert_eq!((got, got_used), (want, want_used), "budget {budget}");
+
+            let mut got = Vec::new();
+            super::minimize_bottleneck(&its, budget, &mut got, &mut junk());
+            assert_eq!(got, minimize_bottleneck(&its, budget), "budget {budget}");
         }
     }
 
