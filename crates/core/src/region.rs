@@ -97,7 +97,7 @@ pub struct RegionMemo {
     /// Segment schedules keyed by the region-id run they cover, one slot per
     /// scheduling [`Level`] (with the VVM level's per-plan spread factors),
     /// plans rebased to segment-relative stage indices.
-    segments: Mutex<RunMap<[Option<Scheduled>; 3]>>,
+    segments: Mutex<HashMap<RegionKey, [Option<Scheduled>; 3]>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -226,15 +226,6 @@ impl RegionMemo {
     pub fn cost(&self, key: &[u32]) -> Option<f64> {
         let runs = lock(&self.runs);
         runs.cost(runs.find(key)?)
-    }
-
-    /// Stores a DP latency estimate for the region run `key`, interning it.
-    pub fn store_cost(&self, key: &[u32], cost: f64) {
-        let mut runs = lock(&self.runs);
-        let run = key.iter().fold(0, |parent, &id| runs.child(parent, id));
-        if run > 0 {
-            *runs.cost_slot(run) = cost;
-        }
     }
 
     /// Interns every prefix `window[..1]`, `window[..2]`, … of a DP row's
@@ -433,11 +424,19 @@ mod tests {
         }
     }
 
+    /// Stores `cost` for the run `key` as a DP row does: one walk that
+    /// interns the run, then one store.
+    fn store_cost(memo: &RegionMemo, key: &[u32], cost: f64) {
+        let (mut runs, mut costs) = (Vec::new(), Vec::new());
+        memo.prefix_runs(key, &mut runs, &mut costs);
+        memo.store_run_costs(&runs[key.len() - 1..], &[cost]);
+    }
+
     #[test]
     fn costs_do_not_touch_counters() {
         let memo = RegionMemo::new();
         assert_eq!(memo.cost(&[1, 2]), None);
-        memo.store_cost(&[1, 2], 42.0);
+        store_cost(&memo, &[1, 2], 42.0);
         assert_eq!(memo.cost(&[1, 2]), Some(42.0));
         assert_eq!(memo.counters(), (0, 0));
     }
@@ -463,9 +462,9 @@ mod tests {
         let distinct: std::collections::HashSet<u32> =
             first.iter().chain(&second).copied().collect();
         assert_eq!(distinct.len(), 6, "{first:?} {second:?}");
-        // The slice form finds what the walk interned, and the walk reads
-        // what the slice form stored.
-        memo.store_cost(&[4, 5, 6, 4], 7.0);
+        // The lookup finds what the walk interned, and the walk reads what
+        // was stored.
+        store_cost(&memo, &[4, 5, 6, 4], 7.0);
         let (mut runs, mut costs) = (Vec::new(), Vec::new());
         memo.prefix_runs(&[4, 5, 6, 4], &mut runs, &mut costs);
         assert_eq!(runs, first[..4]);
@@ -479,7 +478,7 @@ mod tests {
     fn a_cost_lookup_neither_interns_nor_misses_a_stored_run() {
         let memo = RegionMemo::new();
         let interned = |memo: &RegionMemo| lock(&memo.runs).costs.len();
-        memo.store_cost(&[1, 2, 3], 9.5);
+        store_cost(&memo, &[1, 2, 3], 9.5);
         assert_eq!(interned(&memo), 3);
         // Unknown runs, an unpriced prefix and the empty run miss without
         // interning anything.
@@ -511,7 +510,7 @@ mod tests {
         // and every other table still answers.
         assert_eq!(memo.stage_stats(3, || stats).need, 2);
         assert_eq!(memo.stage_stats(3, || panic!("cached")).mov, 1.5);
-        memo.store_cost(&[3], 1.0);
+        store_cost(&memo, &[3], 1.0);
         assert_eq!(memo.cost(&[3]), Some(1.0));
         assert!(memo.row(&[3]).is_none());
         assert!(memo.segment(Level::Cg, &[3], 0).is_none());
