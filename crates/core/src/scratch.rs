@@ -33,7 +33,7 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The free list of one element kind plus the longest lease returned.
 #[derive(Debug, Default)]
@@ -43,6 +43,12 @@ struct FreeList<T> {
 }
 
 impl<T> FreeList<T> {
+    /// The spare buffers, recovered if a holder panicked: a lease clears
+    /// its buffer before use, so a poisoned list of spares is still valid.
+    fn lock(&self) -> MutexGuard<'_, Vec<Vec<T>>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn peak_bytes(&self) -> usize {
         self.peak_len.load(Ordering::Relaxed) * std::mem::size_of::<T>()
     }
@@ -88,7 +94,7 @@ impl ScratchArena {
     #[must_use]
     pub fn u32_array<const N: usize>(&self, capacity: usize) -> ScratchArray<'_, u32, N> {
         let bufs = {
-            let mut free = self.u32s.free.lock().expect("scratch pool poisoned");
+            let mut free = self.u32s.lock();
             std::array::from_fn(|_| free.pop().unwrap_or_default())
         };
         let mut array = ScratchArray {
@@ -137,12 +143,7 @@ impl ScratchArena {
 }
 
 fn lease<T>(pool: &FreeList<T>, capacity: usize) -> ScratchVec<'_, T> {
-    let mut buf = pool
-        .free
-        .lock()
-        .expect("scratch pool poisoned")
-        .pop()
-        .unwrap_or_default();
+    let mut buf = pool.lock().pop().unwrap_or_default();
     buf.clear();
     buf.reserve(capacity);
     ScratchVec { pool, buf }
@@ -176,10 +177,7 @@ impl<T> Drop for ScratchVec<'_, T> {
             .fetch_max(self.buf.len(), Ordering::Relaxed);
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        // A poisoned free list only costs the recycling; never panic in drop.
-        if let Ok(mut free) = self.pool.free.lock() {
-            free.push(buf);
-        }
+        self.pool.lock().push(buf);
     }
 }
 
@@ -208,13 +206,11 @@ impl<T, const N: usize> Drop for ScratchArray<'_, T, N> {
     fn drop(&mut self) {
         let longest = self.bufs.iter().map(Vec::len).max().unwrap_or(0);
         self.pool.peak_len.fetch_max(longest, Ordering::Relaxed);
-        // A poisoned free list only costs the recycling; never panic in drop.
-        if let Ok(mut free) = self.pool.free.lock() {
-            for buf in &mut self.bufs {
-                let mut buf = std::mem::take(buf);
-                buf.clear();
-                free.push(buf);
-            }
+        let mut free = self.pool.lock();
+        for buf in &mut self.bufs {
+            let mut buf = std::mem::take(buf);
+            buf.clear();
+            free.push(buf);
         }
     }
 }
@@ -301,5 +297,29 @@ mod tests {
         });
         assert_eq!(shared.peak_bytes(), serial.peak_bytes());
         assert_eq!(shared.peak_bytes(), 100 * 8);
+    }
+
+    #[test]
+    fn a_poisoned_pool_still_leases_and_recycles() {
+        let arena = ScratchArena::new();
+        drop(arena.f64s(64));
+        drop(arena.u32_array::<2>(64));
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _f64s = arena.f64s.lock();
+                let _u32s = arena.u32s.lock();
+                panic!("poisoning the scratch pools");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(arena.f64s.free.is_poisoned() && arena.u32s.free.is_poisoned());
+        // Each lease gets a spare back (a fresh buffer would hold only
+        // the 8 slots asked for), and each return goes back to the list.
+        for _ in 0..2 {
+            let v = arena.f64s(8);
+            assert!(v.is_empty() && v.capacity() >= 64);
+            let bufs = arena.u32_array::<2>(8);
+            assert!(bufs.iter().all(|b| b.is_empty() && b.capacity() >= 64));
+        }
     }
 }

@@ -369,7 +369,8 @@ fn run_partition(
 }
 
 /// Folds the partition loops into the report and the per-request
-/// outcomes: one pass over the trace, one sort per tenant.
+/// outcomes: one pass over the trace, then an `O(n)` latency summary per
+/// tenant and one over their concatenation.
 fn assemble(
     trace: &Trace,
     arch: &CimArchitecture,
@@ -407,20 +408,17 @@ fn assemble(
         })
         .collect();
     let mut all = Tally::default();
-    for flow in &mut flows {
-        flow.latencies.sort_by(f64::total_cmp);
+    for flow in &flows {
         all.requests += flow.requests;
         all.missed += flow.missed;
         all.latencies.extend_from_slice(&flow.latencies);
     }
-    // A concatenation of sorted runs, which the sort merges.
-    all.latencies.sort_by(f64::total_cmp);
 
     let tenants = trace
         .spec
         .tenants
         .iter()
-        .zip(&flows)
+        .zip(&mut flows)
         .map(|(t, flow)| TenantStats {
             tenant: t.name.clone(),
             model: t.model.clone(),
@@ -467,12 +465,13 @@ fn assemble(
     (report, outcomes)
 }
 
-/// One request flow's counters and served latencies.
+/// One request flow's counters and served latencies in cycles, in the
+/// order the requests arrived.
 #[derive(Debug, Clone, Default)]
 struct Tally {
     requests: u64,
     missed: u64,
-    latencies: Vec<f64>,
+    latencies: Vec<u64>,
 }
 
 impl Tally {
@@ -480,20 +479,20 @@ impl Tally {
         self.requests += 1;
         if let Some(finish) = finished {
             self.missed += u64::from(request.deadline.is_some_and(|d| finish > d));
-            self.latencies.push((finish - request.arrival) as f64);
+            self.latencies.push(finish - request.arrival);
         }
     }
 
-    /// The flow's stats; `latencies` must be sorted ascending and
-    /// `mcycles` positive.
-    fn stats(&self, mcycles: f64) -> FlowStats {
+    /// The flow's stats; `mcycles` must be positive. Summarizing
+    /// reorders `latencies`.
+    fn stats(&mut self, mcycles: f64) -> FlowStats {
         let served = self.latencies.len() as u64;
         FlowStats {
             requests: self.requests,
             served,
             dropped: self.requests - served,
             missed: self.missed,
-            latency: LatencySummary::of_sorted(&self.latencies),
+            latency: LatencySummary::of_cycles(&mut self.latencies),
             throughput: served as f64 / mcycles,
         }
     }

@@ -22,10 +22,12 @@
 //!    all composed with the same [`Batching`] knob.
 //! 4. [`engine`] + [`report`] — the deterministic integer-cycle event
 //!    loop ([`run_simulation`]; one key-ordered heap per partition, so
-//!    `O(n log q)` for `n` requests queued at most `q` deep) and the
-//!    schema-versioned [`TrafficReport`] it produces, bit-reproducible for
-//!    a given `(trace, placement, policy, batching)` at any thread count
-//!    (check with [`Document::comparable`](cim_obs::Document::comparable)).
+//!    `O(n log q)` for `n` requests queued at most `q` deep, plus `O(n)`
+//!    for the latency summaries, which select percentiles rather than
+//!    sort) and the schema-versioned [`TrafficReport`] it produces,
+//!    bit-reproducible for a given `(trace, placement, policy, batching)`
+//!    at any thread count (check with
+//!    [`Document::comparable`](cim_obs::Document::comparable)).
 //!
 //! ```
 //! use cim_traffic::{

@@ -27,10 +27,13 @@ build_and_test() {
     cargo build --release
     bold "build-and-test: cargo test"
     cargo test -q --workspace
-    # The spend, sweep and brute-force segmentation oracles are cheap
-    # enough to run at ~40x their default draws.
-    bold "build-and-test: allocator and segmentation oracles at 2048 draws"
+    # The spend, sweep and brute-force segmentation oracles, the
+    # sort-the-whole-queue replay oracle and the sorting latency summary
+    # are cheap enough to run at 2048 draws each.
+    bold "build-and-test: allocator, segmentation, replay and latency-summary oracles at 2048 draws"
     PROPTEST_CASES=2048 cargo test -q --release -p cim-compiler --lib -- alloc:: cg::
+    PROPTEST_CASES=2048 cargo test -q --release -p cim-traffic --lib -- heap_engine_matches_the_sorting_oracle
+    PROPTEST_CASES=2048 cargo test -q --release -p cim-obs --lib -- of_cycles_is_the_sorting_summary
     # `--flow` alone generates a flow that keeps only the statements its
     # head prints; `--verify` needs, and keeps, all of them.
     bold "build-and-test: a flow head kept bounded prints as the whole flow's"
@@ -296,13 +299,13 @@ incremental_smoke() {
     mkdir -p "$dir"
     cargo build --release --bin cimc
 
-    printf '%s' '{"edits":[{"retune_op_params":{"node":"head.fc","op":{"Linear":{"out_features":21841}}}}]}' \
+    printf '%s' '{"edits":[{"retune_op_params":{"node":"fc","op":{"Linear":{"out_features":21841}}}}]}' \
         > "$dir/delta.json"
 
     local attempt pct ratio_ok=0
     for attempt in 1 2 3; do
-        bold "incremental-smoke: attempt $attempt — one-layer edit on vit_large@isaac"
-        ./target/release/cimc recompile --model vit_large --arch isaac \
+        bold "incremental-smoke: attempt $attempt — one-layer edit on resnet152@isaac"
+        ./target/release/cimc recompile --model resnet152 --arch isaac \
             --mode wlm --jobs 1 --delta "$dir/delta.json" \
             --out-incremental "$dir/incremental.txt" \
             --out-fresh "$dir/fresh.txt" | tee "$dir/run.log"

@@ -6,7 +6,7 @@
 //! responses verbatim — there is exactly one copy of each message.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use cim_arch::{presets, CimArchitecture};
 use cim_bench::{
@@ -174,9 +174,10 @@ impl Handler {
 
     /// Resolves a zoo model name through the handler's memo; `None` for
     /// anything else (a `.json` path is loaded and hashed per request —
-    /// files change).
+    /// files change). A poisoned memo is recovered: it only ever holds
+    /// fully built entries.
     fn zoo_model(&self, name: &str) -> Option<(Arc<Graph>, Fingerprint)> {
-        let mut zoo = self.zoo.lock().expect("zoo mutex poisoned");
+        let mut zoo = self.zoo.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = zoo.get(name) {
             return Some(entry.clone());
         }
@@ -885,5 +886,50 @@ impl std::fmt::Debug for Handler {
                 &self.sessions.lock().expect("sessions mutex poisoned").len(),
             )
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_zoo_memo_still_serves_compiles() {
+        let handler = Handler::new();
+        let compile = Request::Compile(CompileRequest {
+            model: "lenet5".into(),
+            arch: "isaac".into(),
+            mode: None,
+            level: None,
+            jobs: 0,
+            schedule: false,
+            flow: None,
+            verify: false,
+            dump_stage: None,
+            cache: CachePolicy::Off,
+            session: None,
+        });
+        let first = handler.handle(&compile);
+        assert!(matches!(first, ResponseBody::Compile(_)), "{first:?}");
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _zoo = handler.zoo.lock();
+                panic!("poisoning the zoo memo");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(handler.zoo.is_poisoned());
+        // A memoized name and a new one both compile, and the new one
+        // joins the memo.
+        let again = handler.handle(&compile);
+        assert!(matches!(again, ResponseBody::Compile(_)), "{again:?}");
+        let mut mlp = compile.clone();
+        if let Request::Compile(req) = &mut mlp {
+            req.model = "mlp".into();
+        }
+        let second = handler.handle(&mlp);
+        assert!(matches!(second, ResponseBody::Compile(_)), "{second:?}");
+        let zoo = handler.zoo.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(zoo.len(), 2);
     }
 }
