@@ -1,6 +1,5 @@
 //! Criterion benches for cold-compile wall-clock time — the workloads
-//! the `compile-perf` CI gate budgets (`cim_bench::GATE_ENTRIES`), each
-//! at `jobs = 1` and `jobs = 4`.
+//! the `compile-perf` CI gate budgets (`cim_bench::GATE_ENTRIES`).
 //!
 //! These are the tracking companion to the gate: `cimc compile-perf`
 //! enforces the absolute median budgets in CI, while `cargo bench
@@ -15,16 +14,11 @@ fn bench_cold_compiles(c: &mut Criterion) {
     for entry in cim_bench::GATE_ENTRIES {
         let graph = cim_graph::zoo::by_name(entry.model).expect("gate models exist");
         let arch = cim_arch::presets::by_name(entry.arch).expect("gate archs exist");
-        for jobs in [1usize, 4] {
-            let compiler = cim_compiler::Compiler::with_options(cim_compiler::CompileOptions {
-                jobs,
-                ..cim_compiler::CompileOptions::default()
-            });
-            c.bench_function(
-                &format!("cold_compile_{}_{}_j{}", entry.model, entry.arch, jobs),
-                |b| b.iter(|| black_box(compiler.compile(&graph, &arch).unwrap())),
-            );
-        }
+        let compiler = cim_compiler::Compiler::new();
+        c.bench_function(
+            &format!("cold_compile_{}_{}", entry.model, entry.arch),
+            |b| b.iter(|| black_box(compiler.compile(&graph, &arch).unwrap())),
+        );
     }
 }
 

@@ -16,18 +16,16 @@
 //! retry discipline for wall clocks.
 
 use crate::sweep::SweepError;
-use cim_compiler::{CompileOptions, Compiler};
+use cim_compiler::Compiler;
 use serde::{Deserialize, Serialize};
 
-/// One model/arch/jobs combination the compile-perf gate measures.
+/// One model/arch combination the compile-perf gate measures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompileTimeBudget {
     /// Zoo model key.
     pub model: &'static str,
     /// Architecture preset key.
     pub arch: &'static str,
-    /// `CompileOptions::jobs` for the measured compiles.
-    pub jobs: usize,
     /// Hard ceiling on the median cold-compile time, in milliseconds:
     /// half the pre-refactor median (measured at 9 release samples on
     /// the reference machine), so staying under it *is* the ≥ 2x
@@ -43,7 +41,7 @@ pub struct CompileTimeBudget {
 /// Neither is the zoo's heaviest compile: ResNet-152 on ISAAC is, at
 /// about 65× ViT-Base's time before the allocator's threshold sweep and
 /// about 34× since the leftover cores go out per tie class (14.8 ms
-/// against 0.44 ms, both at `jobs` 1). Its 156 stages split into many
+/// against 0.44 ms). Its 156 stages split into many
 /// segments whose budget windows each cover ~77 stages, so the DP prices
 /// thousands of distinct candidates. The `compile-cold` benchmark workload tracks it.
 ///
@@ -53,19 +51,17 @@ pub const GATE_ENTRIES: &[CompileTimeBudget] = &[
     CompileTimeBudget {
         model: "vit_base",
         arch: "isaac",
-        jobs: 4,
         budget_ms: 9.8,
     },
     CompileTimeBudget {
         model: "resnet50",
         arch: "puma",
-        jobs: 4,
         budget_ms: 0.5,
     },
 ];
 
 /// A measured compile-time median — the unit of the bench report's
-/// `compile_time` section (schema v3).
+/// `compile_time` section (schema v3; v4 dropped the `jobs` field).
 ///
 /// Wall clocks are machine-specific, so the section is *reference
 /// data*: plain sweeps carry `None` (keeping cold/warm `comparable()`
@@ -77,8 +73,6 @@ pub struct CompileTimeRecord {
     pub model: String,
     /// Architecture preset key.
     pub arch: String,
-    /// `CompileOptions::jobs` used for the measured compiles.
-    pub jobs: usize,
     /// Number of cold compiles the median was taken over.
     pub samples: usize,
     /// Median cold-compile wall-clock time in milliseconds.
@@ -86,10 +80,10 @@ pub struct CompileTimeRecord {
 }
 
 impl CompileTimeRecord {
-    /// The stable `model@arch*jobs` key records are matched on.
+    /// The stable `model@arch` key records are matched on.
     #[must_use]
     pub fn key(&self) -> String {
-        format!("{}@{}*j{}", self.model, self.arch, self.jobs)
+        format!("{}@{}", self.model, self.arch)
     }
 }
 
@@ -109,15 +103,11 @@ pub fn measure_entry(
         .ok_or_else(|| SweepError::UnknownModels(vec![entry.model.to_owned()]))?;
     let arch = cim_arch::presets::by_name(entry.arch)
         .ok_or_else(|| SweepError::UnknownArchs(vec![entry.arch.to_owned()]))?;
-    let options = CompileOptions {
-        jobs: entry.jobs,
-        ..CompileOptions::default()
-    };
     let samples = samples.max(1);
     let mut times_ms: Vec<f64> = (0..samples)
         .map(|_| {
             let start = cim_obs::stopwatch();
-            let compiled = Compiler::with_options(options)
+            let compiled = Compiler::new()
                 .compile(&graph, &arch)
                 .expect("gate entries compile on their presets");
             std::hint::black_box(&compiled);
@@ -128,7 +118,6 @@ pub fn measure_entry(
     Ok(CompileTimeRecord {
         model: entry.model.to_owned(),
         arch: entry.arch.to_owned(),
-        jobs: entry.jobs,
         samples,
         median_ms: times_ms[samples / 2],
     })
@@ -166,7 +155,6 @@ mod tests {
                 entry.arch
             );
             assert!(entry.budget_ms > 0.0);
-            assert!(entry.jobs >= 1);
         }
     }
 
@@ -175,10 +163,9 @@ mod tests {
         let record = measure_entry(&GATE_ENTRIES[1], 3).unwrap();
         assert_eq!(record.model, "resnet50");
         assert_eq!(record.arch, "puma");
-        assert_eq!(record.jobs, 4);
         assert_eq!(record.samples, 3);
         assert!(record.median_ms > 0.0);
-        assert_eq!(record.key(), "resnet50@puma*j4");
+        assert_eq!(record.key(), "resnet50@puma");
     }
 
     #[test]
@@ -186,7 +173,6 @@ mod tests {
         let record = CompileTimeRecord {
             model: "vit_base".to_owned(),
             arch: "isaac".to_owned(),
-            jobs: 4,
             samples: 9,
             median_ms: 3.25,
         };

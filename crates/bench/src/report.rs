@@ -15,6 +15,9 @@
 //!
 //! # Version history
 //!
+//! * **4** — `compile_time` records drop `jobs` (one compile runs on one
+//!   thread) and are keyed `model@arch`. Version-1–3 documents remain
+//!   readable: a record's `jobs` key is ignored.
 //! * **3** — adds the optional `compile_time` section: median
 //!   cold-compile wall clocks of the [`crate::compile_time::GATE_ENTRIES`]
 //!   workloads, attached by `scripts/refresh-baseline.sh` and consumed
@@ -143,7 +146,7 @@ impl BenchReport {
 
 impl Document for BenchReport {
     const KIND: &'static str = "bench report";
-    const VERSION: u32 = 3;
+    const VERSION: u32 = 4;
     const MIN_VERSION: u32 = 1;
 
     fn schema_version(&self) -> u32 {

@@ -18,9 +18,8 @@
 //! the segmentation DP, and one `SegmentEvaluator::evaluate` that
 //! duplicates and prices a candidate segment — the DP's cost probe and the
 //! schedule of the segments it chooses are the same function, so the
-//! estimate cannot drift from the real segment. Memo lookups, the worker
-//! fan-out, chain latency, active crossbars and the report are the
-//! driver's.
+//! estimate cannot drift from the real segment. Memo lookups, chain
+//! latency, active crossbars and the report are the driver's.
 
 use crate::alloc::{self, tie_kinds, AllocItem, BottleneckSweep};
 use crate::level::{
@@ -234,7 +233,7 @@ pub(crate) fn duplication_cap(
 }
 
 /// Runs CG-grained scheduling on a graph: stage extraction followed by
-/// [`schedule_cg_in`] on one thread with a fresh arena and memo.
+/// [`schedule_cg_in`] with a fresh arena and memo.
 ///
 /// # Errors
 /// Returns [`CompileError::NothingToMap`] for graphs without CIM operators
@@ -258,12 +257,7 @@ pub fn schedule_cg(
 /// [`crate::Pass`] inspect or rewrite the stage list between extraction
 /// and scheduling. `model` only labels errors.
 ///
-/// With `cx.jobs > 1` the segmentation DP's candidate-segment evaluations
-/// fan out onto [`crate::pool::run_ordered`] (one job per DP row) and the
-/// chosen segments are scheduled concurrently. Every evaluation is a pure
-/// function of the stage list, so the returned schedule is byte-identical
-/// for every `jobs` value — the jobs=1-vs-jobs=4 equality is pinned by a
-/// test and by CI's dse-smoke gate. Candidate-segment latencies and
+/// Candidate-segment latencies and
 /// chosen-segment schedules are keyed by the region-id runs they cover, so
 /// a memo retained across [`Session::recompile`](crate::Session::recompile)
 /// calls answers unchanged segments without rescheduling them.
@@ -300,8 +294,6 @@ pub fn schedule_cg_in(
     }
     let reprogram_cycles = arch.cost().write_cycles(arch.crossbar().shape().rows) as f64;
 
-    // Segments are independent, so they schedule concurrently; the driver
-    // merges them back in execution order.
     let evaluator = SegmentEvaluator::new(cx, &stages, options);
     let ranges = evaluator.segmentation(reprogram_cycles);
     let scheduled = drive(
@@ -642,16 +634,9 @@ impl<'a> SegmentEvaluator<'a> {
             return std::iter::once(0..n).collect();
         }
         // Rows are independent of the DP recurrence — the break condition
-        // is the core budget, not `dp` — so they fan out onto the worker
-        // pool; the recurrence itself then runs sequentially over
-        // precomputed latencies, which keeps the schedule byte-identical
-        // for every `jobs` value.
-        let rows: Vec<Arc<[f64]>> = if cx.jobs > 1 {
-            let indices: Vec<usize> = (0..n).collect();
-            crate::pool::run_ordered(&indices, cx.jobs, |&i| self.row(i))
-        } else {
-            (0..n).map(|i| self.row(i)).collect()
-        };
+        // is the core budget, not `dp` — so every row is priced first and
+        // the recurrence runs over the precomputed latencies.
+        let rows: Vec<Arc<[f64]>> = (0..n).map(|i| self.row(i)).collect();
         let mut dp = cx.scratch.f64s(n + 1);
         dp.resize(n + 1, f64::INFINITY);
         let mut cut = cx.scratch.usizes(n + 1);
@@ -832,7 +817,6 @@ mod tests {
         SchedContext {
             arch,
             act_bits: 8,
-            jobs: 1,
             scratch,
             memo,
         }

@@ -83,12 +83,6 @@ pub struct CompileOptions {
     /// requested (guards against emitting multi-gigabyte flows for
     /// ImageNet-scale models).
     pub max_flow_ops: u64,
-    /// Worker threads for intra-graph scheduling (the CG segmentation
-    /// rows and every level's per-segment work fan out onto
-    /// [`crate::pool::run_ordered`]). Purely an execution knob: schedules
-    /// are byte-identical for every value, so it participates in neither
-    /// pass fingerprints nor cache keys.
-    pub jobs: usize,
 }
 
 impl Default for CompileOptions {
@@ -100,7 +94,6 @@ impl Default for CompileOptions {
             mvm: MvmOptions::full(),
             level: OptLevel::Auto,
             max_flow_ops: 20_000_000,
-            jobs: 1,
         }
     }
 }

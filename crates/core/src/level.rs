@@ -4,10 +4,9 @@
 //! [`crate::mvm`] → [`crate::vvm`] — and every level does the same work
 //! around its own equations. That common work lives here, once:
 //!
-//! * `drive` maps a per-segment function over a level's input segments
-//!   (on [`crate::pool::run_ordered`] when `jobs > 1`), answering each
-//!   segment from the session's [`RegionMemo`] when its region-id run was
-//!   scheduled before and storing it otherwise;
+//! * `drive` maps a per-segment function over a level's input segments,
+//!   in order, answering each segment from the session's [`RegionMemo`]
+//!   when its region-id run was scheduled before and storing it otherwise;
 //! * `chain_latency` and `active_crossbars` turn per-plan latencies and
 //!   activation counts into a segment's latency (pipelined or serial) and
 //!   steady-state active crossbars (sum or max);
@@ -52,17 +51,14 @@ pub struct SchedContext<'a> {
     pub arch: &'a CimArchitecture,
     /// Activation precision in bits.
     pub act_bits: u32,
-    /// Worker threads to fan segments out onto; exactly this many are
-    /// spawned, and the schedule is byte-identical for every value.
-    pub jobs: usize,
     /// Pooled scratch buffers (see [`crate::scratch`]).
     pub scratch: &'a ScratchArena,
     /// Per-region schedule memo (see [`crate::region`]).
     pub memo: &'a RegionMemo,
 }
 
-/// Runs `run` with a single-threaded context over a fresh arena and memo —
-/// the body of the plain `schedule_cg` / `schedule_mvm` / `schedule_vvm`.
+/// Runs `run` with a context over a fresh arena and memo — the body of
+/// the plain `schedule_cg` / `schedule_mvm` / `schedule_vvm`.
 pub(crate) fn standalone<T>(
     arch: &CimArchitecture,
     act_bits: u32,
@@ -71,7 +67,6 @@ pub(crate) fn standalone<T>(
     run(&SchedContext {
         arch,
         act_bits,
-        jobs: 1,
         scratch: &ScratchArena::new(),
         memo: &RegionMemo::new(),
     })
@@ -102,30 +97,27 @@ fn span(seg: &Segment) -> Range<usize> {
 /// Maps `schedule` over `inputs` in order, through the memo: an input whose
 /// region-id run `ids[range_of(input)]` was scheduled at `level` before is
 /// answered from [`RegionMemo`] (rebased onto its position), the rest are
-/// scheduled and stored. Segments are independent, so with `jobs > 1` they
-/// run concurrently and merge back in input order.
-pub(crate) fn drive<I: Sync>(
+/// scheduled and stored.
+pub(crate) fn drive<I>(
     cx: &SchedContext<'_>,
     level: Level,
     ids: &[u32],
     inputs: &[I],
-    range_of: impl Fn(&I) -> Range<usize> + Sync,
-    schedule: impl Fn(&I) -> Scheduled + Sync,
+    range_of: impl Fn(&I) -> Range<usize>,
+    schedule: impl Fn(&I) -> Scheduled,
 ) -> Vec<Scheduled> {
-    let one = |input: &I| -> Scheduled {
-        let range = range_of(input);
-        let (start, key) = (range.start, &ids[range]);
-        cx.memo.segment(level, key, start).unwrap_or_else(|| {
-            let scheduled = schedule(input);
-            cx.memo.store_segment(level, key, start, &scheduled);
-            scheduled
+    inputs
+        .iter()
+        .map(|input| {
+            let range = range_of(input);
+            let (start, key) = (range.start, &ids[range]);
+            cx.memo.segment(level, key, start).unwrap_or_else(|| {
+                let scheduled = schedule(input);
+                cx.memo.store_segment(level, key, start, &scheduled);
+                scheduled
+            })
         })
-    };
-    if cx.jobs > 1 && inputs.len() > 1 {
-        crate::pool::run_ordered(inputs, cx.jobs, one)
-    } else {
-        inputs.iter().map(one).collect()
-    }
+        .collect()
 }
 
 /// Pipelined latency of a chain of stages with fill fractions.
@@ -183,7 +175,7 @@ pub(crate) fn refine(
     name: &'static str,
     cg: &CgSchedule,
     above: &[Segment],
-    per_plan: impl Fn(&StagePlan) -> PlanOut + Sync,
+    per_plan: impl Fn(&StagePlan) -> PlanOut,
 ) -> (Vec<Segment>, Vec<Vec<u32>>, PerfReport) {
     let ids = cx.memo.intern_stages(&cg.stages);
     let chip_slots = cx.arch.total_crossbars();

@@ -108,10 +108,10 @@ pub use scratch::{ScratchArena, ScratchArray, ScratchVec};
 pub type Result<T> = std::result::Result<T, CompileError>;
 
 // [`compile_batch`] (behind sweeps, exploration and traffic pricing)
-// shares compilers, schedules and reports across worker threads, and so
-// do a pass's own workers. Everything here is plain owned data — no
-// interior mutability — so thread-safety is a compile-time invariant we
-// pin down rather than an accident of the current field set.
+// shares compilers, schedules and reports across worker threads. They are
+// plain owned data — no interior mutability — so thread-safety is a
+// compile-time invariant we pin down rather than an accident of the
+// current field set.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<Compiler>();
@@ -123,11 +123,10 @@ const _: () = {
     assert_send_sync::<cg::CgSchedule>();
     assert_send_sync::<mvm::MvmSchedule>();
     assert_send_sync::<vvm::VvmSchedule>();
-    // The pipeline types too: `Pass: Send + Sync` is a supertrait bound,
-    // so sessions and pipelines can move across sweep worker threads.
+    // `Pass: Send + Sync` is a supertrait bound, so pipelines can be
+    // shared across sweep worker threads.
     assert_send_sync::<Artifact>();
     assert_send_sync::<Pipeline>();
-    assert_send_sync::<Session<'static>>();
     assert_send_sync::<PassTimeline>();
     // The compile caches are shared across sweep worker threads by
     // design (`CompileCache: Send + Sync` is a supertrait bound).
@@ -135,10 +134,15 @@ const _: () = {
     assert_send_sync::<DiskCache>();
     assert_send_sync::<std::sync::Arc<dyn CompileCache>>();
     assert_send_sync::<CacheStats>();
-    // The scratch arena is leased from concurrently by `pool::run_ordered`
-    // workers inside a pass.
-    assert_send_sync::<ScratchArena>();
-    // The per-region memo is shared by a pass's worker threads, and
-    // pinned sessions holding one move across `cimc serve` handlers.
-    assert_send_sync::<RegionMemo>();
+};
+
+// One thread at a time runs a session: its scratch arena and region memo
+// are `RefCell`/`Cell` inside, so they are `Send` but not `Sync`. A
+// session still moves between threads — a batch worker builds one, and a
+// pinned `cimc serve` session sits in a `Mutex` that any worker may lock.
+const fn assert_send<T: Send>() {}
+const _: () = {
+    assert_send::<Session<'static>>();
+    assert_send::<ScratchArena>();
+    assert_send::<RegionMemo>();
 };

@@ -12,9 +12,9 @@
 //!   firing. This cuts the peak number of simultaneously active crossbars
 //!   (peak power) and halves the per-stage communication granularity.
 //!
-//! Both are per-plan equations; everything around them — memo lookups, the
-//! worker fan-out, chain latency, the active-crossbar fold and the report —
-//! is the shared segment driver's ([`crate::level`]).
+//! Both are per-plan equations; everything around them — memo lookups,
+//! chain latency, the active-crossbar fold and the report — is the shared
+//! segment driver's ([`crate::level`]).
 
 use crate::cg::{duplication_cap, stage_latency, CgSchedule, Segment, StagePlan};
 use crate::level::{refine, standalone, Level, PlanOut, SchedContext};
@@ -71,8 +71,8 @@ impl MvmOptions {
     }
 }
 
-/// Runs MVM-grained optimization on top of a CG schedule, on one thread
-/// with a fresh memo.
+/// Runs MVM-grained optimization on top of a CG schedule with a fresh
+/// memo.
 ///
 /// The CG schedule's per-segment structure is preserved; duplication
 /// numbers, stage latencies and activation profiles are refined.
@@ -88,9 +88,8 @@ pub fn schedule_mvm(
 
 /// [`schedule_mvm`] in a session's [`SchedContext`] — the form the
 /// [`crate::MvmPass`] calls. The shared segment driver ([`crate::level`])
-/// fans segments out onto `cx.jobs` workers and answers unchanged segments
-/// of a [`Session::recompile`](crate::Session::recompile) from `cx.memo`;
-/// the refined schedule is byte-identical for every `jobs` value. This
+/// answers unchanged segments of a
+/// [`Session::recompile`](crate::Session::recompile) from `cx.memo`. This
 /// level supplies the per-plan equations below.
 #[must_use]
 pub fn schedule_mvm_in(cx: &SchedContext<'_>, cg: &CgSchedule, options: MvmOptions) -> MvmSchedule {

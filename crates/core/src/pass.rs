@@ -5,6 +5,10 @@
 //! [`Session`](crate::Session) runs them one at a time, recording a
 //! [`PassRecord`] per pass into a [`PassTimeline`].
 //!
+//! A session runs every pass on the calling thread. Parallelism lives one
+//! layer up: [`compile_batch`](crate::compile_batch) and the serve pool
+//! run many sessions at once, each on one thread.
+//!
 //! # The `Pass` contract
 //!
 //! Implementations must uphold three invariants the pipeline relies on:
@@ -90,16 +94,12 @@ pub struct PassContext<'a> {
 }
 
 impl<'a> PassContext<'a> {
-    /// The context the `schedule_*_in` entry points take. Policy lives
-    /// here, mechanism in the scheduler: the requested worker count is
-    /// clamped to the machine, so `--jobs 4` on a single-core box takes
-    /// the zero-overhead sequential path.
+    /// The context the `schedule_*_in` entry points take.
     #[must_use]
     pub fn sched(&self) -> SchedContext<'a> {
         SchedContext {
             arch: self.arch,
             act_bits: self.options.act_bits,
-            jobs: crate::pool::effective_threads(self.options.jobs),
             scratch: self.scratch,
             memo: self.memo,
         }
@@ -196,8 +196,8 @@ pub struct PassRecord {
     /// Scratch the pass needed from the session's [`ScratchArena`]: per
     /// element kind, the bytes of the longest buffer any one lease
     /// returned, summed over kinds (0 when skipped, served from cache, or
-    /// scratch-free). A pure function of the pass's work — identical for
-    /// every [`CompileOptions::jobs`] value; see [`crate::scratch`].
+    /// scratch-free). A pure function of the pass's work; see
+    /// [`crate::scratch`].
     pub scratch_peak_bytes: u64,
     /// Diagnostics the pass emitted.
     pub diagnostics: Vec<String>,

@@ -847,9 +847,8 @@ pub struct Session<'a> {
     /// when no cache is attached, an uncacheable pass ran, or the caller
     /// touched the artifact (see [`crate::cache`]'s invalidation rules).
     chain: Option<Fingerprint>,
-    /// Pooled scratch buffers shared by every pass of this session (and
-    /// by the intra-graph worker threads a pass fans out to). Reset-peak
-    /// bracketing around each pass feeds
+    /// Pooled scratch buffers shared by every pass of this session.
+    /// Reset-peak bracketing around each pass feeds
     /// [`PassRecord::scratch_peak_bytes`](crate::PassRecord::scratch_peak_bytes).
     scratch: crate::scratch::ScratchArena,
     /// Per-region schedule memo shared by every pass of this session (see

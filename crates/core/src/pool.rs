@@ -1,10 +1,10 @@
 //! A deterministic work-queue thread pool for batch evaluation.
 //!
-//! [`run_ordered`] is the scheduling core shared by the compiler's own
-//! intra-graph fan-out ([`crate::cg`]'s segmentation rows and the
-//! per-segment work of every level in [`crate::level`]) and
-//! [`crate::compile_batch`] (sweeps, exploration, traffic pricing):
-//! workers pull item indices off a
+//! [`run_ordered`] spreads a batch of independent items — the compiles of
+//! [`crate::compile_batch`] (sweeps, exploration, traffic pricing), the
+//! explorer's candidate replays, the traffic engine's partitions — over
+//! worker threads. One compile never fans out itself; the batch is the
+//! one layer of parallelism. Workers pull item indices off a
 //! shared atomic counter — so a slow item never blocks the rest of the
 //! batch behind a static partition — and write results back *by index*,
 //! so the output order equals the input order regardless of worker count
@@ -31,21 +31,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Worker count actually worth spawning for a CPU-bound fan-out:
-/// `requested` clamped to the machine's available parallelism.
-///
-/// The compiler's intra-graph call sites branch on this before touching
-/// [`run_ordered`], so `--jobs 4` on a single-core container degrades to
-/// the plain sequential path (no threads, no overhead) instead of
-/// oversubscribing one CPU. Results are unaffected either way —
-/// [`run_ordered`] is thread-count-invariant.
-#[must_use]
-pub fn effective_threads(requested: usize) -> usize {
+/// Workers [`Pool::new`] spawns for `requested`: clamped to the machine's
+/// available parallelism, so a serve pool never oversubscribes the CPUs
+/// it can see.
+fn effective_threads(requested: usize) -> usize {
     if requested <= 1 {
-        // The default `jobs = 1` needs no answer from the OS, and
-        // `available_parallelism` costs microseconds (affinity mask,
-        // cgroup files) — as much as a whole refinement pass on a small
-        // model.
+        // One worker needs no answer from the OS: `available_parallelism`
+        // reads the affinity mask and cgroup files.
         return 1;
     }
     requested.min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
@@ -182,7 +174,7 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawns `threads` workers (clamped via [`effective_threads`])
+    /// Spawns `threads` workers (clamped to the available parallelism)
     /// fed from a queue bounded at `capacity` pending jobs
     /// (`capacity >= 1` enforced).
     ///

@@ -30,8 +30,7 @@
 //! probe of a `u64`-keyed map. A DP row interns the prefixes of its window
 //! in one walk, so each candidate's key costs one trie step, and the cost
 //! memo is a vector indexed by run id. Like region ids, run ids are only
-//! memo keys: they may be handed out in any order (the DP's rows run
-//! concurrently at `jobs > 1`) and never influence a schedule.
+//! memo keys: they never influence a schedule.
 //!
 //! # Counters
 //!
@@ -41,22 +40,23 @@
 //! rescheduled". The internal DP cost memo is not counted — it is a
 //! latency-estimation shortcut, not a schedule reuse.
 //!
-//! # Poisoning
+//! # Threads
 //!
-//! Every table holds only fully built entries (a value is computed before
-//! it is inserted), so a panic while a lock is held leaves a consistent
-//! table behind: the memo recovers poisoned locks instead of failing every
-//! later compile of the session.
+//! One thread at a time uses a memo: its tables are [`RefCell`]s and its
+//! counters [`Cell`]s, so it is `Send` (a pinned session moves between
+//! `cimc serve` workers) but not `Sync`. Every table holds only fully
+//! built entries and each borrow ends with its method, so a panic in a
+//! compile leaves every table usable.
 
 use crate::alloc::AllocItem;
 use crate::cache::{region_fingerprint, Fingerprint};
 use crate::cg::Segment;
 use crate::level::{Level, Scheduled};
 use crate::stage::Stage;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// A memo key: the run of region ids a cached value covers.
 type RegionKey = Box<[u32]>;
@@ -69,43 +69,35 @@ type Row = Arc<[f64]>;
 
 /// Per-session memo of region ids and region-keyed schedules.
 ///
-/// Shared by the scheduler's worker threads (all maps are behind
-/// mutexes; counters are atomic). Create one per [`Session`](crate::Session);
-/// the schedulers reach it through [`SchedContext::memo`](crate::level::SchedContext::memo).
+/// Create one per [`Session`](crate::Session); the schedulers reach it
+/// through [`SchedContext::memo`](crate::level::SchedContext::memo).
 #[derive(Debug, Default)]
 pub struct RegionMemo {
-    /// Content-fingerprint → dense region id, in insertion order.
-    /// Interning happens serially before any parallel fan-out, so ids are
-    /// deterministic for a given stage list; their numeric values never
-    /// influence schedules, only memo keys.
-    ids: Mutex<HashMap<Fingerprint, u32>>,
+    /// Content-fingerprint → dense region id, in insertion order, so ids
+    /// are deterministic for a given stage list; their numeric values
+    /// never influence schedules, only memo keys.
+    ids: RefCell<HashMap<Fingerprint, u32>>,
     /// DP range-latency memo (CG segmentation cost estimates) over
     /// hash-consed region-id runs. Not counted in hit/miss.
-    runs: Mutex<Runs>,
+    runs: RefCell<Runs>,
     /// DP row memo: every budget-feasible candidate-segment latency for a
     /// row, keyed by the region-id run of the row's budget window. One
     /// lookup answers a whole row, so recompiles skip the per-candidate
     /// probes (and the trie walk) for every row outside the edit's window.
     /// Not counted in hit/miss (like `runs`, a latency-estimation
     /// shortcut).
-    rows: Mutex<RunMap<Row>>,
+    rows: RefCell<RunMap<Row>>,
     /// Per-region scheduling stats (core need, movement cycles, allocator
     /// item), indexed by region id — content-determined under the
     /// session's fixed (arch, act_bits), so a recompile recomputes them
     /// only for regions it has never seen. Not counted in hit/miss.
-    stats: Mutex<Vec<Option<StageStats>>>,
+    stats: RefCell<Vec<Option<StageStats>>>,
     /// Segment schedules keyed by the region-id run they cover, one slot per
     /// scheduling [`Level`] (with the VVM level's per-plan spread factors),
     /// plans rebased to segment-relative stage indices.
-    segments: Mutex<HashMap<RegionKey, [Option<Scheduled>; 3]>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// The memo's lock on `table`, recovered if a panic poisoned it: every
-/// table holds only fully built entries.
-fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
-    table.lock().unwrap_or_else(PoisonError::into_inner)
+    segments: RefCell<HashMap<RegionKey, [Option<Scheduled>; 3]>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 /// Hash-consed region-id runs and the DP's latency estimate of each.
@@ -203,13 +195,11 @@ impl RegionMemo {
         RegionMemo::default()
     }
 
-    /// Interns every stage, returning one dense region id per stage.
-    ///
-    /// Called serially (before any parallel fan-out) so id assignment is
-    /// deterministic in stage order.
+    /// Interns every stage, returning one dense region id per stage; ids
+    /// are assigned in stage order.
     #[must_use]
     pub fn intern_stages(&self, stages: &[Stage]) -> Vec<u32> {
-        let mut ids = lock(&self.ids);
+        let mut ids = self.ids.borrow_mut();
         stages
             .iter()
             .map(|s| {
@@ -224,16 +214,16 @@ impl RegionMemo {
     /// the trie without interning anything.
     #[must_use]
     pub fn cost(&self, key: &[u32]) -> Option<f64> {
-        let runs = lock(&self.runs);
+        let runs = self.runs.borrow();
         runs.cost(runs.find(key)?)
     }
 
     /// Interns every prefix `window[..1]`, `window[..2]`, … of a DP row's
-    /// window in one walk under one lock: the prefix of length `k + 1`
+    /// window in one walk: the prefix of length `k + 1`
     /// gets run id `runs[k]` and its cached latency estimate, or NaN, in
     /// `costs[k]`.
     pub(crate) fn prefix_runs(&self, window: &[u32], runs: &mut Vec<u32>, costs: &mut Vec<f64>) {
-        let mut table = lock(&self.runs);
+        let mut table = self.runs.borrow_mut();
         runs.clear();
         costs.clear();
         let mut run = 0;
@@ -246,7 +236,7 @@ impl RegionMemo {
 
     /// Stores the latency estimate `costs[k]` of every run `runs[k]`.
     pub(crate) fn store_run_costs(&self, runs: &[u32], costs: &[f64]) {
-        let mut table = lock(&self.runs);
+        let mut table = self.runs.borrow_mut();
         for (&run, &cost) in runs.iter().zip(costs) {
             *table.cost_slot(run) = cost;
         }
@@ -255,9 +245,9 @@ impl RegionMemo {
     /// Per-region stats for region `id`, computing and caching them on
     /// first sight. `compute` must be a pure function of the region's
     /// content (plus the session-fixed arch/options), like every other
-    /// entry in the memo.
+    /// entry in the memo, and must not call back into the memo.
     pub fn stage_stats(&self, id: u32, compute: impl FnOnce() -> StageStats) -> StageStats {
-        let mut stats = lock(&self.stats);
+        let mut stats = self.stats.borrow_mut();
         let slot = id as usize;
         if slot >= stats.len() {
             stats.resize(slot + 1, None);
@@ -273,12 +263,12 @@ impl RegionMemo {
     /// `key`, if any.
     #[must_use]
     pub fn row(&self, key: &[u32]) -> Option<Row> {
-        lock(&self.rows).get(key).cloned()
+        self.rows.borrow().get(key).cloned()
     }
 
     /// Stores a DP row for the budget window `key`.
     pub fn store_row(&self, key: &[u32], row: Row) {
-        lock(&self.rows).insert(key.into(), row);
+        self.rows.borrow_mut().insert(key.into(), row);
     }
 
     /// Cached `level` schedule of the region run `key`, with plan stage
@@ -286,7 +276,9 @@ impl RegionMemo {
     /// Counts a hit or a miss, weighted by the run's length.
     #[must_use]
     pub(crate) fn segment(&self, level: Level, key: &[u32], start: usize) -> Option<Scheduled> {
-        let found = lock(&self.segments)
+        let found = self
+            .segments
+            .borrow()
             .get(key)
             .and_then(|slots| slots[level as usize].clone());
         self.count(found.is_some(), key.len());
@@ -297,7 +289,7 @@ impl RegionMemo {
     /// start at global stage `start`, position-independently.
     pub(crate) fn store_segment(&self, level: Level, key: &[u32], start: usize, value: &Scheduled) {
         let (seg, spreads) = value.clone();
-        lock(&self.segments).entry(key.into()).or_default()[level as usize] =
+        self.segments.borrow_mut().entry(key.into()).or_default()[level as usize] =
             Some((rebase(seg, start, 0), spreads));
     }
 
@@ -305,19 +297,16 @@ impl RegionMemo {
     /// number of regions each segment covers.
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        (self.hits.get(), self.misses.get())
     }
 
     fn count(&self, hit: bool, regions: usize) {
         let n = regions as u64;
         if hit {
-            self.hits.fetch_add(n, Ordering::Relaxed);
+            self.hits.set(self.hits.get() + n);
             cim_obs::count("compile.regions.hits", n);
         } else {
-            self.misses.fetch_add(n, Ordering::Relaxed);
+            self.misses.set(self.misses.get() + n);
             cim_obs::count("compile.regions.misses", n);
         }
     }
@@ -477,7 +466,7 @@ mod tests {
     #[test]
     fn a_cost_lookup_neither_interns_nor_misses_a_stored_run() {
         let memo = RegionMemo::new();
-        let interned = |memo: &RegionMemo| lock(&memo.runs).costs.len();
+        let interned = |memo: &RegionMemo| memo.runs.borrow().costs.len();
         store_cost(&memo, &[1, 2, 3], 9.5);
         assert_eq!(interned(&memo), 3);
         // Unknown runs, an unpriced prefix and the empty run miss without
@@ -505,7 +494,6 @@ mod tests {
             memo.stage_stats(3, || panic!("compute failed"))
         }));
         assert!(panicked.is_err());
-        assert!(memo.stats.is_poisoned());
         // The failed region was never stored: a later lookup computes it,
         // and every other table still answers.
         assert_eq!(memo.stage_stats(3, || stats).need, 2);

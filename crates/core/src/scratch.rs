@@ -10,11 +10,10 @@
 //! one is available), uses it like a `Vec`, and the buffer returns to the
 //! pool on drop with its capacity intact.
 //!
-//! The arena is `Sync` — the pooled free lists sit behind mutexes — so
-//! the intra-graph worker threads of [`crate::pool::run_ordered`] lease
-//! from the same arena the sequential parts of a pass use. Leases only
-//! touch the pool on construction and drop, never per element, so the
-//! mutexes are uncontended in practice.
+//! One thread at a time uses an arena: the free lists are plain
+//! [`RefCell`]s, so the arena is `Send` (a session moves between
+//! threads) but not `Sync`. Leases only touch the pool on construction
+//! and drop, never per element.
 //!
 //! Peak accounting: per element kind, the arena keeps the largest *length*
 //! any one lease held when it was returned since the last
@@ -25,32 +24,37 @@
 //! be under-reported.) It counts what a pass wrote, not the capacity of whichever
 //! recycled buffer it happened to be handed, and it is a maximum per
 //! lease, never a sum across leases that overlap in time — so it is a
-//! pure function of the work done, identical for every
-//! [`jobs`](crate::CompileOptions::jobs) value and thread interleaving.
+//! pure function of the work done.
 //! The session resets it before each pass and stores it in the pass's
 //! [`PassRecord`](crate::PassRecord), which is what
 //! `cimc compile --timings` surfaces per pass.
 
+use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The free list of one element kind plus the longest lease returned.
 #[derive(Debug, Default)]
 struct FreeList<T> {
-    free: Mutex<Vec<Vec<T>>>,
-    peak_len: AtomicUsize,
+    free: RefCell<Vec<Vec<T>>>,
+    peak_len: Cell<usize>,
 }
 
 impl<T> FreeList<T> {
-    /// The spare buffers, recovered if a holder panicked: a lease clears
-    /// its buffer before use, so a poisoned list of spares is still valid.
-    fn lock(&self) -> MutexGuard<'_, Vec<Vec<T>>> {
-        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    /// A spare buffer, or a fresh one when none is left.
+    fn pop(&self) -> Vec<T> {
+        self.free.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Returns `buf` to the spares, emptied, and counts its length toward
+    /// the peak.
+    fn give_back(&self, mut buf: Vec<T>) {
+        self.peak_len.set(self.peak_len.get().max(buf.len()));
+        buf.clear();
+        self.free.borrow_mut().push(buf);
     }
 
     fn peak_bytes(&self) -> usize {
-        self.peak_len.load(Ordering::Relaxed) * std::mem::size_of::<T>()
+        self.peak_len.get() * std::mem::size_of::<T>()
     }
 }
 
@@ -87,22 +91,15 @@ impl ScratchArena {
     }
 
     /// Leases `N` empty `u32` buffers with at least `capacity` slots each,
-    /// in one trip to the pool and back: for a pass that needs several
-    /// buffers of one kind per call, the lock and peak bookkeeping of
-    /// one lease instead of `N`. Each buffer counts toward the peak as a
-    /// lease of its own.
+    /// as one value: for a pass that needs several buffers of one kind
+    /// per call. Each buffer counts toward the peak as a lease of its own.
     #[must_use]
     pub fn u32_array<const N: usize>(&self, capacity: usize) -> ScratchArray<'_, u32, N> {
-        let bufs = {
-            let mut free = self.u32s.lock();
-            std::array::from_fn(|_| free.pop().unwrap_or_default())
-        };
         let mut array = ScratchArray {
             pool: &self.u32s,
-            bufs,
+            bufs: std::array::from_fn(|_| self.u32s.pop()),
         };
         for buf in array.iter_mut() {
-            buf.clear();
             buf.reserve(capacity);
         }
         array
@@ -123,8 +120,7 @@ impl ScratchArena {
 
     /// Bytes of the longest lease of each element kind returned since the
     /// last [`Self::reset_peak`] (or arena creation), summed over the
-    /// four kinds. Independent of worker count and interleaving — see
-    /// the [module docs](self).
+    /// four kinds — see the [module docs](self).
     #[must_use]
     pub fn peak_bytes(&self) -> u64 {
         (self.f64s.peak_bytes()
@@ -135,16 +131,15 @@ impl ScratchArena {
 
     /// Forgets the leases returned so far.
     pub fn reset_peak(&self) {
-        self.f64s.peak_len.store(0, Ordering::Relaxed);
-        self.u32s.peak_len.store(0, Ordering::Relaxed);
-        self.usizes.peak_len.store(0, Ordering::Relaxed);
-        self.pairs.peak_len.store(0, Ordering::Relaxed);
+        self.f64s.peak_len.set(0);
+        self.u32s.peak_len.set(0);
+        self.usizes.peak_len.set(0);
+        self.pairs.peak_len.set(0);
     }
 }
 
 fn lease<T>(pool: &FreeList<T>, capacity: usize) -> ScratchVec<'_, T> {
-    let mut buf = pool.lock().pop().unwrap_or_default();
-    buf.clear();
+    let mut buf = pool.pop();
     buf.reserve(capacity);
     ScratchVec { pool, buf }
 }
@@ -172,12 +167,7 @@ impl<T> DerefMut for ScratchVec<'_, T> {
 
 impl<T> Drop for ScratchVec<'_, T> {
     fn drop(&mut self) {
-        self.pool
-            .peak_len
-            .fetch_max(self.buf.len(), Ordering::Relaxed);
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        self.pool.lock().push(buf);
+        self.pool.give_back(std::mem::take(&mut self.buf));
     }
 }
 
@@ -204,13 +194,8 @@ impl<T, const N: usize> DerefMut for ScratchArray<'_, T, N> {
 
 impl<T, const N: usize> Drop for ScratchArray<'_, T, N> {
     fn drop(&mut self) {
-        let longest = self.bufs.iter().map(Vec::len).max().unwrap_or(0);
-        self.pool.peak_len.fetch_max(longest, Ordering::Relaxed);
-        let mut free = self.pool.lock();
         for buf in &mut self.bufs {
-            let mut buf = std::mem::take(buf);
-            buf.clear();
-            free.push(buf);
+            self.pool.give_back(std::mem::take(buf));
         }
     }
 }
@@ -279,47 +264,27 @@ mod tests {
     }
 
     #[test]
-    fn peak_does_not_depend_on_how_leases_overlap() {
-        let work = |arena: &ScratchArena| {
-            for n in 1..=100 {
-                arena.f64s(32).resize(n, 1.0);
-            }
-        };
-        let serial = ScratchArena::new();
-        for _ in 0..4 {
-            work(&serial);
-        }
-        let shared = ScratchArena::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| work(&shared));
-            }
-        });
-        assert_eq!(shared.peak_bytes(), serial.peak_bytes());
-        assert_eq!(shared.peak_bytes(), 100 * 8);
-    }
-
-    #[test]
-    fn a_poisoned_pool_still_leases_and_recycles() {
+    fn a_panic_while_leasing_still_returns_and_recycles() {
         let arena = ScratchArena::new();
         drop(arena.f64s(64));
         drop(arena.u32_array::<2>(64));
-        std::thread::scope(|scope| {
-            let poisoner = scope.spawn(|| {
-                let _f64s = arena.f64s.lock();
-                let _u32s = arena.u32s.lock();
-                panic!("poisoning the scratch pools");
-            });
-            assert!(poisoner.join().is_err());
-        });
-        assert!(arena.f64s.free.is_poisoned() && arena.u32s.free.is_poisoned());
-        // Each lease gets a spare back (a fresh buffer would hold only
-        // the 8 slots asked for), and each return goes back to the list.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut f64s = arena.f64s(8);
+            let mut u32s = arena.u32_array::<2>(8);
+            f64s.push(1.0);
+            u32s[1].push(1);
+            panic!("a pass failed mid-lease");
+        }));
+        assert!(panicked.is_err());
+        // Unwinding returned every buffer: each lease gets a spare back (a
+        // fresh buffer would hold only the 8 slots asked for), and each
+        // return goes back to the list.
         for _ in 0..2 {
             let v = arena.f64s(8);
             assert!(v.is_empty() && v.capacity() >= 64);
             let bufs = arena.u32_array::<2>(8);
             assert!(bufs.iter().all(|b| b.is_empty() && b.capacity() >= 64));
         }
+        assert_eq!(arena.peak_bytes(), 8 + 4);
     }
 }

@@ -13,9 +13,9 @@
 //! factor is bounded by the crossbars left idle after MVM-grained
 //! duplication.
 //!
-//! This level supplies the per-plan d×k search; memo lookups, the worker
-//! fan-out, chain latency, the active-crossbar fold and the report are the
-//! shared segment driver's ([`crate::level`]).
+//! This level supplies the per-plan d×k search; memo lookups, chain
+//! latency, the active-crossbar fold and the report are the shared segment
+//! driver's ([`crate::level`]).
 
 use crate::cg::{duplication_cap, stage_latency, CgSchedule, Segment, StagePlan};
 use crate::level::{refine, standalone, Level, PlanOut, SchedContext};
@@ -54,8 +54,8 @@ pub fn spread_factor(
     k.clamp(1, activation_groups.max(1))
 }
 
-/// Runs VVM-grained optimization on top of an MVM schedule, on one thread
-/// with a fresh memo.
+/// Runs VVM-grained optimization on top of an MVM schedule with a fresh
+/// memo.
 ///
 /// Only meaningful on WLM targets where `parallel_row < xb_rows`; on
 /// full-parallel crossbars the spread factor is always 1 and the schedule
@@ -72,8 +72,7 @@ pub fn schedule_vvm(
 
 /// [`schedule_vvm`] in a session's [`SchedContext`] — the form the
 /// [`crate::VvmPass`] calls. The shared segment driver ([`crate::level`])
-/// fans segments out onto `cx.jobs` workers and answers unchanged segments
-/// (and their spread factors) of a
+/// answers unchanged segments (and their spread factors) of a
 /// [`Session::recompile`](crate::Session::recompile) from `cx.memo` without
 /// re-running the d×k sweep. This level supplies the per-plan search below.
 #[must_use]

@@ -177,13 +177,13 @@ pub const COMMANDS: &[Command] = &[
     cmd(
         "compile",
         "--model --arch",
-        "--mode --level --jobs --schedule --flow --verify --timings --dump-stage --json \
+        "--mode --level --schedule --flow --verify --timings --dump-stage --json \
          --cache-dir --no-cache --trace-out --profile",
     ),
     cmd(
         "recompile",
         "--model --arch --delta",
-        "--mode --level --jobs --timings --json --out-incremental --out-fresh",
+        "--mode --level --timings --json --out-incremental --out-fresh",
     ),
     cmd(
         "bench",
@@ -510,7 +510,7 @@ mod tests {
     fn usage_is_generated_from_the_tables() {
         let text = usage();
         let compile = "\n  cimc compile --model <name|file.json> --arch <preset> \
-                       [--mode cm|xbm|wlm] [--level cg|mvm|vvm] [--jobs <n>] [--schedule]";
+                       [--mode cm|xbm|wlm] [--level cg|mvm|vvm] [--schedule]";
         assert!(text.contains(compile), "{text}");
         assert!(text.contains("\n  cimc list <models|archs|"), "{text}");
         assert!(text.ends_with("\npresets: isaac isaac-wlm jia puma jain table2 sensitivity"));

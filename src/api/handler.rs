@@ -302,13 +302,9 @@ impl Handler {
         if let Some(m) = req.mode {
             arch = arch.with_mode(m.into());
         }
-        // `jobs` parallelizes scheduling *within* this one compilation
-        // (DP rows and segments fan out); results are byte-identical
-        // for every value, so it stays out of fingerprints and cache
-        // keys.
+        // `req.jobs` is ignored: one compile runs on one thread.
         let options = CompileOptions {
             level: req.level.map(Into::into).unwrap_or_default(),
-            jobs: if req.jobs == 0 { 1 } else { req.jobs },
             ..CompileOptions::default()
         };
 
@@ -517,7 +513,6 @@ impl Handler {
         }
         let options = CompileOptions {
             level: req.level.map(Into::into).unwrap_or_default(),
-            jobs: if req.jobs == 0 { 1 } else { req.jobs },
             ..CompileOptions::default()
         };
 

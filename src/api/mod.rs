@@ -269,7 +269,8 @@ pub struct CompileRequest {
     /// Optimization-level override.
     #[serde(default)]
     pub level: Option<LevelArg>,
-    /// Intra-compile worker threads; 0 means the subcommand default (1).
+    /// Ignored; kept for protocol-v1 compatibility (one compile runs on
+    /// one thread).
     #[serde(default)]
     pub jobs: usize,
     /// Render the per-stage schedule into the outcome.

@@ -20,8 +20,7 @@ use super::{ApiError, CompileOutcome, ErrorKind, RecompileOutcome};
 /// recompilation; zero on cold compiles); **3** added the per-record
 /// `scratch_peak_bytes` column inside `timeline` (per pass and scratch
 /// element kind, the bytes of the longest buffer one lease returned,
-/// summed over kinds — the same at every `--jobs`; until PR 16 it summed
-/// the capacities of leases that overlapped across workers); **2** added `cache_stats` and the
+/// summed over kinds); **2** added `cache_stats` and the
 /// per-record `cache` column inside `timeline` (mirroring the bench
 /// report's v2 bump); **1** was the initial layout.
 pub const COMPILE_DOC_VERSION: u32 = 4;

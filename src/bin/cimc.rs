@@ -223,7 +223,7 @@ fn cmd_list(args: &[String]) -> Cli {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The `--mode`/`--level`/`--jobs` core `compile` and `recompile` share;
+/// The `--mode`/`--level` core `compile` and `recompile` share;
 /// everything else is off.
 fn compile_request(flags: &Parsed, model: String, arch: String) -> CompileRequest {
     CompileRequest {
@@ -231,7 +231,7 @@ fn compile_request(flags: &Parsed, model: String, arch: String) -> CompileReques
         arch,
         mode: choice(flags, "--mode"),
         level: choice(flags, "--level"),
-        jobs: flags.number("--jobs").unwrap_or(0),
+        jobs: 0,
         schedule: false,
         flow: None,
         verify: false,

@@ -635,37 +635,22 @@ fn recompile_requires_model_arch_and_delta() {
 }
 
 #[test]
-fn compile_jobs_flag_does_not_change_the_output() {
-    // `--jobs` is an execution knob: the emitted document must be
-    // byte-identical for every worker count.
-    let one = cimc(&["compile", "--model", "resnet50", "--arch", "puma", "--json"]);
-    let four = cimc(&[
-        "compile", "--model", "resnet50", "--arch", "puma", "--json", "--jobs", "4",
-    ]);
-    assert!(one.status.success(), "{}", stderr(&one));
-    assert!(four.status.success(), "{}", stderr(&four));
-    // The timeline's wall clocks are the only run-specific field.
-    let strip_wall = |text: String| -> String {
-        text.lines()
-            .filter(|l| !l.contains("\"wall_ms\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        strip_wall(stdout(&one)),
-        strip_wall(stdout(&four)),
-        "--jobs changed compile output"
-    );
-}
-
-#[test]
-fn compile_jobs_zero_is_rejected_with_the_offending_value() {
-    let out = cimc(&[
-        "compile", "--model", "lenet5", "--arch", "isaac", "--jobs", "0",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("--jobs") && err.contains("`0`"), "{err}");
+fn compile_and_recompile_take_no_jobs_flag() {
+    // One compile runs on one thread; `--jobs` belongs to the batch
+    // subcommands only.
+    for command in [
+        "compile --model lenet5 --arch isaac --jobs 2",
+        "recompile --model lenet5 --arch isaac --delta d.json --jobs 2",
+    ] {
+        let args: Vec<&str> = command.split(' ').collect();
+        let out = cimc(&args);
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("unknown argument `--jobs`"),
+            "{command}: {err}"
+        );
+    }
 }
 
 #[test]

@@ -40,7 +40,6 @@ fn bench() -> BenchReport {
     report.compile_time = Some(vec![CompileTimeRecord {
         model: "vit_base".into(),
         arch: "isaac".into(),
-        jobs: 4,
         samples: 9,
         median_ms: 3.3,
     }]);
@@ -314,6 +313,21 @@ fn bench_v1_and_v2_documents_remain_readable() {
     for old in [v1, v2] {
         assert!(compare(&old, &current, &Tolerances::default()).passes());
     }
+}
+
+#[test]
+fn bench_v3_compile_time_records_with_jobs_still_load() {
+    let current = bench();
+    // A v3 writer also recorded each median's worker count.
+    let json = downgraded(&current, 3, &[]).replace(
+        r#""arch":"isaac","samples""#,
+        r#""arch":"isaac","jobs":4,"samples""#,
+    );
+    assert!(json.contains(r#""jobs":4"#), "{json}");
+    let v3 = BenchReport::from_json(&json).unwrap();
+    assert_eq!(v3.schema_version, 3);
+    assert_eq!(v3.compile_time, current.compile_time);
+    assert_eq!(v3.compile_time.unwrap()[0].key(), "vit_base@isaac");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! the edited graph from scratch: `Session::recompile(delta)` splices
 //! memoized per-region schedules, and these tests pin that the spliced
 //! result is **bit-identical** to a fresh compile — across models,
-//! presets, worker counts and edit kinds. This is the correctness
+//! presets and edit kinds. This is the correctness
 //! contract the `incremental-smoke` CI job re-checks end-to-end on the
 //! release binary.
 
@@ -15,11 +15,8 @@ use proptest::prelude::*;
 /// `Debug` output covers every schedule field (including exact `f64`
 /// bits — Rust's float formatting round-trips), so string equality is
 /// bit-level equality of the compiled artifacts.
-fn fresh_compile(graph: &Graph, arch: &CimArchitecture, jobs: usize) -> String {
-    let options = CompileOptions {
-        jobs,
-        ..CompileOptions::default()
-    };
+fn fresh_compile(graph: &Graph, arch: &CimArchitecture) -> String {
+    let options = CompileOptions::default();
     let mut session = Pipeline::plan(&options, arch).session(graph, arch, options);
     session.run().expect("fresh compile succeeds");
     format!("{:?}", session.compiled().expect("compiled artifact"))
@@ -30,13 +27,9 @@ fn fresh_compile(graph: &Graph, arch: &CimArchitecture, jobs: usize) -> String {
 fn incremental_compile(
     graph: &Graph,
     arch: &CimArchitecture,
-    jobs: usize,
     delta: &GraphDelta,
 ) -> (String, Graph) {
-    let options = CompileOptions {
-        jobs,
-        ..CompileOptions::default()
-    };
+    let options = CompileOptions::default();
     let mut session = Pipeline::plan(&options, arch).session(graph, arch, options);
     session.run().expect("cold compile succeeds");
     session.recompile(delta).expect("recompile succeeds");
@@ -75,12 +68,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A retune edit recompiled incrementally equals a fresh compile of
-    /// the mutated graph, for every model × preset × worker count.
+    /// the mutated graph, for every model × preset.
     #[test]
     fn recompile_matches_fresh_compile(
         model_idx in 0usize..4,
         preset_idx in 0usize..3,
-        jobs in prop_oneof![Just(1usize), Just(4usize)],
         pick in 0usize..8,
         out_features in 8usize..256,
     ) {
@@ -95,8 +87,8 @@ proptest! {
                 op: OpKind::Linear { out_features },
             }],
         };
-        let (incremental, mutated) = incremental_compile(&graph, &arch, jobs, &delta);
-        prop_assert_eq!(incremental, fresh_compile(&mutated, &arch, jobs));
+        let (incremental, mutated) = incremental_compile(&graph, &arch, &delta);
+        prop_assert_eq!(incremental, fresh_compile(&mutated, &arch));
     }
 
     /// The params-only fast path of `GraphDelta::apply` (no structural
@@ -147,8 +139,8 @@ proptest! {
         }
         // … and the same compiled artifact, bit for bit.
         prop_assert_eq!(
-            fresh_compile(&via_fast, &arch, 1),
-            fresh_compile(&via_slow, &arch, 1)
+            fresh_compile(&via_fast, &arch),
+            fresh_compile(&via_slow, &arch)
         );
     }
 }
@@ -208,7 +200,7 @@ fn chained_structural_edits_stay_equivalent() {
         let incremental = format!("{:?}", session.compiled().expect("compiled artifact"));
         assert_eq!(
             incremental,
-            fresh_compile(&current, &arch, 1),
+            fresh_compile(&current, &arch),
             "step {i} diverged from a fresh compile"
         );
     }
@@ -256,5 +248,5 @@ fn invalid_deltas_name_the_node_and_leave_the_session_usable() {
     session.recompile(&delta).expect("valid delta recompiles");
     let incremental = format!("{:?}", session.compiled().expect("compiled artifact"));
     let mutated = delta.apply(&graph).expect("delta applies");
-    assert_eq!(incremental, fresh_compile(&mutated, &arch, 1));
+    assert_eq!(incremental, fresh_compile(&mutated, &arch));
 }

@@ -245,3 +245,26 @@ fn a_verified_flow_head_still_builds_the_whole_flow() {
         codegen_record(&head.timeline)
     );
 }
+
+#[test]
+fn a_compile_request_ignores_its_jobs_field() {
+    // `jobs` stays on the wire for protocol-v1 clients, but one compile
+    // runs on one thread: the answer is the same line, wall clocks aside.
+    let answer = |jobs: usize| {
+        let Request::Compile(mut compile) = request("resnet50", "puma", None, false) else {
+            unreachable!("`request` builds compiles")
+        };
+        compile.jobs = jobs;
+        let envelope = RequestEnvelope::new(7, Request::Compile(compile));
+        let mut response = Handler::new().respond(&envelope);
+        response.elapsed_ms = 0.0;
+        let ResponseBody::Compile(outcome) = &mut response.body else {
+            panic!("resnet50@puma compiles: {:?}", response.body)
+        };
+        for record in &mut outcome.timeline.records {
+            record.wall_ms = 0.0;
+        }
+        response.to_json()
+    };
+    assert_eq!(answer(4), answer(0));
+}
