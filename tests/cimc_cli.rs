@@ -635,6 +635,79 @@ fn recompile_requires_model_arch_and_delta() {
 }
 
 #[test]
+fn compile_jobs_flag_does_not_change_the_output() {
+    // The worker count survives only as the wire's ignored
+    // `CompileRequest::jobs`: a served compile answers the same line
+    // whatever it carries, wall clocks aside.
+    use cim_mlc::api::ResponseBody;
+    use cim_mlc::api::{CachePolicy, CompileRequest, Request, RequestEnvelope, Response};
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let lines: String = [1, 4]
+        .iter()
+        .map(|&jobs| {
+            let compile = CompileRequest {
+                model: "resnet50".to_owned(),
+                arch: "puma".to_owned(),
+                mode: None,
+                level: None,
+                jobs,
+                schedule: true,
+                flow: None,
+                verify: false,
+                dump_stage: None,
+                cache: CachePolicy::Off,
+                session: None,
+            };
+            RequestEnvelope::new(7, Request::Compile(compile)).to_json() + "\n"
+        })
+        .collect();
+    let mut server = Command::new(env!("CARGO_BIN_EXE_cimc"))
+        .args(["serve", "--stdio"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("cimc serve starts");
+    let mut stdin = server.stdin.take().expect("stdin is piped");
+    stdin.write_all(lines.as_bytes()).expect("requests write");
+    drop(stdin);
+    let out = server.wait_with_output().expect("cimc serve exits at EOF");
+    assert!(out.status.success(), "{:?}", out.status);
+
+    let answers: Vec<String> = stdout(&out)
+        .lines()
+        .map(|line| {
+            let mut response = Response::from_json(line).expect("response parses");
+            response.elapsed_ms = 0.0;
+            let ResponseBody::Compile(outcome) = &mut response.body else {
+                panic!("resnet50@puma compiles: {line}")
+            };
+            for record in &mut outcome.timeline.records {
+                record.wall_ms = 0.0;
+            }
+            response.to_json()
+        })
+        .collect();
+    assert_eq!(answers.len(), 2, "one answer per request");
+    assert_eq!(answers[0], answers[1], "jobs changed the compile answer");
+}
+
+#[test]
+fn compile_jobs_zero_is_rejected_with_the_offending_value() {
+    // `cimc compile` takes no `--jobs`: the offending argument is the
+    // flag itself, named before any operand is looked at.
+    let out = cimc(&[
+        "compile", "--model", "lenet5", "--arch", "isaac", "--jobs", "0",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    let err = stderr(&out);
+    assert!(err.contains("unknown argument `--jobs`"), "{err}");
+}
+
+#[test]
 fn compile_and_recompile_take_no_jobs_flag() {
     // One compile runs on one thread; `--jobs` belongs to the batch
     // subcommands only.
