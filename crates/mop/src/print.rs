@@ -181,7 +181,7 @@ impl MopFlow {
 
 #[cfg(test)]
 mod tests {
-    use crate::{BufRef, CoreOp, DcomFunc, MetaOp, MopFlow, XbAddr};
+    use crate::{BufRef, CoreOp, DcomFunc, MatId, MetaOp, MopFlow, XbAddr};
 
     #[test]
     fn readcore_prints_paper_style() {
@@ -251,6 +251,162 @@ mod tests {
         let s = op.to_string();
         assert!(s.contains("cim.readrow(xb(0,1)_row16, len=16"));
         assert!(s.contains("acc"));
+    }
+
+    /// The printer's exact bytes, one line per operator shape: the
+    /// oracle every rewrite of the printer is held to.
+    #[test]
+    fn every_operator_prints_its_exact_text() {
+        let xb = XbAddr::new(2, 0);
+        let cases = [
+            (
+                MetaOp::WriteXb {
+                    xb: XbAddr::new(1, 2),
+                    weights: MatId(3),
+                    src_row: 10,
+                    src_col: 4,
+                    dst_row: 0,
+                    dst_col: 8,
+                    rows: 16,
+                    cols: 6,
+                },
+                "cim.writexb(xb(1,2), mat=W3[10:26, 4:10] -> [0:16, 8:14])",
+            ),
+            (
+                MetaOp::WriteRow {
+                    xb: XbAddr::new(0, 5),
+                    row: 7,
+                    weights: MatId(1),
+                    src_row: 42,
+                    src_col: 3,
+                    dst_col: 0,
+                    cols: 5,
+                },
+                "cim.writerow(xb(0,5)_row7, value=W1[42, 3:8] -> cols 0:5)",
+            ),
+            (
+                MetaOp::ReadXb {
+                    xb,
+                    row_start: 0,
+                    rows: 25,
+                    col_start: 0,
+                    cols: 6,
+                    src: BufRef::l1(2, 0),
+                    dst: BufRef::l1(2, 25),
+                    accumulate: false,
+                },
+                "cim.readxb(xb(2,0), rows=0:25, cols=0:6, src=L1[2]+0, dst=L1[2]+25)",
+            ),
+            (
+                MetaOp::ReadXb {
+                    xb,
+                    row_start: 128,
+                    rows: 32,
+                    col_start: 16,
+                    cols: 8,
+                    src: BufRef::l1(2, 128),
+                    dst: BufRef::l1(2, 300),
+                    accumulate: true,
+                },
+                "cim.readxb(xb(2,0), rows=128:160, cols=16:24, src=L1[2]+128, dst=L1[2]+300, acc)",
+            ),
+            (
+                MetaOp::ReadRow {
+                    xb: XbAddr::new(0, 1),
+                    row_start: 16,
+                    rows: 16,
+                    col_start: 0,
+                    cols: 32,
+                    src: BufRef::l1(0, 0),
+                    dst: BufRef::l1(0, 99),
+                    accumulate: true,
+                },
+                "cim.readrow(xb(0,1)_row16, len=16, cols=0:32, src=L1[0]+0, dst=L1[0]+99, acc)",
+            ),
+            (
+                MetaOp::Mov {
+                    src: BufRef::l0(100),
+                    dst: BufRef::l1(3, 7),
+                    len: 5,
+                },
+                "mov(src=L0+100, dst=L1[3]+7, len=5)",
+            ),
+            (
+                MetaOp::Dcom {
+                    func: DcomFunc::Zero,
+                    srcs: vec![],
+                    dst: BufRef::l1(0, 0),
+                    len: 25,
+                },
+                "zero(dst=L1[0]+0, len=25)",
+            ),
+            (
+                MetaOp::Dcom {
+                    func: DcomFunc::Relu,
+                    srcs: vec![BufRef::l0(10)],
+                    dst: BufRef::l0(20),
+                    len: 10,
+                },
+                "relu(src=L0+10, dst=L0+20, len=10)",
+            ),
+            (
+                MetaOp::Dcom {
+                    func: DcomFunc::AddEw,
+                    srcs: vec![BufRef::l0(0), BufRef::l0(64)],
+                    dst: BufRef::l0(128),
+                    len: 64,
+                },
+                "add(src1=L0+0, src2=L0+64, dst=L0+128, len=64)",
+            ),
+            (
+                MetaOp::ReadCore {
+                    op: CoreOp::Linear {
+                        in_f: 400,
+                        out_f: 120,
+                        batch: 1,
+                    },
+                    weights: MatId(2),
+                    core: 8,
+                    src: BufRef::l0(21_512),
+                    dst: BufRef::l0(21_912),
+                },
+                "cim.readcore(linear, params=linear(in=400, out=120, batch=1), weights=W2, \
+                 coreaddr=8, src=L0+21512, dst=L0+21912)",
+            ),
+            (
+                MetaOp::ReadCore {
+                    op: CoreOp::MatMul { m: 4, k: 8, n: 2 },
+                    weights: MatId(0),
+                    core: 0,
+                    src: BufRef::l0(0),
+                    dst: BufRef::l0(32),
+                },
+                "cim.readcore(matmul, params=matmul(4x8 * 8x2), weights=W0, coreaddr=0, \
+                 src=L0+0, dst=L0+32)",
+            ),
+        ];
+        for (op, text) in cases {
+            assert_eq!(op.to_string(), text);
+        }
+    }
+
+    #[test]
+    fn a_flow_prints_its_exact_text() {
+        let mut flow = MopFlow::new("m@a");
+        flow.declare_mat(2, 3, "fc");
+        let mov = |o| MetaOp::Mov {
+            src: BufRef::l0(o),
+            dst: BufRef::l1(1, o),
+            len: 4,
+        };
+        flow.push(mov(8));
+        flow.push_parallel(vec![mov(0), mov(4)]);
+        assert_eq!(
+            flow.to_string(),
+            "// meta-operator flow: m@a\n// weights:\n//   W0 = fc[2 x 3]\n\
+             mov(src=L0+8, dst=L1[1]+8, len=4)\nparallel {\n  mov(src=L0+0, dst=L1[1]+0, len=4)\n\
+             \x20 mov(src=L0+4, dst=L1[1]+4, len=4)\n}\n"
+        );
     }
 
     #[test]

@@ -246,6 +246,59 @@ fn a_verified_flow_head_still_builds_the_whole_flow() {
     );
 }
 
+/// The flows whose first 200 lines `tests/golden/api/flow_heads.txt`
+/// pins: the benchmark's eight big `serve-closed` keys, plus `lenet5@jia`
+/// for `cim.readcore` (CM mode, conv and linear).
+const GOLDEN_HEADS: [(&str, &str); 9] = [
+    ("lenet5", "isaac"),
+    ("lenet5", "puma"),
+    ("lenet5", "isaac-wlm"),
+    ("lenet5", "jain"),
+    ("mlp", "isaac"),
+    ("mlp", "puma"),
+    ("mlp", "isaac-wlm"),
+    ("mlp", "jain"),
+    ("lenet5", "jia"),
+];
+
+/// Each golden flow's `== model@arch ==` header and its first 200 lines,
+/// as `lines` renders them.
+fn flow_heads(lines: impl Fn(&str, &str) -> Vec<String>) -> String {
+    let mut out = String::new();
+    for (model, arch) in GOLDEN_HEADS {
+        out.push_str(&format!("== {model}@{arch} ==\n"));
+        for line in lines(model, arch) {
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn flow_heads_match_the_golden() {
+    let path = format!(
+        "{}/tests/golden/api/flow_heads.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let golden = std::fs::read_to_string(&path).expect("golden file exists");
+    let handler = shared_handler();
+    let served = flow_heads(|model, arch| compile(&handler, model, arch, Some(200)).flow_head);
+    assert_eq!(served, golden, "served heads drifted from {path}");
+    let displayed = flow_heads(|model, arch| {
+        let graph = zoo::by_name(model).expect("a zoo model");
+        let arch = presets::by_name(arch).expect("a preset name");
+        let compiled = Compiler::new().compile(&graph, &arch).expect("compiles");
+        let (flow, _) = codegen::generate_flow(&compiled, &graph, &arch).expect("generates");
+        flow.to_string()
+            .lines()
+            .take(200)
+            .map(str::to_owned)
+            .collect()
+    });
+    assert_eq!(displayed, golden, "displayed flows drifted from {path}");
+}
+
 #[test]
 fn a_compile_request_ignores_its_jobs_field() {
     // `jobs` stays on the wire for protocol-v1 clients, but one compile
