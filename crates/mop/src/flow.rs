@@ -1,23 +1,16 @@
 //! Meta-operator flows: statements plus weight declarations.
 
 use crate::{FlowStats, MetaOp};
-use std::fmt;
 
 /// Identifier of a weight matrix declared by a [`MopFlow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MatId(pub u32);
 
-impl fmt::Display for MatId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "W{}", self.0)
-    }
-}
-
 /// Declaration of a weight matrix referenced by CIM write operations.
 ///
 /// Flows carry only the *shape* and a provenance name; the actual values
 /// are synthesized deterministically by the functional simulator (see
-/// DESIGN.md, "Substitutions").
+/// `cim_sim::weights`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatDecl {
     /// The id CIM operations use to reference this matrix.
@@ -210,6 +203,34 @@ impl MopFlow {
     #[inline]
     pub fn is_complete(&self) -> bool {
         self.stmts.len() == self.pushed
+    }
+
+    /// True when the flow stores no more of what is pushed into it: it
+    /// holds its `keep` statements, or it has dropped one. A generator
+    /// that only wants the stored prefix can stop here and
+    /// [`set_counts`](MopFlow::set_counts) for the rest.
+    #[must_use]
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.stmts.len() >= self.keep || !self.is_complete()
+    }
+
+    /// Makes the flow's counts those of a flow of `pushed` statements
+    /// whose [`FlowStats`] are `stats`: what a generator that stopped once
+    /// the flow [was full](MopFlow::is_full) records for the statements
+    /// it did not generate, given the whole flow's counts. The stored
+    /// statements are untouched.
+    ///
+    /// # Panics
+    /// If `pushed` is below the number of statements stored.
+    pub fn set_counts(&mut self, pushed: usize, stats: FlowStats) {
+        assert!(
+            pushed >= self.stmts.len(),
+            "{pushed} statement(s) counted but {} stored",
+            self.stmts.len()
+        );
+        self.pushed = pushed;
+        self.stats = stats;
     }
 
     /// Total number of meta-operators across all pushed statements.

@@ -1,7 +1,6 @@
 //! Meta-operator definitions.
 
 use crate::MatId;
-use std::fmt;
 
 /// An address space in the on-chip buffer hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -10,15 +9,6 @@ pub enum BufSpace {
     L0,
     /// The local buffer of one core.
     L1(u32),
-}
-
-impl fmt::Display for BufSpace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BufSpace::L0 => write!(f, "L0"),
-            BufSpace::L1(core) => write!(f, "L1[{core}]"),
-        }
-    }
 }
 
 /// A buffer location: an element offset inside one buffer space.
@@ -59,12 +49,6 @@ impl BufRef {
     }
 }
 
-impl fmt::Display for BufRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}+{}", self.space, self.offset)
-    }
-}
-
 /// Physical crossbar address: core index and crossbar index within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct XbAddr {
@@ -79,12 +63,6 @@ impl XbAddr {
     #[must_use]
     pub fn new(core: u32, xb: u32) -> Self {
         XbAddr { core, xb }
-    }
-}
-
-impl fmt::Display for XbAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "xb({},{})", self.core, self.xb)
     }
 }
 
@@ -171,29 +149,6 @@ impl CoreOp {
             }
             CoreOp::Linear { out_f, batch, .. } => u64::from(*out_f) * u64::from(*batch),
             CoreOp::MatMul { m, n, .. } => u64::from(*m) * u64::from(*n),
-        }
-    }
-}
-
-impl fmt::Display for CoreOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoreOp::Conv {
-                in_c,
-                in_h,
-                in_w,
-                out_c,
-                kernel,
-                stride,
-                padding,
-            } => write!(
-                f,
-                "conv(in=[{in_c},{in_h},{in_w}], k={kernel}, s={stride}, p={padding}, out_c={out_c})"
-            ),
-            CoreOp::Linear { in_f, out_f, batch } => {
-                write!(f, "linear(in={in_f}, out={out_f}, batch={batch})")
-            }
-            CoreOp::MatMul { m, k, n } => write!(f, "matmul({m}x{k} * {k}x{n})"),
         }
     }
 }

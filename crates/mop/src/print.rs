@@ -1,22 +1,160 @@
 //! Pretty printing in the paper's generated-code syntax (Figure 16).
+//!
+//! One printer serves both [`fmt::Display`] and [`MopFlow::head`]: every
+//! fragment goes out through one `write_str`, and every number through
+//! [`num`]'s stack buffer rather than a `write!` per operand.
 
-use crate::{MetaOp, MopFlow, Stmt};
-use std::fmt;
+use crate::{BufRef, BufSpace, CoreOp, MatId, MetaOp, MopFlow, Stmt, XbAddr};
+use std::fmt::{self, Write};
 
-impl fmt::Display for MetaOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// Two-digit decimal strings, `"00"` to `"99"`.
+const PAIRS: &str = "00010203040506070809101112131415161718192021222324252627282930313233343536373839\
+                     40414243444546474849505152535455565758596061626364656667686970717273747576777879\
+                     8081828384858687888990919293949596979899";
+
+/// Writes `n` in decimal, two digits per `write_str`.
+fn num<W: Write + ?Sized>(w: &mut W, n: impl Into<u64>) -> fmt::Result {
+    let n: u64 = n.into();
+    if n >= 100 {
+        num(w, n / 100)?;
+        let i = (n % 100) as usize * 2;
+        w.write_str(&PAIRS[i..i + 2])
+    } else if n >= 10 {
+        let i = n as usize * 2;
+        w.write_str(&PAIRS[i..i + 2])
+    } else {
+        let i = n as usize * 2 + 1;
+        w.write_str(&PAIRS[i..i + 1])
+    }
+}
+
+/// Writes the half-open range `start:start + len`.
+fn range<W: Write + ?Sized>(w: &mut W, start: u32, len: u32) -> fmt::Result {
+    num(w, start)?;
+    w.write_str(":")?;
+    num(w, start + len)
+}
+
+impl BufSpace {
+    fn write_to<W: Write + ?Sized>(self, w: &mut W) -> fmt::Result {
         match self {
+            BufSpace::L0 => w.write_str("L0"),
+            BufSpace::L1(core) => {
+                w.write_str("L1[")?;
+                num(w, core)?;
+                w.write_str("]")
+            }
+        }
+    }
+}
+
+impl BufRef {
+    fn write_to<W: Write + ?Sized>(self, w: &mut W) -> fmt::Result {
+        self.space.write_to(w)?;
+        w.write_str("+")?;
+        num(w, self.offset)
+    }
+}
+
+impl XbAddr {
+    fn write_to<W: Write + ?Sized>(self, w: &mut W) -> fmt::Result {
+        w.write_str("xb(")?;
+        num(w, self.core)?;
+        w.write_str(",")?;
+        num(w, self.xb)?;
+        w.write_str(")")
+    }
+}
+
+impl MatId {
+    fn write_to<W: Write + ?Sized>(self, w: &mut W) -> fmt::Result {
+        w.write_str("W")?;
+        num(w, self.0)
+    }
+}
+
+impl CoreOp {
+    fn write_to<W: Write + ?Sized>(self, w: &mut W) -> fmt::Result {
+        match self {
+            CoreOp::Conv {
+                in_c,
+                in_h,
+                in_w,
+                out_c,
+                kernel,
+                stride,
+                padding,
+            } => {
+                w.write_str("conv(in=[")?;
+                num(w, in_c)?;
+                w.write_str(",")?;
+                num(w, in_h)?;
+                w.write_str(",")?;
+                num(w, in_w)?;
+                w.write_str("], k=")?;
+                num(w, kernel)?;
+                w.write_str(", s=")?;
+                num(w, stride)?;
+                w.write_str(", p=")?;
+                num(w, padding)?;
+                w.write_str(", out_c=")?;
+                num(w, out_c)?;
+                w.write_str(")")
+            }
+            CoreOp::Linear { in_f, out_f, batch } => {
+                w.write_str("linear(in=")?;
+                num(w, in_f)?;
+                w.write_str(", out=")?;
+                num(w, out_f)?;
+                w.write_str(", batch=")?;
+                num(w, batch)?;
+                w.write_str(")")
+            }
+            CoreOp::MatMul { m, k, n } => {
+                w.write_str("matmul(")?;
+                num(w, m)?;
+                w.write_str("x")?;
+                num(w, k)?;
+                w.write_str(" * ")?;
+                num(w, k)?;
+                w.write_str("x")?;
+                num(w, n)?;
+                w.write_str(")")
+            }
+        }
+    }
+}
+
+/// Writes `, src=<src>, dst=<dst>`, then `, acc` when accumulating, and
+/// the closing parenthesis: the tail every read operator shares.
+fn read_tail<W: Write + ?Sized>(w: &mut W, src: BufRef, dst: BufRef, acc: bool) -> fmt::Result {
+    w.write_str(", src=")?;
+    src.write_to(w)?;
+    w.write_str(", dst=")?;
+    dst.write_to(w)?;
+    w.write_str(if acc { ", acc)" } else { ")" })
+}
+
+impl MetaOp {
+    fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
+        match *self {
             MetaOp::ReadCore {
                 op,
                 weights,
                 core,
                 src,
                 dst,
-            } => write!(
-                f,
-                "cim.readcore({}, params={op}, weights={weights}, coreaddr={core}, src={src}, dst={dst})",
-                op.mnemonic()
-            ),
+            } => {
+                w.write_str("cim.readcore(")?;
+                w.write_str(op.mnemonic())?;
+                w.write_str(", params=")?;
+                op.write_to(w)?;
+                w.write_str(", weights=")?;
+                weights.write_to(w)?;
+                w.write_str(", coreaddr=")?;
+                num(w, core)?;
+                read_tail(w, src, dst, false)
+            }
             MetaOp::WriteXb {
                 xb,
                 weights,
@@ -26,14 +164,21 @@ impl fmt::Display for MetaOp {
                 dst_col,
                 rows,
                 cols,
-            } => write!(
-                f,
-                "cim.writexb({xb}, mat={weights}[{src_row}:{}, {src_col}:{}] -> [{dst_row}:{}, {dst_col}:{}])",
-                src_row + rows,
-                src_col + cols,
-                dst_row + rows,
-                dst_col + cols
-            ),
+            } => {
+                w.write_str("cim.writexb(")?;
+                xb.write_to(w)?;
+                w.write_str(", mat=")?;
+                weights.write_to(w)?;
+                w.write_str("[")?;
+                range(w, src_row, rows)?;
+                w.write_str(", ")?;
+                range(w, src_col, cols)?;
+                w.write_str("] -> [")?;
+                range(w, dst_row, rows)?;
+                w.write_str(", ")?;
+                range(w, dst_col, cols)?;
+                w.write_str("])")
+            }
             MetaOp::ReadXb {
                 xb,
                 row_start,
@@ -43,13 +188,15 @@ impl fmt::Display for MetaOp {
                 src,
                 dst,
                 accumulate,
-            } => write!(
-                f,
-                "cim.readxb({xb}, rows={row_start}:{}, cols={col_start}:{}, src={src}, dst={dst}{})",
-                row_start + rows,
-                col_start + cols,
-                if *accumulate { ", acc" } else { "" }
-            ),
+            } => {
+                w.write_str("cim.readxb(")?;
+                xb.write_to(w)?;
+                w.write_str(", rows=")?;
+                range(w, row_start, rows)?;
+                w.write_str(", cols=")?;
+                range(w, col_start, cols)?;
+                read_tail(w, src, dst, accumulate)
+            }
             MetaOp::WriteRow {
                 xb,
                 row,
@@ -58,12 +205,21 @@ impl fmt::Display for MetaOp {
                 src_col,
                 dst_col,
                 cols,
-            } => write!(
-                f,
-                "cim.writerow({xb}_row{row}, value={weights}[{src_row}, {src_col}:{}] -> cols {dst_col}:{})",
-                src_col + cols,
-                dst_col + cols
-            ),
+            } => {
+                w.write_str("cim.writerow(")?;
+                xb.write_to(w)?;
+                w.write_str("_row")?;
+                num(w, row)?;
+                w.write_str(", value=")?;
+                weights.write_to(w)?;
+                w.write_str("[")?;
+                num(w, src_row)?;
+                w.write_str(", ")?;
+                range(w, src_col, cols)?;
+                w.write_str("] -> cols ")?;
+                range(w, dst_col, cols)?;
+                w.write_str(")")
+            }
             MetaOp::ReadRow {
                 xb,
                 row_start,
@@ -73,109 +229,208 @@ impl fmt::Display for MetaOp {
                 src,
                 dst,
                 accumulate,
-            } => write!(
-                f,
-                "cim.readrow({xb}_row{row_start}, len={rows}, cols={col_start}:{}, src={src}, dst={dst}{})",
-                col_start + cols,
-                if *accumulate { ", acc" } else { "" }
-            ),
-            MetaOp::Dcom { func, srcs, dst, len } => {
-                write!(f, "{}(", func.mnemonic())?;
+            } => {
+                w.write_str("cim.readrow(")?;
+                xb.write_to(w)?;
+                w.write_str("_row")?;
+                num(w, row_start)?;
+                w.write_str(", len=")?;
+                num(w, rows)?;
+                w.write_str(", cols=")?;
+                range(w, col_start, cols)?;
+                read_tail(w, src, dst, accumulate)
+            }
+            MetaOp::Dcom {
+                func,
+                ref srcs,
+                dst,
+                len,
+            } => {
+                w.write_str(func.mnemonic())?;
+                w.write_str("(")?;
                 for (i, s) in srcs.iter().enumerate() {
                     if srcs.len() > 1 {
-                        write!(f, "src{}={s}, ", i + 1)?;
+                        w.write_str("src")?;
+                        num(w, i as u64 + 1)?;
+                        w.write_str("=")?;
                     } else {
-                        write!(f, "src={s}, ")?;
+                        w.write_str("src=")?;
                     }
+                    s.write_to(w)?;
+                    w.write_str(", ")?;
                 }
-                write!(f, "dst={dst}, len={len})")
+                w.write_str("dst=")?;
+                dst.write_to(w)?;
+                w.write_str(", len=")?;
+                num(w, len)?;
+                w.write_str(")")
             }
-            MetaOp::Mov { src, dst, len } => write!(f, "mov(src={src}, dst={dst}, len={len})"),
+            MetaOp::Mov { src, dst, len } => {
+                w.write_str("mov(src=")?;
+                src.write_to(w)?;
+                w.write_str(", dst=")?;
+                dst.write_to(w)?;
+                w.write_str(", len=")?;
+                num(w, len)?;
+                w.write_str(")")
+            }
         }
     }
 }
 
-/// Statements render `parallel { … }` blocks with the paper's brace syntax
-/// and two-space indentation.
-impl fmt::Display for Stmt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// One line of a statement's rendering, without its newline.
+enum Line<'a> {
+    /// A plain operator.
+    Op(&'a MetaOp),
+    /// `parallel {`.
+    Open,
+    /// A block member, indented by two spaces.
+    Member(&'a MetaOp),
+    /// `}`.
+    Close,
+}
+
+impl Line<'_> {
+    fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
         match self {
-            Stmt::Op(op) => write!(f, "{op}"),
-            Stmt::Parallel(ops) => {
-                writeln!(f, "parallel {{")?;
-                for op in ops {
-                    writeln!(f, "  {op}")?;
-                }
-                write!(f, "}}")
+            Line::Op(op) => op.write_to(w),
+            Line::Open => w.write_str("parallel {"),
+            Line::Member(op) => {
+                w.write_str("  ")?;
+                op.write_to(w)
+            }
+            Line::Close => w.write_str("}"),
+        }
+    }
+}
+
+impl Stmt {
+    /// The lines the statement renders to: one for a plain operator;
+    /// `parallel {`, one line per member and `}` for a block, in the
+    /// paper's brace syntax with two-space indentation.
+    fn lines(&self) -> impl Iterator<Item = Line<'_>> {
+        let (open, members, close) = match self {
+            Stmt::Op(op) => (Line::Op(op), &[][..], None),
+            Stmt::Parallel(ops) => (Line::Open, &ops[..], Some(Line::Close)),
+        };
+        std::iter::once(open)
+            .chain(members.iter().map(Line::Member))
+            .chain(close)
+    }
+}
+
+impl MopFlow {
+    /// Writes the flow's name and weight declarations, each line ended
+    /// by `'\n'`.
+    fn write_header<W: Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
+        w.write_str("// meta-operator flow: ")?;
+        w.write_str(self.name())?;
+        w.write_str("\n")?;
+        if !self.mats().is_empty() {
+            w.write_str("// weights:\n")?;
+            for m in self.mats() {
+                w.write_str("//   ")?;
+                m.id.write_to(w)?;
+                w.write_str(" = ")?;
+                w.write_str(&m.name)?;
+                w.write_str("[")?;
+                num(w, m.rows)?;
+                w.write_str(" x ")?;
+                num(w, m.cols)?;
+                w.write_str("]\n")?;
             }
         }
+        Ok(())
+    }
+
+    /// The first `n` lines of the flow's rendering, exactly
+    /// `self.to_string().lines().take(n)`: a `'\r'` ending a line of the
+    /// name or of a weight name is dropped, as [`str::lines`] drops it.
+    /// Only those `n` lines are rendered, each straight into its own
+    /// `String`, so the cost is the head's, not the flow's. For a flow
+    /// built with [`MopFlow::bounded`]`(_, keep)` this equals the whole
+    /// flow's head for every `n <= keep`.
+    #[must_use]
+    pub fn head(&self, n: usize) -> Vec<String> {
+        let mut header = String::new();
+        self.write_header(&mut header)
+            .expect("a String takes every write");
+        // The names are free text, so only `str::lines` knows where the
+        // header's lines end; statement lines hold neither '\n' nor '\r'.
+        let header = header.lines().take(n);
+        let mut lines = Vec::with_capacity(n.min(header.clone().count() + self.stmts().len()));
+        lines.extend(header.map(str::to_owned));
+        let mut line = String::new();
+        let rest = n - lines.len();
+        for stmt_line in self.stmts().iter().flat_map(Stmt::lines).take(rest) {
+            line.clear();
+            stmt_line
+                .write_to(&mut line)
+                .expect("a String takes every write");
+            lines.push(line.as_str().to_owned());
+        }
+        lines
+    }
+}
+
+impl fmt::Display for BufSpace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+impl fmt::Display for BufRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+impl fmt::Display for XbAddr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+impl fmt::Display for MatId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+impl fmt::Display for CoreOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+impl fmt::Display for MetaOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+/// Statements render `parallel { … }` blocks with the paper's brace syntax
+/// and two-space indentation, lines separated by (not ended with) `'\n'`.
+impl fmt::Display for Stmt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, line) in self.lines().enumerate() {
+            if i > 0 {
+                f.write_str("\n")?;
+            }
+            line.write_to(f)?;
+        }
+        Ok(())
     }
 }
 
 impl fmt::Display for MopFlow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "// meta-operator flow: {}", self.name())?;
-        if !self.mats().is_empty() {
-            writeln!(f, "// weights:")?;
-            for m in self.mats() {
-                writeln!(f, "//   {} = {}[{} x {}]", m.id, m.name, m.rows, m.cols)?;
-            }
-        }
-        for stmt in self.stmts() {
-            writeln!(f, "{stmt}")?;
+        self.write_header(f)?;
+        for line in self.stmts().iter().flat_map(Stmt::lines) {
+            line.write_to(f)?;
+            f.write_str("\n")?;
         }
         Ok(())
-    }
-}
-
-/// A [`fmt::Write`] sink that splits what it is fed at each `'\n'` (as
-/// [`str::lines`] does for text without `'\r'`, which the printer never
-/// emits) and fails the write once it holds `limit` of them,
-/// which stops the `Display` impl feeding it.
-struct HeadSink {
-    lines: Vec<String>,
-    partial: String,
-    limit: usize,
-}
-
-impl fmt::Write for HeadSink {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let mut rest = s;
-        while let Some((line, tail)) = rest.split_once('\n') {
-            self.partial.push_str(line);
-            self.lines.push(std::mem::take(&mut self.partial));
-            if self.lines.len() == self.limit {
-                return Err(fmt::Error);
-            }
-            rest = tail;
-        }
-        self.partial.push_str(rest);
-        Ok(())
-    }
-}
-
-impl MopFlow {
-    /// The first `n` lines of the flow's rendering: equal to
-    /// `self.to_string().lines().take(n)`, but formatting stops at the
-    /// `n`-th newline instead of rendering the whole flow (hundreds of
-    /// kilobytes for even a small model). For a flow built with
-    /// [`MopFlow::bounded`]`(_, keep)` this equals the whole flow's head
-    /// for every `n <= keep`.
-    #[must_use]
-    pub fn head(&self, n: usize) -> Vec<String> {
-        use fmt::Write as _;
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut sink = HeadSink {
-            lines: Vec::new(),
-            partial: String::new(),
-            limit: n,
-        };
-        if write!(sink, "{self}").is_ok() && !sink.partial.is_empty() {
-            sink.lines.push(sink.partial);
-        }
-        sink.lines
     }
 }
 
@@ -407,6 +662,29 @@ mod tests {
              mov(src=L0+8, dst=L1[1]+8, len=4)\nparallel {\n  mov(src=L0+0, dst=L1[1]+0, len=4)\n\
              \x20 mov(src=L0+4, dst=L1[1]+4, len=4)\n}\n"
         );
+    }
+
+    #[test]
+    fn head_cuts_carriage_returns_as_str_lines_does() {
+        // A graph name and node names reach the header verbatim, so a
+        // JSON model can put "\r\n" (or a lone '\r') in either.
+        let mut flow = MopFlow::new("m\r\nx@isaac");
+        flow.declare_mat(2, 3, "node\r\nname");
+        flow.declare_mat(1, 1, "cr\r");
+        let mov = |o| MetaOp::Mov {
+            src: BufRef::l0(o),
+            dst: BufRef::l0(o + 1),
+            len: 1,
+        };
+        flow.push(mov(0));
+        flow.push_parallel(vec![mov(2), mov(4)]);
+        let text = flow.to_string();
+        let total = text.lines().count();
+        for n in 0..=total + 1 {
+            let expected: Vec<&str> = text.lines().take(n).collect();
+            assert_eq!(flow.head(n), expected, "head({n})");
+        }
+        assert_eq!(flow.head(2), ["// meta-operator flow: m", "x@isaac"]);
     }
 
     #[test]
