@@ -42,9 +42,12 @@
 //!   [`Session::replace_artifact`](crate::Session::replace_artifact),
 //!   which hand the artifact to the caller and therefore stop the
 //!   fingerprint chain for the rest of the session;
-//! * code generation ([`CodegenPass`](crate::CodegenPass)): flows can
-//!   reach [`CompileOptions::max_flow_ops`](crate::CompileOptions::max_flow_ops)
-//!   meta-operators, far too large to bank.
+//! * code generation ([`CodegenPass`](crate::CodegenPass)) that stores
+//!   statements: flows can reach
+//!   [`CompileOptions::max_flow_ops`](crate::CompileOptions::max_flow_ops)
+//!   meta-operators, far too large to bank. Only its counting step,
+//!   `keeping(0)`, is cached: a flow that stores nothing is the
+//!   schedules, the layout, the weight declarations and the counts.
 //!
 //! # On-disk layout
 //!
@@ -58,14 +61,17 @@
 //! best-effort, and recompiled — never trusted.
 
 use crate::cg::{CgOptions, CgSchedule, Segment, StagePlan};
+use crate::codegen::FlowLayout;
+use crate::compile::{CompileOptions, Compiled, OptLevel};
 use crate::mapping::OpMapping;
-use crate::mvm::MvmSchedule;
+use crate::mvm::{MvmOptions, MvmSchedule};
 use crate::perf::{intern_level, PerfReport};
-use crate::pipeline::{Artifact, CgScheduled, MvmScheduled, Staged, VvmScheduled};
+use crate::pipeline::{Artifact, CgScheduled, Codegenned, MvmScheduled, Staged, VvmScheduled};
 use crate::stage::Stage;
 use crate::vvm::VvmSchedule;
 use cim_arch::{CimArchitecture, CostModel, EnergyBreakdown, NocCost};
 use cim_graph::{Graph, NodeId, OpKind, PoolKind, Shape};
+use cim_mop::{FlowStats, MopFlow};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -536,7 +542,8 @@ pub trait CompileCache: Send + Sync {
     fn load(&self, key: &Fingerprint) -> Option<Artifact>;
 
     /// Stores `artifact` under `key`. Returns whether the artifact was
-    /// actually banked (codegen artifacts and I/O failures are not).
+    /// actually banked (codegen artifacts whose flow stores statements,
+    /// and I/O failures, are not).
     fn store(&self, key: &Fingerprint, artifact: &Artifact) -> bool;
 
     /// Counters accumulated since this instance was created.
@@ -544,13 +551,15 @@ pub trait CompileCache: Send + Sync {
 }
 
 fn cacheable(artifact: &Artifact) -> bool {
-    matches!(
-        artifact,
+    match artifact {
+        Artifact::Source => false,
         Artifact::Staged(_)
-            | Artifact::CgScheduled(_)
-            | Artifact::MvmScheduled(_)
-            | Artifact::VvmScheduled(_)
-    )
+        | Artifact::CgScheduled(_)
+        | Artifact::MvmScheduled(_)
+        | Artifact::VvmScheduled(_) => true,
+        // The counting step's flow: it stores no statement and never will.
+        Artifact::Codegenned(c) => c.flow.stmts().is_empty() && c.flow.is_full(),
+    }
 }
 
 #[derive(Debug, Default)]
@@ -953,6 +962,7 @@ const TAG_STAGED: u8 = 1;
 const TAG_CG: u8 = 2;
 const TAG_MVM: u8 = 3;
 const TAG_VVM: u8 = 4;
+const TAG_CODEGEN: u8 = 5;
 
 fn enc_node(e: &mut Enc, id: NodeId) {
     e.u64(id.index() as u64);
@@ -1205,6 +1215,140 @@ fn dec_vvm(d: &mut Dec<'_>) -> DecResult<VvmSchedule> {
     })
 }
 
+fn enc_options(e: &mut Enc, o: &CompileOptions) {
+    e.u32(o.weight_bits);
+    e.u32(o.act_bits);
+    e.bool(o.cg.pipeline);
+    e.bool(o.cg.duplication);
+    e.bool(o.mvm.duplication);
+    e.bool(o.mvm.pipeline);
+    e.str(o.level.name());
+    e.u64(o.max_flow_ops);
+}
+
+fn dec_options(d: &mut Dec<'_>) -> DecResult<CompileOptions> {
+    let weight_bits = d.u32()?;
+    let act_bits = d.u32()?;
+    let cg = CgOptions {
+        pipeline: d.bool()?,
+        duplication: d.bool()?,
+    };
+    let mvm = MvmOptions {
+        duplication: d.bool()?,
+        pipeline: d.bool()?,
+    };
+    let level = d.str()?;
+    let level = OptLevel::parse(&level).ok_or_else(|| format!("unknown level `{level}`"))?;
+    Ok(CompileOptions {
+        weight_bits,
+        act_bits,
+        cg,
+        mvm,
+        level,
+        max_flow_ops: d.u64()?,
+    })
+}
+
+fn enc_stats(e: &mut Enc, s: &FlowStats) {
+    for n in [
+        s.read_core,
+        s.read_xb,
+        s.write_xb,
+        s.read_row,
+        s.write_row,
+        s.dcom,
+        s.mov,
+    ] {
+        e.u64(n as u64);
+    }
+    e.u64(s.moved_elements);
+    e.u64(s.parallel_blocks as u64);
+    e.u64(s.max_parallel_width as u64);
+}
+
+fn dec_stats(d: &mut Dec<'_>) -> DecResult<FlowStats> {
+    Ok(FlowStats {
+        read_core: d.usize()?,
+        read_xb: d.usize()?,
+        write_xb: d.usize()?,
+        read_row: d.usize()?,
+        write_row: d.usize()?,
+        dcom: d.usize()?,
+        mov: d.usize()?,
+        moved_elements: d.u64()?,
+        parallel_blocks: d.usize()?,
+        max_parallel_width: d.usize()?,
+    })
+}
+
+/// The counting step's artifact: the compiled schedules with their
+/// labels, the flow's name, weights and counts (it stores no statement),
+/// and the layout in node order.
+fn enc_codegen(e: &mut Enc, c: &Codegenned) {
+    let compiled = &c.compiled;
+    e.str(compiled.model());
+    e.str(compiled.arch_name());
+    enc_options(e, compiled.options());
+    enc_cg(e, &compiled.cg);
+    e.bool(compiled.mvm.is_some());
+    if let Some(mvm) = &compiled.mvm {
+        enc_mvm(e, mvm);
+    }
+    e.bool(compiled.vvm.is_some());
+    if let Some(vvm) = &compiled.vvm {
+        enc_vvm(e, vvm);
+    }
+    e.str(c.flow.name());
+    e.u64(c.flow.mats().len() as u64);
+    for m in c.flow.mats() {
+        e.u32(m.rows);
+        e.u32(m.cols);
+        e.str(&m.name);
+    }
+    e.u64(c.flow.pushed() as u64);
+    enc_stats(e, &FlowStats::of(&c.flow));
+    let mut offsets: Vec<(&NodeId, &u64)> = c.layout.offsets.iter().collect();
+    offsets.sort_unstable();
+    e.u64(offsets.len() as u64);
+    for (&node, &offset) in offsets {
+        enc_node(e, node);
+        e.u64(offset);
+    }
+    e.u64(c.layout.total);
+}
+
+fn dec_codegen(d: &mut Dec<'_>) -> DecResult<Codegenned> {
+    let model = d.str()?;
+    let arch_name = d.str()?;
+    let options = dec_options(d)?;
+    let cg = dec_cg(d)?;
+    let mvm = if d.bool()? { Some(dec_mvm(d)?) } else { None };
+    let vvm = if d.bool()? { Some(dec_vvm(d)?) } else { None };
+    let compiled = Compiled::from_parts(model, arch_name, options, cg, mvm, vvm);
+    let mut flow = MopFlow::bounded(d.str()?, 0);
+    for _ in 0..d.usize()? {
+        let (rows, cols) = (d.u32()?, d.u32()?);
+        flow.declare_mat(rows, cols, d.str()?);
+    }
+    let pushed = d.usize()?;
+    flow.set_counts(pushed, dec_stats(d)?);
+    let len = d.usize()?;
+    let mut offsets = HashMap::with_capacity(len.min(1 << 16));
+    for _ in 0..len {
+        let node = dec_node(d)?;
+        offsets.insert(node, d.u64()?);
+    }
+    let layout = FlowLayout {
+        offsets,
+        total: d.u64()?,
+    };
+    Ok(Codegenned {
+        compiled,
+        flow,
+        layout,
+    })
+}
+
 fn encode_artifact(artifact: &Artifact) -> Option<Vec<u8>> {
     let mut e = Enc::default();
     match artifact {
@@ -1226,6 +1370,10 @@ fn encode_artifact(artifact: &Artifact) -> Option<Vec<u8>> {
             enc_cg(&mut e, &a.cg);
             enc_mvm(&mut e, &a.mvm);
             enc_vvm(&mut e, &a.vvm);
+        }
+        Artifact::Codegenned(c) if cacheable(artifact) => {
+            e.u8(TAG_CODEGEN);
+            enc_codegen(&mut e, c);
         }
         Artifact::Source | Artifact::Codegenned(_) => return None,
     }
@@ -1250,6 +1398,7 @@ fn decode_artifact(payload: &[u8]) -> DecResult<Artifact> {
             mvm: dec_mvm(&mut d)?,
             vvm: dec_vvm(&mut d)?,
         })),
+        TAG_CODEGEN => Artifact::Codegenned(Box::new(dec_codegen(&mut d)?)),
         other => return Err(format!("unknown artifact tag {other}")),
     };
     d.done()?;
@@ -1505,10 +1654,70 @@ mod tests {
         }
     }
 
+    /// The artifact of `CodegenPass::keeping(keep)` after the scheduling
+    /// passes `level` plans.
+    fn codegen_at(keep: usize, level: OptLevel, model: &Graph, arch: &CimArchitecture) -> Artifact {
+        let options = CompileOptions {
+            level,
+            ..CompileOptions::default()
+        };
+        let mut pipeline = crate::Pipeline::plan(&options, arch);
+        pipeline.push(Box::new(crate::CodegenPass::keeping(keep)));
+        let mut session = pipeline.session(model, arch, options);
+        session.run().unwrap();
+        session.into_parts().0
+    }
+
     #[test]
-    fn source_and_codegen_artifacts_are_not_cacheable() {
+    fn source_and_statement_storing_codegen_artifacts_are_not_cacheable() {
         assert!(encode_entry(&checksum(b""), &Artifact::Source).is_none());
         assert!(!cacheable(&Artifact::Source));
+        let (g, arch) = (zoo::lenet5(), presets::isaac_baseline());
+        for keep in [1, usize::MAX] {
+            let artifact = codegen_at(keep, OptLevel::Auto, &g, &arch);
+            assert!(!cacheable(&artifact), "keep {keep}");
+            assert!(encode_entry(&checksum(b""), &artifact).is_none());
+            assert!(!MemoryCache::new().store(&checksum(b""), &artifact));
+        }
+    }
+
+    #[test]
+    fn counted_flows_round_trip_through_the_entry_codec() {
+        for (model, arch, level) in [
+            (zoo::lenet5(), presets::isaac_baseline(), OptLevel::Cg),
+            (zoo::lenet5(), presets::isaac_baseline_wlm(), OptLevel::Auto),
+            (zoo::mlp(), presets::jia_isscc21(), OptLevel::Auto),
+        ] {
+            let Artifact::Codegenned(a) = codegen_at(0, level, &model, &arch) else {
+                panic!("codegen ran")
+            };
+            let artifact = Artifact::Codegenned(a.clone());
+            assert!(cacheable(&artifact));
+            let key = source_fingerprint(&model, &arch);
+            let bytes = encode_entry(&key, &artifact).expect("a counted flow is cacheable");
+            let Artifact::Codegenned(b) = decode_entry(&key, &bytes).unwrap() else {
+                panic!("stage changed in round trip")
+            };
+            assert_eq!(b.flow, a.flow);
+            assert!(b.flow.pushed() > 0 && b.flow.stmts().is_empty());
+            let compiled = |c: &Compiled| {
+                (
+                    c.model().to_owned(),
+                    c.arch_name().to_owned(),
+                    *c.options(),
+                    c.cg.clone(),
+                    c.mvm.clone(),
+                    c.vvm.clone(),
+                )
+            };
+            assert_eq!(compiled(&b.compiled), compiled(&a.compiled));
+            assert_eq!(b.layout.offsets, a.layout.offsets);
+            assert_eq!(b.layout.total, a.layout.total);
+            // Any cut of the entry is a decode error, not a panic.
+            for cut in 0..bytes.len() {
+                assert!(decode_entry(&key, &bytes[..cut]).is_err());
+            }
+        }
     }
 
     #[test]

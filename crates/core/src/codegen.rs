@@ -25,15 +25,15 @@ use crate::mapping::OpMapping;
 use crate::{CompileError, Result};
 use cim_arch::{CimArchitecture, ComputingMode};
 use cim_graph::{Graph, Node, NodeId, OpKind};
-use cim_mop::{BufRef, CoreOp, DcomFunc, MatId, MetaOp, MopFlow, XbAddr};
+use cim_mop::{BufRef, CoreOp, DcomFunc, FlowStats, MatId, MetaOp, MopFlow, XbAddr};
 use std::collections::HashMap;
 
 /// Buffer layout of a generated flow: where each graph node's output
 /// tensor lives in the global (L0) buffer.
 #[derive(Debug, Clone, Default)]
 pub struct FlowLayout {
-    offsets: HashMap<NodeId, u64>,
-    total: u64,
+    pub(crate) offsets: HashMap<NodeId, u64>,
+    pub(crate) total: u64,
 }
 
 impl FlowLayout {
@@ -88,6 +88,12 @@ pub fn generate_flow(
 /// [`CompileOptions::max_flow_ops`](crate::CompileOptions::max_flow_ops)
 /// estimate is checked exactly as for the whole flow, whatever `keep` is.
 ///
+/// This walks the whole flow to count it. A caller that already holds
+/// the counts, such as a served head after
+/// [`CodegenPass::keeping`](crate::CodegenPass::keeping)`(0)`, gets the
+/// same flow from the codegen pass for the cost of its first `keep`
+/// statements.
+///
 /// # Errors
 /// As [`generate_flow`].
 pub fn generate_flow_bounded(
@@ -95,6 +101,22 @@ pub fn generate_flow_bounded(
     graph: &Graph,
     arch: &CimArchitecture,
     keep: usize,
+) -> Result<(MopFlow, FlowLayout)> {
+    generate(compiled, graph, arch, keep, None)
+}
+
+/// [`generate_flow_bounded`]`(compiled, graph, arch, keep)`. When
+/// `counted` holds the whole flow's counts (the codegen pass's counting
+/// step), the generator stops once the flow stores `keep` statements and
+/// the flow takes `counted`'s counts for the rest: the same statements,
+/// [`MopFlow::pushed`] and [`FlowStats`](cim_mop::FlowStats), for the
+/// cost of the head.
+pub(crate) fn generate(
+    compiled: &Compiled,
+    graph: &Graph,
+    arch: &CimArchitecture,
+    keep: usize,
+    counted: Option<&MopFlow>,
 ) -> Result<(MopFlow, FlowLayout)> {
     let mode = arch.mode();
     let weight_bits = compiled.options().weight_bits;
@@ -186,6 +208,7 @@ pub fn generate_flow_bounded(
         layout: &layout,
         flow: MopFlow::bounded(format!("{}@{}", graph.name(), arch.name()), keep),
         mats: HashMap::new(),
+        stop_when_full: counted.is_some(),
     };
     // Declare every weight matrix up front.
     for &id in &graph.cim_nodes() {
@@ -222,6 +245,9 @@ pub fn generate_flow_bounded(
     let mut opened = vec![false; stages_by_segment.len()];
     // Compute, in topological order, opening segments as they begin.
     for node in graph.nodes() {
+        if gen.done() {
+            break;
+        }
         match node.op() {
             OpKind::Input { .. } => {}
             op if op.is_cim_supported() => {
@@ -273,7 +299,16 @@ pub fn generate_flow_bounded(
             _ => gen.emit_digital(node),
         }
     }
-    Ok((gen.flow, layout))
+    let mut flow = gen.flow;
+    if let Some(counted) = counted {
+        debug_assert_eq!(
+            (flow.name(), flow.mats()),
+            (counted.name(), counted.mats()),
+            "counts of another flow"
+        );
+        flow.set_counts(counted.pushed(), FlowStats::of(counted));
+    }
+    Ok((flow, layout))
 }
 
 struct Generator<'a> {
@@ -282,9 +317,18 @@ struct Generator<'a> {
     layout: &'a FlowLayout,
     flow: MopFlow,
     mats: HashMap<NodeId, MatId>,
+    /// Whether to stop generating once the flow stores all it keeps (the
+    /// counts come from elsewhere).
+    stop_when_full: bool,
 }
 
 impl Generator<'_> {
+    /// The early exit every emission loop checks: nothing generated from
+    /// here on would be stored.
+    fn done(&self) -> bool {
+        self.stop_when_full && self.flow.is_full()
+    }
+
     fn xb_per_core(&self) -> u32 {
         self.arch.core().xb_count()
     }
@@ -362,6 +406,9 @@ impl Generator<'_> {
     fn emit_xbm_writes(&mut self, m: &OpMapping, placement: Placement, mat: MatId) {
         let vxb = m.vxb_size();
         for r in 0..placement.dup {
+            if self.done() {
+                return;
+            }
             let replica_base = r * placement.spread * vxb;
             for vi in 0..m.v_xbs {
                 for hi in 0..m.h_xbs {
@@ -403,6 +450,9 @@ impl Generator<'_> {
         for r in 0..placement.dup {
             let replica_base = r * k * m.vxb_size();
             for rr in 0..m.rows {
+                if self.done() {
+                    return;
+                }
                 let (vi, s, local_row) = self.wlm_row_home(rr, k);
                 for hi in 0..m.h_xbs {
                     let (_, col0, _, cc) = self.tile(m, vi, hi);
@@ -435,6 +485,9 @@ impl Generator<'_> {
         let in_base = self.layout.offset(in_id);
         let out_base = self.layout.offset(node.id());
         for mvm in 0..m.mvm_count {
+            if self.done() {
+                return;
+            }
             let replica = (mvm % u64::from(placement.dup)) as u32;
             let first_core = placement.base_core
                 + replica * placement.spread * m.vxb_size() / self.xb_per_core();
@@ -469,6 +522,9 @@ impl Generator<'_> {
         for (fold, chunk) in tiles.chunks(total_slots as usize).enumerate() {
             // Program this fold's tiles at slots 0..chunk.len().
             for (slot, &(vi, hi)) in chunk.iter().enumerate() {
+                if self.done() {
+                    return;
+                }
                 let (row0, col0, rr, cc) = self.tile(m, vi, hi);
                 let addr = self.slot_addr(0, slot as u32);
                 if wlm {
@@ -498,6 +554,9 @@ impl Generator<'_> {
             }
             // Replay every MVM against this chunk.
             for mvm in 0..m.mvm_count {
+                if self.done() {
+                    return;
+                }
                 let staging = BufRef::l1(0, 0);
                 let out_reg = BufRef::l1(0, u64::from(m.rows));
                 self.emit_gather(node, m, mvm, in_base, staging);
@@ -880,7 +939,6 @@ mod tests {
     use crate::{CompileOptions, Compiler};
     use cim_arch::presets;
     use cim_graph::{zoo, Shape};
-    use cim_mop::FlowStats;
 
     fn small_conv_graph() -> Graph {
         let mut g = Graph::new("small");

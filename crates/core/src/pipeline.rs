@@ -47,7 +47,7 @@ use crate::cache::{
     FingerprintBuilder,
 };
 use crate::cg::{schedule_cg_in, CgSchedule, Segment};
-use crate::codegen::{generate_flow_bounded, FlowLayout};
+use crate::codegen::{self, FlowLayout};
 use crate::compile::{CompileOptions, Compiled, OptLevel};
 use crate::mvm::{schedule_mvm_in, MvmSchedule};
 use crate::pass::{Diagnostics, Pass, PassContext, PassTimeline};
@@ -609,16 +609,30 @@ impl Pass for VvmPass {
 ///
 /// [`CodegenPass::default`] keeps every statement of the flow.
 /// [`CodegenPass::keeping`]`(keep)` stores only the first `keep`
-/// ([`generate_flow_bounded`]): the flow's counts, and its
+/// ([`generate_flow_bounded`](codegen::generate_flow_bounded)): the flow's counts, and its
 /// [`head(n)`](MopFlow::head) for every `n <= keep`, are those of the
 /// whole flow, but it cannot be validated or executed. The summary,
 /// rendering and diagnostic report the pushed statement count, so they
 /// read the same for both.
 ///
-/// Codegen keeps the default [`Pass::fingerprint`] of `None`: flows can
-/// reach [`CompileOptions::max_flow_ops`] meta-operators, far too large
-/// to bank in a [compile cache](crate::cache), so the pass always
-/// re-runs (its scheduled *input*, the expensive part, still caches).
+/// A served head runs the pass twice:
+/// * `keeping(0)` is the *counting step*, named `codegen-count`. It walks
+///   the whole flow and stores none of it, so its artifact holds the
+///   schedules, the layout, the weight declarations and the whole flow's
+///   counts, and stays small. It is the one codegen artifact a
+///   [compile cache](crate::cache) banks: its [`Pass::fingerprint`] keys
+///   every option the artifact carries, so a warm request skips the walk.
+/// * Given that `Codegenned` artifact as input, `keeping(keep)` with
+///   `keep > 0` (the *head step*, named `codegen`) adopts its counts and
+///   generates only until the flow stores `keep` statements. The result
+///   equals
+///   [`generate_flow_bounded`](codegen::generate_flow_bounded)`(.., keep)`
+///   exactly.
+///
+/// Any other `keep` has no fingerprint: a flow can reach
+/// [`CompileOptions::max_flow_ops`] meta-operators, far too large to
+/// bank, so the pass re-runs (its scheduled input, the expensive part,
+/// still caches).
 #[derive(Debug, Clone, Copy)]
 pub struct CodegenPass {
     keep: usize,
@@ -631,7 +645,8 @@ impl Default for CodegenPass {
 }
 
 impl CodegenPass {
-    /// A pass whose flow stores only its first `keep` statements.
+    /// A pass whose flow stores only its first `keep` statements; with
+    /// `keep` 0, the counting step.
     #[must_use]
     pub fn keeping(keep: usize) -> Self {
         CodegenPass { keep }
@@ -640,7 +655,11 @@ impl CodegenPass {
 
 impl Pass for CodegenPass {
     fn name(&self) -> &'static str {
-        "codegen"
+        if self.keep == 0 {
+            "codegen-count"
+        } else {
+            "codegen"
+        }
     }
 
     fn run(
@@ -649,20 +668,51 @@ impl Pass for CodegenPass {
         diag: &mut Diagnostics,
         input: Artifact,
     ) -> Result<Artifact> {
-        if !matches!(
-            input,
-            Artifact::CgScheduled(_) | Artifact::MvmScheduled(_) | Artifact::VvmScheduled(_)
-        ) {
-            return Err(stage_mismatch(self.name(), "cg, mvm or vvm", &input));
-        }
-        let compiled = input.into_compiled(cx.graph.name(), cx.arch.name(), *cx.options)?;
-        let (flow, layout) = generate_flow_bounded(&compiled, cx.graph, cx.arch, self.keep)?;
+        let (compiled, counted) = match input {
+            Artifact::Codegenned(c) => {
+                let Codegenned { compiled, flow, .. } = *c;
+                (compiled, Some(flow))
+            }
+            Artifact::CgScheduled(_) | Artifact::MvmScheduled(_) | Artifact::VvmScheduled(_) => {
+                let compiled = input.into_compiled(cx.graph.name(), cx.arch.name(), *cx.options)?;
+                (compiled, None)
+            }
+            other => {
+                return Err(stage_mismatch(
+                    self.name(),
+                    "cg, mvm, vvm or codegen",
+                    &other,
+                ))
+            }
+        };
+        let (flow, layout) =
+            codegen::generate(&compiled, cx.graph, cx.arch, self.keep, counted.as_ref())?;
         diag.note(format!("{} meta-operator(s)", flow.pushed()));
         Ok(Artifact::Codegenned(Box::new(Codegenned {
             compiled,
             flow,
             layout,
         })))
+    }
+
+    fn fingerprint(&self, cx: &PassContext<'_>) -> Option<Fingerprint> {
+        // The counting step's artifact carries a `Compiled`, which holds
+        // every option field, so every field is in the key; the graph
+        // and architecture names (the flow's name) are in the chain's
+        // source link.
+        let o = cx.options;
+        (self.keep == 0).then(|| {
+            FingerprintBuilder::new("cim-mlc/pass/codegen-count/v1")
+                .u64(u64::from(o.weight_bits))
+                .u64(u64::from(o.act_bits))
+                .bool(o.cg.pipeline)
+                .bool(o.cg.duplication)
+                .bool(o.mvm.duplication)
+                .bool(o.mvm.pipeline)
+                .str(o.level.name())
+                .u64(o.max_flow_ops)
+                .finish()
+        })
     }
 }
 

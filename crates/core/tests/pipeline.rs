@@ -8,12 +8,14 @@
 //! surface (skip, replace, artifact mutation) and the serde round-trips
 //! of the report types get targeted unit tests.
 
-use cim_arch::presets;
+use std::sync::Arc;
+
+use cim_arch::{presets, CimArchitecture};
 use cim_compiler::{
-    Artifact, CodegenPass, CompileError, CompileMetrics, CompileOptions, Compiler, Diagnostics,
-    OptLevel, Pass, PassContext, PerfReport, Pipeline, StageKind,
+    codegen, Artifact, CodegenPass, CompileCache, CompileError, CompileMetrics, CompileOptions,
+    Compiler, Diagnostics, DiskCache, OptLevel, Pass, PassContext, PerfReport, Pipeline, StageKind,
 };
-use cim_graph::zoo;
+use cim_graph::{zoo, Graph};
 use proptest::prelude::*;
 
 fn options_for(level: OptLevel) -> CompileOptions {
@@ -120,6 +122,72 @@ fn staged_pipeline_generates_identical_flows() {
             }
         }
     }
+}
+
+/// The served flow head: `keeping(0)` counts the whole flow, then the
+/// head step over those known counts generates only what it keeps. Cold
+/// (the count is computed and stored) and warm (it comes back through
+/// the disk codec), it equals `generate_flow_bounded` on every zoo model
+/// × preset at every cut, and refuses exactly as it does.
+#[test]
+fn the_head_step_over_known_counts_is_the_bounded_flow() {
+    let options = CompileOptions::default();
+    let dir = std::env::temp_dir().join(format!("cim-head-step-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache: Arc<dyn CompileCache> = Arc::new(DiskCache::open(&dir).unwrap());
+    let served = |graph: &Graph, arch: &CimArchitecture, keep: usize| {
+        let mut pipeline = Pipeline::plan(&options, arch);
+        pipeline.push(Box::new(CodegenPass::keeping(0)));
+        pipeline.push(Box::new(CodegenPass::keeping(keep)));
+        let mut session = pipeline
+            .session(graph, arch, options)
+            .with_cache(Arc::clone(&cache));
+        session.run()?;
+        let (artifact, timeline) = session.into_parts();
+        let Artifact::Codegenned(c) = artifact else {
+            panic!("the head step leaves a flow")
+        };
+        let count = timeline.records.iter().find(|r| r.pass == "codegen-count");
+        Ok::<_, CompileError>((c.flow, count.unwrap().cache == "hit"))
+    };
+    let mut generated = 0;
+    for model in zoo::NAMES {
+        let graph = zoo::by_name(model).unwrap();
+        for preset in presets::NAMES {
+            let arch = presets::by_name(preset).unwrap();
+            let at = format!("{model}@{preset}");
+            let compiled = Compiler::with_options(options)
+                .compile(&graph, &arch)
+                .unwrap();
+            let bounded = |keep| codegen::generate_flow_bounded(&compiled, &graph, &arch, keep);
+            let (counted, len) = match bounded(0) {
+                Ok((counted, _)) => {
+                    let len = counted.pushed();
+                    (counted, len)
+                }
+                Err(e) => {
+                    for keep in [0, 1, 7, 200] {
+                        assert_eq!(bounded(keep).unwrap_err(), e, "{at} keep {keep}");
+                        assert_eq!(served(&graph, &arch, keep).unwrap_err(), e, "{at}");
+                    }
+                    continue;
+                }
+            };
+            generated += 1;
+            for (i, keep) in [0, 1, 7, 200, len, len + 1].into_iter().enumerate() {
+                let expected = match keep {
+                    0 => counted.clone(),
+                    _ => bounded(keep).unwrap().0,
+                };
+                let (flow, hit) = served(&graph, &arch, keep).unwrap();
+                assert_eq!(hit, i > 0, "{at} keep {keep}: the count is banked once");
+                assert_eq!(flow, expected, "{at} keep {keep}");
+                assert_eq!(flow.pushed(), len, "{at} keep {keep}");
+            }
+        }
+    }
+    assert!(generated > 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {

@@ -129,8 +129,43 @@ fn scan(flow: &MopFlow) -> FlowStats {
     stats
 }
 
+/// Free text as a graph or node name can carry it: fragments including
+/// `'\n'`, `"\r\n"` and a lone `'\r'`.
+fn names() -> impl Strategy<Value = String> {
+    const FRAGMENTS: [&str; 7] = ["m", "@isaac", "\n", "\r\n", "\r", " ", ""];
+    proptest::collection::vec(0usize..FRAGMENTS.len(), 0..6)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `head(n)` is the rendering's first `n` lines for every `n`, so the
+    /// cuts land inside `parallel { … }` blocks and inside names that
+    /// span lines.
+    #[test]
+    fn head_is_the_rendered_flows_first_lines(
+        name in names(),
+        weights in proptest::collection::vec(names(), 0..3),
+        steps in steps(),
+    ) {
+        let mut flow = MopFlow::new(name);
+        for weight in weights {
+            let _ = flow.declare_mat(64, 64, weight);
+        }
+        for (kind, ops, _) in steps {
+            match kind {
+                0 => ops.into_iter().for_each(|op| flow.push(op)),
+                _ => flow.push_parallel(ops),
+            }
+        }
+        let text = flow.to_string();
+        let total = text.lines().count();
+        for n in 0..=total + 1 {
+            let expected: Vec<&str> = text.lines().take(n).collect();
+            prop_assert_eq!(flow.head(n), expected);
+        }
+    }
 
     #[test]
     fn running_stats_equal_the_scan(steps in steps(), keep in 0usize..12) {

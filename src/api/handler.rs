@@ -6,7 +6,7 @@
 //! responses verbatim — there is exactly one copy of each message.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cim_arch::{presets, CimArchitecture};
 use cim_bench::{
@@ -188,6 +188,19 @@ impl Handler {
         Some(entry)
     }
 
+    /// The pinned sessions. A job that panicked holding the map (inside
+    /// [`Session::recompile`], say) may have left a session half
+    /// updated, so a poisoned map is cleared, not trusted: requests
+    /// naming its sessions get the structured unknown-session error.
+    fn sessions(&self) -> MutexGuard<'_, HashMap<String, Session<'static>>> {
+        self.sessions.lock().unwrap_or_else(|poisoned| {
+            let mut sessions = poisoned.into_inner();
+            sessions.clear();
+            self.sessions.clear_poison();
+            sessions
+        })
+    }
+
     /// The shared cache, when this handler has one.
     #[must_use]
     pub fn shared_cache(&self) -> Option<&Arc<dyn CompileCache>> {
@@ -318,16 +331,21 @@ impl Handler {
         let cache_before = cache.as_ref().map(|c| c.stats());
 
         let mut pipeline = Pipeline::plan(&options, &arch);
-        let codegen = match (req.flow, req.verify) {
+        match (req.flow, req.verify) {
             // Verification executes the flow, so it needs all of it.
-            (_, true) => Some(CodegenPass::default()),
+            (_, true) => {
+                pipeline.push(Box::new(CodegenPass::default()));
+            }
             // A head of `n` lines needs at most `n` statements (each
-            // renders to at least one line); the counts cover the rest.
-            (Some(n), false) => Some(CodegenPass::keeping(n)),
-            (None, false) => None,
-        };
-        if let Some(pass) = codegen {
-            pipeline.push(Box::new(pass));
+            // renders to at least one line). The counting step walks the
+            // whole flow once per schedule (the cache banks its counts);
+            // the head step then generates only what it keeps. It keeps
+            // at least one statement, so it stays the `codegen` step.
+            (Some(n), false) => {
+                pipeline.push(Box::new(CodegenPass::keeping(0)));
+                pipeline.push(Box::new(CodegenPass::keeping(n.max(1))));
+            }
+            (None, false) => {}
         }
         let mut session = pipeline.session(&graph, &arch, options);
         if let Some(cache) = &cache {
@@ -366,10 +384,7 @@ impl Handler {
         let (artifact, timeline) = match &req.session {
             Some(name) => {
                 let parts = (session.artifact().clone(), session.timeline().clone());
-                self.sessions
-                    .lock()
-                    .expect("sessions mutex poisoned")
-                    .insert(name.clone(), session.into_owned());
+                self.sessions().insert(name.clone(), session.into_owned());
                 parts
             }
             None => session.into_parts(),
@@ -467,7 +482,7 @@ impl Handler {
         name: &str,
         delta: &GraphDelta,
     ) -> Result<RecompileOutcome, ApiError> {
-        let mut sessions = self.sessions.lock().expect("sessions mutex poisoned");
+        let mut sessions = self.sessions();
         let session = sessions.get_mut(name).ok_or_else(|| {
             ApiError::input(format!(
                 "unknown session `{name}` (pin one with a compile request's `session` field)"
@@ -876,10 +891,7 @@ impl std::fmt::Debug for Handler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Handler")
             .field("shared_cache", &self.shared_cache.is_some())
-            .field(
-                "sessions",
-                &self.sessions.lock().expect("sessions mutex poisoned").len(),
-            )
+            .field("sessions", &self.sessions().len())
             .finish()
     }
 }
@@ -926,5 +938,54 @@ mod tests {
         assert!(matches!(second, ResponseBody::Compile(_)), "{second:?}");
         let zoo = handler.zoo.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(zoo.len(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_session_map_is_cleared_and_still_pins() {
+        let handler = Handler::new();
+        let pinned = |session: &str| {
+            Request::Compile(CompileRequest {
+                model: "lenet5".into(),
+                arch: "isaac".into(),
+                mode: None,
+                level: None,
+                jobs: 0,
+                schedule: false,
+                flow: None,
+                verify: false,
+                dump_stage: None,
+                cache: CachePolicy::Off,
+                session: Some(session.into()),
+            })
+        };
+        let recompile = |session: &str| {
+            Request::Recompile(RecompileRequest {
+                session: Some(session.into()),
+                compile: None,
+                delta: GraphDelta::default(),
+            })
+        };
+        let first = handler.handle(&pinned("a"));
+        assert!(matches!(first, ResponseBody::Compile(_)), "{first:?}");
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _sessions = handler.sessions.lock();
+                panic!("poisoning the session map mid-recompile");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(handler.sessions.is_poisoned());
+        // Debug, a recompile and a new pin all answer instead of
+        // panicking; the possibly half-updated session is gone.
+        assert!(format!("{handler:?}").contains("sessions: 0"));
+        assert!(!handler.sessions.is_poisoned());
+        match handler.handle(&recompile("a")) {
+            ResponseBody::Error(e) => assert!(e.message.contains("unknown session `a`"), "{e:?}"),
+            other => panic!("a cleared session recompiled: {other:?}"),
+        }
+        let again = handler.handle(&pinned("b"));
+        assert!(matches!(again, ResponseBody::Compile(_)), "{again:?}");
+        let edited = handler.handle(&recompile("b"));
+        assert!(matches!(edited, ResponseBody::Recompiled(_)), "{edited:?}");
     }
 }

@@ -378,6 +378,38 @@ fn compile_timings_reports_cache_outcomes() {
 }
 
 #[test]
+fn a_second_flow_compile_on_a_cache_dir_is_all_hits() {
+    let cache_dir = tmp_path("compile_flow_cache");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let args = [
+        "compile",
+        "--model",
+        "lenet5",
+        "--arch",
+        "isaac",
+        "--flow",
+        "10",
+        "--timings",
+        "--cache-dir",
+        cache_dir.to_str().unwrap(),
+    ];
+    let cold = cimc(&args);
+    assert!(cold.status.success(), "{}", stderr(&cold));
+    let text = stdout(&cold);
+    assert!(text.contains("codegen-count"), "{text}");
+    assert!(text.contains("4 miss(es)"), "{text}");
+    // The flow's counts come back from disk with the schedules: no pass
+    // misses, and the answer is the same.
+    let warm = cimc(&args);
+    assert!(warm.status.success(), "{}", stderr(&warm));
+    let text = stdout(&warm);
+    assert!(text.contains("4 hit(s), 0 miss(es)"), "{text}");
+    let flow = |text: &str| text[text.find("// meta-operator flow").unwrap()..].to_owned();
+    assert_eq!(flow(&stdout(&warm)), flow(&stdout(&cold)));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
 fn compile_timings_prints_the_pass_timeline() {
     let out = cimc(&[
         "compile",
