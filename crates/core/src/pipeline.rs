@@ -609,9 +609,10 @@ impl Pass for VvmPass {
 ///
 /// [`CodegenPass::default`] keeps every statement of the flow.
 /// [`CodegenPass::keeping`]`(keep)` stores only the first `keep`
-/// ([`generate_flow_bounded`](codegen::generate_flow_bounded)): the flow's counts, and its
-/// [`head(n)`](MopFlow::head) for every `n <= keep`, are those of the
-/// whole flow, but it cannot be validated or executed. The summary,
+/// ([`generate_flow_bounded`](codegen::generate_flow_bounded)): the
+/// flow's counts, and its [`head(n)`](MopFlow::head) for every
+/// `n <= keep`, are those of the whole flow, but it cannot be validated
+/// or executed. The summary,
 /// rendering and diagnostic report the pushed statement count, so they
 /// read the same for both.
 ///
