@@ -346,8 +346,9 @@ impl MopFlow {
     /// The first `n` lines of the flow's rendering, exactly
     /// `self.to_string().lines().take(n)`: a `'\r'` ending a line of the
     /// name or of a weight name is dropped, as [`str::lines`] drops it.
-    /// Only those `n` lines are rendered, each straight into its own
-    /// `String`, so the cost is the head's, not the flow's. For a flow
+    /// Only those `n` lines are rendered, each once into a reused buffer
+    /// and copied out at its exact length, so the cost is the head's,
+    /// not the flow's. For a flow
     /// built with [`MopFlow::bounded`]`(_, keep)` this equals the whole
     /// flow's head for every `n <= keep`.
     #[must_use]
