@@ -12,9 +12,10 @@
 //! thread-count-invariant results as long as the per-item function is
 //! pure.
 //!
-//! Worker threads are named `cim-pool-{i}` so they are identifiable in
-//! debuggers, profilers and panic backtraces, and a panic inside `f` is
-//! re-raised on the caller with the index of the job that panicked.
+//! One worker is the calling thread; more are spawned threads named
+//! `cim-pool-{i}`, so they are identifiable in debuggers, profilers and
+//! panic backtraces. Either way a panic inside `f` is re-raised on the
+//! caller with the index of the job that panicked.
 //!
 //! # Observability
 //!
@@ -44,14 +45,15 @@ fn effective_threads(requested: usize) -> usize {
 }
 
 /// Maps `f` over `items` on `threads` worker threads (clamped to
-/// `1..=items.len()`), returning the results in input order.
+/// `1..=items.len()`), returning the results in input order. One worker
+/// is the calling thread itself.
 ///
 /// `f` must be pure with respect to the output (it may hit shared
 /// caches): the contract every caller relies on is that the returned
 /// vector is identical for any `threads` value.
 ///
 /// # Panics
-/// Panics if a worker thread panics (a bug in `f`, not an input error).
+/// Panics if `f` panics on some item (a bug in `f`, not an input error).
 /// The message names the input index of the job that panicked — when
 /// several jobs panic concurrently, the lowest index wins.
 pub fn run_ordered<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<O>
@@ -64,42 +66,47 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
     // First panic per worker, recorded as (job index, payload text); the
-    // lowest job index is re-raised after the scope joins so the caller
-    // sees a deterministic culprit.
+    // lowest job index is re-raised once every worker is done, so the
+    // caller sees a deterministic culprit.
     let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let worker_loop = || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                match catch_unwind(AssertUnwindSafe(|| {
-                    let mut span = cim_obs::span("pool", "job");
-                    span.set(keys::INDEX, i as u64);
-                    f(item)
-                })) {
-                    Ok(out) => {
-                        *slots[i].lock().expect("pool worker poisoned a slot") = Some(out);
-                    }
-                    Err(payload) => {
-                        let text = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_owned());
-                        panics
-                            .lock()
-                            .expect("pool panic log poisoned")
-                            .push((i, text));
-                        break;
-                    }
-                }
-            };
-            std::thread::Builder::new()
-                .name(format!("cim-pool-{worker}"))
-                .spawn_scoped(scope, worker_loop)
-                .expect("spawning a cim-pool worker thread failed");
+    let worker_loop = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        match catch_unwind(AssertUnwindSafe(|| {
+            let mut span = cim_obs::span("pool", "job");
+            span.set(keys::INDEX, i as u64);
+            f(item)
+        })) {
+            Ok(out) => {
+                *slots[i].lock().expect("pool worker poisoned a slot") = Some(out);
+            }
+            Err(payload) => {
+                let text = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                panics
+                    .lock()
+                    .expect("pool panic log poisoned")
+                    .push((i, text));
+                break;
+            }
         }
-    });
+    };
+    if threads == 1 {
+        // One worker is the caller's thread: no spawn, no join.
+        worker_loop();
+    } else {
+        std::thread::scope(|scope| {
+            for worker in 0..threads {
+                std::thread::Builder::new()
+                    .name(format!("cim-pool-{worker}"))
+                    .spawn_scoped(scope, worker_loop)
+                    .expect("spawning a cim-pool worker thread failed");
+            }
+        });
+    }
     let mut panics = panics.into_inner().expect("pool panic log poisoned");
     if let Some((job, text)) = panics.drain(..).min_by_key(|&(job, _)| job) {
         panic!("cim-pool worker panicked on job {job}: {text}");
@@ -368,6 +375,22 @@ mod tests {
         for name in names.into_iter().flatten() {
             assert!(name.starts_with("cim-pool-"), "{name}");
         }
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_callers_thread_and_reraises_its_panic() {
+        let caller = std::thread::current().id();
+        let seen = run_ordered(&[(), ()], 1, |()| std::thread::current().id());
+        assert_eq!(seen, [caller, caller]);
+        let panic = catch_unwind(|| {
+            run_ordered(&[0u32, 1, 2], 1, |&n| {
+                assert!(n != 1, "job one fails");
+                n
+            })
+        })
+        .unwrap_err();
+        let text = panic.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(text, "cim-pool worker panicked on job 1: job one fails");
     }
 
     #[test]

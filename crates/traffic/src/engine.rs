@@ -10,18 +10,22 @@
 //! count.
 //!
 //! Per partition, the loop alternates admission and dispatch. The
-//! queue is one binary heap of request indices ordered by
-//! [`SchedPolicy::key`]: admission pushes, and when the partition frees
-//! up, drop-on-miss policies pop the requests whose deadline already
-//! passed off the top, then the smallest keys board a batch bounded by
-//! [`Batching::max_batch`]. A partial batch waits for more arrivals at
-//! most [`Batching::max_wait`] cycles past the oldest queued request's
-//! arrival. One batch of `b` requests occupies the partition for
+//! queue is a `RunQueue`: a set of FIFO runs, each in strictly rising
+//! [`SchedPolicy::key`] order, whose least head boards next — exactly
+//! the order one key-ordered heap would pop. Admission appends to a
+//! run, and when the partition frees up, drop-on-miss policies take the
+//! requests whose deadline already passed off the front, then the
+//! smallest keys board a batch bounded by [`Batching::max_batch`]. A
+//! partial batch waits for more arrivals at most [`Batching::max_wait`]
+//! cycles past the oldest queued request's arrival. One batch of `b`
+//! requests occupies the partition for
 //! [`ServiceModel::batch_cycles`]`(b)`.
 //!
-//! A replay of `n` requests therefore costs `O(n log q)` for a deepest
-//! queue of `q`, and keeps one [`RequestOutcome`] per request — never a
-//! per-dispatch copy of the queue.
+//! A replay of `n` requests therefore costs `O(n log r)` for at most `r`
+//! runs open at once — `r` is at most the queue depth, so never worse
+//! than `O(n log n)`, and `r = 1` under `fifo` — and keeps one
+//! [`RequestOutcome`] per request, never a per-dispatch copy of the
+//! queue.
 
 use crate::placement::Placement;
 use crate::policy::{Batching, PolicyKind, SchedPolicy};
@@ -245,8 +249,10 @@ pub fn simulate_priced(
         })
         .collect::<Result<_, _>>()?;
     let mut members = vec![Vec::new(); placement.partitions.len()];
+    let mut tenant_requests = vec![0; trace.spec.tenants.len()];
     for (i, r) in trace.requests.iter().enumerate() {
         members[tenant_partition[r.tenant]].push(i);
+        tenant_requests[r.tenant] += 1;
     }
     let policy = config.policy.build();
     let indices: Vec<usize> = (0..placement.partitions.len()).collect();
@@ -266,6 +272,7 @@ pub fn simulate_priced(
         placement,
         config,
         &tenant_partition,
+        &tenant_requests,
         &loops,
     ))
 }
@@ -282,6 +289,117 @@ struct PartitionLoop {
     max_queue_depth: usize,
 }
 
+/// A [`SchedPolicy::key`].
+type Key = (u64, u64, u64);
+
+/// One partition's queue of member positions, as FIFO runs.
+///
+/// An admitted member joins the run whose tail key is the largest one
+/// below its own, or opens a run when every tail is larger; the least
+/// run head boards next. Each run is in rising key order, so the least
+/// head is the least queued key and the dispatch order is exactly a
+/// key-ordered heap's. Members are admitted in arrival order, so a run
+/// is in arrival order too, and keys that share a priority (`priority`)
+/// or a relative deadline (`edf`) rise with arrival: a partition holds
+/// at most as many open runs as its tenants have distinct ones, and one
+/// under `fifo`.
+///
+/// Runs are kept by strictly falling tail key. A new run only ever
+/// opens below every tail, and a run only ever empties when its one
+/// member is the least queued key — so below every other tail too —
+/// which makes `runs` a stack: each operation is `O(log r)` for `r`
+/// open runs.
+struct RunQueue {
+    /// `next[k]`: the member queued behind member `k` in its run.
+    next: Vec<u32>,
+    /// The open runs, by strictly falling tail key.
+    runs: Vec<Run>,
+    /// Each open run's head key and index into `runs`, least first.
+    heads: BinaryHeap<Reverse<(Key, u32)>>,
+    len: usize,
+}
+
+/// One FIFO run: its first and last member, linked through
+/// [`RunQueue::next`], and the last one's key.
+struct Run {
+    head: u32,
+    tail: u32,
+    tail_key: Key,
+}
+
+impl RunQueue {
+    /// An empty queue for member positions `0..members`.
+    fn new(members: usize) -> Self {
+        assert!(
+            u32::try_from(members).is_ok(),
+            "a partition queues at most u32::MAX requests"
+        );
+        RunQueue {
+            next: vec![0; members],
+            runs: Vec::new(),
+            heads: BinaryHeap::new(),
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Queues member `k`, whose key is `key`.
+    fn push(&mut self, k: u32, key: Key) {
+        let at = self.runs.partition_point(|run| run.tail_key > key);
+        if let Some(run) = self.runs.get_mut(at) {
+            self.next[run.tail as usize] = k;
+            run.tail = k;
+            run.tail_key = key;
+        } else {
+            self.heads.push(Reverse((key, at as u32)));
+            self.runs.push(Run {
+                head: k,
+                tail: k,
+                tail_key: key,
+            });
+        }
+        self.len += 1;
+    }
+
+    /// The member with the least key.
+    fn peek(&self) -> Option<u32> {
+        let Reverse((_, run)) = self.heads.peek()?;
+        Some(self.runs[*run as usize].head)
+    }
+
+    /// Takes the member with the least key off the queue; `key` prices
+    /// the member behind it.
+    fn pop(&mut self, key: impl Fn(u32) -> Key) -> Option<u32> {
+        let mut top = self.heads.peek_mut()?;
+        let at = top.0 .1 as usize;
+        let run = &mut self.runs[at];
+        let k = run.head;
+        if k == run.tail {
+            debug_assert_eq!(at + 1, self.runs.len(), "an emptied run has the least tail");
+            PeekMut::pop(top);
+            self.runs.pop();
+        } else {
+            run.head = self.next[k as usize];
+            top.0 .0 = key(run.head);
+        }
+        self.len -= 1;
+        Some(k)
+    }
+
+    /// The earliest-admitted queued member: a run is in admission
+    /// order, so it is the least run head.
+    fn oldest(&self) -> Option<u32> {
+        self.runs.iter().map(|run| run.head).min()
+    }
+}
+
 /// Replays one partition's requests: `members` indexes `events` in
 /// arrival order.
 fn run_partition(
@@ -292,27 +410,28 @@ fn run_partition(
     batching: Batching,
     horizon: u64,
 ) -> PartitionLoop {
-    let event = |k: usize| &events[members[k]];
+    let event = |k: u32| &events[members[k as usize]];
+    let key = |k: u32| policy.key(event(k));
     let mut out = PartitionLoop {
         slots: vec![(0, None); members.len()],
         makespan: horizon,
         ..PartitionLoop::default()
     };
-    // Min-heap of (key, member position).
-    let mut queue = BinaryHeap::new();
-    let mut next = 0usize; // next un-admitted member
+    let mut queue = RunQueue::new(members.len());
+    let end = members.len() as u32;
+    let mut next = 0u32; // next un-admitted member
     let mut now = 0u64;
     let mut free_at = 0u64;
 
-    let mut admit = |until: u64, next: &mut usize, queue: &mut BinaryHeap<_>| {
-        while *next < members.len() && event(*next).arrival <= until {
-            queue.push(Reverse((policy.key(event(*next)), *next)));
+    let mut admit = |until: u64, next: &mut u32, queue: &mut RunQueue| {
+        while *next < end && event(*next).arrival <= until {
+            queue.push(*next, key(*next));
             *next += 1;
             out.max_queue_depth = out.max_queue_depth.max(queue.len());
         }
     };
 
-    while next < members.len() || !queue.is_empty() {
+    while next < end || !queue.is_empty() {
         if queue.is_empty() {
             // Idle: jump to the next arrival.
             now = now.max(event(next).arrival);
@@ -325,13 +444,9 @@ fn run_partition(
         }
         // Batch forming: wait for a fuller batch if allowed and there
         // is anything to wait for.
-        if queue.len() < batching.max_batch && batching.max_wait > 0 && next < members.len() {
-            let oldest = queue
-                .iter()
-                .map(|Reverse((_, k))| event(*k).arrival)
-                .min()
-                .expect("queue is non-empty");
-            let force_at = oldest.saturating_add(batching.max_wait);
+        if queue.len() < batching.max_batch && batching.max_wait > 0 && next < end {
+            let oldest = queue.oldest().expect("queue is non-empty");
+            let force_at = event(oldest).arrival.saturating_add(batching.max_wait);
             if now < force_at {
                 if event(next).arrival <= force_at {
                     now = now.max(event(next).arrival);
@@ -342,12 +457,11 @@ fn run_partition(
             }
         }
         // Drop-on-miss: the key leads with the deadline, so every
-        // request that can only produce a missed answer is on top.
-        let expired =
-            |k: usize| policy.drop_on_miss() && event(k).deadline.is_some_and(|d| d <= now);
-        while let Some(top) = queue.peek_mut().filter(|top| expired(top.0 .1)) {
-            let Reverse((_, k)) = PeekMut::pop(top);
-            out.slots[k] = (now, None);
+        // request that can only produce a missed answer is in front.
+        let expired = |k: u32| policy.drop_on_miss() && event(k).deadline.is_some_and(|d| d <= now);
+        while queue.peek().is_some_and(expired) {
+            let k = queue.pop(key).expect("peeked");
+            out.slots[k as usize] = (now, None);
         }
         let take = queue.len().min(batching.max_batch);
         if take == 0 {
@@ -356,8 +470,8 @@ fn run_partition(
         let cost = service.batch_cycles(take);
         let finish = now + cost;
         for _ in 0..take {
-            let Reverse((_, k)) = queue.pop().expect("take <= queue length");
-            out.slots[k] = (now, Some(finish));
+            let k = queue.pop(key).expect("take <= queue length");
+            out.slots[k as usize] = (now, Some(finish));
         }
         out.served += take as u64;
         out.batches += 1;
@@ -370,13 +484,15 @@ fn run_partition(
 
 /// Folds the partition loops into the report and the per-request
 /// outcomes: one pass over the trace, then an `O(n)` latency summary per
-/// tenant and one over their concatenation.
+/// tenant and one over their concatenation. `tenant_requests` counts
+/// each tenant's requests, which sizes the latency buffers up front.
 fn assemble(
     trace: &Trace,
     arch: &CimArchitecture,
     placement: &Placement,
     config: &SimConfig,
     tenant_partition: &[usize],
+    tenant_requests: &[usize],
     loops: &[PartitionLoop],
 ) -> (TrafficReport, Vec<RequestOutcome>) {
     // Every loop's makespan starts at the (validated, non-zero) horizon.
@@ -389,7 +505,10 @@ fn assemble(
     // Each partition's members are in trace order, so a cursor per
     // partition walks its slots alongside the trace.
     let mut cursor = vec![0usize; loops.len()];
-    let mut flows = vec![Tally::default(); trace.spec.tenants.len()];
+    let mut flows: Vec<Tally> = tenant_requests
+        .iter()
+        .map(|&n| Tally::with_capacity(n))
+        .collect();
     let outcomes: Vec<RequestOutcome> = trace
         .requests
         .iter()
@@ -407,7 +526,7 @@ fn assemble(
             }
         })
         .collect();
-    let mut all = Tally::default();
+    let mut all = Tally::with_capacity(flows.iter().map(|f| f.latencies.len()).sum());
     for flow in &flows {
         all.requests += flow.requests;
         all.missed += flow.missed;
@@ -475,6 +594,14 @@ struct Tally {
 }
 
 impl Tally {
+    /// An empty tally with room for `n` served latencies.
+    fn with_capacity(n: usize) -> Self {
+        Tally {
+            latencies: Vec::with_capacity(n),
+            ..Tally::default()
+        }
+    }
+
     fn add(&mut self, request: &TraceEvent, finished: Option<u64>) {
         self.requests += 1;
         if let Some(finish) = finished {
@@ -501,6 +628,7 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::EdfDrop;
     use crate::trace::{GeneratorKind, TenantSpec, TraceSpec};
     use cim_arch::presets;
     use proptest::prelude::*;
@@ -698,9 +826,9 @@ mod tests {
         assert!(matches!(err, TrafficError::UnplacedModel(m) if m == "lenet5"));
     }
 
-    /// The engine before the heap, kept as the reference: re-sort the
-    /// whole queue by key on every dispatch, shed every expired request
-    /// anywhere in it, drain the front.
+    /// The engine before its key-ordered queue, kept as the reference:
+    /// re-sort the whole queue by key on every dispatch, shed every
+    /// expired request anywhere in it, drain the front.
     fn oracle_partition(
         events: &[TraceEvent],
         members: &[usize],
@@ -822,8 +950,10 @@ mod tests {
             .map(|t| placement.partition_of(&t.model).unwrap())
             .collect();
         let mut members = vec![Vec::new(); placement.partitions.len()];
+        let mut tenant_requests = vec![0; trace.spec.tenants.len()];
         for (i, r) in trace.requests.iter().enumerate() {
             members[tenant_partition[r.tenant]].push(i);
+            tenant_requests[r.tenant] += 1;
         }
         let policy = config.policy.build();
         let loops: Vec<PartitionLoop> = members
@@ -834,8 +964,15 @@ mod tests {
                 oracle_partition(&trace.requests, m, s, policy.as_ref(), b, h)
             })
             .collect();
-        let (mut report, outcomes) =
-            assemble(trace, arch, placement, config, &tenant_partition, &loops);
+        let (mut report, outcomes) = assemble(
+            trace,
+            arch,
+            placement,
+            config,
+            &tenant_partition,
+            &tenant_requests,
+            &loops,
+        );
         let mcycles = report.makespan as f64 / 1e6;
         for (idx, t) in report.tenants.iter_mut().enumerate() {
             t.flow = oracle_flow(trace, &outcomes, Some(idx), mcycles);
@@ -905,14 +1042,61 @@ mod tests {
             )
     }
 
+    /// Hand-built, arrival-sorted traces on top of [`replays`]' specs
+    /// and configs, whose requests draw their priority and deadline
+    /// independently of their tenant (a generated trace stamps both from
+    /// the tenant). Under `priority` and `edf` a partition then holds
+    /// many runs at once, not one per tenant.
+    fn mixed_key_replays() -> impl Strategy<Value = (Trace, SimConfig)> {
+        (
+            replays(),
+            proptest::collection::vec(
+                (
+                    0u64..120,
+                    0usize..3,
+                    0u32..6,
+                    proptest::option::of(500u64..40_000),
+                ),
+                1..400,
+            ),
+        )
+            .prop_map(|((spec, config), draws)| {
+                let mut arrival = 0;
+                let requests = draws
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, (gap, tenant, priority, deadline))| {
+                        arrival += gap;
+                        TraceEvent {
+                            id: id as u64,
+                            tenant: tenant % spec.tenants.len(),
+                            arrival,
+                            priority,
+                            deadline: deadline.map(|d| arrival + d),
+                        }
+                    })
+                    .collect();
+                let trace = Trace {
+                    schema_version: Trace::VERSION,
+                    spec,
+                    requests,
+                };
+                (trace, config)
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn heap_engine_matches_the_sorting_oracle((spec, config) in replays()) {
-            let trace = spec.generate().unwrap();
+        fn run_queue_matches_the_sorting_oracle(
+            (trace, config) in prop_oneof![
+                replays().prop_map(|(spec, config)| (spec.generate().unwrap(), config)),
+                mixed_key_replays(),
+            ]
+        ) {
             let arch = presets::isaac_baseline();
-            let placement = Placement::balanced(&arch, &spec).unwrap();
+            let placement = Placement::balanced(&arch, &trace.spec).unwrap();
             let services = vec![
                 ServiceModel { latency_cycles: 4_000, interval_cycles: 400 };
                 placement.partitions.len()
@@ -1044,5 +1228,74 @@ mod tests {
                 assert!(deepest > Some(5_000), "deepest fifo queue {deepest:?}");
             }
         }
+    }
+
+    /// A 200 k-request single-partition `edf` replay whose deadlines fall
+    /// as arrivals rise: every request's key is below every queued one,
+    /// so each opens its own run and the queue holds close to 200 k runs.
+    /// Run selection that scanned the runs would go quadratic here, and
+    /// show up as a test that does not finish.
+    #[test]
+    fn one_run_per_request_replay_stays_linearithmic() {
+        const REQUESTS: u64 = 200_000;
+        let spec = TraceSpec {
+            name: "falling".into(),
+            kind: GeneratorKind::Poisson,
+            seed: 0,
+            horizon: 10 * REQUESTS,
+            mean_gap: 10.0,
+            burst_len: 1,
+            idle_gap: 1.0,
+            tenants: vec![TenantSpec {
+                name: "only".into(),
+                model: "lenet5".into(),
+                weight: 1.0,
+                priority: 0,
+                deadline: None,
+            }],
+        };
+        let requests: Vec<TraceEvent> = (0..REQUESTS)
+            .map(|id| TraceEvent {
+                id,
+                tenant: 0,
+                arrival: 10 * id,
+                priority: 0,
+                deadline: Some(100 * REQUESTS * 1_000 - id),
+            })
+            .collect();
+        let mut queue = RunQueue::new(requests.len());
+        for (k, r) in requests.iter().enumerate() {
+            queue.push(k as u32, EdfDrop.key(r));
+        }
+        assert_eq!(
+            queue.runs.len(),
+            requests.len(),
+            "every request opens a run"
+        );
+
+        let trace = Trace {
+            schema_version: Trace::VERSION,
+            spec,
+            requests,
+        };
+        let arch = presets::isaac_baseline();
+        let placement = Placement::balanced(&arch, &trace.spec).unwrap();
+        let services = fixed_services(1);
+        let (report, outcomes) = simulate_priced(
+            &trace,
+            &arch,
+            &placement,
+            &services,
+            &config(PolicyKind::Edf),
+            1,
+        )
+        .unwrap();
+        let flow = &report.aggregate;
+        assert_eq!(flow.requests, REQUESTS);
+        assert_eq!(flow.served, REQUESTS, "every deadline is far off");
+        assert!(report.partitions[0].max_queue_depth > 150_000);
+        // The first request boards alone at once; after it, the newest
+        // queued request has the earliest deadline and boards first.
+        assert!(outcomes[1].dispatched > outcomes[REQUESTS as usize - 1].dispatched);
     }
 }

@@ -21,12 +21,14 @@
 //!    priority, EDF with drop-on-miss, whose key leads with the deadline),
 //!    all composed with the same [`Batching`] knob.
 //! 4. [`engine`] + [`report`] — the deterministic integer-cycle event
-//!    loop ([`run_simulation`]; one key-ordered heap per partition, so
-//!    `O(n log q)` for `n` requests queued at most `q` deep, plus `O(n)`
-//!    for the latency summaries, which select percentiles rather than
-//!    sort) and the schema-versioned [`TrafficReport`] it produces,
-//!    bit-reproducible for a given `(trace, placement, policy, batching)`
-//!    at any thread count (check with
+//!    loop ([`run_simulation`]; per partition, a queue of FIFO runs in
+//!    key order, so `O(n log r)` for `n` requests with at most `r` runs
+//!    open at once — one under `fifo`, at most one per distinct priority
+//!    or relative deadline under `priority` and `edf`, never more than
+//!    `n` — plus `O(n)` for the latency summaries, which select
+//!    percentiles rather than sort) and the schema-versioned
+//!    [`TrafficReport`] it produces, bit-reproducible for a given
+//!    `(trace, placement, policy, batching)` at any thread count (check with
 //!    [`Document::comparable`](cim_obs::Document::comparable)).
 //!
 //! ```

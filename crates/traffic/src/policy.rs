@@ -2,8 +2,8 @@
 //!
 //! A [`SchedPolicy`] decides, each time a partition frees up, *which*
 //! queued requests board the next batch: the engine keeps each
-//! partition's queue as one binary heap ordered by
-//! [`SchedPolicy::key`] and pops the smallest keys. Policies therefore
+//! partition's queue in [`SchedPolicy::key`] order (as FIFO runs, each
+//! in rising key order) and boards the smallest keys. Policies therefore
 //! compose with batching instead of replacing it — the [`Batching`]
 //! limits (max batch size, max head-of-line wait) are honored
 //! identically by every policy.
@@ -59,8 +59,8 @@ pub trait SchedPolicy: Send + Sync {
     /// time is dropped instead of served.
     ///
     /// Only valid for a key that leads with the absolute deadline
-    /// (`u64::MAX` when there is none): the engine sheds by popping
-    /// expired requests off the top of the queue, so every expired
+    /// (`u64::MAX` when there is none): the engine sheds by taking
+    /// expired requests off the front of the queue, so every expired
     /// request must order before every live one.
     fn drop_on_miss(&self) -> bool {
         false

@@ -29,6 +29,8 @@
 
 use cim_obs::Document;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Why a trace spec was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -247,11 +249,12 @@ impl TraceSpec {
     /// [`TraceSpec::validate`].
     pub fn generate(&self) -> Result<Trace, TraceError> {
         self.validate()?;
-        // (arrival, tenant) pairs; merged and stably ordered below.
-        let mut raw: Vec<(u64, usize)> = Vec::new();
+        // One arrival stream per tenant, each in generation (and so
+        // arrival) order; merged by (arrival, tenant index) below.
+        let mut streams: Vec<Vec<u64>> = vec![Vec::new(); self.tenants.len()];
         match self.kind {
             GeneratorKind::Poisson => {
-                for (idx, _) in self.tenants.iter().enumerate() {
+                for (idx, stream) in streams.iter_mut().enumerate() {
                     let mut rng = SplitMix64::new(self.seed.wrapping_add(idx as u64));
                     let mut t = 0.0f64;
                     loop {
@@ -260,12 +263,12 @@ impl TraceSpec {
                         if at >= self.horizon {
                             break;
                         }
-                        raw.push((at, idx));
+                        stream.push(at);
                     }
                 }
             }
             GeneratorKind::Bursty => {
-                for (idx, _) in self.tenants.iter().enumerate() {
+                for (idx, stream) in streams.iter_mut().enumerate() {
                     let mut rng = SplitMix64::new(self.seed.wrapping_add(idx as u64));
                     let mut t = exp_gap(&mut rng, self.idle_gap);
                     'outer: loop {
@@ -274,7 +277,7 @@ impl TraceSpec {
                             if at >= self.horizon {
                                 break 'outer;
                             }
-                            raw.push((at, idx));
+                            stream.push(at);
                             t += exp_gap(&mut rng, self.mean_gap);
                         }
                         t += exp_gap(&mut rng, self.idle_gap);
@@ -302,27 +305,48 @@ impl TraceSpec {
                             break;
                         }
                     }
-                    raw.push((at, idx));
+                    streams[idx].push(at);
                 }
             }
         }
-        raw.sort_by_key(|&(at, tenant)| (at, tenant));
-        let requests = raw
-            .into_iter()
+        Ok(Trace {
+            schema_version: Trace::VERSION,
+            spec: self.clone(),
+            requests: self.merge(&streams),
+        })
+    }
+
+    /// Merges per-tenant arrival streams, each in arrival order, into
+    /// requests sorted by `(arrival, tenant)`, keeping each stream's
+    /// order among its own equal arrivals — the order a stable sort of
+    /// the concatenated streams by that pair gives. A heap of stream
+    /// heads makes it `O(n log t)` for `t` tenants.
+    fn merge(&self, streams: &[Vec<u64>]) -> Vec<TraceEvent> {
+        let mut requests = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+        let mut cursor = vec![0usize; streams.len()];
+        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = streams
+            .iter()
             .enumerate()
-            .map(|(id, (arrival, tenant))| TraceEvent {
-                id: id as u64,
+            .filter_map(|(tenant, stream)| Some(Reverse((*stream.first()?, tenant))))
+            .collect();
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((arrival, tenant)) = *head;
+            requests.push(TraceEvent {
+                id: requests.len() as u64,
                 tenant,
                 arrival,
                 priority: self.tenants[tenant].priority,
                 deadline: self.tenants[tenant].deadline.map(|d| arrival + d),
-            })
-            .collect();
-        Ok(Trace {
-            schema_version: Trace::VERSION,
-            spec: self.clone(),
-            requests,
-        })
+            });
+            cursor[tenant] += 1;
+            match streams[tenant].get(cursor[tenant]) {
+                Some(&next) => head.0 .0 = next,
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        requests
     }
 }
 
@@ -566,6 +590,35 @@ mod tests {
         let mut s = spec(GeneratorKind::Poisson);
         s.mean_gap = f64::NAN;
         assert!(s.generate().unwrap_err().to_string().contains("mean_gap"));
+    }
+
+    proptest::proptest! {
+        /// The merge is the stable sort of the concatenated streams by
+        /// `(arrival, tenant)`, also for a stream with several arrivals on
+        /// one cycle, which `generate` never produces (every gap is at
+        /// least one cycle).
+        #[test]
+        fn merge_is_the_stable_sort_of_the_streams(
+            mut streams in proptest::collection::vec(proptest::collection::vec(0u64..50, 0..40), 1..6)
+        ) {
+            for stream in &mut streams {
+                stream.sort_unstable();
+            }
+            let mut spec = spec(GeneratorKind::Poisson);
+            spec.tenants = (0..streams.len())
+                .map(|i| TenantSpec { name: format!("t{i}"), ..spec.tenants[0].clone() })
+                .collect();
+            let mut want: Vec<(u64, usize)> = streams
+                .iter()
+                .enumerate()
+                .flat_map(|(tenant, stream)| stream.iter().map(move |&at| (at, tenant)))
+                .collect();
+            want.sort_by_key(|&pair| pair);
+            let merged = spec.merge(&streams);
+            let got: Vec<(u64, usize)> = merged.iter().map(|r| (r.arrival, r.tenant)).collect();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert!(merged.iter().enumerate().all(|(i, r)| r.id == i as u64));
+        }
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! * EDF never serves an admitted request while a strictly-earlier-
 //!   deadline request sits in the same queue (checked against the
 //!   per-request outcomes and the trace), and every request has
-//!   exactly one outcome.
+//!   exactly one outcome;
+//! * the merging generator builds exactly the trace that generating
+//!   every arrival and stably sorting them builds.
 
 use cim_arch::presets;
 use cim_obs::Document;
 use cim_sim::ServiceModel;
 use cim_traffic::{
-    simulate_priced, Batching, GeneratorKind, Placement, PolicyKind, SimConfig, TenantSpec, Trace,
-    TraceSpec,
+    simulate_priced, Batching, GeneratorKind, Placement, PolicyKind, SimConfig, SplitMix64,
+    TenantSpec, Trace, TraceError, TraceEvent, TraceSpec,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -67,6 +69,128 @@ fn specs() -> impl Strategy<Value = TraceSpec> {
         )
 }
 
+/// The generator before the merge, kept as the reference: every
+/// tenant's arrivals into one list, stably sorted by `(arrival, tenant)`.
+fn sorting_generate(spec: &TraceSpec) -> Result<Trace, TraceError> {
+    spec.validate()?;
+    let exp_gap = |rng: &mut SplitMix64, mean: f64| (-mean * rng.unit().ln()).max(1.0);
+    let mut raw: Vec<(u64, usize)> = Vec::new();
+    match spec.kind {
+        GeneratorKind::Poisson => {
+            for idx in 0..spec.tenants.len() {
+                let mut rng = SplitMix64::new(spec.seed.wrapping_add(idx as u64));
+                let mut t = 0.0f64;
+                loop {
+                    t += exp_gap(&mut rng, spec.mean_gap);
+                    let at = t as u64;
+                    if at >= spec.horizon {
+                        break;
+                    }
+                    raw.push((at, idx));
+                }
+            }
+        }
+        GeneratorKind::Bursty => {
+            for idx in 0..spec.tenants.len() {
+                let mut rng = SplitMix64::new(spec.seed.wrapping_add(idx as u64));
+                let mut t = exp_gap(&mut rng, spec.idle_gap);
+                'outer: loop {
+                    for _ in 0..spec.burst_len {
+                        let at = t as u64;
+                        if at >= spec.horizon {
+                            break 'outer;
+                        }
+                        raw.push((at, idx));
+                        t += exp_gap(&mut rng, spec.mean_gap);
+                    }
+                    t += exp_gap(&mut rng, spec.idle_gap);
+                }
+            }
+        }
+        GeneratorKind::Mix => {
+            let mut rng = SplitMix64::new(spec.seed);
+            let total: f64 = spec.tenants.iter().map(|t| t.weight).sum();
+            let mut t = 0.0f64;
+            loop {
+                t += exp_gap(&mut rng, spec.mean_gap);
+                let at = t as u64;
+                if at >= spec.horizon {
+                    break;
+                }
+                let draw = rng.unit() * total;
+                let mut acc = 0.0;
+                let mut idx = spec.tenants.len() - 1;
+                for (i, tenant) in spec.tenants.iter().enumerate() {
+                    acc += tenant.weight;
+                    if draw < acc {
+                        idx = i;
+                        break;
+                    }
+                }
+                raw.push((at, idx));
+            }
+        }
+    }
+    raw.sort_by_key(|&(at, tenant)| (at, tenant));
+    let requests = raw
+        .into_iter()
+        .enumerate()
+        .map(|(id, (arrival, tenant))| TraceEvent {
+            id: id as u64,
+            tenant,
+            arrival,
+            priority: spec.tenants[tenant].priority,
+            deadline: spec.tenants[tenant].deadline.map(|d| arrival + d),
+        })
+        .collect();
+    Ok(Trace {
+        schema_version: Trace::VERSION,
+        spec: spec.clone(),
+        requests,
+    })
+}
+
+/// Specs for the generator oracle: up to six tenants, and mean gaps
+/// from a few cycles (tenants collide on the same cycle all the time)
+/// down below one cycle, which [`TraceSpec::validate`] rejects.
+fn dense_specs() -> impl Strategy<Value = TraceSpec> {
+    (
+        prop_oneof![
+            Just(GeneratorKind::Poisson),
+            Just(GeneratorKind::Bursty),
+            Just(GeneratorKind::Mix),
+        ],
+        0u64..1_000,
+        1_000u64..20_000,
+        prop_oneof![0.25f64..1.0, 1.0f64..4.0, 4.0f64..400.0],
+        1u32..40,
+        prop_oneof![1.0f64..8.0, 8.0f64..2_000.0],
+        proptest::collection::vec((0.1f64..4.0, 0u32..4), 1..7),
+    )
+        .prop_map(
+            |(kind, seed, horizon, mean_gap, burst_len, idle_gap, tenants)| TraceSpec {
+                name: "dense".into(),
+                kind,
+                seed,
+                horizon,
+                mean_gap,
+                burst_len,
+                idle_gap,
+                tenants: tenants
+                    .into_iter()
+                    .enumerate()
+                    .map(|(idx, (weight, priority))| TenantSpec {
+                        name: format!("t{idx}"),
+                        model: "lenet5".into(),
+                        weight,
+                        priority,
+                        deadline: Some(1_000 * u64::from(priority)),
+                    })
+                    .collect(),
+            },
+        )
+}
+
 /// A fixed service per partition: deterministic and cheap, so the
 /// properties exercise the engine rather than the compiler.
 fn services(n: usize) -> Vec<ServiceModel> {
@@ -100,6 +224,11 @@ proptest! {
         // And the file round-trips losslessly.
         let reparsed = Trace::from_json(&a).unwrap();
         prop_assert_eq!(reparsed.to_json(), a);
+    }
+
+    #[test]
+    fn merging_generator_matches_the_sorting_oracle(spec in dense_specs()) {
+        prop_assert_eq!(spec.generate(), sorting_generate(&spec));
     }
 
     #[test]

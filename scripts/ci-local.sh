@@ -28,12 +28,13 @@ build_and_test() {
     bold "build-and-test: cargo test"
     cargo test -q --workspace
     # The spend, sweep and brute-force segmentation oracles, the
-    # sort-the-whole-queue replay oracle, the sorting latency summary and
-    # the flow printer's properties are cheap enough to run at 2048 draws
-    # each.
-    bold "build-and-test: allocator, segmentation, replay, latency-summary and flow-printer oracles at 2048 draws"
+    # sort-the-whole-queue replay oracle, the sort-every-arrival trace
+    # generator, the sorting latency summary and the flow printer's
+    # properties are cheap enough to run at 2048 draws each.
+    bold "build-and-test: allocator, segmentation, replay, trace-generator, latency-summary and flow-printer oracles at 2048 draws"
     PROPTEST_CASES=2048 cargo test -q --release -p cim-compiler --lib -- alloc:: cg::
-    PROPTEST_CASES=2048 cargo test -q --release -p cim-traffic --lib -- heap_engine_matches_the_sorting_oracle
+    PROPTEST_CASES=2048 cargo test -q --release -p cim-traffic --lib -- run_queue_matches_the_sorting_oracle
+    PROPTEST_CASES=2048 cargo test -q --release -p cim-traffic --test properties -- merging_generator_matches_the_sorting_oracle
     PROPTEST_CASES=2048 cargo test -q --release -p cim-obs --lib -- of_cycles_is_the_sorting_summary
     PROPTEST_CASES=2048 cargo test -q --release -p cim-mop --test props
     # `--flow` alone generates a flow that keeps only the statements its
