@@ -1075,4 +1075,57 @@ mod tests {
             "{folded} folded, {dynamic} dynamic"
         );
     }
+
+    /// The DP's split point is not monotone in the segment start:
+    /// somewhere `cut[i] > cut[i + 1]`, so Knuth- or SMAWK-style pruning
+    /// of the inner loop, which assumes `cut[i] <= cut[i + 1]`, would
+    /// change these schedules. `cut` is recomputed from the evaluator's
+    /// rows with the recurrence of `segmentation`, and checked against
+    /// the segments the scheduler chose.
+    #[test]
+    fn the_dp_split_point_is_not_monotone() {
+        for (model, preset) in [
+            ("vgg16", "isaac"),
+            ("resnet18", "jia"),
+            ("vit_base", "isaac"),
+            ("resnet152", "isaac"),
+        ] {
+            let graph = zoo::by_name(model).unwrap();
+            let arch = presets::by_name(preset).unwrap();
+            let (scratch, memo) = (crate::ScratchArena::new(), crate::RegionMemo::new());
+            let cx = context(&arch, &scratch, &memo);
+            let stages = extract_stages(&graph, &arch, 8);
+            let sched = schedule_cg_in(&cx, model, stages.clone(), CgOptions::full()).unwrap();
+            let evaluator = SegmentEvaluator::new(&cx, &stages, CgOptions::full());
+            assert!(!evaluator.stays_resident(), "{model}@{preset} ran no DP");
+            let n = stages.len();
+            let (mut dp, mut cut) = (vec![f64::INFINITY; n + 1], vec![n + 1; n + 1]);
+            dp[n] = 0.0;
+            for i in (0..n).rev() {
+                for (j, &lat) in evaluator.row(i).iter().enumerate() {
+                    let k = i + j;
+                    let boundary = if k + 1 < n {
+                        sched.reprogram_cycles
+                    } else {
+                        0.0
+                    };
+                    if lat + boundary + dp[k + 1] < dp[i] {
+                        dp[i] = lat + boundary + dp[k + 1];
+                        cut[i] = k + 1;
+                    }
+                }
+            }
+            let (mut chosen, mut i) = (Vec::new(), 0);
+            while i < n {
+                chosen.push(cut[i] - i);
+                i = cut[i];
+            }
+            let lengths: Vec<usize> = sched.segments.iter().map(|s| s.plans.len()).collect();
+            assert_eq!(chosen, lengths, "{model}@{preset}: recurrence drifted");
+            assert!(
+                (0..n - 1).any(|i| cut[i] > cut[i + 1]),
+                "{model}@{preset}: split point is monotone: {cut:?}"
+            );
+        }
+    }
 }
