@@ -1,5 +1,5 @@
-//! Ablation studies of the design choices DESIGN.md calls out, beyond the
-//! paper's own figures:
+//! Ablation studies of this reproduction's own design choices, beyond the
+//! paper's figures:
 //!
 //! * [`ablation_binding`] — Figure 7's two weight-bit bindings
 //!   (`B → XBC` adjacent-column slicing vs `B → XB` bit-plane crossbars):

@@ -5,7 +5,7 @@
 //! figures                 # print every figure
 //! figures --fig 20a       # one figure
 //! figures --fig hw        # the hardware abstractions (Figs 17-19, Table 3)
-//! figures --experiments   # emit the EXPERIMENTS.md body to stdout
+//! figures --experiments   # every figure row, paper vs measured, as one Markdown table
 //! ```
 
 use cim_bench::{all_figures, hardware_abstractions, Series};

@@ -1,43 +1,56 @@
 //! Duplication-allocation solvers.
 //!
-//! CG-grained optimization assigns each operator a *duplication number*
-//! under the total `core_number` budget (paper §3.3.2). Two objectives
-//! arise:
+//! CG-grained optimization assigns each operator an integer *duplication
+//! number* under the integer `core_number` budget (paper §3.3.2). Two
+//! objectives arise:
 //!
 //! * **pipelined** schedules care about the bottleneck stage —
 //!   [`minimize_bottleneck`] minimizes `max_i latency_i / D_i`;
 //! * **non-pipelined** schedules care about the serial sum —
 //!   [`minimize_total`] minimizes `Σ_i latency_i / D_i`.
 //!
-//! The paper solves the allocation with dynamic programming; because both
-//! objectives are separable and convex in the integer duplication numbers,
-//! the optimal allocation is also reachable by parametric search
-//! (bottleneck) and by optimal marginal allocation (sum — Fox's algorithm
-//! for convex separable resource allocation), which return the same optima
-//! as a reference DP on small instances (the tests cross-check) without
-//! the DP's `O(n·B·D)` table.
+//! Latencies are whole cycles, so both solvers are exact: a `Ratio`
+//! `latency / k` is compared with another by integer cross-multiplication,
+//! and no float enters either answer.
 //!
-//! The parametric search is exact: it finds the least `f64` bottleneck
-//! target λ whose quantized duplication vector fits the budget, by
-//! sweeping per-operator thresholds (`BottleneckSweep`). The
-//! segmentation DP prices every prefix of a budget window, and one sweep
-//! answers them all in order. The cores that vector leaves over go to the
-//! bottleneck stages, one *tie class* of identical stages at a time. The
-//! caller names each stage's *tie kind* up front (equal [`AllocItem`]s,
-//! equal kind; `tie_kinds`), so grouping the stages into classes is one
-//! `O(n)` pass, and the spend costs `O(n + L·C)` for `n` stages in `C`
-//! classes and `L` key levels, plus `O(n)` per level that does not fit.
+//! [`minimize_bottleneck`]'s answer is a greedy: start every stage at one
+//! replica, then grant one replica at a time to the stage with the highest
+//! `latency / D_i`, ties to the lowest index, skipping stages at their cap
+//! or with no latency and dropping a stage for good once it cannot be paid
+//! for. It is computed in two steps instead of one grant at a time:
 //!
-//! [`minimize_total`] grants one replica per heap pop: `O(n + G log n)`
-//! for `G` granted replicas.
+//! 1. A *threshold* `T`, a `Ratio`, asks every stage for
+//!    `Q_i(T) = clamp(ceil(latency_i / T), 1, cap_i)` replicas. The least
+//!    `T*` whose `Q(T*)` fits the budget is found by sweeping the stages'
+//!    thresholds (`BottleneckSweep`). The greedy passes through `Q(T*)`
+//!    without dropping a stage: while short of it, every stage below
+//!    `Q_i(T*)` has a key above `T*`, every other stage is at its cap or
+//!    has a key at most `T*`, and `Q(T*)` fits the budget.
+//! 2. The cores `Q(T*)` leaves over go where the greedy grants them next:
+//!    to the bottleneck stages, one *tie class* of identical stages at a
+//!    time. The caller names each stage's *tie kind* up front (equal
+//!    [`AllocItem`]s, equal kind; `tie_kinds`), so grouping the stages into
+//!    classes is one `O(n)` pass, and the spend costs `O(n + L·C)` for `n`
+//!    stages in `C` classes and `L` key levels, plus `O(n)` per level that
+//!    does not fit.
+//!
+//! The segmentation DP prices every prefix of a budget window, and one
+//! sweep answers them all in order.
+//!
+//! [`minimize_total`] is optimal marginal allocation (Fox's algorithm for
+//! convex separable resource allocation): one replica per heap pop,
+//! `O(n + G log n)` for `G` granted replicas.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// One operator from the allocator's perspective.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocItem {
     /// Cores consumed per replica.
     pub cost: u32,
-    /// Latency of the operator with a single replica (cycles). Finite.
-    pub latency: f64,
+    /// Latency of the operator with a single replica (cycles).
+    pub latency: u64,
     /// Upper bound on the duplication number (resource-independent caps:
     /// MVM count, bandwidth, ALU — computed by the caller).
     pub max_dup: u32,
@@ -59,7 +72,8 @@ pub struct AllocItem {
 /// Every call clears the first five, which hold at most one entry per
 /// item; the last holds one per kind. A caller that leases them once (the
 /// segmentation DP, per row) allocates nothing per call, and may pass
-/// them in with any contents.
+/// them in with any contents. The one-shot [`minimize_bottleneck`] also
+/// keeps its threshold heap in the first one before the spend starts.
 pub type SpendBuffers = [Vec<u32>; 6];
 
 /// Tag of an item the leftover spend never grants to: at its cap, or with
@@ -85,16 +99,17 @@ pub(crate) fn tie_kinds(items: &[AllocItem]) -> Vec<u32> {
 }
 
 /// Minimizes `max_i latency_i / D_i` subject to `Σ D_i·cost_i ≤ budget`
-/// and `1 ≤ D_i ≤ max_dup_i`.
+/// and `1 ≤ D_i ≤ max_dup_i`: the one-replica greedy of the
+/// [module docs](self).
 ///
 /// Writes the duplication vector into the caller-supplied `dup`, so hot
 /// callers (the segmentation DP evaluates thousands of candidate segments)
 /// reuse one scratch allocation; all-ones if even the base allocation
 /// exceeds the budget (the caller is responsible for segmentation).
 ///
-/// This is the last prefix of a `BottleneckSweep` over `items`, pushed
-/// all at once: the DP's row sweep and the schedule of a chosen segment
-/// get the same vector by construction. It derives the items'
+/// This is the last prefix of a `BottleneckSweep` over `items`: the DP's
+/// row sweep and the schedule of a chosen segment get the same vector by
+/// construction. It derives the items'
 /// tie kinds itself; a caller that already has them calls
 /// `minimize_bottleneck_of_kinds`.
 pub fn minimize_bottleneck(
@@ -114,23 +129,56 @@ pub(crate) fn minimize_bottleneck_of_kinds(
     dup: &mut Vec<u32>,
     spend: &mut SpendBuffers,
 ) {
-    let prefix =
-        BottleneckSweep::new(items, budget, dup, &mut Vec::new(), &mut Vec::new()).push_rest();
-    finish_bottleneck(items, kinds, budget, prefix, dup, spend);
+    let mut sweep = BottleneckSweep::new(items, budget, dup, &mut spend[0]);
+    items.iter().for_each(|_| sweep.push());
+    let base = sweep.base;
+    finish_bottleneck(items, kinds, budget, base, dup, spend);
 }
 
-/// Least λ a sweep starts from. No prefix's search bracket starts below it
-/// (`lo` in [`finish_bottleneck`] divides at least 1 by at most
-/// `u32::MAX` and by 2), so the least feasible λ at or above it decides
-/// every prefix's answer.
-const LAMBDA_FLOOR: f64 = 1.0 / u32::MAX as f64 / 2.0;
+/// A latency over a count, `latency / k`, ordered by value exactly for
+/// `k < 2^96`. As a bottleneck threshold it is the latency per replica of
+/// a stage of `latency` cycles run as `k` replicas, and [`Ratio::ZERO`]
+/// asks every stage with latency for its cap; [`minimize_total`] ranks
+/// marginal gains with it.
+#[derive(Debug, Clone, Copy)]
+struct Ratio {
+    latency: u64,
+    k: u128,
+}
 
-/// `Q_i(λ) = clamp(ceil(latency_i / λ), 1, cap_i)`: the replicas `item`
-/// needs for its latency per replica to reach `lambda`, capped. Feasibility
-/// of a bottleneck target depends on this quantized vector only.
-fn replicas(item: &AllocItem, lambda: f64) -> u32 {
-    let want = (item.latency / lambda).ceil().max(1.0);
-    (want as u64).min(u64::from(item.max_dup.max(1))) as u32
+impl Ratio {
+    const ZERO: Ratio = Ratio::of(0, 1);
+
+    const fn of(latency: u64, k: u128) -> Ratio {
+        Ratio { latency, k }
+    }
+}
+
+impl Ord for Ratio {
+    fn cmp(&self, other: &Self) -> Ordering {
+        wide_mul(self.latency, other.k).cmp(&wide_mul(other.latency, self.k))
+    }
+}
+
+impl PartialOrd for Ratio {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ratio {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ratio {}
+
+/// `a · b` as the bits above its low 64 and those 64 bits: exact while
+/// `b < 2^96`, so the pairs order such products as their values do.
+fn wide_mul(a: u64, b: u128) -> (u128, u64) {
+    let low = u128::from(a) * (b & u128::from(u64::MAX));
+    (u128::from(a) * (b >> 64) + (low >> 64), low as u64)
 }
 
 /// Cores one replica of `item` consumes.
@@ -138,11 +186,37 @@ fn cost(item: &AllocItem) -> u64 {
     u64::from(item.cost.max(1))
 }
 
-/// Whether `Q(lambda)` fits the budget.
-fn fits_at(items: &[AllocItem], budget: u64, lambda: f64) -> bool {
+/// The most replicas `item` may take.
+fn cap(item: &AllocItem) -> u32 {
+    item.max_dup.max(1)
+}
+
+/// `Q_i(t) = clamp(ceil(latency_i / t), 1, cap_i)`: the replicas `item`
+/// needs for its latency per replica to reach `t`, capped. Feasibility of
+/// a threshold depends on this vector only. The division runs in `u64`
+/// whenever `latency · t.k` fits one, as it does on every real input; a
+/// threshold's `k` is below `2^64`.
+fn replicas(item: &AllocItem, t: Ratio) -> u32 {
+    let cap = cap(item);
+    let want = u128::from(item.latency) * t.k;
+    if want == 0 {
+        1
+    } else if want > u128::from(cap - 1) * u128::from(t.latency) {
+        cap
+    } else {
+        // The quotient is below `cap`, and `t.latency` is positive.
+        match u64::try_from(want) {
+            Ok(want) => want.div_ceil(t.latency) as u32,
+            Err(_) => want.div_ceil(u128::from(t.latency)) as u32,
+        }
+    }
+}
+
+/// Whether `Q(t)` fits the budget.
+fn fits_at(items: &[AllocItem], budget: u64, t: Ratio) -> bool {
     let mut used: u64 = 0;
     for item in items {
-        used = used.saturating_add(u64::from(replicas(item, lambda)) * cost(item));
+        used = used.saturating_add(u64::from(replicas(item, t)) * cost(item));
         if used > budget {
             return false;
         }
@@ -150,104 +224,56 @@ fn fits_at(items: &[AllocItem], budget: u64, lambda: f64) -> bool {
     true
 }
 
-/// The *last-grant threshold* of `item` at `d` replicas: the least `f64`
-/// λ at which it needs one replica fewer, i.e. `latency / λ ≤ d - 1` as
-/// rounded — exact, not an approximation of `latency / (d - 1)`. Rounded
-/// division is monotone in λ, so the condition flips once; stepping by one
-/// float from `latency / (d - 1)` finds where. `INFINITY` at one replica,
-/// which an item never gives back.
-fn last_grant(item: &AllocItem, d: u32) -> f64 {
-    if d <= 1 {
-        return f64::INFINITY;
-    }
-    let (latency, fewer) = (item.latency, f64::from(d - 1));
-    let mut t = latency / fewer;
-    while latency / t > fewer {
-        t = t.next_up();
-    }
-    while latency / t.next_down() <= fewer {
-        t = t.next_down();
-    }
-    t
-}
-
-/// What finishing a prefix takes besides its `Q(λ)`. The sweep keeps it
-/// current as items are pushed, so finishing a candidate rescans nothing.
-#[derive(Debug, Clone, Copy)]
-struct Prefix {
-    /// Least feasible λ of the prefix, never below [`LAMBDA_FLOOR`].
-    lambda: f64,
-    /// Cores of the all-ones allocation of the prefix.
-    base: u64,
-    /// The prefix's largest latency, at least 1.
-    top: f64,
-    /// The prefix's largest duplication cap, at least 1.
-    max_cap: u32,
-}
-
-/// Turns `dup`, holding `Q(prefix.lambda)` for the least feasible
-/// `lambda ≥ LAMBDA_FLOOR`, into [`minimize_bottleneck`]'s answer.
-///
-/// The answer is `Q(max(lambda, lo))`, where `lo = max latency / max cap
-/// / 2` is the low end of the allocator's search bracket: a prefix whose
-/// `Q(lo)` already fits gets `Q(lo)`. Any budget left over then goes to the
-/// bottleneck stages.
+/// Turns `dup`, holding `Q(T*)` of a prefix whose all-ones allocation
+/// takes `base` cores, into [`minimize_bottleneck`]'s answer: all ones if
+/// the base does not fit, else `Q(T*)` plus the leftover spend.
 fn finish_bottleneck(
     items: &[AllocItem],
     kinds: &[u32],
     budget: u64,
-    prefix: Prefix,
+    base: u64,
     dup: &mut [u32],
     spend: &mut SpendBuffers,
 ) {
-    if prefix.base > budget {
+    if base > budget {
         dup.fill(1);
-        return;
+    } else {
+        spend_leftover_on_bottleneck(items, kinds, dup, budget, spend);
     }
-    let lo = prefix.top / f64::from(prefix.max_cap) / 2.0;
-    if prefix.lambda <= lo {
-        for (d, item) in dup.iter_mut().zip(items) {
-            *d = replicas(item, lo);
-        }
-    }
-    let mut used: u64 = dup
-        .iter()
-        .zip(items)
-        .map(|(&d, i)| u64::from(d) * cost(i))
-        .sum();
-    spend_leftover_on_bottleneck(items, kinds, dup, budget, &mut used, spend);
 }
 
 /// [`minimize_bottleneck`] for every prefix of one item list, in order —
 /// the segmentation DP's row, whose candidate segments `[i..=i]`,
 /// `[i..=i+1]`, … are the prefixes of its budget window.
 ///
-/// A prefix's answer is decided by `T`, the least `f64` λ whose quantized
-/// vector `Q(T)` fits the budget. Appending an item raises `Q(λ)` at every
-/// λ, so `T` only rises along a row. The sweep keeps `Q(T)` and a min-heap
-/// of every item's [last-grant threshold](last_grant), the least λ at which
-/// it needs one replica fewer. [`Self::push`] adds an item at the
-/// current λ, then pops whole groups of equal thresholds until the budget
-/// fits. An item that would cost more than a few pops per item in the
-/// prefix (caps in the thousands) makes the sweep jump instead: an exact
-/// bisection over `f64` bit patterns, after which the heap is rebuilt on
-/// the next push that needs it.
+/// A prefix's answer is decided by `T*`, the least threshold whose `Q(T*)`
+/// fits the budget. Appending an item raises `Q(T)` at every `T`, so `T*`
+/// only rises along a row. The sweep keeps `Q(T)` and a min-heap of every
+/// item's *last-grant threshold* `latency / (Q_i − 1)`, the least `T` at
+/// which it needs one replica fewer, read from `Q_i` itself. Every key
+/// lies above `T`, so raising `T` to the least key gives back exactly one
+/// replica from each item at that key. [`Self::push`] adds an item at the
+/// current `T`, then raises `T` key by key until the budget fits. An item
+/// that would cost more than a few raises per item in the prefix (caps in
+/// the thousands) makes the sweep jump instead: an integer bisection
+/// brackets `T*`, and raises finish from the bracket's low end.
 ///
 /// The buffers are the caller's (scratch leases in the DP), so a row
 /// allocates nothing.
 pub(crate) struct BottleneckSweep<'a> {
     items: &'a [AllocItem],
     budget: u64,
-    /// `Q(prefix.lambda)` of the items pushed so far.
+    /// `Q(threshold)` of the items pushed so far.
     q: &'a mut Vec<u32>,
-    /// Per pushed item, its [`last_grant`] threshold while the heap is live.
-    keys: &'a mut Vec<f64>,
-    /// Pushed items above one replica: a binary min-heap on `keys`.
-    heap: &'a mut Vec<usize>,
-    /// False after a jump until the heap is next needed.
-    heap_live: bool,
-    prefix: Prefix,
-    /// Cores `q` uses. `u128`: at the floor every item sits at its cap.
+    /// Pushed items above one replica: a binary min-heap on their
+    /// last-grant thresholds.
+    heap: &'a mut Vec<u32>,
+    /// The current threshold; the least feasible one once settled.
+    threshold: Ratio,
+    /// Cores of the all-ones allocation of the prefix.
+    base: u64,
+    /// Cores `q` uses. `u128`: at [`Ratio::ZERO`] every item sits at
+    /// its cap.
     used: u128,
 }
 
@@ -257,48 +283,37 @@ impl<'a> BottleneckSweep<'a> {
         items: &'a [AllocItem],
         budget: u64,
         q: &'a mut Vec<u32>,
-        keys: &'a mut Vec<f64>,
-        heap: &'a mut Vec<usize>,
+        heap: &'a mut Vec<u32>,
     ) -> Self {
+        debug_assert!(items.len() < u32::MAX as usize);
         q.clear();
-        keys.clear();
         heap.clear();
         BottleneckSweep {
             items,
             budget,
             q,
-            keys,
             heap,
-            heap_live: true,
-            prefix: Prefix {
-                lambda: LAMBDA_FLOOR,
-                base: 0,
-                top: 1.0,
-                max_cap: 1,
-            },
+            threshold: Ratio::ZERO,
+            base: 0,
             used: 0,
         }
     }
 
-    /// Extends the prefix by the next item and raises λ to its least
-    /// feasible value.
+    /// Extends the prefix by the next item and raises the threshold to its
+    /// least feasible value.
     pub(crate) fn push(&mut self) {
         self.insert();
-        if self.prefix.base > self.budget {
+        if self.base > self.budget {
             return; // all ones from here on
         }
         let limit = 4 * self.q.len() + 16;
-        let mut pops = 0;
+        let mut raised = 0;
         while self.over_budget() {
-            if pops > limit {
+            if raised > limit {
                 self.jump();
                 return;
             }
-            if !self.heap_live {
-                self.rebuild_heap();
-            }
-            let next = self.keys[self.heap[0]];
-            pops += self.raise_to(next);
+            raised += self.raise();
         }
     }
 
@@ -309,152 +324,141 @@ impl<'a> BottleneckSweep<'a> {
     pub(crate) fn solution(&self, dup: &mut Vec<u32>, kinds: &[u32], spend: &mut SpendBuffers) {
         dup.clear();
         dup.extend_from_slice(self.q);
+        let n = dup.len();
         finish_bottleneck(
-            &self.items[..dup.len()],
-            &kinds[..dup.len()],
+            &self.items[..n],
+            &kinds[..n],
             self.budget,
-            self.prefix,
+            self.base,
             dup,
             spend,
         );
-    }
-
-    /// Pushes every remaining item at once, then jumps: the one-shot
-    /// solve, which needs no heap.
-    fn push_rest(mut self) -> Prefix {
-        self.heap_live = false;
-        while self.q.len() < self.items.len() {
-            self.insert();
-        }
-        if self.prefix.base <= self.budget && self.over_budget() {
-            self.jump();
-        }
-        self.prefix
     }
 
     fn over_budget(&self) -> bool {
         self.used > u128::from(self.budget)
     }
 
-    /// Appends the next item at the current λ, over budget or not.
+    /// Appends the next item at the current threshold, over budget or not.
     fn insert(&mut self) {
         let idx = self.q.len();
         let item = &self.items[idx];
-        let d = replicas(item, self.prefix.lambda);
-        let prefix = &mut self.prefix;
-        prefix.base += cost(item);
-        prefix.top = prefix.top.max(item.latency);
-        prefix.max_cap = prefix.max_cap.max(item.max_dup);
+        let d = replicas(item, self.threshold);
+        self.base += cost(item);
         self.used += u128::from(d) * u128::from(cost(item));
         self.q.push(d);
-        if self.heap_live {
-            self.keys.push(last_grant(item, d));
-            if d > 1 {
-                let last = self.heap.len();
-                self.heap.push(idx);
-                sift_up(self.heap, self.keys, last);
-            }
+        if d > 1 {
+            self.heap.push(idx as u32);
+            self.sift_up(self.heap.len() - 1);
         }
     }
 
-    /// Raises λ to `lambda` and gives back the replicas every item whose
-    /// threshold it reaches no longer needs. Returns how many items did.
-    fn raise_to(&mut self, lambda: f64) -> usize {
-        self.prefix.lambda = lambda;
-        let mut popped = 0;
+    /// The least threshold at which item `idx` needs one replica fewer;
+    /// the item is above one replica.
+    fn last_grant(&self, idx: u32) -> Ratio {
+        let idx = idx as usize;
+        Ratio::of(self.items[idx].latency, u128::from(self.q[idx] - 1))
+    }
+
+    /// Raises the threshold to the least last-grant threshold and gives
+    /// back one replica from every item at it. Returns how many items did.
+    fn raise(&mut self) -> usize {
+        // Over budget with a fitting base: some item is above one replica.
+        self.threshold = self.last_grant(self.heap[0]);
+        let mut raised = 0;
         while let Some(&idx) = self.heap.first() {
-            if self.keys[idx] > lambda {
+            if self.last_grant(idx) > self.threshold {
                 break;
             }
-            let item = &self.items[idx];
-            let d = replicas(item, lambda);
-            self.used -= u128::from(self.q[idx] - d) * u128::from(cost(item));
-            self.q[idx] = d;
-            self.keys[idx] = last_grant(item, d);
-            if d == 1 {
-                let last = self.heap.pop().expect("heap is non-empty");
-                if let Some(root) = self.heap.first_mut() {
-                    *root = last;
-                }
+            let i = idx as usize;
+            self.q[i] -= 1;
+            self.used -= u128::from(cost(&self.items[i]));
+            if self.q[i] == 1 {
+                self.heap.swap_remove(0);
             }
-            sift_down(self.heap, self.keys, 0);
-            popped += 1;
+            self.sift_down(0);
+            raised += 1;
         }
-        popped
+        raised
     }
 
-    /// Moves λ straight to the least feasible value. The current λ is
-    /// infeasible and the max latency is feasible (every item at one
-    /// replica, and the base fits), and positive floats order like their
-    /// bit patterns, so bisecting the patterns ends on adjacent floats
-    /// within 64 steps.
+    /// Moves the threshold straight to the least feasible one. The current
+    /// threshold is infeasible and the largest latency `top` is feasible
+    /// (every item at one replica, and the base fits). Bisecting the
+    /// fixed-point thresholds `x / 2^s` between them, with `s` as large as
+    /// keeps `top << s` in a `u64`, brackets `T*` within `2^-s`; from the
+    /// bracket's infeasible end the few keys left are raised through.
     fn jump(&mut self) {
         let items = &self.items[..self.q.len()];
-        let (mut lo, mut hi) = (self.prefix.lambda.to_bits(), self.prefix.top.to_bits());
-        debug_assert!(lo < hi, "an infeasible λ lies below the max latency");
+        let top = items.iter().map(|i| i.latency).max().unwrap_or(0);
+        let shift = top.leading_zeros();
+        let fixed = |x: u64| Ratio::of(x, 1 << shift);
+        let Ratio { latency, k } = self.threshold;
+        // At or below the current threshold, so infeasible too.
+        let mut lo = ((u128::from(latency) << shift) / k) as u64;
+        let mut hi = top << shift;
+        debug_assert!(
+            lo < hi,
+            "an infeasible threshold lies below the top latency"
+        );
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if fits_at(items, self.budget, f64::from_bits(mid)) {
+            if fits_at(items, self.budget, fixed(mid)) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
-        self.prefix.lambda = f64::from_bits(hi);
+        self.threshold = fixed(lo);
         self.used = 0;
-        for (d, item) in self.q.iter_mut().zip(items) {
-            *d = replicas(item, self.prefix.lambda);
-            self.used += u128::from(*d) * u128::from(cost(item));
-        }
-        self.heap_live = false;
-    }
-
-    fn rebuild_heap(&mut self) {
-        self.keys.clear();
         self.heap.clear();
-        for (idx, (item, &d)) in self.items.iter().zip(self.q.iter()).enumerate() {
-            self.keys.push(last_grant(item, d));
-            if d > 1 {
-                self.heap.push(idx);
+        for (idx, (d, item)) in self.q.iter_mut().zip(items).enumerate() {
+            *d = replicas(item, self.threshold);
+            self.used += u128::from(*d) * u128::from(cost(item));
+            if *d > 1 {
+                self.heap.push(idx as u32);
             }
         }
         for pos in (0..self.heap.len() / 2).rev() {
-            sift_down(self.heap, self.keys, pos);
+            self.sift_down(pos);
         }
-        self.heap_live = true;
-    }
-}
-
-fn sift_up(heap: &mut [usize], keys: &[f64], mut pos: usize) {
-    while pos > 0 {
-        let parent = (pos - 1) / 2;
-        if keys[heap[parent]] <= keys[heap[pos]] {
-            break;
+        while self.over_budget() {
+            self.raise();
         }
-        heap.swap(parent, pos);
-        pos = parent;
     }
-}
 
-fn sift_down(heap: &mut [usize], keys: &[f64], mut pos: usize) {
-    loop {
-        let mut least = pos;
-        for child in [2 * pos + 1, 2 * pos + 2] {
-            if child < heap.len() && keys[heap[child]] < keys[heap[least]] {
-                least = child;
+    fn sift_up(&mut self, mut pos: usize) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.last_grant(self.heap[parent]) <= self.last_grant(self.heap[pos]) {
+                break;
             }
+            self.heap.swap(parent, pos);
+            pos = parent;
         }
-        if least == pos {
-            return;
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        loop {
+            let mut least = pos;
+            for child in [2 * pos + 1, 2 * pos + 2] {
+                if child < self.heap.len()
+                    && self.last_grant(self.heap[child]) < self.last_grant(self.heap[least])
+                {
+                    least = child;
+                }
+            }
+            if least == pos {
+                return;
+            }
+            self.heap.swap(pos, least);
+            pos = least;
         }
-        heap.swap(pos, least);
-        pos = least;
     }
 }
 
-/// Grants the budget left over after `dup` (which uses `used` cores) to
-/// the bottleneck stages, adding what it spends to `used`. `kinds` are the
-/// items' [`tie_kinds`].
+/// Grants the cores `dup` leaves over of the budget to the bottleneck
+/// stages. `kinds` are the items' [`tie_kinds`].
 ///
 /// The answer is the greedy that grants one replica at a time to the
 /// stage with the highest key `latency / D_i`, ties to the lowest index,
@@ -470,7 +474,7 @@ fn sift_down(heap: &mut [usize], keys: &[f64], mut pos: usize) {
 ///   its kind is stale and reads as empty, so slots are never reset.
 /// * The greedy grants whole *key levels* — every member whose key is the
 ///   highest — before any lower key, and one grant strictly lowers a
-///   member's key (latencies are finite). A level whose cost fits the
+///   member's key (its latency is positive). A level whose cost fits the
 ///   budget left gives each member one replica, in one step.
 /// * Order only matters in a level that does not fit. Its members are
 ///   walked in index order, as the greedy pops them; a member that cannot
@@ -489,7 +493,6 @@ fn spend_leftover_on_bottleneck(
     kinds: &[u32],
     dup: &mut [u32],
     budget: u64,
-    used: &mut u64,
     spend: &mut SpendBuffers,
 ) {
     let [tags, reps, dups, members, at_top, slots] = spend;
@@ -498,7 +501,7 @@ fn spend_leftover_on_bottleneck(
     }
     debug_assert!(items.len() < UNTAGGED as usize);
     for (idx, ((item, &kind), &d)) in items.iter().zip(kinds).zip(dup.iter()).enumerate() {
-        if !(d < item.max_dup.max(1) && item.latency > 0.0) {
+        if !(d < cap(item) && item.latency > 0) {
             tags.push(UNTAGGED);
             continue;
         }
@@ -530,13 +533,18 @@ fn spend_leftover_on_bottleneck(
         members[class] += 1;
         tags.push(class as u32);
     }
-    let key = |rep: u32, d: u32| items[rep as usize].latency / f64::from(d);
-    let budget_left = budget.saturating_sub(*used);
-    let mut left = budget_left;
+    let key = |rep: u32, d: u32| Ratio::of(items[rep as usize].latency, u128::from(d));
+    let used: u64 = dup
+        .iter()
+        .zip(items)
+        .map(|(&d, i)| u64::from(d) * cost(i))
+        .sum();
+    let mut left = budget.saturating_sub(used);
     loop {
-        // The highest key of a class still taking replicas, and what one
-        // more replica for every member at that key costs.
-        let (mut top, mut level_cost) = (f64::NEG_INFINITY, 0u64);
+        // The highest key of a class still taking replicas (every one lies
+        // above zero), and what one more replica for every member at that
+        // key costs.
+        let (mut top, mut level_cost) = (Ratio::ZERO, 0u64);
         for c in 0..reps.len() {
             if members[c] == 0 {
                 continue;
@@ -583,7 +591,7 @@ fn spend_leftover_on_bottleneck(
             }
             dups[c] += 1;
             debug_assert!(key(reps[c], dups[c]) < top, "a grant lowers the key");
-            if dups[c] == items[reps[c] as usize].max_dup.max(1) {
+            if dups[c] == cap(&items[reps[c] as usize]) {
                 members[c] = 0;
             }
         }
@@ -593,71 +601,41 @@ fn spend_leftover_on_bottleneck(
             *d = (*d).max(dups[class as usize]);
         }
     }
-    *used += budget_left - left;
 }
 
 /// Minimizes `Σ_i latency_i / D_i` subject to `Σ D_i·cost_i ≤ budget` and
 /// `1 ≤ D_i ≤ max_dup_i`, via optimal marginal allocation (the objective
 /// is separable convex, so granting each increment to the best marginal
-/// gain per core is optimal).
+/// gain per core is optimal). The gain of a replica at `d` replicas is
+/// exactly `latency / (d(d+1)·cost)`; equal gains go to the lowest index.
 ///
 /// Writes the duplication vector into the caller-supplied `dup`; all-ones
 /// if the base allocation exceeds the budget.
 pub fn minimize_total(items: &[AllocItem], budget: u64, dup: &mut Vec<u32>) {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Cand {
-        gain_per_core: f64,
-        idx: usize,
-    }
-    impl Eq for Cand {}
-    impl PartialOrd for Cand {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Cand {
-        fn cmp(&self, other: &Self) -> Ordering {
-            self.gain_per_core
-                .partial_cmp(&other.gain_per_core)
-                .unwrap_or(Ordering::Equal)
-        }
-    }
-
+    let gain = |idx: usize, d: u32| {
+        let per_core = u128::from(u64::from(d) * u64::from(d + 1));
+        let gain = Ratio::of(items[idx].latency, per_core * u128::from(cost(&items[idx])));
+        (gain, Reverse(idx))
+    };
     dup.clear();
     dup.resize(items.len(), 1);
     if items.is_empty() || !base_fits(items, budget) {
         return;
     }
-    let mut used: u64 = items.iter().map(|i| u64::from(i.cost.max(1))).sum();
-    let gain = |item: &AllocItem, d: u32| -> f64 {
-        (item.latency / f64::from(d) - item.latency / f64::from(d + 1))
-            / f64::from(item.cost.max(1))
-    };
-    let mut heap: BinaryHeap<Cand> = items
-        .iter()
-        .enumerate()
-        .filter(|(_, it)| it.max_dup > 1)
-        .map(|(idx, it)| Cand {
-            gain_per_core: gain(it, 1),
-            idx,
-        })
+    let mut used: u64 = items.iter().map(cost).sum();
+    let mut heap: BinaryHeap<_> = (0..items.len())
+        .filter(|&idx| items[idx].max_dup > 1)
+        .map(|idx| gain(idx, 1))
         .collect();
-    while let Some(c) = heap.pop() {
-        let item = &items[c.idx];
-        let cost = u64::from(item.cost.max(1));
-        if used + cost > budget {
+    while let Some((_, Reverse(idx))) = heap.pop() {
+        let item = &items[idx];
+        if used + cost(item) > budget {
             continue; // cannot afford this one; cheaper ones may still fit
         }
-        dup[c.idx] += 1;
-        used += cost;
-        if dup[c.idx] < item.max_dup {
-            heap.push(Cand {
-                gain_per_core: gain(item, dup[c.idx]),
-                idx: c.idx,
-            });
+        dup[idx] += 1;
+        used += cost(item);
+        if dup[idx] < item.max_dup {
+            heap.push(gain(idx, dup[idx]));
         }
     }
 }
@@ -665,8 +643,7 @@ pub fn minimize_total(items: &[AllocItem], budget: u64, dup: &mut Vec<u32>) {
 /// Whether the all-ones allocation fits the budget.
 #[must_use]
 pub fn base_fits(items: &[AllocItem], budget: u64) -> bool {
-    let base: u64 = items.iter().map(|i| u64::from(i.cost.max(1))).sum();
-    base <= budget
+    items.iter().map(cost).sum::<u64>() <= budget
 }
 
 #[cfg(test)]
@@ -679,72 +656,45 @@ mod tests {
         dup
     }
 
-    /// The leftover spend as it ran before the class-batched one, kept as
-    /// its oracle: one heap pop per granted replica, on a max-heap of
-    /// `(latency/D_i, lowest index)`, dropping a stage for good once it
-    /// cannot be paid for.
-    fn grant_one_at_a_time(items: &[AllocItem], dup: &mut [u32], budget: u64, used: &mut u64) {
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
-
-        struct Cand {
-            lat: f64,
-            idx: usize,
-        }
-        impl PartialEq for Cand {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == Ordering::Equal
-            }
-        }
-        impl Eq for Cand {}
-        impl PartialOrd for Cand {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Cand {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Max latency first; on ties the lower index wins the pop.
-                self.lat
-                    .partial_cmp(&other.lat)
-                    .unwrap_or(Ordering::Equal)
-                    .then_with(|| other.idx.cmp(&self.idx))
-            }
-        }
-
-        let mut heap: BinaryHeap<Cand> = items
-            .iter()
-            .enumerate()
-            .filter(|(i, item)| dup[*i] < item.max_dup.max(1) && item.latency > 0.0)
-            .map(|(idx, item)| Cand {
-                lat: item.latency / f64::from(dup[idx]),
-                idx,
-            })
-            .collect();
-        while let Some(c) = heap.pop() {
-            let item = &items[c.idx];
-            let cost = u64::from(item.cost.max(1));
-            if *used + cost > budget {
-                continue; // unaffordable now means unaffordable forever: drop it
-            }
-            dup[c.idx] += 1;
-            *used += cost;
-            if dup[c.idx] < item.max_dup.max(1) {
-                heap.push(Cand {
-                    lat: item.latency / f64::from(dup[c.idx]),
-                    idx: c.idx,
-                });
-            }
-        }
-    }
-
     fn minimize_total(items: &[AllocItem], budget: u64) -> Vec<u32> {
         let mut dup = Vec::new();
         super::minimize_total(items, budget, &mut dup);
         dup
     }
 
-    fn items(spec: &[(u32, f64, u32)]) -> Vec<AllocItem> {
+    /// The greedy of the module docs, one heap pop per granted replica:
+    /// from `dup`, the highest `latency / D_i` first, ties to the lowest
+    /// index, dropping a stage for good once it cannot be paid for. From
+    /// all ones it is `minimize_bottleneck`'s spec; from `Q(T*)`, the
+    /// leftover spend's.
+    fn grant_one_at_a_time(items: &[AllocItem], dup: &mut [u32], budget: u64) {
+        let mut used = used(items, dup);
+        let key = |idx: usize, d: u32| (Ratio::of(items[idx].latency, u128::from(d)), Reverse(idx));
+        let mut heap: BinaryHeap<_> = (0..items.len())
+            .filter(|&idx| dup[idx] < cap(&items[idx]) && items[idx].latency > 0)
+            .map(|idx| key(idx, dup[idx]))
+            .collect();
+        while let Some((_, Reverse(idx))) = heap.pop() {
+            let item = &items[idx];
+            if used + cost(item) > budget {
+                continue; // unaffordable now means unaffordable forever: drop it
+            }
+            dup[idx] += 1;
+            used += cost(item);
+            if dup[idx] < cap(item) {
+                heap.push(key(idx, dup[idx]));
+            }
+        }
+    }
+
+    /// [`grant_one_at_a_time`] from all ones.
+    fn greedy(items: &[AllocItem], budget: u64) -> Vec<u32> {
+        let mut dup = vec![1; items.len()];
+        grant_one_at_a_time(items, &mut dup, budget);
+        dup
+    }
+
+    fn items(spec: &[(u32, u64, u32)]) -> Vec<AllocItem> {
         spec.iter()
             .map(|&(cost, latency, max_dup)| AllocItem {
                 cost,
@@ -754,113 +704,53 @@ mod tests {
             .collect()
     }
 
-    fn bottleneck(items: &[AllocItem], dup: &[u32]) -> f64 {
-        items
-            .iter()
-            .zip(dup)
-            .map(|(i, &d)| i.latency / f64::from(d))
-            .fold(0.0, f64::max)
+    fn bottleneck(items: &[AllocItem], dup: &[u32]) -> Ratio {
+        let stages = items.iter().zip(dup);
+        stages
+            .map(|(i, &d)| Ratio::of(i.latency, u128::from(d)))
+            .fold(Ratio::ZERO, Ratio::max)
     }
 
-    fn total(items: &[AllocItem], dup: &[u32]) -> f64 {
-        items
-            .iter()
-            .zip(dup)
-            .map(|(i, &d)| i.latency / f64::from(d))
-            .sum()
+    /// `Σ latency_i / D_i` as one fraction over `Π D_i`.
+    fn total(items: &[AllocItem], dup: &[u32]) -> Ratio {
+        let k: u64 = dup.iter().map(|&d| u64::from(d)).product();
+        let stages = items.iter().zip(dup);
+        let latency = stages.map(|(i, &d)| i.latency * (k / u64::from(d))).sum();
+        Ratio::of(latency, u128::from(k))
     }
 
     fn used(items: &[AllocItem], dup: &[u32]) -> u64 {
         items
             .iter()
             .zip(dup)
-            .map(|(i, &d)| u64::from(i.cost) * u64::from(d))
+            .map(|(i, &d)| cost(i) * u64::from(d))
             .sum()
     }
 
-    /// Exhaustive reference optimum for tiny instances.
-    fn brute_force(items: &[AllocItem], budget: u64, max_obj: bool) -> f64 {
-        fn rec(
-            items: &[AllocItem],
-            budget: u64,
-            idx: usize,
-            dup: &mut Vec<u32>,
-            best: &mut f64,
-            max_obj: bool,
-        ) {
-            if idx == items.len() {
-                let obj = if max_obj {
-                    items
-                        .iter()
-                        .zip(dup.iter())
-                        .map(|(i, &d)| i.latency / f64::from(d))
-                        .fold(0.0, f64::max)
-                } else {
-                    items
-                        .iter()
-                        .zip(dup.iter())
-                        .map(|(i, &d)| i.latency / f64::from(d))
-                        .sum()
-                };
-                if obj < *best {
-                    *best = obj;
-                }
-                return;
-            }
-            for d in 1..=items[idx].max_dup {
-                let cost: u64 = items
-                    .iter()
-                    .zip(dup.iter())
-                    .take(idx)
-                    .map(|(i, &x)| u64::from(i.cost) * u64::from(x))
-                    .sum::<u64>()
-                    + u64::from(items[idx].cost) * u64::from(d)
-                    + items[idx + 1..]
-                        .iter()
-                        .map(|i| u64::from(i.cost))
-                        .sum::<u64>();
-                if cost > budget {
+    /// Calls `visit` with every duplication vector within caps and budget.
+    fn every_dup(items: &[AllocItem], budget: u64, visit: &mut impl FnMut(&[u32])) {
+        fn rec(items: &[AllocItem], left: u64, dup: &mut Vec<u32>, visit: &mut impl FnMut(&[u32])) {
+            let Some(item) = items.get(dup.len()) else {
+                return visit(dup);
+            };
+            let rest: u64 = items[dup.len() + 1..].iter().map(cost).sum();
+            for d in 1..=cap(item) {
+                let Some(left) = left.checked_sub(cost(item) * u64::from(d) + rest) else {
                     break;
-                }
+                };
                 dup.push(d);
-                rec(items, budget, idx + 1, dup, best, max_obj);
+                rec(items, left + rest, dup, visit);
                 dup.pop();
             }
         }
-        let mut best = f64::INFINITY;
-        rec(items, budget, 0, &mut Vec::new(), &mut best, max_obj);
-        best
-    }
-
-    #[test]
-    fn bottleneck_matches_brute_force() {
-        let cases = vec![
-            items(&[(1, 100.0, 10), (2, 50.0, 10), (1, 10.0, 10)]),
-            items(&[(3, 90.0, 4), (1, 80.0, 8), (2, 70.0, 8)]),
-            items(&[(1, 5.0, 2), (1, 5.0, 2), (1, 5.0, 2)]),
-        ];
-        for its in cases {
-            for budget in [6u64, 10, 20] {
-                if !base_fits(&its, budget) {
-                    continue;
-                }
-                let dup = minimize_bottleneck(&its, budget);
-                assert!(used(&its, &dup) <= budget);
-                let got = bottleneck(&its, &dup);
-                let opt = brute_force(&its, budget, true);
-                assert!(
-                    got <= opt * 1.0 + 1e-9,
-                    "budget {budget}: got {got}, optimal {opt}"
-                );
-            }
-        }
+        rec(items, budget, &mut Vec::new(), visit);
     }
 
     #[test]
     fn total_matches_brute_force() {
         let cases = vec![
-            items(&[(1, 100.0, 10), (2, 50.0, 10), (1, 10.0, 10)]),
-            items(&[(3, 90.0, 4), (1, 80.0, 8), (2, 70.0, 8)]),
+            items(&[(1, 100, 10), (2, 50, 10), (1, 10, 10)]),
+            items(&[(3, 90, 4), (1, 80, 8), (2, 70, 8)]),
         ];
         for its in cases {
             for budget in [6u64, 12, 24] {
@@ -869,19 +759,19 @@ mod tests {
                 }
                 let dup = minimize_total(&its, budget);
                 assert!(used(&its, &dup) <= budget);
-                let got = total(&its, &dup);
-                let opt = brute_force(&its, budget, false);
-                assert!(
-                    got <= opt + 1e-9,
-                    "budget {budget}: got {got}, optimal {opt}"
-                );
+                let mut opt: Option<Ratio> = None;
+                every_dup(&its, budget, &mut |dup| {
+                    let t = total(&its, dup);
+                    opt = Some(opt.map_or(t, |o| o.min(t)));
+                });
+                assert_eq!(total(&its, &dup), opt.unwrap(), "budget {budget}: {dup:?}");
             }
         }
     }
 
     #[test]
     fn respects_caps_and_budget() {
-        let its = items(&[(1, 1000.0, 3), (1, 1.0, 100)]);
+        let its = items(&[(1, 1000, 3), (1, 1, 100)]);
         let dup = minimize_bottleneck(&its, 1000);
         assert_eq!(dup[0], 3); // capped despite huge latency
         assert!(used(&its, &dup) <= 1000);
@@ -891,21 +781,32 @@ mod tests {
 
     #[test]
     fn infeasible_base_returns_ones() {
-        let its = items(&[(100, 10.0, 5), (100, 10.0, 5)]);
+        let its = items(&[(100, 10, 5), (100, 10, 5)]);
         assert_eq!(minimize_bottleneck(&its, 50), vec![1, 1]);
         assert_eq!(minimize_total(&its, 50), vec![1, 1]);
         assert!(!base_fits(&its, 50));
     }
 
     #[test]
+    fn an_exact_bottleneck_tie_goes_to_the_lowest_index() {
+        // 250 880 / 15 = 50 176 / 3 exactly, and 17 replicas are left to
+        // grant: the 17th breaks the tie at [3, 15, 1] toward stage 0.
+        let its = items(&[(1, 50_176, 5), (1, 250_880, 62), (4, 401_408, 1)]);
+        assert_eq!(minimize_bottleneck(&its, 23), vec![4, 15, 1]);
+        assert_eq!(greedy(&its, 23), vec![4, 15, 1]);
+    }
+
+    #[test]
+    fn an_exact_total_tie_goes_to_the_lowest_index() {
+        // After stage 2 takes its second replica, stages 0 and 1 gain
+        // exactly 100 / (1·2·2) = 25 per core, and one replica is left.
+        let its = items(&[(2, 100, 6), (2, 100, 5), (3, 720, 2)]);
+        assert_eq!(minimize_total(&its, 12), vec![2, 1, 2]);
+    }
+
+    #[test]
     fn tie_kinds_name_equal_items_alike_in_order_of_first_appearance() {
-        let its = items(&[
-            (2, 9.0, 4),
-            (1, 9.0, 4),
-            (2, 9.0, 4),
-            (2, 9.0, 5),
-            (1, 9.0, 4),
-        ]);
+        let its = items(&[(2, 9, 4), (1, 9, 4), (2, 9, 4), (2, 9, 5), (1, 9, 4)]);
         assert_eq!(tie_kinds(&its), vec![0, 1, 0, 2, 1]);
         assert!(tie_kinds(&[]).is_empty());
     }
@@ -914,19 +815,16 @@ mod tests {
     fn a_kind_split_over_two_dups_spends_like_the_greedy() {
         // Kind 0 starts at 1 and at 2 replicas, interleaved, so its members
         // fall into two classes and every second one searches for its own.
-        let mut its = items(&[(1, 600.0, 8); 6]);
-        its.extend(items(&[(2, 500.0, 8); 2]));
+        let mut its = items(&[(1, 600, 8); 6]);
+        its.extend(items(&[(2, 500, 8); 2]));
         let kinds = tie_kinds(&its);
         assert_eq!(kinds, vec![0, 0, 0, 0, 0, 0, 1, 1]);
         let mut spend = SpendBuffers::default();
         for budget in 15..40 {
-            let dup = vec![1, 2, 1, 2, 1, 2, 1, 1];
-            let used = used(&its, &dup);
-            let (mut want, mut want_used) = (dup.clone(), used);
-            grant_one_at_a_time(&its, &mut want, budget, &mut want_used);
-            let (mut got, mut got_used) = (dup, used);
-            spend_leftover_on_bottleneck(&its, &kinds, &mut got, budget, &mut got_used, &mut spend);
-            assert_eq!((got, got_used), (want, want_used), "budget {budget}");
+            let (mut want, mut got) = (vec![1, 2, 1, 2, 1, 2, 1, 1], vec![1, 2, 1, 2, 1, 2, 1, 1]);
+            grant_one_at_a_time(&its, &mut want, budget);
+            spend_leftover_on_bottleneck(&its, &kinds, &mut got, budget, &mut spend);
+            assert_eq!(got, want, "budget {budget}");
         }
     }
 
@@ -934,8 +832,8 @@ mod tests {
     fn junk_spend_buffers_change_nothing() {
         // Kind 0 split over two `d`s, and a kind 1 whose junk slot names
         // kind 0's first class, whose `d` it shares.
-        let mut its = items(&[(1, 600.0, 8); 6]);
-        its.extend(items(&[(2, 500.0, 8); 2]));
+        let mut its = items(&[(1, 600, 8); 6]);
+        its.extend(items(&[(2, 500, 8); 2]));
         let kinds = tie_kinds(&its);
         let junk = || -> SpendBuffers {
             let mut spend = SpendBuffers::default();
@@ -946,20 +844,10 @@ mod tests {
             spend
         };
         for budget in 8..40 {
-            let dup = vec![1, 2, 1, 2, 1, 2, 1, 1];
-            let used = used(&its, &dup);
-            let (mut want, mut want_used) = (dup.clone(), used);
-            grant_one_at_a_time(&its, &mut want, budget, &mut want_used);
-            let (mut got, mut got_used) = (dup, used);
-            spend_leftover_on_bottleneck(
-                &its,
-                &kinds,
-                &mut got,
-                budget,
-                &mut got_used,
-                &mut junk(),
-            );
-            assert_eq!((got, got_used), (want, want_used), "budget {budget}");
+            let (mut want, mut got) = (vec![1, 2, 1, 2, 1, 2, 1, 1], vec![1, 2, 1, 2, 1, 2, 1, 1]);
+            grant_one_at_a_time(&its, &mut want, budget);
+            spend_leftover_on_bottleneck(&its, &kinds, &mut got, budget, &mut junk());
+            assert_eq!(got, want, "budget {budget}");
 
             let mut got = Vec::new();
             super::minimize_bottleneck(&its, budget, &mut got, &mut junk());
@@ -979,79 +867,28 @@ mod tests {
         let its: Vec<AllocItem> = (0..100)
             .map(|i| AllocItem {
                 cost: 1 + (i % 7),
-                latency: 1000.0 / f64::from(i + 1),
+                latency: 1_000_000 / u64::from(i + 1),
                 max_dup: 64,
             })
             .collect();
+        let ones = vec![1; 100];
         let dup = minimize_bottleneck(&its, 768);
         assert!(used(&its, &dup) <= 768);
-        let base = bottleneck(&its, &vec![1; 100]);
-        assert!(bottleneck(&its, &dup) < base / 4.0);
+        let base = bottleneck(&its, &ones);
+        assert!(bottleneck(&its, &dup) < Ratio { k: 4, ..base });
         let dup2 = minimize_total(&its, 768);
-        assert!(total(&its, &dup2) < total(&its, &vec![1; 100]) / 2.0);
-    }
-
-    /// The float λ-bisection `minimize_bottleneck` ran before the threshold
-    /// sweep, kept as the sweep's oracle: 64 halvings of
-    /// `[max latency / max cap / 2, max latency]` with the quantized early
-    /// exit. Also returns the λ whose quantized vector it settled on.
-    fn bisection(items: &[AllocItem], budget: u64) -> (Vec<u32>, f64) {
-        let mut dup = vec![1; items.len()];
-        if items.is_empty() || !base_fits(items, budget) {
-            return (dup, f64::NAN);
-        }
-        let hi_start = items.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
-        let mut lo = hi_start
-            / items
-                .iter()
-                .map(|i| f64::from(i.max_dup.max(1)))
-                .fold(1.0, f64::max)
-            / 2.0;
-        let mut hi = hi_start;
-        let quantize = |item: &AllocItem, lambda: f64| -> u64 {
-            let want = (item.latency / lambda).ceil().max(1.0);
-            (want as u64).min(u64::from(item.max_dup.max(1)))
+        // `total`'s common denominator overflows at 100 stages.
+        let sum = |dup: &[u32]| -> f64 {
+            let stages = its.iter().zip(dup);
+            stages.map(|(i, &d)| i.latency as f64 / f64::from(d)).sum()
         };
-        let feasible = |lambda: f64| -> bool {
-            let mut used: u64 = 0;
-            for item in items {
-                used = used.saturating_add(quantize(item, lambda) * u64::from(item.cost.max(1)));
-                if used > budget {
-                    return false;
-                }
-            }
-            true
-        };
-        assert!(feasible(hi), "the base fits, so one replica each fits");
-        let quantized_equal = |lo: f64, hi: f64| -> bool {
-            items
-                .iter()
-                .all(|item| quantize(item, lo) == quantize(item, hi))
-        };
-        for iter in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if feasible(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-            if iter >= 8 && quantized_equal(lo, hi) {
-                break;
-            }
-        }
-        let mut used: u64 = 0;
-        for (d, item) in dup.iter_mut().zip(items) {
-            *d = quantize(item, hi) as u32;
-            used += u64::from(*d) * u64::from(item.cost.max(1));
-        }
-        grant_one_at_a_time(items, &mut dup, budget, &mut used);
-        (dup, hi)
+        assert!(sum(&dup2) < sum(&ones) / 2.0);
     }
 
     /// Items drawn from `(latency kind, raw, cost, cap kind, raw cap)`:
     /// zero latencies, tie-heavy multiples of 50 176 (the zoo's 200 704 and
-    /// 401 408 among them), plain and fractional latencies; caps up to 8,
-    /// 1 000 or 10⁶. The first three drawn items, ResNet's period-3
+    /// 401 408 among them), plain latencies and latencies near 2⁴³; caps up
+    /// to 8, 1 000 or 10⁶. The first three drawn items, ResNet's period-3
     /// bottleneck block, come `blocks` more times before them, so identical
     /// items cross a threshold together.
     fn drawn_items(spec: &[(u32, u32, u32, u32, u32)], blocks: usize) -> Vec<AllocItem> {
@@ -1060,10 +897,10 @@ mod tests {
             .map(|&(lat_kind, raw, cost, cap_kind, raw_cap)| AllocItem {
                 cost,
                 latency: match lat_kind {
-                    0 => 0.0,
-                    1 | 2 => 50_176.0 * f64::from(1 + raw % 8),
-                    3 => f64::from(raw),
-                    _ => f64::from(raw) / 7.0,
+                    0 => 0,
+                    1 | 2 => 50_176 * u64::from(1 + raw % 8),
+                    3 => u64::from(raw),
+                    _ => u64::from(raw) * 1_000_003,
                 },
                 max_dup: 1 + raw_cap % [8, 1_000, 1_000_000][cap_kind as usize],
             })
@@ -1076,20 +913,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// At every prefix of a row, the sweep's λ is exactly the least
-        /// feasible `f64` (at or above the floor), its vector equals the
-        /// one-shot `minimize_bottleneck`, and it equals the float
-        /// bisection wherever that bisection reached the same quantized
-        /// vector. The bisection misses it in two ways only, and only
-        /// there may the two differ:
-        /// * 64 halvings cannot shrink its bracket (ratio `2·max cap`) to
-        ///   one float, so it stops on an approximation;
-        /// * the bracket start `lo` already fits but is never tested, and a
-        ///   threshold sits at `lo.next_up()`: when `lo`'s last mantissa
-        ///   bit is odd, `0.5 * (lo + lo.next_up())` rounds up, so `hi`
-        ///   stalls one float above `lo` and the early exit never fires.
+        /// At every prefix of a row, the sweep's vector, the one-shot
+        /// `minimize_bottleneck` and the one-replica greedy from all ones
+        /// are equal, and the sweep settles on a feasible threshold.
         #[test]
-        fn sweep_is_the_exact_bisection_at_every_prefix(
+        fn sweep_is_the_one_replica_greedy_at_every_prefix(
             spec in proptest::collection::vec((0u32..5, 0u32..10_000_000, 0u32..6, 0u32..3, 0u32..1_000_000), 1..24),
             blocks in 0usize..13,
             slack in 0u64..1_001,
@@ -1097,8 +925,8 @@ mod tests {
             let items = drawn_items(&spec, blocks);
             let base: u64 = items.iter().map(cost).sum();
             let budget = base + base * 3 * slack / 1_000;
-            let (mut q, mut keys, mut heap) = (Vec::new(), Vec::new(), Vec::new());
-            let mut sweep = BottleneckSweep::new(&items, budget, &mut q, &mut keys, &mut heap);
+            let (mut q, mut heap) = (Vec::new(), Vec::new());
+            let mut sweep = BottleneckSweep::new(&items, budget, &mut q, &mut heap);
             let (mut got, mut spend) = (Vec::new(), SpendBuffers::default());
             let kinds = tie_kinds(&items);
             for len in 1..=items.len() {
@@ -1106,35 +934,37 @@ mod tests {
                 sweep.push();
                 sweep.solution(&mut got, &kinds, &mut spend);
                 proptest::prop_assert_eq!(&got, &minimize_bottleneck(prefix, budget));
-                let lambda = sweep.prefix.lambda;
+                proptest::prop_assert_eq!(&got, &greedy(prefix, budget), "budget {}: {:?}", budget, prefix);
                 if base_fits(prefix, budget) {
-                    proptest::prop_assert!(fits_at(prefix, budget, lambda));
-                    proptest::prop_assert!(
-                        lambda == LAMBDA_FLOOR || !fits_at(prefix, budget, lambda.next_down()),
-                        "λ {lambda} is not the least feasible float"
-                    );
-                }
-                let (oracle, settled) = bisection(prefix, budget);
-                let max_cap = prefix.iter().map(|i| i.max_dup.max(1)).max().unwrap_or(1);
-                let hi = prefix.iter().map(|i| i.latency).fold(1.0_f64, f64::max);
-                let lo = hi / f64::from(max_cap) / 2.0;
-                let exact = lambda.max(lo);
-                let converged = !base_fits(prefix, budget)
-                    || prefix.iter().all(|i| replicas(i, settled) == replicas(i, exact));
-                if converged {
-                    proptest::prop_assert_eq!(
-                        &got,
-                        &oracle,
-                        "budget {budget}: sweep {got:?} vs bisection {oracle:?} on {prefix:?}"
-                    );
-                } else {
-                    let stalled = lambda <= lo && settled == lo.next_up();
-                    proptest::prop_assert!(
-                        2 * u64::from(max_cap) >= 1 << 10 || stalled,
-                        "the bisection missed the least feasible λ with caps ≤ {max_cap}: {prefix:?}"
-                    );
+                    proptest::prop_assert!(fits_at(prefix, budget, sweep.threshold));
                 }
             }
+        }
+
+        /// On ≤ 6 items with caps ≤ 6 and costs 1–4, `minimize_bottleneck`
+        /// reaches the exhaustive optimum exactly, within the budget.
+        #[test]
+        fn bottleneck_matches_brute_force(
+            spec in proptest::collection::vec((1u32..5, 0u32..3, 0u64..1_000, 1u32..7), 1..7),
+            extra in 0u64..30,
+        ) {
+            let items: Vec<AllocItem> = spec
+                .iter()
+                .map(|&(cost, lat_kind, raw, max_dup)| AllocItem {
+                    cost,
+                    latency: [raw, 60 * (raw % 8), raw % 3][lat_kind as usize],
+                    max_dup,
+                })
+                .collect();
+            let budget = items.iter().map(cost).sum::<u64>() + extra;
+            let dup = minimize_bottleneck(&items, budget);
+            proptest::prop_assert!(used(&items, &dup) <= budget);
+            let mut opt: Option<Ratio> = None;
+            every_dup(&items, budget, &mut |dup| {
+                let t = bottleneck(&items, dup);
+                opt = Some(opt.map_or(t, |o| o.min(t)));
+            });
+            proptest::prop_assert_eq!(bottleneck(&items, &dup), opt.unwrap(), "{:?}", items);
         }
 
         /// The class-batched leftover spend grants exactly what the
@@ -1158,27 +988,26 @@ mod tests {
                 items.push(AllocItem {
                     cost,
                     latency: match lat_kind {
-                        0 => 0.0,
-                        9 => f64::from(raw) / 7.0,
-                        k => 50_176.0 * f64::from(k),
+                        0 => 0,
+                        9 => u64::from(raw),
+                        k => 50_176 * u64::from(k),
                     },
                     max_dup,
                 });
                 let d = 1 + raw_d % max_dup;
                 dup.push(if bump == 0 { (d + 1).min(max_dup) } else { d });
             }
-            let used: u64 = items.iter().zip(&dup).map(|(i, &d)| u64::from(d) * cost(i)).sum();
+            let used = used(&items, &dup);
             let budget = used + used * 2 * slack / 1_000;
-            let (mut want, mut want_used) = (dup.clone(), used);
-            grant_one_at_a_time(&items, &mut want, budget, &mut want_used);
+            let mut want = dup.clone();
+            grant_one_at_a_time(&items, &mut want, budget);
             let list: Vec<AllocItem> = items.iter().rev().chain(&items).copied().collect();
             let kinds = &tie_kinds(&list)[items.len()..];
             let mut spend = SpendBuffers::default();
             for _ in 0..2 {
-                let (mut got, mut got_used) = (dup.clone(), used);
-                spend_leftover_on_bottleneck(&items, kinds, &mut got, budget, &mut got_used, &mut spend);
+                let mut got = dup.clone();
+                spend_leftover_on_bottleneck(&items, kinds, &mut got, budget, &mut spend);
                 proptest::prop_assert_eq!(&got, &want, "budget {}: {:?}", budget, pool);
-                proptest::prop_assert_eq!(got_used, want_used);
             }
         }
     }

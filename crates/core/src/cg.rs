@@ -140,13 +140,19 @@ pub(crate) fn stage_latency(
     folds: u32,
 ) -> f64 {
     PriceTerms::of(stage, arch, mov).latency(
-        stage.mapping.mvm_count as f64 * cycles_per_mvm as f64,
+        compute_cycles(stage, cycles_per_mvm) as f64,
         stage.mapping.cores_per_replica(arch),
         dup,
         f64::from(folds.max(1)),
         alu_rate(arch),
         u64::from(arch.chip().core_count()),
     )
+}
+
+/// One replica's single-pass compute cycles: the stage's MVM count times
+/// the level's cycles per MVM. The allocator's [`AllocItem::latency`].
+fn compute_cycles(stage: &Stage, cycles_per_mvm: u64) -> u64 {
+    stage.mapping.mvm_count.saturating_mul(cycles_per_mvm)
 }
 
 /// The chip's ALU operations per cycle per core, as a float.
@@ -217,7 +223,7 @@ fn bandwidth_cap(stage: &Stage, arch: &CimArchitecture, act_bits: u32, cycles_pe
     if mov <= 0.0 {
         return u32::MAX;
     }
-    let compute1 = stage.mapping.mvm_count as f64 * cycles_per_mvm as f64;
+    let compute1 = compute_cycles(stage, cycles_per_mvm) as f64;
     ((compute1 / mov).ceil() as u64).clamp(1, u64::from(u32::MAX)) as u32
 }
 
@@ -387,7 +393,7 @@ impl<'a> SegmentEvaluator<'a> {
                     mov: movement_cycles(stage, arch, act_bits),
                     item: AllocItem {
                         cost,
-                        latency: stage.mapping.mvm_count as f64 * cpm as f64,
+                        latency: compute_cycles(stage, cpm),
                         max_dup: duplication_cap(stage, arch, act_bits, cpm),
                     },
                 }
@@ -465,7 +471,7 @@ impl<'a> SegmentEvaluator<'a> {
         let stages = self.items[range.clone()].iter().zip(&self.terms[range]);
         for ((item, terms), &d) in stages.zip(dup) {
             let latency = terms.latency(
-                item.latency,
+                item.latency as f64,
                 item.cost,
                 d,
                 folds,
@@ -532,14 +538,13 @@ impl<'a> SegmentEvaluator<'a> {
         cx.memo.prefix_runs(window, &mut runs, &mut costs);
         let mut lat_fill = cx.scratch.pairs(cap);
         if self.options.pipeline && self.options.duplication {
-            // One bottleneck sweep duplicates every prefix. Its eight
-            // `u32` buffers (the duplication vector, `Q` and the leftover
-            // spend's six) come in one lease.
-            let mut u32s = cx.scratch.u32_array::<8>(cap);
-            let [dup, q, spend @ ..] = &mut *u32s;
-            let (mut keys, mut heap) = (cx.scratch.f64s(cap), cx.scratch.usizes(cap));
+            // One bottleneck sweep duplicates every prefix. Its nine
+            // `u32` buffers (the duplication vector, `Q`, the threshold
+            // heap and the leftover spend's six) come in one lease.
+            let mut u32s = cx.scratch.u32_array::<9>(cap);
+            let [dup, q, heap, spend @ ..] = &mut *u32s;
             let (items, kinds) = (&self.items[i..window_end], &self.kinds[i..window_end]);
-            let mut sweep = BottleneckSweep::new(items, core_count, q, &mut keys, &mut heap);
+            let mut sweep = BottleneckSweep::new(items, core_count, q, heap);
             for (k, cost) in costs.iter_mut().enumerate() {
                 sweep.push();
                 self.probe(i..i + k + 1, cost, dup, &mut lat_fill, |dup| {

@@ -486,7 +486,7 @@ mod tests {
             mov: 1.5,
             item: AllocItem {
                 cost: 2,
-                latency: 8.0,
+                latency: 8,
                 max_dup: 4,
             },
         };

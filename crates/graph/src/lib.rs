@@ -8,8 +8,7 @@
 //!   networks (VGG, ResNet, ViT) plus common auxiliaries;
 //! * an always-consistent graph IR ([`Graph`]) with eager shape inference —
 //!   a node cannot be added with mismatched input shapes;
-//! * a JSON exchange format (the ONNX substitute; see DESIGN.md) via
-//!   serde;
+//! * a JSON exchange format (the ONNX substitute) via serde;
 //! * a [`zoo`] of builders reproducing the evaluation workloads with their
 //!   exact layer shapes.
 //!

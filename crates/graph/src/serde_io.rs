@@ -1,7 +1,7 @@
 //! JSON exchange format — the ONNX substitute.
 //!
 //! The paper ingests ONNX protobufs; this reproduction uses an equivalent
-//! JSON document (see DESIGN.md §2, "Substitutions"). The document carries
+//! JSON document. The document carries
 //! exactly what the compiler consumes — node names, operators with
 //! attributes, and the dependency edges — and deserialization rebuilds the
 //! graph through [`Graph::add`] so every invariant (valid edges, inferable

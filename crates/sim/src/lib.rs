@@ -8,8 +8,8 @@
 //! roles in Rust:
 //!
 //! * the [`reference`](mod@crate::reference) module — a direct integer executor for [`cim_graph::Graph`]s:
-//!   the PyTorch substitute (see DESIGN.md, "Substitutions"). Weights and
-//!   inputs are synthesized deterministically by [`weights`].
+//!   the PyTorch substitute. Weights and inputs are synthesized
+//!   deterministically by [`weights`].
 //! * [`func`] — the functional simulator: a [`func::Machine`] with L0/L1
 //!   buffers and logical crossbar arrays that executes a
 //!   [`cim_mop::MopFlow`]. A compiled flow must reproduce the reference
@@ -24,8 +24,7 @@
 //! The functional simulator models crossbars at the *logical matrix*
 //! level (exact integer MACs). Bit-serial DAC streaming and bit-sliced
 //! cell storage are timing/energy phenomena handled by the cost model;
-//! modelling them functionally would only re-derive the same integers —
-//! see DESIGN.md §4.
+//! modelling them functionally would only re-derive the same integers.
 //!
 //! ```
 //! use cim_arch::presets;

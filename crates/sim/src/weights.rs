@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates latency and power — never accuracy — so tensor
 //! *values* only need to be realistic in shape and deterministic so the
-//! functional simulator and the reference executor agree (DESIGN.md,
-//! "Substitutions"). Values derive from the FNV-1a64 hash of the tensor
+//! functional simulator and the reference executor agree. Values derive
+//! from the FNV-1a64 hash of the tensor
 //! name (the compile cache's [`fnv1a`] step) mixed with the element
 //! index: small signed integers for weights, small unsigned for
 //! activations.

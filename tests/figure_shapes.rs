@@ -1,7 +1,7 @@
 //! Shape assertions on the regenerated evaluation figures: who wins, the
-//! direction of every trend, and the rough factors — the reproduction
-//! criteria of DESIGN.md §3. Absolute values are recorded in
-//! EXPERIMENTS.md; these tests keep the *shape* from regressing.
+//! direction of every trend, and the rough factors. `figures --experiments`
+//! prints the absolute values next to the paper's; these tests keep the
+//! *shape* from regressing.
 
 use cim_bench as figs;
 

@@ -134,3 +134,40 @@ fn prelude_exposes_the_unified_error() {
     assert!(std::error::Error::source(&err).is_some());
     assert!(err.render_chain().contains("invalid model graph"), "{err}");
 }
+
+/// Every upper-case Markdown name (README, ROADMAP, …) that a comment
+/// under `crates/`, `src/` or `tests/` cites is a file at the repository
+/// root.
+#[test]
+fn every_markdown_file_a_comment_cites_exists() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs: Vec<_> = ["crates", "src", "tests"].map(|d| root.join(d)).into();
+    let mut missing = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a readable directory") {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            if path.extension() != Some("rs".as_ref()) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("UTF-8 source");
+            for (n, line) in text.lines().enumerate() {
+                let Some(at) = line.find("//") else { continue };
+                let comment = &line[at..];
+                for (end, _) in comment.match_indices(".md") {
+                    let start = comment[..end]
+                        .trim_end_matches(|c: char| c.is_ascii_uppercase() || c == '_')
+                        .len();
+                    let name = &comment[start..end + 3];
+                    if start < end && !root.join(name).is_file() {
+                        missing.push(format!("{}:{}: {name}", path.display(), n + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(missing.is_empty(), "cited but absent: {missing:#?}");
+}
