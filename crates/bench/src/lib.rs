@@ -2,9 +2,8 @@
 //!
 //! One function per evaluation figure of the paper (§4.2–§4.4). Each
 //! returns a [`Series`] of labelled values that the `figures` binary
-//! prints, the Criterion benches regenerate, and the integration tests
-//! assert shape properties on (who wins, direction of trends, rough
-//! factors). The comparator schedulers those figures measure against
+//! prints and the integration tests assert shape properties on (who
+//! wins, direction of trends, rough factors). The comparator schedulers those figures measure against
 //! live in [`baselines`]; the sweep driver ([`sweep`], `cimc bench`)
 //! runs the evaluation matrix and emits machine-readable reports.
 //!
@@ -20,15 +19,11 @@
 
 pub mod ablations;
 pub mod baselines;
-pub mod compile_time;
 pub mod loadtest;
 pub mod report;
 pub mod sweep;
 
 pub use cim_obs::{doc, stats};
-pub use compile_time::{
-    measure_entry, measure_gate_entries, CompileTimeBudget, CompileTimeRecord, GATE_ENTRIES,
-};
 pub use doc::{DocError, Document, RunTiming};
 pub use loadtest::{LoadSample, LoadtestEntry, LoadtestReport, SampleClass};
 pub use report::{compare, BenchReport, RegressionReport, Tolerances};

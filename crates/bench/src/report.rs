@@ -15,14 +15,13 @@
 //!
 //! # Version history
 //!
-//! * **4** — `compile_time` records drop `jobs` (one compile runs on one
-//!   thread) and are keyed `model@arch`. Version-1–3 documents remain
-//!   readable: a record's `jobs` key is ignored.
-//! * **3** — adds the optional `compile_time` section: median
-//!   cold-compile wall clocks of the [`crate::compile_time::GATE_ENTRIES`]
-//!   workloads, attached by `scripts/refresh-baseline.sh` and consumed
-//!   by the `cimc compile-perf` drift gate. Version-1/2 documents remain
-//!   readable: the section defaults to absent, and nothing else changed.
+//! * **4** — the compile-time section's records drop `jobs` (one compile
+//!   runs on one thread) and are keyed `model@arch`.
+//! * **3** — adds an optional compile-time section: median cold-compile
+//!   wall clocks of two reference compiles, which a wall-clock gate read.
+//!   That gate is retired (counts in `crates/core/tests/alloc_budget.rs`
+//!   replaced it), so the section is no longer written, and a v3 or v4
+//!   document that still carries it loads with the section ignored.
 //! * **2** — adds the optional `cache_stats` block (compile-cache
 //!   hit/miss/store counters of the sweep that produced the report).
 //!   Version-1 documents remain readable: `cache_stats` defaults to
@@ -109,17 +108,6 @@ pub struct BenchReport {
     /// and a warm sweep of the same spec differ here and nowhere else.
     #[serde(default)]
     pub cache_stats: Option<CacheStats>,
-    /// Median cold-compile wall clocks of the compile-perf gate
-    /// workloads ([`crate::compile_time::GATE_ENTRIES`]). Ordinary sweep
-    /// runs carry `None`; `scripts/refresh-baseline.sh` attaches freshly
-    /// measured medians so `cimc compile-perf --baseline` can gate
-    /// drift. Unlike `timing`/`cache_stats` this section *survives*
-    /// [`Document::comparable`]: it is reference data deliberately
-    /// baked into the committed baseline, not a by-product of the run —
-    /// and since plain sweeps never populate it, cold/warm comparable
-    /// byte-identity is unaffected.
-    #[serde(default)]
-    pub compile_time: Option<Vec<crate::compile_time::CompileTimeRecord>>,
 }
 
 impl BenchReport {
@@ -139,7 +127,6 @@ impl BenchReport {
             failures,
             timing,
             cache_stats: None,
-            compile_time: None,
         }
     }
 }
@@ -153,9 +140,7 @@ impl Document for BenchReport {
         self.schema_version
     }
 
-    /// Wall clocks and cache counters. The `compile_time` section stays:
-    /// it is reference data deliberately attached to the committed
-    /// baseline (plain sweeps never carry it), not a run by-product.
+    /// Wall clocks and cache counters.
     fn strip_volatile(&mut self) {
         self.timing = RunTiming::default();
         for job in &mut self.jobs {

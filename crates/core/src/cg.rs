@@ -536,6 +536,10 @@ impl<'a> SegmentEvaluator<'a> {
         // each one's region-id run and reads its memoized cost.
         let (mut runs, mut costs) = (cx.scratch.u32s(cap), cx.scratch.f64s(cap));
         cx.memo.prefix_runs(window, &mut runs, &mut costs);
+        // The DP's work: the candidates the memo could not answer, which
+        // [`Self::probe`] prices below.
+        let priced = costs.iter().filter(|cost| cost.is_nan()).count();
+        cim_obs::count("compile.cg.priced", priced as u64);
         let mut lat_fill = cx.scratch.pairs(cap);
         if self.options.pipeline && self.options.duplication {
             // One bottleneck sweep duplicates every prefix. Its nine

@@ -31,9 +31,10 @@
 //! [`MetricsRegistry`] methods) first performs exactly **one relaxed
 //! atomic load** and returns if its gate is off — no allocation, no
 //! clock read, no lock. Instrumented hot paths therefore cost one
-//! predicted branch when observability is not in use; the `compile-perf`
-//! CI budgets are enforced with the collector *enabled* as well, so the
-//! enabled path stays cheap enough for production serving too.
+//! predicted branch when observability is not in use. The enabled path
+//! is budgeted too: `crates/core/tests/alloc_budget.rs` caps the span
+//! events and the allocations the collector adds to three reference
+//! compiles, so it stays cheap enough for production serving.
 //!
 //! The other hard invariant: observability never changes results. The
 //! `comparable()` views of every report (compile doc, bench, traffic,

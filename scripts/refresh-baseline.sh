@@ -2,9 +2,7 @@
 # Regenerates all three committed report artifacts from one binary:
 #
 #   * bench/baseline.json — the --comparable report CI's bench-report
-#     job gates against, with the compile_time section attached
-#     (--compile-time: median cold-compile wall clocks of the
-#     compile-perf gate workloads, the reference for CI's drift check);
+#     job gates against;
 #   * BENCH_sweep.json    — the full showcase report (wall clocks and
 #     cache stats included) the README points at;
 #   * bench/traffic-baseline.json — the --comparable traffic report
@@ -50,10 +48,10 @@ if [ -n "$old" ]; then
     # Sweep once, write the refreshed baseline, and print what moved
     # relative to the previous one (the gate outcome is informational
     # here — a refresh is allowed to change metrics).
-    ./target/release/cimc bench --jobs "$jobs" --out "$baseline" --comparable --compile-time \
+    ./target/release/cimc bench --jobs "$jobs" --out "$baseline" --comparable \
         --baseline "$old"
 else
-    ./target/release/cimc bench --jobs "$jobs" --out "$baseline" --comparable --compile-time
+    ./target/release/cimc bench --jobs "$jobs" --out "$baseline" --comparable
 fi
 
 ./target/release/cimc bench --jobs "$jobs" --out "$sweep"

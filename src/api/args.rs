@@ -94,15 +94,12 @@ pub const FLAGS: &[Flag] = &[
     switch("--quick"),
     flag("--out", Text, "<file.json>"),
     switch("--comparable"),
-    switch("--compile-time"),
     flag("--baseline", Text, "<file.json>"),
     switch("--fail-on-regression"),
     flag("--tolerance", Percent, "<pct>"),
     flag("--models", List, "<a,b,..>"),
     flag("--archs", List, "<a,b,..>"),
     flag("--modes", Choices(SWEEP_MODES), "<a,b,..>"),
-    flag("--samples", Positive, "<n>"),
-    flag("--attempts", Positive, "<n>"),
     flag("--space", Text, "<file.json>"),
     flag(
         "--strategy",
@@ -188,13 +185,8 @@ pub const COMMANDS: &[Command] = &[
     cmd(
         "bench",
         "",
-        "--quick --jobs --out --comparable --compile-time --baseline --fail-on-regression \
-         --tolerance --models --archs --modes --cache-dir --no-cache --trace-out --profile",
-    ),
-    cmd(
-        "compile-perf",
-        "",
-        "--samples --attempts --baseline --tolerance",
+        "--quick --jobs --out --comparable --baseline --fail-on-regression --tolerance \
+         --models --archs --modes --cache-dir --no-cache --trace-out --profile",
     ),
     cmd(
         "explore",

@@ -9,9 +9,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cim_arch::{presets, CimArchitecture};
-use cim_bench::{
-    measure_gate_entries, run_sweep_cached, BenchReport, Document, RunTiming, SweepSpec,
-};
+use cim_bench::{run_sweep_cached, BenchReport, Document, RunTiming, SweepSpec};
 use cim_compiler::cache::fingerprint_graph;
 use cim_compiler::{
     Artifact, CodegenPass, CompileCache, CompileOptions, DiskCache, Fingerprint, MemoryCache,
@@ -27,10 +25,9 @@ use cim_traffic::{
 };
 
 use super::{
-    ApiError, BenchRequest, CachePolicy, CompileOutcome, CompilePerfRequest, CompileRequest,
-    ExploreRequest, FlowSummary, ListRequest, RecompileOutcome, RecompileRequest, Request,
-    RequestEnvelope, Response, ResponseBody, SimulateRequest, TraceRequest, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    ApiError, BenchRequest, CachePolicy, CompileOutcome, CompileRequest, ExploreRequest,
+    FlowSummary, ListRequest, RecompileOutcome, RecompileRequest, Request, RequestEnvelope,
+    Response, ResponseBody, SimulateRequest, TraceRequest, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::Error;
 
@@ -262,23 +259,20 @@ impl Handler {
                 Ok(names) => ResponseBody::List { names },
                 Err(e) => ResponseBody::Error(e),
             },
-            Request::CompilePerf(req) => match Self::compile_perf(req) {
-                Ok(records) => ResponseBody::CompilePerf { records },
-                Err(e) => ResponseBody::Error(e),
-            },
             Request::Ping => ResponseBody::Pong,
             Request::Metrics => ResponseBody::Metrics {
                 metrics: cim_obs::metrics().snapshot(),
             },
-            Request::Sleep(req) => {
-                let ms = if req.ms.is_finite() {
-                    req.ms.max(0.0)
-                } else {
-                    0.0
-                };
-                std::thread::sleep(std::time::Duration::from_secs_f64(ms / 1000.0));
-                ResponseBody::Slept { ms }
-            }
+            Request::Sleep(req) => match std::time::Duration::try_from_secs_f64(req.ms / 1000.0) {
+                Ok(duration) => {
+                    std::thread::sleep(duration);
+                    ResponseBody::Slept { ms: req.ms }
+                }
+                Err(e) => ResponseBody::Error(ApiError::argument(format!(
+                    "cannot sleep {:?} ms: {e}",
+                    req.ms
+                ))),
+            },
             // A server intercepts Shutdown before execution; handled
             // directly (CLI/tests), there is nothing to drain.
             Request::Shutdown => ResponseBody::ShuttingDown { pending: 0 },
@@ -602,9 +596,8 @@ impl Handler {
         })
     }
 
-    /// The `cimc bench` core: validate the sweep spec, run it on the
-    /// worker pool against the resolved cache, optionally attach the
-    /// compile-time gate medians.
+    /// The `cimc bench` core: validate the sweep spec, then run it on the
+    /// worker pool against the resolved cache.
     fn bench(&self, req: &BenchRequest) -> Result<BenchReport, ApiError> {
         let mut spec = if req.quick {
             SweepSpec::quick()
@@ -635,18 +628,7 @@ impl Handler {
         let cache = self.resolve_cache(&req.cache, || {
             Some(Arc::new(MemoryCache::new()) as Arc<dyn CompileCache>)
         })?;
-        let mut report = run_sweep_cached(&spec, threads, cache).expect("spec was validated above");
-        if req.compile_time {
-            match measure_gate_entries(9) {
-                Ok(records) => report.compile_time = Some(records),
-                Err(e) => {
-                    return Err(ApiError::input(format!(
-                        "cannot measure compile-time medians: {e}"
-                    )));
-                }
-            }
-        }
-        Ok(report)
+        Ok(run_sweep_cached(&spec, threads, cache).expect("spec was validated above"))
     }
 
     /// The `cimc explore` core: validate strategy/objective/space, then
@@ -866,17 +848,6 @@ impl Handler {
             }
         };
         Ok(names.into_iter().map(str::to_owned).collect())
-    }
-
-    /// The `cimc compile-perf` core: one measurement round over the gate
-    /// workloads. The retry/budget/drift policy is presentation and
-    /// stays with the caller.
-    fn compile_perf(
-        req: &CompilePerfRequest,
-    ) -> Result<Vec<cim_bench::CompileTimeRecord>, ApiError> {
-        let samples = if req.samples == 0 { 9 } else { req.samples };
-        measure_gate_entries(samples)
-            .map_err(|e| ApiError::input(format!("cannot measure compile-time medians: {e}")))
     }
 }
 

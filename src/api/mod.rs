@@ -43,7 +43,7 @@ pub mod render;
 
 pub use handler::Handler;
 
-use cim_bench::{BenchReport, CompileTimeRecord};
+use cim_bench::BenchReport;
 use cim_compiler::{CacheStats, CompileMetrics, OptLevel, PassTimeline, PerfReport};
 use cim_dse::{DesignSpace, DseReport};
 use cim_graph::GraphDelta;
@@ -340,9 +340,6 @@ pub struct BenchRequest {
     /// Worker threads; 0 means all available cores.
     #[serde(default)]
     pub jobs: usize,
-    /// Attach the compile-time gate medians to the report.
-    #[serde(default)]
-    pub compile_time: bool,
     /// Which cache the sweep's worker pool shares.
     #[serde(default)]
     pub cache: CachePolicy,
@@ -450,14 +447,6 @@ pub struct ListRequest {
     pub category: String,
 }
 
-/// `cimc compile-perf` (one measurement round) as a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompilePerfRequest {
-    /// Cold-compile samples per gate workload; 0 means the default (9).
-    #[serde(default)]
-    pub samples: usize,
-}
-
 /// A diagnostic request that occupies a worker for `ms` milliseconds —
 /// the deterministic way to exercise admission control and deadlines in
 /// tests and load scripts.
@@ -491,8 +480,6 @@ pub enum Request {
     /// List a vocabulary (models, archs, modes, strategies, objectives,
     /// policies, traces, exporters).
     List(ListRequest),
-    /// Measure the compile-time gate workloads once.
-    CompilePerf(CompilePerfRequest),
     /// Liveness probe.
     Ping,
     /// Occupy a worker for a fixed duration (diagnostics only).
@@ -552,7 +539,6 @@ impl Request {
                 format!("simulate {name}@{}", s.arch.as_deref().unwrap_or("isaac"))
             }
             Request::List(l) => format!("list {}", l.category),
-            Request::CompilePerf(_) => "compile-perf".to_owned(),
             Request::Ping => "ping".to_owned(),
             Request::Sleep(s) => format!("sleep {}ms", s.ms),
             Request::Metrics => "metrics".to_owned(),
@@ -770,11 +756,6 @@ pub enum ResponseBody {
     List {
         /// The vocabulary, one entry per line in CLI output order.
         names: Vec<String>,
-    },
-    /// A compile-perf request's result (one measurement round).
-    CompilePerf {
-        /// Median cold-compile records, one per gate workload.
-        records: Vec<CompileTimeRecord>,
     },
     /// Answer to [`Request::Ping`].
     Pong,

@@ -306,8 +306,8 @@ pub fn render_recompile(outcome: &RecompileOutcome, json: bool, timings: bool) -
     }
 }
 
-/// Renders a bench report's result table, failure lines, sweep summary,
-/// cache line and compile-time medians — the fixed stdout block of
+/// Renders a bench report's result table, failure lines, sweep summary
+/// and cache line — the fixed stdout block of
 /// `cimc bench` (the `--out`/`--baseline` tail stays in the shim, which
 /// owns file IO).
 #[must_use]
@@ -350,17 +350,6 @@ pub fn render_bench(report: &BenchReport) -> String {
     );
     if let Some(stats) = &report.cache_stats {
         let _ = writeln!(out, "cache: {}", stats.render());
-    }
-    if let Some(records) = &report.compile_time {
-        for r in records {
-            let _ = writeln!(
-                out,
-                "compile-time {}: median {:.3} ms over {} sample(s)",
-                r.key(),
-                r.median_ms,
-                r.samples
-            );
-        }
     }
     out
 }

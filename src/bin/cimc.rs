@@ -25,8 +25,8 @@
 
 use cim_mlc::api::args::{cache_policy, command, parse, reject_trailing, usage, Parsed, COMMANDS};
 use cim_mlc::api::{
-    render, ApiError, BenchRequest, CompilePerfRequest, CompileRequest, ErrorKind, ExploreRequest,
-    Handler, ListRequest, RecompileRequest, Request, ResponseBody, SimulateRequest, TraceRequest,
+    render, ApiError, BenchRequest, CompileRequest, ErrorKind, ExploreRequest, Handler,
+    ListRequest, RecompileRequest, Request, ResponseBody, SimulateRequest, TraceRequest,
 };
 use cim_mlc::compiler::TieredCache;
 use cim_mlc::loadtest::{fetch_metrics, run_loadtest, send_shutdown, LoadtestOptions};
@@ -467,7 +467,6 @@ fn cmd_bench(flags: &Parsed) -> Cli {
         archs: flags.list("--archs"),
         modes,
         jobs: flags.number("--jobs").unwrap_or(0),
-        compile_time: flags.has("--compile-time"),
         cache: cache(flags)?,
     });
     let ResponseBody::Bench { report } = execute(&request, Some(flags))? else {
@@ -500,106 +499,6 @@ fn cmd_bench(flags: &Parsed) -> Cli {
         return usage_error("--fail-on-regression needs --baseline <file.json>");
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// One `compile-perf` round: prints a line per gate entry and returns
-/// the budget and drift violations.
-fn gate_attempt(
-    attempt: usize,
-    records: &[CompileTimeRecord],
-    baseline: Option<&[CompileTimeRecord]>,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for (entry, record) in GATE_ENTRIES.iter().zip(records) {
-        let (key, median) = (record.key(), record.median_ms);
-        let mut status = "ok";
-        if median > entry.budget_ms {
-            status = "OVER BUDGET";
-            violations.push(format!(
-                "{key}: median {median:.3} ms exceeds the {:.3} ms budget \
-                 (half the pre-refactor median)",
-                entry.budget_ms
-            ));
-        }
-        let mut drift_note = String::new();
-        if let Some(base) = baseline.and_then(|rs| rs.iter().find(|r| r.key() == key)) {
-            let drift = 100.0 * (median - base.median_ms) / base.median_ms;
-            drift_note = format!("   drift {drift:+.1}% vs baseline {:.3} ms", base.median_ms);
-            if drift > tolerance {
-                status = "DRIFT";
-                violations.push(format!(
-                    "{key}: median {median:.3} ms drifted {drift:+.1}% over the baseline's \
-                     {:.3} ms (tolerance {tolerance}%)",
-                    base.median_ms
-                ));
-            }
-        }
-        println!(
-            "attempt {attempt}: {key:<22} median {median:>8.3} ms (budget {:>7.3} ms, \
-             {} samples)  {status}{drift_note}",
-            entry.budget_ms, record.samples
-        );
-    }
-    violations
-}
-
-/// `cimc compile-perf` — the compile-time regression gate.
-///
-/// Re-measures the reference workloads' median cold-compile times
-/// ([`GATE_ENTRIES`]) and fails when one exceeds its absolute budget —
-/// half the pre-refactor median, so passing *is* the ">= 2x cold-compile
-/// speedup" guarantee. With `--baseline`, medians are additionally
-/// checked for drift against the committed baseline's `compile_time`
-/// section (schema v3+).
-///
-/// Wall clocks are noisy, so like the cache-consistency gate the
-/// measurement retries: up to `--attempts` rounds (default 3), passing
-/// if any round is clean. `--tolerance` is the allowed drift over the
-/// baseline median, in percent (default 50 — generous on purpose:
-/// machine-to-machine variance dwarfs scheduler regressions, which the
-/// absolute budgets catch anyway).
-fn cmd_compile_perf(flags: &Parsed) -> Cli {
-    let samples = flags.number("--samples").unwrap_or(9);
-    let attempts = flags.number("--attempts").unwrap_or(3);
-    let tolerance = flags.number("--tolerance").unwrap_or(50.0);
-    // Load the baseline's compile_time section up front so a bad path
-    // fails fast, before minutes of measurement.
-    let mut baseline = None;
-    if let Some(path) = flags.text("--baseline") {
-        let report = load_baseline(&path)?;
-        if report.compile_time.is_none() {
-            // Pre-v3 baselines gate on the absolute budgets alone.
-            println!(
-                "baseline `{path}` has no compile_time section (schema v{} < 3); \
-                 drift gate skipped — regenerate with scripts/refresh-baseline.sh",
-                report.schema_version
-            );
-        }
-        baseline = report.compile_time;
-    }
-    let handler = Handler::new();
-    for attempt in 1..=attempts {
-        let records = match handler.handle(&Request::CompilePerf(CompilePerfRequest { samples })) {
-            ResponseBody::CompilePerf { records } => records,
-            ResponseBody::Error(e) => return Err(e.into()),
-            _ => unreachable!("compile-perf requests yield records"),
-        };
-        let violations = gate_attempt(attempt, &records, baseline.as_deref(), tolerance);
-        if violations.is_empty() {
-            println!("compile-perf gate: PASS (attempt {attempt}/{attempts})");
-            return Ok(ExitCode::SUCCESS);
-        }
-        if attempt < attempts {
-            println!("attempt {attempt}/{attempts} failed; re-measuring (wall clocks are noisy)");
-        } else {
-            eprintln!("compile-perf gate: FAIL after {attempts} attempt(s)");
-            for v in violations {
-                eprintln!("  {v}");
-            }
-        }
-    }
-    Ok(ExitCode::FAILURE)
 }
 
 /// `cimc serve` — the persistent compile service (see
@@ -733,7 +632,6 @@ fn run(args: &[String]) -> Cli {
         "compile" => cmd_compile,
         "recompile" => cmd_recompile,
         "bench" => cmd_bench,
-        "compile-perf" => cmd_compile_perf,
         "explore" => cmd_explore,
         "trace" => cmd_trace,
         "simulate" => cmd_simulate,
@@ -750,8 +648,7 @@ fn run(args: &[String]) -> Cli {
 
 fn main() -> ExitCode {
     // CIM_OBS=1 turns tracing and metrics on for any subcommand without
-    // touching its flags — how CI re-runs the compile-perf gate with the
-    // collector live to prove instrumentation stays within budget.
+    // touching its flags.
     if std::env::var("CIM_OBS").is_ok_and(|v| v == "1") {
         cim_obs::enable();
     }

@@ -120,9 +120,8 @@ pub mod prelude {
         NocCost, NocKind, XbShape,
     };
     pub use cim_bench::{
-        compare, measure_entry, measure_gate_entries, run_sweep, run_sweep_cached, BenchReport,
-        CompileTimeBudget, CompileTimeRecord, DocError, Document, SweepSpec, Tolerances,
-        GATE_ENTRIES,
+        compare, run_sweep, run_sweep_cached, BenchReport, DocError, Document, SweepSpec,
+        Tolerances,
     };
     pub use cim_compiler::{
         codegen, write_atomic, Artifact, CacheStats, CodegenPass, CompileCache, CompileMetrics,

@@ -4,10 +4,9 @@
 //! report enforces with `MIN_SCHEMA_VERSION`.
 
 use cim_mlc::api::{
-    ApiError, BenchRequest, CachePolicy, CompilePerfRequest, CompileRequest, ExploreRequest,
-    Handler, LevelArg, ListRequest, ModeArg, RecompileRequest, Request, RequestEnvelope, Response,
-    ResponseBody, SimulateRequest, SleepRequest, StageArg, TraceRequest, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    ApiError, BenchRequest, CachePolicy, CompileRequest, ExploreRequest, Handler, LevelArg,
+    ListRequest, ModeArg, RecompileRequest, Request, RequestEnvelope, Response, ResponseBody,
+    SimulateRequest, SleepRequest, StageArg, TraceRequest, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use cim_mlc::prelude::{GraphDelta, GraphEdit, OpKind};
 use cim_mlc::traffic::{GeneratorKind, TenantSpec, TraceSpec};
@@ -86,17 +85,15 @@ fn bench_requests() -> impl Strategy<Value = Request> {
         proptest::option::of(proptest::collection::vec(names(&["lenet5", "mlp"]), 1..3)),
         proptest::option::of(proptest::collection::vec(names(&["isaac", "jain"]), 1..3)),
         0usize..8,
-        any::<bool>(),
         cache_policies(),
     )
-        .prop_map(|(quick, models, archs, jobs, compile_time, cache)| {
+        .prop_map(|(quick, models, archs, jobs, cache)| {
             Request::Bench(BenchRequest {
                 quick,
                 models,
                 archs,
                 modes: None,
                 jobs,
-                compile_time,
                 cache,
             })
         })
@@ -136,7 +133,6 @@ fn requests() -> impl Strategy<Value = Request> {
         explore_requests(),
         names(&["models", "archs", "modes", "strategies", "objectives"])
             .prop_map(|category| Request::List(ListRequest { category })),
-        (0usize..20).prop_map(|samples| Request::CompilePerf(CompilePerfRequest { samples })),
         Just(Request::Ping),
         (0.0f64..100.0).prop_map(|ms| Request::Sleep(SleepRequest { ms })),
         Just(Request::Shutdown),
@@ -315,7 +311,6 @@ fn wire_samples() -> Vec<String> {
             archs: None,
             modes: None,
             jobs: 4,
-            compile_time: false,
             cache: CachePolicy::Off,
         }),
     );
@@ -392,7 +387,6 @@ fn wire_samples() -> Vec<String> {
         }),
     );
     let control = [
-        RequestEnvelope::new(5, Request::CompilePerf(CompilePerfRequest { samples: 3 })),
         RequestEnvelope::new(6, Request::Ping),
         RequestEnvelope::new(7, Request::Sleep(SleepRequest { ms: 25.0 })),
         RequestEnvelope::new(8, Request::Shutdown),

@@ -34,36 +34,6 @@ fn help_lists_the_bench_subcommand() {
     let text = stdout(&out);
     assert!(text.contains("cimc bench"), "{text}");
     assert!(text.contains("--fail-on-regression"), "{text}");
-    assert!(text.contains("cimc compile-perf"), "{text}");
-}
-
-// ---------------------------------------------------------------------------
-// `cimc compile-perf` — argument handling (the measurement itself runs in
-// release CI; debug-build wall clocks would be meaningless here).
-
-#[test]
-fn compile_perf_rejects_zero_samples() {
-    let out = cimc(&["compile-perf", "--samples", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("--samples") && err.contains("`0`"), "{err}");
-}
-
-#[test]
-fn compile_perf_fails_fast_on_a_missing_baseline() {
-    // The baseline is loaded before any measurement, so a bad path
-    // errors immediately instead of after minutes of compiles.
-    let out = cimc(&["compile-perf", "--baseline", "/nonexistent/baseline.json"]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = stderr(&out);
-    assert!(err.contains("cannot read baseline"), "{err}");
-}
-
-#[test]
-fn compile_perf_rejects_unknown_arguments() {
-    let out = cimc(&["compile-perf", "--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("`--bogus`"), "{}", stderr(&out));
 }
 
 #[test]
@@ -116,6 +86,24 @@ fn fail_on_regression_requires_a_baseline() {
     let out = cimc(&["bench", "--models", "lenet5", "--fail-on-regression"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--baseline"), "{}", stderr(&out));
+}
+
+#[test]
+fn bench_names_a_missing_baseline() {
+    let out = cimc(&[
+        "bench",
+        "--models",
+        "lenet5",
+        "--archs",
+        "isaac",
+        "--modes",
+        "cg",
+        "--baseline",
+        "/nonexistent/baseline.json",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("cannot read baseline"), "{err}");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! protocol. Covers response isolation under concurrency, admission
 //! control, deadlines, warm-cache repeats, malformed and over-long input,
 //! round-trip latency, and the `cimc loadtest` client against a live
-//! server.
+//! server; and one answer checked over `--stdio`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -269,12 +269,60 @@ fn malformed_json_gets_an_error_response_and_the_connection_survives() {
     assert_eq!(pong.id, 5);
     assert!(matches!(pong.body, ResponseBody::Pong));
 
-    // An unknown request shape parses as JSON but not as an envelope.
+    // An unknown request kind parses as JSON but not as an envelope, and
+    // a retired kind is one; the connection answers the next request.
     let mut client2 = server.connect();
-    client2.send_line(r#"{"request": {"frobnicate": {}}}"#);
-    let response = client2.read_response();
-    assert!(matches!(response.body, ResponseBody::Error(_)));
+    let retired = include_str!("golden/retired/wire.jsonl").trim_end();
+    for line in [r#"{"request": {"frobnicate": {}}}"#, retired] {
+        client2.send_line(line);
+        match &client2.read_response().body {
+            ResponseBody::Error(e) => assert_eq!(e.kind, ErrorKind::Protocol, "{e}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        let pong = client2.roundtrip(&RequestEnvelope::new(6, Request::Ping));
+        assert_eq!(pong.id, 6);
+        assert!(matches!(pong.body, ResponseBody::Pong));
+    }
     server.shutdown();
+}
+
+#[test]
+fn a_sleep_out_of_duration_range_is_an_argument_error_over_stdio() {
+    // 1e300 ms overflows a `Duration`; a negative one has none.
+    let lines = [
+        r#"{"id": 7, "request": {"sleep": {"ms": 1e300}}}"#,
+        r#"{"id": 8, "request": {"sleep": {"ms": -1.0}}}"#,
+        r#"{"id": 9, "request": "ping"}"#,
+    ];
+    let mut server = Command::new(env!("CARGO_BIN_EXE_cimc"))
+        .args(["serve", "--stdio"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("cimc serve starts");
+    let mut stdin = server.stdin.take().expect("stdin is piped");
+    for line in lines {
+        write_line(&mut stdin, line.to_owned()).expect("request writes");
+    }
+    drop(stdin);
+    let out = server.wait_with_output().expect("cimc serve exits at EOF");
+    assert!(out.status.success(), "{:?}", out.status);
+    let mut responses: Vec<Response> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|line| Response::from_json(line).expect("response parses"))
+        .collect();
+    responses.sort_by_key(|r| r.id);
+
+    let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+    assert_eq!(ids, [7, 8, 9], "exactly one response per id");
+    for response in &responses[..2] {
+        match &response.body {
+            ResponseBody::Error(e) => assert_eq!(e.kind, ErrorKind::Argument, "{e}"),
+            other => panic!("expected an argument error, got {other:?}"),
+        }
+    }
+    assert!(matches!(responses[2].body, ResponseBody::Pong));
 }
 
 #[test]

@@ -37,12 +37,6 @@ fn bench() -> BenchReport {
         misses: 2,
         stores: 2,
     });
-    report.compile_time = Some(vec![CompileTimeRecord {
-        model: "vit_base".into(),
-        arch: "isaac".into(),
-        samples: 9,
-        median_ms: 3.3,
-    }]);
     report
 }
 
@@ -296,17 +290,14 @@ fn committed_artifacts_round_trip_through_the_one_reader() {
 #[test]
 fn bench_v1_and_v2_documents_remain_readable() {
     let current = bench();
-    let v1 =
-        BenchReport::from_json(&downgraded(&current, 1, &["cache_stats", "compile_time"])).unwrap();
+    let v1 = BenchReport::from_json(&downgraded(&current, 1, &["cache_stats"])).unwrap();
     assert_eq!(v1.schema_version, 1);
     assert_eq!(v1.cache_stats, None, "v1 has no cache stats");
-    assert_eq!(v1.compile_time, None, "v1 has no compile-time section");
     assert_eq!(v1.jobs, current.jobs);
 
-    let v2 = BenchReport::from_json(&downgraded(&current, 2, &["compile_time"])).unwrap();
+    let v2 = BenchReport::from_json(&downgraded(&current, 2, &[])).unwrap();
     assert_eq!(v2.schema_version, 2);
     assert_eq!(v2.cache_stats, current.cache_stats, "v2 keeps cache stats");
-    assert_eq!(v2.compile_time, None, "v2 has no compile-time section");
     assert_eq!(v2.jobs, current.jobs);
 
     // Old baselines still gate against a current report.
@@ -315,19 +306,33 @@ fn bench_v1_and_v2_documents_remain_readable() {
     }
 }
 
+/// Versions 3 and 4 could carry a section of cold-compile wall-clock
+/// medians, which no writer emits any more: such a document still loads,
+/// and the section is ignored.
 #[test]
-fn bench_v3_compile_time_records_with_jobs_still_load() {
-    let current = bench();
-    // A v3 writer also recorded each median's worker count.
-    let json = downgraded(&current, 3, &[]).replace(
-        r#""arch":"isaac","samples""#,
-        r#""arch":"isaac","jobs":4,"samples""#,
-    );
-    assert!(json.contains(r#""jobs":4"#), "{json}");
-    let v3 = BenchReport::from_json(&json).unwrap();
-    assert_eq!(v3.schema_version, 3);
-    assert_eq!(v3.compile_time, current.compile_time);
-    assert_eq!(v3.compile_time.unwrap()[0].key(), "vit_base@isaac");
+fn bench_v4_reports_with_the_retired_timing_section_still_load() {
+    let json = include_str!("golden/retired/bench_v4.json");
+    let report = BenchReport::from_json(json).unwrap();
+    assert_eq!(report.schema_version, 4);
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.timing.threads, 2);
+    assert_eq!(report.cache_stats.map(|s| s.hits), Some(7));
+
+    // Writing it back drops that one section and keeps everything else.
+    let Value::Map(read) = serde_json::from_str(json).unwrap() else {
+        panic!("the fixture is an object")
+    };
+    let Value::Map(written) = serde::Serialize::to_value(&report) else {
+        panic!("documents serialize to objects")
+    };
+    let (kept, dropped): (Vec<_>, Vec<_>) = read
+        .into_iter()
+        .partition(|(key, _)| written.iter().any(|(k, _)| k == key));
+    assert_eq!(kept, written);
+    assert_eq!(dropped.len(), 1, "{dropped:?}");
+    assert!(serde_json::to_string(&dropped[0].1)
+        .unwrap()
+        .contains(r#""median_ms":0.9"#));
 }
 
 #[test]

@@ -130,7 +130,6 @@ proptest! {
                 archs: Some(vec![arch.to_owned()]),
                 modes: None,
                 jobs: 1,
-                compile_time: false,
                 cache: CachePolicy::Off,
             }));
             match body {

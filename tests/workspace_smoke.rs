@@ -171,3 +171,44 @@ fn every_markdown_file_a_comment_cites_exists() {
     }
     assert!(missing.is_empty(), "cited but absent: {missing:#?}");
 }
+
+/// CI's jobs are `scripts/ci-local.sh` jobs: every job `ci.yml` runs
+/// through the script is one of the script's `case` arms and on its
+/// default list, and the reverse.
+#[test]
+fn ci_and_its_local_mirror_name_the_same_jobs() {
+    use std::collections::BTreeSet;
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &str| std::fs::read_to_string(root.join(path)).expect("a readable file");
+    let workflow = read(".github/workflows/ci.yml");
+    let script = read("scripts/ci-local.sh");
+
+    let called: BTreeSet<&str> = workflow
+        .lines()
+        .filter(|line| line.trim_start().starts_with("run:"))
+        .filter_map(|line| line.split("scripts/ci-local.sh ").nth(1))
+        .map(str::trim)
+        .collect();
+    let cases = &script[script.find("case \"$job\" in").expect("a job `case`")..];
+    let arms: BTreeSet<&str> = cases[..cases.find("esac").expect("the `case` ends")]
+        .lines()
+        .filter_map(|line| line.trim().split_once(") "))
+        .map(|(arm, _)| arm)
+        .collect();
+    // `jobs=("$@")` takes the arguments; the last assignment is the
+    // default list.
+    let default: BTreeSet<&str> = script
+        .lines()
+        .rev()
+        .find_map(|line| line.trim().strip_prefix("jobs=("))
+        .and_then(|list| list.strip_suffix(')'))
+        .expect("a default job list")
+        .split_whitespace()
+        .collect();
+    assert_eq!(called, arms, "ci.yml's jobs vs ci-local.sh's `case` arms");
+    assert_eq!(
+        default, arms,
+        "ci-local.sh's default list vs its `case` arms"
+    );
+    assert_eq!(arms.len(), 9, "{arms:?}");
+}
