@@ -941,6 +941,35 @@ mod tests {
             }
         }
 
+        /// After every push, every pushed item holds `Q_i(T)` at the
+        /// sweep's threshold, so all items of one tie kind hold the same
+        /// `q`: the sweep can keep one `q` per kind. Caps reach 10⁶, so
+        /// `jump` runs too.
+        #[test]
+        fn items_of_one_tie_kind_share_their_q_after_every_push(
+            spec in proptest::collection::vec((0u32..5, 0u32..10_000_000, 0u32..6, 0u32..3, 0u32..1_000_000), 1..24),
+            blocks in 0usize..13,
+            slack in 0u64..1_001,
+        ) {
+            let items = drawn_items(&spec, blocks);
+            let kinds = tie_kinds(&items);
+            let base: u64 = items.iter().map(cost).sum();
+            let budget = base + base * 3 * slack / 1_000;
+            let (mut q, mut heap) = (Vec::new(), Vec::new());
+            let mut sweep = BottleneckSweep::new(&items, budget, &mut q, &mut heap);
+            let mut shared = vec![None; items.len()];
+            for len in 1..=items.len() {
+                sweep.push();
+                shared.fill(None);
+                for (idx, item) in items[..len].iter().enumerate() {
+                    let q = sweep.q[idx];
+                    proptest::prop_assert_eq!(q, replicas(item, sweep.threshold));
+                    let kind = *shared[kinds[idx] as usize].get_or_insert(q);
+                    proptest::prop_assert_eq!(q, kind, "item {} of {:?}", idx, &items[..len]);
+                }
+            }
+        }
+
         /// On ≤ 6 items with caps ≤ 6 and costs 1–4, `minimize_bottleneck`
         /// reaches the exhaustive optimum exactly, within the budget.
         #[test]
