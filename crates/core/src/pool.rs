@@ -44,6 +44,17 @@ fn effective_threads(requested: usize) -> usize {
     requested.min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
+/// The text of a caught panic's payload: its message when it is a string,
+/// as `panic!` makes it.
+#[must_use]
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
+}
+
 /// Maps `f` over `items` on `threads` worker threads (clamped to
 /// `1..=items.len()`), returning the results in input order. One worker
 /// is the calling thread itself.
@@ -81,15 +92,10 @@ where
                 *slots[i].lock().expect("pool worker poisoned a slot") = Some(out);
             }
             Err(payload) => {
-                let text = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
                 panics
                     .lock()
                     .expect("pool panic log poisoned")
-                    .push((i, text));
+                    .push((i, panic_text(&*payload)));
                 break;
             }
         }
@@ -237,11 +243,7 @@ impl Pool {
             cim_obs::count("pool.jobs", 1);
             let started = TraceClock::global().stopwatch();
             if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                let text = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                let text = panic_text(&*payload);
                 eprintln!("cim-pool worker: job panicked: {text}");
             }
             cim_obs::count("pool.busy_us", started.elapsed_us());

@@ -21,7 +21,10 @@
 //!   queued job, flushes the answers and joins its workers.
 //! * **Malformed input** — an unparseable line, or one longer than
 //!   [`MAX_LINE_BYTES`], gets an `error` response with kind `protocol`
-//!   (id 0); the connection stays usable.
+//!   (id 0, or the line's own `id` if it is a JSON object with an
+//!   unsigned one); the connection stays usable.
+//! * **Panics** — a request whose handling panics is answered with an
+//!   `input` error naming the panic, under its own id.
 //!
 //! # Observability
 //!
@@ -38,11 +41,12 @@
 
 use std::io::{self, BufRead, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cim_compiler::pool::Pool;
+use cim_compiler::pool::{panic_text, Pool};
 use cim_obs::{keys, TraceClock};
 
 use crate::api::{
@@ -149,11 +153,31 @@ fn wake_accept(listener: SocketAddr) {
 }
 
 /// Answers a line that never became an envelope: a `protocol` error
-/// with id 0.
-fn reject_line(respond: &Respond, message: String) {
+/// with `id`.
+fn reject_line(respond: &Respond, id: u64, message: String) {
     let body = ResponseBody::Error(ApiError::protocol(message));
     record_response(&body);
-    respond(Response::new(0, 0.0, body));
+    respond(Response::new(id, 0.0, body));
+}
+
+/// The `id` of a line that is not an envelope: the object's unsigned
+/// `id` field if it is a JSON object with one (an unknown or retired
+/// request kind), else 0.
+fn line_id(line: &str) -> u64 {
+    #[derive(serde::Deserialize)]
+    struct Id {
+        id: u64,
+    }
+    serde_json::from_str::<Id>(line).map_or(0, |line| line.id)
+}
+
+/// Runs `handle`, turning a panic into an `input` error that names the
+/// panic's text, so the request is answered even then.
+fn answer_even_on_panic(handle: impl FnOnce() -> ResponseBody) -> ResponseBody {
+    catch_unwind(AssertUnwindSafe(handle)).unwrap_or_else(|payload| {
+        let text = panic_text(&*payload);
+        ResponseBody::Error(ApiError::input(format!("request panicked: {text}")))
+    })
 }
 
 /// Parses and dispatches one input line. Returns `false` when the line
@@ -170,7 +194,7 @@ fn handle_line(state: &Arc<ServerState>, pool: &Pool, line: &str, respond: &Resp
     let envelope = match parsed {
         Ok(envelope) => envelope,
         Err(e) => {
-            reject_line(respond, format!("invalid request: {e}"));
+            reject_line(respond, line_id(line), format!("invalid request: {e}"));
             return true;
         }
     };
@@ -240,7 +264,7 @@ fn handle_line(state: &Arc<ServerState>, pool: &Pool, line: &str, respond: &Resp
             let body = {
                 let mut span = cim_obs::span("serve", "execute");
                 span.set(keys::KIND, request.key());
-                job_state.handler.handle(&request)
+                answer_even_on_panic(|| job_state.handler.handle(&request))
             };
             if expired(TraceClock::global().now_us()) {
                 ResponseBody::DeadlineExceeded {
@@ -320,6 +344,7 @@ fn serve_lines(
                 discarding = true;
                 reject_line(
                     respond,
+                    0,
                     format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
             }
@@ -327,7 +352,7 @@ fn serve_lines(
                 let keep_going = match std::str::from_utf8(&line) {
                     Ok(text) => handle_line(state, pool, text, respond),
                     Err(e) => {
-                        reject_line(respond, format!("invalid request: {e}"));
+                        reject_line(respond, 0, format!("invalid request: {e}"));
                         true
                     }
                 };
@@ -428,4 +453,38 @@ fn serve_connection(state: &Arc<ServerState>, pool: &Pool, stream: TcpStream) {
         return;
     };
     let _ = serve_lines(state, pool, io::BufReader::new(stream), &responder(writer));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::ErrorKind;
+
+    #[test]
+    fn a_panicking_handler_is_answered_with_an_input_error() {
+        match answer_even_on_panic(|| panic!("no plan for stage {}", 7)) {
+            ResponseBody::Error(e) => {
+                assert_eq!(e.kind, ErrorKind::Input);
+                assert!(e.message.contains("no plan for stage 7"), "{e}");
+            }
+            other => panic!("expected an input error, got {other:?}"),
+        }
+        assert!(matches!(
+            answer_even_on_panic(|| ResponseBody::Pong),
+            ResponseBody::Pong
+        ));
+    }
+
+    #[test]
+    fn a_line_that_is_not_an_envelope_keeps_its_readable_id() {
+        assert_eq!(line_id(r#"{"id": 5, "request": {"compile_perf": {}}}"#), 5);
+        for line in [
+            "{this is not json",
+            r#"{"request": "frobnicate"}"#,
+            r#"{"id": -1}"#,
+            "[5]",
+        ] {
+            assert_eq!(line_id(line), 0, "{line}");
+        }
+    }
 }

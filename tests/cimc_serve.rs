@@ -273,9 +273,12 @@ fn malformed_json_gets_an_error_response_and_the_connection_survives() {
     // a retired kind is one; the connection answers the next request.
     let mut client2 = server.connect();
     let retired = include_str!("golden/retired/wire.jsonl").trim_end();
-    for line in [r#"{"request": {"frobnicate": {}}}"#, retired] {
+    // The retired line's readable id is echoed; the id-less one gets 0.
+    for (line, id) in [(r#"{"request": {"frobnicate": {}}}"#, 0), (retired, 5)] {
         client2.send_line(line);
-        match &client2.read_response().body {
+        let response = client2.read_response();
+        assert_eq!(response.id, id, "{line}");
+        match &response.body {
             ResponseBody::Error(e) => assert_eq!(e.kind, ErrorKind::Protocol, "{e}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }
