@@ -27,15 +27,17 @@
 //!    `Q_i(T*)` has a key above `T*`, every other stage is at its cap or
 //!    has a key at most `T*`, and `Q(T*)` fits the budget.
 //! 2. The cores `Q(T*)` leaves over go where the greedy grants them next:
-//!    to the bottleneck stages, one *tie class* of identical stages at a
-//!    time. The caller names each stage's *tie kind* up front (equal
-//!    [`AllocItem`]s, equal kind; `tie_kinds`), so grouping the stages into
-//!    classes is one `O(n)` pass, and the spend costs `O(n + L·C)` for `n`
-//!    stages in `C` classes and `L` key levels, plus `O(n)` per level that
-//!    does not fit.
+//!    to the bottleneck stages, one *tie kind* of identical stages at a
+//!    time.
 //!
-//! The segmentation DP prices every prefix of a budget window, and one
-//! sweep answers them all in order.
+//! The caller names each stage's tie kind up front (equal [`AllocItem`]s,
+//! equal kind; `tie_kinds`). `Q_i(T)` is a function of the item alone, so
+//! every stage of a kind holds the same `Q`, and both steps run over the
+//! `K` kinds with their member counts instead of over the `n` stages: a
+//! raise of the threshold costs `O(log K)`, and the spend `O(K)` per key
+//! level, plus one read per stage for a level that does not fit. The
+//! segmentation DP prices every prefix of a budget window, and one sweep
+//! answers them all in order.
 //!
 //! [`minimize_total`] is optimal marginal allocation (Fox's algorithm for
 //! convex separable resource allocation): one replica per heap pop,
@@ -56,29 +58,21 @@ pub struct AllocItem {
     pub max_dup: u32,
 }
 
-/// Caller-leased working buffers of the leftover spend that finishes
-/// [`minimize_bottleneck`], in this order:
+/// Caller-leased working buffers of [`minimize_bottleneck`]'s threshold
+/// sweep and leftover spend: per item, its tie kind's index; per kind, in
+/// order of first appearance, its first member, member count and shared
+/// `Q`; the threshold heap; per kind, the spend's duplication number,
+/// member count while the kind takes replicas, and cut (see `KindDups`);
+/// the kinds at the spend's current key level. None is longer than the
+/// item list.
 ///
-/// 1. per item, its tie class, or `u32::MAX` if it takes no replica;
-/// 2. per class, its lowest-index member;
-/// 3. per class, the duplication number its members share;
-/// 4. per class, its member count while it still takes replicas; 0 once
-///    it reached its cap or could not pay for one;
-/// 5. per class, 1 if its key is the current level's top key, else 0;
-/// 6. per tie kind, the class of its first member. An entry that names
-///    no class of that kind in the current call reads as empty, so stale
-///    or arbitrary contents are harmless.
-///
-/// Every call clears the first five, which hold at most one entry per
-/// item; the last holds one per kind. A caller that leases them once (the
-/// segmentation DP, per row) allocates nothing per call, and may pass
-/// them in with any contents. The one-shot [`minimize_bottleneck`] also
-/// keeps its threshold heap in the first one before the spend starts.
-pub type SpendBuffers = [Vec<u32>; 6];
+/// A sweep clears them all, so a caller that leases them once (the
+/// segmentation DP, per row) allocates nothing per call, and may pass them
+/// in with any contents.
+pub type SpendBuffers = [Vec<u32>; 9];
 
-/// Tag of an item the leftover spend never grants to: at its cap, or with
-/// no latency to cut. Also the class slot of a kind with no class yet.
-const UNTAGGED: u32 = u32::MAX;
+/// The cut of a kind whose members a level that does not fit is walking.
+const WALKING: u32 = u32::MAX;
 
 /// The tie kind of every item: dense ids in order of first appearance,
 /// equal for equal [`AllocItem`]s and only for them. `O(n·K)` for `K`
@@ -109,9 +103,8 @@ pub(crate) fn tie_kinds(items: &[AllocItem]) -> Vec<u32> {
 ///
 /// This is the last prefix of a `BottleneckSweep` over `items`: the DP's
 /// row sweep and the schedule of a chosen segment get the same vector by
-/// construction. It derives the items'
-/// tie kinds itself; a caller that already has them calls
-/// `minimize_bottleneck_of_kinds`.
+/// construction. It derives the items' tie kinds itself; a caller that
+/// already has them calls `minimize_bottleneck_of_kinds`.
 pub fn minimize_bottleneck(
     items: &[AllocItem],
     budget: u64,
@@ -129,10 +122,10 @@ pub(crate) fn minimize_bottleneck_of_kinds(
     dup: &mut Vec<u32>,
     spend: &mut SpendBuffers,
 ) {
-    let mut sweep = BottleneckSweep::new(items, budget, dup, &mut spend[0]);
+    let mut sweep = BottleneckSweep::new(items, kinds, budget, spend);
     items.iter().for_each(|_| sweep.push());
-    let base = sweep.base;
-    finish_bottleneck(items, kinds, budget, base, dup, spend);
+    dup.clear();
+    dup.extend(sweep.solution().iter());
 }
 
 /// A latency over a count, `latency / k`, ordered by value exactly for
@@ -212,33 +205,23 @@ fn replicas(item: &AllocItem, t: Ratio) -> u32 {
     }
 }
 
-/// Whether `Q(t)` fits the budget.
-fn fits_at(items: &[AllocItem], budget: u64, t: Ratio) -> bool {
-    let mut used: u64 = 0;
-    for item in items {
-        used = used.saturating_add(u64::from(replicas(item, t)) * cost(item));
-        if used > budget {
-            return false;
-        }
-    }
-    true
+/// The answer of [`BottleneckSweep::solution`]: every item's duplication
+/// number, read from its tie kind. A kind's members share `dups`, and its
+/// members before item `cut` take one replica more: those a key level that
+/// did not fit paid for before one of them could not be paid for.
+pub(crate) struct KindDups<'s> {
+    kind_of: &'s [u32],
+    dups: &'s [u32],
+    cut: &'s [u32],
 }
 
-/// Turns `dup`, holding `Q(T*)` of a prefix whose all-ones allocation
-/// takes `base` cores, into [`minimize_bottleneck`]'s answer: all ones if
-/// the base does not fit, else `Q(T*)` plus the leftover spend.
-fn finish_bottleneck(
-    items: &[AllocItem],
-    kinds: &[u32],
-    budget: u64,
-    base: u64,
-    dup: &mut [u32],
-    spend: &mut SpendBuffers,
-) {
-    if base > budget {
-        dup.fill(1);
-    } else {
-        spend_leftover_on_bottleneck(items, kinds, dup, budget, spend);
+impl KindDups<'_> {
+    /// The duplication numbers, in item order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.kind_of.iter().zip(0..).map(|(&kind, idx)| {
+            let kind = kind as usize;
+            self.dups[kind] + u32::from(idx < self.cut[kind])
+        })
     }
 }
 
@@ -248,26 +231,43 @@ fn finish_bottleneck(
 ///
 /// A prefix's answer is decided by `T*`, the least threshold whose `Q(T*)`
 /// fits the budget. Appending an item raises `Q(T)` at every `T`, so `T*`
-/// only rises along a row. The sweep keeps `Q(T)` and a min-heap of every
-/// item's *last-grant threshold* `latency / (Q_i − 1)`, the least `T` at
-/// which it needs one replica fewer, read from `Q_i` itself. Every key
-/// lies above `T`, so raising `T` to the least key gives back exactly one
-/// replica from each item at that key. [`Self::push`] adds an item at the
-/// current `T`, then raises `T` key by key until the budget fits. An item
-/// that would cost more than a few raises per item in the prefix (caps in
-/// the thousands) makes the sweep jump instead: an integer bisection
-/// brackets `T*`, and raises finish from the bracket's low end.
+/// only rises along a row. The sweep keeps, per tie kind, its member
+/// count and the `Q` its members share, and a min-heap of every kind's
+/// *last-grant threshold* `latency / (Q − 1)`, the least `T` at which its
+/// members need one replica fewer. Every key lies above `T`, so raising
+/// `T` to the least key gives back exactly one replica from each member of
+/// each kind at that key. [`Self::push`] adds an item at the current `T`
+/// (a member of a kind already pushed adds cores and nothing to the heap),
+/// then raises `T` key by key until the budget fits. A kind that would
+/// cost more than a few raises per kind in the prefix (caps in the
+/// thousands) makes the sweep jump instead: an integer bisection brackets
+/// `T*`, and raises finish from the bracket's low end.
 ///
 /// The buffers are the caller's (scratch leases in the DP), so a row
 /// allocates nothing.
 pub(crate) struct BottleneckSweep<'a> {
     items: &'a [AllocItem],
+    /// The [`tie_kinds`] of `items` (or of any list they are a slice of).
+    kinds: &'a [u32],
     budget: u64,
-    /// `Q(threshold)` of the items pushed so far.
+    /// Per item pushed, its kind's index in the per-kind buffers.
+    kind_of: &'a mut Vec<u32>,
+    /// Per kind pushed, in order of first appearance: its first member,
+    /// its member count and `Q(threshold)` of its members.
+    first: &'a mut Vec<u32>,
+    count: &'a mut Vec<u32>,
     q: &'a mut Vec<u32>,
-    /// Pushed items above one replica: a binary min-heap on their
-    /// last-grant thresholds.
+    /// Kinds above one replica: a binary min-heap on their last-grant
+    /// thresholds.
     heap: &'a mut Vec<u32>,
+    /// The leftover spend's, per kind: its duplication number, its
+    /// member count while it still takes replicas (0 once it reached its
+    /// cap or could not pay for one) and its cut (see [`KindDups`]).
+    dups: &'a mut Vec<u32>,
+    members: &'a mut Vec<u32>,
+    cut: &'a mut Vec<u32>,
+    /// The kinds at the spend's current key level.
+    top: &'a mut Vec<u32>,
     /// The current threshold; the least feasible one once settled.
     threshold: Ratio,
     /// Cores of the all-ones allocation of the prefix.
@@ -278,21 +278,32 @@ pub(crate) struct BottleneckSweep<'a> {
 }
 
 impl<'a> BottleneckSweep<'a> {
-    /// A sweep over the prefixes of `items`, none pushed yet.
+    /// A sweep over the prefixes of `items`, whose tie kinds are `kinds`,
+    /// none pushed yet.
     pub(crate) fn new(
         items: &'a [AllocItem],
+        kinds: &'a [u32],
         budget: u64,
-        q: &'a mut Vec<u32>,
-        heap: &'a mut Vec<u32>,
+        bufs: &'a mut SpendBuffers,
     ) -> Self {
-        debug_assert!(items.len() < u32::MAX as usize);
-        q.clear();
-        heap.clear();
+        debug_assert!(items.len() < WALKING as usize && kinds.len() >= items.len());
+        for buf in bufs.iter_mut() {
+            buf.clear();
+        }
+        let [kind_of, first, count, q, heap, dups, members, cut, top] = bufs;
         BottleneckSweep {
             items,
+            kinds,
             budget,
+            kind_of,
+            first,
+            count,
             q,
             heap,
+            dups,
+            members,
+            cut,
+            top,
             threshold: Ratio::ZERO,
             base: 0,
             used: 0,
@@ -306,7 +317,7 @@ impl<'a> BottleneckSweep<'a> {
         if self.base > self.budget {
             return; // all ones from here on
         }
-        let limit = 4 * self.q.len() + 16;
+        let limit = 4 * self.first.len() + 16;
         let mut raised = 0;
         while self.over_budget() {
             if raised > limit {
@@ -317,63 +328,98 @@ impl<'a> BottleneckSweep<'a> {
         }
     }
 
-    /// Writes the duplication vector of the prefix pushed so far into
-    /// `dup`: exactly [`minimize_bottleneck`] of that prefix. `kinds` are
-    /// the [`tie_kinds`] of the sweep's items (or of any list they are a
-    /// slice of).
-    pub(crate) fn solution(&self, dup: &mut Vec<u32>, kinds: &[u32], spend: &mut SpendBuffers) {
-        dup.clear();
-        dup.extend_from_slice(self.q);
-        let n = dup.len();
-        finish_bottleneck(
-            &self.items[..n],
-            &kinds[..n],
-            self.budget,
-            self.base,
-            dup,
-            spend,
-        );
+    /// The duplication numbers of the prefix pushed so far: exactly
+    /// [`minimize_bottleneck`] of that prefix. All ones if the prefix's
+    /// base does not fit, else `Q(T*)` plus the leftover spend.
+    pub(crate) fn solution(&mut self) -> KindDups<'_> {
+        let fits = self.base <= self.budget;
+        for buf in [&mut *self.dups, self.members, self.cut] {
+            buf.resize(self.first.len(), 0);
+        }
+        for kind in 0..self.first.len() {
+            let item = self.item(kind);
+            let takes = fits && self.q[kind] < cap(item) && item.latency > 0;
+            self.dups[kind] = if fits { self.q[kind] } else { 1 };
+            self.members[kind] = if takes { self.count[kind] } else { 0 };
+            self.cut[kind] = 0;
+        }
+        if fits {
+            self.spend();
+        }
+        KindDups {
+            kind_of: self.kind_of,
+            dups: self.dups,
+            cut: self.cut,
+        }
+    }
+
+    /// The item every member of `kind` equals.
+    fn item(&self, kind: usize) -> &'a AllocItem {
+        &self.items[self.first[kind] as usize]
     }
 
     fn over_budget(&self) -> bool {
         self.used > u128::from(self.budget)
     }
 
-    /// Appends the next item at the current threshold, over budget or not.
-    fn insert(&mut self) {
-        let idx = self.q.len();
-        let item = &self.items[idx];
-        let d = replicas(item, self.threshold);
-        self.base += cost(item);
-        self.used += u128::from(d) * u128::from(cost(item));
-        self.q.push(d);
-        if d > 1 {
-            self.heap.push(idx as u32);
-            self.sift_up(self.heap.len() - 1);
-        }
+    /// The cores `Q(t)` of the prefix uses.
+    fn cores_at(&self, t: Ratio) -> u128 {
+        let cores = |kind: usize| {
+            let (n, item) = (self.count[kind], self.item(kind));
+            u128::from(n) * u128::from(replicas(item, t)) * u128::from(cost(item))
+        };
+        (0..self.first.len()).map(cores).sum()
     }
 
-    /// The least threshold at which item `idx` needs one replica fewer;
-    /// the item is above one replica.
-    fn last_grant(&self, idx: u32) -> Ratio {
-        let idx = idx as usize;
-        Ratio::of(self.items[idx].latency, u128::from(self.q[idx] - 1))
+    /// Appends the next item at the current threshold, over budget or not.
+    /// A member of a kind already pushed holds its kind's `Q`.
+    fn insert(&mut self) {
+        let idx = self.kind_of.len();
+        let item = &self.items[idx];
+        // A prefix holds few kinds: look this one up among them.
+        let known = self.first.iter().map(|&first| self.kinds[first as usize]);
+        let kind = match known.zip(0..).find(|&(kind, _)| kind == self.kinds[idx]) {
+            Some((_, kind)) => kind,
+            None => {
+                self.first.push(idx as u32);
+                self.count.push(0);
+                self.q.push(replicas(item, self.threshold));
+                let kind = self.first.len() - 1;
+                if self.q[kind] > 1 {
+                    self.heap.push(kind as u32);
+                    self.sift_up(self.heap.len() - 1);
+                }
+                kind
+            }
+        };
+        self.kind_of.push(kind as u32);
+        self.count[kind] += 1;
+        self.base += cost(item);
+        self.used += u128::from(self.q[kind]) * u128::from(cost(item));
+    }
+
+    /// The least threshold at which the members of `kind` need one
+    /// replica fewer; the kind is above one replica.
+    fn last_grant(&self, kind: u32) -> Ratio {
+        let kind = kind as usize;
+        Ratio::of(self.item(kind).latency, u128::from(self.q[kind] - 1))
     }
 
     /// Raises the threshold to the least last-grant threshold and gives
-    /// back one replica from every item at it. Returns how many items did.
+    /// back one replica from every member of every kind at it. Returns how
+    /// many kinds did.
     fn raise(&mut self) -> usize {
-        // Over budget with a fitting base: some item is above one replica.
+        // Over budget with a fitting base: some kind is above one replica.
         self.threshold = self.last_grant(self.heap[0]);
         let mut raised = 0;
-        while let Some(&idx) = self.heap.first() {
-            if self.last_grant(idx) > self.threshold {
+        while let Some(&kind) = self.heap.first() {
+            if self.last_grant(kind) > self.threshold {
                 break;
             }
-            let i = idx as usize;
-            self.q[i] -= 1;
-            self.used -= u128::from(cost(&self.items[i]));
-            if self.q[i] == 1 {
+            let k = kind as usize;
+            self.q[k] -= 1;
+            self.used -= u128::from(self.count[k]) * u128::from(cost(self.item(k)));
+            if self.q[k] == 1 {
                 self.heap.swap_remove(0);
             }
             self.sift_down(0);
@@ -389,8 +435,8 @@ impl<'a> BottleneckSweep<'a> {
     /// keeps `top << s` in a `u64`, brackets `T*` within `2^-s`; from the
     /// bracket's infeasible end the few keys left are raised through.
     fn jump(&mut self) {
-        let items = &self.items[..self.q.len()];
-        let top = items.iter().map(|i| i.latency).max().unwrap_or(0);
+        let latencies = (0..self.first.len()).map(|kind| self.item(kind).latency);
+        let top = latencies.max().unwrap_or(0);
         let shift = top.leading_zeros();
         let fixed = |x: u64| Ratio::of(x, 1 << shift);
         let Ratio { latency, k } = self.threshold;
@@ -403,20 +449,19 @@ impl<'a> BottleneckSweep<'a> {
         );
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if fits_at(items, self.budget, fixed(mid)) {
+            if self.cores_at(fixed(mid)) <= u128::from(self.budget) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
         self.threshold = fixed(lo);
-        self.used = 0;
+        self.used = self.cores_at(self.threshold);
         self.heap.clear();
-        for (idx, (d, item)) in self.q.iter_mut().zip(items).enumerate() {
-            *d = replicas(item, self.threshold);
-            self.used += u128::from(*d) * u128::from(cost(item));
-            if *d > 1 {
-                self.heap.push(idx as u32);
+        for kind in 0..self.first.len() {
+            self.q[kind] = replicas(self.item(kind), self.threshold);
+            if self.q[kind] > 1 {
+                self.heap.push(kind as u32);
             }
         }
         for pos in (0..self.heap.len() / 2).rev() {
@@ -455,151 +500,106 @@ impl<'a> BottleneckSweep<'a> {
             pos = least;
         }
     }
-}
 
-/// Grants the cores `dup` leaves over of the budget to the bottleneck
-/// stages. `kinds` are the items' [`tie_kinds`].
-///
-/// The answer is the greedy that grants one replica at a time to the
-/// stage with the highest key `latency / D_i`, ties to the lowest index,
-/// skipping stages at their cap or with no latency and dropping a stage
-/// for good once it cannot be paid for (`used` only grows). It is
-/// computed in batches instead of one grant at a time:
-///
-/// * Items of the same tie kind with the same `D_i` form a *tie class*:
-///   the greedy treats its members alike, up to index order. An item finds
-///   its class through its kind's slot, which holds the class of the
-///   kind's first member; only a kind whose members start from two
-///   different `D_i` searches the classes. A slot whose class is not of
-///   its kind is stale and reads as empty, so slots are never reset.
-/// * The greedy grants whole *key levels* — every member whose key is the
-///   highest — before any lower key, and one grant strictly lowers a
-///   member's key (its latency is positive). A level whose cost fits the
-///   budget left gives each member one replica, in one step.
-/// * Order only matters in a level that does not fit. Its members are
-///   walked in index order, as the greedy pops them; a member that cannot
-///   be paid for retires its whole class, since its cost only grows
-///   relative to the budget left. Such a level retires at least one class.
-///
-/// Grouping costs `O(n)` for `n` items, plus `O(C)` for `C` classes per
-/// member of a kind split over several `D_i`. Each of `L` levels costs
-/// `O(C)` — whether a class is at the level's key is decided once per
-/// level, not once per member — plus `O(n)` for each of the `P ≤ C` levels
-/// that do not fit: `O(n + L·C + P·n)` in all, where the greedy made one
-/// heap round trip per replica. The buffers are the caller's, so a call
-/// allocates nothing.
-fn spend_leftover_on_bottleneck(
-    items: &[AllocItem],
-    kinds: &[u32],
-    dup: &mut [u32],
-    budget: u64,
-    spend: &mut SpendBuffers,
-) {
-    let [tags, reps, dups, members, at_top, slots] = spend;
-    for buf in [&mut *tags, reps, dups, members, at_top] {
-        buf.clear();
-    }
-    debug_assert!(items.len() < UNTAGGED as usize);
-    for (idx, ((item, &kind), &d)) in items.iter().zip(kinds).zip(dup.iter()).enumerate() {
-        if !(d < cap(item) && item.latency > 0) {
-            tags.push(UNTAGGED);
-            continue;
-        }
-        if kind as usize >= slots.len() {
-            slots.resize(kind as usize + 1, UNTAGGED);
-        }
-        // The slot counts only if it names a class of this call whose
-        // members are of this kind; anything else reads as empty.
-        let slot = slots[kind as usize] as usize;
-        let live = slot < reps.len() && kinds[reps[slot] as usize] == kind;
-        let found = if !live {
-            None
-        } else if dups[slot] == d {
-            Some(slot)
-        } else {
-            // A kind whose members carry a second `d`: search the classes.
-            (0..reps.len()).find(|&c| dups[c] == d && items[reps[c] as usize] == *item)
-        };
-        let class = found.unwrap_or_else(|| {
-            if !live {
-                slots[kind as usize] = reps.len() as u32;
-            }
-            reps.push(idx as u32);
-            dups.push(d);
-            members.push(0);
-            at_top.push(0);
-            reps.len() - 1
-        });
-        members[class] += 1;
-        tags.push(class as u32);
-    }
-    let key = |rep: u32, d: u32| Ratio::of(items[rep as usize].latency, u128::from(d));
-    let used: u64 = dup
-        .iter()
-        .zip(items)
-        .map(|(&d, i)| u64::from(d) * cost(i))
-        .sum();
-    let mut left = budget.saturating_sub(used);
-    loop {
-        // The highest key of a class still taking replicas (every one lies
-        // above zero), and what one more replica for every member at that
-        // key costs.
-        let (mut top, mut level_cost) = (Ratio::ZERO, 0u64);
-        for c in 0..reps.len() {
-            if members[c] == 0 {
-                continue;
-            }
-            let (k, cost) = (
-                key(reps[c], dups[c]),
-                u64::from(members[c]) * cost(&items[reps[c] as usize]),
-            );
-            if k > top {
-                (top, level_cost) = (k, cost);
-            } else if k == top {
-                level_cost = level_cost.saturating_add(cost);
-            }
-        }
-        if level_cost == 0 {
-            break; // no class takes replicas any more
-        }
-        for c in 0..reps.len() {
-            at_top[c] = u32::from(members[c] != 0 && key(reps[c], dups[c]) == top);
-        }
-        if level_cost <= left {
-            left -= level_cost;
-        } else {
-            // Granted members take their replica now; a class that could
-            // not pay for one keeps its duplication from here on.
-            for (idx, &class) in tags.iter().enumerate() {
-                let c = class as usize;
-                if class == UNTAGGED || at_top[c] == 0 || members[c] == 0 {
+    /// Grants the cores `Q(T*)` leaves over of the budget to the
+    /// bottleneck kinds.
+    ///
+    /// The answer is the greedy that grants one replica at a time to the
+    /// stage with the highest key `latency / D_i`, ties to the lowest index,
+    /// skipping stages at their cap or with no latency and dropping a stage
+    /// for good once it cannot be paid for (`used` only grows). It is
+    /// computed a kind at a time instead of one grant at a time:
+    ///
+    /// * The greedy grants whole *key levels* — every member whose key is the
+    ///   highest — before any lower key, and one grant strictly lowers a
+    ///   member's key (its latency is positive). A level whose cost fits the
+    ///   budget left gives each member of its kinds one replica, in one step.
+    /// * Order only matters in a level that does not fit: see
+    ///   [`Self::walk_level`]. Such a level retires at least one kind.
+    ///
+    /// Each of the `L` levels costs `O(K)` for the `K` kinds present — a
+    /// kind's key is computed once per level — plus, for a level that does
+    /// not fit, one read per item from its first member on.
+    fn spend(&mut self) {
+        let mut left = self.budget - self.used as u64;
+        loop {
+            // The highest key of a kind still taking replicas (every one
+            // lies above zero), the kinds at it, and what one more replica
+            // for each of their members costs.
+            let (mut level, mut level_cost) = (Ratio::ZERO, 0u64);
+            self.top.clear();
+            for kind in 0..self.first.len() {
+                let (item, members) = (self.item(kind), self.members[kind]);
+                if members == 0 {
                     continue;
                 }
-                let cost = cost(&items[idx]);
-                if cost <= left {
-                    left -= cost;
-                    dup[idx] = dups[c] + 1;
-                } else {
-                    members[c] = 0;
+                let key = Ratio::of(item.latency, u128::from(self.dups[kind]));
+                let cost = u64::from(members) * cost(item);
+                match key.cmp(&level) {
+                    Ordering::Greater => {
+                        (level, level_cost) = (key, cost);
+                        self.top.clear();
+                    }
+                    Ordering::Equal => level_cost = level_cost.saturating_add(cost),
+                    Ordering::Less => continue,
+                }
+                self.top.push(kind as u32);
+            }
+            if self.top.is_empty() {
+                break; // no kind takes replicas any more
+            }
+            if level_cost <= left {
+                left -= level_cost;
+            } else {
+                left = self.walk_level(left);
+            }
+            // Every kind of the level still taking replicas was paid in full.
+            for t in 0..self.top.len() {
+                let (kind, item) = (self.top[t] as usize, self.item(self.top[t] as usize));
+                if self.members[kind] == 0 {
+                    continue;
+                }
+                self.dups[kind] += 1;
+                self.cut[kind] = 0;
+                debug_assert!(Ratio::of(item.latency, u128::from(self.dups[kind])) < level);
+                if self.dups[kind] == cap(item) {
+                    self.members[kind] = 0;
                 }
             }
         }
-        // Every class of the level still taking replicas was paid in full.
-        for c in 0..reps.len() {
-            if at_top[c] == 0 || members[c] == 0 {
-                continue;
-            }
-            dups[c] += 1;
-            debug_assert!(key(reps[c], dups[c]) < top, "a grant lowers the key");
-            if dups[c] == cap(&items[reps[c] as usize]) {
-                members[c] = 0;
-            }
-        }
     }
-    for (d, &class) in dup.iter_mut().zip(tags.iter()) {
-        if class != UNTAGGED {
-            *d = (*d).max(dups[class as usize]);
+
+    /// Grants one replica to the members of the current level's kinds in
+    /// index order, as the greedy pops them, from `left` cores; returns
+    /// the cores left. A member that cannot be paid for retires its kind
+    /// with its cut at that member, since the kind's cost only grows
+    /// relative to the budget left. The walk reads the kind of every item
+    /// from the level's first member on, until no kind of the level is
+    /// left to pay for.
+    fn walk_level(&mut self, mut left: u64) -> u64 {
+        let mut start = WALKING;
+        for t in 0..self.top.len() {
+            let kind = self.top[t] as usize;
+            (self.cut[kind], start) = (WALKING, start.min(self.first[kind]));
         }
+        let mut walking = self.top.len();
+        for idx in start as usize..self.kind_of.len() {
+            let kind = self.kind_of[idx] as usize;
+            if self.cut[kind] != WALKING {
+                continue; // not at this level, or retired by it
+            }
+            let cost = cost(self.item(kind));
+            if cost <= left {
+                left -= cost;
+            } else {
+                (self.members[kind], self.cut[kind]) = (0, idx as u32);
+                walking -= 1;
+                if walking == 0 {
+                    break;
+                }
+            }
+        }
+        left
     }
 }
 
@@ -727,6 +727,12 @@ mod tests {
             .sum()
     }
 
+    /// Whether `Q(t)` fits the budget.
+    fn fits_at(items: &[AllocItem], budget: u64, t: Ratio) -> bool {
+        let cores = items.iter().map(|i| u64::from(replicas(i, t)) * cost(i));
+        cores.sum::<u64>() <= budget
+    }
+
     /// Calls `visit` with every duplication vector within caps and budget.
     fn every_dup(items: &[AllocItem], budget: u64, visit: &mut impl FnMut(&[u32])) {
         fn rec(items: &[AllocItem], left: u64, dup: &mut Vec<u32>, visit: &mut impl FnMut(&[u32])) {
@@ -811,47 +817,24 @@ mod tests {
         assert!(tie_kinds(&[]).is_empty());
     }
 
-    #[test]
-    fn a_kind_split_over_two_dups_spends_like_the_greedy() {
-        // Kind 0 starts at 1 and at 2 replicas, interleaved, so its members
-        // fall into two classes and every second one searches for its own.
-        let mut its = items(&[(1, 600, 8); 6]);
-        its.extend(items(&[(2, 500, 8); 2]));
-        let kinds = tie_kinds(&its);
-        assert_eq!(kinds, vec![0, 0, 0, 0, 0, 0, 1, 1]);
-        let mut spend = SpendBuffers::default();
-        for budget in 15..40 {
-            let (mut want, mut got) = (vec![1, 2, 1, 2, 1, 2, 1, 1], vec![1, 2, 1, 2, 1, 2, 1, 1]);
-            grant_one_at_a_time(&its, &mut want, budget);
-            spend_leftover_on_bottleneck(&its, &kinds, &mut got, budget, &mut spend);
-            assert_eq!(got, want, "budget {budget}");
-        }
-    }
-
+    /// Buffers left holding anything (an earlier caller's state) change
+    /// no answer: a sweep clears them all.
     #[test]
     fn junk_spend_buffers_change_nothing() {
-        // Kind 0 split over two `d`s, and a kind 1 whose junk slot names
-        // kind 0's first class, whose `d` it shares.
         let mut its = items(&[(1, 600, 8); 6]);
         its.extend(items(&[(2, 500, 8); 2]));
-        let kinds = tie_kinds(&its);
         let junk = || -> SpendBuffers {
             let mut spend = SpendBuffers::default();
             for (b, buf) in spend.iter_mut().enumerate() {
                 buf.extend((0..12).map(|k| (k + b as u32) % 4));
             }
-            spend[5].fill(0);
             spend
         };
         for budget in 8..40 {
-            let (mut want, mut got) = (vec![1, 2, 1, 2, 1, 2, 1, 1], vec![1, 2, 1, 2, 1, 2, 1, 1]);
-            grant_one_at_a_time(&its, &mut want, budget);
-            spend_leftover_on_bottleneck(&its, &kinds, &mut got, budget, &mut junk());
-            assert_eq!(got, want, "budget {budget}");
-
             let mut got = Vec::new();
             super::minimize_bottleneck(&its, budget, &mut got, &mut junk());
             assert_eq!(got, minimize_bottleneck(&its, budget), "budget {budget}");
+            assert_eq!(got, greedy(&its, budget), "budget {budget}");
         }
     }
 
@@ -925,14 +908,12 @@ mod tests {
             let items = drawn_items(&spec, blocks);
             let base: u64 = items.iter().map(cost).sum();
             let budget = base + base * 3 * slack / 1_000;
-            let (mut q, mut heap) = (Vec::new(), Vec::new());
-            let mut sweep = BottleneckSweep::new(&items, budget, &mut q, &mut heap);
-            let (mut got, mut spend) = (Vec::new(), SpendBuffers::default());
-            let kinds = tie_kinds(&items);
+            let (kinds, mut spend) = (tie_kinds(&items), SpendBuffers::default());
+            let mut sweep = BottleneckSweep::new(&items, &kinds, budget, &mut spend);
             for len in 1..=items.len() {
                 let prefix = &items[..len];
                 sweep.push();
-                sweep.solution(&mut got, &kinds, &mut spend);
+                let got: Vec<u32> = sweep.solution().iter().collect();
                 proptest::prop_assert_eq!(&got, &minimize_bottleneck(prefix, budget));
                 proptest::prop_assert_eq!(&got, &greedy(prefix, budget), "budget {}: {:?}", budget, prefix);
                 if base_fits(prefix, budget) {
@@ -941,10 +922,10 @@ mod tests {
             }
         }
 
-        /// After every push, every pushed item holds `Q_i(T)` at the
-        /// sweep's threshold, so all items of one tie kind hold the same
-        /// `q`: the sweep can keep one `q` per kind. Caps reach 10⁶, so
-        /// `jump` runs too.
+        /// After every push, every pushed item's `Q_i(T)` at the sweep's
+        /// threshold is the `q` its tie kind holds: all items of one kind
+        /// hold the same `q`, the premise of keeping one per kind. Caps
+        /// reach 10⁶, so `jump` runs too.
         #[test]
         fn items_of_one_tie_kind_share_their_q_after_every_push(
             spec in proptest::collection::vec((0u32..5, 0u32..10_000_000, 0u32..6, 0u32..3, 0u32..1_000_000), 1..24),
@@ -955,17 +936,13 @@ mod tests {
             let kinds = tie_kinds(&items);
             let base: u64 = items.iter().map(cost).sum();
             let budget = base + base * 3 * slack / 1_000;
-            let (mut q, mut heap) = (Vec::new(), Vec::new());
-            let mut sweep = BottleneckSweep::new(&items, budget, &mut q, &mut heap);
-            let mut shared = vec![None; items.len()];
+            let mut spend = SpendBuffers::default();
+            let mut sweep = BottleneckSweep::new(&items, &kinds, budget, &mut spend);
             for len in 1..=items.len() {
                 sweep.push();
-                shared.fill(None);
                 for (idx, item) in items[..len].iter().enumerate() {
-                    let q = sweep.q[idx];
-                    proptest::prop_assert_eq!(q, replicas(item, sweep.threshold));
-                    let kind = *shared[kinds[idx] as usize].get_or_insert(q);
-                    proptest::prop_assert_eq!(q, kind, "item {} of {:?}", idx, &items[..len]);
+                    let q = sweep.q[sweep.kind_of[idx] as usize];
+                    proptest::prop_assert_eq!(q, replicas(item, sweep.threshold), "item {} of {:?}", idx, &items[..len]);
                 }
             }
         }
@@ -996,24 +973,23 @@ mod tests {
             proptest::prop_assert_eq!(bottleneck(&items, &dup), opt.unwrap(), "{:?}", items);
         }
 
-        /// The class-batched leftover spend grants exactly what the
-        /// one-grant greedy does, on a `dup` drawn from a pool of 1–6
-        /// distinct items, 40 picks per pool item at most: tie classes, a
-        /// kind split over two duplication numbers, distinct items sharing a
-        /// key (multiples of 50 176 over small `d`), costs 1–36 and budgets
-        /// from exactly tight to 3× the cores in use. The kinds are those of
-        /// a longer list the items end, as a DP window's are, and one set of
-        /// buffers serves two calls.
+        /// The per-kind leftover spend grants exactly what the one-grant
+        /// greedy does, from a `Q` drawn per tie kind over a pool of 1–6
+        /// distinct items, 40 picks per pool item at most: kinds of many
+        /// members, distinct items sharing a key (multiples of 50 176 over
+        /// small `d`), costs 1–36 and budgets from exactly tight to 3× the
+        /// cores in use. The kinds are those of a longer list the items
+        /// end, as a DP window's are, and one set of buffers serves two
+        /// calls.
         #[test]
-        fn class_batched_spend_equals_the_one_grant_greedy(
+        fn per_kind_spend_equals_the_one_grant_greedy(
             pool in proptest::collection::vec((0u32..10, 0u32..1_000_000, 1u32..37, 0u32..3, 0u32..1_000_000, 0u32..8), 1..7),
-            picks in proptest::collection::vec((0usize..6, 0u32..8), 1..241),
+            picks in proptest::collection::vec(0usize..6, 1..241),
             slack in 0u64..1_001,
         ) {
-            let (mut items, mut dup) = (Vec::new(), Vec::new());
-            for &(pick, bump) in picks.iter().take(40 * pool.len()) {
+            let (mut items, mut raw_dups) = (Vec::new(), Vec::new());
+            for &pick in picks.iter().take(40 * pool.len()) {
                 let (lat_kind, raw, cost, cap_kind, raw_cap, raw_d) = pool[pick % pool.len()];
-                let max_dup = 1 + raw_cap % [8, 64, 1_000_000][cap_kind as usize];
                 items.push(AllocItem {
                     cost,
                     latency: match lat_kind {
@@ -1021,21 +997,35 @@ mod tests {
                         9 => u64::from(raw),
                         k => 50_176 * u64::from(k),
                     },
-                    max_dup,
+                    max_dup: 1 + raw_cap % [8, 64, 1_000_000][cap_kind as usize],
                 });
-                let d = 1 + raw_d % max_dup;
-                dup.push(if bump == 0 { (d + 1).min(max_dup) } else { d });
+                raw_dups.push(raw_d);
             }
+            let list: Vec<AllocItem> = items.iter().rev().chain(&items).copied().collect();
+            let kinds = &tie_kinds(&list)[items.len()..];
+            // A kind's first member draws the `Q` all its members hold.
+            let mut q = vec![None; list.len()];
+            let dup: Vec<u32> = items
+                .iter()
+                .zip(kinds)
+                .zip(&raw_dups)
+                .map(|((item, &kind), &raw_d)| {
+                    *q[kind as usize].get_or_insert(1 + raw_d % item.max_dup)
+                })
+                .collect();
             let used = used(&items, &dup);
             let budget = used + used * 2 * slack / 1_000;
             let mut want = dup.clone();
             grant_one_at_a_time(&items, &mut want, budget);
-            let list: Vec<AllocItem> = items.iter().rev().chain(&items).copied().collect();
-            let kinds = &tie_kinds(&list)[items.len()..];
             let mut spend = SpendBuffers::default();
             for _ in 0..2 {
-                let mut got = dup.clone();
-                spend_leftover_on_bottleneck(&items, kinds, &mut got, budget, &mut spend);
+                let mut sweep = BottleneckSweep::new(&items, kinds, budget, &mut spend);
+                items.iter().for_each(|_| sweep.insert());
+                for (&kind, &d) in sweep.kind_of.iter().zip(&dup) {
+                    sweep.q[kind as usize] = d;
+                }
+                sweep.used = u128::from(used);
+                let got: Vec<u32> = sweep.solution().iter().collect();
                 proptest::prop_assert_eq!(&got, &want, "budget {}: {:?}", budget, pool);
             }
         }

@@ -439,7 +439,7 @@ impl<'a> SegmentEvaluator<'a> {
         lat_fill: &mut Vec<(f64, f64)>,
     ) -> f64 {
         self.allocate(range.clone(), dup);
-        self.price(range, dup, lat_fill)
+        self.price(range, dup.iter().copied(), lat_fill)
     }
 
     /// The duplication numbers of the stages of `range`, into `dup`.
@@ -458,18 +458,23 @@ impl<'a> SegmentEvaluator<'a> {
     }
 
     /// The latency of the candidate segment `range` with the duplication
-    /// numbers `dup`, leaving the per-stage `(latency, fill)` pairs in
-    /// `lat_fill`.
+    /// numbers `dup`, one per stage, leaving the per-stage
+    /// `(latency, fill)` pairs in `lat_fill`.
     ///
     /// Each stage's latency is [`PriceTerms::latency`], as in
     /// [`stage_latency`], with its inputs read from the per-stage tables:
     /// `item.latency` is the stage's MVM count times its cycles per MVM,
     /// and `item.cost` its cores per replica.
-    fn price(&self, range: Range<usize>, dup: &[u32], lat_fill: &mut Vec<(f64, f64)>) -> f64 {
+    fn price(
+        &self,
+        range: Range<usize>,
+        dup: impl IntoIterator<Item = u32>,
+        lat_fill: &mut Vec<(f64, f64)>,
+    ) -> f64 {
         let folds = f64::from(self.folds(&range));
         lat_fill.clear();
         let stages = self.items[range.clone()].iter().zip(&self.terms[range]);
-        for ((item, terms), &d) in stages.zip(dup) {
+        for ((item, terms), d) in stages.zip(dup) {
             let latency = terms.latency(
                 item.latency as f64,
                 item.cost,
@@ -483,23 +488,6 @@ impl<'a> SegmentEvaluator<'a> {
         chain_latency(lat_fill, self.options.pipeline)
     }
 
-    /// The DP's cost probe of the candidate segment `range`: `cost` is its
-    /// latency from the region memo, or NaN on a miss, which `allocate`
-    /// (standing in for [`Self::allocate`]) and [`Self::price`] fill in.
-    fn probe(
-        &self,
-        range: Range<usize>,
-        cost: &mut f64,
-        dup: &mut Vec<u32>,
-        lat_fill: &mut Vec<(f64, f64)>,
-        allocate: impl FnOnce(&mut Vec<u32>),
-    ) {
-        if cost.is_nan() {
-            allocate(dup);
-            *cost = self.price(range, dup, lat_fill);
-        }
-    }
-
     /// Row `i` of the segmentation DP: the latencies of every
     /// budget-feasible candidate segment starting at stage `i` (`[i..=i]`,
     /// `[i..=i+1]`, … until the core budget runs out; a single over-weight
@@ -508,7 +496,7 @@ impl<'a> SegmentEvaluator<'a> {
     /// A row the row memo does not hold takes two more trips to the
     /// region memo: one walk that interns its candidates' region-id runs
     /// and reads their cached costs, and one store of every cost after
-    /// [`Self::probe`] prices the misses.
+    /// the misses are priced.
     fn row(&self, i: usize) -> Arc<[f64]> {
         let (cx, needs, core_count) = (self.cx, &self.needs, self.core_count);
         // The row's budget window is content-determined (`needs` come
@@ -536,31 +524,32 @@ impl<'a> SegmentEvaluator<'a> {
         // each one's region-id run and reads its memoized cost.
         let (mut runs, mut costs) = (cx.scratch.u32s(cap), cx.scratch.f64s(cap));
         cx.memo.prefix_runs(window, &mut runs, &mut costs);
-        // The DP's work: the candidates the memo could not answer, which
-        // [`Self::probe`] prices below.
+        // The DP's work: the candidates the memo could not answer (NaN),
+        // which are priced below.
         let priced = costs.iter().filter(|cost| cost.is_nan()).count();
         cim_obs::count("compile.cg.priced", priced as u64);
         let mut lat_fill = cx.scratch.pairs(cap);
         if self.options.pipeline && self.options.duplication {
-            // One bottleneck sweep duplicates every prefix. Its nine
-            // `u32` buffers (the duplication vector, `Q`, the threshold
-            // heap and the leftover spend's six) come in one lease.
-            let mut u32s = cx.scratch.u32_array::<9>(cap);
-            let [dup, q, heap, spend @ ..] = &mut *u32s;
+            // One bottleneck sweep duplicates every prefix, and the price
+            // reads each stage's duplication from its tie kind. The
+            // sweep's nine `u32` buffers (`SpendBuffers`: one per stage,
+            // six per kind, its heap and a key level's kinds) come in one
+            // lease.
+            let mut spend = cx.scratch.u32_array(cap);
             let (items, kinds) = (&self.items[i..window_end], &self.kinds[i..window_end]);
-            let mut sweep = BottleneckSweep::new(items, core_count, q, heap);
+            let mut sweep = BottleneckSweep::new(items, kinds, core_count, &mut spend);
             for (k, cost) in costs.iter_mut().enumerate() {
                 sweep.push();
-                self.probe(i..i + k + 1, cost, dup, &mut lat_fill, |dup| {
-                    sweep.solution(dup, kinds, spend);
-                });
+                if cost.is_nan() {
+                    *cost = self.price(i..i + k + 1, sweep.solution().iter(), &mut lat_fill);
+                }
             }
         } else {
             let mut dup = cx.scratch.u32s(cap);
             for (k, cost) in costs.iter_mut().enumerate() {
-                self.probe(i..i + k + 1, cost, &mut dup, &mut lat_fill, |dup| {
-                    self.allocate(i..i + k + 1, dup);
-                });
+                if cost.is_nan() {
+                    *cost = self.evaluate(i..i + k + 1, &mut dup, &mut lat_fill);
+                }
             }
         }
         cx.memo.store_run_costs(&runs, &costs);
