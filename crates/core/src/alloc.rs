@@ -577,7 +577,7 @@ impl<'a> BottleneckSweep<'a> {
     /// from the level's first member on, until no kind of the level is
     /// left to pay for.
     fn walk_level(&mut self, mut left: u64) -> u64 {
-        let mut start = WALKING;
+        let mut start = u32::MAX;
         for t in 0..self.top.len() {
             let kind = self.top[t] as usize;
             (self.cut[kind], start) = (WALKING, start.min(self.first[kind]));
