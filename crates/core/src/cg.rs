@@ -26,7 +26,6 @@ use crate::level::{
     active_crossbars, chain_latency, drive, fold_report, standalone, Level, SchedContext,
 };
 use crate::perf::PerfReport;
-use crate::region::StageStats;
 use crate::stage::{extract_stages, movement_cycles, Stage};
 use crate::{CompileError, Result};
 use cim_arch::CimArchitecture;
@@ -360,11 +359,9 @@ struct SegmentEvaluator<'a> {
     /// lets a memo retained across recompiles splice cached schedules for
     /// unedited regions.
     ids: Vec<u32>,
-    /// Per-stage scheduling stats (cores one replica needs, allocator
-    /// item), cached by region id: every candidate is a contiguous stage
-    /// range, so its allocator input is a slice of `items`. Repeated
-    /// blocks (and every unedited stage of a recompile) answer from the
-    /// memo instead of re-deriving the crossbar math.
+    /// Per-stage cores one replica needs and allocator item: every
+    /// candidate is a contiguous stage range, so its allocator input is a
+    /// slice of `items`.
     needs: Vec<u64>,
     items: Vec<AllocItem>,
     /// The [`tie_kinds`] of `items`, so the leftover spend of every
@@ -384,23 +381,17 @@ impl<'a> SegmentEvaluator<'a> {
         let mut needs = Vec::with_capacity(n);
         let mut terms = Vec::with_capacity(n);
         let mut items = Vec::with_capacity(n);
-        for (stage, &id) in stages.iter().zip(&ids) {
-            let st = cx.memo.stage_stats(id, || {
-                let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
-                let cost = stage.mapping.cores_per_replica(arch);
-                StageStats {
-                    need: u64::from(cost),
-                    mov: movement_cycles(stage, arch, act_bits),
-                    item: AllocItem {
-                        cost,
-                        latency: compute_cycles(stage, cpm),
-                        max_dup: duplication_cap(stage, arch, act_bits, cpm),
-                    },
-                }
+        for stage in stages {
+            let cpm = stage.mapping.cycles_per_mvm(arch, act_bits);
+            let cost = stage.mapping.cores_per_replica(arch);
+            needs.push(u64::from(cost));
+            items.push(AllocItem {
+                cost,
+                latency: compute_cycles(stage, cpm),
+                max_dup: duplication_cap(stage, arch, act_bits, cpm),
             });
-            needs.push(st.need);
-            items.push(st.item);
-            terms.push(PriceTerms::of(stage, arch, st.mov));
+            let mov = movement_cycles(stage, arch, act_bits);
+            terms.push(PriceTerms::of(stage, arch, mov));
         }
         SegmentEvaluator {
             cx,
@@ -485,7 +476,7 @@ impl<'a> SegmentEvaluator<'a> {
             );
             lat_fill.push((latency, terms.fill));
         }
-        chain_latency(lat_fill, self.options.pipeline)
+        chain_latency(lat_fill.iter().copied(), self.options.pipeline)
     }
 
     /// Row `i` of the segmentation DP: the latencies of every
@@ -1057,7 +1048,7 @@ mod tests {
                         assert_eq!(bits(&lat_fill), bits(&chain), "{case}");
                         assert_eq!(
                             latency.to_bits(),
-                            chain_latency(&chain, true).to_bits(),
+                            chain_latency(chain.iter().copied(), true).to_bits(),
                             "{case}"
                         );
                         priced += 1;

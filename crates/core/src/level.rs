@@ -127,10 +127,10 @@ pub(crate) fn drive<I>(
 /// at `max_i (start_i + L_i)`. This is never worse than the serial sum
 /// (`fill ≤ 1`), degrades gracefully to it when every stage blocks
 /// (`fill = 1`), and is monotone in the per-stage latencies.
-pub(crate) fn pipeline_latency(lat_fill: &[(f64, f64)]) -> f64 {
+pub(crate) fn pipeline_latency(lat_fill: impl IntoIterator<Item = (f64, f64)>) -> f64 {
     let mut start = 0.0_f64;
     let mut completion = 0.0_f64;
-    for &(latency, fill) in lat_fill {
+    for (latency, fill) in lat_fill {
         completion = completion.max(start + latency);
         start += latency * fill.clamp(0.0, 1.0);
     }
@@ -140,11 +140,14 @@ pub(crate) fn pipeline_latency(lat_fill: &[(f64, f64)]) -> f64 {
 /// Latency of a segment from its stages' `(latency, fill)` pairs: the
 /// pipelined chain when the inter-operator pipeline is on, the serial sum
 /// otherwise.
-pub(crate) fn chain_latency(lat_fill: &[(f64, f64)], pipelined: bool) -> f64 {
+pub(crate) fn chain_latency(
+    lat_fill: impl IntoIterator<Item = (f64, f64)>,
+    pipelined: bool,
+) -> f64 {
     if pipelined {
         pipeline_latency(lat_fill)
     } else {
-        lat_fill.iter().map(|&(l, _)| l).sum()
+        lat_fill.into_iter().map(|(l, _)| l).sum()
     }
 }
 
@@ -181,10 +184,10 @@ pub(crate) fn refine(
     let chip_slots = cx.arch.total_crossbars();
     let scheduled = drive(cx, level, &ids, above, span, |seg| {
         let outs: Vec<PlanOut> = seg.plans.iter().map(&per_plan).collect();
-        let lat_fill: Vec<(f64, f64)> = outs.iter().map(|o| (o.plan.latency, o.fill)).collect();
         let spreads = outs.iter().map(|o| o.spread).collect();
+        let lat_fill = outs.iter().map(|o| (o.plan.latency, o.fill));
         let refined = Segment {
-            latency: chain_latency(&lat_fill, cg.options.pipeline),
+            latency: chain_latency(lat_fill, cg.options.pipeline),
             active_crossbars: active_crossbars(
                 outs.iter().map(|o| o.active),
                 cg.options.pipeline,
@@ -249,20 +252,20 @@ mod tests {
     #[test]
     fn pipeline_latency_formula() {
         // Single stage: just its latency.
-        assert_eq!(pipeline_latency(&[(100.0, 0.5)]), 100.0);
+        assert_eq!(pipeline_latency([(100.0, 0.5)]), 100.0);
         // Two stages: the second starts after the first's fill (at 10)
         // and finishes at 90, but the first itself runs until 100.
-        let l = pipeline_latency(&[(100.0, 0.1), (80.0, 1.0)]);
+        let l = pipeline_latency([(100.0, 0.1), (80.0, 1.0)]);
         assert!((l - 100.0).abs() < 1e-9, "{l}");
         // An early bottleneck is not double-counted: [10, 1] with a large
         // fill completes at 10 (stage 2 finishes within stage 1's span
         // plus epsilon), never above the serial sum.
-        let l = pipeline_latency(&[(10.0, 0.9), (1.0, 1.0)]);
+        let l = pipeline_latency([(10.0, 0.9), (1.0, 1.0)]);
         assert!((l - 10.0).abs() < 1e-9, "{l}");
         // Blocking fills reproduce serial execution.
-        let serial = pipeline_latency(&[(5.0, 1.0), (7.0, 1.0), (3.0, 1.0)]);
+        let serial = pipeline_latency([(5.0, 1.0), (7.0, 1.0), (3.0, 1.0)]);
         assert!((serial - 15.0).abs() < 1e-9, "{serial}");
-        assert_eq!(pipeline_latency(&[]), 0.0);
+        assert_eq!(pipeline_latency([]), 0.0);
     }
 
     #[test]
@@ -274,7 +277,7 @@ mod tests {
         ];
         for chain in chains {
             let serial: f64 = chain.iter().map(|&(l, _)| l).sum();
-            let pipe = pipeline_latency(&chain);
+            let pipe = pipeline_latency(chain.iter().copied());
             assert!(pipe <= serial + 1e-9, "pipe {pipe} > serial {serial}");
         }
     }
@@ -303,8 +306,8 @@ mod tests {
     #[test]
     fn chain_latency_is_pipelined_or_the_serial_sum() {
         let chain = [(100.0, 0.1), (80.0, 1.0), (5.0, 0.5)];
-        assert_eq!(chain_latency(&chain, true), pipeline_latency(&chain));
-        assert_eq!(chain_latency(&chain, false), 185.0);
+        assert_eq!(chain_latency(chain, true), pipeline_latency(chain));
+        assert_eq!(chain_latency(chain, false), 185.0);
     }
 
     #[test]

@@ -48,7 +48,6 @@
 //! built entries and each borrow ends with its method, so a panic in a
 //! compile leaves every table usable.
 
-use crate::alloc::AllocItem;
 use crate::cache::{region_fingerprint, Fingerprint};
 use crate::cg::Segment;
 use crate::level::{Level, Scheduled};
@@ -86,12 +85,18 @@ pub struct RegionMemo {
     /// probes (and the trie walk) for every row outside the edit's window.
     /// Not counted in hit/miss (like `runs`, a latency-estimation
     /// shortcut).
+    ///
+    /// It pays in time, not in counts. Without it the run trie still
+    /// answers every candidate, so `compile.cg.priced` is unchanged (5 on
+    /// the one-layer `resnet152@isaac-wlm` recompile) and allocations
+    /// fall (cold `resnet152@isaac` 927 → 764, that recompile 1 345 →
+    /// 1 300), but recompiles walk the trie for every candidate again.
+    /// Measured without it (2 vCPUs, 10 s runs), the benchmark's
+    /// `region.edit_vs_cold_ratio` rose from 0.504–0.520 to 0.643–0.672
+    /// over 3 traced runs, and `reuse-disk` fell from 15 449 to 13 403
+    /// operations/s in the median of 6 interleaved pairs, faster in only
+    /// 1 of them.
     rows: RefCell<RunMap<Row>>,
-    /// Per-region scheduling stats (core need, movement cycles, allocator
-    /// item), indexed by region id — content-determined under the
-    /// session's fixed (arch, act_bits), so a recompile recomputes them
-    /// only for regions it has never seen. Not counted in hit/miss.
-    stats: RefCell<Vec<Option<StageStats>>>,
     /// Segment schedules keyed by the region-id run they cover, one slot per
     /// scheduling [`Level`] (with the VVM level's per-plan spread factors),
     /// plans rebased to segment-relative stage indices.
@@ -242,23 +247,6 @@ impl RegionMemo {
         }
     }
 
-    /// Per-region stats for region `id`, computing and caching them on
-    /// first sight. `compute` must be a pure function of the region's
-    /// content (plus the session-fixed arch/options), like every other
-    /// entry in the memo, and must not call back into the memo.
-    pub fn stage_stats(&self, id: u32, compute: impl FnOnce() -> StageStats) -> StageStats {
-        let mut stats = self.stats.borrow_mut();
-        let slot = id as usize;
-        if slot >= stats.len() {
-            stats.resize(slot + 1, None);
-        }
-        *stats[slot].get_or_insert_with(|| {
-            let mut span = cim_obs::span("region", "stage_stats");
-            span.set(cim_obs::keys::INDEX, u64::from(id));
-            compute()
-        })
-    }
-
     /// Cached DP row (candidate-segment latencies) for the budget window
     /// `key`, if any.
     #[must_use]
@@ -289,8 +277,14 @@ impl RegionMemo {
     /// start at global stage `start`, position-independently.
     pub(crate) fn store_segment(&self, level: Level, key: &[u32], start: usize, value: &Scheduled) {
         let (seg, spreads) = value.clone();
-        self.segments.borrow_mut().entry(key.into()).or_default()[level as usize] =
-            Some((rebase(seg, start, 0), spreads));
+        let mut segments = self.segments.borrow_mut();
+        // A run stored at another level already has its key: box one only
+        // for a new run.
+        let slots = match segments.get_mut(key) {
+            Some(slots) => slots,
+            None => segments.entry(key.into()).or_default(),
+        };
+        slots[level as usize] = Some((rebase(seg, start, 0), spreads));
     }
 
     /// (hits, misses) across all segment-level lookups, weighted by the
@@ -310,21 +304,6 @@ impl RegionMemo {
             cim_obs::count("compile.regions.misses", n);
         }
     }
-}
-
-/// Per-region scheduling stats the CG DP reads for every stage.
-///
-/// Cached by [`RegionMemo::stage_stats`] so the per-stage prep scan costs
-/// one vector index per stage instead of re-deriving the crossbar math.
-#[derive(Debug, Clone, Copy)]
-pub struct StageStats {
-    /// Cores one replica occupies.
-    pub need: u64,
-    /// Movement cycles of the stage's traffic, which duplication does not
-    /// change.
-    pub mov: f64,
-    /// The allocator's view of the stage (cost, latency, duplication cap).
-    pub item: AllocItem,
 }
 
 /// Moves a segment whose plans start at stage `from` so they start at `to`:
@@ -476,31 +455,5 @@ mod tests {
         }
         assert_eq!(interned(&memo), 3);
         assert_eq!(memo.cost(&[1, 2, 3]), Some(9.5));
-    }
-
-    #[test]
-    fn a_panic_inside_the_memo_leaves_it_usable() {
-        let memo = RegionMemo::new();
-        let stats = StageStats {
-            need: 2,
-            mov: 1.5,
-            item: AllocItem {
-                cost: 2,
-                latency: 8,
-                max_dup: 4,
-            },
-        };
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            memo.stage_stats(3, || panic!("compute failed"))
-        }));
-        assert!(panicked.is_err());
-        // The failed region was never stored: a later lookup computes it,
-        // and every other table still answers.
-        assert_eq!(memo.stage_stats(3, || stats).need, 2);
-        assert_eq!(memo.stage_stats(3, || panic!("cached")).mov, 1.5);
-        store_cost(&memo, &[3], 1.0);
-        assert_eq!(memo.cost(&[3]), Some(1.0));
-        assert!(memo.row(&[3]).is_none());
-        assert!(memo.segment(Level::Cg, &[3], 0).is_none());
     }
 }

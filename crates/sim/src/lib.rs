@@ -19,7 +19,9 @@
 //!   simulator plays.
 //! * [`trace`] — the performance-trace side: phase-level latency/power
 //!   series derived from a compiled schedule, feeding the figure
-//!   harnesses.
+//!   harnesses. The schedule's cycles and energy themselves come from
+//!   the compiler's analytic cost model ([`cim_compiler::level::fold_report`]),
+//!   not from a statement-by-statement walk of the flow.
 //!
 //! The functional simulator models crossbars at the *logical matrix*
 //! level (exact integer MACs). Bit-serial DAC streaming and bit-sliced
@@ -55,7 +57,6 @@
 
 pub mod func;
 pub mod kernels;
-pub mod perf_flow;
 pub mod reference;
 pub mod service;
 pub mod trace;

@@ -11,7 +11,7 @@
 //!
 //! Per partition, the loop alternates admission and dispatch. The
 //! queue is a `RunQueue`: a set of FIFO runs, each in strictly rising
-//! [`SchedPolicy::key`] order, whose least head boards next — exactly
+//! [`PolicyKind::key`] order, whose least head boards next — exactly
 //! the order one key-ordered heap would pop. Admission appends to a
 //! run, and when the partition frees up, drop-on-miss policies take the
 //! requests whose deadline already passed off the front, then the
@@ -28,7 +28,7 @@
 //! queue.
 
 use crate::placement::Placement;
-use crate::policy::{Batching, PolicyKind, SchedPolicy};
+use crate::policy::{Batching, PolicyKind};
 use crate::report::{FlowStats, PartitionStats, TenantStats, TrafficReport};
 use crate::trace::{Trace, TraceError, TraceEvent};
 use cim_arch::CimArchitecture;
@@ -254,14 +254,13 @@ pub fn simulate_priced(
         members[tenant_partition[r.tenant]].push(i);
         tenant_requests[r.tenant] += 1;
     }
-    let policy = config.policy.build();
     let indices: Vec<usize> = (0..placement.partitions.len()).collect();
     let loops = run_ordered(&indices, threads.max(1), |&p| {
         run_partition(
             &trace.requests,
             &members[p],
             &services[p],
-            policy.as_ref(),
+            config.policy,
             config.batching,
             trace.spec.horizon,
         )
@@ -289,7 +288,7 @@ struct PartitionLoop {
     max_queue_depth: usize,
 }
 
-/// A [`SchedPolicy::key`].
+/// A [`PolicyKind::key`].
 type Key = (u64, u64, u64);
 
 /// One partition's queue of member positions, as FIFO runs.
@@ -406,7 +405,7 @@ fn run_partition(
     events: &[TraceEvent],
     members: &[usize],
     service: &ServiceModel,
-    policy: &dyn SchedPolicy,
+    policy: PolicyKind,
     batching: Batching,
     horizon: u64,
 ) -> PartitionLoop {
@@ -628,7 +627,6 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::EdfDrop;
     use crate::trace::{GeneratorKind, TenantSpec, TraceSpec};
     use cim_arch::presets;
     use proptest::prelude::*;
@@ -833,7 +831,7 @@ mod tests {
         events: &[TraceEvent],
         members: &[usize],
         service: &ServiceModel,
-        policy: &dyn SchedPolicy,
+        policy: PolicyKind,
         batching: Batching,
         horizon: u64,
     ) -> PartitionLoop {
@@ -955,13 +953,12 @@ mod tests {
             members[tenant_partition[r.tenant]].push(i);
             tenant_requests[r.tenant] += 1;
         }
-        let policy = config.policy.build();
         let loops: Vec<PartitionLoop> = members
             .iter()
             .zip(services)
             .map(|(m, s)| {
                 let (b, h) = (config.batching, trace.spec.horizon);
-                oracle_partition(&trace.requests, m, s, policy.as_ref(), b, h)
+                oracle_partition(&trace.requests, m, s, config.policy, b, h)
             })
             .collect();
         let (mut report, outcomes) = assemble(
@@ -1265,7 +1262,7 @@ mod tests {
             .collect();
         let mut queue = RunQueue::new(requests.len());
         for (k, r) in requests.iter().enumerate() {
-            queue.push(k as u32, EdfDrop.key(r));
+            queue.push(k as u32, PolicyKind::Edf.key(r));
         }
         assert_eq!(
             queue.runs.len(),

@@ -1,8 +1,8 @@
 //! # cim-traffic — trace-driven multi-tenant serving simulation
 //!
 //! Replays a request trace against a CIM chip running several models
-//! co-resident via spatial crossbar partitioning, under a pluggable
-//! scheduling policy, and reports per-tenant and aggregate service
+//! co-resident via spatial crossbar partitioning, under one of three
+//! scheduling policies, and reports per-tenant and aggregate service
 //! quality (latency percentiles, throughput, drops, deadline misses,
 //! partition utilization).
 //!
@@ -16,9 +16,9 @@
 //!    [`Partition`]s and pricing each partition's [`ServiceModel`] by
 //!    compiling the model against its slice
 //!    ([`CimArchitecture::partition`]).
-//! 3. [`policy`] — the [`SchedPolicy`] trait (a queue key: a total order
-//!    ending in the request id) and the built-in disciplines (FIFO, strict
+//! 3. [`policy`] — the [`PolicyKind`] disciplines (FIFO, strict
 //!    priority, EDF with drop-on-miss, whose key leads with the deadline),
+//!    each a queue key — a total order ending in the request id — and
 //!    all composed with the same [`Batching`] knob.
 //! 4. [`engine`] + [`report`] — the deterministic integer-cycle event
 //!    loop ([`run_simulation`]; per partition, a queue of FIFO runs in
@@ -75,7 +75,7 @@ pub use engine::{
     price_placement, run_simulation, simulate_priced, RequestOutcome, SimConfig, TrafficError,
 };
 pub use placement::{Partition, Placement};
-pub use policy::{Batching, EdfDrop, Fifo, PolicyKind, Priority, SchedPolicy};
+pub use policy::{Batching, PolicyKind};
 pub use report::{FlowStats, PartitionStats, TenantStats, TrafficReport};
 pub use trace::{GeneratorKind, SplitMix64, TenantSpec, Trace, TraceError, TraceEvent, TraceSpec};
 

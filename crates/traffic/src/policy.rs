@@ -1,14 +1,12 @@
-//! Pluggable scheduling policies and the batching knob.
+//! The scheduling policies and the batching knob.
 //!
-//! A [`SchedPolicy`] decides, each time a partition frees up, *which*
+//! A [`PolicyKind`] decides, each time a partition frees up, *which*
 //! queued requests board the next batch: the engine keeps each
-//! partition's queue in [`SchedPolicy::key`] order (as FIFO runs, each
+//! partition's queue in [`PolicyKind::key`] order (as FIFO runs, each
 //! in rising key order) and boards the smallest keys. Policies therefore
 //! compose with batching instead of replacing it — the [`Batching`]
 //! limits (max batch size, max head-of-line wait) are honored
 //! identically by every policy.
-//!
-//! Built-ins:
 //!
 //! | name       | key                                      | drop-on-miss |
 //! |------------|------------------------------------------|--------------|
@@ -43,94 +41,20 @@ impl Default for Batching {
     }
 }
 
-/// A scheduling discipline over one partition's queue.
-pub trait SchedPolicy: Send + Sync {
-    /// Stable policy name, as listed by `cimc list policies`.
-    fn name(&self) -> &'static str;
-
-    /// The request's place in the queue: the lexicographically smallest
-    /// key boards first. The key must end in the request id, so it is a
-    /// total order in which no two requests of a trace tie (a trace's
-    /// `(arrival, id)` pairs are distinct) and the dispatch order never
-    /// depends on how the queue was built.
-    fn key(&self, event: &TraceEvent) -> (u64, u64, u64);
-
-    /// Whether a request whose deadline has passed at batch-forming
-    /// time is dropped instead of served.
-    ///
-    /// Only valid for a key that leads with the absolute deadline
-    /// (`u64::MAX` when there is none): the engine sheds by taking
-    /// expired requests off the front of the queue, so every expired
-    /// request must order before every live one.
-    fn drop_on_miss(&self) -> bool {
-        false
-    }
-}
-
-/// First-in, first-out: order of arrival, blind to everything else.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fifo;
-
-impl SchedPolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn key(&self, event: &TraceEvent) -> (u64, u64, u64) {
-        (event.arrival, event.id, 0)
-    }
-}
-
-/// Strict priority: higher `priority` first, FIFO within a class.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Priority;
-
-impl SchedPolicy for Priority {
-    fn name(&self) -> &'static str {
-        "priority"
-    }
-
-    fn key(&self, event: &TraceEvent) -> (u64, u64, u64) {
-        (
-            u64::from(u32::MAX - event.priority),
-            event.arrival,
-            event.id,
-        )
-    }
-}
-
-/// Earliest-deadline-first with drop-on-miss. Requests without a
-/// deadline sort last (an infinite deadline) and are never dropped.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EdfDrop;
-
-impl SchedPolicy for EdfDrop {
-    fn name(&self) -> &'static str {
-        "edf"
-    }
-
-    fn key(&self, event: &TraceEvent) -> (u64, u64, u64) {
-        (event.deadline.unwrap_or(u64::MAX), event.arrival, event.id)
-    }
-
-    fn drop_on_miss(&self) -> bool {
-        true
-    }
-}
-
-/// The built-in policies, nameable from the CLI and the wire API.
+/// The scheduling policies, nameable from the CLI and the wire API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// [`Fifo`].
+    /// First-in, first-out: order of arrival, blind to everything else.
     Fifo,
-    /// [`Priority`].
+    /// Strict priority: higher `priority` first, FIFO within a class.
     Priority,
-    /// [`EdfDrop`].
+    /// Earliest-deadline-first with drop-on-miss. Requests without a
+    /// deadline sort last (an infinite deadline) and are never dropped.
     Edf,
 }
 
 impl PolicyKind {
-    /// Every built-in policy, in canonical order.
+    /// Every policy, in canonical order.
     pub const ALL: [PolicyKind; 3] = [PolicyKind::Fifo, PolicyKind::Priority, PolicyKind::Edf];
 
     /// Canonical names accepted by [`PolicyKind::parse`] and the
@@ -153,14 +77,34 @@ impl PolicyKind {
         PolicyKind::ALL.into_iter().find(|p| p.name() == name)
     }
 
-    /// Instantiates the policy.
+    /// The request's place in the queue: the lexicographically smallest
+    /// key boards first. The key ends in the request id, so it is a
+    /// total order in which no two requests of a trace tie (a trace's
+    /// `(arrival, id)` pairs are distinct) and the dispatch order never
+    /// depends on how the queue was built.
     #[must_use]
-    pub fn build(self) -> Box<dyn SchedPolicy> {
+    pub fn key(self, event: &TraceEvent) -> (u64, u64, u64) {
         match self {
-            PolicyKind::Fifo => Box::new(Fifo),
-            PolicyKind::Priority => Box::new(Priority),
-            PolicyKind::Edf => Box::new(EdfDrop),
+            PolicyKind::Fifo => (event.arrival, event.id, 0),
+            PolicyKind::Priority => (
+                u64::from(u32::MAX - event.priority),
+                event.arrival,
+                event.id,
+            ),
+            PolicyKind::Edf => (event.deadline.unwrap_or(u64::MAX), event.arrival, event.id),
         }
+    }
+
+    /// Whether a request whose deadline has passed at batch-forming
+    /// time is dropped instead of served.
+    ///
+    /// Only `edf` drops, and its key leads with the absolute deadline
+    /// (`u64::MAX` when there is none): the engine sheds by taking
+    /// expired requests off the front of the queue, so every expired
+    /// request must order before every live one.
+    #[must_use]
+    pub fn drop_on_miss(self) -> bool {
+        self == PolicyKind::Edf
     }
 }
 
@@ -186,7 +130,7 @@ mod tests {
 
     #[test]
     fn fifo_orders_by_arrival_then_id() {
-        let p = Fifo;
+        let p = PolicyKind::Fifo;
         assert!(p.key(&event(0, 5, 9, None)) < p.key(&event(1, 6, 0, None)));
         assert!(p.key(&event(1, 5, 0, None)) > p.key(&event(0, 5, 9, None)));
         assert!(!p.drop_on_miss());
@@ -194,7 +138,7 @@ mod tests {
 
     #[test]
     fn priority_prefers_urgent_then_fifo() {
-        let p = Priority;
+        let p = PolicyKind::Priority;
         assert!(p.key(&event(9, 50, 2, None)) < p.key(&event(1, 1, 0, None)));
         assert!(p.key(&event(1, 1, 1, None)) < p.key(&event(2, 2, 1, None)));
         assert!(p.key(&event(1, 1, u32::MAX, None)) < p.key(&event(0, 0, 0, None)));
@@ -202,7 +146,7 @@ mod tests {
 
     #[test]
     fn edf_prefers_earliest_deadline_and_sorts_deadline_free_last() {
-        let p = EdfDrop;
+        let p = PolicyKind::Edf;
         assert!(p.key(&event(9, 50, 0, Some(100))) < p.key(&event(1, 1, 9, Some(200))));
         assert!(p.key(&event(0, 1, 0, Some(1_000_000))) < p.key(&event(1, 2, 0, None)));
         assert!(p.drop_on_miss());
@@ -212,7 +156,6 @@ mod tests {
     fn kinds_round_trip_names() {
         for kind in PolicyKind::ALL {
             assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.build().name(), kind.name());
         }
         assert_eq!(PolicyKind::parse("lifo"), None);
     }

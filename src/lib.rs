@@ -29,7 +29,7 @@
 //!   evaluation (`cimc explore`);
 //! * [`traffic`] (`cim-traffic`) — trace-driven multi-tenant serving
 //!   simulation: seeded workload generators, spatial crossbar
-//!   partitioning, pluggable batching/scheduling policies, and
+//!   partitioning, fifo/priority/EDF scheduling with batching, and
 //!   deterministic latency/throughput reports (`cimc trace`,
 //!   `cimc simulate`).
 //!
