@@ -6,12 +6,13 @@
 # dse-smoke (seeded exploration determinism + warm-cache reuse),
 # serve-smoke (persistent server under a scripted loadtest),
 # traffic-smoke (deterministic multi-tenant serving simulation),
-# incremental-smoke (one-layer edit recompiles in <= 25% of cold,
-# bit-identical to a fresh compile), and obs-smoke (live metrics scrape
+# incremental-smoke (a one-layer edit recompiles bit-identical to a
+# fresh compile, reusing cached regions), and obs-smoke (live metrics scrape
 # agrees with the loadtest, --trace-out emits a valid Chrome trace).
 # Compile time is gated by counts, not wall clocks: allocations, DP
-# candidates priced and span events of three reference compiles
-# (crates/core/tests/alloc_budget.rs, part of build-and-test).
+# candidates priced and span events of four reference compiles, and the
+# allocations and DP candidates priced of incremental-smoke's one-layer
+# recompile (crates/core/tests/alloc_budget.rs, part of build-and-test).
 #
 # usage: scripts/ci-local.sh [job...]
 #   job ∈ build-and-test | lint | bench-report | cache-consistency |
@@ -262,14 +263,13 @@ traffic_smoke() {
 
 # Incremental-recompilation gate: a canonical one-layer edit on the
 # zoo's slowest cold compile (retuning resnet152's classifier head from
-# the ImageNet-1k to the ImageNet-21k class count, on isaac in wlm) must (a) produce a result
-# document byte-identical to a fresh compile of the mutated graph with
-# per-region cache hits > 0 — checked on EVERY attempt — and (b)
-# recompile in <= 25% of the cold compile time. The percentage is
-# wall-clock noise-prone on loaded machines, so like the cache gate it
-# is re-measured (up to 3 attempts) and only needs to clear the bar
-# once. Set INCREMENTAL_SMOKE_DIR to keep the logs/reports (CI uploads
-# them).
+# the ImageNet-1k to the ImageNet-21k class count, on isaac in wlm) must
+# produce a result document byte-identical to a fresh compile of the
+# mutated graph with per-region cache hits > 0. What the recompile costs
+# is gated by count, not wall clock: its allocations and DP candidates
+# priced in crates/core/tests/alloc_budget.rs. The recompile/cold
+# percentage is printed for the logs only. Set INCREMENTAL_SMOKE_DIR to
+# keep the logs/reports (CI uploads them).
 incremental_smoke() {
     local dir="${INCREMENTAL_SMOKE_DIR:-}"
     if [ -z "$dir" ]; then
@@ -282,32 +282,18 @@ incremental_smoke() {
     printf '%s' '{"edits":[{"retune_op_params":{"node":"fc","op":{"Linear":{"out_features":21841}}}}]}' \
         > "$dir/delta.json"
 
-    local attempt pct ratio_ok=0
-    for attempt in 1 2 3; do
-        bold "incremental-smoke: attempt $attempt — one-layer edit on resnet152@isaac"
-        ./target/release/cimc recompile --model resnet152 --arch isaac \
-            --mode wlm --delta "$dir/delta.json" \
-            --out-incremental "$dir/incremental.txt" \
-            --out-fresh "$dir/fresh.txt" | tee "$dir/run.log"
+    bold "incremental-smoke: one-layer edit on resnet152@isaac"
+    ./target/release/cimc recompile --model resnet152 --arch isaac \
+        --mode wlm --delta "$dir/delta.json" \
+        --out-incremental "$dir/incremental.txt" \
+        --out-fresh "$dir/fresh.txt" | tee "$dir/run.log"
 
-        bold "incremental-smoke: incremental == fresh compile, byte for byte"
-        cmp "$dir/incremental.txt" "$dir/fresh.txt"
-        grep -E 'equivalent: yes' "$dir/run.log"
+    bold "incremental-smoke: incremental == fresh compile, byte for byte"
+    cmp "$dir/incremental.txt" "$dir/fresh.txt"
+    grep -E 'equivalent: yes' "$dir/run.log"
 
-        bold "incremental-smoke: per-region cache hits > 0"
-        grep -E 'regions [1-9][0-9]* hit\(s\)' "$dir/run.log"
-
-        pct=$(sed -n 's/.*(\([0-9][0-9]*\)% of cold).*/\1/p' "$dir/run.log")
-        echo "incremental/cold = ${pct}%"
-        test -n "$pct"
-        if [ "$pct" -le 25 ]; then
-            ratio_ok=1
-            break
-        fi
-        echo "ratio above 25% on attempt $attempt; re-measuring"
-    done
-    bold "incremental-smoke: recompile <= 25% of cold compile time"
-    test "$ratio_ok" -eq 1
+    bold "incremental-smoke: per-region cache hits > 0"
+    grep -E 'regions [1-9][0-9]* hit\(s\)' "$dir/run.log"
 }
 
 # Observability smoke gate: the three promises the cim-obs layer makes
