@@ -16,9 +16,16 @@
 //!   in-process [`MemoryCache`] and an on-disk, content-addressed
 //!   [`DiskCache`] (one checksummed entry file per fingerprint);
 //! * a [`Session`](crate::Session) given a cache via
-//!   [`Session::with_cache`](crate::Session::with_cache) consults it
-//!   before running each pass and records hit/miss/store outcomes in its
-//!   [`PassTimeline`](crate::PassTimeline).
+//!   [`Session::with_cache`](crate::Session::with_cache) computes the
+//!   keys of the passes ahead and asks the cache once for the deepest
+//!   artifact it holds ([`CompileCache::load`] takes the key chain).
+//!   Artifacts are cumulative, so that one artifact serves every pass up
+//!   to it, and only the passes after it run and store
+//!   ([`Session::run`](crate::Session::run));
+//!   [`Session::step`](crate::Session::step) looks up one pass at a time.
+//!   Either way each pass gets its hit/miss/store outcome in the
+//!   session's [`PassTimeline`](crate::PassTimeline), and
+//!   [`CacheStats`] count per pass.
 //!
 //! Because option fields are fingerprinted per pass rather than
 //! wholesale, jobs that share a pipeline *prefix* share cache entries:
@@ -56,9 +63,10 @@
 //! `magic · format version · key · payload length · payload · checksum`,
 //! written atomically (temp file + rename) so concurrent sweep workers
 //! and interrupted runs can never leave a torn entry under a valid name.
-//! [`DiskCache::load`] re-derives the checksum and validates the stored
-//! key; a corrupted or truncated entry is treated as a miss, deleted
-//! best-effort, and recompiled — never trusted.
+//! [`DiskCache`] reads the deepest key's entry first, re-derives the
+//! checksum and validates the stored key; a corrupted or truncated entry
+//! is treated as a miss, deleted best-effort and recompiled — never
+//! trusted — and the next shallower key is tried instead.
 
 use crate::cg::{CgOptions, CgSchedule, Segment, StagePlan};
 use crate::codegen::FlowLayout;
@@ -477,19 +485,22 @@ const REGION_DOMAIN: u64 = 0x6369_6d2d_6d6c_6331; // "cim-mlc1"
 // ---------------------------------------------------------------------------
 // The cache abstraction.
 
-/// Aggregate hit/miss/store counters of one [`CompileCache`] instance.
+/// Aggregate hit/miss/store counters of one [`CompileCache`] instance,
+/// counted per pass: a warm compile of `k` cached passes counts `k`
+/// hits, and a cold one `k` misses and `k` stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Passes served from the cache: a lookup that found the artifact
+    /// at depth `j` of its key chain served `j + 1` passes.
     pub hits: u64,
-    /// Lookups that found nothing usable (including corrupt entries).
+    /// Keys looked up and not served (including corrupt entries).
     pub misses: u64,
     /// Artifacts written into the cache.
     pub stores: u64,
 }
 
 impl CacheStats {
-    /// Total lookups (hits + misses).
+    /// Total keys looked up (hits + misses).
     #[must_use]
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
@@ -538,8 +549,14 @@ impl CacheStats {
 /// must answer `None` rather than guess when an entry cannot be
 /// validated.
 pub trait CompileCache: Send + Sync {
-    /// Looks up the artifact stored under `key`.
-    fn load(&self, key: &Fingerprint) -> Option<Artifact>;
+    /// Looks up a key chain, the keys of consecutive passes shallowest
+    /// first, and returns the deepest entry held as `(depth, artifact)`,
+    /// `keys[depth]` being its key; `None` when no key is held.
+    ///
+    /// A hit is a pass served: artifacts are cumulative, so a hit at
+    /// depth `j` counts `j + 1` hits, and each deeper key a miss. A
+    /// one-key chain is a plain lookup.
+    fn load(&self, keys: &[Fingerprint]) -> Option<(usize, Artifact)>;
 
     /// Stores `artifact` under `key`. Returns whether the artifact was
     /// actually banked (codegen artifacts whose flow stores statements,
@@ -570,6 +587,15 @@ struct Counters {
 }
 
 impl Counters {
+    /// Counts a lookup of `keys` keys that served the passes up to
+    /// `depth`.
+    fn lookup(&self, keys: usize, depth: Option<usize>) {
+        let hits = depth.map_or(0, |depth| depth + 1);
+        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
+        self.misses
+            .fetch_add((keys - hits) as u64, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -616,22 +642,28 @@ impl MemoryCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// [`CompileCache::load`] without the deep copy: all the keys are
+    /// looked up under one lock, which guards only a pointer clone.
+    fn probe(&self, keys: &[Fingerprint]) -> Option<(usize, Arc<Artifact>)> {
+        let found = {
+            let entries = self.entries();
+            keys.iter()
+                .enumerate()
+                .rev()
+                .find_map(|(depth, key)| Some((depth, Arc::clone(entries.get(key)?))))
+        };
+        self.counters
+            .lookup(keys.len(), found.as_ref().map(|&(depth, _)| depth));
+        found
+    }
 }
 
 impl CompileCache for MemoryCache {
-    fn load(&self, key: &Fingerprint) -> Option<Artifact> {
-        let found = self.entries().get(key).cloned();
-        match found {
-            Some(artifact) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                // Deep copy outside the lock.
-                Some((*artifact).clone())
-            }
-            None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    fn load(&self, keys: &[Fingerprint]) -> Option<(usize, Artifact)> {
+        // Deep copy outside the lock.
+        self.probe(keys)
+            .map(|(depth, artifact)| (depth, (*artifact).clone()))
     }
 
     fn store(&self, key: &Fingerprint, artifact: &Artifact) -> bool {
@@ -688,31 +720,34 @@ impl DiskCache {
         let hex = key.to_hex();
         self.root.join(&hex[..2]).join(format!("{hex}.bin"))
     }
+
+    /// The validated entry under `key`, if there is one. A corrupt or
+    /// foreign entry is never trusted: its file is dropped (best effort)
+    /// so the recompiled artifact replaces it.
+    fn read(&self, key: &Fingerprint) -> Option<Artifact> {
+        let path = self.entry_path(key);
+        let bytes = std::fs::read(&path).ok()?;
+        decode_entry(key, &bytes)
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&path);
+            })
+            .ok()
+    }
 }
 
 impl CompileCache for DiskCache {
-    fn load(&self, key: &Fingerprint) -> Option<Artifact> {
-        let path = self.entry_path(key);
-        let decoded = std::fs::read(&path)
-            .ok()
-            .map(|bytes| decode_entry(key, &bytes));
-        match decoded {
-            Some(Ok(artifact)) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(artifact)
-            }
-            Some(Err(_)) => {
-                // Corrupt or foreign entry: never trust it. Drop the file
-                // (best effort) so the recompiled artifact replaces it.
-                let _ = std::fs::remove_file(&path);
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// Reads the deepest key's file first, and falls back to the next
+    /// shallower key when a file is missing or corrupt, so a warm chain
+    /// costs one file read.
+    fn load(&self, keys: &[Fingerprint]) -> Option<(usize, Artifact)> {
+        let found = keys
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(depth, key)| Some((depth, self.read(key)?)));
+        self.counters
+            .lookup(keys.len(), found.as_ref().map(|&(depth, _)| depth));
+        found
     }
 
     fn store(&self, key: &Fingerprint, artifact: &Artifact) -> bool {
@@ -744,12 +779,13 @@ impl CompileCache for DiskCache {
 /// requests hit the in-process map without touching the filesystem,
 /// while a restart still finds its artifacts on disk.
 ///
-/// `load` consults memory first and, on a disk hit, promotes the entry
-/// into memory so the next lookup is RAM-speed. `store` banks in both
-/// levels. [`stats`](CompileCache::stats) counts each *logical* lookup
-/// once: hits are memory hits plus disk hits (promotions are not
-/// double-counted), misses are lookups both levels missed, and stores
-/// are the disk level's (the durable one).
+/// `load` consults memory first, then the disk for the keys deeper than
+/// memory's hit, and promotes what the disk served into memory so the
+/// next lookup is RAM-speed. `store` banks in both levels.
+/// [`stats`](CompileCache::stats) counts each key once: hits are the
+/// passes memory served plus those the disk served beyond them
+/// (promotions are not double-counted), misses are keys both levels
+/// missed, and stores are the disk level's (the durable one).
 #[derive(Debug)]
 pub struct TieredCache {
     memory: MemoryCache,
@@ -783,16 +819,20 @@ impl TieredCache {
 }
 
 impl CompileCache for TieredCache {
-    fn load(&self, key: &Fingerprint) -> Option<Artifact> {
-        if let Some(artifact) = self.memory.load(key) {
-            return Some(artifact);
+    fn load(&self, keys: &[Fingerprint]) -> Option<(usize, Artifact)> {
+        let memory = self.memory.probe(keys);
+        let beyond = memory.as_ref().map_or(0, |&(depth, _)| depth + 1);
+        if beyond < keys.len() {
+            if let Some((depth, artifact)) = self.disk.load(&keys[beyond..]) {
+                let depth = beyond + depth;
+                // Promote so the next lookup stays in RAM. The promotion
+                // store bumps the memory level's store counter, which
+                // `stats` ignores (only durable disk stores are reported).
+                self.memory.store(&keys[depth], &artifact);
+                return Some((depth, artifact));
+            }
         }
-        let artifact = self.disk.load(key)?;
-        // Promote so the next lookup stays in RAM. The promotion store
-        // bumps the memory level's store counter, which `stats` ignores
-        // (only durable disk stores are reported).
-        self.memory.store(key, &artifact);
-        Some(artifact)
+        memory.map(|(depth, artifact)| (depth, (*artifact).clone()))
     }
 
     fn store(&self, key: &Fingerprint, artifact: &Artifact) -> bool {
@@ -805,8 +845,9 @@ impl CompileCache for TieredCache {
         let disk = self.disk.stats();
         CacheStats {
             hits: memory.hits + disk.hits,
-            // A memory miss that the disk served is a hit, not a miss;
-            // only lookups both levels missed count.
+            // The disk is asked only for the keys memory missed, so a key
+            // it served is a hit, not a miss; only keys both levels
+            // missed count.
             misses: disk.misses,
             stores: disk.stores,
         }
@@ -1466,7 +1507,7 @@ fn decode_entry(key: &Fingerprint, bytes: &[u8]) -> DecResult<Artifact> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompileOptions, Compiler, OptLevel};
+    use crate::{CompileOptions, Compiler, OptLevel, StageKind};
     use cim_arch::presets;
     use cim_graph::zoo;
 
@@ -1769,9 +1810,9 @@ mod tests {
         let artifact = artifact_at(OptLevel::Auto, &g, &arch);
         let key = source_fingerprint(&g, &arch);
         let cache = MemoryCache::new();
-        assert!(cache.load(&key).is_none());
+        assert!(cache.load(&[key]).is_none());
         assert!(cache.store(&key, &artifact));
-        assert!(cache.load(&key).is_some());
+        assert!(cache.load(&[key]).is_some());
         assert!(!cache.store(&key, &Artifact::Source));
         assert_eq!(
             cache.stats(),
@@ -1802,7 +1843,7 @@ mod tests {
         assert!(worker.join().is_err());
         assert!(cache.entries.is_poisoned());
 
-        assert!(cache.load(&key).is_some());
+        assert!(cache.load(&[key]).is_some());
         let other = checksum(b"other");
         assert!(cache.store(&other, &artifact));
         assert_eq!(cache.len(), 2);
@@ -1820,10 +1861,10 @@ mod tests {
 
         // Cold process: store banks in both levels.
         let cache = TieredCache::open(&dir).unwrap();
-        assert!(cache.load(&key).is_none());
+        assert!(cache.load(&[key]).is_none());
         assert!(cache.store(&key, &artifact));
         assert_eq!(cache.memory_len(), 1);
-        assert!(cache.load(&key).is_some());
+        assert!(cache.load(&[key]).is_some());
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -1837,9 +1878,9 @@ mod tests {
         // disk hit that promotes into memory; the second stays in RAM.
         let warm = TieredCache::open(&dir).unwrap();
         assert_eq!(warm.memory_len(), 0);
-        assert!(warm.load(&key).is_some());
+        assert!(warm.load(&[key]).is_some());
         assert_eq!(warm.memory_len(), 1);
-        assert!(warm.load(&key).is_some());
+        assert!(warm.load(&[key]).is_some());
         let stats = warm.stats();
         assert_eq!((stats.hits, stats.misses), (2, 0), "{stats:?}");
         assert_eq!(warm.root(), dir.as_path());
@@ -1857,13 +1898,14 @@ mod tests {
         let key = source_fingerprint(&g, &arch);
         {
             let cache = DiskCache::open(&dir).unwrap();
-            assert!(cache.load(&key).is_none());
+            assert!(cache.load(&[key]).is_none());
             assert!(cache.store(&key, &artifact));
             assert!(cache.entry_path(&key).is_file());
         }
         // A fresh instance over the same directory serves the entry.
         let cache = DiskCache::open(&dir).unwrap();
-        let loaded = cache.load(&key).expect("entry persisted");
+        let (depth, loaded) = cache.load(&[key]).expect("entry persisted");
+        assert_eq!(depth, 0);
         assert_eq!(loaded.kind(), artifact.kind());
         assert_eq!(
             cache.stats(),
@@ -1891,9 +1933,40 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(cache.load(&key).is_none(), "corrupt entry must not load");
+        assert!(cache.load(&[key]).is_none(), "corrupt entry must not load");
         assert!(!path.exists(), "corrupt entry should be dropped");
         assert_eq!(cache.stats().misses, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_chain_lookup_serves_the_deepest_key_held_and_counts_per_key() {
+        let dir = std::env::temp_dir().join(format!("cim_cache_chain_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let g = zoo::lenet5();
+        let arch = presets::isaac_baseline();
+        let (cg, mvm) = (
+            artifact_at(OptLevel::Cg, &g, &arch),
+            artifact_at(OptLevel::CgMvm, &g, &arch),
+        );
+        let keys = [checksum(b"cg"), checksum(b"mvm"), checksum(b"vvm")];
+        let memory = MemoryCache::new();
+        let disk = DiskCache::open(&dir).unwrap();
+        for cache in [&memory as &dyn CompileCache, &disk] {
+            assert!(cache.load(&keys).is_none());
+            assert!(cache.store(&keys[0], &cg) && cache.store(&keys[1], &mvm));
+            let (depth, artifact) = cache.load(&keys).expect("the mvm entry");
+            assert_eq!((depth, artifact.kind()), (1, StageKind::Mvm));
+            // Three misses, then two passes served and one missed.
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses, stats.stores), (2, 4, 2));
+        }
+        // A corrupt deepest entry is dropped, and the next shallower served.
+        let path = disk.entry_path(&keys[1]);
+        std::fs::write(&path, b"CIMC torn").unwrap();
+        let (depth, _) = disk.load(&keys).expect("the cg entry");
+        assert_eq!(depth, 0);
+        assert!(!path.exists(), "corrupt entry should be dropped");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

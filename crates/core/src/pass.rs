@@ -22,7 +22,7 @@
 //! 2. **Stage typing** — a pass declares the artifact stage it consumes by
 //!    rejecting others with [`CompileError::Internal`](crate::CompileError::Internal); it must not
 //!    silently pass through an unexpected stage. A pass that *upholds* its
-//!    input stage (returns the same [`StageKind`](crate::StageKind)) is a
+//!    input stage (returns the same [`StageKind`]) is a
 //!    rewrite pass; one that advances the stage is a lowering pass.
 //! 3. **No hidden state** — passes are `Send + Sync` and may be shared
 //!    across threads; configuration belongs in the pass value itself (set
@@ -59,7 +59,7 @@
 use crate::cache::Fingerprint;
 use crate::compile::CompileOptions;
 use crate::level::SchedContext;
-use crate::pipeline::Artifact;
+use crate::pipeline::{Artifact, StageKind};
 use crate::region::RegionMemo;
 use crate::scratch::ScratchArena;
 use crate::Result;
@@ -171,6 +171,20 @@ pub trait Pass: Send + Sync {
         let _ = cx;
         None
     }
+
+    /// The stage of the artifact `run` produces, when it is fixed before
+    /// the pass runs, and the pass carries every earlier level of its
+    /// input forward unchanged, as the built-in passes do.
+    ///
+    /// A warm [`Session::run`](crate::Session::run) asks the cache once
+    /// for the deepest artifact of a run of passes that declare their
+    /// stage, and shows each pass it served through that artifact's
+    /// cumulative view at the declared stage. The default is `None`: the
+    /// pass ends such a run and is looked up on its own, which is always
+    /// correct.
+    fn output_stage(&self) -> Option<StageKind> {
+        None
+    }
 }
 
 /// Instrumentation record of one executed (or skipped) pass.
@@ -185,6 +199,8 @@ pub struct PassRecord {
     /// ([`StageKind::name`](crate::StageKind::name)), or `"skipped"`.
     pub stage: String,
     /// Wall-clock time the pass took, in milliseconds (0 when skipped).
+    /// One cache lookup can serve several passes: the deepest pass it
+    /// served carries the lookup's time, and the passes before it 0.
     pub wall_ms: f64,
     /// Compile-cache outcome for this pass: `"hit"` (artifact served
     /// from the cache), `"miss"` (looked up, recomputed, not banked),
@@ -246,6 +262,29 @@ impl PassTimeline {
             diagnostics: diag.into_notes(),
             region_hits,
             region_misses,
+        });
+    }
+
+    /// Records a pass the cache served, with the stage and summary of
+    /// the artifact it produced.
+    pub(crate) fn record_hit(
+        &mut self,
+        pass: &str,
+        stage: StageKind,
+        summary: String,
+        wall_ms: f64,
+        key: Fingerprint,
+    ) {
+        self.records.push(PassRecord {
+            pass: pass.to_owned(),
+            stage: stage.name().to_owned(),
+            wall_ms,
+            cache: "hit".to_owned(),
+            summary,
+            scratch_peak_bytes: 0,
+            diagnostics: vec![format!("served from cache ({key})")],
+            region_hits: 0,
+            region_misses: 0,
         });
     }
 

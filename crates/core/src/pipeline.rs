@@ -59,12 +59,13 @@ use crate::{CompileError, Result};
 use cim_arch::{CimArchitecture, ComputingMode};
 use cim_graph::{Graph, GraphDelta};
 use cim_mop::MopFlow;
-use cim_obs::{keys, TraceClock};
+use cim_obs::{keys, Stopwatch, TraceClock};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Which stage of the flow an [`Artifact`] represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which stage of the flow an [`Artifact`] represents, ordered from
+/// `Source` to `Codegen`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StageKind {
     /// Nothing computed yet: the session's starting point.
     Source,
@@ -291,18 +292,31 @@ impl Artifact {
     /// One-line description, used in timelines.
     #[must_use]
     pub fn summary(&self) -> String {
-        match self {
-            Artifact::Source => "source graph".to_owned(),
-            Artifact::Staged(s) => format!("{} stage(s)", s.stages.len()),
-            Artifact::CgScheduled(_) | Artifact::MvmScheduled(_) | Artifact::VvmScheduled(_) => {
-                let r = self.report().expect("scheduled artifacts have a report");
-                format!(
-                    "level {}: {} segment(s), latency {:.0} cycles, peak power {:.1}",
-                    r.level, r.segments, r.latency_cycles, r.peak_power
-                )
+        self.summary_at(self.kind())
+            .expect("every artifact has a view at its own stage")
+    }
+
+    /// The one-line description of the artifact at `stage` that this
+    /// cumulative artifact carries: a `vvm` artifact describes the `cg`
+    /// artifact it was refined from. `None` when it carries no view at
+    /// `stage` (a stage it has not reached).
+    pub(crate) fn summary_at(&self, stage: StageKind) -> Option<String> {
+        let report = match stage {
+            StageKind::Source => return (self.kind() == stage).then(|| "source graph".to_owned()),
+            StageKind::Staged => return self.stages().map(|s| format!("{} stage(s)", s.len())),
+            StageKind::Cg => &self.cg()?.report,
+            StageKind::Mvm => &self.mvm()?.report,
+            StageKind::Vvm => &self.vvm()?.report,
+            StageKind::Codegen => {
+                return self
+                    .flow()
+                    .map(|f| format!("{} meta-operator(s)", f.pushed()))
             }
-            Artifact::Codegenned(c) => format!("{} meta-operator(s)", c.flow.pushed()),
-        }
+        };
+        Some(format!(
+            "level {}: {} segment(s), latency {:.0} cycles, peak power {:.1}",
+            report.level, report.segments, report.latency_cycles, report.peak_power
+        ))
     }
 
     /// Renders the artifact for human inspection: the stage list before
@@ -444,6 +458,10 @@ impl Pass for ExtractStagesPass {
         "stages"
     }
 
+    fn output_stage(&self) -> Option<StageKind> {
+        Some(StageKind::Staged)
+    }
+
     fn run(
         &self,
         cx: &PassContext<'_>,
@@ -479,6 +497,10 @@ pub struct CgPass;
 impl Pass for CgPass {
     fn name(&self) -> &'static str {
         "cg"
+    }
+
+    fn output_stage(&self) -> Option<StageKind> {
+        Some(StageKind::Cg)
     }
 
     fn run(
@@ -520,6 +542,10 @@ pub struct MvmPass;
 impl Pass for MvmPass {
     fn name(&self) -> &'static str {
         "mvm"
+    }
+
+    fn output_stage(&self) -> Option<StageKind> {
+        Some(StageKind::Mvm)
     }
 
     fn run(
@@ -565,6 +591,10 @@ pub struct VvmPass;
 impl Pass for VvmPass {
     fn name(&self) -> &'static str {
         "vvm"
+    }
+
+    fn output_stage(&self) -> Option<StageKind> {
+        Some(StageKind::Vvm)
     }
 
     fn run(
@@ -661,6 +691,10 @@ impl Pass for CodegenPass {
         } else {
             "codegen"
         }
+    }
+
+    fn output_stage(&self) -> Option<StageKind> {
+        Some(StageKind::Codegen)
     }
 
     fn run(
@@ -892,7 +926,7 @@ pub struct Session<'a> {
     cursor: usize,
     artifact: Artifact,
     timeline: PassTimeline,
-    /// Compile cache consulted before each pass, when attached.
+    /// Compile cache consulted before running passes, when attached.
     cache: Option<Arc<dyn CompileCache>>,
     /// Fingerprint of the pass chain that produced `artifact`; `None`
     /// when no cache is attached, an uncacheable pass ran, or the caller
@@ -955,8 +989,9 @@ impl<'a> Session<'a> {
 
     /// Attaches a [`CompileCache`]: every subsequent cacheable pass is
     /// looked up by its [content-addressed fingerprint](crate::cache)
-    /// before running, and stored after a miss. Outcomes land in the
-    /// [`PassTimeline`]'s `cache` column.
+    /// before running ([`Session::run`] looks up the keys of every pass
+    /// ahead at once), and stored after a miss. Outcomes land in the
+    /// [`PassTimeline`]'s `cache` column, one per pass.
     ///
     /// Attach before the first [`Session::step`]; on a session that has
     /// already advanced, the artifact's provenance is unknown, so the
@@ -1042,49 +1077,137 @@ impl<'a> Session<'a> {
     /// Runs the next pass. Returns `Ok(true)` if a pass ran, `Ok(false)`
     /// if the pipeline was already finished.
     ///
+    /// With a cache attached, a fingerprinted pass is first looked up
+    /// under its own key (a one-key [`CompileCache::load`]): a hit adopts
+    /// the cached artifact, a miss runs the pass and stores its output.
+    /// Stepping keeps every intermediate artifact in view, so it loads
+    /// every pass's entry; [`Session::run`] loads only the deepest.
+    ///
     /// # Errors
     /// Propagates the pass's [`crate::CompileError`]; see the type docs
     /// for the poisoning behaviour on failure.
     pub fn step(&mut self) -> Result<bool> {
-        let Some(pass) = self.passes.get(self.cursor) else {
+        if self.is_finished() {
             return Ok(false);
-        };
-        let cx = PassContext {
-            graph: &self.graph,
-            arch: &self.arch,
-            options: &self.options,
-            scratch: &self.scratch,
-            memo: &self.memo,
-        };
-        // Advance the cache-key chain: this pass's key links its
-        // fingerprint onto the chain that produced the current artifact.
-        // An uncacheable pass (fingerprint `None`) breaks the chain for
-        // the rest of the session.
-        let key = match (self.cache.as_ref(), self.chain) {
-            (Some(_), Some(prev)) => pass.fingerprint(&cx).map(|pf| prev.chain(pf)),
-            _ => None,
-        };
-        self.chain = key;
+        }
+        self.advance(false)?;
+        Ok(true)
+    }
+
+    /// Runs the next pass, or with `look_ahead` every pass one cache
+    /// lookup can answer: the deepest artifact the cache holds for the
+    /// run of passes [`Session::probe_keys`] keys is adopted, the passes
+    /// up to it are recorded as served, and the passes after it run and
+    /// store without a second lookup.
+    fn advance(&mut self, look_ahead: bool) -> Result<()> {
         let started = TraceClock::global().stopwatch();
-        let mut span = cim_obs::span("pass", pass.name());
-        cim_obs::count("compile.passes", 1);
-        if let Some(key) = key {
-            let cache = self.cache.as_ref().expect("a key implies a cache");
-            if let Some(artifact) = cache.load(&key) {
-                let wall_ms = started.elapsed_ms();
-                cim_obs::count("compile.cache.hits", 1);
-                span.set(keys::CACHE, "hit");
-                let mut diag = Diagnostics::default();
-                diag.note(format!("served from cache ({key})"));
-                self.timeline
-                    .record(pass.name(), &artifact, wall_ms, "hit", 0, diag, 0, 0);
-                self.artifact = artifact;
-                self.cursor += 1;
-                return Ok(true);
+        let keys = self.probe_keys(look_ahead);
+        let served = match (self.cache.as_ref(), keys.is_empty()) {
+            (Some(cache), false) => cache.load(&keys),
+            // No cache, a broken chain, or an unfingerprinted pass: the
+            // chain stops here for the rest of the session.
+            _ => {
+                self.chain = None;
+                return self.run_next(None, started);
+            }
+        };
+        // The lookup's time is charged to the deepest pass it served, or
+        // else to the first pass it did not.
+        let (missed, mut clock) = match served {
+            Some((depth, artifact)) => {
+                self.serve(&keys[..=depth], artifact, started);
+                (&keys[depth + 1..], None)
+            }
+            None => (&keys[..], Some(started)),
+        };
+        for &key in missed {
+            let started = clock
+                .take()
+                .unwrap_or_else(|| TraceClock::global().stopwatch());
+            self.run_next(Some(key), started)?;
+        }
+        Ok(())
+    }
+
+    /// The cache keys of the passes from the cursor on that one lookup
+    /// may serve, shallowest first: none unless a cache is attached and
+    /// the chain is unbroken; else the next pass's key, when it has a
+    /// fingerprint, and with `look_ahead` the keys of the fingerprinted
+    /// lowering passes after it. A served pass before the deepest is shown through the
+    /// deepest artifact's view at its declared
+    /// [`output_stage`](Pass::output_stage), so the run ends before a
+    /// pass that declares none or does not lower (a rewrite), and after
+    /// `codegen`, the one stage no deeper artifact has a view of.
+    fn probe_keys(&self, look_ahead: bool) -> Vec<Fingerprint> {
+        let mut keys = Vec::new();
+        let (Some(_), Some(mut chain)) = (self.cache.as_ref(), self.chain) else {
+            return keys;
+        };
+        let cx = self.context();
+        let mut reached = self.artifact.kind();
+        for pass in &self.passes[self.cursor..] {
+            let lowers_to = pass.output_stage().filter(|&stage| stage > reached);
+            if !keys.is_empty() && lowers_to.is_none() {
+                break;
+            }
+            let Some(link) = pass.fingerprint(&cx) else {
+                break;
+            };
+            chain = chain.chain(link);
+            keys.push(chain);
+            match lowers_to {
+                Some(stage) if look_ahead && stage < StageKind::Codegen => reached = stage,
+                _ => break,
             }
         }
-        let mut diag = Diagnostics::default();
+        keys
+    }
+
+    /// Adopts `artifact`, the cache entry under the last of `keys`, as the
+    /// output of the next `keys.len()` passes, one timeline record each.
+    fn serve(&mut self, keys: &[Fingerprint], artifact: Artifact, started: Stopwatch<'_>) {
+        let (wall_ms, loaded_us) = (started.elapsed_ms(), TraceClock::global().now_us());
+        let deepest = keys.len() - 1;
+        cim_obs::count("compile.passes", keys.len() as u64);
+        cim_obs::count("compile.cache.hits", keys.len() as u64);
+        for (depth, &key) in keys.iter().enumerate() {
+            let pass = &self.passes[self.cursor];
+            let stage = match pass.output_stage() {
+                Some(stage) if depth < deepest => stage,
+                _ => artifact.kind(),
+            };
+            let summary = artifact.summary_at(stage).unwrap_or_default();
+            let (wall_ms, end_us) = if depth == deepest {
+                (wall_ms, loaded_us)
+            } else {
+                (0.0, started.start_us())
+            };
+            if cim_obs::enabled() {
+                cim_obs::complete_span(
+                    "pass",
+                    pass.name(),
+                    started.start_us(),
+                    end_us,
+                    vec![(keys::CACHE.name(), String::from("hit").into())],
+                );
+            }
+            self.timeline
+                .record_hit(pass.name(), stage, summary, wall_ms, key);
+            self.cursor += 1;
+        }
+        self.artifact = artifact;
+        self.chain = keys.last().copied();
+    }
+
+    /// Runs the next pass. With a `key` (the lookup under it missed) its
+    /// output is stored there.
+    fn run_next(&mut self, key: Option<Fingerprint>, started: Stopwatch<'_>) -> Result<()> {
         let input = std::mem::replace(&mut self.artifact, Artifact::Source);
+        let pass = &self.passes[self.cursor];
+        let cx = self.context();
+        let mut span = cim_obs::span("pass", pass.name());
+        cim_obs::count("compile.passes", 1);
+        let mut diag = Diagnostics::default();
         self.scratch.reset_peak();
         let (region_hits_0, region_misses_0) = self.memo.counters();
         let output = match pass.run(&cx, &mut diag, input) {
@@ -1112,6 +1235,7 @@ impl<'a> Session<'a> {
         let cache_outcome = match (self.cache.as_ref(), key) {
             (Some(cache), Some(key)) => {
                 cim_obs::count("compile.cache.misses", 1);
+                self.chain = Some(key);
                 if cache.store(&key, &output) {
                     "miss+store"
                 } else {
@@ -1136,7 +1260,18 @@ impl<'a> Session<'a> {
         );
         self.artifact = output;
         self.cursor += 1;
-        Ok(true)
+        Ok(())
+    }
+
+    /// What the passes read besides their input.
+    fn context(&self) -> PassContext<'_> {
+        PassContext {
+            graph: &self.graph,
+            arch: &self.arch,
+            options: &self.options,
+            scratch: &self.scratch,
+            memo: &self.memo,
+        }
     }
 
     /// Skips the next pass without running it, recording the skip in the
@@ -1154,10 +1289,22 @@ impl<'a> Session<'a> {
 
     /// Runs every remaining pass.
     ///
+    /// With a cache attached, the keys of the fingerprinted passes ahead
+    /// are computed up front and the cache is asked once for the deepest
+    /// artifact it holds ([`CompileCache::load`] with the key chain).
+    /// Artifacts are cumulative, so that one artifact serves every pass up
+    /// to it: each still gets its timeline record, with `cache: "hit"` and
+    /// the stage and summary a [`Session::step`] loop would show. Only the
+    /// passes after it run, each storing its output. A pass that declares
+    /// no [`output_stage`](Pass::output_stage), such as a custom rewrite
+    /// pass, ends the look-ahead and is looked up on its own.
+    ///
     /// # Errors
     /// Propagates the first failing pass's error.
     pub fn run(&mut self) -> Result<()> {
-        while self.step()? {}
+        while !self.is_finished() {
+            self.advance(true)?;
+        }
         Ok(())
     }
 

@@ -23,14 +23,23 @@
 //! and `compile.cg.priced`, so a recompile that stops reusing the
 //! session's region memo fails here. The allocation counter also pins
 //! the head step of a served flow: given the whole flow's counts, it
-//! generates only the statements it keeps.
+//! generates only the statements it keeps. Last, it pins a warm compile
+//! of `resnet152@isaac-wlm` and of `vit_base@isaac` through a memory and
+//! a disk cache, with the exact cache counters: a warm `Session::run`
+//! loads only the deepest cached artifact, so one that loads and decodes
+//! every pass's entry again fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use std::sync::Arc;
+
 use cim_arch::presets;
-use cim_compiler::{CodegenPass, CompileOptions, Compiler, Pipeline};
+use cim_compiler::{
+    CacheStats, CodegenPass, CompileCache, CompileOptions, Compiler, DiskCache, MemoryCache,
+    Pipeline,
+};
 use cim_graph::{zoo, GraphDelta, GraphEdit, OpKind};
 
 /// The system allocator, counting the allocations of a thread inside an
@@ -284,4 +293,127 @@ fn a_served_head_step_allocates_for_its_head_not_its_flow() {
         allocations < 100,
         "the head step made {allocations} allocations (budget 100)"
     );
+}
+
+/// A warm compile's counts: in [`WARM_BUDGETS`] the allocation budget and
+/// the exact cache counters, from [`warm_counts_of`] what one warm
+/// `finish()` counted.
+struct WarmCounts {
+    model: &'static str,
+    arch: &'static str,
+    /// `"memory"` or `"disk"`.
+    cache: &'static str,
+    /// Heap allocations of the warm `finish()`, session set-up included.
+    allocations: u64,
+    /// Its cache counters: a hit per pass served, nothing else.
+    stats: CacheStats,
+}
+
+const fn served(passes: u64) -> CacheStats {
+    CacheStats {
+        hits: passes,
+        misses: 0,
+        stores: 0,
+    }
+}
+
+/// Each allocation budget sits about a fifth over the count it was set
+/// from: 384 and 396 (`resnet152@isaac-wlm` through memory and disk),
+/// 166 and 177 (`vit_base@isaac`). Loading every pass's entry, as a step
+/// loop does, counts 1 346, 1 388, 420 and 451.
+const WARM_BUDGETS: &[WarmCounts] = &[
+    WarmCounts {
+        model: "resnet152",
+        arch: "isaac-wlm",
+        cache: "memory",
+        allocations: 460,
+        stats: served(4),
+    },
+    WarmCounts {
+        model: "resnet152",
+        arch: "isaac-wlm",
+        cache: "disk",
+        allocations: 480,
+        stats: served(4),
+    },
+    WarmCounts {
+        model: "vit_base",
+        arch: "isaac",
+        cache: "memory",
+        allocations: 200,
+        stats: served(3),
+    },
+    WarmCounts {
+        model: "vit_base",
+        arch: "isaac",
+        cache: "disk",
+        allocations: 215,
+        stats: served(3),
+    },
+];
+
+/// One warm `finish()` of `budget`'s pair over a cache a cold compile
+/// filled, counted: its allocations and the cache traffic it caused.
+fn warm_counts_of(budget: &WarmCounts) -> WarmCounts {
+    let graph = zoo::by_name(budget.model).expect("a zoo model");
+    let arch = presets::by_name(budget.arch).expect("a preset");
+    let dir = std::env::temp_dir().join(format!(
+        "cim_alloc_budget_{}_{}_{}",
+        budget.model,
+        budget.arch,
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache: Arc<dyn CompileCache> = match budget.cache {
+        "memory" => Arc::new(MemoryCache::new()),
+        _ => Arc::new(DiskCache::open(&dir).expect("a cache directory")),
+    };
+    let compiler = Compiler::new();
+    let compile = || {
+        compiler
+            .session(&graph, &arch)
+            .with_cache(Arc::clone(&cache))
+            .finish()
+    };
+    compile().expect("the cold compile");
+    let before = cache.stats();
+    let (compiled, allocations) = allocations_of(compile);
+    compiled.expect("the warm compile");
+    let stats = cache.stats().since(&before);
+    let _ = std::fs::remove_dir_all(&dir);
+    WarmCounts {
+        allocations,
+        stats,
+        ..*budget
+    }
+}
+
+#[test]
+fn a_warm_compile_loads_its_deepest_entry_only() {
+    let _serial = serial();
+    let mut over = Vec::new();
+    for budget in WARM_BUDGETS {
+        let key = format!(
+            "{}@{} warm from {}",
+            budget.model, budget.arch, budget.cache
+        );
+        let counted = warm_counts_of(budget);
+        println!(
+            "{key}: allocations {} (budget {}), {:?}",
+            counted.allocations, budget.allocations, counted.stats
+        );
+        if counted.allocations > budget.allocations {
+            over.push(format!(
+                "{key}: allocations {} over its budget {}",
+                counted.allocations, budget.allocations
+            ));
+        }
+        if counted.stats != budget.stats {
+            over.push(format!(
+                "{key}: cache counters {:?}, expected {:?}",
+                counted.stats, budget.stats
+            ));
+        }
+    }
+    assert!(over.is_empty(), "{over:#?}");
 }

@@ -3,16 +3,18 @@
 //! perturbed field ⇒ different key), graph keys that follow the wire
 //! form rather than the arena layout, arch keys that cover every field
 //! of the arch document, cached-session equivalence with uncached
-//! compilation, chain invalidation, and distrust of poisoned on-disk
-//! entries.
+//! compilation, chain invalidation, distrust of poisoned on-disk
+//! entries, and a warm `Session::run` that serves every pass from one
+//! lookup of the deepest entry yet shows the timeline a step loop shows.
 
 use cim_arch::{presets, CimArchitecture};
 use cim_compiler::cache::{fingerprint_arch, fingerprint_graph, source_fingerprint};
 use cim_compiler::cg::CgOptions;
 use cim_compiler::mvm::MvmOptions;
 use cim_compiler::{
-    CgPass, CompileCache, CompileOptions, Compiler, DiskCache, ExtractStagesPass, Fingerprint,
-    MemoryCache, MvmPass, OptLevel, Pass, PassContext, Pipeline, VvmPass,
+    CacheStats, CgPass, CodegenPass, CompileCache, CompileOptions, Compiler, DiskCache,
+    ExtractStagesPass, Fingerprint, MemoryCache, MvmPass, OptLevel, Pass, PassContext,
+    PassTimeline, Pipeline, StageKind, TieredCache, VvmPass,
 };
 use cim_graph::{zoo, Graph, GraphDelta, GraphEdit, OpKind};
 use proptest::prelude::*;
@@ -571,5 +573,207 @@ fn poisoned_disk_entries_are_recompiled_not_trusted() {
         .unwrap();
     assert_eq!(rewarmed.report(), clean.report());
     assert_eq!(cache.stats().misses, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The timeline with its wall clocks zeroed: the one field a warm `run()`
+/// and a warm step loop may differ in.
+fn without_wall_clocks(timeline: &PassTimeline) -> PassTimeline {
+    let mut timeline = timeline.clone();
+    for record in &mut timeline.records {
+        record.wall_ms = 0.0;
+    }
+    timeline
+}
+
+fn outcomes(timeline: &PassTimeline) -> Vec<&str> {
+    timeline.records.iter().map(|r| r.cache.as_str()).collect()
+}
+
+#[test]
+fn a_warm_run_shows_the_timeline_of_a_warm_step_loop() {
+    let g = zoo::lenet5();
+    for arch in presets::all() {
+        for level in OptLevel::ALL {
+            let options = CompileOptions {
+                level,
+                ..CompileOptions::default()
+            };
+            for head in [false, true] {
+                let case = format!("lenet5@{} {} head={head}", arch.name(), level.name());
+                let cache: Arc<dyn CompileCache> = Arc::new(MemoryCache::new());
+                let session = || {
+                    let mut pipeline = Pipeline::plan(&options, &arch);
+                    if head {
+                        pipeline.push(Box::new(CodegenPass::keeping(0)));
+                        pipeline.push(Box::new(CodegenPass::keeping(200)));
+                    }
+                    pipeline
+                        .session(&g, &arch, options)
+                        .with_cache(Arc::clone(&cache))
+                };
+                session().run().unwrap();
+
+                let before = cache.stats();
+                let mut run = session();
+                run.run().unwrap();
+                let ran = cache.stats().since(&before);
+                let before = cache.stats();
+                let mut stepped = session();
+                while stepped.step().unwrap() {}
+                let steps = cache.stats().since(&before);
+
+                assert_eq!(
+                    without_wall_clocks(run.timeline()),
+                    without_wall_clocks(stepped.timeline()),
+                    "{case}"
+                );
+                assert_eq!(ran, steps, "{case}");
+                let cached = run.timeline().records.len() - usize::from(head);
+                let want = CacheStats {
+                    hits: cached as u64,
+                    misses: 0,
+                    stores: 0,
+                };
+                assert_eq!(ran, want, "{case}");
+                // Only the deepest served pass carries the lookup's time.
+                let records = &run.timeline().records;
+                assert!(
+                    records[..cached - 1].iter().all(|r| r.wall_ms == 0.0),
+                    "{case}: {records:?}"
+                );
+                assert_eq!(
+                    run.compiled().unwrap().report(),
+                    stepped.compiled().unwrap().report(),
+                    "{case}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cache_holding_up_to_cg_serves_two_passes_and_runs_two() {
+    let g = zoo::lenet5();
+    let a = presets::isaac_baseline_wlm();
+    let cache: Arc<dyn CompileCache> = Arc::new(MemoryCache::new());
+    let cg_only = Compiler::with_options(CompileOptions {
+        level: OptLevel::Cg,
+        ..CompileOptions::default()
+    });
+    cg_only
+        .session(&g, &a)
+        .with_cache(Arc::clone(&cache))
+        .finish()
+        .unwrap();
+
+    let before = cache.stats();
+    let mut session = Compiler::new()
+        .session(&g, &a)
+        .with_cache(Arc::clone(&cache));
+    session.run().unwrap();
+    assert_eq!(
+        outcomes(session.timeline()),
+        ["hit", "hit", "miss+store", "miss+store"]
+    );
+    assert_eq!(
+        cache.stats().since(&before),
+        CacheStats {
+            hits: 2,
+            misses: 2,
+            stores: 2
+        }
+    );
+    assert_eq!(
+        session.finish().unwrap().report(),
+        Compiler::new().compile(&g, &a).unwrap().report()
+    );
+}
+
+#[test]
+fn a_corrupt_deepest_disk_entry_is_removed_counted_as_a_miss_and_restored() {
+    let dir = tmp_dir("deepest");
+    let _ = std::fs::remove_dir_all(&dir);
+    let g = zoo::lenet5();
+    let a = presets::isaac_baseline_wlm();
+    let fill: Arc<dyn CompileCache> = Arc::new(DiskCache::open(&dir).unwrap());
+    let clean = Compiler::new()
+        .session(&g, &a)
+        .with_cache(fill)
+        .finish()
+        .unwrap();
+
+    let key = job_key(&g, &a, &CompileOptions::default());
+    let path = DiskCache::open(&dir).unwrap().entry_path(&key);
+    let banked = std::fs::read(&path).expect("the vvm entry");
+    let mut torn = banked.clone();
+    let mid = torn.len() / 2;
+    torn[mid] ^= 0x01;
+    std::fs::write(&path, torn).unwrap();
+
+    let cache: Arc<dyn CompileCache> = Arc::new(DiskCache::open(&dir).unwrap());
+    let mut session = Compiler::new()
+        .session(&g, &a)
+        .with_cache(Arc::clone(&cache));
+    session.run().unwrap();
+    assert_eq!(
+        outcomes(session.timeline()),
+        ["hit", "hit", "hit", "miss+store"]
+    );
+    assert_eq!(
+        cache.stats(),
+        CacheStats {
+            hits: 3,
+            misses: 1,
+            stores: 1
+        }
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), banked, "re-stored intact");
+    assert_eq!(session.finish().unwrap().report(), clean.report());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_tiered_cache_serves_vvm_from_disk_past_cg_in_memory() {
+    let dir = tmp_dir("tiered");
+    let _ = std::fs::remove_dir_all(&dir);
+    let g = zoo::lenet5();
+    let a = presets::isaac_baseline_wlm();
+    let fill: Arc<dyn CompileCache> = Arc::new(DiskCache::open(&dir).unwrap());
+    Compiler::new()
+        .session(&g, &a)
+        .with_cache(fill)
+        .finish()
+        .unwrap();
+
+    let tiered = Arc::new(TieredCache::open(&dir).unwrap());
+    let cache: Arc<dyn CompileCache> = tiered.clone();
+    // A cg-only compile promotes the cg entry, and only it, into memory.
+    Compiler::with_options(CompileOptions {
+        level: OptLevel::Cg,
+        ..CompileOptions::default()
+    })
+    .session(&g, &a)
+    .with_cache(Arc::clone(&cache))
+    .finish()
+    .unwrap();
+    assert_eq!(tiered.memory_len(), 1);
+
+    let before = cache.stats();
+    let mut session = Compiler::new()
+        .session(&g, &a)
+        .with_cache(Arc::clone(&cache));
+    session.run().unwrap();
+    assert_eq!(session.artifact().kind(), StageKind::Vvm);
+    assert_eq!(outcomes(session.timeline()), ["hit"; 4]);
+    assert_eq!(
+        cache.stats().since(&before),
+        CacheStats {
+            hits: 4,
+            misses: 0,
+            stores: 0
+        }
+    );
+    assert_eq!(tiered.memory_len(), 2, "the disk's vvm entry is promoted");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -2,7 +2,7 @@
 # Mirrors every CI job (.github/workflows/ci.yml) for offline pre-push
 # verification: build-and-test, lint (fmt + clippy + docs + layering gates),
 # bench-report (regression gate against the committed baseline),
-# cache-consistency (cold-vs-warm sweep equivalence + speedup),
+# cache-consistency (cold-vs-warm sweep equivalence, warm all-hits),
 # dse-smoke (seeded exploration determinism + warm-cache reuse),
 # serve-smoke (persistent server under a scripted loadtest),
 # traffic-smoke (deterministic multi-tenant serving simulation),
@@ -77,14 +77,13 @@ bench_report() {
         --out report.json --baseline bench/baseline.json --fail-on-regression
 }
 
-# Cold-then-warm full sweep over a shared --cache-dir. Byte-identity and
-# the warm-run all-hits invariant must hold on EVERY attempt; the >= 1.5x
-# wall-clock speedup (3x before the memoized segmentation DP made cold
-# compiles ~3-6x cheaper) is noise-prone on loaded machines, so the
-# cold/warm pair is re-measured (up to 3 attempts, fresh cache each time)
-# and only needs to clear the bar once — mirroring
-# crates/bench/tests/cache.rs.
-# Set CACHE_CONSISTENCY_DIR to keep the logs/reports (CI uploads them).
+# Cold-then-warm full sweep over a shared --cache-dir: the comparable
+# reports must be byte-identical and the warm run all hits. That a warm
+# compile loads only its deepest cached artifact is gated by count, not
+# by a wall-clock speed-up: crates/core/tests/alloc_budget.rs pins the
+# allocations and cache counters of warm compiles (part of
+# build-and-test). Set CACHE_CONSISTENCY_DIR to keep the logs/reports (CI
+# uploads them).
 cache_consistency() {
     local dir="${CACHE_CONSISTENCY_DIR:-}"
     if [ -z "$dir" ]; then
@@ -94,34 +93,19 @@ cache_consistency() {
     mkdir -p "$dir"
     cargo build --release --bin cimc
 
-    local attempt cold_ms warm_ms speedup_ok=0
-    for attempt in 1 2 3; do
-        bold "cache-consistency: attempt $attempt — cold full sweep"
-        rm -rf "$dir/cache"
-        ./target/release/cimc bench --jobs 2 --cache-dir "$dir/cache" \
-            --out "$dir/cold.json" --comparable | tee "$dir/cold.log"
+    bold "cache-consistency: cold full sweep"
+    rm -rf "$dir/cache"
+    ./target/release/cimc bench --jobs 2 --cache-dir "$dir/cache" \
+        --out "$dir/cold.json" --comparable | tee "$dir/cold.log"
 
-        bold "cache-consistency: attempt $attempt — warm full sweep"
-        ./target/release/cimc bench --jobs 2 --cache-dir "$dir/cache" \
-            --out "$dir/warm.json" --comparable | tee "$dir/warm.log"
+    bold "cache-consistency: warm full sweep"
+    ./target/release/cimc bench --jobs 2 --cache-dir "$dir/cache" \
+        --out "$dir/warm.json" --comparable | tee "$dir/warm.log"
 
-        bold "cache-consistency: comparable reports byte-identical, warm all-hits"
-        cmp "$dir/cold.json" "$dir/warm.json"
-        # Anchored on the preceding ", " so e.g. "10 miss(es)" cannot match.
-        grep -E ', 0 miss\(es\)' "$dir/warm.log"
-
-        cold_ms=$(sed -n 's/^sweep: .* in \([0-9][0-9]*\) ms$/\1/p' "$dir/cold.log")
-        warm_ms=$(sed -n 's/^sweep: .* in \([0-9][0-9]*\) ms$/\1/p' "$dir/warm.log")
-        echo "cold=${cold_ms}ms warm=${warm_ms}ms"
-        test -n "$cold_ms" && test -n "$warm_ms"
-        if [ "$((warm_ms * 3))" -le "$((cold_ms * 2))" ]; then
-            speedup_ok=1
-            break
-        fi
-        echo "warm speedup below 1.5x on attempt $attempt; re-measuring"
-    done
-    bold "cache-consistency: warm >= 1.5x faster than cold"
-    test "$speedup_ok" -eq 1
+    bold "cache-consistency: comparable reports byte-identical, warm all-hits"
+    cmp "$dir/cold.json" "$dir/warm.json"
+    # Anchored on the preceding ", " so e.g. "10 miss(es)" cannot match.
+    grep -E ', 0 miss\(es\)' "$dir/warm.log"
 }
 
 # Seeded design-space exploration smoke gate: a tiny fixed-seed

@@ -346,23 +346,16 @@ impl Handler {
             session = session.with_cache_keyed(Arc::clone(cache), graph_fingerprint);
         }
 
-        // Run pass by pass so `dump_stage` can render the intermediate
-        // artifact the moment it exists.
-        let dump_stage: Option<StageKind> = req.dump_stage.map(Into::into);
+        let compile_error = |e| ApiError::input(format!("compile error: {e}"));
         let mut dumps = Vec::new();
-        loop {
-            match session.step() {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return Err(ApiError::input(format!("compile error: {e}"))),
-            }
-            if let Some(kind) = dump_stage {
+        if let Some(kind) = req.dump_stage.map(StageKind::from) {
+            // Step pass by pass so the intermediate artifact can be
+            // rendered the moment it exists.
+            while session.step().map_err(compile_error)? {
                 if session.artifact().kind() == kind {
                     dumps.push(session.artifact().render());
                 }
             }
-        }
-        if let Some(kind) = dump_stage {
             if dumps.is_empty() {
                 return Err(ApiError::input(format!(
                     "stage `{}` did not run for this target (deepest stage: {})",
@@ -370,6 +363,10 @@ impl Handler {
                     session.artifact().kind().name()
                 )));
             }
+        } else {
+            // One cache lookup serves every pass up to the deepest
+            // artifact the cache holds.
+            session.run().map_err(compile_error)?;
         }
 
         // Pinning keeps the finished session (and its per-region memo)
@@ -388,10 +385,12 @@ impl Handler {
                 let c = *c;
                 (c.compiled, Some((c.flow, c.layout)))
             }
-            other => match other.into_compiled(graph.name(), arch.name(), options) {
-                Ok(compiled) => (compiled, None),
-                Err(e) => return Err(ApiError::input(format!("compile error: {e}"))),
-            },
+            other => (
+                other
+                    .into_compiled(graph.name(), arch.name(), options)
+                    .map_err(compile_error)?,
+                None,
+            ),
         };
 
         let mut flow_head = Vec::new();
