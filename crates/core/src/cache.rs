@@ -71,11 +71,12 @@
 use crate::cg::{CgOptions, CgSchedule, Segment, StagePlan};
 use crate::codegen::FlowLayout;
 use crate::compile::{CompileOptions, Compiled, OptLevel};
+use crate::inline::InlineVec;
 use crate::mapping::OpMapping;
 use crate::mvm::{MvmOptions, MvmSchedule};
 use crate::perf::{intern_level, PerfReport};
 use crate::pipeline::{Artifact, CgScheduled, Codegenned, MvmScheduled, Staged, VvmScheduled};
-use crate::stage::Stage;
+use crate::stage::{Stage, StageName};
 use crate::vvm::VvmSchedule;
 use cim_arch::{CimArchitecture, CostModel, EnergyBreakdown, NocCost};
 use cim_graph::{Graph, NodeId, OpKind, PoolKind, Shape};
@@ -982,9 +983,13 @@ impl<'a> Dec<'a> {
     }
 
     fn str(&mut self) -> DecResult<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    fn str_ref(&mut self) -> DecResult<&'a str> {
         let len = self.usize()?;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
+        std::str::from_utf8(bytes).map_err(|e| format!("invalid UTF-8 string: {e}"))
     }
 
     fn done(&self) -> DecResult<()> {
@@ -1049,6 +1054,23 @@ fn dec_mapping(d: &mut Dec<'_>) -> DecResult<OpMapping> {
     })
 }
 
+/// Decodes a list of `len` items: up to `N` in place, a longer one into
+/// one heap block of its exact size.
+fn dec_inline<'a, T: Copy, const N: usize>(
+    d: &mut Dec<'a>,
+    len: usize,
+    mut item: impl FnMut(&mut Dec<'a>) -> DecResult<T>,
+) -> DecResult<InlineVec<T, N>> {
+    if len <= N {
+        return (0..len).map(|_| item(d)).collect();
+    }
+    let mut items = Vec::with_capacity(len.min(1 << 16));
+    for _ in 0..len {
+        items.push(item(d)?);
+    }
+    Ok(items.into())
+}
+
 fn enc_stage(e: &mut Enc, s: &Stage) {
     enc_node(e, s.node);
     e.str(&s.name);
@@ -1066,13 +1088,10 @@ fn enc_stage(e: &mut Enc, s: &Stage) {
 
 fn dec_stage(d: &mut Dec<'_>) -> DecResult<Stage> {
     let node = dec_node(d)?;
-    let name = d.str()?;
+    let name = StageName::new(d.str_ref()?);
     let mapping = dec_mapping(d)?;
     let digital_len = d.usize()?;
-    let mut digital = Vec::with_capacity(digital_len.min(1 << 16));
-    for _ in 0..digital_len {
-        digital.push(dec_node(d)?);
-    }
+    let digital = dec_inline(d, digital_len, dec_node)?;
     Ok(Stage {
         node,
         name,
@@ -1169,16 +1188,15 @@ fn dec_segments(d: &mut Dec<'_>) -> DecResult<Vec<Segment>> {
     let mut segments = Vec::with_capacity(len.min(1 << 16));
     for _ in 0..len {
         let plan_len = d.usize()?;
-        let mut plans = Vec::with_capacity(plan_len.min(1 << 16));
-        for _ in 0..plan_len {
-            plans.push(StagePlan {
+        let plans = dec_inline(d, plan_len, |d| {
+            Ok(StagePlan {
                 stage: d.usize()?,
                 duplication: d.u32()?,
                 cores: d.u32()?,
                 folds: d.u32()?,
                 latency: d.f64()?,
-            });
-        }
+            })
+        })?;
         segments.push(Segment {
             plans,
             latency: d.f64()?,
@@ -1243,11 +1261,7 @@ fn dec_vvm(d: &mut Dec<'_>) -> DecResult<VvmSchedule> {
     let mut spreads = Vec::with_capacity(rows.min(1 << 16));
     for _ in 0..rows {
         let cols = d.usize()?;
-        let mut row = Vec::with_capacity(cols.min(1 << 16));
-        for _ in 0..cols {
-            row.push(d.u32()?);
-        }
-        spreads.push(row);
+        spreads.push(dec_inline(d, cols, Dec::u32)?);
     }
     Ok(VvmSchedule {
         segments,

@@ -22,6 +22,7 @@
 //! latency, active crossbars and the report are the driver's.
 
 use crate::alloc::{self, tie_kinds, AllocItem, BottleneckSweep};
+use crate::inline::InlineVec;
 use crate::level::{
     active_crossbars, chain_latency, drive, fold_report, standalone, Level, SchedContext,
 };
@@ -64,7 +65,7 @@ impl CgOptions {
 }
 
 /// Scheduling decisions for one stage within a segment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagePlan {
     /// Index into the global stage list.
     pub stage: usize,
@@ -79,12 +80,16 @@ pub struct StagePlan {
     pub latency: f64,
 }
 
+/// The plans of one segment: one in place (most segments hold one
+/// stage), more on the heap.
+pub type SegmentPlans = InlineVec<StagePlan, 1>;
+
 /// One compute-graph segment: a run of stages that fits on the chip
 /// simultaneously.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Plans for the stages of this segment, in topological order.
-    pub plans: Vec<StagePlan>,
+    pub plans: SegmentPlans,
     /// Segment latency (pipelined or serial, per the options).
     pub latency: f64,
     /// Crossbars simultaneously active in the segment's steady state.
@@ -291,7 +296,7 @@ pub fn schedule_cg_in(
             // writes are three orders slower than a read.
             if arch.crossbar().cell_type().write_read_latency_ratio() >= 512 {
                 return Err(CompileError::DynamicWeightsUnsupported {
-                    node: stage.name.clone(),
+                    node: stage.name.to_string(),
                     device: arch.crossbar().cell_type().name(),
                 });
             }
@@ -307,7 +312,7 @@ pub fn schedule_cg_in(
         &evaluator.ids,
         &ranges,
         Clone::clone,
-        |range| (evaluator.schedule(range.clone()), Vec::new()),
+        |range| (evaluator.schedule(range.clone()), InlineVec::new()),
     );
     let segments: Vec<Segment> = scheduled.into_iter().map(|(seg, _)| seg).collect();
 
@@ -558,7 +563,7 @@ impl<'a> SegmentEvaluator<'a> {
         let mut lat_fill = self.cx.scratch.pairs(range.len());
         let latency = self.evaluate(range.clone(), &mut dup, &mut lat_fill);
         let folds = self.folds(&range);
-        let plans: Vec<StagePlan> = range
+        let plans: SegmentPlans = range
             .clone()
             .zip(dup.iter().zip(lat_fill.iter()))
             .map(|(i, (&duplication, &(latency, _)))| StagePlan {

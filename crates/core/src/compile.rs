@@ -446,7 +446,7 @@ mod tests {
             .unwrap();
         let text = c.render_schedule();
         for stage in &c.cg.stages {
-            assert!(text.contains(&stage.name), "missing {}", stage.name);
+            assert!(text.contains(stage.name.as_str()), "missing {}", stage.name);
         }
         assert!(text.contains("total:"));
         assert!(text.contains("cg+mvm"));

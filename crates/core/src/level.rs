@@ -28,6 +28,7 @@ use crate::cg::{CgSchedule, Segment, StagePlan};
 use crate::perf::{phase_power, PerfReport};
 use crate::region::RegionMemo;
 use crate::scratch::ScratchArena;
+use crate::vvm::PlanSpreads;
 use cim_arch::{CimArchitecture, EnergyBreakdown};
 use std::ops::Range;
 
@@ -74,7 +75,7 @@ pub(crate) fn standalone<T>(
 
 /// A segment at some level plus its per-plan spread factors (all 1 at the
 /// MVM level; empty at the CG level).
-pub(crate) type Scheduled = (Segment, Vec<u32>);
+pub(crate) type Scheduled = (Segment, PlanSpreads);
 
 /// One plan of a refinement level: what [`refine`] assembles segments from.
 pub(crate) struct PlanOut {
@@ -179,7 +180,7 @@ pub(crate) fn refine(
     cg: &CgSchedule,
     above: &[Segment],
     per_plan: impl Fn(&StagePlan) -> PlanOut,
-) -> (Vec<Segment>, Vec<Vec<u32>>, PerfReport) {
+) -> (Vec<Segment>, Vec<PlanSpreads>, PerfReport) {
     let ids = cx.memo.intern_stages(&cg.stages);
     let chip_slots = cx.arch.total_crossbars();
     let scheduled = drive(cx, level, &ids, above, span, |seg| {
@@ -198,7 +199,7 @@ pub(crate) fn refine(
         };
         (refined, spreads)
     });
-    let (segments, spreads): (Vec<Segment>, Vec<Vec<u32>>) = scheduled.into_iter().unzip();
+    let (segments, spreads): (Vec<Segment>, Vec<PlanSpreads>) = scheduled.into_iter().unzip();
     let report = fold_report(
         name,
         cx.arch,

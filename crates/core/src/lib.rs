@@ -73,6 +73,7 @@ pub mod cg;
 pub mod codegen;
 mod compile;
 mod error;
+pub mod inline;
 pub mod level;
 pub mod mapping;
 mod metrics;

@@ -143,7 +143,7 @@ pub fn schedule_mvm_in(cx: &SchedContext<'_>, cg: &CgSchedule, options: MvmOptio
                     cpm,
                     plan.folds,
                 ),
-                ..plan.clone()
+                ..*plan
             },
             // The MVM pipeline halves the input chunk each stage waits for
             // (Figure 12d: OP2's inputs are half the size of the

@@ -179,7 +179,9 @@ pub trait Pass: Send + Sync {
     /// A warm [`Session::run`](crate::Session::run) asks the cache once
     /// for the deepest artifact of a run of passes that declare their
     /// stage, and shows each pass it served through that artifact's
-    /// cumulative view at the declared stage. The default is `None`: the
+    /// cumulative view at the declared stage. A stage the artifacts of
+    /// later passes carry no view of breaks that promise: a debug build
+    /// panics when it serves such a pass. The default is `None`: the
     /// pass ends such a run and is looked up on its own, which is always
     /// correct.
     fn output_stage(&self) -> Option<StageKind> {
@@ -201,6 +203,10 @@ pub struct PassRecord {
     /// Wall-clock time the pass took, in milliseconds (0 when skipped).
     /// One cache lookup can serve several passes: the deepest pass it
     /// served carries the lookup's time, and the passes before it 0.
+    /// When the lookup serves nothing, the first pass that runs carries
+    /// it, as a stepped pass that misses carries its own one-key lookup;
+    /// with a look-ahead that lookup tries the keys of the later passes
+    /// too (on a [`DiskCache`](crate::DiskCache), one failed read each).
     pub wall_ms: f64,
     /// Compile-cache outcome for this pass: `"hit"` (artifact served
     /// from the cache), `"miss"` (looked up, recomputed, not banked),

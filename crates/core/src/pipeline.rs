@@ -1100,8 +1100,8 @@ impl<'a> Session<'a> {
     /// up to it are recorded as served, and the passes after it run and
     /// store without a second lookup.
     fn advance(&mut self, look_ahead: bool) -> Result<()> {
-        let started = TraceClock::global().stopwatch();
         let keys = self.probe_keys(look_ahead);
+        let started = TraceClock::global().stopwatch();
         let served = match (self.cache.as_ref(), keys.is_empty()) {
             (Some(cache), false) => cache.load(&keys),
             // No cache, a broken chain, or an unfingerprinted pass: the
@@ -1176,7 +1176,15 @@ impl<'a> Session<'a> {
                 Some(stage) if depth < deepest => stage,
                 _ => artifact.kind(),
             };
-            let summary = artifact.summary_at(stage).unwrap_or_default();
+            let summary = artifact.summary_at(stage);
+            debug_assert!(
+                summary.is_some(),
+                "pass `{}` declares output stage `{}`, of which the served `{}` artifact has no view",
+                pass.name(),
+                stage.name(),
+                artifact.kind().name(),
+            );
+            let summary = summary.unwrap_or_default();
             let (wall_ms, end_us) = if depth == deepest {
                 (wall_ms, loaded_us)
             } else {

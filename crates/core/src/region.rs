@@ -377,13 +377,13 @@ mod tests {
             // Nothing stored at this level yet, whatever the others hold.
             assert!(memo.segment(*level, &key, 0).is_none());
             // Stored from global stages 10..13 …
-            let stored = (segment(&[10, 11, 12]), spreads.clone());
+            let stored = (segment(&[10, 11, 12]), spreads.iter().copied().collect());
             memo.store_segment(*level, &key, 10, &stored);
             // … reusable at any other position with the same content run.
             let (seg, got) = memo.segment(*level, &key, 50).unwrap();
             let stages: Vec<usize> = seg.plans.iter().map(|p| p.stage).collect();
             assert_eq!(stages, vec![50, 51, 52]);
-            assert_eq!(&got, spreads);
+            assert_eq!(got.as_slice(), spreads.as_slice());
             assert!(memo.segment(*level, &[9u32], 0).is_none());
             // Lookups count the regions they cover: 3 per hit or miss on
             // `key`, 1 for the single-region miss.

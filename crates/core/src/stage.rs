@@ -8,9 +8,63 @@
 //! CIM-unsupported nodes constrain the producing operator's duplication
 //! via the `ALU` parameter (§3.3.2).
 
+use std::fmt;
+use std::ops::Deref;
+
+use crate::inline::InlineVec;
 use crate::mapping::OpMapping;
 use cim_arch::CimArchitecture;
 use cim_graph::{Graph, NodeId, OpKind};
+
+/// The digital nodes attached to one stage: up to four in place (every
+/// zoo stage has at most four), more on the heap.
+pub type DigitalNodes = InlineVec<NodeId, 4>;
+
+/// A stage's name: its node's, held in place up to 22 bytes (every zoo
+/// name is), so a stage list costs no heap block per name. It reads as a
+/// `str`, and prints and compares like the `String` it stands in for.
+#[derive(Clone, PartialEq, Eq)]
+pub struct StageName(InlineVec<u8, 22>);
+
+impl StageName {
+    /// The name `name`.
+    #[must_use]
+    pub fn new(name: &str) -> Self {
+        StageName(InlineVec::from(name.as_bytes()))
+    }
+
+    /// The name as a string slice.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("a stage name is built from a str")
+    }
+}
+
+impl Deref for StageName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Display for StageName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for StageName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq<&str> for StageName {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
 
 /// One pipeline stage: a CIM operator plus its attached digital work.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,11 +72,11 @@ pub struct Stage {
     /// The CIM node this stage executes.
     pub node: NodeId,
     /// Node name (for diagnostics and reports).
-    pub name: String,
+    pub name: StageName,
     /// Crossbar mapping of the operator.
     pub mapping: OpMapping,
     /// Digital nodes attached to this stage.
-    pub digital: Vec<NodeId>,
+    pub digital: DigitalNodes,
     /// ALU operations of the attached digital nodes.
     pub alu_ops: u64,
     /// Input elements streamed into the stage per inference.
@@ -148,7 +202,7 @@ pub fn extract_stages(graph: &Graph, arch: &CimArchitecture, weight_bits: u32) -
         let mapping = OpMapping::of(graph, id, arch, weight_bits)
             .expect("cim_nodes only returns mappable nodes");
         let node = graph.node(id);
-        let digital = attached[i].clone();
+        let digital = DigitalNodes::from(attached[i].as_slice());
         let alu_ops: u64 = digital.iter().map(|&d| digital_ops(graph, d)).sum();
         let in_elements: u64 = node
             .inputs()
@@ -165,7 +219,7 @@ pub fn extract_stages(graph: &Graph, arch: &CimArchitecture, weight_bits: u32) -
         let fill = fill_fraction(graph, id, next_op);
         stages.push(Stage {
             node: id,
-            name: node.name().to_owned(),
+            name: StageName::new(node.name()),
             mapping,
             digital,
             alu_ops,

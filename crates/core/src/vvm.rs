@@ -18,6 +18,7 @@
 //! driver's ([`crate::level`]).
 
 use crate::cg::{duplication_cap, stage_latency, CgSchedule, Segment, StagePlan};
+use crate::inline::InlineVec;
 use crate::level::{refine, standalone, Level, PlanOut, SchedContext};
 use crate::mvm::MvmSchedule;
 use crate::perf::PerfReport;
@@ -30,10 +31,14 @@ pub struct VvmSchedule {
     /// Refined segments.
     pub segments: Vec<Segment>,
     /// Spread factor chosen per (segment, plan) — 1 means no remapping.
-    pub spreads: Vec<Vec<u32>>,
+    pub spreads: Vec<PlanSpreads>,
     /// Summary report.
     pub report: PerfReport,
 }
+
+/// The spread factors of one segment's plans: up to four in place, more
+/// on the heap.
+pub type PlanSpreads = InlineVec<u32, 4>;
 
 /// The spread factor available to one stage: how many copies of its
 /// crossbar footprint fit in the cores it was assigned.
@@ -126,7 +131,7 @@ pub fn schedule_vvm_in(cx: &SchedContext<'_>, cg: &CgSchedule, mvm: &MvmSchedule
             plan: StagePlan {
                 duplication: best_d,
                 latency: best_latency,
-                ..plan.clone()
+                ..*plan
             },
             // Figure 14's pipeline effect: remapping completes each output
             // accumulation in one activation wave instead of `groups`

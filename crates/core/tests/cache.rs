@@ -777,3 +777,54 @@ fn a_tiered_cache_serves_vvm_from_disk_past_cg_in_memory() {
     assert_eq!(tiered.memory_len(), 2, "the disk's vvm entry is promoted");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The `mvm` pass under a false declaration: it says it lowers to `vvm`.
+struct MisdeclaredMvm;
+
+impl Pass for MisdeclaredMvm {
+    fn name(&self) -> &'static str {
+        "mvm"
+    }
+
+    fn output_stage(&self) -> Option<StageKind> {
+        Some(StageKind::Vvm)
+    }
+
+    fn run(
+        &self,
+        cx: &PassContext<'_>,
+        diag: &mut cim_compiler::Diagnostics,
+        input: cim_compiler::Artifact,
+    ) -> cim_compiler::Result<cim_compiler::Artifact> {
+        MvmPass.run(cx, diag, input)
+    }
+
+    fn fingerprint(&self, cx: &PassContext<'_>) -> Option<Fingerprint> {
+        MvmPass.fingerprint(cx)
+    }
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "pass `mvm` declares output stage `vvm`, of which the served `codegen`")]
+fn serving_a_pass_that_misdeclares_its_stage_fails_a_debug_build() {
+    let g = zoo::lenet5();
+    let a = presets::isaac_baseline();
+    let cache: Arc<dyn CompileCache> = Arc::new(MemoryCache::new());
+    let session = || {
+        let mut pipeline = Pipeline::new();
+        pipeline
+            .push(Box::new(ExtractStagesPass))
+            .push(Box::new(CgPass))
+            .push(Box::new(MisdeclaredMvm))
+            .push(Box::new(CodegenPass::keeping(0)));
+        pipeline
+            .session(&g, &a, CompileOptions::default())
+            .with_cache(Arc::clone(&cache))
+    };
+    // Cold, every pass runs and nothing is served.
+    session().run().unwrap();
+    // Warm, the `codegen-count` entry serves all four passes, and it has
+    // no `vvm` view to show the misdeclared pass through.
+    let _ = session().run();
+}

@@ -5,8 +5,10 @@
 //! A [`Graph`] does not store one heap object per node. Instead it is a
 //! set of typed arenas indexed by dense ids:
 //!
-//! * **nodes** — a flat `Vec` of fixed-size records (name, operator id,
-//!   shape id, edge-slice offsets), indexed by [`NodeId`];
+//! * **nodes** — a flat `Vec` of fixed-size records (name offsets,
+//!   operator id, shape id, edge-slice offsets), indexed by [`NodeId`];
+//! * **names** — one shared string pool: each node's name is a slice of
+//!   it, so a graph's names are one heap block, not one per node;
 //! * **shapes** — an interned arena of unique [`Shape`]s, indexed by
 //!   [`ShapeId`]. The zoo's repeated layers (e.g. the 49 identical
 //!   `[tokens, dim]` activations of a ViT) collapse to one entry;
@@ -166,10 +168,13 @@ impl fmt::Display for GraphError {
 impl Error for GraphError {}
 
 /// Fixed-size arena record backing one node. All variable-size payload
-/// lives in the graph-level arenas (`shapes`, `ops`, `in_pool`).
+/// lives in the graph-level arenas (`name_pool`, `shapes`, `ops`, `in_pool`).
 #[derive(Debug, Clone, PartialEq)]
 struct NodeRec {
-    name: String,
+    /// Offset of this node's name in `Graph::name_pool`.
+    name_start: u32,
+    /// Length of this node's name, in bytes.
+    name_len: u32,
     op: OpId,
     out_shape: ShapeId,
     /// Offset of this node's input slice in `Graph::in_pool`.
@@ -203,7 +208,9 @@ impl<'g> Node<'g> {
     /// The node's user-facing name.
     #[must_use]
     pub fn name(&self) -> &'g str {
-        &self.rec().name
+        let rec = self.rec();
+        let start = rec.name_start as usize;
+        &self.graph.name_pool[start..start + rec.name_len as usize]
     }
 
     /// The operator (resolved from the graph's interned op arena).
@@ -337,6 +344,8 @@ impl Adjacency {
 pub struct Graph {
     name: String,
     nodes: Vec<NodeRec>,
+    /// Shared name pool; each node's name is one contiguous slice.
+    name_pool: String,
     /// Interned shape arena, indexed by [`ShapeId`].
     shapes: Vec<Shape>,
     shape_index: HashMap<Shape, ShapeId>,
@@ -366,6 +375,7 @@ impl Graph {
         Graph {
             name: name.into(),
             nodes: Vec::new(),
+            name_pool: String::new(),
             shapes: Vec::new(),
             shape_index: HashMap::new(),
             ops: Vec::new(),
@@ -407,7 +417,7 @@ impl Graph {
     /// fails.
     pub fn add(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         op: OpKind,
         inputs: impl IntoIterator<Item = NodeId>,
     ) -> crate::Result<NodeId> {
@@ -434,8 +444,12 @@ impl Graph {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("graph node count fits u32"));
         let out_shape = self.intern_shape(out_shape);
         let op = self.intern_op(op);
+        let name = name.as_ref();
+        let name_start = u32::try_from(self.name_pool.len()).expect("name pool fits u32");
+        self.name_pool.push_str(name);
         self.nodes.push(NodeRec {
-            name: name.into(),
+            name_start,
+            name_len: u32::try_from(name.len()).expect("a node name fits u32"),
             op,
             out_shape,
             in_start: u32::try_from(in_start).expect("edge pool fits u32"),
