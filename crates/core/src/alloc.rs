@@ -218,10 +218,15 @@ pub(crate) struct KindDups<'s> {
 impl KindDups<'_> {
     /// The duplication numbers, in item order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.kind_of.iter().zip(0..).map(|(&kind, idx)| {
-            let kind = kind as usize;
-            self.dups[kind] + u32::from(idx < self.cut[kind])
-        })
+        (0..self.kind_of.len()).map(|idx| self.of(idx))
+    }
+
+    /// The duplication number of item `idx`. Always inlined: the DP reads
+    /// it once per stage of every candidate it prices.
+    #[inline(always)]
+    pub(crate) fn of(&self, idx: usize) -> u32 {
+        let kind = self.kind_of[idx] as usize;
+        self.dups[kind] + u32::from(idx < self.cut[kind] as usize)
     }
 }
 

@@ -21,7 +21,7 @@
 //! estimate cannot drift from the real segment. Memo lookups, chain
 //! latency, active crossbars and the report are the driver's.
 
-use crate::alloc::{self, tie_kinds, AllocItem, BottleneckSweep};
+use crate::alloc::{self, tie_kinds, AllocItem, BottleneckSweep, KindDups};
 use crate::inline::InlineVec;
 use crate::level::{
     active_crossbars, chain_latency, drive, fold_report, standalone, Level, SchedContext,
@@ -461,6 +461,11 @@ impl<'a> SegmentEvaluator<'a> {
     /// [`stage_latency`], with its inputs read from the per-stage tables:
     /// `item.latency` is the stage's MVM count times its cycles per MVM,
     /// and `item.cost` its cores per replica.
+    ///
+    /// [`Self::evaluate`] and [`Self::schedule`] price through here, and
+    /// so does the DP's lone-stage candidate, which may fold; the DP's
+    /// longer candidates reuse their stages' latencies in
+    /// [`Self::price_cached`] instead.
     fn price(
         &self,
         range: Range<usize>,
@@ -492,7 +497,10 @@ impl<'a> SegmentEvaluator<'a> {
     /// A row the row memo does not hold takes two more trips to the
     /// region memo: one walk that interns its candidates' region-id runs
     /// and reads their cached costs, and one store of every cost after
-    /// the misses are priced.
+    /// the misses are priced. With the pipeline and duplication on,
+    /// [`Self::price_swept`] prices the misses; otherwise each is
+    /// [`Self::evaluate`]d on its own. Either way every candidate costs
+    /// exactly what `evaluate` returns for it, bit for bit.
     fn row(&self, i: usize) -> Arc<[f64]> {
         let (cx, needs, core_count) = (self.cx, &self.needs, self.core_count);
         // The row's budget window is content-determined (`needs` come
@@ -525,33 +533,113 @@ impl<'a> SegmentEvaluator<'a> {
         let priced = costs.iter().filter(|cost| cost.is_nan()).count();
         cim_obs::count("compile.cg.priced", priced as u64);
         let mut lat_fill = cx.scratch.pairs(cap);
-        if self.options.pipeline && self.options.duplication {
-            // One bottleneck sweep duplicates every prefix, and the price
-            // reads each stage's duplication from its tie kind. The
-            // sweep's nine `u32` buffers (`SpendBuffers`: one per stage,
-            // six per kind, its heap and a key level's kinds) come in one
-            // lease.
-            let mut spend = cx.scratch.u32_array(cap);
-            let (items, kinds) = (&self.items[i..window_end], &self.kinds[i..window_end]);
-            let mut sweep = BottleneckSweep::new(items, kinds, core_count, &mut spend);
-            for (k, cost) in costs.iter_mut().enumerate() {
-                sweep.push();
-                if cost.is_nan() {
-                    *cost = self.price(i..i + k + 1, sweep.solution().iter(), &mut lat_fill);
-                }
-            }
+        let stage_prices = if self.options.pipeline && self.options.duplication {
+            self.price_swept(i..window_end, &mut costs, &mut lat_fill)
         } else {
             let mut dup = cx.scratch.u32s(cap);
+            let mut stage_prices = 0;
             for (k, cost) in costs.iter_mut().enumerate() {
                 if cost.is_nan() {
                     *cost = self.evaluate(i..i + k + 1, &mut dup, &mut lat_fill);
+                    stage_prices += k as u64 + 1;
                 }
             }
-        }
+            stage_prices
+        };
+        cim_obs::count("compile.cg.stage_prices", stage_prices);
         cx.memo.store_run_costs(&runs, &costs);
         let row: Arc<[f64]> = costs.as_slice().into();
         cx.memo.store_row(window, row.clone());
         row
+    }
+
+    /// Prices the candidates of the row over the budget window `window`
+    /// whose `costs` are NaN, the memo's misses, and returns how many
+    /// stage latencies it computed.
+    ///
+    /// One bottleneck sweep duplicates every prefix of the window. The
+    /// lone stage may fold, so it is [`Self::price`]d. Every longer
+    /// candidate runs in one pass, so a stage's latency depends only on
+    /// its window position and its duplication: `cache` holds, per
+    /// position, the duplication its latency was last computed at (as a
+    /// float; NaN before the first) and that latency, and
+    /// [`Self::price_cached`] prices such a candidate from it.
+    fn price_swept(
+        &self,
+        window: Range<usize>,
+        costs: &mut [f64],
+        cache: &mut Vec<(f64, f64)>,
+    ) -> u64 {
+        // The sweep's nine `u32` buffers (`SpendBuffers`: one per stage,
+        // six per kind, its heap and a key level's kinds) come in one
+        // lease.
+        let mut spend = self.cx.scratch.u32_array(self.stages.len() + 1);
+        let (items, terms) = (&self.items[window.clone()], &self.terms[window.clone()]);
+        let kinds = &self.kinds[window.clone()];
+        let mut sweep = BottleneckSweep::new(items, kinds, self.core_count, &mut spend);
+        let mut stage_prices = 0;
+        for (k, cost) in costs.iter_mut().enumerate() {
+            sweep.push();
+            if !cost.is_nan() {
+                continue;
+            }
+            if k == 0 {
+                let lone = window.start..window.start + 1;
+                *cost = self.price(lone, sweep.solution().iter(), cache);
+                cache.clear();
+                stage_prices += 1;
+                continue;
+            }
+            cache.resize(k + 1, (f64::NAN, 0.0));
+            let dups = sweep.solution();
+            let (items, terms) = (&items[..=k], &terms[..=k]);
+            let (latency, computed) = self.price_cached(items, terms, &dups, &mut cache[..=k]);
+            *cost = latency;
+            stage_prices += computed;
+        }
+        stage_prices
+    }
+
+    /// The latency of a DP candidate of more than one stage, whose
+    /// stages have the allocator items `items`, the price terms `terms`
+    /// and the duplication numbers `dups`, and how many stage latencies
+    /// it computed.
+    ///
+    /// One fused pass reads each stage's duplication number, recomputes
+    /// its [`PriceTerms::latency`] only where that differs from the one
+    /// `cache` holds for its position, and folds the latencies as
+    /// [`pipeline_latency`](crate::level::pipeline_latency) does, in the
+    /// same order: each stage latency is the same function of the same
+    /// inputs as in [`Self::price`], so the result is `price`'s bit for
+    /// bit. Kept out of line so the loop's state stays in registers.
+    #[inline(never)]
+    fn price_cached(
+        &self,
+        items: &[AllocItem],
+        terms: &[PriceTerms],
+        dups: &KindDups<'_>,
+        cache: &mut [(f64, f64)],
+    ) -> (f64, u64) {
+        let (rate, cores) = (self.alu_rate, self.core_count);
+        let (mut start, mut completion, mut computed) = (0.0_f64, 0.0_f64, 0);
+        let stages = items.iter().zip(terms).zip(cache);
+        for (idx, ((item, terms), (cached, latency))) in stages.enumerate() {
+            let d = dups.of(idx);
+            if *cached != f64::from(d) {
+                *latency = terms.latency(item.latency as f64, item.cost, d, 1.0, rate, cores);
+                *cached = f64::from(d);
+                computed += 1;
+            }
+            // `pipeline_latency`'s `completion.max(end)` in one compare:
+            // `completion` is never NaN and `end` never −0, so both pick
+            // the same bits.
+            let end = start + *latency;
+            if end > completion {
+                completion = end;
+            }
+            start += *latency * terms.fill.clamp(0.0, 1.0);
+        }
+        (completion, computed)
     }
 
     /// The schedule of the chosen segment `range`: [`Self::evaluate`]'s
@@ -945,19 +1033,22 @@ mod tests {
         );
     }
 
-    /// Every DP row of the zoo on every preset, priced by one bottleneck
-    /// sweep, equals pricing each candidate on its own. A candidate whose
-    /// region-id run was already checked answers from the memo with the
-    /// value checked then, so each run is evaluated once.
+    /// Every DP row of the zoo (and of a graph with a dynamic `MatMul`,
+    /// whose crossbar rewrite the reused stage latencies carry) on every
+    /// preset, priced by one bottleneck sweep, equals pricing each
+    /// candidate on its own. A candidate whose region-id run was already
+    /// checked answers from the memo with the value checked then, so each
+    /// run is evaluated once.
     #[test]
     fn every_dp_row_prices_its_candidates_like_evaluate() {
         let mut evaluated = 0;
         let (mut dup, mut lat_fill) = (Vec::new(), Vec::new());
+        let graphs = zoo_and_a_dynamic_matmul();
         for arch in presets::all() {
-            for graph in zoo::all() {
+            for graph in &graphs {
                 let (scratch, memo) = (crate::ScratchArena::new(), crate::RegionMemo::new());
                 let cx = context(&arch, &scratch, &memo);
-                let stages = extract_stages(&graph, &arch, 8);
+                let stages = extract_stages(graph, &arch, 8);
                 let evaluator = SegmentEvaluator::new(&cx, &stages, CgOptions::full());
                 if evaluator.stays_resident() {
                     continue;
@@ -1004,6 +1095,75 @@ mod tests {
         g
     }
 
+    /// Every zoo model, then [`with_a_dynamic_matmul`].
+    fn zoo_and_a_dynamic_matmul() -> Vec<cim_graph::Graph> {
+        let mut graphs = zoo::all();
+        graphs.push(with_a_dynamic_matmul());
+        graphs
+    }
+
+    /// Per preset, the preset and the stages of every zoo model and of
+    /// [`with_a_dynamic_matmul`] on it: the pool random stage lists are
+    /// drawn from, built once per test binary.
+    fn stage_pools() -> &'static [(CimArchitecture, Vec<Stage>)] {
+        static POOLS: std::sync::OnceLock<Vec<(CimArchitecture, Vec<Stage>)>> =
+            std::sync::OnceLock::new();
+        POOLS.get_or_init(|| {
+            let graphs = zoo_and_a_dynamic_matmul();
+            presets::all()
+                .into_iter()
+                .map(|arch| {
+                    let stages = graphs.iter().flat_map(|g| extract_stages(g, &arch, 8));
+                    let stages = stages.collect();
+                    (arch, stages)
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Every candidate of every DP row of a random stage list costs
+        /// what `evaluate` prices it at, bit for bit: the row's reused
+        /// stage latencies never go stale. A narrow `width` repeats a few
+        /// stages, so rows share tie kinds and the memo answers some
+        /// candidates between the ones priced.
+        #[test]
+        fn every_dp_row_of_a_random_stage_list_prices_like_evaluate(
+            preset in 0usize..7,
+            offset in 0usize..100_000,
+            width in 1usize..400,
+            picks in proptest::collection::vec(0usize..400, 1..41),
+        ) {
+            let (arch, pool) = &stage_pools()[preset % stage_pools().len()];
+            let stages: Vec<Stage> = picks
+                .iter()
+                .map(|&p| pool[(offset + p % width) % pool.len()].clone())
+                .collect();
+            let (scratch, memo) = (crate::ScratchArena::new(), crate::RegionMemo::new());
+            let cx = context(arch, &scratch, &memo);
+            let evaluator = SegmentEvaluator::new(&cx, &stages, CgOptions::full());
+            let (mut dup, mut lat_fill) = (Vec::new(), Vec::new());
+            for i in 0..stages.len() {
+                for (j, &latency) in evaluator.row(i).iter().enumerate() {
+                    let alone = evaluator.evaluate(i..i + j + 1, &mut dup, &mut lat_fill);
+                    proptest::prop_assert_eq!(
+                        latency.to_bits(),
+                        alone.to_bits(),
+                        "row {} vs evaluate {} on {}: candidate [{}..={}] of {:?}",
+                        latency,
+                        alone,
+                        arch.name(),
+                        i,
+                        i + j,
+                        stages.iter().map(|s| &*s.name).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
+    }
+
     /// `price` reads per-stage tables; on every DP candidate of the zoo
     /// (and of a graph with a dynamic `MatMul`) on every preset, the
     /// tables give the `stage_latency` chain the candidate stands for, bit
@@ -1019,10 +1179,7 @@ mod tests {
                 .map(|&(l, f)| (l.to_bits(), f.to_bits()))
                 .collect()
         };
-        let graphs: Vec<_> = zoo::all()
-            .into_iter()
-            .chain([with_a_dynamic_matmul()])
-            .collect();
+        let graphs = zoo_and_a_dynamic_matmul();
         for arch in presets::all() {
             for graph in &graphs {
                 let (scratch, memo) = (crate::ScratchArena::new(), crate::RegionMemo::new());

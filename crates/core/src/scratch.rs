@@ -112,7 +112,8 @@ impl ScratchArena {
     }
 
     /// Leases an empty `(f64, f64)` buffer with at least `capacity`
-    /// slots (latency/fill pairs).
+    /// slots (latency/fill pairs, or the DP's cached duplication/latency
+    /// pairs).
     #[must_use]
     pub fn pairs(&self, capacity: usize) -> ScratchVec<'_, (f64, f64)> {
         lease(&self.pairs, capacity)

@@ -15,7 +15,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Version stamped on every [`MetricsSnapshot`]. Bump on any
 /// field/semantic change.
@@ -185,7 +185,9 @@ pub fn bucket_floor(index: usize) -> u64 {
 /// Obtain the process-wide registry via [`metrics`]. Instruments are
 /// created on first use and live for the registry's lifetime;
 /// [`MetricsRegistry::reset`] zeroes them all (a serving process does
-/// this when `--metrics` starts a fresh scrape window).
+/// this when `--metrics` starts a fresh scrape window). A thread that
+/// panics while holding one of its locks does not stop the others from
+/// recording.
 pub struct MetricsRegistry {
     enabled: AtomicBool,
     counters: Mutex<BTreeMap<&'static str, Counter>>,
@@ -229,46 +231,28 @@ impl MetricsRegistry {
     }
 
     /// The counter named `name`, created at zero on first use.
-    ///
-    /// # Panics
-    /// Panics if a previous user panicked while holding the registry
-    /// lock.
     #[must_use]
     pub fn counter(&self, name: &'static str) -> Counter {
-        self.counters
-            .lock()
-            .expect("metrics registry poisoned")
+        locked(&self.counters)
             .entry(name)
             .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
             .clone()
     }
 
     /// The gauge named `name`, created at zero on first use.
-    ///
-    /// # Panics
-    /// Panics if a previous user panicked while holding the registry
-    /// lock.
     #[must_use]
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.gauges
-            .lock()
-            .expect("metrics registry poisoned")
+        locked(&self.gauges)
             .entry(name)
             .or_insert_with(|| Gauge(Arc::new(AtomicI64::new(0))))
             .clone()
     }
 
     /// The histogram named `name`, created empty on first use.
-    ///
-    /// # Panics
-    /// Panics if a previous user panicked while holding the registry
-    /// lock.
     #[must_use]
     pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
         Arc::clone(
-            self.histograms
-                .lock()
-                .expect("metrics registry poisoned")
+            locked(&self.histograms)
                 .entry(name)
                 .or_insert_with(|| Arc::new(Histogram::new())),
         )
@@ -298,62 +282,53 @@ impl MetricsRegistry {
 
     /// Zeroes every counter and gauge and empties every histogram
     /// (instrument names persist).
-    ///
-    /// # Panics
-    /// Panics if a previous user panicked while holding the registry
-    /// lock.
     pub fn reset(&self) {
-        for counter in self.counters.lock().expect("poisoned").values() {
+        for counter in locked(&self.counters).values() {
             counter.0.store(0, Ordering::Relaxed);
         }
-        for gauge in self.gauges.lock().expect("poisoned").values() {
+        for gauge in locked(&self.gauges).values() {
             gauge.0.store(0, Ordering::Relaxed);
         }
-        let mut histograms = self.histograms.lock().expect("poisoned");
+        let mut histograms = locked(&self.histograms);
         for slot in histograms.values_mut() {
             *slot = Arc::new(Histogram::new());
         }
     }
 
     /// A schema-versioned snapshot of every instrument, sorted by name.
-    ///
-    /// # Panics
-    /// Panics if a previous user panicked while holding the registry
-    /// lock.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             schema_version: METRICS_SCHEMA_VERSION,
             enabled: self.is_enabled(),
-            counters: self
-                .counters
-                .lock()
-                .expect("poisoned")
+            counters: locked(&self.counters)
                 .iter()
                 .map(|(name, c)| CounterSnapshot {
                     name: (*name).to_owned(),
                     value: c.get(),
                 })
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("poisoned")
+            gauges: locked(&self.gauges)
                 .iter()
                 .map(|(name, g)| GaugeSnapshot {
                     name: (*name).to_owned(),
                     value: g.get(),
                 })
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("poisoned")
+            histograms: locked(&self.histograms)
                 .iter()
                 .map(|(name, h)| h.snapshot(name))
                 .collect(),
         }
     }
+}
+
+/// The map behind `lock`, even if a thread panicked while holding it: the
+/// registry's maps only ever gain fully built instruments, and a reset
+/// stores into them or swaps in whole histograms, so a poisoned map is
+/// still a consistent one.
+fn locked<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for MetricsRegistry {
@@ -484,6 +459,38 @@ mod tests {
         assert_eq!(snap.counters[0].value, 0);
         assert_eq!(snap.histograms[0].count, 0);
         assert_eq!(snap.histograms[0].min, 0);
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_counts_sets_observes_and_snapshots() {
+        let reg = MetricsRegistry::new();
+        reg.enable();
+        reg.count("a", 1);
+        reg.gauge_set("g", 2);
+        reg.observe_us("h", 3);
+        fn poison<T>(lock: &Mutex<T>) {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _held = lock.lock();
+                panic!("a recorder panicked holding the lock");
+            }));
+            assert!(panicked.is_err() && lock.is_poisoned());
+        }
+        poison(&reg.counters);
+        poison(&reg.gauges);
+        poison(&reg.histograms);
+        reg.count("a", 4);
+        reg.count("b", 5);
+        reg.gauge_set("g", 6);
+        reg.observe_us("h", 7);
+        let snap = reg.snapshot();
+        let counters: Vec<_> = snap.counters.iter().map(|c| (&*c.name, c.value)).collect();
+        assert_eq!(counters, [("a", 5), ("b", 5)]);
+        assert_eq!((snap.gauges.len(), snap.gauges[0].value), (1, 6));
+        assert_eq!((snap.histograms.len(), snap.histograms[0].count), (1, 2));
+        reg.reset();
+        let snap = reg.snapshot();
+        assert!(snap.counters.iter().all(|c| c.value == 0));
+        assert_eq!(snap.histograms[0].count, 0);
     }
 
     #[test]

@@ -29,11 +29,12 @@ build_and_test() {
     cargo build --release
     bold "build-and-test: cargo test"
     cargo test -q --workspace
-    # The spend, sweep and brute-force segmentation oracles, the
+    # The spend, sweep and brute-force segmentation oracles, the DP rows
+    # of random stage lists priced against `evaluate`, the
     # sort-the-whole-queue replay oracle, the sort-every-arrival trace
     # generator, the sorting latency summary and the flow printer's
     # properties are cheap enough to run at 2048 draws each.
-    bold "build-and-test: allocator, segmentation, replay, trace-generator, latency-summary and flow-printer oracles at 2048 draws"
+    bold "build-and-test: allocator, segmentation, DP-row pricing (every_dp_row_of_a_random_stage_list_prices_like_evaluate), replay, trace-generator, latency-summary and flow-printer oracles at 2048 draws"
     PROPTEST_CASES=2048 cargo test -q --release -p cim-compiler --lib -- alloc:: cg::
     PROPTEST_CASES=2048 cargo test -q --release -p cim-traffic --lib -- run_queue_matches_the_sorting_oracle
     PROPTEST_CASES=2048 cargo test -q --release -p cim-traffic --test properties -- merging_generator_matches_the_sorting_oracle
