@@ -109,7 +109,7 @@ pub fn generate_flow_bounded(
 /// `counted` holds the whole flow's counts (the codegen pass's counting
 /// step), the generator stops once the flow stores `keep` statements and
 /// the flow takes `counted`'s counts for the rest: the same statements,
-/// [`MopFlow::pushed`] and [`FlowStats`](cim_mop::FlowStats), for the
+/// [`MopFlow::pushed`] and [`FlowStats`], for the
 /// cost of the head.
 pub(crate) fn generate(
     compiled: &Compiled,

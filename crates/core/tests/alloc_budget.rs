@@ -31,7 +31,9 @@
 //! `vit_base@isaac` through a memory and a disk cache, with the exact
 //! cache counters: a warm `Session::run` loads only the deepest cached
 //! artifact, so one that loads and decodes every pass's entry again
-//! fails here.
+//! fails here. And it pins the allocations of loading the
+//! `resnet152` and `resnet18` model files with `cim_graph::from_json`,
+//! so a loader that builds the document's tree again fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -275,7 +277,7 @@ fn recompile_counts() -> (u64, u64) {
 }
 
 /// The one-layer recompile's budgets, about a fifth over its counts:
-/// 514 allocations (47 of them apply the delta to a copy of the graph)
+/// 513 allocations (46 of them apply the delta to a copy of the graph)
 /// and 5 DP candidates priced. A recompile over a fresh memo makes 697
 /// allocations and prices 6 437 candidates.
 const RECOMPILE_BUDGET: (u64, u64) = (620, 6);
@@ -450,6 +452,38 @@ fn a_warm_compile_loads_its_deepest_entry_only() {
             over.push(format!(
                 "{key}: cache counters {:?}, expected {:?}",
                 counted.stats, budget.stats
+            ));
+        }
+    }
+    assert!(over.is_empty(), "{over:#?}");
+}
+
+/// The allocations of loading a model file: `from_json` of `to_json`'s
+/// document, the text made outside the window.
+fn load_allocations(graph: &cim_graph::Graph) -> u64 {
+    let json = cim_graph::to_json(graph);
+    let (loaded, allocations) = allocations_of(|| cim_graph::from_json(&json));
+    assert_eq!(loaded.as_ref(), Ok(graph), "{}", graph.name());
+    allocations
+}
+
+/// The model loads' budgets, about a fifth over their counts: 723
+/// allocations for `resnet152` (515 nodes) and 217 for `resnet18` (71
+/// nodes). Building each document's `serde::Value` tree first, as the
+/// loader once did, counts 6 176 and 882; gathering each node's input
+/// shapes into a `Vec` counts 1 237 and 285.
+const LOAD_BUDGETS: [(&str, u64); 2] = [("resnet152", 870), ("resnet18", 260)];
+
+#[test]
+fn a_model_load_stays_under_its_count_budget() {
+    let _serial = serial();
+    let mut over = Vec::new();
+    for (model, limit) in LOAD_BUDGETS {
+        let allocations = load_allocations(&zoo::by_name(model).expect("a zoo model"));
+        println!("{model} load: allocations {allocations} (budget {limit})");
+        if allocations > limit {
+            over.push(format!(
+                "{model} load: {allocations} allocations over {limit}"
             ));
         }
     }

@@ -1,7 +1,7 @@
 //! Typed graph edits — the input to incremental recompilation.
 //!
 //! A [`GraphDelta`] is an ordered list of [`GraphEdit`]s addressed by
-//! node *name* (never [`NodeId`](crate::NodeId) — ids are dense indices
+//! node *name* (never [`NodeId`] — ids are dense indices
 //! that shift when nodes are inserted or removed, names survive the
 //! rebuild). Applying a delta never mutates the base graph; it produces
 //! a fresh, fully-consistent [`Graph`] or an error naming the offending

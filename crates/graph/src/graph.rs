@@ -368,6 +368,33 @@ impl PartialEq for Graph {
     }
 }
 
+/// Infers `op`'s output shape over the output shapes of `inputs`,
+/// gathered into an inline array: only a `Concat` of more than
+/// [`INLINE_INPUTS`] inputs spills them to the heap.
+fn infer_over(
+    op: &OpKind,
+    inputs: &[NodeId],
+    nodes: &[NodeRec],
+    shapes: &[Shape],
+) -> Result<Shape, GraphError> {
+    let shape_of = |id: &NodeId| &shapes[nodes[id.index()].out_shape.index()];
+    match inputs {
+        [] => op.infer(&[]),
+        [first, ..] if inputs.len() <= INLINE_INPUTS => {
+            let mut gathered = [shape_of(first); INLINE_INPUTS];
+            for (slot, id) in gathered.iter_mut().zip(inputs) {
+                *slot = shape_of(id);
+            }
+            op.infer(&gathered[..inputs.len()])
+        }
+        _ => op.infer(&inputs.iter().map(shape_of).collect::<Vec<_>>()),
+    }
+}
+
+/// Inputs [`infer_over`] gathers without allocating: every operator but
+/// `Concat` takes one or two.
+const INLINE_INPUTS: usize = 4;
+
 impl Graph {
     /// Creates an empty graph named `name`.
     #[must_use]
@@ -388,6 +415,12 @@ impl Graph {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Renames the model (the exchange format may name it after its
+    /// nodes).
+    pub(crate) fn set_name(&mut self, name: String) {
+        self.name = name;
     }
 
     fn intern_shape(&mut self, shape: Shape) -> ShapeId {
@@ -429,11 +462,8 @@ impl Graph {
             }
             self.in_pool.push(input);
         }
-        let shapes: Vec<&Shape> = self.in_pool[in_start..]
-            .iter()
-            .map(|id| &self.shapes[self.nodes[id.index()].out_shape.index()])
-            .collect();
-        let out_shape = match op.infer(&shapes) {
+        let out_shape = match infer_over(&op, &self.in_pool[in_start..], &self.nodes, &self.shapes)
+        {
             Ok(shape) => shape,
             Err(err) => {
                 self.in_pool.truncate(in_start);
@@ -484,12 +514,8 @@ impl Graph {
             let out = {
                 let rec = &g.nodes[i];
                 let start = rec.in_start as usize;
-                let in_shapes: Vec<&Shape> = g.in_pool[start..start + rec.in_len as usize]
-                    .iter()
-                    .map(|id| &g.shapes[g.nodes[id.index()].out_shape.index()])
-                    .collect();
-                g.ops[rec.op.index()]
-                    .infer(&in_shapes)
+                let inputs = &g.in_pool[start..start + rec.in_len as usize];
+                infer_over(&g.ops[rec.op.index()], inputs, &g.nodes, &g.shapes)
                     .map_err(|e| (NodeId::from_index(i), e))?
             };
             let out = g.intern_shape(out);

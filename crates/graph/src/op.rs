@@ -216,10 +216,15 @@ impl OpKind {
 
     /// Infers the output shape from the input shapes.
     ///
+    /// Total on any attributes, including a model file's: a zero extent,
+    /// an empty shape or an element count past `u64::MAX` is an error,
+    /// not a panic or a wrapped count.
+    ///
     /// # Errors
     /// Returns [`GraphError::ShapeMismatch`] when the inputs are
     /// incompatible with the operator (wrong rank, mismatched extents,
-    /// kernel larger than the padded input, …) and
+    /// kernel larger than the padded input, …) or the output shape is
+    /// not well formed, and
     /// [`GraphError::ArityMismatch`] when the number of inputs is wrong.
     pub fn infer(&self, inputs: &[&Shape]) -> Result<Shape, GraphError> {
         if let Some(n) = self.arity() {
@@ -241,7 +246,7 @@ impl OpKind {
             op: self.mnemonic(),
             message,
         };
-        match self {
+        let out = match self {
             OpKind::Input { shape } => Ok(shape.clone()),
             OpKind::Conv2d {
                 out_channels,
@@ -249,6 +254,9 @@ impl OpKind {
                 stride,
                 padding,
             } => {
+                if *out_channels == 0 {
+                    return Err(mismatch("zero output channels".into()));
+                }
                 let (_, h, w) = inputs[0]
                     .as_chw()
                     .ok_or_else(|| mismatch(format!("expects [C,H,W], got {}", inputs[0])))?;
@@ -259,6 +267,9 @@ impl OpKind {
                 Ok(Shape::chw(*out_channels, oh, ow))
             }
             OpKind::Linear { out_features } => {
+                if *out_features == 0 {
+                    return Err(mismatch("zero output features".into()));
+                }
                 let mut dims: Vec<usize> = inputs[0].dims().to_vec();
                 *dims.last_mut().expect("shapes are non-empty") = *out_features;
                 Ok(Shape::new(dims))
@@ -296,16 +307,15 @@ impl OpKind {
                 Ok(Shape::chw(c, oh, ow))
             }
             OpKind::Reshape { shape } => {
-                if shape.elements() != inputs[0].elements() {
-                    return Err(mismatch(format!(
-                        "cannot reshape {} ({} elements) to {} ({} elements)",
-                        inputs[0],
-                        inputs[0].elements(),
-                        shape,
-                        shape.elements()
-                    )));
+                let from = inputs[0].elements();
+                match shape.checked_elements() {
+                    Some(to) if to == from => Ok(shape.clone()),
+                    Some(to) => Err(mismatch(format!(
+                        "cannot reshape {} ({from} elements) to {shape} ({to} elements)",
+                        inputs[0]
+                    ))),
+                    None => Err(mismatch(format!("cannot reshape to {shape}"))),
                 }
-                Ok(shape.clone())
             }
             OpKind::GlobalAvgPool => {
                 let (c, _, _) = inputs[0]
@@ -342,7 +352,9 @@ impl OpKind {
                             )));
                         }
                     }
-                    dims[*axis] += other.dims()[*axis];
+                    dims[*axis] = dims[*axis]
+                        .checked_add(other.dims()[*axis])
+                        .ok_or_else(|| mismatch(format!("axis {axis} overflows")))?;
                 }
                 Ok(Shape::new(dims))
             }
@@ -362,7 +374,11 @@ impl OpKind {
                 }
                 Ok(inputs[0].clone())
             }
+        }?;
+        if out.checked_elements().is_none() {
+            return Err(mismatch(format!("output {out} is not a well-formed shape")));
         }
+        Ok(out)
     }
 }
 
@@ -403,7 +419,7 @@ impl fmt::Display for OpKind {
 /// Output extent of a convolution/pool along one axis, or `None` if the
 /// (padded) input is smaller than the kernel.
 fn conv_out(input: usize, kernel: usize, stride: usize, padding: usize) -> Option<usize> {
-    let padded = input + 2 * padding;
+    let padded = padding.checked_mul(2)?.checked_add(input)?;
     if kernel == 0 || stride == 0 || padded < kernel {
         return None;
     }

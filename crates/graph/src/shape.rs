@@ -67,6 +67,20 @@ impl Shape {
         self.0.iter().map(|&d| d as u64).product()
     }
 
+    /// The element count of a well-formed shape: `None` when it has no
+    /// dimension, a zero one, or more than `u64::MAX` elements. A shape
+    /// read from a model file skips [`Shape::new`]'s check, so shape
+    /// inference asks this of every shape it returns.
+    pub(crate) fn checked_elements(&self) -> Option<u64> {
+        if self.0.is_empty() {
+            return None;
+        }
+        self.0.iter().try_fold(1u64, |n, &d| match d {
+            0 => None,
+            d => n.checked_mul(d as u64),
+        })
+    }
+
     /// The last dimension (the "feature" axis for linear layers).
     #[must_use]
     pub fn last(&self) -> usize {

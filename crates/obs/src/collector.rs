@@ -11,6 +11,7 @@
 //! The enabled flag is a single `AtomicBool` read with
 //! [`Ordering::Relaxed`] — the only work tracing does when off.
 
+use crate::metrics::locked;
 use crate::span::TraceEvent;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,27 +72,17 @@ impl Collector {
     /// empty (thread registrations persist, so long-lived workers keep
     /// their ids across drains).
     ///
-    /// # Panics
-    /// Panics if an emitting thread panicked while holding its buffer
-    /// lock (events are pushed outside any panicking region in this
-    /// crate, so that indicates a bug here).
+    /// A lock that a panicking thread poisoned is still read: the
+    /// registry only ever gains whole registrations and a buffer only
+    /// whole events, so neither is left half-built.
     #[must_use]
     pub fn drain(&self) -> Trace {
-        let mut buffers: Vec<Arc<ThreadBuffer>> = self
-            .threads
-            .lock()
-            .expect("collector thread registry poisoned")
-            .clone();
+        let mut buffers: Vec<Arc<ThreadBuffer>> = locked(&self.threads).clone();
         buffers.sort_by_key(|b| b.tid);
         let mut events = Vec::new();
         let mut threads = Vec::new();
         for buffer in buffers {
-            let mut taken = std::mem::take(
-                &mut *buffer
-                    .events
-                    .lock()
-                    .expect("collector thread buffer poisoned"),
-            );
+            let mut taken = std::mem::take(&mut *locked(&buffer.events));
             threads.push((buffer.tid, buffer.name.clone()));
             events.append(&mut taken);
         }
@@ -112,11 +103,21 @@ impl Collector {
             name,
             events: Mutex::new(Vec::new()),
         });
-        self.threads
-            .lock()
-            .expect("collector thread registry poisoned")
-            .push(Arc::clone(&buffer));
+        locked(&self.threads).push(Arc::clone(&buffer));
         buffer
+    }
+}
+
+impl ThreadBuffer {
+    /// Appends `event` unless the buffer already holds
+    /// [`PER_THREAD_CAP`] events; returns whether it was kept.
+    fn push(&self, event: TraceEvent) -> bool {
+        let mut events = locked(&self.events);
+        let kept = events.len() < PER_THREAD_CAP;
+        if kept {
+            events.push(event);
+        }
+        kept
     }
 }
 
@@ -131,14 +132,8 @@ pub(crate) fn push(mut event: TraceEvent) {
         let mut slot = slot.borrow_mut();
         let buffer = slot.get_or_insert_with(|| collector().buffer_for_current_thread());
         event.tid = buffer.tid;
-        let mut events = buffer
-            .events
-            .lock()
-            .expect("collector thread buffer poisoned");
-        if events.len() >= PER_THREAD_CAP {
+        if !buffer.push(event) {
             collector().dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            events.push(event);
         }
     });
 }
@@ -166,5 +161,60 @@ impl Trace {
             .iter()
             .filter(|e| matches!(e.phase, Phase::End | Phase::Complete))
             .count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::span::Phase;
+
+    fn event(name: &str) -> TraceEvent {
+        TraceEvent {
+            phase: Phase::Complete,
+            name: name.to_owned(),
+            cat: "test",
+            ts_us: 1,
+            dur_us: 2,
+            tid: 0,
+            args: Vec::new(),
+        }
+    }
+
+    fn poison<T>(lock: &Mutex<T>) {
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = lock.lock();
+            panic!("an emitter panicked holding the lock");
+        }));
+        assert!(panicked.is_err() && lock.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_registry_and_buffer_still_record_and_drain() {
+        // A private collector, so the global one other tests use stays
+        // unpoisoned.
+        let c = Collector {
+            enabled: AtomicBool::new(true),
+            threads: Mutex::new(Vec::new()),
+            next_tid: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+        };
+        let first = c.buffer_for_current_thread();
+        assert!(first.push(event("before")));
+        poison(&c.threads);
+        poison(&first.events);
+        assert!(first.push(event("after")));
+        let second = c.buffer_for_current_thread();
+        assert!(second.push(event("second")));
+        let trace = c.drain();
+        let names: Vec<_> = trace.events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["before", "after", "second"]);
+        assert_eq!(
+            trace.threads.iter().map(|t| t.0).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        assert!(c.drain().events.is_empty());
+        assert!(first.push(event("again")));
+        assert_eq!(c.drain().events.len(), 1);
     }
 }

@@ -5,14 +5,14 @@
 //! loop, the benchmark harness, the traffic simulator, and the DSE
 //! engine:
 //!
-//! * **Spans** — [`span`] opens an RAII [`SpanGuard`] that records a
+//! * **Spans** — [`span()`] opens an RAII [`SpanGuard`] that records a
 //!   begin/end event pair into a per-thread buffer; [`complete_span`]
 //!   records a pre-measured interval (e.g. a queue wait stamped across
 //!   threads). Buffers drain into the global [`Collector`].
 //! * **Clock** — [`TraceClock`] is the single monotonic epoch every
 //!   timestamp in the process shares; [`stopwatch`] replaces the
 //!   ad-hoc `Instant`-based timing the subsystems used to duplicate.
-//! * **Metrics** — [`metrics`] returns the global [`MetricsRegistry`]
+//! * **Metrics** — [`metrics()`] returns the global [`MetricsRegistry`]
 //!   of counters, gauges, and log-linear histograms, snapshotted into
 //!   a schema-versioned serde [`MetricsSnapshot`] (scraped over the
 //!   wire by `Request::Metrics`).
@@ -27,7 +27,7 @@
 //! # The disabled-cost contract
 //!
 //! Tracing and metrics are **off by default** and every recording
-//! entry point ([`span`], [`complete_span`], the gated
+//! entry point ([`span()`], [`complete_span`], the gated
 //! [`MetricsRegistry`] methods) first performs exactly **one relaxed
 //! atomic load** and returns if its gate is off — no allocation, no
 //! clock read, no lock. Instrumented hot paths therefore cost one

@@ -326,8 +326,9 @@ impl MetricsRegistry {
 /// The map behind `lock`, even if a thread panicked while holding it: the
 /// registry's maps only ever gain fully built instruments, and a reset
 /// stores into them or swaps in whole histograms, so a poisoned map is
-/// still a consistent one.
-fn locked<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+/// still a consistent one. The collector's registry and thread buffers
+/// lean on the same argument.
+pub(crate) fn locked<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -32,14 +32,16 @@ build_and_test() {
     # The spend, sweep and brute-force segmentation oracles, the DP rows
     # of random stage lists priced against `evaluate`, the
     # sort-the-whole-queue replay oracle, the sort-every-arrival trace
-    # generator, the sorting latency summary and the flow printer's
-    # properties are cheap enough to run at 2048 draws each.
-    bold "build-and-test: allocator, segmentation, DP-row pricing (every_dp_row_of_a_random_stage_list_prices_like_evaluate), replay, trace-generator, latency-summary and flow-printer oracles at 2048 draws"
+    # generator, the sorting latency summary, the flow printer's
+    # properties and the graph reader's tree-path oracle are cheap enough
+    # to run at 2048 draws each.
+    bold "build-and-test: allocator, segmentation, DP-row pricing (every_dp_row_of_a_random_stage_list_prices_like_evaluate), replay, trace-generator, latency-summary, flow-printer and graph-reader oracles at 2048 draws"
     PROPTEST_CASES=2048 cargo test -q --release -p cim-compiler --lib -- alloc:: cg::
     PROPTEST_CASES=2048 cargo test -q --release -p cim-traffic --lib -- run_queue_matches_the_sorting_oracle
     PROPTEST_CASES=2048 cargo test -q --release -p cim-traffic --test properties -- merging_generator_matches_the_sorting_oracle
     PROPTEST_CASES=2048 cargo test -q --release -p cim-obs --lib -- of_cycles_is_the_sorting_summary
     PROPTEST_CASES=2048 cargo test -q --release -p cim-mop --test props
+    PROPTEST_CASES=2048 cargo test -q --release -p cim-graph --test reader_fuzz -- the_one_pass_reader_matches_the_tree_oracle
     # `--flow` alone generates a flow that keeps only the statements its
     # head prints; `--verify` needs, and keeps, all of them.
     bold "build-and-test: a flow head kept bounded prints as the whole flow's"
@@ -62,7 +64,7 @@ lint() {
     bold "lint: cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
     bold "lint: docs gate (rustdoc warnings are errors)"
-    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
     bold "lint: cim-dse and cim-traffic stay off the paper's evaluation crate"
     local tree
     tree=$(cargo tree --offline -e normal -p cim-dse -p cim-traffic)
